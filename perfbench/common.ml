@@ -14,6 +14,29 @@ let time f =
 
 let ns_of_s s = s *. 1e9
 
+module IntMap = Map.Make (Int)
+
+(* A fixed computation of the kind the scheduler does (hashing, sorting,
+   balanced trees, short-lived lists) that shares no code with the
+   repository: its time tracks the speed the host gives this process. *)
+let reference_work () =
+  let n = 1024 in
+  let h = Hashtbl.create 64 and m = ref IntMap.empty and acc = ref 0 in
+  for i = 0 to n - 1 do
+    let k = (i * 7919) land 0xffff in
+    Hashtbl.replace h k i;
+    m := IntMap.add k i !m
+  done;
+  for i = 0 to n - 1 do
+    let k = (i * 104729) land 0xffff in
+    (match Hashtbl.find_opt h k with Some v -> acc := !acc + v | None -> ());
+    match IntMap.find_opt k !m with Some v -> acc := !acc - v | None -> ()
+  done;
+  let a = Array.init n (fun i -> (i * 2654435761) land 0xfffff) in
+  Array.sort compare a;
+  let l = List.filter (fun x -> x land 1 = 0) (Array.to_list a) in
+  Sys.opaque_identity (!acc + List.length (List.rev_map succ l))
+
 (* ------------------------------------------------------------------ *)
 (* Statistics                                                           *)
 
@@ -58,6 +81,32 @@ let typical_total rows =
     !total
 
 let ratio num den = if den = 0 then 0. else float_of_int num /. float_of_int den
+
+(* ------------------------------------------------------------------ *)
+(* Host speed                                                           *)
+
+(* A shared host's speed drifts by tens of percent over minutes, and
+   moves every wall-clock time of a run alike.  Timed phases therefore
+   interleave probes of [reference_work] with their operations and
+   report times rescaled to a host on which one probe takes
+   [nominal_probe_s] (about what it takes on a 2 GHz Xeon core): the
+   measured time times [nominal_probe_s] over the phase's median probe.
+   A change to the repository's code moves the times, not the probes. *)
+let nominal_probe_s = 1e-3
+
+type speed = { mutable probes : float list }
+
+let speed () = { probes = [] }
+
+let probe sp =
+  for _ = 1 to 3 do
+    sp.probes <- snd (time reference_work) :: sp.probes
+  done
+
+let probe_s sp = median (Array.of_list sp.probes)
+
+(* Factor from a phase's measured seconds to nominal seconds. *)
+let rescale sp = nominal_probe_s /. probe_s sp
 
 (* ------------------------------------------------------------------ *)
 (* Results                                                              *)

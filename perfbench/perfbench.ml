@@ -40,7 +40,8 @@ let per_layer =
     ("tier2.hit_ratio", "ratio"); ("serve.computed", "count");
     ("serve.coalesced", "count"); ("serve.outside_ns", "ns");
     ("gc.minor_mb_per_op", "MB"); ("gc.major_collections", "count");
-    ("gc.top_heap_mb", "MB"); ("trace.overhead_pct", "%") ]
+    ("gc.top_heap_mb", "MB"); ("trace.overhead_pct", "%");
+    ("host.probe_ns", "ns") ]
 
 let workloads =
   [ "workbench_ideal"; "workbench_prefetch"; "edit_session"; "serve_mixed" ]
@@ -116,5 +117,11 @@ let () =
       Workbench.run Workbench.Prefetch ~seed ~seconds ~traced r
     | "edit_session" -> Edit.run ~seed ~seconds ~traced r
     | _ -> Serve.run ~exe:(get "serve-exe") ~seed ~seconds ~traced r);
+    if traced then begin
+      (* the host's speed, to compare per-layer times across runs *)
+      let sp = speed () in
+      for _ = 1 to 10 do probe sp done;
+      put r "host.probe_ns" "ns" (ns_of_s (probe_s sp))
+    end;
     finish r ~traced
   end

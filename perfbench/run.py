@@ -82,6 +82,12 @@ def main():
     p.add_argument("--trace", type=int, choices=[0, 1], default=0)
     args = p.parse_args()
     build()
+    # The workload, and the daemon it starts, run on one core: a shared
+    # host's cores are not equally busy, and a process pair spread over
+    # two of them measures the busier one.  The host-speed probes then
+    # run on the core the work runs on.
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     run(args)
 
 

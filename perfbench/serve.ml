@@ -19,6 +19,7 @@ let fresh_pool = 1500
 let clients = 2
 let zipf_s = 1.0
 let timeout_ms = 20_000
+let rss_after = 3000
 
 type item = { loop : Hcrf_ir.Loop.t; config : Hcrf_machine.Config.t }
 
@@ -159,7 +160,7 @@ let start ~exe ~traced =
     | Error _ -> retry ()
   and retry () =
     if now () -. t0 > 30. then failwith "hcrf_serve did not come up within 30 s";
-    Unix.sleepf 0.002;
+    Unix.sleepf 2e-4;
     ready ()
   in
   ready ();
@@ -217,24 +218,35 @@ let stats_now d =
   Fun.protect ~finally:(fun () -> Client.close c) (fun () -> stats c)
 
 (* [clients] closed-loop connections take the next request of the
-   sequence, from request [from] on, until the deadline. *)
-let window ?(from = 0) d inp ~seconds =
+   sequence, from request [from] on, until the deadline.  Every half
+   second the connections hold while no request is in flight and
+   [pause] runs (host-speed probes). *)
+let window ?(from = 0) ?pause ?(on_take = ignore) d inp ~seconds =
   let before = stats_now d in
-  let next = ref from and lock = Mutex.create () in
+  let next = ref from and lock = Mutex.create () and changed = Condition.create () in
+  let in_flight = ref 0 and hold = ref false and finished = ref 0 in
   let log = Array.make (Array.length inp.requests) (0, Refused "", 0., 0.) in
   let t0 = now () in
   let deadline = t0 +. seconds in
   let take () =
-    Mutex.lock lock;
+    Mutex.protect lock @@ fun () ->
+    while !hold do Condition.wait changed lock done;
     let k = !next in
     let go = now () < deadline && k < Array.length inp.requests in
-    if go then incr next;
-    Mutex.unlock lock;
+    if go then begin
+      incr next;
+      incr in_flight;
+      on_take (!next - from)
+    end;
     if go then Some k else None
   in
   let client () =
     let c = connect d in
-    Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+    Fun.protect
+      ~finally:(fun () ->
+        Client.close c;
+        Mutex.protect lock (fun () -> incr finished))
+    @@ fun () ->
     let rec loop () =
       match take () with
       | None -> ()
@@ -242,11 +254,32 @@ let window ?(from = 0) d inp ~seconds =
         let i = inp.requests.(k) in
         let resp, s = time (fun () -> ask c inp.items.(i)) in
         log.(k) <- (i, outcome_of resp, s, now () -. t0);
+        Mutex.protect lock (fun () ->
+            decr in_flight;
+            Condition.broadcast changed);
         loop ()
     in
     loop ()
   in
   let threads = List.init clients (fun _ -> Thread.create client ()) in
+  (match pause with
+  | None -> ()
+  | Some pause ->
+    let rec probes () =
+      Unix.sleepf 0.5;
+      if now () < deadline && Mutex.protect lock (fun () -> !finished) = 0
+      then begin
+        Mutex.protect lock (fun () ->
+            hold := true;
+            while !in_flight > 0 do Condition.wait changed lock done);
+        pause ();
+        Mutex.protect lock (fun () ->
+            hold := false;
+            Condition.broadcast changed);
+        probes ()
+      end
+    in
+    probes ());
   List.iter Thread.join threads;
   let wall = now () -. t0 in
   let after = stats_now d in
@@ -320,22 +353,15 @@ let tier_coverage r w =
 
 let latency_samples w = Array.map (fun (_, _, s, _) -> s) w.served
 
-(* The p99 of each three-second slice of the window (each with at least
-   ten samples beyond its p99), median over the slices: a burst of
-   contention on the host in one slice does not set the run's tail.
-   [None] when no slice is that large. *)
-let sliced_p99 w =
-  let slice = 3. in
-  let n = max 1 (int_of_float (w.wall /. slice)) in
-  let buckets = Array.make n [] in
-  Array.iter
-    (fun (_, _, s, at) ->
-      let b = min (n - 1) (int_of_float (at /. slice)) in
-      buckets.(b) <- s :: buckets.(b))
-    w.served;
-  match List.filter (fun l -> List.length l >= min_samples) (Array.to_list buckets) with
-  | [] -> None
-  | full -> Some (median (Array.of_list (List.map (fun l -> quantile (Array.of_list l) 0.99) full)))
+(* The p99 of each run of 1000 consecutive requests (completion
+   order), median over those runs: a burst of contention on the host
+   in one run does not set the window's tail.  [None] when the window
+   has fewer than 1000 requests. *)
+let grouped_p99_of w =
+  let served = Array.copy w.served in
+  Array.stable_sort (fun (_, _, _, a) (_, _, _, b) -> compare a b) served;
+  let lat = Array.map (fun (_, _, s, _) -> s) served in
+  grouped_p99 (List.init (Array.length lat / 100) (fun i -> Array.sub lat (i * 100) 100))
 
 (* Requests completed per second: the mean over the middle half of the
    window's half-second slices, so a stall of a second or so does not
@@ -357,8 +383,11 @@ let throughput w =
 
 let run_untraced ~exe ~seed ~seconds r =
   let inp = inputs ~seed in
-  (* five daemon starts, one at a time; the last one serves the load *)
+  (* fifteen daemon starts, one at a time, each after a host-speed probe;
+     the last one serves the load *)
+  let sp = speed () in
   let rec starts k acc =
+    probe sp;
     let d, s = start ~exe ~traced:false in
     if k = 1 then (d, s :: acc)
     else begin
@@ -366,16 +395,29 @@ let run_untraced ~exe ~seed ~seconds r =
       starts (k - 1) (s :: acc)
     end
   in
-  let d, setup = starts 5 [] in
-  put r "setup_s" "s" (median (Array.of_list setup));
+  let d, setup = starts 15 [] in
+  put r "setup_s" "s" (median (Array.of_list setup) *. rescale sp);
   warm_up d inp;
-  let w = window d inp ~seconds in
-  put r "peak_rss_mb" "MB" (peak_rss_mb ~pid:(string_of_int d.pid) ());
+  (* the daemon's memory grows with every never-seen loop it computes,
+     so its peak is read after a fixed number of requests, not after
+     however many the window fits *)
+  let pid = string_of_int d.pid and rss = ref nan in
+  let on_take n = if n = rss_after then rss := peak_rss_mb ~pid () in
+  let sp = speed () in
+  let w = window ~pause:(fun () -> probe sp) ~on_take d inp ~seconds in
+  let k = rescale sp in
+  note "serve_mixed: host probe %.4fms, times x%.4f" (probe_s sp *. 1e3) k;
+  if Float.is_nan !rss then begin
+    note "serve_mixed: fewer than %d requests; peak RSS read at the end" rss_after;
+    rss := peak_rss_mb ~pid ()
+  end;
+  put r "peak_rss_mb" "MB" !rss;
   shutdown d;
   let lru, tier2, _, _ = tier_coverage r w in
-  latencies ?p99:(sliced_p99 w) r ~prefix:"op_" ~what:"request latency"
-    (latency_samples w);
-  let rate = throughput w in
+  let nominal = { w with served = Array.map (fun (i, o, s, at) -> (i, o, s *. k, at)) w.served } in
+  latencies ?p99:(grouped_p99_of nominal) r ~prefix:"op_" ~what:"request latency"
+    (latency_samples nominal);
+  let rate = throughput w /. k in
   put r "ops_per_s" "1/s" rate;
   put r "warm_loops_per_s" "1/s"
     (rate *. ratio (lru + tier2) (Array.length w.served));

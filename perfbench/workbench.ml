@@ -52,9 +52,40 @@ let pass_seconds p =
 let samples p =
   Array.of_list (List.concat_map (fun (_, rs) -> List.map (fun (_, _, s) -> s) rs) p)
 
+(* A result's outcome with its schedule under the latency table the
+   engine scheduled it with.  [Runner.run_loop] returns outcomes
+   replayed through [Entry.to_outcome], which rebuilds the schedule
+   with the configuration's default table; under binding prefetch the
+   engine used the plan's load latencies, and validating against hit
+   latencies misreads every prefetched value's lifetime. *)
+let as_scheduled scenario config (loop : Hcrf_ir.Loop.t)
+    (o : Hcrf_sched.Engine.outcome) =
+  match scenario with
+  | Runner.Ideal | Runner.Real { prefetch = false } -> o
+  | Runner.Real { prefetch = true } ->
+    let module S = Hcrf_sched.Schedule in
+    let lat =
+      Hcrf_sched.Latency.make
+        ~override:(Hcrf_memsim.Prefetch.plan config loop)
+        config
+    in
+    let s = S.create ~lat config ~ii:o.Hcrf_sched.Engine.ii in
+    let g = o.Hcrf_sched.Engine.graph in
+    (* (cycle, node) order, as [Entry.to_outcome] replays it *)
+    Hcrf_ir.Ddg.nodes g
+    |> List.filter_map (fun v ->
+           Option.map (fun (e : S.entry) -> (e.S.cycle, v, e.S.loc))
+             (S.entry o.Hcrf_sched.Engine.schedule v))
+    |> List.sort compare
+    |> List.iter (fun (cycle, v, loc) -> S.place s g v ~cycle ~loc);
+    { o with Hcrf_sched.Engine.schedule = s }
+
 (* Checks of a cold pass: every loop scheduled and every schedule
-   accepted by the independent validator. *)
-let check_cold r p =
+   accepted by the independent validator.  Returns how many replayed
+   outcomes the validator rejects only under the default latency table
+   (the replay defect [as_scheduled] works around). *)
+let check_cold r ~scenario p =
+  let replay_only = ref 0 in
   List.iter
     (fun ((config : Config.t), rs) ->
       List.iter
@@ -65,15 +96,18 @@ let check_cold r p =
             fail r "no_schedule" "%s on %s" (Hcrf_ir.Loop.name loop)
               config.Config.name
           | Some (lr : Runner.loop_result) -> (
-            match Hcrf_core.Mirs_hc.validate lr.Runner.outcome with
-            | [] -> ()
+            let o = lr.Runner.outcome in
+            match Hcrf_core.Mirs_hc.validate (as_scheduled scenario config loop o) with
+            | [] ->
+              if not (Hcrf_core.Mirs_hc.is_valid o) then incr replay_only
             | issue :: _ ->
               fail r "invalid_schedule" "%s on %s: %a" (Hcrf_ir.Loop.name loop)
                 config.Config.name
                 (fun () i -> Fmt.str "%a" Hcrf_sched.Validate.pp_issue i)
                 issue))
         rs)
-    p
+    p;
+  !replay_only
 
 let perf_bytes = function
   | None -> ""
@@ -101,38 +135,60 @@ let quality p =
       (ii + a.Hcrf_eval.Metrics.sum_ii, cyc +. (a.Hcrf_eval.Metrics.exec_cycles /. 1e6)))
     (0, 0.) p
 
-(* Median of [k] timings of [f] (at least one call). *)
+(* Median of [k] timings of [f] (at least one call), in nominal
+   seconds. *)
 let median_setup ~k f =
-  let last = ref None in
+  let last = ref None and sp = speed () in
   let ts =
     Array.init k (fun _ ->
         Gc.full_major ();
+        probe sp;
         let v, s = time f in
         last := Some v;
         s)
   in
-  (Option.get !last, median ts)
+  (Option.get !last, median ts *. rescale sp)
+
+(* One pass with host-speed probes before it and after every
+   configuration's loops: per-item results, and the sample row in
+   nominal seconds. *)
+let probed_pass ~ctx loops configs =
+  let sp = speed () in
+  probe sp;
+  let p =
+    List.concat_map
+      (fun config ->
+        let p = pass ~ctx loops [ config ] in
+        probe sp;
+        p)
+      configs
+  in
+  (p, Array.map (fun s -> s *. rescale sp) (samples p), probe_s sp)
 
 let run_untraced kind ~seed ~seconds r =
   let (loops, configs, scenario), setup_s =
-    median_setup ~k:11 (fun () -> setup kind ~seed)
+    median_setup ~k:31 (fun () -> setup kind ~seed)
   in
   put r "setup_s" "s" setup_s;
   let n = items loops configs in
   let deadline = now () +. seconds in
-  let cold_rows = ref [] and warm_rows = ref [] in
-  let first_quality = ref None in
+  let cold_rows = ref [] and warm_rows = ref [] and probes = ref [] in
+  let first_quality = ref None and replay_only = ref 0 in
   let rec round k =
     (* each round starts from a collected heap, so the peak does not
        depend on how many rounds fit *)
     Gc.full_major ();
     let ctx = Runner.Ctx.make ~scenario ~cache:(Cache.create ()) ~jobs:1 () in
-    let cold = pass ~ctx loops configs in
-    let warm = pass ~ctx loops configs in
-    cold_rows := samples cold :: !cold_rows;
-    warm_rows := samples warm :: !warm_rows;
-    check_cold r cold;
+    let cold, cold_row, cold_probe = probed_pass ~ctx loops configs in
+    let warm, warm_row, _ = probed_pass ~ctx loops configs in
+    cold_rows := cold_row :: !cold_rows;
+    warm_rows := warm_row :: !warm_rows;
+    probes := (pass_seconds cold, cold_probe) :: !probes;
+    replay_only := !replay_only + check_cold r ~scenario cold;
     check_warm r ~cold ~warm;
+    (* every round does the same work; later rounds would only give the
+       collector more chances to peak, and their number varies *)
+    if k = 1 then put r "peak_rss_mb" "MB" (peak_rss_mb ());
     let q = quality cold in
     (match !first_quality with
     | None -> first_quality := Some q
@@ -144,12 +200,19 @@ let run_untraced kind ~seed ~seconds r =
   let sum_ii, mcycles = Option.get !first_quality in
   note "workbench: %d loops x %d configs, %d rounds" (List.length loops)
     (List.length configs) rounds;
-  note "cold pass seconds per round: %s"
+  let probe_ms = median (Array.of_list (List.map (fun (_, p) -> p *. 1e3) !probes)) in
+  note "workbench: host probe %.4fms, times x%.4f" probe_ms (nominal_probe_s *. 1e3 /. probe_ms);
+  note "cold pass seconds per round (host probe ms): %s"
     (String.concat " "
        (List.rev_map
-          (fun row -> Printf.sprintf "%.3f" (Array.fold_left ( +. ) 0. row))
-          !cold_rows));
-  latencies r ~prefix:"op_" ~what:"cold schedule latency" (Array.concat !cold_rows);
+          (fun (s, p) -> Printf.sprintf "%.3f (%.4f)" s (p *. 1e3))
+          !probes));
+  if !replay_only > 0 then
+    note "workbench: %d replayed outcomes validate only under the scheduled \
+          latency table (Entry.to_outcome drops the prefetch override)"
+      !replay_only;
+  latencies ?p99:(grouped_p99 (List.rev !cold_rows)) r ~prefix:"op_"
+    ~what:"cold schedule latency" (Array.concat !cold_rows);
   put r "ops_per_s" "1/s" (float_of_int n /. typical_total !cold_rows);
   put r "warm_loops_per_s" "1/s" (float_of_int n /. typical_total !warm_rows);
   put r "sum_ii" "count" (float_of_int sum_ii);
@@ -205,7 +268,7 @@ let run_traced kind ~seed ~seconds:_ r =
   in
   let side f = List.map (fun (c, l) -> (c, List.map f l)) pairs in
   let traced_pass = side snd in
-  check_cold r traced_pass;
+  ignore (check_cold r ~scenario traced_pass);
   let plain = pass_seconds (side fst) and traced = pass_seconds traced_pass in
   note "trace overhead: cold pass %.3fs untraced, %.3fs traced" plain traced;
   put r "trace.overhead_pct" "%" (100. *. ((traced /. plain) -. 1.));
@@ -292,18 +355,22 @@ let run_traced kind ~seed ~seconds:_ r =
 
 let run kind ~seed ~seconds ~traced r =
   if traced then run_traced kind ~seed ~seconds r
-  else run_untraced kind ~seed ~seconds r;
-  put r "peak_rss_mb" "MB" (peak_rss_mb ())
+  else run_untraced kind ~seed ~seconds r
 
 (* The correctness gate on a tiny workload, for the self-test: failed
-   operations of one cold + warm round. *)
+   operations of one cold + warm round under ideal memory and one under
+   binding prefetch (whose schedules are validated through
+   [as_scheduled]). *)
 let gate_failures ~seed =
   let r = fresh_result () in
   let loops = workbench_loops ~seed ~n:6 in
   let configs = List.map Hcrf_model.Presets.published [ "S64"; "4C32S16" ] in
-  let ctx = Runner.Ctx.make ~cache:(Cache.create ()) ~jobs:1 () in
-  let cold = pass ~ctx loops configs in
-  let warm = pass ~ctx loops configs in
-  check_cold r cold;
-  check_warm r ~cold ~warm;
+  List.iter
+    (fun scenario ->
+      let ctx = Runner.Ctx.make ~scenario ~cache:(Cache.create ()) ~jobs:1 () in
+      let cold = pass ~ctx loops configs in
+      let warm = pass ~ctx loops configs in
+      ignore (check_cold r ~scenario cold);
+      check_warm r ~cold ~warm)
+    [ Runner.Ideal; Runner.Real { prefetch = true } ];
   (r.failed, r.attempted)
