@@ -14,7 +14,10 @@
 #     byte-identical at jobs=1 and jobs=4 (stage classification is
 #     serial, so all counts are jobs-independent);
 #   - the --json report has the hcrf-bench/1 shape, key-compatible
-#     with the committed BENCH_incr.json runs[] entries.
+#     with the committed BENCH_incr.json runs[] entries;
+#   - with --incr-dir the session persists (memo.v2 plus the schedule
+#     store's shards): a fresh process re-evaluating the program against
+#     the same directory recomputes nothing and still verifies.
 set -eu
 
 case "$1" in
@@ -73,4 +76,14 @@ if command -v jq > /dev/null 2>&1; then
       echo "  golden: $golden_keys" >&2; exit 1; }
 fi
 
-echo "incr smoke: ok (3-edit session, one dirty kernel per edit, bytes match cold, jobs-invariant)"
+# cross-process persistence
+"$explore" incr -c 4C32 --kernels 12 --edits 3 --incr-dir "$dir/memo" \
+  > "$dir/p1.txt"
+"$explore" incr -c 4C32 --kernels 12 --edits 0 --verify \
+  --incr-dir "$dir/memo" > "$dir/p2.txt"
+grep -q '^cold: .* recomputed=0 ' "$dir/p2.txt" &&
+  grep -q '^verify: ok' "$dir/p2.txt" ||
+  { echo "incr smoke: a fresh process did not replay the persisted session" >&2
+    cat "$dir/p2.txt" >&2; exit 1; }
+
+echo "incr smoke: ok (3-edit session, one dirty kernel per edit, bytes match cold, jobs-invariant, persists across processes)"

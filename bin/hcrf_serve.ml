@@ -9,10 +9,9 @@
    then the scheduling engine on a persistent domain pool, with
    duplicate in-flight requests coalesced onto one computation.
    SIGTERM/SIGINT drain gracefully; a final stats line is printed on
-   exit.  HCRF_SERVE_ADDR, HCRF_SERVE_LRU, HCRF_CACHE, HCRF_INCR,
-   HCRF_JOBS and HCRF_TRACE supply defaults; with HCRF_INCR the
-   incremental stage memo sits between the LRU and the cache and is
-   saved at drain. *)
+   exit.  HCRF_SERVE_ADDR, HCRF_SERVE_LRU, HCRF_CACHE, HCRF_JOBS and
+   HCRF_TRACE supply defaults.  Answers persist across restarts through
+   the cache directory only. *)
 
 open Cmdliner
 open Hcrf_server
@@ -78,8 +77,7 @@ let run addr cache_dir lru jobs max_frame =
       match jobs with Some n -> max 1 n | None -> Hcrf_eval.Env.jobs ()
     in
     let tracer = Hcrf_eval.Env.tracer () in
-    let memo = Hcrf_eval.Env.memo () in
-    let tiers = Tiers.create ?dir ?memo ~lru_capacity ~jobs ~tracer () in
+    let tiers = Tiers.create ?dir ~lru_capacity ~jobs ~tracer () in
     match Daemon.create ~max_frame ~addr tiers with
     | exception Unix.Unix_error (e, _, _) ->
       Fmt.epr "hcrf_serve: cannot listen on %a: %s@." Wire.pp_addr addr
@@ -95,9 +93,6 @@ let run addr cache_dir lru jobs max_frame =
       Daemon.run daemon;
       Fmt.pr "hcrf_serve: drained; %a@." Wire.pp_serve_stats
         (Tiers.stats tiers);
-      (* persist the stage memo (no-op for an in-memory one) so the
-         next daemon starts warm *)
-      Option.iter (fun m -> ignore (Hcrf_eval.Memo.save m)) memo;
       (match Hcrf_obs.Tracer.counters tracer with
       | None -> ()
       | Some c -> Fmt.pr "trace: %a@." Hcrf_obs.Counters.pp c);

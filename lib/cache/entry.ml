@@ -9,6 +9,7 @@ type stored_outcome = {
   s_assigns : (int * int * Topology.loc) list;
   s_graph : Ddg.repr;
   s_invariant_residents : (Topology.bank * int) list;
+  s_load_override : (int * int) list;
   s_seconds : float;
   s_stats : Engine.stats;
 }
@@ -81,6 +82,7 @@ let of_outcome config (o : Engine.outcome) ~input_digest ~stall_cycles
        bank exactly as the engine did *)
     |> List.sort (fun (v, c, _) (v', c', _) -> compare (c, v) (c', v'))
   in
+  let override = o.Engine.schedule.Schedule.lat.Latency.override in
   Scheduled
     {
       outcome =
@@ -95,6 +97,10 @@ let of_outcome config (o : Engine.outcome) ~input_digest ~stall_cycles
             List.map
               (fun b -> (b, o.Engine.invariant_residents b))
               (banks_of config);
+          s_load_override =
+            List.filter_map
+              (fun v -> Option.map (fun l -> (v, l)) (override v))
+              (Ddg.nodes o.Engine.graph);
           s_seconds = o.Engine.seconds;
           s_stats = o.Engine.stats;
         };
@@ -105,7 +111,14 @@ let of_outcome config (o : Engine.outcome) ~input_digest ~stall_cycles
 
 let to_outcome config (s : stored_outcome) : Engine.outcome =
   let graph = Ddg.of_repr s.s_graph in
-  let schedule = Schedule.create config ~ii:s.s_ii in
+  let lat =
+    match s.s_load_override with
+    | [] -> None
+    | l ->
+      let tbl = Hashtbl.of_seq (List.to_seq l) in
+      Some (Latency.make ~override:(Hashtbl.find_opt tbl) config)
+  in
+  let schedule = Schedule.create ?lat config ~ii:s.s_ii in
   List.iter
     (fun (v, cycle, loc) -> Schedule.place schedule graph v ~cycle ~loc)
     s.s_assigns;

@@ -22,6 +22,10 @@ type stored_outcome = {
           producers are replayed before the [Move]s that read them *)
   s_graph : Hcrf_ir.Ddg.repr;
   s_invariant_residents : (Hcrf_sched.Topology.bank * int) list;
+  s_load_override : (int * int) list;
+      (** node, load latency: the engine's latency override (binding
+          prefetch), so a replayed schedule reads lifetimes with the
+          table it was built under *)
   s_seconds : float;  (** original scheduling wall-clock, not replay *)
   s_stats : Hcrf_sched.Engine.stats;
 }
@@ -52,7 +56,8 @@ val of_outcome :
   Hcrf_machine.Config.t -> Hcrf_sched.Engine.outcome ->
   input_digest:string -> stall_cycles:float -> retries:int -> t
 
-(** Rebuild a full outcome for [config].  The caller must pass the same
+(** Rebuild a full outcome for [config], its schedule under the latency
+    table the engine scheduled with.  The caller must pass the same
     configuration the entry was stored under (the cache key guarantees
     this). *)
 val to_outcome :

@@ -1,17 +1,10 @@
 type t = { dir : string }
 
-(* version 3: entries are sharded into [shards] subdirectories by the
-   leading hex nibble of the key, so concurrent writers (the serving
-   daemon's connection handlers, a Par pool) never contend on one
-   directory.  The *payload* layout is unchanged from version 2
-   ([Entry.Scheduled] with [input_digest]), so v2 files — written into
-   the flat, unsharded directory root — are still readable: [load]
-   falls back to the legacy flat path and accepts the v2 magic.  v1
-   payloads have a different Marshal layout and are still rejected
-   before unmarshalling. *)
-let version = 3
+(* version 4: [Entry.stored_outcome] snapshots the load-latency override
+   the engine scheduled with.  Files of older versions (the flat v2
+   layout included) fail the magic test and are recomputed. *)
+let version = 4
 let magic = Printf.sprintf "hcrf-cache %d\n" version
-let magic_v2 = "hcrf-cache 2\n"
 
 (* Shard count and the shard of a key (its leading hex nibble).  16 is
    enough to make same-shard collisions of concurrent writers rare and
@@ -53,14 +46,10 @@ let open_dir d =
           d (Printexc.to_string e));
     None
 
-let basename key = Fingerprint.to_hex key ^ ".hcrf"
-
 let path t ~key =
-  Filename.concat (shard_dir t (shard_of_key key)) (basename key)
-
-(* Pre-v3 flat location of an entry, still consulted on a shard miss so
-   a v2 cache directory keeps its warm entries across the upgrade. *)
-let legacy_path t ~key = Filename.concat t.dir (basename key)
+  Filename.concat
+    (shard_dir t (shard_of_key key))
+    (Fingerprint.to_hex key ^ ".hcrf")
 
 let read_file p =
   let ic = open_in_bin p in
@@ -68,57 +57,29 @@ let read_file p =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let load_file p ~key =
-  let stale reason =
-    Logs.warn (fun m ->
-        m "schedule cache: ignoring %s (%s); recomputing" p reason);
-    `Error
-  in
+let read_sealed ~magic p =
   match read_file p with
-  | exception e -> stale (Printexc.to_string e)
+  | exception e -> Error (Printexc.to_string e)
   | content ->
-    (* v3 and v2 share the payload layout; only the header differs *)
     let mlen = String.length magic in
-    if String.length content < mlen + 16 then stale "truncated"
-    else if
-      not
-        (String.equal (String.sub content 0 mlen) magic
-        || String.equal (String.sub content 0 mlen) magic_v2)
-    then stale "bad magic or stale version"
+    if String.length content < mlen + 16 then Error "truncated"
+    else if not (String.equal (String.sub content 0 mlen) magic) then
+      Error "bad magic or stale version"
     else
       let sum = String.sub content mlen 16 in
       let payload =
         String.sub content (mlen + 16) (String.length content - mlen - 16)
       in
-      if not (String.equal sum (Digest.string payload)) then
-        stale "checksum mismatch"
-      else begin
-        (* the checksum matched, so the payload is exactly what a
-           same-layout writer produced: unmarshalling is safe *)
-        match (Marshal.from_string payload 0 : string * Entry.t) with
-        | exception e -> stale (Printexc.to_string e)
-        | stored_key, entry ->
-          if String.equal stored_key (Fingerprint.to_hex key) then
-            `Hit entry
-          else stale "key mismatch"
-      end
-
-let load t ~key =
-  let p = path t ~key in
-  if Sys.file_exists p then load_file p ~key
-  else
-    let legacy = legacy_path t ~key in
-    if Sys.file_exists legacy then load_file legacy ~key else `Miss
+      if String.equal sum (Digest.string payload) then Ok payload
+      else Error "checksum mismatch"
 
 let tmp_counter = Atomic.make 0
 
-let save t ~key entry =
-  let p = path t ~key in
+let write_sealed ~magic p payload =
   let tmp =
     Printf.sprintf "%s.tmp.%d.%d" p (Unix.getpid ())
       (Atomic.fetch_and_add tmp_counter 1)
   in
-  let payload = Marshal.to_string (Fingerprint.to_hex key, entry) [] in
   match
     let oc = open_out_bin tmp in
     Fun.protect
@@ -129,10 +90,40 @@ let save t ~key entry =
         output_string oc payload);
     Sys.rename tmp p
   with
-  | () -> true
+  | () -> Ok ()
   | exception e ->
     (if Sys.file_exists tmp then try Sys.remove tmp with Sys_error _ -> ());
+    Error (Printexc.to_string e)
+
+let load t ~key =
+  let p = path t ~key in
+  let stale reason =
+    Logs.warn (fun m ->
+        m "schedule cache: ignoring %s (%s); recomputing" p reason);
+    `Error
+  in
+  if not (Sys.file_exists p) then `Miss
+  else
+    match read_sealed ~magic p with
+    | Error reason -> stale reason
+    | Ok payload -> (
+      (* the checksum matched, so the payload is exactly what a
+         same-layout writer produced: unmarshalling is safe *)
+      match (Marshal.from_string payload 0 : string * Entry.t) with
+      | exception e -> stale (Printexc.to_string e)
+      | stored_key, entry ->
+        if String.equal stored_key (Fingerprint.to_hex key) then `Hit entry
+        else stale "key mismatch")
+
+let save t ~key entry =
+  let p = path t ~key in
+  match
+    write_sealed ~magic p
+      (Marshal.to_string (Fingerprint.to_hex key, entry) [])
+  with
+  | Ok () -> true
+  | Error reason ->
     Logs.warn (fun m ->
         m "schedule cache: cannot write %s (%s); entry kept in memory only"
-          p (Printexc.to_string e));
+          p reason);
     false

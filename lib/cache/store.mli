@@ -1,19 +1,13 @@
 (** On-disk persistence for cache entries: one file per entry, named by
     the key's hex fingerprint, sharded into {!shards} subdirectories by
-    the key's leading hex nibble (v3 layout).  Sharding spreads
-    concurrent writers over independent directories — and lets
-    {!Cache} guard each shard with its own mutex instead of one global
-    lock.
-
-    The layout is self-migrating: a v2 (flat, unsharded) cache
-    directory keeps working, because {!load} falls back to the legacy
-    flat path on a shard miss and the v2 payload layout is identical;
-    new writes always go to the shards.
+    the key's leading hex nibble.  Sharding spreads concurrent writers
+    over independent directories — and lets {!Cache} guard each shard
+    with its own mutex instead of one global lock.
 
     The file format is defensive: a versioned magic header followed by
-    an MD5 checksum of the marshalled payload.  A truncated, corrupt,
-    garbage or version-stale file fails the header or checksum test and
-    is reported as a miss with a {!Logs} warning — never an exception,
+    an MD5 checksum of the marshalled payload ({!write_sealed}).  A
+    truncated, corrupt, garbage or version-stale file fails the header
+    or checksum test and is reported as a miss with a {!Logs} warning — never an exception,
     and in particular the unmarshaller is never run on bytes that were
     not written by a matching layout of this module.
 
@@ -45,10 +39,6 @@ val dir : t -> string
 (** Sharded path of the entry file for [key] (exposed for tests). *)
 val path : t -> key:Fingerprint.t -> string
 
-(** Pre-v3 flat path of [key]; reads fall back to it so unsharded
-    caches migrate transparently (exposed for tests). *)
-val legacy_path : t -> key:Fingerprint.t -> string
-
 (** [`Miss] on absence; [`Error] (with a warning) on a truncated,
     corrupt, garbage, version-stale or unreadable file. *)
 val load :
@@ -56,3 +46,19 @@ val load :
 
 (** [false] — with a warning — when the entry could not be written. *)
 val save : t -> key:Fingerprint.t -> Entry.t -> bool
+
+(** {1 Sealed files}
+
+    The one on-disk codec of the repository, shared with the stage
+    memo: [magic | MD5 of payload | payload], written through a
+    temporary file in the same directory and an atomic rename. *)
+
+(** [Error reason] when the write failed (the temporary file is
+    removed). *)
+val write_sealed : magic:string -> string -> string -> (unit, string) result
+
+(** The payload of a sealed file; [Error reason] when it is unreadable,
+    truncated, carries another magic (another format or version) or
+    fails its checksum — the payload is then never returned, so a
+    caller never unmarshals bytes a matching writer did not produce. *)
+val read_sealed : magic:string -> string -> (string, string) result

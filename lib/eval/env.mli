@@ -46,8 +46,8 @@ type incr_spec = Incr_off | Incr_memory | Incr_dir of string
 val incr : unit -> incr_spec
 
 (** Build the stage memo a spec asks for ({!Incr_dir} loads
-    [dir/memo.v1] when present) — a fresh memo per call, so call once
-    per process. *)
+    [dir/memo.v2] and backs its schedule cache with the store shards
+    under [dir]) — a fresh memo per call, so call once per process. *)
 val memo_of_spec : incr_spec -> Memo.t option
 
 (** [memo_of_spec (incr ())]. *)

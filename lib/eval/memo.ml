@@ -1,6 +1,7 @@
 (** The stage memo of the incremental evaluation pipeline: one table,
-    keyed by (stage, input digest), holding closure-free stage results.
-    See the interface for the contract. *)
+    keyed by (stage, input digest), holding closure-free stage results,
+    beside the one schedule cache its schedule entries live in.  See the
+    interface for the contract. *)
 
 type loop_snapshot = {
   ls_repr : Hcrf_ir.Ddg.repr;
@@ -12,7 +13,6 @@ type loop_snapshot = {
 type value =
   | Loop_v of loop_snapshot
   | Fp_v of Hcrf_cache.Fingerprint.t
-  | Entry_v of Hcrf_cache.Entry.t
   | Perf_v of Metrics.loop_perf option
 
 (* A live [Ddg.t] may carry a watcher closure (set by the engine), so a
@@ -36,48 +36,34 @@ type t = {
   table : (string, value) Hashtbl.t;
   lookups : (string, int) Hashtbl.t;  (* "<stage>.hits" / "<stage>.misses" *)
   mutex : Mutex.t;
+  cache : Hcrf_cache.Cache.t;
 }
 
-let version = 1
+(* version 2: the table holds no schedule entries; they live in [cache] *)
+let version = 2
 let magic = Printf.sprintf "hcrf-memo %d\n" version
 let file_of_dir dir = Filename.concat dir (Printf.sprintf "memo.v%d" version)
 
-let read_file p =
-  let ic = open_in_bin p in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* Same discipline as the cache store: versioned magic, then an MD5 of
-   the payload, then the marshalled bindings — anything off is
-   discarded with a warning, never unmarshalled. *)
+(* Anything off is discarded with a warning, never unmarshalled; an
+   older version's file is never even read. *)
 let load_bindings dir =
+  let stale p reason =
+    Logs.warn (fun m -> m "stage memo: ignoring %s (%s)" p reason);
+    []
+  in
+  for v = 1 to version - 1 do
+    let p = Filename.concat dir (Printf.sprintf "memo.v%d" v) in
+    if Sys.file_exists p then ignore (stale p "stale version")
+  done;
   let p = file_of_dir dir in
   if not (Sys.file_exists p) then []
   else
-    let stale reason =
-      Logs.warn (fun m -> m "stage memo: ignoring %s (%s)" p reason);
-      []
-    in
-    match read_file p with
-    | exception e -> stale (Printexc.to_string e)
-    | content ->
-      let mlen = String.length magic in
-      if String.length content < mlen + 16 then stale "truncated"
-      else if not (String.equal (String.sub content 0 mlen) magic) then
-        stale "bad magic or stale version"
-      else
-        let sum = String.sub content mlen 16 in
-        let payload =
-          String.sub content (mlen + 16) (String.length content - mlen - 16)
-        in
-        if not (String.equal sum (Digest.string payload)) then
-          stale "checksum mismatch"
-        else begin
-          match (Marshal.from_string payload 0 : (string * value) array) with
-          | exception e -> stale (Printexc.to_string e)
-          | bindings -> Array.to_list bindings
-        end
+    match Hcrf_cache.Store.read_sealed ~magic p with
+    | Error reason -> stale p reason
+    | Ok payload -> (
+      match (Marshal.from_string payload 0 : (string * value) array) with
+      | exception e -> stale p (Printexc.to_string e)
+      | bindings -> Array.to_list bindings)
 
 let create ?dir () =
   let table = Hashtbl.create 128 in
@@ -85,26 +71,53 @@ let create ?dir () =
     (fun d -> List.iter (fun (k, v) -> Hashtbl.replace table k v)
         (load_bindings d))
     dir;
-  { dir; table; lookups = Hashtbl.create 8; mutex = Mutex.create () }
+  { dir; table; lookups = Hashtbl.create 8; mutex = Mutex.create ();
+    cache = Hcrf_cache.Cache.create ?dir () }
+
+let cache t = t.cache
 
 let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-let bump tbl key =
-  Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+let stage_name = Hcrf_obs.Event.incr_stage_name
 
-let full_key ~stage key = Hcrf_obs.Event.incr_stage_name stage ^ ":" ^ key
+let count t ~stage ~hit =
+  let key = stage_name stage ^ if hit then ".hits" else ".misses" in
+  locked t (fun () ->
+      Hashtbl.replace t.lookups key
+        (1 + Option.value ~default:0 (Hashtbl.find_opt t.lookups key)))
+
+let full_key ~stage key = stage_name stage ^ ":" ^ key
 
 let find t ~stage key =
-  locked t (fun () ->
-      let r = Hashtbl.find_opt t.table (full_key ~stage key) in
-      let outcome = if Option.is_some r then ".hits" else ".misses" in
-      bump t.lookups (Hcrf_obs.Event.incr_stage_name stage ^ outcome);
-      r)
+  let r = locked t (fun () -> Hashtbl.find_opt t.table (full_key ~stage key)) in
+  count t ~stage ~hit:(Option.is_some r);
+  r
 
 let add t ~stage key value =
   locked t (fun () -> Hashtbl.replace t.table (full_key ~stage key) value)
+
+let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
+
+let emit trace stage op ~since =
+  if Hcrf_obs.Trace.enabled trace then
+    Hcrf_obs.Trace.emit trace
+      (Hcrf_obs.Event.Incr { stage; op; ns = now_ns () - since })
+
+let memoize t ~trace ~stage key ~get ~put compute =
+  let t0 = now_ns () in
+  match Option.bind (find t ~stage key) get with
+  | Some v ->
+    emit trace stage Stage_hit ~since:t0;
+    (v, true)
+  | None ->
+    emit trace stage Stage_miss ~since:t0;
+    let t1 = now_ns () in
+    let v = compute () in
+    add t ~stage key (put v);
+    emit trace stage Stage_recompute ~since:t1;
+    (v, false)
 
 let length t = locked t (fun () -> Hashtbl.length t.table)
 
@@ -114,43 +127,18 @@ let sorted tbl =
 
 let stage_stats t = locked t (fun () -> sorted t.lookups)
 
-let total t suffix =
-  locked t (fun () ->
-      Hashtbl.fold
-        (fun k v acc ->
-          if Filename.check_suffix k suffix then acc + v else acc)
-        t.lookups 0)
-
-let hits t = total t ".hits"
-let misses t = total t ".misses"
-
 let save t =
   match t.dir with
   | None -> true
-  | Some dir ->
-    let bindings =
-      locked t (fun () ->
-          Array.of_list
-            (List.sort compare
-               (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.table [])))
-    in
+  | Some dir -> (
+    let bindings = locked t (fun () -> Array.of_list (sorted t.table)) in
     let p = file_of_dir dir in
-    let tmp = Printf.sprintf "%s.tmp.%d" p (Unix.getpid ()) in
-    let payload = Marshal.to_string bindings [] in
-    (match
-       let oc = open_out_bin tmp in
-       Fun.protect
-         ~finally:(fun () -> close_out_noerr oc)
-         (fun () ->
-           output_string oc magic;
-           output_string oc (Digest.string payload);
-           output_string oc payload);
-       Sys.rename tmp p
-     with
-    | () -> true
-    | exception e ->
-      (if Sys.file_exists tmp then try Sys.remove tmp with Sys_error _ -> ());
+    match
+      Hcrf_cache.Store.write_sealed ~magic p (Marshal.to_string bindings [])
+    with
+    | Ok () -> true
+    | Error reason ->
       Logs.warn (fun m ->
           m "stage memo: cannot write %s (%s); memo kept in memory only" p
-            (Printexc.to_string e));
+            reason);
       false)

@@ -193,67 +193,19 @@ let result_of_entry config (loop : Loop.t) = function
 
 (* The key's WL fingerprint equates isomorphic loops, but stored
    assignments are bound to concrete node ids: only replay entries whose
-   input graph had exactly this loop's ids. *)
-let entry_compatible (loop : Loop.t) =
-  let digest = Hcrf_cache.Entry.ddg_digest loop.Loop.ddg in
-  function
+   input graph had exactly these ids ([digest], {!Entry.ddg_digest}). *)
+let compatible ~digest = function
   | Hcrf_cache.Entry.Failed _ -> true
   | Hcrf_cache.Entry.Scheduled { input_digest; _ } ->
     String.equal input_digest digest
 
-(* One loop's work under an already-started trace.  Does NOT commit the
-   trace: callers commit in input order ([run_suite]) or right away
-   ([run_loop]). *)
-let run_loop_traced ~(ctx : Ctx.t) ~trace config (loop : Loop.t) :
-    loop_result option =
-  let { Ctx.scenario; opts; cache; _ } = ctx in
-  match cache with
-  | None ->
-    result_of_entry config loop
-      (compute_entry ~trace ~scenario ~opts config loop)
-  | Some c -> (
-    let key = cache_key ~scenario ~opts config loop in
-    match
-      Hcrf_cache.Cache.find ~trace ~validate:(entry_compatible loop) c key
-    with
-    | Some entry -> result_of_entry config loop entry
-    | None ->
-      let entry = compute_entry ~trace ~scenario ~opts config loop in
-      Hcrf_cache.Cache.add ~trace c key entry;
-      result_of_entry config loop entry)
+let entry_compatible (loop : Loop.t) =
+  compatible ~digest:(Hcrf_cache.Entry.ddg_digest loop.Loop.ddg)
 
-(** Schedule one loop; [None] if the scheduler could not find a schedule
-    (logged; does not happen for the shipped suites).  With a cache in
-    [ctx] the outcome is looked up by content-addressed key first; a hit
-    replays the stored schedule instead of re-running the engine and
-    yields a byte-identical [loop_result]. *)
-let run_loop ?(ctx = Ctx.default) config (loop : Loop.t) =
-  let trace = Hcrf_obs.Tracer.start ctx.Ctx.tracer ~label:(Loop.name loop) in
-  let r = run_loop_traced ~ctx ~trace config loop in
-  Hcrf_obs.Tracer.commit ctx.Ctx.tracer trace;
-  r
+let lookup ?trace cache key ~digest =
+  Hcrf_cache.Cache.find ?trace ~validate:(compatible ~digest) cache key
 
-(** Schedule a whole suite; loops that fail to schedule are dropped (and
-    logged).  [ctx.jobs] > 1 fans the loops out over a pool of domains
-    ({!Par}).  Results AND trace buffers come back in input order, and
-    buffers are committed to the tracer's sinks serially in that order —
-    so aggregates, counter totals and JSONL files are all identical to
-    the serial path. *)
-let run_suite ?(ctx = Ctx.default) config loops =
-  let pairs =
-    Par.map ~jobs:ctx.Ctx.jobs
-      (fun loop ->
-        let trace =
-          Hcrf_obs.Tracer.start ctx.Ctx.tracer ~label:(Loop.name loop)
-        in
-        (run_loop_traced ~ctx ~trace config loop, trace))
-      loops
-  in
-  List.filter_map
-    (fun (r, trace) ->
-      Hcrf_obs.Tracer.commit ctx.Ctx.tracer trace;
-      r)
-    pairs
+let store ?trace cache key entry = Hcrf_cache.Cache.add ?trace cache key entry
 
 (** Traced parallel map for drivers that run the engine directly rather
     than through [run_loop]: each work unit gets a trace labelled by
@@ -278,218 +230,157 @@ let aggregate config results =
   Metrics.aggregate config (List.map (fun r -> r.perf) results)
 
 (* ------------------------------------------------------------------ *)
-(* Incremental pipeline evaluation                                     *)
+(* The answer path                                                     *)
 
 type pipeline_stats = {
   total : int;
-  memo_hits : int;
-  cache_hits : int;
+  store_hits : int;
   computed : int;
   coalesced : int;
   metric_hits : int;
   dirty : string list;
 }
 
-let zero_pipeline_stats =
-  {
-    total = 0;
-    memo_hits = 0;
-    cache_hits = 0;
-    computed = 0;
-    coalesced = 0;
-    metric_hits = 0;
-    dirty = [];
-  }
+(* The WL fingerprint of a loop, through the memo's extract stage (keyed
+   by a cheap id-sensitive structural digest) when there is a memo. *)
+let loop_fingerprint ~trace memo loop =
+  match memo with
+  | None -> Hcrf_cache.Fingerprint.of_loop loop
+  | Some m ->
+    fst
+      (Memo.memoize m ~trace ~stage:Ev.Extract
+         (Digest.string (Marshal.to_string (Memo.snapshot_of_loop loop) []))
+         ~get:(function Memo.Fp_v fp -> Some fp | _ -> None)
+         ~put:(fun fp -> Memo.Fp_v fp)
+         (fun () -> Hcrf_cache.Fingerprint.of_loop loop))
 
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
-
-(* Emit one stage-memo event with the time spent since [t0]. *)
-let emit_incr trace stage op t0 =
-  if Tr.enabled trace then
-    Tr.emit trace (Ev.Incr { stage; op; ns = now_ns () - t0 })
-
-(* How the schedule stage of one loop will be (or was) answered. *)
-type sched_src =
-  | From_entry of Hcrf_cache.Entry.t  (* memo or shared-cache hit *)
-  | Compute  (* this loop owns the engine run for its key *)
-  | Join of int  (* same key as the owner at this index *)
-
-(* Evaluate a suite as the staged pipeline: per loop, the *extract*
-   stage memoizes the WL fingerprint (keyed by a cheap id-sensitive
-   structural digest), the *sched* stage memoizes the schedule entry
-   (keyed by the full cache key), and the *metric* stage memoizes the
-   derived [loop_perf] (keyed by cache key + loop name, the one input
-   the WL fingerprint deliberately excludes).
-
-   Stage classification runs serially in input order — which loop hits,
-   misses, joins an in-flight duplicate or owns a computation is decided
-   before any parallelism, so stage counters and stats are identical at
-   any job count.  Only the dirty owners are then fanned out on the
-   [Par] pool; results replay through [result_of_entry]/the metric memo,
-   byte-identical to a cold run (up to re-measured [sched_seconds]). *)
-let run_pipeline ?(ctx = Ctx.default) config loops =
-  let { Ctx.scenario; opts; cache; memo; _ } = ctx in
-  let n = List.length loops in
-  let loops_a = Array.of_list loops in
-  let traces =
-    Array.map
-      (fun loop -> Hcrf_obs.Tracer.start ctx.Ctx.tracer ~label:(Loop.name loop))
-      loops_a
+(* The one resolver behind [run_loop], [run_suite] and [run_pipeline]:
+   the schedule entry of every loop of a batch, in input order, with the
+   cache keys and how the batch was answered.  Entries live in one store
+   — the context's cache, else the memo's.  Keys, lookups and the
+   coalescing of duplicates (same key *and* same input ids) run serially
+   in input order, so stats and trace counters are identical at any job
+   count; only the owners' engine runs fan out on the [Par] pool, and
+   their entries are committed to the store serially in input order. *)
+let resolve ~(ctx : Ctx.t) ~traces config loops =
+  let { Ctx.scenario; opts; memo; _ } = ctx in
+  let cache =
+    match ctx.Ctx.cache with
+    | Some _ as c -> c
+    | None -> Option.map Memo.cache memo
   in
-  let stats = ref { zero_pipeline_stats with total = n } in
-  (* pass 1 (serial, input order): extract + sched classification *)
-  let keys = Array.make n (Hcrf_cache.Fingerprint.of_string "") in
-  let srcs = Array.make n Compute in
-  let owners : (string, int) Hashtbl.t = Hashtbl.create (max 16 n) in
+  let n = Array.length loops in
+  let keys =
+    Array.mapi
+      (fun i loop ->
+        cache_key_of_fp ~scenario ~opts config
+          ~loop_fp:(loop_fingerprint ~trace:traces.(i) memo loop))
+      loops
+  in
+  let entries = Array.make n None in
+  let owners = Hashtbl.create 16 in
+  let todo = ref [] and joins = ref [] in
   Array.iteri
-    (fun i loop ->
+    (fun i (loop : Loop.t) ->
       let trace = traces.(i) in
-      let loop_fp =
-        match memo with
-        | None -> Hcrf_cache.Fingerprint.of_loop loop
-        | Some m -> (
-          let t0 = now_ns () in
-          let skey = Digest.string (Marshal.to_string (Memo.snapshot_of_loop loop) []) in
-          match Memo.find m ~stage:Ev.Extract skey with
-          | Some (Memo.Fp_v fp) ->
-            emit_incr trace Ev.Extract Ev.Stage_hit t0;
-            fp
-          | Some _ | None ->
-            emit_incr trace Ev.Extract Ev.Stage_miss t0;
-            let t1 = now_ns () in
-            let fp = Hcrf_cache.Fingerprint.of_loop loop in
-            Memo.add m ~stage:Ev.Extract skey (Memo.Fp_v fp);
-            emit_incr trace Ev.Extract Ev.Stage_recompute t1;
-            fp)
-      in
-      let key = cache_key_of_fp ~scenario ~opts config ~loop_fp in
-      keys.(i) <- key;
-      let khex = Hcrf_cache.Fingerprint.to_hex key in
-      let memo_entry =
-        match memo with
-        | None -> None
-        | Some m -> (
-          let t0 = now_ns () in
-          match Memo.find m ~stage:Ev.Sched khex with
-          | Some (Memo.Entry_v e) when entry_compatible loop e ->
-            emit_incr trace Ev.Sched Ev.Stage_hit t0;
-            Some e
-          | Some _ | None ->
-            emit_incr trace Ev.Sched Ev.Stage_miss t0;
-            None)
-      in
-      srcs.(i) <-
-        (match memo_entry with
-        | Some e ->
-          stats := { !stats with memo_hits = !stats.memo_hits + 1 };
-          From_entry e
-        | None -> (
-          let cached =
-            Option.bind cache (fun c ->
-                Hcrf_cache.Cache.find ~trace
-                  ~validate:(entry_compatible loop) c key)
-          in
-          match cached with
-          | Some e ->
-            stats := { !stats with cache_hits = !stats.cache_hits + 1 };
-            From_entry e
-          | None -> (
-            match Hashtbl.find_opt owners khex with
-            | Some owner ->
-              stats := { !stats with coalesced = !stats.coalesced + 1 };
-              Join owner
-            | None ->
-              Hashtbl.add owners khex i;
-              stats :=
-                { !stats with
-                  computed = !stats.computed + 1;
-                  dirty = Loop.name loop :: !stats.dirty };
-              Compute))))
-    loops_a;
-  stats := { !stats with dirty = List.rev !stats.dirty };
-  (* pass 2 (parallel): engine runs for the dirty owners only *)
-  let owner_idx =
-    List.filter
-      (fun i -> match srcs.(i) with Compute -> true | _ -> false)
-      (List.init n Fun.id)
-  in
-  let fresh : (int * Hcrf_cache.Entry.t) list =
+      let digest = Hcrf_cache.Entry.ddg_digest loop.Loop.ddg in
+      let t0 = Memo.now_ns () in
+      entries.(i) <-
+        Option.bind cache (fun c -> lookup ~trace c keys.(i) ~digest);
+      let hit = Option.is_some entries.(i) in
+      Option.iter
+        (fun m ->
+          Memo.count m ~stage:Ev.Sched ~hit;
+          Memo.emit trace Ev.Sched
+            (if hit then Ev.Stage_hit else Ev.Stage_miss)
+            ~since:t0)
+        memo;
+      if not hit then
+        match Hashtbl.find_opt owners (keys.(i), digest) with
+        | Some owner -> joins := (i, owner) :: !joins
+        | None ->
+          Hashtbl.add owners (keys.(i), digest) i;
+          todo := i :: !todo)
+    loops;
+  let todo = List.rev !todo in
+  let fresh =
     Par.map ~jobs:ctx.Ctx.jobs
       (fun i ->
         let trace = traces.(i) in
-        let t0 = now_ns () in
-        let entry =
-          compute_entry ~trace ~scenario ~opts config loops_a.(i)
-        in
-        emit_incr trace Ev.Sched Ev.Stage_recompute t0;
-        (i, entry))
-      owner_idx
+        let t0 = Memo.now_ns () in
+        let entry = compute_entry ~trace ~scenario ~opts config loops.(i) in
+        if Option.is_some memo then
+          Memo.emit trace Ev.Sched Ev.Stage_recompute ~since:t0;
+        entry)
+      todo
   in
-  let entries = Array.make n None in
-  Array.iteri
-    (fun i src ->
-      match src with From_entry e -> entries.(i) <- Some e | _ -> ())
-    srcs;
-  List.iter (fun (i, e) -> entries.(i) <- Some e) fresh;
-  List.iter
-    (fun i ->
-      match srcs.(i) with
-      | Join owner -> entries.(i) <- entries.(owner)
-      | _ -> ())
-    (List.init n Fun.id);
-  (* pass 3 (serial, input order): store fresh entries, derive metrics
-     through the metric memo, commit traces *)
+  List.iter2
+    (fun i entry ->
+      Option.iter (fun c -> store ~trace:traces.(i) c keys.(i) entry) cache;
+      entries.(i) <- Some entry)
+    todo fresh;
+  List.iter (fun (i, owner) -> entries.(i) <- entries.(owner)) !joins;
+  let computed = List.length todo and coalesced = List.length !joins in
+  ( keys,
+    Array.map Option.get entries,
+    { total = n; store_hits = n - computed - coalesced; computed; coalesced;
+      metric_hits = 0; dirty = List.map (fun i -> Loop.name loops.(i)) todo }
+  )
+
+(* Resolve a batch, then derive each loop's result with [f] serially in
+   input order, committing its trace right after. *)
+let run_batch ~(ctx : Ctx.t) config loops f =
+  let loops = Array.of_list loops in
+  let traces =
+    Array.map
+      (fun loop -> Hcrf_obs.Tracer.start ctx.Ctx.tracer ~label:(Loop.name loop))
+      loops
+  in
+  let keys, entries, stats = resolve ~ctx ~traces config loops in
   let results =
-    List.init n (fun i ->
-        let loop = loops_a.(i) in
-        let trace = traces.(i) in
-        let entry = Option.get entries.(i) in
-        (match srcs.(i) with
-        | Compute ->
-          Option.iter
-            (fun c -> Hcrf_cache.Cache.add ~trace c keys.(i) entry)
-            cache;
-          Option.iter
-            (fun m ->
-              Memo.add m ~stage:Ev.Sched
-                (Hcrf_cache.Fingerprint.to_hex keys.(i))
-                (Memo.Entry_v entry))
-            memo
-        | From_entry _ | Join _ -> ());
-        let perf =
-          match memo with
-          | None -> Option.map (fun r -> r.perf) (result_of_entry config loop entry)
-          | Some m -> (
-            let mkey =
-              Hcrf_cache.Fingerprint.to_hex
-                (Hcrf_cache.Fingerprint.combine
-                   [ keys.(i);
-                     Hcrf_cache.Fingerprint.of_string (Loop.name loop) ])
-            in
-            let t0 = now_ns () in
-            match Memo.find m ~stage:Ev.Metric mkey with
-            | Some (Memo.Perf_v p) ->
-              emit_incr trace Ev.Metric Ev.Stage_hit t0;
-              stats := { !stats with metric_hits = !stats.metric_hits + 1 };
-              p
-            | Some _ | None ->
-              emit_incr trace Ev.Metric Ev.Stage_miss t0;
-              let t1 = now_ns () in
-              let p =
-                Option.map (fun r -> r.perf)
-                  (result_of_entry config loop entry)
-              in
-              Memo.add m ~stage:Ev.Metric mkey (Memo.Perf_v p);
-              emit_incr trace Ev.Metric Ev.Stage_recompute t1;
-              p)
-        in
-        Hcrf_obs.Tracer.commit ctx.Ctx.tracer trace;
-        perf)
+    List.init (Array.length loops) (fun i ->
+        let r = f ~trace:traces.(i) keys.(i) loops.(i) entries.(i) in
+        Hcrf_obs.Tracer.commit ctx.Ctx.tracer traces.(i);
+        r)
   in
-  (results, !stats)
+  (results, stats)
+
+let run_suite ?(ctx = Ctx.default) config loops =
+  fst
+    (run_batch ~ctx config loops (fun ~trace:_ _ loop entry ->
+         result_of_entry config loop entry))
+  |> List.filter_map Fun.id
+
+let run_loop ?ctx config loop =
+  match run_suite ?ctx config [ loop ] with [ r ] -> Some r | _ -> None
+
+(* The staged pipeline: the resolver, plus the *metric* stage, which
+   memoizes the derived [loop_perf] keyed by cache key + loop name (the
+   one input the WL fingerprint deliberately excludes). *)
+let run_pipeline ?(ctx = Ctx.default) config loops =
+  let metric_hits = ref 0 in
+  let perf_of loop entry =
+    Option.map (fun r -> r.perf) (result_of_entry config loop entry)
+  in
+  let results, stats =
+    run_batch ~ctx config loops (fun ~trace key loop entry ->
+        match ctx.Ctx.memo with
+        | None -> perf_of loop entry
+        | Some m ->
+          let p, hit =
+            Memo.memoize m ~trace ~stage:Ev.Metric
+              (Hcrf_cache.Fingerprint.to_hex
+                 (Hcrf_cache.Fingerprint.combine
+                    [ key; Hcrf_cache.Fingerprint.of_string (Loop.name loop) ]))
+              ~get:(function Memo.Perf_v p -> Some p | _ -> None)
+              ~put:(fun p -> Memo.Perf_v p)
+              (fun () -> perf_of loop entry)
+          in
+          if hit then incr metric_hits;
+          p)
+  in
+  (results, { stats with metric_hits = !metric_hits })
 
 let pp_pipeline_stats ppf s =
-  Fmt.pf ppf
-    "loops=%d memo_hits=%d cache_hits=%d recomputed=%d coalesced=%d \
-     metric_hits=%d"
-    s.total s.memo_hits s.cache_hits s.computed s.coalesced s.metric_hits
+  Fmt.pf ppf "loops=%d store_hits=%d recomputed=%d coalesced=%d metric_hits=%d"
+    s.total s.store_hits s.computed s.coalesced s.metric_hits

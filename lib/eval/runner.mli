@@ -73,28 +73,48 @@ val result_of_entry :
   Hcrf_machine.Config.t -> Hcrf_ir.Loop.t -> Hcrf_cache.Entry.t ->
   loop_result option
 
-(** Whether a stored entry may be replayed for [loop]: fingerprints
-    equate isomorphic loops, but stored assignments are bound to
-    concrete node ids, so only entries whose input graph digest matches
-    this loop's are compatible (pass as [validate] to
-    {!Hcrf_cache.Cache.find}). *)
+(** Whether a stored entry may be replayed for a loop whose input graph
+    has {!Hcrf_cache.Entry.ddg_digest} [digest]: fingerprints equate
+    isomorphic loops, but stored assignments are bound to concrete node
+    ids, so only entries computed from exactly these ids are compatible
+    ([Failed] entries always are). *)
+val compatible : digest:string -> Hcrf_cache.Entry.t -> bool
+
+(** [compatible] with the digest of [loop]'s graph. *)
 val entry_compatible : Hcrf_ir.Loop.t -> Hcrf_cache.Entry.t -> bool
+
+(** The answer path's store lookup: the entry under [key] when it is
+    {!compatible} with [digest].  Every schedule-entry read of a
+    {!Hcrf_cache.Cache} — batch runner and serving daemon alike — goes
+    through here. *)
+val lookup :
+  ?trace:Hcrf_obs.Trace.t -> Hcrf_cache.Cache.t -> Hcrf_cache.Fingerprint.t ->
+  digest:string -> Hcrf_cache.Entry.t option
+
+(** The answer path's store write, the counterpart of {!lookup}. *)
+val store :
+  ?trace:Hcrf_obs.Trace.t -> Hcrf_cache.Cache.t -> Hcrf_cache.Fingerprint.t ->
+  Hcrf_cache.Entry.t -> unit
 
 (** Schedule one loop (with escalating budget retries so aggregate
     metrics never silently drop loops); [None] only if every retry
-    failed.  With a cache in [ctx], outcomes are memoized by
-    content-addressed key; a hit replays the stored schedule and yields
-    a byte-identical result.  The loop's trace buffer is committed to
-    [ctx.tracer] before returning. *)
+    failed.  A one-loop {!run_suite}. *)
 val run_loop :
   ?ctx:Ctx.t -> Hcrf_machine.Config.t -> Hcrf_ir.Loop.t ->
   loop_result option
 
-(** Schedule a whole suite.  [ctx.jobs] > 1 evaluates the loops on a
-    pool of domains ({!Par}); results and trace buffers are collected in
-    input order and buffers are committed serially in that order, so
-    aggregates, trace counter totals and JSONL trace files are all
-    byte-identical to the serial path, warm or cold cache alike. *)
+(** Schedule a whole suite; loops that fail to schedule are dropped
+    (and logged).  One resolver answers every schedule: it computes
+    each loop's key (through the memo's extract stage when [ctx] has a
+    memo), looks it up in one store — [ctx.cache], else the memo's
+    {!Memo.cache}, else none — and coalesces duplicates (same key and
+    same node ids) onto one owner, all serially in input order; only
+    the owners' engine runs fan out over [ctx.jobs] domains ({!Par}),
+    and their entries are committed to the store serially in input
+    order.  Results are replayed from the entries ({!result_of_entry})
+    and trace buffers committed in input order, so aggregates, trace
+    counter totals and JSONL trace files are byte-identical at any job
+    count, warm or cold cache alike. *)
 val run_suite :
   ?ctx:Ctx.t -> Hcrf_machine.Config.t -> Hcrf_ir.Loop.t list ->
   loop_result list
@@ -114,8 +134,7 @@ val aggregate :
     input order, so they are identical at any job count. *)
 type pipeline_stats = {
   total : int;  (** loops evaluated *)
-  memo_hits : int;  (** schedule stages answered by the stage memo *)
-  cache_hits : int;  (** answered by the shared schedule cache *)
+  store_hits : int;  (** schedule stages answered by the store *)
   computed : int;  (** dirty: the engine actually re-ran *)
   coalesced : int;  (** duplicates joined onto an in-flight owner *)
   metric_hits : int;  (** metric stages replayed from the memo *)
@@ -123,19 +142,16 @@ type pipeline_stats = {
       (** names of the loops that re-ran the engine, in input order *)
 }
 
-val zero_pipeline_stats : pipeline_stats
 val pp_pipeline_stats : Format.formatter -> pipeline_stats -> unit
 
-(** Evaluate a suite as the staged incremental pipeline (extract →
-    schedule → metrics), memoizing each stage in [ctx.memo]: after an
-    edit only the loops whose upstream digest changed re-run the engine;
-    everything else replays from the memo (or the shared cache),
-    byte-identical to a cold run up to re-measured [sched_seconds].
-    Per-loop results come back in input order ([None] where every
-    scheduling retry failed); stage classification is serial in input
-    order, so stats, stage counters and trace files are independent of
-    [ctx.jobs].  Without a memo this degrades to cached suite
-    evaluation (plus duplicate-key coalescing). *)
+(** Evaluate a suite as the staged incremental pipeline: the
+    {!run_suite} resolver, plus a metric stage memoized in [ctx.memo]
+    (keyed by cache key and loop name).  After an edit only the loops
+    whose upstream digest changed re-run the engine; everything else
+    replays from the memo and the store, byte-identical to a cold run up
+    to re-measured [sched_seconds].  Per-loop results come back in input
+    order ([None] where every scheduling retry failed); stats, stage
+    counters and trace files are independent of [ctx.jobs]. *)
 val run_pipeline :
   ?ctx:Ctx.t -> Hcrf_machine.Config.t -> Hcrf_ir.Loop.t list ->
   Metrics.loop_perf option list * pipeline_stats

@@ -4,7 +4,6 @@
 module Runner = Hcrf_eval.Runner
 module Memo = Hcrf_eval.Memo
 module Ev = Hcrf_obs.Event
-module Tr = Hcrf_obs.Trace
 
 type t = { ctx : Runner.Ctx.t; config : Hcrf_machine.Config.t }
 
@@ -20,33 +19,21 @@ let create ?(ctx = Runner.Ctx.default) config = { ctx; config }
 
 let ctx t = t.ctx
 
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
-
-let emit_incr trace stage op t0 =
-  if Tr.enabled trace then
-    Tr.emit trace (Ev.Incr { stage; op; ns = now_ns () - t0 })
-
 (* The frontend stage of one kernel: compile, memoized under the
    kernel's content digest.  Loops are snapshotted as reprs (a live
    [Ddg.t] may carry a watcher closure); the round trip preserves ids,
    so replayed loops are behaviourally identical to recompiled ones. *)
 let frontend_stage ~trace memo kernel =
   match memo with
-  | None -> (`Recomputed, Hcrf_frontend.Compile.compile kernel)
-  | Some m -> (
-    let t0 = now_ns () in
-    let dig = Hcrf_frontend.Ast.digest kernel in
-    match Memo.find m ~stage:Ev.Frontend dig with
-    | Some (Memo.Loop_v s) ->
-      emit_incr trace Ev.Frontend Ev.Stage_hit t0;
-      (`Hit, Memo.loop_of_snapshot s)
-    | Some _ | None ->
-      emit_incr trace Ev.Frontend Ev.Stage_miss t0;
-      let t1 = now_ns () in
-      let _, loop = Hcrf_frontend.Compile.compile_keyed kernel in
-      Memo.add m ~stage:Ev.Frontend dig (Memo.Loop_v (Memo.snapshot_of_loop loop));
-      emit_incr trace Ev.Frontend Ev.Stage_recompute t1;
-      (`Recomputed, loop))
+  | None -> (Hcrf_frontend.Compile.compile kernel, false)
+  | Some m ->
+    Memo.memoize m ~trace ~stage:Ev.Frontend
+      (Hcrf_frontend.Ast.digest kernel)
+      ~get:(function
+        | Memo.Loop_v s -> Some (Memo.loop_of_snapshot s)
+        | _ -> None)
+      ~put:(fun loop -> Memo.Loop_v (Memo.snapshot_of_loop loop))
+      (fun () -> snd (Hcrf_frontend.Compile.compile_keyed kernel))
 
 let eval t (kernels : Hcrf_frontend.Ast.t list) =
   let t0 = Unix.gettimeofday () in
@@ -61,10 +48,8 @@ let eval t (kernels : Hcrf_frontend.Ast.t list) =
           Hcrf_obs.Tracer.start t.ctx.Runner.Ctx.tracer
             ~label:kernel.Hcrf_frontend.Ast.name
         in
-        let outcome, loop = frontend_stage ~trace memo kernel in
-        (match outcome with
-        | `Hit -> incr hits
-        | `Recomputed -> incr recomputed);
+        let loop, hit = frontend_stage ~trace memo kernel in
+        incr (if hit then hits else recomputed);
         Hcrf_obs.Tracer.commit t.ctx.Runner.Ctx.tracer trace;
         loop)
       kernels

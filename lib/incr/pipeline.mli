@@ -2,8 +2,9 @@
 
     A program (a list of loop-language kernels) flows through four
     fingerprinted stages — frontend compile, loop extraction / WL
-    fingerprint construction, schedule, metrics — each memoized in the
-    context's {!Hcrf_eval.Memo} keyed by its input digest.  {!eval}
+    fingerprint construction, schedule, metrics — each memoized under
+    its input digest: the schedule stage in the runner's one schedule
+    store, the others in the context's {!Hcrf_eval.Memo}.  {!eval}
     after an edit therefore recomputes only the stages whose upstream
     digest changed: an edited kernel recompiles and reschedules, every
     untouched kernel replays from the memo, and the results are

@@ -12,8 +12,6 @@ module Tracer = Hcrf_obs.Tracer
 type counters = {
   mutable requests : int;
   mutable lru_hits : int;
-  mutable memo_hits : int;
-  mutable memo_misses : int;
   mutable tier2_hits : int;
   mutable computed : int;
   mutable coalesced : int;
@@ -23,10 +21,10 @@ type counters = {
 
 type t = {
   lru : (Fingerprint.t, Entry.t) Lru.t;
-  memo : Hcrf_eval.Memo.t option;
   cache : Cache.t;
   pool : Pool.t;
-  inflight : (Fingerprint.t, Entry.t Pool.future) Hashtbl.t;
+  (* keyed like the resolver's coalescing: cache key and input digest *)
+  inflight : (Fingerprint.t * string, Entry.t Pool.future) Hashtbl.t;
   inflight_mutex : Mutex.t;
   tracer : Tracer.t;
   (* guards [c], every [Tracer.commit] and the counter snapshot in
@@ -36,7 +34,7 @@ type t = {
   c : counters;
 }
 
-let create ?dir ?memo ?lru_capacity ?jobs ?(tracer = Tracer.null) () =
+let create ?dir ?lru_capacity ?jobs ?(tracer = Tracer.null) () =
   let lru_capacity =
     match lru_capacity with
     | Some n -> n
@@ -47,7 +45,6 @@ let create ?dir ?memo ?lru_capacity ?jobs ?(tracer = Tracer.null) () =
   in
   {
     lru = Lru.create ~capacity:lru_capacity;
-    memo;
     cache = Cache.create ?dir ();
     pool = Pool.create ~jobs;
     inflight = Hashtbl.create 64;
@@ -58,8 +55,6 @@ let create ?dir ?memo ?lru_capacity ?jobs ?(tracer = Tracer.null) () =
       {
         requests = 0;
         lru_hits = 0;
-        memo_hits = 0;
-        memo_misses = 0;
         tier2_hits = 0;
         computed = 0;
         coalesced = 0;
@@ -67,10 +62,6 @@ let create ?dir ?memo ?lru_capacity ?jobs ?(tracer = Tracer.null) () =
         timeouts = 0;
       };
   }
-
-let memo t = t.memo
-
-let cache t = t.cache
 
 let observed t f =
   Mutex.lock t.obs_mutex;
@@ -82,21 +73,14 @@ let commit_trace t trace = observed t (fun () -> Tracer.commit t.tracer trace)
 let emit trace op = if Tr.enabled trace then Tr.emit trace (Ev.Serve op)
 
 (* The tier-3 computation: the batch runner's exact compute path,
-   traced as its own work unit, stored through the shared cache.  Runs
-   on a pool domain (or inline during drain). *)
-let compute_task t ~key ~scenario ~opts ~config ~loop fut () =
+   traced as its own work unit, stored through the runner's store
+   helper.  Runs on a pool domain (or inline during drain). *)
+let compute_task t ~id:((key, _) as id) ~scenario ~opts ~config ~loop fut () =
   let result =
     match
       let tr = Tracer.start t.tracer ~label:(Loop.name loop) in
       let entry = Runner.compute_entry ~trace:tr ~scenario ~opts config loop in
-      Cache.add ~trace:tr t.cache key entry;
-      (* warm the stage memo too, so a post-edit replay of the same
-         request is a memo hit even after the LRU evicted it *)
-      Option.iter
-        (fun m ->
-          Hcrf_eval.Memo.add m ~stage:Ev.Sched (Fingerprint.to_hex key)
-            (Hcrf_eval.Memo.Entry_v entry))
-        t.memo;
+      Runner.store ~trace:tr t.cache key entry;
       commit_trace t tr;
       entry
     with
@@ -104,7 +88,7 @@ let compute_task t ~key ~scenario ~opts ~config ~loop fut () =
     | exception e -> Error e
   in
   Mutex.lock t.inflight_mutex;
-  Hashtbl.remove t.inflight key;
+  Hashtbl.remove t.inflight id;
   Mutex.unlock t.inflight_mutex;
   Pool.fulfil fut result
 
@@ -137,68 +121,37 @@ let schedule t (r : Wire.schedule_request) : Wire.response =
       let opts = Wire.engine_of_options r.Wire.sr_opts in
       let scenario = r.Wire.sr_scenario in
       let key = Runner.cache_key ~scenario ~opts config loop in
-      let compatible = Runner.entry_compatible loop in
+      let digest = Entry.ddg_digest loop.Loop.ddg in
       let hit entry =
         commit_trace t trace;
         Wire.Scheduled entry
       in
       match Lru.find t.lru key with
-      | Some entry when compatible entry ->
+      | Some entry when Runner.compatible ~digest entry ->
         emit trace Ev.Lru_hit;
         bump t (fun c -> c.lru_hits <- c.lru_hits + 1);
         hit entry
       | Some _ | None -> (
         emit trace Ev.Lru_miss;
-        (* the stage memo sits between the LRU and the shared cache: a
-           warm daemon answers post-edit replays from it without
-           touching the cache shards *)
-        let memo_entry =
-          match t.memo with
-          | None -> None
-          | Some m -> (
-            let t0 = int_of_float (Unix.gettimeofday () *. 1e9) in
-            let ns () =
-              int_of_float (Unix.gettimeofday () *. 1e9) - t0
-            in
-            match
-              Hcrf_eval.Memo.find m ~stage:Ev.Sched (Fingerprint.to_hex key)
-            with
-            | Some (Hcrf_eval.Memo.Entry_v e) when compatible e ->
-              if Tr.enabled trace then
-                Tr.emit trace
-                  (Ev.Incr
-                     { stage = Ev.Sched; op = Ev.Stage_hit; ns = ns () });
-              bump t (fun c -> c.memo_hits <- c.memo_hits + 1);
-              Some e
-            | Some _ | None ->
-              if Tr.enabled trace then
-                Tr.emit trace
-                  (Ev.Incr
-                     { stage = Ev.Sched; op = Ev.Stage_miss; ns = ns () });
-              bump t (fun c -> c.memo_misses <- c.memo_misses + 1);
-              None)
-        in
-        match memo_entry with
-        | Some entry ->
-          Lru.add t.lru key entry;
-          hit entry
-        | None -> (
-        match Cache.find ~trace ~validate:compatible t.cache key with
+        match Runner.lookup ~trace t.cache key ~digest with
         | Some entry ->
           emit trace Ev.Disk_hit;
           bump t (fun c -> c.tier2_hits <- c.tier2_hits + 1);
           Lru.add t.lru key entry;
           hit entry
         | None -> (
-          (* tier 3: register the future under the fingerprint before
-             anything runs, so a racing duplicate joins it *)
+          (* tier 3: register the future under (key, digest) before
+             anything runs, so a racing duplicate joins it — and a
+             renumbered twin, whose entry would be bound to other ids,
+             does not *)
+          let id = (key, digest) in
           Mutex.lock t.inflight_mutex;
           let fut, owner =
-            match Hashtbl.find_opt t.inflight key with
+            match Hashtbl.find_opt t.inflight id with
             | Some fut -> (fut, false)
             | None ->
               let fut = Pool.promise () in
-              Hashtbl.replace t.inflight key fut;
+              Hashtbl.replace t.inflight id fut;
               (fut, true)
           in
           Mutex.unlock t.inflight_mutex;
@@ -206,7 +159,7 @@ let schedule t (r : Wire.schedule_request) : Wire.response =
             emit trace Ev.Computed;
             bump t (fun c -> c.computed <- c.computed + 1);
             let task =
-              compute_task t ~key ~scenario ~opts ~config ~loop fut
+              compute_task t ~id ~scenario ~opts ~config ~loop fut
             in
             (* a drained pool refuses thunks: compute inline so the
                last in-flight requests still complete *)
@@ -228,7 +181,7 @@ let schedule t (r : Wire.schedule_request) : Wire.response =
               ( Wire.Timed_out,
                 Fmt.str "deadline of %d ms expired" r.Wire.sr_timeout_ms )
           | `Exn e ->
-            refuse t ~trace ~kind:Wire.Internal (Printexc.to_string e))))))
+            refuse t ~trace ~kind:Wire.Internal (Printexc.to_string e)))))
 
 let reject t ~kind msg =
   let trace = Tracer.start t.tracer ~label:"serve" in
@@ -244,8 +197,6 @@ let stats t : Wire.serve_stats =
         lru_length = ls.Lru.length;
         lru_capacity = ls.Lru.capacity;
         tier2_hits = t.c.tier2_hits;
-        memo_hits = t.c.memo_hits;
-        memo_misses = t.c.memo_misses;
         computed = t.c.computed;
         coalesced = t.c.coalesced;
         rejected = t.c.rejected;

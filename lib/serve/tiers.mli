@@ -7,13 +7,20 @@
       front of the sharded on-disk store;
     + the scheduling engine, on a persistent {!Pool} of worker domains.
 
-    Every tier-3 computation is registered under its fingerprint while
-    in flight, so a cold storm of identical requests coalesces onto one
-    engine run — the duplicates block on the same future and all
-    receive the same entry (byte-identical responses).  Computations
-    run {!Hcrf_eval.Runner.compute_entry}, the exact compute path of
-    the batch runner, and their results are stored through the same
-    cache, so a daemon answer can never differ from a local run.
+    Tiers 1 and 2 accept an entry only when it is
+    {!Hcrf_eval.Runner.compatible} with the request's node ids, and
+    tier 2 is read and written through the batch runner's own
+    {!Hcrf_eval.Runner.lookup} and {!Hcrf_eval.Runner.store}.  Every
+    tier-3 computation is registered under (cache key, input digest)
+    while in flight, so a cold storm of identical requests coalesces
+    onto one engine run — the duplicates block on the same future and
+    all receive the same entry (byte-identical responses) — while a
+    renumbered twin computes its own.  Computations run
+    {!Hcrf_eval.Runner.compute_entry}, the exact compute path of the
+    batch runner, so a daemon answer can never differ from a local
+    run.  This coalescing across connections stays apart from the
+    runner's batch coalescing on purpose: requests arrive concurrently
+    and wait on shared futures, where a batch is classified serially.
 
     Request deadlines ([sr_timeout_ms]) bound only the caller's wait:
     an expired computation keeps running and still lands in the cache
@@ -26,21 +33,13 @@
 type t
 
 (** [create ()] builds the tiers: [dir] backs tier 2 with the sharded
-    on-disk store, [memo] inserts the incremental stage memo between
-    the LRU and the cache (fresh computations are stored into it too,
-    so a warm daemon answers post-edit replays from the memo),
-    [lru_capacity] bounds tier 1 (default
+    on-disk store, [lru_capacity] bounds tier 1 (default
     {!Hcrf_eval.Env.default_serve_lru}), [jobs] sizes the domain pool
     (default {!Hcrf_eval.Par.default_jobs}), [tracer] receives
     per-request and per-computation traces. *)
 val create :
-  ?dir:string -> ?memo:Hcrf_eval.Memo.t -> ?lru_capacity:int -> ?jobs:int ->
+  ?dir:string -> ?lru_capacity:int -> ?jobs:int ->
   ?tracer:Hcrf_obs.Tracer.t -> unit -> t
-
-val cache : t -> Hcrf_cache.Cache.t
-
-(** The stage memo the tiers consult, when one was configured. *)
-val memo : t -> Hcrf_eval.Memo.t option
 
 (** Answer one schedule request ([Scheduled] or [Refused]). *)
 val schedule : t -> Wire.schedule_request -> Wire.response

@@ -88,8 +88,6 @@ type serve_stats = {
   lru_length : int;
   lru_capacity : int;
   tier2_hits : int;
-  memo_hits : int;
-  memo_misses : int;
   computed : int;
   coalesced : int;
   rejected : int;
@@ -103,11 +101,10 @@ type serve_stats = {
 let pp_serve_stats ppf s =
   Fmt.pf ppf
     "coalesced=%d computed=%d lru_capacity=%d lru_evictions=%d \
-     lru_hits=%d lru_length=%d memo_hits=%d memo_misses=%d rejected=%d \
-     requests=%d tier2_hits=%d timeouts=%d"
+     lru_hits=%d lru_length=%d rejected=%d requests=%d tier2_hits=%d \
+     timeouts=%d"
     s.coalesced s.computed s.lru_capacity s.lru_evictions s.lru_hits
-    s.lru_length s.memo_hits s.memo_misses s.rejected s.requests
-    s.tier2_hits s.timeouts
+    s.lru_length s.rejected s.requests s.tier2_hits s.timeouts
 
 type error_kind = Malformed | Too_big | Timed_out | Draining | Internal
 
@@ -141,7 +138,7 @@ let pp_frame_error ppf = function
   | Bad_checksum -> Fmt.string ppf "checksum mismatch"
   | Bad_payload msg -> Fmt.pf ppf "bad payload (%s)" msg
 
-let magic = "hcrfsrv1"
+let magic = "hcrfsrv2"
 let header_size = String.length magic + 4 + 16
 let default_max_frame = 16 * 1024 * 1024
 

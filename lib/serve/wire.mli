@@ -1,7 +1,7 @@
 (** The daemon's wire protocol: a small length-prefixed binary framing
     plus the request/response messages it carries.
 
-    A frame is [magic "hcrfsrv1" | u32 BE payload length | 16-byte MD5
+    A frame is [magic "hcrfsrv2" | u32 BE payload length | 16-byte MD5
     of the payload | payload]; the payload is a one-byte message-kind
     tag followed by a [Marshal]-serialized message.  Mirroring the
     on-disk {!Hcrf_cache.Store} format, the unmarshaller only ever runs
@@ -79,8 +79,6 @@ type serve_stats = {
   lru_length : int;
   lru_capacity : int;
   tier2_hits : int;    (** answered from the shared cache (memory/disk) *)
-  memo_hits : int;     (** answered from the incremental stage memo *)
-  memo_misses : int;   (** stage-memo lookups that missed (0 without a memo) *)
   computed : int;      (** engine computations started *)
   coalesced : int;     (** requests that joined an in-flight computation *)
   rejected : int;      (** malformed frames/requests refused *)

@@ -313,6 +313,47 @@ let prop_replay_validates =
                o.Hcrf_sched.Engine.schedule o.Hcrf_sched.Engine.graph
              = []))
 
+(* Under binding prefetch the engine schedules prefetched loads with the
+   miss latency; a replayed outcome must carry that latency table, or
+   the validator reads every prefetched value's lifetime with the hit
+   latency and rejects the schedule as over capacity. *)
+let test_prefetch_replay_validates () =
+  let loops = Hcrf_workload.Suite.generate ~n:12 () in
+  let ctx = Runner.Ctx.make ~scenario:(Runner.Real { prefetch = true }) () in
+  let outcomes =
+    List.concat_map
+      (fun config ->
+        List.map (fun l -> Runner.run_loop ~ctx config l) loops)
+      (Experiments.figure6_configs ())
+  in
+  check_int "12 loops x 7 configurations" 84 (List.length outcomes);
+  check_int "every replayed outcome validates" 0
+    (List.length
+       (List.filter
+          (function
+            | Some r -> not (Hcrf_core.Mirs_hc.is_valid r.Runner.outcome)
+            | None -> true)
+          outcomes))
+
+(* Duplicates coalesce only when their node ids match: a renumbered twin
+   has the same key but must get its own engine run, or it would replay
+   an entry bound to the other loop's ids. *)
+let test_coalescing_respects_node_ids () =
+  let config = Hcrf_model.Presets.published "4C32" in
+  let l = nth_loop 3 in
+  let twin =
+    Hcrf_check.Morph.rewrite_loop
+      ~m:(Hcrf_check.Morph.reversing_bijection l.Loop.ddg) l
+  in
+  let key = Runner.cache_key ~scenario:Runner.Ideal
+      ~opts:Hcrf_sched.Engine.default_options config in
+  check "twin has the same key" true (Fingerprint.equal (key l) (key twin));
+  check "twin has another digest" false
+    (String.equal (Entry.ddg_digest l.Loop.ddg) (Entry.ddg_digest twin.Loop.ddg));
+  let _, s = Runner.run_pipeline config [ l; twin; l ] in
+  check_int "loop and twin computed" 2 s.Runner.computed;
+  check_int "the repeated loop coalesced" 1 s.Runner.coalesced
+
 (* ------------------------------------------------------------------ *)
 (* On-disk robustness *)
 
@@ -432,20 +473,17 @@ let test_store_sharded_layout () =
         nibble shard)
     files
 
-(* v2->v3 migration: a flat (unsharded) v2 entry is still found — via
-   the legacy-path fallback — and served as a disk hit, while the next
-   *write* goes to the sharded layout. *)
-let test_store_v2_migration () =
+(* Entries of older store versions are stale: a v3 entry (sharded, but
+   without the load-latency snapshot) fails the magic test and is
+   recomputed over, and a v2 entry in the flat pre-sharding layout is
+   not even looked for. *)
+let test_store_old_versions_stale () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let l = nth_loop 3 in
   let config = Hcrf_model.Presets.published "4C32" in
-  ignore
-    (Runner.run_loop
-       ~ctx:(Runner.Ctx.make ~cache:(Cache.create ~dir ()) ())
-       config l);
-  (* demote the entry to the pre-sharding layout: flat path, v2 magic
-     (same payload bytes; the checksum covers the payload only) *)
+  let run c = Runner.run_loop ~ctx:(Runner.Ctx.make ~cache:c ()) config l in
+  let fresh = run (Cache.create ~dir ()) in
   let sharded =
     match entry_files dir with
     | [ f ] -> f
@@ -457,30 +495,37 @@ let test_store_v2_migration () =
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> really_input_string ic (in_channel_length ic))
   in
-  let v2 = "hcrf-cache 2\n" in
-  let demoted =
-    v2 ^ String.sub content (String.length v2)
-           (String.length content - String.length v2)
+  (* same payload bytes under an older magic *)
+  let demote v =
+    let magic = Fmt.str "hcrf-cache %d\n" v in
+    magic
+    ^ String.sub content (String.length magic)
+        (String.length content - String.length magic)
   in
-  let flat = Filename.concat dir (Filename.basename sharded) in
-  let oc = open_out_bin flat in
-  output_string oc demoted;
-  close_out oc;
-  Sys.remove sharded;
-  (* the flat v2 entry is found and replayed, not recomputed *)
+  let write p bytes =
+    let oc = open_out_bin p in
+    output_string oc bytes;
+    close_out oc
+  in
+  write sharded (demote 3);
+  write (Filename.concat dir (Filename.basename sharded)) (demote 2);
   let c = Cache.create ~dir () in
-  let r = Runner.run_loop ~ctx:(Runner.Ctx.make ~cache:c ()) config l in
-  check "replayed" true (r <> None);
+  let r = run c in
+  let scrub (r : Runner.loop_result option) =
+    Option.map
+      (fun r -> { r.Runner.perf with Metrics.sched_seconds = 0. })
+      r
+  in
+  check "recomputed result matches the fresh one" true
+    (Marshal.to_string (scrub r) [] = Marshal.to_string (scrub fresh) []);
   let s = Cache.stats c in
-  check_int "legacy entry is a disk hit" 1 s.Cache.disk_hits;
-  check_int "no recompute" 0 s.Cache.misses;
-  (* a fresh write of another loop goes to the sharded layout *)
-  ignore
-    (Runner.run_loop ~ctx:(Runner.Ctx.make ~cache:c ()) config (nth_loop 4));
-  check "new write is sharded" true
-    (List.exists
-       (fun f -> Filename.dirname f <> dir)
-       (entry_files dir))
+  check_int "no disk hit" 0 s.Cache.disk_hits;
+  check_int "the stale v3 entry is a disk error" 1 s.Cache.disk_errors;
+  check_int "recomputed and stored" 1 s.Cache.stores;
+  (* the recomputed entry overwrote the stale one *)
+  let c' = Cache.create ~dir () in
+  ignore (run c');
+  check_int "the rewritten entry disk-hits" 1 (Cache.stats c').Cache.disk_hits
 
 (* Corrupting an entry in one shard must only cost that shard's entry:
    every other shard still serves disk hits. *)
@@ -546,10 +591,15 @@ let tests =
     ( "suite: warm = cold under real memory", `Slow,
       test_warm_cold_identical_real_memory );
     QCheck_alcotest.to_alcotest prop_replay_validates;
+    ("replay: prefetch outcomes validate", `Quick,
+     test_prefetch_replay_validates);
+    ("coalescing: renumbered twin computes", `Quick,
+     test_coalescing_respects_node_ids);
     ("store: disk roundtrip", `Quick, test_disk_roundtrip);
     ("store: corruption recovers", `Quick, test_disk_corruption_recovers);
     ("store: sharded v3 layout", `Quick, test_store_sharded_layout);
-    ("store: v2 flat entries migrate", `Quick, test_store_v2_migration);
+    ("store: v2 and v3 entries are stale", `Quick,
+     test_store_old_versions_stale);
     ("store: corruption isolated per shard", `Slow, test_corruption_per_shard);
     ("store: unusable dir degrades", `Quick, test_unusable_dir_degrades);
   ]

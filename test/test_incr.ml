@@ -51,7 +51,7 @@ let prop_dirty_cone =
       stats.Pipeline.frontend_recomputed = 1
       && stats.Pipeline.frontend_hits = n - 1
       && s.Runner.computed = 1
-      && s.Runner.memo_hits = n - 1
+      && s.Runner.store_hits = n - 1
       && s.Runner.metric_hits = n - 1
       && s.Runner.dirty = [ (List.nth prog' kernel).Hcrf_frontend.Ast.name ]
       (* and the replayed results are byte-identical to a cold run *)
@@ -138,17 +138,20 @@ let test_no_edit_fixpoint () =
 (* ------------------------------------------------------------------ *)
 (* Persistence *)
 
+(* the memo's directory holds memo.v2 and the schedule store's shard
+   subdirectories *)
+let rec rm_rf p =
+  if Sys.is_directory p then begin
+    Array.iter (fun e -> rm_rf (Filename.concat p e)) (Sys.readdir p);
+    Unix.rmdir p
+  end
+  else Sys.remove p
+
 let with_tmp_dir f =
   let dir = Filename.temp_file "hcrf-incr-test" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter
-        (fun e -> try Sys.remove (Filename.concat dir e) with Sys_error _ -> ())
-        (Sys.readdir dir);
-      try Unix.rmdir dir with Unix.Unix_error _ -> ())
-    (fun () -> f dir)
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
 let test_memo_persistence () =
   with_tmp_dir @@ fun dir ->
@@ -176,20 +179,26 @@ let test_memo_persistence () =
 let test_memo_corruption () =
   with_tmp_dir @@ fun dir ->
   let memo = Memo.create ~dir () in
-  Memo.add memo ~stage:Hcrf_obs.Event.Sched "k"
+  Memo.add memo ~stage:Hcrf_obs.Event.Metric "k"
     (Memo.Perf_v None);
   check "save succeeds" true (Memo.save memo);
-  let path = Filename.concat dir "memo.v1" in
-  let oc = open_out path in
-  output_string oc "hcrf-memo 1\ngarbage follows the magic";
-  close_out oc;
+  check_int "saved entry reloads" 1 (Memo.length (Memo.create ~dir ()));
+  let write name content =
+    let oc = open_out (Filename.concat dir name) in
+    output_string oc content;
+    close_out oc
+  in
+  write "memo.v2" "hcrf-memo 2\ngarbage follows the magic";
   let reloaded = Memo.create ~dir () in
   check_int "corrupt file discarded, empty memo" 0 (Memo.length reloaded);
   (* and truncating below the magic must not raise either *)
-  let oc = open_out path in
-  output_string oc "x";
-  close_out oc;
-  check_int "truncated file discarded" 0 (Memo.length (Memo.create ~dir ()))
+  write "memo.v2" "x";
+  check_int "truncated file discarded" 0 (Memo.length (Memo.create ~dir ()));
+  (* a version-1 file (which held schedule entries) is stale: warned
+     about, never read *)
+  Sys.remove (Filename.concat dir "memo.v2");
+  write "memo.v1" "hcrf-memo 1\nwhatever a v1 writer left";
+  check_int "v1 file ignored" 0 (Memo.length (Memo.create ~dir ()))
 
 (* ------------------------------------------------------------------ *)
 

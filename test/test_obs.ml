@@ -405,27 +405,39 @@ let test_env () =
   Unix.putenv "HCRF_CONFIG" ""
 
 (* ------------------------------------------------------------------ *)
-(* run_pipeline degrades to run_suite when no memo is configured *)
+(* The three entry points share one answer path: without a memo,
+   run_loop (per loop), run_suite and run_pipeline give byte-identical
+   results at any job count *)
 
 let test_pipeline_matches_suite () =
   let config = Hcrf_model.Presets.published "S64" in
   let loops = Lazy.force small_suite in
   let scrub (p : Metrics.loop_perf) = { p with Metrics.sched_seconds = 0. } in
-  let suite_perfs =
-    Runner.run_suite ~ctx:(Runner.Ctx.make ~jobs:2 ()) config loops
-    |> List.map (fun r -> scrub r.Runner.perf)
-  in
-  let pipeline_perfs, stats =
-    Runner.run_pipeline ~ctx:(Runner.Ctx.make ~jobs:2 ()) config loops
-  in
-  let pipeline_perfs = List.filter_map (Option.map scrub) pipeline_perfs in
-  check "run_pipeline perfs = run_suite perfs (scrubbed)" true
-    (Marshal.to_string pipeline_perfs []
-    = Marshal.to_string suite_perfs []);
-  check_int "no memo: nothing hits the stage memo" 0
-    Runner.(stats.memo_hits + stats.metric_hits);
-  check_int "every distinct loop was computed" (List.length loops)
-    Runner.(stats.computed + stats.coalesced)
+  let bytes perfs = Marshal.to_string (List.map scrub perfs) [] in
+  List.iter
+    (fun jobs ->
+      let ctx = Runner.Ctx.make ~jobs () in
+      let loop_perfs =
+        List.filter_map
+          (fun l ->
+            Option.map (fun r -> r.Runner.perf) (Runner.run_loop ~ctx config l))
+          loops
+      in
+      let suite_perfs =
+        List.map (fun r -> r.Runner.perf) (Runner.run_suite ~ctx config loops)
+      in
+      let pipeline_perfs, stats = Runner.run_pipeline ~ctx config loops in
+      let pipeline_perfs = List.filter_map Fun.id pipeline_perfs in
+      check (Fmt.str "run_loop perfs = run_suite perfs (jobs %d)" jobs) true
+        (bytes loop_perfs = bytes suite_perfs);
+      check (Fmt.str "run_pipeline perfs = run_suite perfs (jobs %d)" jobs)
+        true
+        (bytes pipeline_perfs = bytes suite_perfs);
+      check_int "no memo: nothing hits the store or the stage memo" 0
+        Runner.(stats.store_hits + stats.metric_hits);
+      check_int "every distinct loop was computed" (List.length loops)
+        Runner.(stats.computed + stats.coalesced))
+    [ 1; 4 ]
 
 (* ------------------------------------------------------------------ *)
 

@@ -196,6 +196,39 @@ let test_tiers_cold_storm_coalesces () =
   check_int "hits + coalesced cover the rest" (n - 1)
     (s.Wire.lru_hits + s.Wire.tier2_hits + s.Wire.coalesced)
 
+(* In-flight coalescing keys on the node ids too: a renumbered twin
+   racing its original must not be handed an entry bound to the
+   original's ids. *)
+let test_tiers_twin_gets_own_entry () =
+  let tiers = Tiers.create ~lru_capacity:16 ~jobs:1 () in
+  Fun.protect ~finally:(fun () -> Tiers.shutdown tiers) @@ fun () ->
+  let l = gen_loop 1 in
+  let twin =
+    Hcrf_check.Morph.rewrite_loop
+      ~m:(Hcrf_check.Morph.reversing_bijection l.Hcrf_ir.Loop.ddg) l
+  in
+  let loops = [| l; twin; l |] in
+  let digests = Array.make 3 "" in
+  let threads =
+    List.init 3 (fun i ->
+        Thread.create
+          (fun () ->
+            match Tiers.schedule tiers (sched_request loops.(i)) with
+            | Wire.Scheduled (Hcrf_cache.Entry.Scheduled { input_digest; _ })
+              ->
+              digests.(i) <- input_digest
+            | _ -> ())
+          ())
+  in
+  List.iter Thread.join threads;
+  Array.iteri
+    (fun i (loop : Hcrf_ir.Loop.t) ->
+      Alcotest.(check string)
+        (Fmt.str "request %d answered for its own node ids" i)
+        (Hcrf_cache.Entry.ddg_digest loop.Hcrf_ir.Loop.ddg)
+        digests.(i))
+    loops
+
 let test_tiers_rejects_malformed_loop () =
   let tiers = Tiers.create ~lru_capacity:4 ~jobs:1 () in
   Fun.protect ~finally:(fun () -> Tiers.shutdown tiers) @@ fun () ->
@@ -393,6 +426,8 @@ let tests =
     QCheck_alcotest.to_alcotest prop_lru_model;
     ("lru: eviction order and counters", `Quick, test_lru_eviction_counts);
     ("tiers: cold storm coalesces", `Slow, test_tiers_cold_storm_coalesces);
+    ("tiers: renumbered twin gets its own entry", `Quick,
+     test_tiers_twin_gets_own_entry);
     ("tiers: malformed loop refused", `Quick, test_tiers_rejects_malformed_loop);
     ("tiers: jobs=1 equals jobs=4", `Slow, test_tiers_jobs_identical);
     ("pool: deadline await", `Quick, test_pool_deadline);
