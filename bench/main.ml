@@ -129,40 +129,27 @@ let trace_sec ~loops ~ctx () =
    suite twice per config). *)
 let json_sec ~loops () =
   let jobs = Env.jobs () in
-  let buf = Buffer.create 1024 in
-  let bpf fmt = Printf.bprintf buf fmt in
-  bpf "{ \"schema\": \"hcrf-bench/1\", \"runs\": [";
-  List.iteri
-    (fun i name ->
-      let config = Hcrf_model.Presets.published name in
-      let counters = Hcrf_obs.Counters.create () in
-      let tracer =
-        Hcrf_obs.Tracer.make [ Hcrf_obs.Tracer.Counters counters ]
-      in
-      let cache = Hcrf_cache.Cache.create () in
-      let ctx = Runner.Ctx.make ~cache ~jobs ~tracer () in
-      let wall f =
-        let t0 = Unix.gettimeofday () in
-        ignore (f ());
-        Unix.gettimeofday () -. t0
-      in
-      let cold = wall (fun () -> Runner.run_suite ~ctx config loops) in
-      let warm = wall (fun () -> Runner.run_suite ~ctx config loops) in
-      if i > 0 then bpf ",";
-      bpf "\n  { \"config\": %S, \"loops\": %d, \"jobs\": %d," name
-        (List.length loops) jobs;
-      bpf "\n    \"cold_wall_s\": %.3f, \"warm_wall_s\": %.3f," cold warm;
-      bpf "\n    \"phase_ns\": { ";
-      List.iteri
-        (fun j (k, ns) ->
-          if j > 0 then bpf ", ";
-          bpf "%S: %d" k ns)
-        (Hcrf_obs.Counters.timings counters);
-      bpf " } }";
-      Hcrf_obs.Tracer.close tracer)
-    [ "S64"; "4C32"; "4C32S16" ];
-  bpf "\n] }\n";
-  print_string (Buffer.contents buf)
+  let run name =
+    let config = Hcrf_model.Presets.published name in
+    let counters = Hcrf_obs.Counters.create () in
+    let tracer = Hcrf_obs.Tracer.make [ Hcrf_obs.Tracer.Counters counters ] in
+    let cache = Hcrf_cache.Cache.create () in
+    let ctx = Runner.Ctx.make ~cache ~jobs ~tracer () in
+    let wall f =
+      let t0 = Unix.gettimeofday () in
+      ignore (f ());
+      Unix.gettimeofday () -. t0
+    in
+    let cold_wall_s = wall (fun () -> Runner.run_suite ~ctx config loops) in
+    let warm_wall_s = wall (fun () -> Runner.run_suite ~ctx config loops) in
+    Hcrf_obs.Tracer.close tracer;
+    { Hcrf_obs.Bench_report.config = name; loops = List.length loops; jobs;
+      sum_ii = None; cold_wall_s; warm_wall_s;
+      phase_ns = Hcrf_obs.Counters.timings counters }
+  in
+  print_string
+    (Hcrf_obs.Bench_report.to_string
+       (List.map run [ "S64"; "4C32"; "4C32S16" ]))
 
 (* Workbench statistics: how the synthetic suite compares with the
    distributions the paper reports for the Perfect Club loops. *)
@@ -341,7 +328,7 @@ let () =
   (match ctx.Runner.Ctx.cache with
   | None -> ()
   | Some c ->
-    Fmt.pr "cache: %a@." Metrics.pp_cache_stats (Hcrf_cache.Cache.stats c));
+    Fmt.pr "cache: %a@." Hcrf_cache.Cache.pp_stats (Hcrf_cache.Cache.stats c));
   (match Hcrf_obs.Tracer.counters tracer with
   | None -> ()
   | Some c -> Fmt.pr "trace: %a@." Hcrf_obs.Counters.pp c);

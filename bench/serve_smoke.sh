@@ -9,6 +9,9 @@
 #     (--verify; scheduler wall-clock scrubbed);
 #   - a malformed frame is refused without taking the daemon down;
 #   - SIGTERM drains cleanly (final stats line, exit 0, socket gone);
+#   - the drain line's counters are the daemon's counted Serve notes:
+#     with counters-only tracing (HCRF_TRACE=) each equals its serve.*
+#     key on the drain "trace:" line;
 #   - the --json report has the hcrf-bench/1 shape — key-compatible
 #     with BENCH_sched_core.json's runs[] entries (trajectory guard,
 #     not wall-clock).
@@ -32,7 +35,7 @@ cleanup () {
 }
 trap cleanup EXIT
 
-"$serve" --addr "$sock" --cache "$dir/cache" --lru 64 --jobs 2 \
+HCRF_TRACE= "$serve" --addr "$sock" --cache "$dir/cache" --lru 64 --jobs 2 \
   > "$dir/daemon.log" 2>&1 &
 daemon_pid=$!
 
@@ -71,6 +74,23 @@ grep -q 'hcrf_serve: drained;' "$dir/daemon.log" ||
 [ ! -e "$sock" ] ||
   { echo "serve smoke: socket file left behind after drain" >&2; exit 1; }
 
+# one count, two readers: the stats fields and the traced serve.*
+# counters come from the same notes (a key absent from the trace is 0)
+drain=$(grep 'hcrf_serve: drained;' "$dir/daemon.log")
+trace=$(grep '^trace: ' "$dir/daemon.log") ||
+  { echo "serve smoke: no trace line after drain" >&2
+    cat "$dir/daemon.log" >&2; exit 1; }
+for pair in requests:request lru_hits:lru_hit tier2_hits:disk_hit \
+  computed:computed coalesced:coalesced rejected:reject; do
+  field=${pair%%:*}
+  key=${pair#*:}
+  want=$(echo "$drain" | grep -o " $field=[0-9]*" | cut -d= -f2)
+  got=$(echo "$trace" | grep -o " serve\.$key=[0-9]*" | cut -d= -f2)
+  [ -n "$want" ] && [ "${got:-0}" = "$want" ] ||
+    { echo "serve smoke: drain $field=$want but trace serve.$key=${got:-0}" >&2
+      cat "$dir/daemon.log" >&2; exit 1; }
+done
+
 # entries must have landed in the sharded store layout
 find "$dir/cache" -mindepth 2 -name '*.hcrf' | grep -q . ||
   { echo "serve smoke: no sharded cache entries written" >&2; exit 1; }
@@ -92,4 +112,4 @@ if command -v jq > /dev/null 2>&1; then
       echo "  golden: $golden_keys" >&2; exit 1; }
 fi
 
-echo "serve smoke: ok (1000-request storm warm, verified, malformed survived, drained)"
+echo "serve smoke: ok (1000-request storm warm, verified, malformed survived, drained, stats = trace counts)"

@@ -21,12 +21,8 @@ open Cmdliner
 open Hcrf_sched
 
 let config_of_string s =
-  match Hcrf_model.Hw_table.find s with
-  | Some row -> Hcrf_model.Presets.of_published row
-  | None -> (
-    (* fall back to the analytic technology model for unpublished points *)
-    try Hcrf_model.Presets.of_model (Hcrf_machine.Rf.of_notation s)
-    with Failure msg | Invalid_argument msg -> failwith msg)
+  try Hcrf_model.Presets.of_notation s
+  with Invalid_argument msg -> failwith msg
 
 let config_arg =
   let doc =
@@ -47,6 +43,10 @@ let config_arg =
       | None -> "8C16S16")
   in
   Term.(const resolve $ arg)
+
+let json_arg =
+  let doc = "Write an hcrf-bench/1 JSON report to $(docv)." in
+  Arg.(value & opt (some string) None & info [ "json" ] ~doc ~docv:"FILE")
 
 let n_arg =
   let doc = "Number of synthetic workbench loops." in
@@ -292,10 +292,6 @@ let ports_cmd =
      decision) and, on the generalized axis, the per-bank access-port
      counts of the first-level banks — where does the hierarchical
      organization stop paying once ports are scarce? *)
-  let json_arg =
-    let doc = "Write an hcrf-bench/1 JSON report to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~doc ~docv:"FILE")
-  in
   let access_arg =
     let doc =
       "Sweep the per-bank access ports of the first-level banks \
@@ -322,30 +318,23 @@ let ports_cmd =
         Hcrf_eval.Runner.aggregate config
           (Hcrf_eval.Runner.run_suite ~ctx config loops)
       in
-      let a, cold_s = wall run_once in
-      let _, warm_s = wall run_once in
-      rows := (Rf.notation rf, a, cold_s, warm_s) :: !rows;
+      let a, cold_wall_s = wall run_once in
+      let _, warm_wall_s = wall run_once in
+      rows :=
+        { Hcrf_obs.Bench_report.config = Rf.notation rf; loops = n;
+          jobs = ctx.Hcrf_eval.Runner.Ctx.jobs;
+          sum_ii =
+            Some (a.Hcrf_eval.Metrics.sum_ii, a.Hcrf_eval.Metrics.pct_at_mii);
+          cold_wall_s; warm_wall_s; phase_ns = [] }
+        :: !rows;
       a
     in
     if access then begin
       Fmt.pr "Access-port sweep for %s (%d loops):@." config_name n;
       Fmt.pr "   pr  pw | sumII | %%MII@.";
-      let with_access acc =
-        match base with
-        | Rf.Monolithic m -> Rf.Monolithic { m with access = acc }
-        | Rf.Clustered c -> Rf.Clustered { c with access = acc }
-        | Rf.Hierarchical h -> Rf.Hierarchical { h with local_access = acc }
-      in
       List.iter
         (fun acc ->
-          let rf =
-            with_access
-              (Option.map
-                 (fun (pr, pw) ->
-                   Rf.access ~pr:(Cap.Finite pr) ~pw:(Cap.Finite pw))
-                 acc)
-          in
-          let a = point rf in
+          let a = point (Hcrf_eval.Experiments.rf_with_access base acc) in
           let pr, pw =
             match acc with
             | None -> ("inf", "inf")
@@ -353,8 +342,7 @@ let ports_cmd =
           in
           Fmt.pr "  %3s %3s | %5d | %4.1f@." pr pw
             a.Hcrf_eval.Metrics.sum_ii a.Hcrf_eval.Metrics.pct_at_mii)
-        [ None; Some (6, 4); Some (5, 3); Some (4, 3); Some (3, 2);
-          Some (2, 1) ]
+        Hcrf_eval.Experiments.scarcity_ladder
     end
     else begin
       match base with
@@ -382,26 +370,8 @@ let ports_cmd =
           (Hcrf_cache.Cache.stats c))
       ctx.Hcrf_eval.Runner.Ctx.cache;
     finish_trace ctx.Hcrf_eval.Runner.Ctx.tracer;
-    match json with
-    | None -> ()
-    | Some file ->
-      let rows = List.rev !rows in
-      let last = List.length rows - 1 in
-      let oc = open_out file in
-      Printf.fprintf oc "{ \"schema\": \"hcrf-bench/1\", \"runs\": [\n";
-      List.iteri
-        (fun i (label, (a : Hcrf_eval.Metrics.aggregate), cold_s, warm_s) ->
-          Printf.fprintf oc
-            "  { \"config\": %S, \"loops\": %d, \"jobs\": %d,\n\
-            \    \"sum_ii\": %d, \"pct_at_mii\": %.1f,\n\
-            \    \"cold_wall_s\": %.3f, \"warm_wall_s\": %.3f,\n\
-            \    \"phase_ns\": {  } }%s\n"
-            label n ctx.Hcrf_eval.Runner.Ctx.jobs a.Hcrf_eval.Metrics.sum_ii
-            a.Hcrf_eval.Metrics.pct_at_mii cold_s warm_s
-            (if i = last then "" else ","))
-        rows;
-      Printf.fprintf oc "] }\n";
-      close_out oc
+    Option.iter (fun file -> Hcrf_obs.Bench_report.write file (List.rev !rows))
+      json
   in
   Cmd.v
     (Cmd.info "ports"
@@ -703,10 +673,6 @@ let serve_bench_cmd =
     in
     Arg.(value & flag & info [ "malformed" ] ~doc)
   in
-  let json_arg =
-    let doc = "Write an hcrf-bench/1 JSON report to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~doc ~docv:"FILE")
-  in
   let fail fmt = Fmt.kstr (fun m -> Fmt.epr "serve-bench: %s@." m; exit 1) fmt in
   let connect addr =
     match Client.connect addr with
@@ -860,18 +826,13 @@ let serve_bench_cmd =
         loops;
       Fmt.pr "verify: ok (%d loops identical to the local runner)@." n
     end;
-    match json with
-    | None -> ()
-    | Some file ->
-      let oc = open_out file in
-      Printf.fprintf oc
-        "{ \"schema\": \"hcrf-bench/1\", \"runs\": [\n\
-        \  { \"config\": %S, \"loops\": %d, \"jobs\": %d,\n\
-        \    \"cold_wall_s\": %.3f, \"warm_wall_s\": %.3f,\n\
-        \    \"phase_ns\": {  } }\n\
-         ] }\n"
-        config_name n clients cold_wall warm_wall;
-      close_out oc
+    Option.iter
+      (fun file ->
+        Hcrf_obs.Bench_report.write file
+          [ { Hcrf_obs.Bench_report.config = config_name; loops = n;
+              jobs = clients; sum_ii = None; cold_wall_s = cold_wall;
+              warm_wall_s = warm_wall; phase_ns = [] } ])
+      json
   in
   Cmd.v
     (Cmd.info "serve-bench"
@@ -904,10 +865,6 @@ let incr_cmd =
        evaluation of the same program."
     in
     Arg.(value & flag & info [ "verify" ] ~doc)
-  in
-  let json_arg =
-    let doc = "Write an hcrf-bench/1 JSON report to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~doc ~docv:"FILE")
   in
   let fail fmt = Fmt.kstr (fun m -> Fmt.epr "incr: %s@." m; exit 1) fmt in
   let scrub perfs =
@@ -987,19 +944,14 @@ let incr_cmd =
         kernels
     end;
     finish_trace ctx.Hcrf_eval.Runner.Ctx.tracer;
-    match json with
-    | None -> ()
-    | Some file ->
-      let oc = open_out file in
-      Printf.fprintf oc
-        "{ \"schema\": \"hcrf-bench/1\", \"runs\": [\n\
-        \  { \"config\": %S, \"loops\": %d, \"jobs\": %d,\n\
-        \    \"cold_wall_s\": %.3f, \"warm_wall_s\": %.3f,\n\
-        \    \"phase_ns\": {  } }\n\
-         ] }\n"
-        config_name kernels ctx.Hcrf_eval.Runner.Ctx.jobs
-        cold_stats.Hcrf_incr.Pipeline.wall_s !warm_wall;
-      close_out oc
+    Option.iter
+      (fun file ->
+        Hcrf_obs.Bench_report.write file
+          [ { Hcrf_obs.Bench_report.config = config_name; loops = kernels;
+              jobs = ctx.Hcrf_eval.Runner.Ctx.jobs; sum_ii = None;
+              cold_wall_s = cold_stats.Hcrf_incr.Pipeline.wall_s;
+              warm_wall_s = !warm_wall; phase_ns = [] } ])
+      json
   in
   Cmd.v
     (Cmd.info "incr"

@@ -9,6 +9,7 @@ module Genloop = Hcrf_workload.Genloop
 module Rng = Hcrf_workload.Rng
 module Pipe_exec = Hcrf_pipesim.Pipe_exec
 module Exact = Hcrf_exact.Exact
+module Presets = Hcrf_model.Presets
 
 (* ------------------------------------------------------------------ *)
 (* Presets                                                             *)
@@ -72,18 +73,9 @@ let options_presets =
     ("tight", { d with Engine.budget_ratio = 3 });
   ]
 
-let config_of_name ?n_fus ?n_mem_ports name =
-  match Hcrf_model.Hw_table.find name with
-  | Some row -> Hcrf_model.Presets.of_published ?n_fus ?n_mem_ports row
-  | None ->
-    Hcrf_model.Presets.of_model ?n_fus ?n_mem_ports
-      (Hcrf_machine.Rf.of_notation name)
-
-let default_config_presets =
-  lazy (List.map (fun n -> (n, config_of_name n)) config_names)
-
-let generalized_config_presets =
-  lazy (List.map (fun n -> (n, config_of_name n)) generalized_config_names)
+let presets names = List.map (fun n -> (n, Presets.of_notation n)) names
+let default_config_presets = lazy (presets config_names)
+let generalized_config_presets = lazy (presets generalized_config_names)
 
 (* ------------------------------------------------------------------ *)
 (* Cases                                                               *)
@@ -494,7 +486,7 @@ let pp_report ppf r = Fmt.pf ppf "@[<v>%a@]" pp_report r
 let replay_file ?cache (r : Repro.t) =
   match
     let config =
-      config_of_name ~n_fus:r.Repro.n_fus ~n_mem_ports:r.Repro.n_mem_ports
+      Presets.of_notation ~n_fus:r.Repro.n_fus ~n_mem_ports:r.Repro.n_mem_ports
         r.Repro.config
     in
     let config = { config with Config.lats = r.Repro.lats } in

@@ -48,11 +48,6 @@ val generalized_config_presets :
 
 val options_presets : (string * Hcrf_sched.Engine.options) list
 
-(** Resolve a machine notation like the CLI does: published Table-5
-    hardware when available, the analytic model otherwise. *)
-val config_of_name :
-  ?n_fus:int -> ?n_mem_ports:int -> string -> Hcrf_machine.Config.t
-
 type verdict = { kind : Ev.fuzz_verdict; detail : string }
 
 (** Failure = any verdict the oracles can falsify.  [Pass] is success;

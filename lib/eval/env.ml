@@ -50,11 +50,7 @@ let config () =
   match Sys.getenv_opt "HCRF_CONFIG" with
   | None | Some "" -> None
   | Some s -> (
-    match
-      match Hcrf_model.Hw_table.find s with
-      | Some row -> Hcrf_model.Presets.of_published row
-      | None -> Hcrf_model.Presets.of_model (Hcrf_machine.Rf.of_notation s)
-    with
+    match Hcrf_model.Presets.of_notation s with
     | c -> Some c
     | exception (Failure msg | Invalid_argument msg) ->
       Logs.warn (fun m ->

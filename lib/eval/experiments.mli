@@ -122,6 +122,11 @@ type scarcity_row = {
 (** The access-port ladder {!port_scarcity} walks down, richest first. *)
 val scarcity_ladder : (int * int) option list
 
+(** [rf_with_access rf acc]: [rf] with a uniform (read, write)
+    access-port budget on every first-level bank ([None]: unbounded). *)
+val rf_with_access :
+  Hcrf_machine.Rf.t -> (int * int) option -> Hcrf_machine.Rf.t
+
 (** Sweep uniform per-bank access ports down {!scarcity_ladder} on a
     flat clustered organization (default ["4C32"]) and its hierarchical
     rival (default ["4C16S16"]), both through the analytic model, and

@@ -3,38 +3,18 @@
     beside the one schedule cache its schedule entries live in.  See the
     interface for the contract. *)
 
-type loop_snapshot = {
-  ls_repr : Hcrf_ir.Ddg.repr;
-  ls_trip_count : int;
-  ls_entries : int;
-  ls_streams : Hcrf_ir.Loop.stream list;
-}
-
 type value =
-  | Loop_v of loop_snapshot
+  | Loop_v of Hcrf_ir.Loop.repr
   | Fp_v of Hcrf_cache.Fingerprint.t
   | Perf_v of Metrics.loop_perf option
 
-(* A live [Ddg.t] may carry a watcher closure (set by the engine), so a
-   memoized loop is stored as its [repr]; [of_repr] preserves ids and
-   adjacency order, so the round trip is behaviourally identical. *)
-let snapshot_of_loop (l : Hcrf_ir.Loop.t) =
-  {
-    ls_repr = Hcrf_ir.Ddg.to_repr l.Hcrf_ir.Loop.ddg;
-    ls_trip_count = l.Hcrf_ir.Loop.trip_count;
-    ls_entries = l.Hcrf_ir.Loop.entries;
-    ls_streams = l.Hcrf_ir.Loop.streams;
-  }
-
-let loop_of_snapshot s =
-  Hcrf_ir.Loop.make ~trip_count:s.ls_trip_count ~entries:s.ls_entries
-    ~streams:s.ls_streams
-    (Hcrf_ir.Ddg.of_repr s.ls_repr)
+module Counters = Hcrf_obs.Counters
+module Ev = Hcrf_obs.Event
 
 type t = {
   dir : string option;
   table : (string, value) Hashtbl.t;
-  lookups : (string, int) Hashtbl.t;  (* "<stage>.hits" / "<stage>.misses" *)
+  counts : Counters.t;  (* every [Incr] note, traced or not *)
   mutex : Mutex.t;
   cache : Hcrf_cache.Cache.t;
 }
@@ -71,7 +51,7 @@ let create ?dir () =
     (fun d -> List.iter (fun (k, v) -> Hashtbl.replace table k v)
         (load_bindings d))
     dir;
-  { dir; table; lookups = Hashtbl.create 8; mutex = Mutex.create ();
+  { dir; table; counts = Counters.create (); mutex = Mutex.create ();
     cache = Hcrf_cache.Cache.create ?dir () }
 
 let cache t = t.cache
@@ -80,43 +60,32 @@ let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-let stage_name = Hcrf_obs.Event.incr_stage_name
-
-let count t ~stage ~hit =
-  let key = stage_name stage ^ if hit then ".hits" else ".misses" in
-  locked t (fun () ->
-      Hashtbl.replace t.lookups key
-        (1 + Option.value ~default:0 (Hashtbl.find_opt t.lookups key)))
-
-let full_key ~stage key = stage_name stage ^ ":" ^ key
-
-let find t ~stage key =
-  let r = locked t (fun () -> Hashtbl.find_opt t.table (full_key ~stage key)) in
-  count t ~stage ~hit:(Option.is_some r);
-  r
+let full_key ~stage key = Ev.incr_stage_name stage ^ ":" ^ key
 
 let add t ~stage key value =
   locked t (fun () -> Hashtbl.replace t.table (full_key ~stage key) value)
 
 let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 
-let emit trace stage op ~since =
-  if Hcrf_obs.Trace.enabled trace then
-    Hcrf_obs.Trace.emit trace
-      (Hcrf_obs.Event.Incr { stage; op; ns = now_ns () - since })
+let emit t trace stage op ~since =
+  let ev = Ev.Incr { stage; op; ns = now_ns () - since } in
+  locked t (fun () -> Counters.note t.counts trace ev)
 
 let memoize t ~trace ~stage key ~get ~put compute =
   let t0 = now_ns () in
-  match Option.bind (find t ~stage key) get with
+  let found =
+    locked t (fun () -> Hashtbl.find_opt t.table (full_key ~stage key))
+  in
+  match Option.bind found get with
   | Some v ->
-    emit trace stage Stage_hit ~since:t0;
+    emit t trace stage Stage_hit ~since:t0;
     (v, true)
   | None ->
-    emit trace stage Stage_miss ~since:t0;
+    emit t trace stage Stage_miss ~since:t0;
     let t1 = now_ns () in
     let v = compute () in
     add t ~stage key (put v);
-    emit trace stage Stage_recompute ~since:t1;
+    emit t trace stage Stage_recompute ~since:t1;
     (v, false)
 
 let length t = locked t (fun () -> Hashtbl.length t.table)
@@ -125,7 +94,19 @@ let sorted tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let stage_stats t = locked t (fun () -> sorted t.lookups)
+(* The lookup counts, read back from the registry's [Incr] notes. *)
+let stage_stats t =
+  locked t @@ fun () ->
+  List.concat_map
+    (fun (stage, name) ->
+      List.filter_map
+        (fun (op, suffix) ->
+          match Counters.count t.counts (Ev.Incr { stage; op; ns = 0 }) with
+          | 0 -> None
+          | n -> Some (name ^ suffix, n))
+        [ (Ev.Stage_hit, ".hits"); (Ev.Stage_miss, ".misses") ])
+    Ev.incr_stage_names
+  |> List.sort compare
 
 let save t =
   match t.dir with

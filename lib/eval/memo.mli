@@ -11,30 +11,25 @@
     otherwise the memo's own {!cache} — and the memo only counts that
     stage's lookups.
 
+    Counting: every stage step is one [Incr] note ({!emit}) — counted
+    in the memo's always-on {!Hcrf_obs.Counters} registry, which
+    {!stage_stats} reads, and recorded in the work unit's trace when
+    that trace is enabled.
+
     Values must stay marshal-safe (a memo can be persisted to disk):
-    loops are snapshotted as {!Hcrf_ir.Ddg.repr} because a live
-    [Ddg.t] may carry a watcher closure.
+    loops are stored as {!Hcrf_ir.Loop.repr} because a live [Ddg.t] may
+    carry a watcher closure.
 
     All operations are thread-safe (one internal mutex), so a [Par] pool
     may share one memo. *)
 
-type loop_snapshot = {
-  ls_repr : Hcrf_ir.Ddg.repr;
-  ls_trip_count : int;
-  ls_entries : int;
-  ls_streams : Hcrf_ir.Loop.stream list;
-}
-
 (** One memoized stage result. *)
 type value =
-  | Loop_v of loop_snapshot  (** frontend: compiled kernel *)
+  | Loop_v of Hcrf_ir.Loop.repr  (** frontend: compiled kernel *)
   | Fp_v of Hcrf_cache.Fingerprint.t  (** extract: WL loop fingerprint *)
   | Perf_v of Metrics.loop_perf option
       (** metric: derived metrics; [None] replays a scheduling failure
           without re-logging it *)
-
-val snapshot_of_loop : Hcrf_ir.Loop.t -> loop_snapshot
-val loop_of_snapshot : loop_snapshot -> Hcrf_ir.Loop.t
 
 type t
 
@@ -48,20 +43,14 @@ val create : ?dir:string -> unit -> t
     live when the runner context has no cache of its own. *)
 val cache : t -> Hcrf_cache.Cache.t
 
-(** Lookup under a stage namespace ([key]s of different stages never
-    collide); bumps that stage's hit or miss counter. *)
-val find : t -> stage:Hcrf_obs.Event.incr_stage -> string -> value option
-
+(** Store a result under a stage namespace ([key]s of different stages
+    never collide). *)
 val add : t -> stage:Hcrf_obs.Event.incr_stage -> string -> value -> unit
-
-(** Bump a stage's hit or miss counter for a lookup answered elsewhere
-    (the sched stage's, in the schedule cache). *)
-val count : t -> stage:Hcrf_obs.Event.incr_stage -> hit:bool -> unit
 
 (** One memoized stage: the value under [key], replayed when the stored
     value is accepted by [get] (returned with [true]), else computed,
-    stored as [put v] and returned with [false].  Emits the stage's
-    [Incr] hit or miss event, and its recompute event, timed. *)
+    stored as [put v] and returned with [false].  Notes the stage's
+    hit or miss, and its recompute, timed (see {!emit}). *)
 val memoize :
   t -> trace:Hcrf_obs.Trace.t -> stage:Hcrf_obs.Event.incr_stage -> string ->
   get:(value -> 'a option) -> put:('a -> value) -> (unit -> 'a) -> 'a * bool
@@ -69,19 +58,21 @@ val memoize :
 (** Wall clock in ns, the time base of [Incr] events. *)
 val now_ns : unit -> int
 
-(** Emit an [Incr] event for [stage] timed since [since] (a no-op on a
-    disabled trace). *)
+(** Note one step of [stage] timed since [since]: count it in the
+    memo's registry and record it in [trace] when enabled.  The sched
+    stage, answered by the schedule cache, is noted this way. *)
 val emit :
-  Hcrf_obs.Trace.t -> Hcrf_obs.Event.incr_stage -> Hcrf_obs.Event.incr_op ->
-  since:int -> unit
+  t -> Hcrf_obs.Trace.t -> Hcrf_obs.Event.incr_stage ->
+  Hcrf_obs.Event.incr_op -> since:int -> unit
 
 (** Number of results in the memo's own table (schedule entries, which
     live in the cache, are not counted). *)
 val length : t -> int
 
-(** Per-stage lookup counters since creation, sorted by key
-    (["extract.hits"], ["extract.misses"], ["frontend.hits"], ...);
-    stages that were never looked up are omitted. *)
+(** Per-stage lookup counts since creation, read from the registry's
+    hit and miss notes, sorted by key (["extract.hits"],
+    ["extract.misses"], ["frontend.hits"], ...); zero counts are
+    omitted. *)
 val stage_stats : t -> (string * int) list
 
 (** Persist the table to [dir/memo.v2] (atomic rename; schedule

@@ -176,19 +176,6 @@ let aggregate (config : Hcrf_machine.Config.t) (perfs : loop_perf list) =
 (** Dynamic IPC under the ideal-memory scenario (Figure 1). *)
 let ipc a = if a.useful = 0. then 0. else a.dynamic_ops /. a.useful
 
-(* Cache-effectiveness counters, re-exported so the evaluation layer's
-   reporting has one home.  Kept out of [aggregate] on purpose: warm
-   runs must aggregate byte-identically to cold ones. *)
-type cache_stats = Hcrf_cache.Cache.stats = {
-  hits : int;
-  misses : int;
-  stores : int;
-  disk_hits : int;
-  disk_errors : int;
-}
-
-let pp_cache_stats = Hcrf_cache.Cache.pp_stats
-
 let pp_aggregate ?cache ?trace ppf a =
   Fmt.pf ppf
     "%s: loops=%d sum_ii=%d (mii %d, %.1f%% at mii) cycles=%.3e (stall %.2e) \
@@ -197,7 +184,7 @@ let pp_aggregate ?cache ?trace ppf a =
     a.total_traffic a.exec_seconds (ipc a) pp_sched_stats a.sched;
   (match cache with
   | None -> ()
-  | Some c -> Fmt.pf ppf "@\n  cache: %a" pp_cache_stats c);
+  | Some c -> Fmt.pf ppf "@\n  cache: %a" Hcrf_cache.Cache.pp_stats c);
   match trace with
   | None -> ()
   | Some t -> Fmt.pf ppf "@\n  trace: %a" Hcrf_obs.Counters.pp t

@@ -76,26 +76,13 @@ val aggregate : Hcrf_machine.Config.t -> loop_perf list -> aggregate
 (** Dynamic IPC under the ideal-memory scenario (Figure 1). *)
 val ipc : aggregate -> float
 
-(** Schedule-cache effectiveness counters ({!Hcrf_cache.Cache.stats}).
-    Deliberately *not* part of {!aggregate}: a warm cache must produce
-    byte-identical aggregates, so cache effectiveness is reported
-    alongside them, never inside them. *)
-type cache_stats = Hcrf_cache.Cache.stats = {
-  hits : int;
-  misses : int;
-  stores : int;
-  disk_hits : int;
-  disk_errors : int;
-}
-
-val pp_cache_stats : Format.formatter -> cache_stats -> unit
-
 (** Print an aggregate; with [?cache] an extra "cache:" line reports
-    hit/miss/store counters next to the scheduler-effort stats, and
-    with [?trace] an extra "trace:" line reports the sorted event
-    counters of a {!Hcrf_obs.Counters} sink.  Both extra lines keep
-    run-to-run-varying data (disk state, wall-clock) out of the
-    aggregate itself. *)
+    the {!Hcrf_cache.Cache.stats} counters next to the scheduler-effort
+    stats, and with [?trace] an extra "trace:" line reports the sorted
+    event counters of a {!Hcrf_obs.Counters} sink.  Both extra lines
+    keep run-to-run-varying data (disk state, wall-clock) out of the
+    aggregate itself: a warm cache must aggregate byte-identically to a
+    cold one. *)
 val pp_aggregate :
-  ?cache:cache_stats -> ?trace:Hcrf_obs.Counters.t -> Format.formatter ->
-  aggregate -> unit
+  ?cache:Hcrf_cache.Cache.stats -> ?trace:Hcrf_obs.Counters.t ->
+  Format.formatter -> aggregate -> unit

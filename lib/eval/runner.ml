@@ -249,7 +249,7 @@ let loop_fingerprint ~trace memo loop =
   | Some m ->
     fst
       (Memo.memoize m ~trace ~stage:Ev.Extract
-         (Digest.string (Marshal.to_string (Memo.snapshot_of_loop loop) []))
+         (Digest.string (Marshal.to_string (Loop.to_repr loop) []))
          ~get:(function Memo.Fp_v fp -> Some fp | _ -> None)
          ~put:(fun fp -> Memo.Fp_v fp)
          (fun () -> Hcrf_cache.Fingerprint.of_loop loop))
@@ -290,8 +290,7 @@ let resolve ~(ctx : Ctx.t) ~traces config loops =
       let hit = Option.is_some entries.(i) in
       Option.iter
         (fun m ->
-          Memo.count m ~stage:Ev.Sched ~hit;
-          Memo.emit trace Ev.Sched
+          Memo.emit m trace Ev.Sched
             (if hit then Ev.Stage_hit else Ev.Stage_miss)
             ~since:t0)
         memo;
@@ -309,8 +308,9 @@ let resolve ~(ctx : Ctx.t) ~traces config loops =
         let trace = traces.(i) in
         let t0 = Memo.now_ns () in
         let entry = compute_entry ~trace ~scenario ~opts config loops.(i) in
-        if Option.is_some memo then
-          Memo.emit trace Ev.Sched Ev.Stage_recompute ~since:t0;
+        Option.iter
+          (fun m -> Memo.emit m trace Ev.Sched Ev.Stage_recompute ~since:t0)
+          memo;
         entry)
       todo
   in

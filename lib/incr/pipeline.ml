@@ -30,9 +30,9 @@ let frontend_stage ~trace memo kernel =
     Memo.memoize m ~trace ~stage:Ev.Frontend
       (Hcrf_frontend.Ast.digest kernel)
       ~get:(function
-        | Memo.Loop_v s -> Some (Memo.loop_of_snapshot s)
+        | Memo.Loop_v r -> Some (Hcrf_ir.Loop.of_repr r)
         | _ -> None)
-      ~put:(fun loop -> Memo.Loop_v (Memo.snapshot_of_loop loop))
+      ~put:(fun loop -> Memo.Loop_v (Hcrf_ir.Loop.to_repr loop))
       (fun () -> snd (Hcrf_frontend.Compile.compile_keyed kernel))
 
 let eval t (kernels : Hcrf_frontend.Ast.t list) =

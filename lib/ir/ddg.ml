@@ -227,10 +227,12 @@ let pp ppf t =
   Fmt.pf ppf "@]"
 
 (** Structural well-formedness: every edge endpoint exists and appears in
-    both adjacency lists; distances are non-negative. *)
+    both adjacency lists; distances are non-negative; node and invariant
+    ids lie below the id counters, so fresh ids never collide. *)
 let validate t =
   let ok = ref true in
   iter_nodes t (fun n ->
+      if n.id < 0 || n.id >= t.next_id then ok := false;
       List.iter
         (fun e ->
           if e.src <> n.id || not (mem t e.dst) || e.distance < 0 then
@@ -248,6 +250,7 @@ let validate t =
         n.preds);
   List.iter
     (fun inv ->
+      if inv.inv_id < 0 || inv.inv_id >= t.next_inv then ok := false;
       List.iter (fun c -> if not (mem t c) then ok := false)
         inv.inv_consumers)
     t.invariants;

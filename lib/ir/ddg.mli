@@ -113,5 +113,7 @@ val of_repr : repr -> t
 val pp : Format.formatter -> t -> unit
 
 (** Structural well-formedness: every edge endpoint exists and appears
-    in both adjacency lists; distances are non-negative. *)
+    in both adjacency lists; distances are non-negative; node and
+    invariant ids lie below the id counters, so fresh ids never
+    collide. *)
 val validate : t -> bool

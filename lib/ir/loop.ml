@@ -25,6 +25,21 @@ let make ?(trip_count = 100) ?(entries = 1) ?(streams = []) ddg =
   if entries < 1 then invalid_arg "Loop.make: entries < 1";
   { ddg; trip_count; entries; streams }
 
+type repr = {
+  repr_ddg : Ddg.repr;
+  repr_trip_count : int;
+  repr_entries : int;
+  repr_streams : stream list;
+}
+
+let to_repr t =
+  { repr_ddg = Ddg.to_repr t.ddg; repr_trip_count = t.trip_count;
+    repr_entries = t.entries; repr_streams = t.streams }
+
+let of_repr r =
+  make ~trip_count:r.repr_trip_count ~entries:r.repr_entries
+    ~streams:r.repr_streams (Ddg.of_repr r.repr_ddg)
+
 let name t = Ddg.name t.ddg
 
 (** Total dynamic iterations N * E. *)

@@ -24,6 +24,27 @@ type t = {
 val make :
   ?trip_count:int -> ?entries:int -> ?streams:stream list -> Ddg.t -> t
 
+(** Closure-free snapshot of a loop, the one form a loop is marshalled
+    in: the stage memo stores it and hashes it into extract-stage keys,
+    and the daemon's requests carry it.  A live [Ddg.t] may carry a
+    watcher closure; {!Ddg.repr} does not.  The field order and types
+    are part of the [memo.v2] format — changing them changes its
+    bytes. *)
+type repr = {
+  repr_ddg : Ddg.repr;
+  repr_trip_count : int;
+  repr_entries : int;
+  repr_streams : stream list;
+}
+
+val to_repr : t -> repr
+
+(** Ids and adjacency order are preserved, so [of_repr (to_repr l)] is
+    behaviourally identical to [l].  Raises [Invalid_argument] on
+    non-positive counts; the graph itself is not checked (see
+    {!Ddg.validate}). *)
+val of_repr : repr -> t
+
 val name : t -> string
 
 (** Total dynamic iterations, [trip_count * entries]. *)

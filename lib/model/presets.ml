@@ -52,6 +52,13 @@ let of_model ?(n_fus = 8) ?(n_mem_ports = 4) rf =
   in
   Config.make ~n_fus ~n_mem_ports ~lats ~cycle_ns:cycle rf
 
+(** The configuration a notation names: the published Table-5 hardware
+    when it names a published point, the analytic model otherwise. *)
+let of_notation ?n_fus ?n_mem_ports notation =
+  match Hw_table.find notation with
+  | Some row -> of_published ?n_fus ?n_mem_ports row
+  | None -> of_model ?n_fus ?n_mem_ports (Rf.of_notation notation)
+
 (** Static-evaluation configurations (Table 3): unbounded registers,
     either unbounded or §4-bounded bandwidth between banks; baseline
     latencies, clock irrelevant. *)

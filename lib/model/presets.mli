@@ -28,6 +28,14 @@ val of_model :
   ?n_fus:int -> ?n_mem_ports:int -> Hcrf_machine.Rf.t ->
   Hcrf_machine.Config.t
 
+(** The configuration a notation in the full extended grammar names
+    (["4C32"], ["4C16S16-L3:64@r2w1"]): the published Table-5 hardware
+    ({!of_published}) when the notation names a published point, the
+    analytic model ({!of_model}) otherwise.  Raises [Failure] or
+    [Invalid_argument] on a malformed notation. *)
+val of_notation :
+  ?n_fus:int -> ?n_mem_ports:int -> string -> Hcrf_machine.Config.t
+
 (** Static-evaluation configurations (Table 3): unbounded registers,
     either unbounded or §4-bounded bandwidth between banks; baseline
     latencies. *)

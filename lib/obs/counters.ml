@@ -11,32 +11,32 @@
       job count *within one run*, but wall-clock differs from run to
       run; equality checks therefore cover [counts] only.
 
-    No internal lock: a [Counters.t] is only ever fed from
-    {!Tracer.commit}, which already serializes sink access. *)
+    The same type serves as an owner's always-on registry ({!note}).
+    No internal lock: a tracer sink is only fed from {!Tracer.commit},
+    which serializes sink access; a registry is fed and read under its
+    owner's lock. *)
 
 type t = {
-  counts : (string, int) Hashtbl.t;
-  timings : (string, int) Hashtbl.t;
+  counts : (string, int ref) Hashtbl.t;
+  timings : (string, int ref) Hashtbl.t;
 }
 
 let create () = { counts = Hashtbl.create 32; timings = Hashtbl.create 8 }
 
 let bump tbl key n =
-  Hashtbl.replace tbl key (n + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+  match Hashtbl.find_opt tbl key with
+  | Some r -> r := !r + n
+  | None -> Hashtbl.add tbl key (ref n)
 
 let add t ev =
-  bump t.counts (Event.key ev) 1;
+  let key = Event.key ev in
+  bump t.counts key 1;
   match ev with
-  | Event.Spill_insert { kind; inserted } ->
-    bump t.counts ("spill." ^ Event.spill_name kind ^ ".nodes") inserted
+  | Event.Spill_insert { inserted; _ } ->
+    bump t.counts (key ^ ".nodes") inserted
   | Event.Shrink { steps } -> bump t.counts "shrink.steps" steps
   | Event.Exact_search { steps; _ } -> bump t.counts "exact.steps" steps
-  | Event.Phase { phase; ns } ->
-    bump t.timings ("phase." ^ Event.phase_name phase) ns
-  | Event.Incr { stage; op; ns } ->
-    bump t.timings
-      ("incr." ^ Event.incr_stage_name stage ^ "." ^ Event.incr_op_name op)
-      ns
+  | Event.Phase { ns; _ } | Event.Incr { ns; _ } -> bump t.timings key ns
   | Event.II_try _ | Event.Place _ | Event.Eject _ | Event.Comm_insert _
   | Event.Regalloc_fail _ | Event.Budget_escalate _ | Event.Cache _
   | Event.Fuzz _ | Event.Serve _ ->
@@ -44,8 +44,15 @@ let add t ev =
 
 let add_all t evs = List.iter (add t) evs
 
+let note t trace ev =
+  add t ev;
+  Trace.emit trace ev
+
+let count t ev =
+  match Hashtbl.find_opt t.counts (Event.key ev) with Some r -> !r | None -> 0
+
 let sorted tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+  Hashtbl.fold (fun k v acc -> (k, !v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (** Deterministic counters, sorted by key — hash-table iteration order
@@ -62,7 +69,7 @@ let total_events t =
     (fun k v acc ->
       if Filename.check_suffix k ".nodes" || Filename.check_suffix k ".steps"
       then acc
-      else acc + v)
+      else acc + !v)
     t.counts 0
 
 (** Counts-only equality: the determinism contract (identical at
@@ -75,14 +82,4 @@ let pp ppf t =
   | kvs ->
     Fmt.pf ppf "%a"
       Fmt.(list ~sep:(any " ") (fun ppf (k, v) -> Fmt.pf ppf "%s=%d" k v))
-      kvs
-
-let pp_timings ppf t =
-  match timings t with
-  | [] -> Fmt.pf ppf "(no spans)"
-  | kvs ->
-    Fmt.pf ppf "%a"
-      Fmt.(
-        list ~sep:(any " ") (fun ppf (k, ns) ->
-            Fmt.pf ppf "%s=%.1fms" k (float_of_int ns /. 1e6)))
       kvs

@@ -7,8 +7,14 @@
     All output is sorted by key — hash-table iteration order never
     reaches the output.
 
-    No internal lock: a [Counters.t] is only ever fed from
-    {!Tracer.commit}, which already serializes sink access. *)
+    A [Counters.t] is also the always-on registry of a component that
+    counts whether or not tracing is on (the daemon's tiers, the stage
+    memo): each fact is {!note}d once, into the registry and into the
+    work unit's trace.
+
+    No internal lock: a tracer sink is only fed from {!Tracer.commit},
+    which serializes sink access; a registry is fed and read under its
+    owner's lock. *)
 
 type t
 
@@ -16,6 +22,14 @@ val create : unit -> t
 
 val add : t -> Event.t -> unit
 val add_all : t -> Event.t list -> unit
+
+(** [note t trace ev] adds [ev] to [t] and records it in [trace] (a
+    no-op when [trace] is disabled): one call per counted fact. *)
+val note : t -> Trace.t -> Event.t -> unit
+
+(** How many events with [ev]'s {!Event.key} were added (0 when
+    none). *)
+val count : t -> Event.t -> int
 
 (** Deterministic counters, sorted by key. *)
 val counts : t -> (string * int) list
@@ -31,7 +45,3 @@ val equal_counts : t -> t -> bool
 
 (** Sorted ["key=count"] rendering of {!counts}. *)
 val pp : Format.formatter -> t -> unit
-
-(** Sorted ["key=12.3ms"] rendering of {!timings} (wall-clock: varies
-    run to run — keep it out of byte-compared output). *)
-val pp_timings : Format.formatter -> t -> unit

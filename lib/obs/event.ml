@@ -62,114 +62,72 @@ type t =
           time spent in the lookup or recomputation, in integer
           nanoseconds *)
 
-let comm_name = function
-  | Store_r -> "store_r"
-  | Load_r -> "load_r"
-  | Move -> "move"
+(* One (constructor, name) table per enum: both directions below read
+   it, so every name is spelled exactly once. *)
+let comm_names = [ (Store_r, "store_r"); (Load_r, "load_r"); (Move, "move") ]
+let cache_op_names = [ (Hit, "hit"); (Miss, "miss"); (Store, "store") ]
+let spill_names = [ (Value, "value"); (Invariant, "invariant") ]
 
-let comm_of_name = function
-  | "store_r" -> Some Store_r
-  | "load_r" -> Some Load_r
-  | "move" -> Some Move
-  | _ -> None
+let phase_names =
+  [ (Mii, "mii"); (Order, "order"); (Schedule, "schedule");
+    (Regalloc, "regalloc"); (Memsim, "memsim"); (Exact, "exact") ]
 
-let cache_op_name = function Hit -> "hit" | Miss -> "miss" | Store -> "store"
+let incr_stage_names =
+  [ (Frontend, "frontend"); (Extract, "extract"); (Sched, "sched");
+    (Metric, "metric") ]
 
-let cache_op_of_name = function
-  | "hit" -> Some Hit
-  | "miss" -> Some Miss
-  | "store" -> Some Store
-  | _ -> None
+let incr_op_names =
+  [ (Stage_hit, "hit"); (Stage_miss, "miss"); (Stage_recompute, "recompute") ]
 
-let spill_name = function Value -> "value" | Invariant -> "invariant"
+let serve_op_names =
+  [ (Request, "request"); (Lru_hit, "lru_hit"); (Lru_miss, "lru_miss");
+    (Disk_hit, "disk_hit"); (Computed, "computed"); (Coalesced, "coalesced");
+    (Reject, "reject"); (Timeout, "timeout") ]
 
-let spill_of_name = function
-  | "value" -> Some Value
-  | "invariant" -> Some Invariant
-  | _ -> None
+let fuzz_verdict_names =
+  [ (Pass, "pass"); (No_schedule, "no_schedule");
+    (Invalid_schedule, "invalid_schedule"); (Exec_mismatch, "exec_mismatch");
+    (Metamorphic, "metamorphic"); (Replay_divergence, "replay_divergence");
+    (Crash, "crash"); (Optimality, "optimality") ]
 
-let phase_name = function
-  | Mii -> "mii"
-  | Order -> "order"
-  | Schedule -> "schedule"
-  | Regalloc -> "regalloc"
-  | Memsim -> "memsim"
-  | Exact -> "exact"
+(* every enum is constant constructors only, so physical equality is
+   constructor equality *)
+let name_in table c = List.assq c table
 
-let phase_of_name = function
-  | "mii" -> Some Mii
-  | "order" -> Some Order
-  | "schedule" -> Some Schedule
-  | "regalloc" -> Some Regalloc
-  | "memsim" -> Some Memsim
-  | "exact" -> Some Exact
-  | _ -> None
+let of_name_in table s =
+  List.find_map (fun (c, n) -> if String.equal n s then Some c else None) table
 
-let incr_stage_name = function
-  | Frontend -> "frontend"
-  | Extract -> "extract"
-  | Sched -> "sched"
-  | Metric -> "metric"
+let comm_name = name_in comm_names
+let comm_of_name = of_name_in comm_names
+let cache_op_name = name_in cache_op_names
+let cache_op_of_name = of_name_in cache_op_names
+let spill_name = name_in spill_names
+let spill_of_name = of_name_in spill_names
+let phase_name = name_in phase_names
+let phase_of_name = of_name_in phase_names
+let incr_stage_name = name_in incr_stage_names
+let incr_stage_of_name = of_name_in incr_stage_names
+let incr_op_name = name_in incr_op_names
+let incr_op_of_name = of_name_in incr_op_names
+let serve_op_name = name_in serve_op_names
+let serve_op_of_name = of_name_in serve_op_names
+let fuzz_verdict_name = name_in fuzz_verdict_names
+let fuzz_verdict_of_name = of_name_in fuzz_verdict_names
 
-let incr_stage_of_name = function
-  | "frontend" -> Some Frontend
-  | "extract" -> Some Extract
-  | "sched" -> Some Sched
-  | "metric" -> Some Metric
-  | _ -> None
+(* Counter keys of the events that carry an enum, built once from the
+   name tables so that [key] allocates nothing. *)
+let keys prefix table = List.map (fun (c, n) -> (c, prefix ^ n)) table
+let spill_keys = keys "spill." spill_names
+let comm_keys = keys "comm." comm_names
+let cache_keys = keys "cache." cache_op_names
+let phase_keys = keys "phase." phase_names
+let fuzz_keys = keys "fuzz." fuzz_verdict_names
+let serve_keys = keys "serve." serve_op_names
 
-let incr_op_name = function
-  | Stage_hit -> "hit"
-  | Stage_miss -> "miss"
-  | Stage_recompute -> "recompute"
-
-let incr_op_of_name = function
-  | "hit" -> Some Stage_hit
-  | "miss" -> Some Stage_miss
-  | "recompute" -> Some Stage_recompute
-  | _ -> None
-
-let serve_op_name = function
-  | Request -> "request"
-  | Lru_hit -> "lru_hit"
-  | Lru_miss -> "lru_miss"
-  | Disk_hit -> "disk_hit"
-  | Computed -> "computed"
-  | Coalesced -> "coalesced"
-  | Reject -> "reject"
-  | Timeout -> "timeout"
-
-let serve_op_of_name = function
-  | "request" -> Some Request
-  | "lru_hit" -> Some Lru_hit
-  | "lru_miss" -> Some Lru_miss
-  | "disk_hit" -> Some Disk_hit
-  | "computed" -> Some Computed
-  | "coalesced" -> Some Coalesced
-  | "reject" -> Some Reject
-  | "timeout" -> Some Timeout
-  | _ -> None
-
-let fuzz_verdict_name = function
-  | Pass -> "pass"
-  | No_schedule -> "no_schedule"
-  | Invalid_schedule -> "invalid_schedule"
-  | Exec_mismatch -> "exec_mismatch"
-  | Metamorphic -> "metamorphic"
-  | Replay_divergence -> "replay_divergence"
-  | Crash -> "crash"
-  | Optimality -> "optimality"
-
-let fuzz_verdict_of_name = function
-  | "pass" -> Some Pass
-  | "no_schedule" -> Some No_schedule
-  | "invalid_schedule" -> Some Invalid_schedule
-  | "exec_mismatch" -> Some Exec_mismatch
-  | "metamorphic" -> Some Metamorphic
-  | "replay_divergence" -> Some Replay_divergence
-  | "crash" -> Some Crash
-  | "optimality" -> Some Optimality
-  | _ -> None
+let incr_keys =
+  List.map
+    (fun (stage, n) -> (stage, keys ("incr." ^ n ^ ".") incr_op_names))
+    incr_stage_names
 
 (** Stable counter key of an event; phase spans share one key per phase
     (their durations are accumulated separately by {!Counters}). *)
@@ -177,37 +135,14 @@ let key = function
   | II_try _ -> "ii_try"
   | Place _ -> "place"
   | Eject _ -> "eject"
-  | Spill_insert { kind; _ } -> "spill." ^ spill_name kind
-  | Comm_insert c -> "comm." ^ comm_name c
+  | Spill_insert { kind; _ } -> List.assq kind spill_keys
+  | Comm_insert c -> List.assq c comm_keys
   | Regalloc_fail _ -> "regalloc.fail"
   | Budget_escalate _ -> "budget.escalate"
-  | Cache op -> "cache." ^ cache_op_name op
-  | Phase { phase; _ } -> "phase." ^ phase_name phase
-  | Fuzz v -> "fuzz." ^ fuzz_verdict_name v
+  | Cache op -> List.assq op cache_keys
+  | Phase { phase; _ } -> List.assq phase phase_keys
+  | Fuzz v -> List.assq v fuzz_keys
   | Shrink _ -> "shrink"
   | Exact_search _ -> "exact"
-  | Serve op -> "serve." ^ serve_op_name op
-  | Incr { stage; op; _ } ->
-    "incr." ^ incr_stage_name stage ^ "." ^ incr_op_name op
-
-let pp ppf = function
-  | II_try ii -> Fmt.pf ppf "ii_try ii=%d" ii
-  | Place { node; cycle; cluster } ->
-    Fmt.pf ppf "place node=%d cycle=%d cluster=%d" node cycle cluster
-  | Eject { node } -> Fmt.pf ppf "eject node=%d" node
-  | Spill_insert { kind; inserted } ->
-    Fmt.pf ppf "spill_insert kind=%s inserted=%d" (spill_name kind) inserted
-  | Comm_insert c -> Fmt.pf ppf "comm_insert kind=%s" (comm_name c)
-  | Regalloc_fail { bank } -> Fmt.pf ppf "regalloc_fail bank=%s" bank
-  | Budget_escalate { rung } -> Fmt.pf ppf "budget_escalate rung=%d" rung
-  | Cache op -> Fmt.pf ppf "cache op=%s" (cache_op_name op)
-  | Phase { phase; ns } ->
-    Fmt.pf ppf "phase phase=%s ns=%d" (phase_name phase) ns
-  | Fuzz v -> Fmt.pf ppf "fuzz verdict=%s" (fuzz_verdict_name v)
-  | Shrink { steps } -> Fmt.pf ppf "shrink steps=%d" steps
-  | Exact_search { lb; witness_ii; steps } ->
-    Fmt.pf ppf "exact_search lb=%d witness_ii=%d steps=%d" lb witness_ii steps
-  | Serve op -> Fmt.pf ppf "serve op=%s" (serve_op_name op)
-  | Incr { stage; op; ns } ->
-    Fmt.pf ppf "incr stage=%s op=%s ns=%d" (incr_stage_name stage)
-      (incr_op_name op) ns
+  | Serve op -> List.assq op serve_keys
+  | Incr { stage; op; _ } -> List.assq op (List.assq stage incr_keys)

@@ -77,6 +77,22 @@ type t =
           time spent in the lookup or recomputation, in integer
           nanoseconds *)
 
+(** {1 Names}
+
+    One [(constructor, name)] table per enum, listing every constructor
+    once; [x_name] and its inverse [x_of_name] both read it.  The names
+    are the JSONL schema's enum values and the suffixes of counter
+    keys. *)
+
+val comm_names : (comm * string) list
+val cache_op_names : (cache_op * string) list
+val spill_names : (spill * string) list
+val phase_names : (phase * string) list
+val incr_stage_names : (incr_stage * string) list
+val incr_op_names : (incr_op * string) list
+val serve_op_names : (serve_op * string) list
+val fuzz_verdict_names : (fuzz_verdict * string) list
+
 val comm_name : comm -> string
 val comm_of_name : string -> comm option
 val cache_op_name : cache_op -> string
@@ -98,5 +114,3 @@ val fuzz_verdict_of_name : string -> fuzz_verdict option
     "cache.hit", "phase.mii", ...); phase spans share one key per phase
     — their durations are accumulated separately by {!Counters}. *)
 val key : t -> string
-
-val pp : Format.formatter -> t -> unit

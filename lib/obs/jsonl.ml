@@ -204,110 +204,98 @@ let parse_object line =
   if !pos <> n then fail "trailing characters after object";
   List.rev !fields
 
+(* Decode an event from its payload fields; the exact field set is then
+   checked by re-encoding, so each kind's fields are listed once, in
+   [payload]. *)
+let decode ~kind fields =
+  let ( let* ) = Result.bind in
+  let int k =
+    match List.assoc_opt k fields with
+    | Some (I v) -> Ok v
+    | _ -> Error (Fmt.str "%s: missing integer %S" kind k)
+  in
+  let str k =
+    match List.assoc_opt k fields with
+    | Some (S v) -> Ok v
+    | _ -> Error (Fmt.str "%s: missing string %S" kind k)
+  in
+  let enum k of_name =
+    let* s = str k in
+    Option.to_result ~none:(Fmt.str "%s: bad %S value" kind k) (of_name s)
+  in
+  match kind with
+  | "ii_try" ->
+    let* ii = int "ii" in
+    Ok (Event.II_try ii)
+  | "place" ->
+    let* node = int "node" in
+    let* cycle = int "cycle" in
+    let* cluster = int "cluster" in
+    Ok (Event.Place { node; cycle; cluster })
+  | "eject" ->
+    let* node = int "node" in
+    Ok (Event.Eject { node })
+  | "spill_insert" ->
+    let* kind = enum "kind" Event.spill_of_name in
+    let* inserted = int "inserted" in
+    Ok (Event.Spill_insert { kind; inserted })
+  | "comm_insert" ->
+    let* kind = enum "kind" Event.comm_of_name in
+    Ok (Event.Comm_insert kind)
+  | "regalloc_fail" ->
+    let* bank = str "bank" in
+    Ok (Event.Regalloc_fail { bank })
+  | "budget_escalate" ->
+    let* rung = int "rung" in
+    Ok (Event.Budget_escalate { rung })
+  | "cache" ->
+    let* op = enum "op" Event.cache_op_of_name in
+    Ok (Event.Cache op)
+  | "phase" ->
+    let* phase = enum "phase" Event.phase_of_name in
+    let* ns = int "ns" in
+    Ok (Event.Phase { phase; ns })
+  | "fuzz" ->
+    let* verdict = enum "verdict" Event.fuzz_verdict_of_name in
+    Ok (Event.Fuzz verdict)
+  | "shrink" ->
+    let* steps = int "steps" in
+    Ok (Event.Shrink { steps })
+  | "exact_search" ->
+    let* lb = int "lb" in
+    let* witness_ii = int "witness_ii" in
+    let* steps = int "steps" in
+    Ok (Event.Exact_search { lb; witness_ii; steps })
+  | "serve" ->
+    let* op = enum "op" Event.serve_op_of_name in
+    Ok (Event.Serve op)
+  | "incr" ->
+    let* stage = enum "stage" Event.incr_stage_of_name in
+    let* op = enum "op" Event.incr_op_of_name in
+    let* ns = int "ns" in
+    Ok (Event.Incr { stage; op; ns })
+  | other -> Error (Fmt.str "unknown event kind %S" other)
+
 let event_of_line line : (string * Event.t, string) result =
   match parse_object line with
   | exception Bad m -> Error m
   | fields -> (
-    let str k =
-      match List.assoc_opt k fields with Some (S v) -> Some v | _ -> None
-    in
-    let int k =
-      match List.assoc_opt k fields with Some (I v) -> Some v | _ -> None
-    in
-    let exact expected =
-      let got = List.sort String.compare (List.map fst fields) in
-      let want = List.sort String.compare ("loop" :: "ev" :: expected) in
-      if got = want then Ok ()
-      else
-        Error
-          (Fmt.str "field set [%s] does not match the schema"
-             (String.concat "," got))
-    in
     let ( let* ) = Result.bind in
-    match (str "ev", str "loop") with
-    | None, _ -> Error "missing or non-string \"ev\" field"
-    | _, None -> Error "missing or non-string \"loop\" field"
-    | Some ev, Some label -> (
-      let need_int name k =
-        match int name with
-        | Some v -> Ok v
-        | None -> Error (Fmt.str "%s: missing integer %S" k name)
-      in
-      let need_enum name of_name k =
-        match Option.bind (str name) of_name with
-        | Some v -> Ok v
-        | None -> Error (Fmt.str "%s: bad %S value" k name)
-      in
-      match ev with
-      | "ii_try" ->
-        let* () = exact [ "ii" ] in
-        let* ii = need_int "ii" ev in
-        Ok (label, Event.II_try ii)
-      | "place" ->
-        let* () = exact [ "node"; "cycle"; "cluster" ] in
-        let* node = need_int "node" ev in
-        let* cycle = need_int "cycle" ev in
-        let* cluster = need_int "cluster" ev in
-        Ok (label, Event.Place { node; cycle; cluster })
-      | "eject" ->
-        let* () = exact [ "node" ] in
-        let* node = need_int "node" ev in
-        Ok (label, Event.Eject { node })
-      | "spill_insert" ->
-        let* () = exact [ "kind"; "inserted" ] in
-        let* kind = need_enum "kind" Event.spill_of_name ev in
-        let* inserted = need_int "inserted" ev in
-        Ok (label, Event.Spill_insert { kind; inserted })
-      | "comm_insert" ->
-        let* () = exact [ "kind" ] in
-        let* kind = need_enum "kind" Event.comm_of_name ev in
-        Ok (label, Event.Comm_insert kind)
-      | "regalloc_fail" ->
-        let* () = exact [ "bank" ] in
-        let* bank =
-          match str "bank" with
-          | Some b -> Ok b
-          | None -> Error "regalloc_fail: missing string \"bank\""
-        in
-        Ok (label, Event.Regalloc_fail { bank })
-      | "budget_escalate" ->
-        let* () = exact [ "rung" ] in
-        let* rung = need_int "rung" ev in
-        Ok (label, Event.Budget_escalate { rung })
-      | "cache" ->
-        let* () = exact [ "op" ] in
-        let* op = need_enum "op" Event.cache_op_of_name ev in
-        Ok (label, Event.Cache op)
-      | "phase" ->
-        let* () = exact [ "phase"; "ns" ] in
-        let* phase = need_enum "phase" Event.phase_of_name ev in
-        let* ns = need_int "ns" ev in
-        Ok (label, Event.Phase { phase; ns })
-      | "fuzz" ->
-        let* () = exact [ "verdict" ] in
-        let* verdict = need_enum "verdict" Event.fuzz_verdict_of_name ev in
-        Ok (label, Event.Fuzz verdict)
-      | "shrink" ->
-        let* () = exact [ "steps" ] in
-        let* steps = need_int "steps" ev in
-        Ok (label, Event.Shrink { steps })
-      | "exact_search" ->
-        let* () = exact [ "lb"; "witness_ii"; "steps" ] in
-        let* lb = need_int "lb" ev in
-        let* witness_ii = need_int "witness_ii" ev in
-        let* steps = need_int "steps" ev in
-        Ok (label, Event.Exact_search { lb; witness_ii; steps })
-      | "serve" ->
-        let* () = exact [ "op" ] in
-        let* op = need_enum "op" Event.serve_op_of_name ev in
-        Ok (label, Event.Serve op)
-      | "incr" ->
-        let* () = exact [ "stage"; "op"; "ns" ] in
-        let* stage = need_enum "stage" Event.incr_stage_of_name ev in
-        let* op = need_enum "op" Event.incr_op_of_name ev in
-        let* ns = need_int "ns" ev in
-        Ok (label, Event.Incr { stage; op; ns })
-      | other -> Error (Fmt.str "unknown event kind %S" other)))
+    let str k =
+      match List.assoc_opt k fields with
+      | Some (S v) -> Ok v
+      | _ -> Error (Fmt.str "missing or non-string %S field" k)
+    in
+    let* kind = str "ev" in
+    let* label = str "loop" in
+    let rest = List.filter (fun (k, _) -> k <> "ev" && k <> "loop") fields in
+    let* ev = decode ~kind rest in
+    let sorted = List.sort compare in
+    if sorted (snd (payload ev)) = sorted rest then Ok (label, ev)
+    else
+      Error
+        (Fmt.str "field set [%s] does not match the schema"
+           (String.concat "," (List.map fst fields))))
 
 let check_header line =
   match parse_object line with

@@ -11,14 +11,10 @@ type ('k, 'v) t = {
   mutable head : ('k, 'v) node option;  (* most recently used *)
   mutable tail : ('k, 'v) node option;  (* least recently used *)
   mutex : Mutex.t;
-  mutable hits : int;
-  mutable misses : int;
   mutable evictions : int;
 }
 
 type stats = {
-  hits : int;
-  misses : int;
   evictions : int;
   length : int;
   capacity : int;
@@ -32,8 +28,6 @@ let create ~capacity =
     head = None;
     tail = None;
     mutex = Mutex.create ();
-    hits = 0;
-    misses = 0;
     evictions = 0;
   }
 
@@ -55,11 +49,8 @@ let push_front t n =
 let find t k =
   locked t (fun () ->
       match Hashtbl.find_opt t.table k with
-      | None ->
-        t.misses <- t.misses + 1;
-        None
+      | None -> None
       | Some n ->
-        t.hits <- t.hits + 1;
         unlink t n;
         push_front t n;
         Some n.value)
@@ -88,8 +79,6 @@ let length t = locked t (fun () -> Hashtbl.length t.table)
 let stats t =
   locked t (fun () ->
       {
-        hits = t.hits;
-        misses = t.misses;
         evictions = t.evictions;
         length = Hashtbl.length t.table;
         capacity = t.capacity;

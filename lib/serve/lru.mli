@@ -4,14 +4,13 @@
     Constant-time lookup and insertion (hash table into an intrusive
     doubly-linked recency list); one internal mutex, so a single [t] is
     safe to share between connection-handler threads and pool domains.
-    Hit/miss/eviction counters are kept under the same lock and
-    surfaced by the daemon's [Stats] reply. *)
+    The eviction counter is kept under the same lock and surfaced by
+    the daemon's [Stats] reply; hits and misses are counted once, by
+    the daemon's [Serve] notes ({!Tiers}). *)
 
 type ('k, 'v) t
 
 type stats = {
-  hits : int;
-  misses : int;
   evictions : int;
   length : int;
   capacity : int;

@@ -1,23 +1,9 @@
 open Hcrf_ir
 open Hcrf_cache
 module Runner = Hcrf_eval.Runner
-module Tr = Hcrf_obs.Trace
 module Ev = Hcrf_obs.Event
 module Tracer = Hcrf_obs.Tracer
-
-(* Plain serving counters, all under one mutex.  They mirror the
-   [Serve] trace events; the duplication is deliberate — counters are
-   always on (stats must work untraced), traces only when a tracer is
-   configured. *)
-type counters = {
-  mutable requests : int;
-  mutable lru_hits : int;
-  mutable tier2_hits : int;
-  mutable computed : int;
-  mutable coalesced : int;
-  mutable rejected : int;
-  mutable timeouts : int;
-}
+module Counters = Hcrf_obs.Counters
 
 type t = {
   lru : (Fingerprint.t, Entry.t) Lru.t;
@@ -27,11 +13,13 @@ type t = {
   inflight : (Fingerprint.t * string, Entry.t Pool.future) Hashtbl.t;
   inflight_mutex : Mutex.t;
   tracer : Tracer.t;
-  (* guards [c], every [Tracer.commit] and the counter snapshot in
-     [stats]: [Counters.counts] reads the sink's table without the
-     tracer's commit lock, so snapshots must exclude commits here *)
+  (* the always-on registry of [Serve] notes, counted whether or not a
+     tracer is set; {!stats} reads it *)
+  counts : Counters.t;
+  (* guards [counts], every [Tracer.commit] and the counter snapshots
+     in [stats]: [Counters.counts] reads a table without the tracer's
+     commit lock, so snapshots must exclude commits here *)
   obs_mutex : Mutex.t;
-  c : counters;
 }
 
 let create ?dir ?lru_capacity ?jobs ?(tracer = Tracer.null) () =
@@ -50,27 +38,19 @@ let create ?dir ?lru_capacity ?jobs ?(tracer = Tracer.null) () =
     inflight = Hashtbl.create 64;
     inflight_mutex = Mutex.create ();
     tracer;
+    counts = Counters.create ();
     obs_mutex = Mutex.create ();
-    c =
-      {
-        requests = 0;
-        lru_hits = 0;
-        tier2_hits = 0;
-        computed = 0;
-        coalesced = 0;
-        rejected = 0;
-        timeouts = 0;
-      };
   }
 
 let observed t f =
   Mutex.lock t.obs_mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.obs_mutex) f
 
-let bump t f = observed t (fun () -> f t.c)
 let commit_trace t trace = observed t (fun () -> Tracer.commit t.tracer trace)
 
-let emit trace op = if Tr.enabled trace then Tr.emit trace (Ev.Serve op)
+(* One tier decision: counted in the registry, traced when enabled. *)
+let note t trace op =
+  observed t (fun () -> Counters.note t.counts trace (Ev.Serve op))
 
 (* The tier-3 computation: the batch runner's exact compute path,
    traced as its own work unit, stored through the runner's store
@@ -93,8 +73,7 @@ let compute_task t ~id:((key, _) as id) ~scenario ~opts ~config ~loop fut () =
   Pool.fulfil fut result
 
 let refuse t ~trace ~kind msg =
-  emit trace Ev.Reject;
-  bump t (fun c -> c.rejected <- c.rejected + 1);
+  note t trace Ev.Reject;
   commit_trace t trace;
   Wire.Refused (kind, msg)
 
@@ -107,13 +86,11 @@ let schedule t (r : Wire.schedule_request) : Wire.response =
   match Wire.loop_of_request r with
   | exception Invalid_argument msg ->
     let trace = Tracer.start t.tracer ~label:"serve" in
-    emit trace Ev.Request;
-    bump t (fun c -> c.requests <- c.requests + 1);
+    note t trace Ev.Request;
     refuse t ~trace ~kind:Wire.Malformed msg
   | loop -> (
     let trace = Tracer.start t.tracer ~label:(Loop.name loop) in
-    emit trace Ev.Request;
-    bump t (fun c -> c.requests <- c.requests + 1);
+    note t trace Ev.Request;
     match Hcrf_machine.Config.validate r.Wire.sr_config with
     | exception Invalid_argument msg ->
       refuse t ~trace ~kind:Wire.Malformed msg
@@ -128,15 +105,13 @@ let schedule t (r : Wire.schedule_request) : Wire.response =
       in
       match Lru.find t.lru key with
       | Some entry when Runner.compatible ~digest entry ->
-        emit trace Ev.Lru_hit;
-        bump t (fun c -> c.lru_hits <- c.lru_hits + 1);
+        note t trace Ev.Lru_hit;
         hit entry
       | Some _ | None -> (
-        emit trace Ev.Lru_miss;
+        note t trace Ev.Lru_miss;
         match Runner.lookup ~trace t.cache key ~digest with
         | Some entry ->
-          emit trace Ev.Disk_hit;
-          bump t (fun c -> c.tier2_hits <- c.tier2_hits + 1);
+          note t trace Ev.Disk_hit;
           Lru.add t.lru key entry;
           hit entry
         | None -> (
@@ -156,8 +131,7 @@ let schedule t (r : Wire.schedule_request) : Wire.response =
           in
           Mutex.unlock t.inflight_mutex;
           if owner then begin
-            emit trace Ev.Computed;
-            bump t (fun c -> c.computed <- c.computed + 1);
+            note t trace Ev.Computed;
             let task =
               compute_task t ~id ~scenario ~opts ~config ~loop fut
             in
@@ -165,17 +139,13 @@ let schedule t (r : Wire.schedule_request) : Wire.response =
                last in-flight requests still complete *)
             if not (Pool.run t.pool task) then task ()
           end
-          else begin
-            emit trace Ev.Coalesced;
-            bump t (fun c -> c.coalesced <- c.coalesced + 1)
-          end;
+          else note t trace Ev.Coalesced;
           match Pool.await ?deadline fut with
           | `Ok entry ->
             Lru.add t.lru key entry;
             hit entry
           | `Timeout ->
-            emit trace Ev.Timeout;
-            bump t (fun c -> c.timeouts <- c.timeouts + 1);
+            note t trace Ev.Timeout;
             commit_trace t trace;
             Wire.Refused
               ( Wire.Timed_out,
@@ -190,21 +160,22 @@ let reject t ~kind msg =
 let stats t : Wire.serve_stats =
   let ls = Lru.stats t.lru in
   observed t (fun () ->
+      let n op = Counters.count t.counts (Ev.Serve op) in
       {
-        Wire.requests = t.c.requests;
-        lru_hits = t.c.lru_hits;
+        Wire.requests = n Ev.Request;
+        lru_hits = n Ev.Lru_hit;
         lru_evictions = ls.Lru.evictions;
         lru_length = ls.Lru.length;
         lru_capacity = ls.Lru.capacity;
-        tier2_hits = t.c.tier2_hits;
-        computed = t.c.computed;
-        coalesced = t.c.coalesced;
-        rejected = t.c.rejected;
-        timeouts = t.c.timeouts;
+        tier2_hits = n Ev.Disk_hit;
+        computed = n Ev.Computed;
+        coalesced = n Ev.Coalesced;
+        rejected = n Ev.Reject;
+        timeouts = n Ev.Timeout;
         cache = Cache.stats t.cache;
         counters =
           (match Tracer.counters t.tracer with
-          | Some counters -> Hcrf_obs.Counters.counts counters
+          | Some counters -> Counters.counts counters
           | None -> []);
       })
 

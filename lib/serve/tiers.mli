@@ -26,9 +26,11 @@
     an expired computation keeps running and still lands in the cache
     (the next request for it is a hit).
 
-    Observability: every tier decision emits a [Serve] event into a
-    per-request trace committed to the tracer, and is mirrored in
-    plain counters surfaced by {!stats}. *)
+    Observability: every tier decision is one [Serve] note
+    ({!Hcrf_obs.Counters.note}): it is counted in the tiers' always-on
+    registry, which {!stats} reads, and recorded in the request's trace
+    when a tracer is set.  Engine traces stay off without a tracer, so
+    an untraced computation costs nothing extra. *)
 
 type t
 

@@ -46,38 +46,29 @@ let engine_of_options (o : options) =
   }
 
 type schedule_request = {
-  sr_ddg : Ddg.repr;
-  sr_trip : int;
-  sr_entries : int;
-  sr_streams : (int * int * int) list;
+  sr_loop : Loop.repr;
   sr_config : Hcrf_machine.Config.t;
   sr_opts : options;
   sr_scenario : Hcrf_eval.Runner.memory_scenario;
   sr_timeout_ms : int;
 }
 
-let request_of_loop ?(timeout_ms = 0) ~config ~opts ~scenario (l : Loop.t) =
+let request_of_loop ?(timeout_ms = 0) ~config ~opts ~scenario l =
   {
-    sr_ddg = Ddg.to_repr l.Loop.ddg;
-    sr_trip = l.Loop.trip_count;
-    sr_entries = l.Loop.entries;
-    sr_streams =
-      List.map
-        (fun (s : Loop.stream) -> (s.Loop.op, s.Loop.base, s.Loop.stride))
-        l.Loop.streams;
+    sr_loop = Loop.to_repr l;
     sr_config = config;
     sr_opts = options_of_engine opts;
     sr_scenario = scenario;
     sr_timeout_ms = timeout_ms;
   }
 
+(* The wire is untrusted: a dangling edge or an id past the id counter
+   would surface deep inside the engine, so check the graph here. *)
 let loop_of_request r =
-  Loop.make ~trip_count:r.sr_trip ~entries:r.sr_entries
-    ~streams:
-      (List.map
-         (fun (op, base, stride) -> { Loop.op; base; stride })
-         r.sr_streams)
-    (Ddg.of_repr r.sr_ddg)
+  let loop = Loop.of_repr r.sr_loop in
+  if not (Ddg.validate loop.Loop.ddg) then
+    invalid_arg "loop_of_request: malformed dependence graph";
+  loop
 
 type request = Schedule of schedule_request | Stats | Ping
 
@@ -138,7 +129,7 @@ let pp_frame_error ppf = function
   | Bad_checksum -> Fmt.string ppf "checksum mismatch"
   | Bad_payload msg -> Fmt.pf ppf "bad payload (%s)" msg
 
-let magic = "hcrfsrv2"
+let magic = "hcrfsrv3"
 let header_size = String.length magic + 4 + 16
 let default_max_frame = 16 * 1024 * 1024
 

@@ -1,7 +1,7 @@
 (** The daemon's wire protocol: a small length-prefixed binary framing
     plus the request/response messages it carries.
 
-    A frame is [magic "hcrfsrv2" | u32 BE payload length | 16-byte MD5
+    A frame is [magic "hcrfsrv3" | u32 BE payload length | 16-byte MD5
     of the payload | payload]; the payload is a one-byte message-kind
     tag followed by a [Marshal]-serialized message.  Mirroring the
     on-disk {!Hcrf_cache.Store} format, the unmarshaller only ever runs
@@ -48,10 +48,7 @@ val options_of_engine : Hcrf_sched.Engine.options -> options
 val engine_of_options : options -> Hcrf_sched.Engine.options
 
 type schedule_request = {
-  sr_ddg : Hcrf_ir.Ddg.repr;
-  sr_trip : int;
-  sr_entries : int;
-  sr_streams : (int * int * int) list;  (** op, base, stride *)
+  sr_loop : Hcrf_ir.Loop.repr;
   sr_config : Hcrf_machine.Config.t;
   sr_opts : options;
   sr_scenario : Hcrf_eval.Runner.memory_scenario;
@@ -66,7 +63,8 @@ val request_of_loop :
   schedule_request
 
 (** Rebuild the loop; raises [Invalid_argument] on non-positive counts
-    (callers reject such requests as malformed). *)
+    or a graph that fails {!Hcrf_ir.Ddg.validate} (callers reject such
+    requests as malformed). *)
 val loop_of_request : schedule_request -> Hcrf_ir.Loop.t
 
 type request = Schedule of schedule_request | Stats | Ping

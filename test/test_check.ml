@@ -41,7 +41,8 @@ let test_fault_injection_caught () =
     (fun () ->
       Schedule.fault := Some Schedule.Lax_resources;
       let presets =
-        [ ("S32", Check.config_of_name ~n_fus:2 ~n_mem_ports:2 "S32") ]
+        [ ("S32",
+            Hcrf_model.Presets.of_notation ~n_fus:2 ~n_mem_ports:2 "S32") ]
       in
       let r =
         Check.campaign ~config_presets:presets ~shrink:true
@@ -72,7 +73,8 @@ let test_repro_roundtrip () =
       config = "2C32S32";
       n_fus = 8;
       n_mem_ports = 4;
-      lats = (Check.config_of_name "2C32S32").Hcrf_machine.Config.lats;
+      lats =
+        (Hcrf_model.Presets.of_notation "2C32S32").Hcrf_machine.Config.lats;
       options = "nobt";
       verdict = Ev.Exec_mismatch;
       detail = "synthetic round-trip fixture";
@@ -163,7 +165,7 @@ let test_cache_id_digest_guard () =
         ]
       g
   in
-  let config = Check.config_of_name "S64" in
+  let config = Hcrf_model.Presets.of_notation "S64" in
   let cache = Cache.create () in
   let ctx = Runner.Ctx.make ~cache () in
   let run l =
@@ -200,7 +202,7 @@ let test_oracle_pass () =
   let loop = Hcrf_workload.Genloop.generate ~rng ~index:1 () in
   let v =
     Check.oracle ~opts:Hcrf_sched.Engine.default_options
-      (Check.config_of_name "4C32") loop
+      (Hcrf_model.Presets.of_notation "4C32") loop
   in
   Alcotest.(check string) "healthy loop passes" "pass" (vname v.Check.kind)
 

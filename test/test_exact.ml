@@ -12,7 +12,7 @@ module Validate = Hcrf_sched.Validate
 module Pipe_exec = Hcrf_pipesim.Pipe_exec
 module Check = Hcrf_check.Check
 
-let config name = Check.config_of_name name
+let config name = Hcrf_model.Presets.of_notation name
 
 (* Original-node count of a loop (what the exact search branches on). *)
 let nodes_of (loop : Loop.t) = Ddg.num_nodes loop.Loop.ddg
@@ -248,7 +248,7 @@ let test_gap_corpus_replay () =
       | Error e -> Alcotest.failf "%s: %s" path e
       | Ok r ->
         let config =
-          Check.config_of_name ~n_fus:r.Hcrf_check.Repro.n_fus
+          Hcrf_model.Presets.of_notation ~n_fus:r.Hcrf_check.Repro.n_fus
             ~n_mem_ports:r.Hcrf_check.Repro.n_mem_ports
             r.Hcrf_check.Repro.config
         in

@@ -81,8 +81,8 @@ let test_config_change_cone () =
 (* ------------------------------------------------------------------ *)
 (* Golden edit script: incremental == cold, at jobs 1 and 4 *)
 
-let run_session ~jobs =
-  let pipe = fresh_pipe ~jobs () in
+let run_session ?(pipe_of = fun ~jobs -> fresh_pipe ~jobs ()) ~jobs () =
+  let pipe = pipe_of ~jobs in
   let prog = ref (Progs.program ~n:12) in
   let _, _, cold = Pipeline.eval pipe !prog in
   let per_edit = ref [] in
@@ -96,8 +96,8 @@ let run_session ~jobs =
 let strip_wall (s : Pipeline.eval_stats) = { s with Pipeline.wall_s = 0. }
 
 let test_golden_session () =
-  let prog1, cold1, edits1 = run_session ~jobs:1 in
-  let prog4, cold4, edits4 = run_session ~jobs:4 in
+  let prog1, cold1, edits1 = run_session ~jobs:1 () in
+  let prog4, cold4, edits4 = run_session ~jobs:4 () in
   check "programs agree" true (prog1 = prog4);
   check "cold stats identical at jobs 1 and 4" true
     (strip_wall cold1 = strip_wall cold4);
@@ -122,6 +122,31 @@ let test_golden_session () =
     (String.equal (bytes_of final1) cold_bytes);
   check "incremental bytes = cold bytes (jobs 4)" true
     (String.equal (bytes_of final4) cold_bytes)
+
+(* One count, two readers: the memo's stage counters are read from the
+   same [Incr] notes the traced session commits. *)
+let test_stage_stats_are_trace_counts () =
+  let memo = Memo.create () in
+  let counters = Hcrf_obs.Counters.create () in
+  let tracer = Hcrf_obs.Tracer.make [ Hcrf_obs.Tracer.Counters counters ] in
+  let pipe_of ~jobs =
+    Pipeline.create ~ctx:(Runner.Ctx.make ~memo ~jobs ~tracer ()) config
+  in
+  let _ = run_session ~pipe_of ~jobs:1 () in
+  let traced =
+    List.filter_map
+      (fun (k, n) ->
+        match String.split_on_char '.' k with
+        | [ "incr"; stage; "hit" ] -> Some (stage ^ ".hits", n)
+        | [ "incr"; stage; "miss" ] -> Some (stage ^ ".misses", n)
+        | _ -> None)
+      (Hcrf_obs.Counters.counts counters)
+    |> List.sort compare
+  in
+  check "every stage was looked up" true (List.length traced >= 4);
+  Alcotest.(check (list (pair string int)))
+    "stage_stats = traced incr.<stage>.hit/miss counts" traced
+    (Memo.stage_stats memo)
 
 let test_no_edit_fixpoint () =
   let pipe = fresh_pipe () in
@@ -208,6 +233,8 @@ let tests =
     ("config change dirties schedules only", `Quick, test_config_change_cone);
     ("golden 3-edit session, jobs 1 = jobs 4 = cold", `Slow,
      test_golden_session);
+    ("memo stage counts equal the traced incr counts", `Quick,
+     test_stage_stats_are_trace_counts);
     ("no-edit evaluation is a fixpoint", `Quick, test_no_edit_fixpoint);
     ("memo persistence round-trip", `Quick, test_memo_persistence);
     ("memo corruption discarded with a warning", `Quick,

@@ -43,6 +43,67 @@ let all_events =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Enum names *)
+
+(* Every constructor of one enum: its table entry, [name] and [of_name]
+   agree, and the names are distinct. *)
+let check_names what table name of_name every =
+  check_int (what ^ ": one table entry per constructor") (List.length every)
+    (List.length table);
+  List.iter
+    (fun c ->
+      let n = name c in
+      check_str (what ^ ": name from the table") (List.assoc c table) n;
+      check (what ^ ": " ^ n ^ " round-trips") true (of_name n = Some c))
+    every;
+  let names = List.map snd table in
+  check_int (what ^ ": distinct names") (List.length names)
+    (List.length (List.sort_uniq String.compare names));
+  check (what ^ ": unknown name") true (of_name "no such name" = None)
+
+let test_enum_names () =
+  (* exhaustive on purpose: a new constructor stops this compiling
+     until it is listed below *)
+  let _ : Event.t -> unit = function
+    | Event.Comm_insert (Store_r | Load_r | Move)
+    | Cache (Hit | Miss | Store)
+    | Spill_insert { kind = Value | Invariant; _ }
+    | Phase { phase = Mii | Order | Schedule | Regalloc | Memsim | Exact; _ }
+    | Incr
+        { stage = Frontend | Extract | Sched | Metric;
+          op = Stage_hit | Stage_miss | Stage_recompute; _ }
+    | Serve
+        ( Request | Lru_hit | Lru_miss | Disk_hit | Computed | Coalesced
+        | Reject | Timeout )
+    | Fuzz
+        ( Pass | No_schedule | Invalid_schedule | Exec_mismatch
+        | Metamorphic | Replay_divergence | Crash | Optimality )
+    | II_try _ | Place _ | Eject _ | Regalloc_fail _ | Budget_escalate _
+    | Shrink _ | Exact_search _ ->
+      ()
+  in
+  let open Event in
+  check_names "comm" comm_names comm_name comm_of_name
+    [ Store_r; Load_r; Move ];
+  check_names "cache_op" cache_op_names cache_op_name cache_op_of_name
+    [ Hit; Miss; Store ];
+  check_names "spill" spill_names spill_name spill_of_name
+    [ Value; Invariant ];
+  check_names "phase" phase_names phase_name phase_of_name
+    [ Mii; Order; Schedule; Regalloc; Memsim; Exact ];
+  check_names "incr_stage" incr_stage_names incr_stage_name
+    incr_stage_of_name [ Frontend; Extract; Sched; Metric ];
+  check_names "incr_op" incr_op_names incr_op_name incr_op_of_name
+    [ Stage_hit; Stage_miss; Stage_recompute ];
+  check_names "serve_op" serve_op_names serve_op_name serve_op_of_name
+    [ Request; Lru_hit; Lru_miss; Disk_hit; Computed; Coalesced; Reject;
+      Timeout ];
+  check_names "fuzz_verdict" fuzz_verdict_names fuzz_verdict_name
+    fuzz_verdict_of_name
+    [ Pass; No_schedule; Invalid_schedule; Exec_mismatch; Metamorphic;
+      Replay_divergence; Crash; Optimality ]
+
+(* ------------------------------------------------------------------ *)
 (* Counters *)
 
 let test_counters_histogram () =
@@ -443,6 +504,7 @@ let test_pipeline_matches_suite () =
 
 let tests =
   [
+    ("event: every enum name round-trips", `Quick, test_enum_names);
     ("counters: histogram and keys", `Quick, test_counters_histogram);
     ("jsonl: golden schema", `Quick, test_jsonl_golden);
     ("jsonl: string escaping", `Quick, test_jsonl_escaping);

@@ -141,9 +141,7 @@ let test_lru_eviction_counts () =
   check "3 present" true (Lru.find lru 3 = Some "c");
   let s = Lru.stats lru in
   check_int "evictions" 1 s.Lru.evictions;
-  check_int "length" 2 s.Lru.length;
-  check_int "hits" 3 s.Lru.hits;
-  check_int "misses" 1 s.Lru.misses
+  check_int "length" 2 s.Lru.length
 
 (* ------------------------------------------------------------------ *)
 (* Tiers: coalescing, byte-identity, rejection *)
@@ -229,18 +227,95 @@ let test_tiers_twin_gets_own_entry () =
         digests.(i))
     loops
 
+(* Requests a well-formed client never sends: a negative trip count, a
+   successor edge to a node that does not exist, and an id counter that
+   would hand out ids already in use. *)
 let test_tiers_rejects_malformed_loop () =
-  let tiers = Tiers.create ~lru_capacity:4 ~jobs:1 () in
+  let req = sched_request (gen_loop 2) in
+  let lr = req.Wire.sr_loop in
+  let ddg = lr.Hcrf_ir.Loop.repr_ddg in
+  let with_ddg ddg =
+    { req with Wire.sr_loop = { lr with Hcrf_ir.Loop.repr_ddg = ddg } }
+  in
+  let dangling =
+    match ddg.Hcrf_ir.Ddg.repr_nodes with
+    | [] -> Alcotest.fail "empty loop"
+    | (id, kind, succs, preds) :: rest ->
+      let e =
+        { Hcrf_ir.Ddg.src = id; dst = ddg.Hcrf_ir.Ddg.repr_next_id + 7;
+          dep = Hcrf_ir.Dep.True; distance = 0 }
+      in
+      { ddg with
+        Hcrf_ir.Ddg.repr_nodes = (id, kind, e :: succs, preds) :: rest }
+  in
+  List.iter
+    (fun (what, req) ->
+      let tiers = Tiers.create ~lru_capacity:4 ~jobs:1 () in
+      Fun.protect ~finally:(fun () -> Tiers.shutdown tiers) @@ fun () ->
+      (match Tiers.schedule tiers req with
+      | Wire.Refused (Wire.Malformed, _) -> ()
+      | Wire.Refused (k, _) ->
+        Alcotest.failf "%s: wrong kind: %s" what (Wire.error_kind_name k)
+      | _ -> Alcotest.failf "%s: accepted" what
+      | exception e ->
+        Alcotest.failf "%s: raised %s" what (Printexc.to_string e));
+      let s = Tiers.stats tiers in
+      check_int (what ^ ": counted as rejected") 1 s.Wire.rejected;
+      check_int (what ^ ": nothing computed") 0 s.Wire.computed)
+    [ ("negative trip count",
+       { req with
+         Wire.sr_loop = { lr with Hcrf_ir.Loop.repr_trip_count = -3 } });
+      ("dangling successor edge", with_ddg dangling);
+      ("next id 0", with_ddg { ddg with Hcrf_ir.Ddg.repr_next_id = 0 }) ]
+
+(* One count, two readers: every [Tiers.stats] field is read from the
+   same [Serve] notes the traced requests commit, so each must equal
+   its serve.* key in the tracer's Counters sink. *)
+let test_tiers_stats_are_trace_counts () =
+  let counters = Hcrf_obs.Counters.create () in
+  let tracer = Hcrf_obs.Tracer.make [ Hcrf_obs.Tracer.Counters counters ] in
+  let tiers = Tiers.create ~lru_capacity:1 ~jobs:1 ~tracer () in
   Fun.protect ~finally:(fun () -> Tiers.shutdown tiers) @@ fun () ->
-  let req = { (sched_request (gen_loop 2)) with Wire.sr_trip = -3 } in
-  (match Tiers.schedule tiers req with
-  | Wire.Refused (Wire.Malformed, _) -> ()
-  | Wire.Refused (k, _) ->
-    Alcotest.failf "wrong kind: %s" (Wire.error_kind_name k)
-  | _ -> Alcotest.fail "negative trip count accepted");
+  let a = sched_request (gen_loop 5) and b = sched_request (gen_loop 6) in
+  let ask req = ignore (Tiers.schedule tiers req) in
+  ask a (* computed *);
+  ask a (* LRU hit *);
+  ask b (* computed; evicts a from the one-entry LRU *);
+  ask a (* tier-2 hit *);
+  ask { a with Wire.sr_config = { config with Hcrf_machine.Config.n_fus = 0 } }
+  (* rejected *);
+  (* a loop large enough to outlast a 1 ms deadline, asked again while
+     it is still being computed *)
+  let big =
+    let params =
+      { Hcrf_workload.Genloop.default_params with min_ops = 300; max_ops = 300 }
+    in
+    Hcrf_workload.Genloop.generate ~params
+      ~rng:(Hcrf_workload.Rng.create ~seed:11) ~index:99 ()
+  in
+  (match Tiers.schedule tiers (sched_request ~timeout_ms:1 big) with
+  | Wire.Refused (Wire.Timed_out, _) -> ()
+  | _ -> Alcotest.fail "a 1 ms deadline on a 300-op loop did not expire");
+  ask (sched_request big) (* coalesced onto the running computation *);
   let s = Tiers.stats tiers in
-  check_int "counted as rejected" 1 s.Wire.rejected;
-  check_int "nothing computed" 0 s.Wire.computed
+  check "every tier was exercised" true
+    (s.Wire.lru_hits > 0 && s.Wire.tier2_hits > 0 && s.Wire.computed > 0
+    && s.Wire.rejected > 0 && s.Wire.timeouts > 0
+    && s.Wire.coalesced + s.Wire.tier2_hits > 1);
+  let traced op =
+    Hcrf_obs.Counters.count counters (Hcrf_obs.Event.Serve op)
+  in
+  List.iter
+    (fun (field, v, op) -> check_int field (traced op) v)
+    Hcrf_obs.Event.
+      [ ("requests", s.Wire.requests, Request);
+        ("lru_hits", s.Wire.lru_hits, Lru_hit);
+        ("tier2_hits", s.Wire.tier2_hits, Disk_hit);
+        ("computed", s.Wire.computed, Computed);
+        ("coalesced", s.Wire.coalesced, Coalesced);
+        ("rejected", s.Wire.rejected, Reject);
+        ("timeouts", s.Wire.timeouts, Timeout) ];
+  check_int "all seven requests counted" 7 s.Wire.requests
 
 let test_tiers_jobs_identical () =
   (* the same request set against a 1-domain and a 4-domain tiers must
@@ -429,6 +504,8 @@ let tests =
     ("tiers: renumbered twin gets its own entry", `Quick,
      test_tiers_twin_gets_own_entry);
     ("tiers: malformed loop refused", `Quick, test_tiers_rejects_malformed_loop);
+    ("tiers: stats equal the traced serve counts", `Quick,
+     test_tiers_stats_are_trace_counts);
     ("tiers: jobs=1 equals jobs=4", `Slow, test_tiers_jobs_identical);
     ("pool: deadline await", `Quick, test_pool_deadline);
     ("daemon: loopback roundtrip", `Slow, test_daemon_roundtrip);
