@@ -15,7 +15,7 @@
 #     serial, so all counts are jobs-independent);
 #   - the --json report has the hcrf-bench/1 shape, key-compatible
 #     with the committed BENCH_incr.json runs[] entries;
-#   - with --incr-dir the session persists (memo.v2 plus the schedule
+#   - with --incr-dir the session persists (memo.v3 plus the schedule
 #     store's shards): a fresh process re-evaluating the program against
 #     the same directory recomputes nothing and still verifies.
 set -eu

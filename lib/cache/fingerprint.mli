@@ -6,13 +6,15 @@
     memory stream, a register count, a scheduler option) changes the
     digest with overwhelming probability.
 
-    Graph fingerprints are computed with Weisfeiler–Lehman color
-    refinement: node ids never enter the hash, only operation kinds,
-    per-node attributes and the multiset structure of the (dep,
-    distance)-labelled edges.  Two graphs that differ only by a node
-    renumbering or by the order edges were inserted therefore hash
-    equal; renaming the loop does not change the fingerprint either
-    (the name does not affect any scheduling outcome). *)
+    Loop fingerprints are computed with Weisfeiler–Lehman color
+    refinement on integer ranks: node ids never enter the key, only
+    operation kinds, memory streams, invariant reads and the multiset
+    structure of the (dep, distance)-labelled edges.  Two loops that
+    differ only by a node renumbering or by the order edges were
+    inserted therefore hash equal; renaming the loop does not change
+    the fingerprint either (the name does not affect any scheduling
+    outcome).  Key bytes are stable only within one version of the
+    stage memo ([Hcrf_eval.Memo.version]), which persists them. *)
 
 type t
 
@@ -31,14 +33,19 @@ val of_string : string -> t
 (** Combine fingerprints into one.  Order-sensitive. *)
 val combine : t list -> t
 
-(** Fingerprint of a dependence graph alone.  [attr] attaches an
-    arbitrary per-node attribute string to the initial node color (used
-    by {!of_loop} for memory streams); it defaults to no attribute. *)
-val of_ddg : ?attr:(int -> string) -> Hcrf_ir.Ddg.t -> t
-
 (** Fingerprint of a loop: its graph (with memory streams as node
     attributes), trip count and entry count.  The loop's name is
-    deliberately excluded. *)
+    deliberately excluded.  A node's class starts as its label (kind,
+    invariants read, first memory stream's base and stride); each
+    round replaces it by the rank of its signature (class, then its
+    in- and out-edges as sorted (dep, distance, neighbour class)
+    lists) in the sorted table of the round's distinct signatures,
+    until a round splits no class.  One MD5 covers the transcript:
+    the label table, every round's signature table, then the class
+    sizes, the sorted edge and invariant-consumer multisets over the
+    final classes, and the trip and entry counts.  Raises
+    [Invalid_argument] when an edge or invariant consumer names a node
+    the graph lacks (see {!Hcrf_ir.Ddg.validate}). *)
 val of_loop : Hcrf_ir.Loop.t -> t
 
 (** Fingerprint of a full machine configuration: resources, register

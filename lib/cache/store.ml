@@ -2,7 +2,10 @@ type t = { dir : string }
 
 (* version 4: [Entry.stored_outcome] snapshots the load-latency override
    the engine scheduled with.  Files of older versions (the flat v2
-   layout included) fail the magic test and are recomputed. *)
+   layout included) fail the magic test and are recomputed.  Loop
+   fingerprints changed bytes with stage-memo version 3 without a bump
+   here: keys are file names, so an entry stored under an old-scheme key
+   is simply never looked up again. *)
 let version = 4
 let magic = Printf.sprintf "hcrf-cache %d\n" version
 

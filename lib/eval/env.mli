@@ -46,7 +46,7 @@ type incr_spec = Incr_off | Incr_memory | Incr_dir of string
 val incr : unit -> incr_spec
 
 (** Build the stage memo a spec asks for ({!Incr_dir} loads
-    [dir/memo.v2] and backs its schedule cache with the store shards
+    [dir/memo.v3] and backs its schedule cache with the store shards
     under [dir]) — a fresh memo per call, so call once per process. *)
 val memo_of_spec : incr_spec -> Memo.t option
 

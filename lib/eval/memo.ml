@@ -19,8 +19,10 @@ type t = {
   cache : Hcrf_cache.Cache.t;
 }
 
-(* version 2: the table holds no schedule entries; they live in [cache] *)
-let version = 2
+(* version 2: the table holds no schedule entries; they live in [cache].
+   version 3: extract-stage [Fp_v] values are rank-based WL loop
+   fingerprints; version-2 files hold MD5-chain ones. *)
+let version = 3
 let magic = Printf.sprintf "hcrf-memo %d\n" version
 let file_of_dir dir = Filename.concat dir (Printf.sprintf "memo.v%d" version)
 

@@ -34,7 +34,7 @@ type value =
 type t
 
 (** An empty memo; with [dir], load a previously {!save}d table from
-    [dir/memo.v2] (a corrupt file, or one of an older version, is
+    [dir/memo.v3] (a corrupt file, or one of an older version, is
     discarded with a warning) and back {!cache} with the store shards
     under [dir]. *)
 val create : ?dir:string -> unit -> t
@@ -75,7 +75,7 @@ val length : t -> int
     omitted. *)
 val stage_stats : t -> (string * int) list
 
-(** Persist the table to [dir/memo.v2] (atomic rename; schedule
+(** Persist the table to [dir/memo.v3] (atomic rename; schedule
     entries already persist in the cache's store shards as they are
     added); a no-op without [dir].  Returns [false] (warned) when the
     write failed. *)

@@ -28,7 +28,7 @@ val make :
     in: the stage memo stores it and hashes it into extract-stage keys,
     and the daemon's requests carry it.  A live [Ddg.t] may carry a
     watcher closure; {!Ddg.repr} does not.  The field order and types
-    are part of the [memo.v2] format — changing them changes its
+    are part of the [memo.v3] format — changing them changes its
     bytes. *)
 type repr = {
   repr_ddg : Ddg.repr;

@@ -63,8 +63,12 @@ let request_of_loop ?(timeout_ms = 0) ~config ~opts ~scenario l =
   }
 
 (* The wire is untrusted: a dangling edge or an id past the id counter
-   would surface deep inside the engine, so check the graph here. *)
+   would surface deep inside the engine, and the scheduler sizes
+   per-node arrays by the largest id, so check the graph here. *)
 let loop_of_request r =
+  let g = r.sr_loop.Loop.repr_ddg in
+  if g.Ddg.repr_next_id > (2 * List.length g.Ddg.repr_nodes) + 64 then
+    invalid_arg "loop_of_request: node ids are not compact";
   let loop = Loop.of_repr r.sr_loop in
   if not (Ddg.validate loop.Loop.ddg) then
     invalid_arg "loop_of_request: malformed dependence graph";

@@ -62,9 +62,14 @@ val request_of_loop :
   scenario:Hcrf_eval.Runner.memory_scenario -> Hcrf_ir.Loop.t ->
   schedule_request
 
-(** Rebuild the loop; raises [Invalid_argument] on non-positive counts
-    or a graph that fails {!Hcrf_ir.Ddg.validate} (callers reject such
-    requests as malformed). *)
+(** Rebuild the loop; raises [Invalid_argument] on non-positive counts,
+    a graph that fails {!Hcrf_ir.Ddg.validate}, or node ids that are
+    not compact: the id counter [repr_next_id] (which bounds every id)
+    may be at most [2 * n + 64] for a graph of [n] nodes, so the
+    scheduler's per-node arrays stay proportional to the request.
+    Callers reject such requests as malformed.  Every loop the
+    workload generators, the frontend and the fuzz shrinker produce
+    is compact in this sense. *)
 val loop_of_request : schedule_request -> Hcrf_ir.Loop.t
 
 type request = Schedule of schedule_request | Stats | Ping

@@ -86,19 +86,22 @@ let all_distinct names fps =
     (Fmt.str "all of [%s] hash distinct" (String.concat "; " names))
     (List.length hexes) (List.length sorted)
 
-let test_loop_sensitivity () =
-  let l = nth_loop 0 in
+(* The single-field mutants of a loop: one dependence distance, one
+   opcode, the trip and entry counts, one memory-stream base address,
+   and two distances near [max_int / 2] one apart (a key that packed
+   (dep, distance, class) into one int would overflow and merge them). *)
+let mutants (l : Loop.t) =
   let g = l.Loop.ddg in
-  (* one dependence distance *)
-  let bump_distance () =
-    let g' = Ddg.copy g in
-    let e = List.hd (Ddg.edges g') in
-    Ddg.remove_edge g' e;
-    Ddg.add_edge g' ~distance:(e.Ddg.distance + 1) ~dep:e.Ddg.dep e.Ddg.src
-      e.Ddg.dst;
-    { l with Loop.ddg = g' }
+  let with_distance f =
+    match Ddg.edges g with
+    | [] -> []
+    | e :: _ ->
+      let g' = Ddg.copy g in
+      Ddg.remove_edge g' e;
+      Ddg.add_edge g' ~distance:(f e.Ddg.distance) ~dep:e.Ddg.dep e.Ddg.src
+        e.Ddg.dst;
+      [ { l with Loop.ddg = g' } ]
   in
-  (* one opcode *)
   let flip_opcode () =
     let r = Ddg.to_repr g in
     let flipped = ref false in
@@ -116,24 +119,175 @@ let test_loop_sensitivity () =
     in
     { l with Loop.ddg = Ddg.of_repr r' }
   in
-  (* one memory-stream base address *)
-  let shift_stream () =
+  let shift_stream =
     match l.Loop.streams with
-    | [] -> None
+    | [] -> []
     | s :: rest ->
-      Some { l with Loop.streams = { s with Loop.base = s.Loop.base + 8 } :: rest }
+      [ { l with
+          Loop.streams = { s with Loop.base = s.Loop.base + 8 } :: rest } ]
   in
-  let variants =
-    [ ("original", l); ("distance", bump_distance ());
-      ("opcode", flip_opcode ());
+  let named name ls = List.map (fun l -> (name, l)) ls in
+  named "distance" (with_distance succ)
+  @ [ ("opcode", flip_opcode ());
       ("trip", { l with Loop.trip_count = l.Loop.trip_count + 1 });
       ("entries", { l with Loop.entries = l.Loop.entries + 1 }) ]
-    @ (match shift_stream () with
-      | Some l' -> [ ("stream-base", l') ]
-      | None -> [])
-  in
+  @ named "stream-base" shift_stream
+  @ named "distance max_int/2" (with_distance (fun _ -> max_int / 2))
+  @ named "distance max_int/2+1" (with_distance (fun _ -> (max_int / 2) + 1))
+
+let test_loop_sensitivity () =
+  let l = nth_loop 0 in
+  let variants = ("original", l) :: mutants l in
   all_distinct (List.map fst variants)
     (List.map (fun (_, l) -> Fingerprint.of_loop l) variants)
+
+(* ------------------------------------------------------------------ *)
+(* The rank-based key against the MD5-chain reference: equal exactly
+   when the reference keys are equal *)
+
+let keys_agree a b =
+  Fingerprint.equal (Fingerprint.of_loop a) (Fingerprint.of_loop b)
+  = String.equal (Fingerprint_ref.of_loop a) (Fingerprint_ref.of_loop b)
+
+let prop_agrees_with_reference =
+  QCheck.Test.make
+    ~name:"key equality = reference key equality (twins, mutants)"
+    ~count:60 QCheck.small_nat
+    (fun i ->
+      let l = gen_loop (1000 + i) in
+      let twin =
+        Hcrf_check.Morph.rewrite_loop
+          ~m:(Hcrf_check.Morph.reversing_bijection l.Loop.ddg) l
+      in
+      keys_agree l twin
+      && List.for_all (fun (_, m) -> keys_agree l m) (mutants l))
+
+(* Both keys must split [loops] into the same classes: all pairs. *)
+let check_same_partition what loops =
+  let keys =
+    List.map
+      (fun l -> (Fingerprint.of_loop l, Fingerprint_ref.of_loop l))
+      loops
+  in
+  let disagreements =
+    List.concat_map
+      (fun (k, r) ->
+        List.filter
+          (fun (k', r') -> Fingerprint.equal k k' <> String.equal r r')
+          keys)
+      keys
+  in
+  check_int (what ^ ": pairs where the keys disagree") 0
+    (List.length disagreements);
+  List.length (List.sort_uniq Fingerprint.compare (List.map fst keys))
+
+(* A loop of [n] [Fadd] nodes with [True] edges (src, dst, distance)
+   and invariants given by their consumer lists. *)
+let fadd_loop name n edges invariants =
+  let g = Ddg.create ~name () in
+  let ids = Array.init n (fun _ -> Ddg.add_node g Op.Fadd) in
+  List.iter
+    (fun (s, d, distance) ->
+      Ddg.add_edge g ~distance ~dep:Dep.True ids.(s) ids.(d))
+    edges;
+  List.iter
+    (fun cs ->
+      ignore (Ddg.add_invariant g ~consumers:(List.map (Array.get ids) cs)))
+    invariants;
+  Loop.make ~trip_count:100 g
+
+(* Edges of a [k]-ring and a [k]-path over the nodes from [first] on. *)
+let ring ~distance k first =
+  List.init k (fun i -> (first + i, first + ((i + 1) mod k), distance))
+
+let path k first = List.init (k - 1) (fun i -> (first + i, first + i + 1, 0))
+
+(* One 6-op ring against two 3-op rings, every edge [True] at distance
+   1: non-isomorphic, but every node sees the same neighbourhood, so
+   1-dimensional WL (new and reference key alike) cannot split them. *)
+let wl_twins () =
+  ( fadd_loop "ring6" 6 (ring ~distance:1 6 0) [],
+    fadd_loop "rings3x2" 6 (ring ~distance:1 3 0 @ ring ~distance:1 3 3) [] )
+
+(* Loops that only a full refinement tells apart (fingerprinted only,
+   never scheduled): every node carries the same label and each pair
+   has the same edge multiset over labels.  An out-star and a path
+   split at round 1; a 7-path and a 3-path plus a 4-ring have the same
+   round-1 classes and edges between them and split at round 2; one
+   invariant read by two nodes and two invariants read by one each
+   differ only in the invariant table. *)
+let wl_probes () =
+  let a, b = wl_twins () in
+  [ fadd_loop "star4" 4 [ (0, 1, 0); (0, 2, 0); (0, 3, 0) ] [];
+    fadd_loop "path4" 4 (path 4 0) [];
+    fadd_loop "path7" 7 (path 7 0) [];
+    fadd_loop "path3+ring4" 7 (path 3 0 @ ring ~distance:0 4 3) [];
+    fadd_loop "shared-invariant" 2 [] [ [ 0; 1 ] ];
+    fadd_loop "split-invariants" 2 [] [ [ 0 ]; [ 1 ] ];
+    a; b ]
+
+let test_partition_suite_and_kernels () =
+  ignore
+    (check_same_partition "suite of 200 + kernels + WL probes"
+       (Hcrf_workload.Suite.generate ~n:200 ()
+       @ Hcrf_workload.Suite.kernels () @ wl_probes ()))
+
+let test_partition_progs () =
+  let loops =
+    List.map Hcrf_frontend.Compile.compile (Hcrf_incr.Progs.program ~n:120)
+  in
+  check_int "Progs kernels: classes" 60
+    (check_same_partition "Progs ~n:120" loops)
+
+(* The key alone would replay one loop's schedule for the other; the
+   id-sensitive digest check ([Runner.compatible]) must not, neither in
+   the batch runner nor in the daemon's tiers. *)
+let test_wl_collision_gets_own_schedule () =
+  let a, b = wl_twins () in
+  check "keys collide" true
+    (Fingerprint.equal (Fingerprint.of_loop a) (Fingerprint.of_loop b));
+  check "reference keys collide" true
+    (String.equal (Fingerprint_ref.of_loop a) (Fingerprint_ref.of_loop b));
+  let config = Hcrf_model.Presets.published "4C32" in
+  let opts = Hcrf_sched.Engine.default_options in
+  (* the stored outcome, wall-clock scrubbed *)
+  let outcome_bytes what = function
+    | Entry.Scheduled s ->
+      check (what ^ ": answer validates") true
+        (Hcrf_core.Mirs_hc.is_valid (Entry.to_outcome config s.outcome));
+      Marshal.to_string { s.outcome with Entry.s_seconds = 0. } []
+    | Entry.Failed _ -> Alcotest.failf "%s: not scheduled" what
+  in
+  let own (loop : Loop.t) =
+    outcome_bytes (Loop.name loop)
+      (Runner.compute_entry ~scenario:Runner.Ideal ~opts config loop)
+  in
+  let ctx = Runner.Ctx.make ~cache:(Cache.create ()) () in
+  let tiers = Hcrf_server.Tiers.create ~lru_capacity:4 ~jobs:1 () in
+  Fun.protect ~finally:(fun () -> Hcrf_server.Tiers.shutdown tiers)
+  @@ fun () ->
+  List.iter
+    (fun (loop : Loop.t) ->
+      let what = Loop.name loop in
+      (match Runner.run_loop ~ctx config loop with
+      | Some r ->
+        check (what ^ ": run_loop answers its own schedule") true
+          (String.equal (own loop)
+             (outcome_bytes what
+                (Entry.of_outcome config r.Runner.outcome
+                   ~input_digest:(Entry.ddg_digest loop.Loop.ddg)
+                   ~stall_cycles:0. ~retries:0)))
+      | None -> Alcotest.failf "%s: not scheduled" what);
+      match
+        Hcrf_server.Tiers.schedule tiers
+          (Hcrf_server.Wire.request_of_loop ~config ~opts
+             ~scenario:Runner.Ideal loop)
+      with
+      | Hcrf_server.Wire.Scheduled e ->
+        check (what ^ ": tiers answer its own schedule") true
+          (String.equal (own loop) (outcome_bytes what e))
+      | _ -> Alcotest.failf "%s: tiers refused" what)
+    [ a; b; a; b ]
 
 let test_config_sensitivity () =
   let open Hcrf_machine in
@@ -602,4 +756,11 @@ let tests =
      test_store_old_versions_stale);
     ("store: corruption isolated per shard", `Slow, test_corruption_per_shard);
     ("store: unusable dir degrades", `Quick, test_unusable_dir_degrades);
+    QCheck_alcotest.to_alcotest prop_agrees_with_reference;
+    ("fingerprint: suite + kernels split as the reference", `Quick,
+     test_partition_suite_and_kernels);
+    ("fingerprint: Progs kernels split as the reference", `Quick,
+     test_partition_progs);
+    ("fingerprint: WL collision gets its own schedule", `Quick,
+     test_wl_collision_gets_own_schedule);
   ]

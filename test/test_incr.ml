@@ -163,7 +163,7 @@ let test_no_edit_fixpoint () =
 (* ------------------------------------------------------------------ *)
 (* Persistence *)
 
-(* the memo's directory holds memo.v2 and the schedule store's shard
+(* the memo's directory holds memo.v3 and the schedule store's shard
    subdirectories *)
 let rec rm_rf p =
   if Sys.is_directory p then begin
@@ -213,17 +213,21 @@ let test_memo_corruption () =
     output_string oc content;
     close_out oc
   in
-  write "memo.v2" "hcrf-memo 2\ngarbage follows the magic";
+  let current = Filename.concat dir "memo.v3" in
+  let intact = In_channel.with_open_bin current In_channel.input_all in
+  write "memo.v3" "hcrf-memo 3\ngarbage follows the magic";
   let reloaded = Memo.create ~dir () in
   check_int "corrupt file discarded, empty memo" 0 (Memo.length reloaded);
   (* and truncating below the magic must not raise either *)
-  write "memo.v2" "x";
+  write "memo.v3" "x";
   check_int "truncated file discarded" 0 (Memo.length (Memo.create ~dir ()));
-  (* a version-1 file (which held schedule entries) is stale: warned
-     about, never read *)
-  Sys.remove (Filename.concat dir "memo.v2");
+  (* files of older versions are stale: warned about, never read — a
+     v1 file held schedule entries, a v2 file MD5-chain loop
+     fingerprints (here v2 even carries an intact table) *)
+  Sys.remove current;
   write "memo.v1" "hcrf-memo 1\nwhatever a v1 writer left";
-  check_int "v1 file ignored" 0 (Memo.length (Memo.create ~dir ()))
+  write "memo.v2" intact;
+  check_int "v1 and v2 files ignored" 0 (Memo.length (Memo.create ~dir ()))
 
 (* ------------------------------------------------------------------ *)
 

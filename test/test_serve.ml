@@ -227,9 +227,58 @@ let test_tiers_twin_gets_own_entry () =
         digests.(i))
     loops
 
+(* [l]'s request with every node id (edges, invariant consumers, streams
+   and the id counter included) moved up by [by]: still a valid graph,
+   but one whose ids are far from compact. *)
+let shifted_request ~by l =
+  let req =
+    sched_request (Hcrf_check.Morph.rewrite_loop ~m:(fun id -> id + by) l)
+  in
+  let lr = req.Wire.sr_loop in
+  let ddg = lr.Hcrf_ir.Loop.repr_ddg in
+  let next_id = ddg.Hcrf_ir.Ddg.repr_next_id + by in
+  { req with
+    Wire.sr_loop =
+      { lr with
+        Hcrf_ir.Loop.repr_ddg = { ddg with Hcrf_ir.Ddg.repr_next_id = next_id }
+      } }
+
+(* The scheduler sizes per-node arrays by the largest id, so a request
+   with sparse ids is refused before anything is built from it — while
+   every loop the repo generates (suite, kernels, frontend programs,
+   fuzz and gap corpora) has compact ids and is accepted. *)
+let test_sparse_ids_refused () =
+  let far = shifted_request ~by:(1 lsl 40) (gen_loop 2) in
+  (match Wire.loop_of_request far with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "ids shifted by 2^40 accepted");
+  let corpus dir =
+    let dir = if Sys.file_exists dir then dir else Filename.concat "test" dir in
+    List.map
+      (fun f ->
+        match Hcrf_check.Repro.load f with
+        | Ok r -> r.Hcrf_check.Repro.loop
+        | Error e -> Alcotest.failf "%s: %s" f e)
+      (Hcrf_check.Repro.corpus_files dir)
+  in
+  let generated =
+    Hcrf_workload.Suite.generate ~n:200 ()
+    @ Hcrf_workload.Suite.kernels ()
+    @ List.map Hcrf_frontend.Compile.compile (Hcrf_incr.Progs.program ~n:120)
+    @ corpus "corpus" @ corpus "gap_corpus"
+  in
+  List.iter
+    (fun l ->
+      match Wire.loop_of_request (sched_request l) with
+      | _ -> ()
+      | exception Invalid_argument msg ->
+        Alcotest.failf "%s refused: %s" (Hcrf_ir.Loop.name l) msg)
+    generated
+
 (* Requests a well-formed client never sends: a negative trip count, a
-   successor edge to a node that does not exist, and an id counter that
-   would hand out ids already in use. *)
+   successor edge to a node that does not exist, an id counter that
+   would hand out ids already in use, and ids far from compact (the
+   scheduler would allocate per-node arrays for a million ids). *)
 let test_tiers_rejects_malformed_loop () =
   let req = sched_request (gen_loop 2) in
   let lr = req.Wire.sr_loop in
@@ -266,7 +315,8 @@ let test_tiers_rejects_malformed_loop () =
        { req with
          Wire.sr_loop = { lr with Hcrf_ir.Loop.repr_trip_count = -3 } });
       ("dangling successor edge", with_ddg dangling);
-      ("next id 0", with_ddg { ddg with Hcrf_ir.Ddg.repr_next_id = 0 }) ]
+      ("next id 0", with_ddg { ddg with Hcrf_ir.Ddg.repr_next_id = 0 });
+      ("ids shifted by 1M", shifted_request ~by:1_000_000 (gen_loop 2)) ]
 
 (* One count, two readers: every [Tiers.stats] field is read from the
    same [Serve] notes the traced requests commit, so each must equal
@@ -503,6 +553,7 @@ let tests =
     ("tiers: cold storm coalesces", `Slow, test_tiers_cold_storm_coalesces);
     ("tiers: renumbered twin gets its own entry", `Quick,
      test_tiers_twin_gets_own_entry);
+    ("wire: sparse node ids refused", `Quick, test_sparse_ids_refused);
     ("tiers: malformed loop refused", `Quick, test_tiers_rejects_malformed_loop);
     ("tiers: stats equal the traced serve counts", `Quick,
      test_tiers_stats_are_trace_counts);
