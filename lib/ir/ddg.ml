@@ -29,9 +29,20 @@ type invariant = {
   mutable inv_consumers : int list;
 }
 
+module Int_map = Map.Make (Int)
+
+(* Nodes live in [dense], an array indexed by node id, so a lookup is a
+   bounds check and a load.  An empty slot holds [absent], whose id never
+   matches its index.  Ids outside the compactness bound (the wire's
+   [2·|V| + 64]) go to the small [sparse] map instead, so memory stays
+   O(|V|) whatever ids an outside graph carries.  Invariant: ids are
+   non-negative, and every key of [sparse] is at least
+   [Array.length dense]. *)
 type t = {
   name : string;
-  nodes : (int, node) Hashtbl.t;
+  mutable dense : node array;
+  mutable sparse : node Int_map.t;
+  mutable count : int;
   mutable next_id : int;
   mutable next_inv : int;
   mutable invariants : invariant list;
@@ -42,30 +53,70 @@ type t = {
          nor serialized. *)
 }
 
+let absent = { id = -1; kind = Op.Fadd; succs = []; preds = [] }
+
+(* Ids below this bound may live in [dense] for a graph of [n] nodes. *)
+let dense_bound n = (2 * n) + 64
+
 let create ?(name = "loop") () =
-  { name; nodes = Hashtbl.create 64; next_id = 0; next_inv = 0;
-    invariants = []; watcher = None }
+  { name; dense = Array.make 16 absent; sparse = Int_map.empty; count = 0;
+    next_id = 0; next_inv = 0; invariants = []; watcher = None }
 
 let set_watcher t w = t.watcher <- w
 let notify t src = match t.watcher with None -> () | Some f -> f src
 
 let name t = t.name
-let num_nodes t = Hashtbl.length t.nodes
-let mem t id = Hashtbl.mem t.nodes id
+let num_nodes t = t.count
+
+let mem t id =
+  if id >= 0 && id < Array.length t.dense then
+    (Array.unsafe_get t.dense id).id = id
+  else Int_map.mem id t.sparse
+
+let unknown t id = Fmt.invalid_arg "Ddg.node: unknown node %d in %s" id t.name
 
 let node t id =
-  match Hashtbl.find_opt t.nodes id with
-  | Some n -> n
-  | None -> Fmt.invalid_arg "Ddg.node: unknown node %d in %s" id t.name
+  if id >= 0 && id < Array.length t.dense then begin
+    let n = Array.unsafe_get t.dense id in
+    if n.id = id then n else unknown t id
+  end
+  else
+    match Int_map.find_opt id t.sparse with
+    | Some n -> n
+    | None -> unknown t id
 
 let kind t id = (node t id).kind
 let succs t id = (node t id).succs
 let preds t id = (node t id).preds
 
+(* Grow [dense] geometrically, but never past the compactness bound of
+   the graph about to hold [id]; sparse entries the new array covers
+   move into it. *)
+let grow t id =
+  let len = Array.length t.dense in
+  let cap = max (id + 1) (min (max 16 (2 * len)) (dense_bound (t.count + 1))) in
+  let d = Array.make cap absent in
+  Array.blit t.dense 0 d 0 len;
+  let moved, kept = Int_map.partition (fun k _ -> k < cap) t.sparse in
+  Int_map.iter (fun k n -> d.(k) <- n) moved;
+  t.dense <- d;
+  t.sparse <- kept
+
+(* Insert a node whose non-negative id is not present. *)
+let place t (n : node) =
+  let id = n.id in
+  if id < Array.length t.dense then t.dense.(id) <- n
+  else if id < dense_bound (t.count + 1) then begin
+    grow t id;
+    t.dense.(id) <- n
+  end
+  else t.sparse <- Int_map.add id n t.sparse;
+  t.count <- t.count + 1
+
 let add_node t kind =
   let id = t.next_id in
   t.next_id <- id + 1;
-  Hashtbl.replace t.nodes id { id; kind; succs = []; preds = [] };
+  place t { id; kind; succs = []; preds = [] };
   id
 
 let add_edge t ?(distance = 0) ~dep src dst =
@@ -109,7 +160,9 @@ let remove_node t id =
     (fun inv ->
       inv.inv_consumers <- List.filter (fun c -> c <> id) inv.inv_consumers)
     t.invariants;
-  Hashtbl.remove t.nodes id
+  if id < Array.length t.dense then t.dense.(id) <- absent
+  else t.sparse <- Int_map.remove id t.sparse;
+  t.count <- t.count - 1
 
 let add_invariant t ~consumers =
   let inv_id = t.next_inv in
@@ -124,17 +177,25 @@ let add_invariant_consumer t ~inv_id id =
   | None -> Fmt.invalid_arg "Ddg.add_invariant_consumer: unknown %d" inv_id
   | Some inv -> inv.inv_consumers <- id :: inv.inv_consumers
 
+(* Fold over the nodes in decreasing id order: the sparse ids above the
+   dense range, then the dense slots. *)
+let fold_desc f t acc =
+  let acc =
+    ref (Seq.fold_left (fun acc (_, n) -> f n acc) acc
+           (Int_map.to_rev_seq t.sparse))
+  in
+  for i = Array.length t.dense - 1 downto 0 do
+    let n = Array.unsafe_get t.dense i in
+    if n.id = i then acc := f n !acc
+  done;
+  !acc
+
 (** Node ids in increasing order (deterministic iteration). *)
-let nodes t =
-  Hashtbl.fold (fun id _ acc -> id :: acc) t.nodes []
-  |> List.sort compare
+let nodes t = fold_desc (fun n acc -> n.id :: acc) t []
 
-let iter_nodes t f = List.iter (fun id -> f (node t id)) (nodes t)
-
-let edges t =
-  List.concat_map (fun id -> (node t id).succs) (nodes t)
-
-let num_edges t = List.length (edges t)
+let iter_nodes t f = List.iter f (fold_desc List.cons t [])
+let edges t = fold_desc (fun n acc -> n.succs @ acc) t []
+let num_edges t = fold_desc (fun n acc -> acc + List.length n.succs) t 0
 
 (** True-dependence consumers of the value defined by [id]. *)
 let consumers t id =
@@ -149,29 +210,46 @@ let operands t id =
     (preds t id)
 
 let count_kind t p =
-  Hashtbl.fold (fun _ n acc -> if p n.kind then acc + 1 else acc) t.nodes 0
+  fold_desc (fun n acc -> if p n.kind then acc + 1 else acc) t 0
 
 let num_memory_ops t = count_kind t Op.is_memory
 let num_compute_ops t = count_kind t Op.is_compute
 
+(* A graph of [nodes]: the array reaches the highest id below the
+   compactness bound (no slack), the other ids go to the overflow map.
+   Raises on a repeated or negative id. *)
+let of_nodes ~name ~next_id ~next_inv ~invariants nodes =
+  let bound = dense_bound (List.length nodes) in
+  let hi =
+    List.fold_left
+      (fun hi n -> if n.id < bound then max hi n.id else hi)
+      (-1) nodes
+  in
+  let t =
+    { name; dense = Array.make (hi + 1) absent; sparse = Int_map.empty;
+      count = 0; next_id; next_inv; invariants; watcher = None }
+  in
+  List.iter
+    (fun n ->
+      if n.id < 0 then Fmt.invalid_arg "Ddg.of_repr: negative node id %d" n.id;
+      if mem t n.id then
+        Fmt.invalid_arg "Ddg.of_repr: node %d listed twice" n.id;
+      place t n)
+    nodes;
+  t
+
 (** Deep copy; shares nothing with the original. *)
 let copy t =
-  let t' =
-    { name = t.name; nodes = Hashtbl.create (Hashtbl.length t.nodes);
-      next_id = t.next_id; next_inv = t.next_inv; invariants = [];
-      watcher = None }
-  in
-  Hashtbl.iter
-    (fun id n ->
-      Hashtbl.replace t'.nodes id
-        { id; kind = n.kind; succs = n.succs; preds = n.preds })
-    t.nodes;
-  t'.invariants <-
-    List.map
-      (fun inv ->
-        { inv_id = inv.inv_id; inv_consumers = inv.inv_consumers })
-      t.invariants;
-  t'
+  of_nodes ~name:t.name ~next_id:t.next_id ~next_inv:t.next_inv
+    ~invariants:
+      (List.map
+         (fun inv ->
+           { inv_id = inv.inv_id; inv_consumers = inv.inv_consumers })
+         t.invariants)
+    (fold_desc
+       (fun n acc ->
+         { id = n.id; kind = n.kind; succs = n.succs; preds = n.preds } :: acc)
+       t [])
 
 (* ------------------------------------------------------------------ *)
 (* Immutable representation for serialization (schedule caching)       *)
@@ -191,31 +269,21 @@ let to_repr t =
     repr_next_id = t.next_id;
     repr_next_inv = t.next_inv;
     repr_nodes =
-      List.map
-        (fun id ->
-          let n = node t id in
-          (id, n.kind, n.succs, n.preds))
-        (nodes t);
+      fold_desc (fun n acc -> (n.id, n.kind, n.succs, n.preds) :: acc) t [];
     repr_invariants =
       List.map (fun inv -> (inv.inv_id, inv.inv_consumers)) t.invariants;
   }
 
 let of_repr r =
-  let t =
-    { name = r.repr_name;
-      nodes = Hashtbl.create (max 16 (List.length r.repr_nodes));
-      next_id = r.repr_next_id; next_inv = r.repr_next_inv;
-      invariants =
-        List.map
-          (fun (inv_id, inv_consumers) -> { inv_id; inv_consumers })
-          r.repr_invariants;
-      watcher = None }
-  in
-  List.iter
-    (fun (id, kind, succs, preds) ->
-      Hashtbl.replace t.nodes id { id; kind; succs; preds })
-    r.repr_nodes;
-  t
+  of_nodes ~name:r.repr_name ~next_id:r.repr_next_id
+    ~next_inv:r.repr_next_inv
+    ~invariants:
+      (List.map
+         (fun (inv_id, inv_consumers) -> { inv_id; inv_consumers })
+         r.repr_invariants)
+    (List.map
+       (fun (id, kind, succs, preds) -> { id; kind; succs; preds })
+       r.repr_nodes)
 
 let pp ppf t =
   Fmt.pf ppf "@[<v>ddg %s (%d nodes)@," t.name (num_nodes t);

@@ -75,6 +75,7 @@ val add_invariant_consumer : t -> inv_id:int -> int -> unit
 (** Node ids in increasing order (deterministic iteration). *)
 val nodes : t -> int list
 
+(** In increasing id order. *)
 val iter_nodes : t -> (node -> unit) -> unit
 val edges : t -> edge list
 val num_edges : t -> int
@@ -108,6 +109,12 @@ type repr = {
 }
 
 val to_repr : t -> repr
+
+(** Raises [Invalid_argument] when [repr_nodes] lists one id twice or
+    a negative id.
+    Any ids are accepted, and memory stays O(|V|) for any of them:
+    ids below the compactness bound [2·|V| + 64] are indexed by an
+    array, rarer ones by a small overflow map. *)
 val of_repr : repr -> t
 
 val pp : Format.formatter -> t -> unit

@@ -41,8 +41,8 @@ val to_repr : t -> repr
 
 (** Ids and adjacency order are preserved, so [of_repr (to_repr l)] is
     behaviourally identical to [l].  Raises [Invalid_argument] on
-    non-positive counts; the graph itself is not checked (see
-    {!Ddg.validate}). *)
+    non-positive counts or a repeated or negative node id; the graph
+    itself is not checked (see {!Ddg.validate}). *)
 val of_repr : repr -> t
 
 val name : t -> string

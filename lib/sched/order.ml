@@ -7,106 +7,134 @@
     decreasing RecMII order, each preceded by the nodes on dependence
     paths connecting it to the already-ordered region, followed by a
     neighbourhood expansion that always appends a node adjacent to the
-    ordered region with minimum mobility (ALAP - ASAP slack). *)
+    ordered region with minimum mobility (ALAP - ASAP slack).
+
+    Everything runs on dense indices: node [i] is the [i]-th id in
+    increasing order, so index order is id order and ties broken on the
+    index are ties broken on the id. *)
 
 open Hcrf_ir
 
-(* ASAP / ALAP over the distance-0 (intra-iteration) subgraph, which is
-   acyclic in a well-formed DDG. *)
-let asap_alap (lat : Latency.t) (g : Ddg.t) =
-  let nodes = Ddg.nodes g in
-  let asap = Hashtbl.create 64 and alap = Hashtbl.create 64 in
-  let intra_preds v =
-    List.filter (fun (e : Ddg.edge) -> e.distance = 0) (Ddg.preds g v)
-  in
-  let intra_succs v =
-    List.filter (fun (e : Ddg.edge) -> e.distance = 0) (Ddg.succs g v)
-  in
-  (* topological order of the distance-0 subgraph *)
-  let indeg = Hashtbl.create 64 in
-  List.iter (fun v -> Hashtbl.replace indeg v (List.length (intra_preds v)))
-    nodes;
-  let queue = Queue.create () in
-  List.iter (fun v -> if Hashtbl.find indeg v = 0 then Queue.add v queue)
-    nodes;
-  let topo = ref [] in
-  while not (Queue.is_empty queue) do
-    let v = Queue.take queue in
-    topo := v :: !topo;
-    List.iter
-      (fun (e : Ddg.edge) ->
-        let d = Hashtbl.find indeg e.dst - 1 in
-        Hashtbl.replace indeg e.dst d;
-        if d = 0 then Queue.add e.dst queue)
-      (intra_succs v)
-  done;
-  let topo = List.rev !topo in
-  List.iter
-    (fun v ->
-      let a =
-        List.fold_left
-          (fun acc (e : Ddg.edge) ->
-            max acc (Hashtbl.find asap e.src + Latency.of_edge lat g e))
-          0 (intra_preds v)
-      in
-      Hashtbl.replace asap v a)
-    topo;
-  let horizon =
-    List.fold_left (fun acc v -> max acc (Hashtbl.find asap v)) 0 nodes
-  in
-  List.iter
-    (fun v ->
-      let l =
-        List.fold_left
-          (fun acc (e : Ddg.edge) ->
-            min acc (Hashtbl.find alap e.dst - Latency.of_edge lat g e))
-          horizon (intra_succs v)
-      in
-      Hashtbl.replace alap v l)
-    (List.rev topo);
-  ( (fun v -> try Hashtbl.find asap v with Not_found -> 0),
-    fun v -> try Hashtbl.find alap v with Not_found -> 0 )
+type view = {
+  ids : int array;  (* increasing *)
+  isucc : (int * int) list array;  (* distance-0 out-edges: dst, latency *)
+  ipred : (int * int) list array;  (* distance-0 in-edges: src, latency *)
+  nbrs : int list array;  (* both endpoints of every edge, any distance *)
+}
 
-(* Nodes lying on a distance-0 path from set [src] to set [dst]. *)
-let path_nodes (g : Ddg.t) ~from_set ~to_set =
-  let reach_fwd = Hashtbl.create 64 and reach_bwd = Hashtbl.create 64 in
-  let rec dfs seen step v =
-    if not (Hashtbl.mem seen v) then begin
-      Hashtbl.replace seen v true;
-      List.iter (fun w -> dfs seen step w) (step v)
+let index_of ids id =
+  let rec go lo hi =
+    if lo >= hi then raise Not_found
+    else
+      let mid = (lo + hi) lsr 1 in
+      let m = ids.(mid) in
+      if m = id then mid else if m < id then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length ids)
+
+(* Every edge sits in its source's succs and its destination's preds, so
+   the succ lists alone describe the graph. *)
+let view (lat : Latency.t) (g : Ddg.t) =
+  let ids = Array.of_list (Ddg.nodes g) in
+  let n = Array.length ids in
+  let isucc = Array.make n [] and ipred = Array.make n [] in
+  let nbrs = Array.make n [] in
+  Array.iteri
+    (fun i v ->
+      List.iter
+        (fun (e : Ddg.edge) ->
+          let j = index_of ids e.dst in
+          nbrs.(i) <- j :: nbrs.(i);
+          nbrs.(j) <- i :: nbrs.(j);
+          if e.distance = 0 then begin
+            let l = Latency.of_edge lat g e in
+            isucc.(i) <- (j, l) :: isucc.(i);
+            ipred.(j) <- (i, l) :: ipred.(j)
+          end)
+        (Ddg.succs g v))
+    ids;
+  { ids; isucc; ipred; nbrs }
+
+(* ASAP in a topological order of the distance-0 subgraph, then ALAP in
+   the reverse order against the ASAP horizon. *)
+let dense_asap_alap v =
+  let n = Array.length v.ids in
+  let asap = Array.make n 0 and alap = Array.make n 0 in
+  let indeg = Array.map List.length v.ipred in
+  let topo = Array.make n 0 and len = ref 0 in
+  Array.iteri (fun i d -> if d = 0 then (topo.(!len) <- i; incr len)) indeg;
+  let head = ref 0 in
+  while !head < !len do
+    let i = topo.(!head) in
+    incr head;
+    List.iter
+      (fun (j, l) ->
+        asap.(j) <- max asap.(j) (asap.(i) + l);
+        indeg.(j) <- indeg.(j) - 1;
+        if indeg.(j) = 0 then (topo.(!len) <- j; incr len))
+      v.isucc.(i)
+  done;
+  if !len < n then invalid_arg "Order: cycle of distance-0 edges";
+  let horizon = Array.fold_left max 0 asap in
+  for k = n - 1 downto 0 do
+    let i = topo.(k) in
+    alap.(i) <-
+      List.fold_left (fun acc (j, l) -> min acc (alap.(j) - l)) horizon
+        v.isucc.(i)
+  done;
+  (asap, alap)
+
+let asap_alap (lat : Latency.t) (g : Ddg.t) =
+  let v = view lat g in
+  let asap, alap = dense_asap_alap v in
+  let at a id = match index_of v.ids id with i -> a.(i) | exception Not_found -> 0 in
+  (at asap, at alap)
+
+(* Indices reachable from the [seeds] over [step]. *)
+let reach n step seeds =
+  let seen = Array.make n false in
+  let rec dfs i =
+    if not seen.(i) then begin
+      seen.(i) <- true;
+      List.iter (fun (j, _) -> dfs j) step.(i)
     end
   in
-  let fwd v =
-    List.filter_map
-      (fun (e : Ddg.edge) -> if e.distance = 0 then Some e.dst else None)
-      (Ddg.succs g v)
-  and bwd v =
-    List.filter_map
-      (fun (e : Ddg.edge) -> if e.distance = 0 then Some e.src else None)
-      (Ddg.preds g v)
-  in
-  List.iter (fun v -> dfs reach_fwd fwd v) from_set;
-  List.iter (fun v -> dfs reach_bwd bwd v) to_set;
+  List.iter dfs seeds;
+  seen
+
+(* Indices on a distance-0 path from set [src] to set [dst], outside
+   both sets, in increasing order. *)
+let path_nodes v ~src ~dst =
+  let n = Array.length v.ids in
+  let members s = List.filter (fun i -> s.(i)) (List.init n Fun.id) in
+  let fwd = reach n v.isucc (members src)
+  and bwd = reach n v.ipred (members dst) in
   List.filter
-    (fun v ->
-      Hashtbl.mem reach_fwd v && Hashtbl.mem reach_bwd v
-      && (not (List.mem v from_set))
-      && not (List.mem v to_set))
-    (Ddg.nodes g)
+    (fun i -> fwd.(i) && bwd.(i) && (not src.(i)) && not dst.(i))
+    (List.init n Fun.id)
 
 (** Compute the scheduling priority order.  Returns node ids, highest
     priority first. *)
 let compute ?(lat : Latency.t option) config (g : Ddg.t) : int list =
   let lat = match lat with Some l -> l | None -> Latency.make config in
-  let asap, alap = asap_alap lat g in
-  let mobility v = alap v - asap v in
-  let by_asap = List.sort (fun a b -> compare (asap a, a) (asap b, b)) in
-  let ordered = ref [] in
-  let marked = Hashtbl.create 64 in
-  let mark v =
-    if not (Hashtbl.mem marked v) then begin
-      Hashtbl.replace marked v true;
-      ordered := v :: !ordered
+  let v = view lat g in
+  let n = Array.length v.ids in
+  let asap, alap = dense_asap_alap v in
+  let mobility = Array.init n (fun i -> alap.(i) - asap.(i)) in
+  let by_asap =
+    List.sort (fun a b ->
+        let c = compare asap.(a) asap.(b) in
+        if c <> 0 then c else compare a b)
+  in
+  (* [adjacent.(i)]: some neighbour of [i] is already ordered *)
+  let marked = Array.make n false and adjacent = Array.make n false in
+  let ordered = ref [] and left = ref n in
+  let mark i =
+    if not marked.(i) then begin
+      marked.(i) <- true;
+      decr left;
+      ordered := v.ids.(i) :: !ordered;
+      List.iter (fun j -> adjacent.(j) <- true) v.nbrs.(i)
     end
   in
   (* 1. recurrences, hardest first, with connecting path nodes *)
@@ -115,52 +143,32 @@ let compute ?(lat : Latency.t option) config (g : Ddg.t) : int list =
     |> List.map (fun scc -> (Mii.scc_rec_mii lat g scc, scc))
     |> List.sort (fun (a, sa) (b, sb) ->
            compare (b, List.length sb) (a, List.length sa))
-    |> List.map snd
+    |> List.map (fun (_, scc) -> List.map (index_of v.ids) scc)
   in
   List.iter
     (fun group ->
-      (* sorted: hash order must not reach path_nodes (determinism even
-         under randomized hashing) *)
-      let already =
-        List.sort compare (Hashtbl.fold (fun v _ acc -> v :: acc) marked [])
-      in
-      if already <> [] then begin
-        let bridge_fwd = path_nodes g ~from_set:already ~to_set:group in
-        let bridge_bwd = path_nodes g ~from_set:group ~to_set:already in
+      if !left < n then begin
+        let in_group = Array.make n false in
+        List.iter (fun i -> in_group.(i) <- true) group;
+        let bridge_fwd = path_nodes v ~src:marked ~dst:in_group in
+        let bridge_bwd = path_nodes v ~src:in_group ~dst:marked in
         List.iter mark (by_asap (bridge_fwd @ bridge_bwd))
       end;
       List.iter mark (by_asap group))
     groups;
-  (* 2. expand the neighbourhood: append the adjacent unordered node with
-     minimum mobility; fall back to a global minimum when disconnected *)
-  let nodes = Ddg.nodes g in
-  let remaining () =
-    List.filter (fun v -> not (Hashtbl.mem marked v)) nodes
+  (* 2. expand the neighbourhood: append the unordered node minimising
+     (not adjacent, mobility, asap, id), i.e. the adjacent node of least
+     mobility, or the global minimum when none is adjacent *)
+  let better i b =
+    if adjacent.(i) <> adjacent.(b) then adjacent.(i)
+    else if mobility.(i) <> mobility.(b) then mobility.(i) < mobility.(b)
+    else asap.(i) < asap.(b)
   in
-  let adjacent v =
-    List.exists (fun (e : Ddg.edge) -> Hashtbl.mem marked e.dst)
-      (Ddg.succs g v)
-    || List.exists (fun (e : Ddg.edge) -> Hashtbl.mem marked e.src)
-         (Ddg.preds g v)
-  in
-  let key v = (mobility v, asap v, v) in
-  let rec expand () =
-    match remaining () with
-    | [] -> ()
-    | rem ->
-      let cands =
-        match List.filter adjacent rem with [] -> rem | adj -> adj
-      in
-      let best =
-        List.fold_left
-          (fun acc v ->
-            match acc with
-            | None -> Some v
-            | Some b -> if key v < key b then Some v else acc)
-          None cands
-      in
-      (match best with Some v -> mark v | None -> ());
-      expand ()
-  in
-  expand ();
+  while !left > 0 do
+    let best = ref (-1) in
+    for i = 0 to n - 1 do
+      if (not marked.(i)) && (!best < 0 || better i !best) then best := i
+    done;
+    mark !best
+  done;
   List.rev !ordered

@@ -10,10 +10,13 @@
     adjacent node with minimum mobility (ALAP - ASAP slack). *)
 
 (** ASAP and ALAP over the distance-0 (intra-iteration) subgraph, which
-    is acyclic in a well-formed DDG. *)
+    is acyclic in a well-formed DDG; raises [Invalid_argument] when it
+    is not.  Unknown ids map to 0. *)
 val asap_alap : Latency.t -> Hcrf_ir.Ddg.t -> (int -> int) * (int -> int)
 
 (** The scheduling priority order: node ids, highest priority first
-    (always a permutation of the graph's nodes). *)
+    (always a permutation of the graph's nodes).  Each expansion step
+    appends the unordered node minimising (not adjacent to the ordered
+    region, mobility, ASAP, id). *)
 val compute :
   ?lat:Latency.t -> Hcrf_machine.Config.t -> Hcrf_ir.Ddg.t -> int list

@@ -62,14 +62,16 @@ let request_of_loop ?(timeout_ms = 0) ~config ~opts ~scenario l =
     sr_timeout_ms = timeout_ms;
   }
 
-(* The wire is untrusted: a dangling edge or an id past the id counter
-   would surface deep inside the engine, and the scheduler sizes
-   per-node arrays by the largest id, so check the graph here. *)
+(* The wire is untrusted: a repeated id, a dangling edge or an id past
+   the id counter would surface deep inside the engine, and the
+   scheduler sizes per-node arrays by the largest id, so check the graph
+   here.  [Loop.of_repr] refuses a repeated id, so [n] counts distinct
+   nodes. *)
 let loop_of_request r =
-  let g = r.sr_loop.Loop.repr_ddg in
-  if g.Ddg.repr_next_id > (2 * List.length g.Ddg.repr_nodes) + 64 then
-    invalid_arg "loop_of_request: node ids are not compact";
   let loop = Loop.of_repr r.sr_loop in
+  let n = Ddg.num_nodes loop.Loop.ddg in
+  if r.sr_loop.Loop.repr_ddg.Ddg.repr_next_id > (2 * n) + 64 then
+    invalid_arg "loop_of_request: node ids are not compact";
   if not (Ddg.validate loop.Loop.ddg) then
     invalid_arg "loop_of_request: malformed dependence graph";
   loop

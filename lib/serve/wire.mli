@@ -63,7 +63,8 @@ val request_of_loop :
   schedule_request
 
 (** Rebuild the loop; raises [Invalid_argument] on non-positive counts,
-    a graph that fails {!Hcrf_ir.Ddg.validate}, or node ids that are
+    a repeated or negative node id, a graph that fails
+    {!Hcrf_ir.Ddg.validate}, or node ids that are
     not compact: the id counter [repr_next_id] (which bounds every id)
     may be at most [2 * n + 64] for a graph of [n] nodes, so the
     scheduler's per-node arrays stay proportional to the request.

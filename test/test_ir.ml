@@ -237,6 +237,169 @@ let prop_repr_roundtrip =
       && Ddg.invariants g = Ddg.invariants g'
       && Ddg.add_node g Op.Fadd = Ddg.add_node g' Op.Fadd)
 
+(* ------------------------------------------------------------------ *)
+(* Dense node table on sparse and churned ids *)
+
+let shift_edge by (e : Ddg.edge) = { e with src = e.src + by; dst = e.dst + by }
+
+(* [r] with every id (nodes, edges, invariant consumers, id counter)
+   moved up by [by], adjacency order kept. *)
+let shift_repr by (r : Ddg.repr) =
+  let edges = List.map (shift_edge by) in
+  { r with
+    Ddg.repr_next_id = r.Ddg.repr_next_id + by;
+    repr_nodes =
+      List.map
+        (fun (id, k, s, p) -> (id + by, k, edges s, edges p))
+        r.Ddg.repr_nodes;
+    repr_invariants =
+      List.map
+        (fun (inv, cs) -> (inv, List.map (( + ) by) cs))
+        r.Ddg.repr_invariants }
+
+(* Ids shifted far past the compactness bound land in the overflow map:
+   the graph must answer exactly like the compact one, mapped by the
+   shift, and cost memory in proportion to its nodes, not its ids. *)
+let prop_sparse_ids_answer_like_compact =
+  QCheck.Test.make ~name:"dense ddg: shifted ids answer like compact ids"
+    ~count:20
+    QCheck.(pair (int_range 0 39) bool)
+    (fun (i, far) ->
+      let by = if far then 1 lsl 40 else 1_000_000 in
+      let r = Ddg.to_repr (List.nth (Lazy.force suite_graphs) i).Loop.ddg in
+      let g = Ddg.of_repr r and g' = Ddg.of_repr (shift_repr by r) in
+      let edges = List.map (shift_edge by) in
+      Ddg.validate g'
+      && Ddg.num_nodes g' = Ddg.num_nodes g
+      && Ddg.num_edges g' = Ddg.num_edges g
+      && Ddg.nodes g' = List.map (( + ) by) (Ddg.nodes g)
+      && Ddg.edges g' = edges (Ddg.edges g)
+      && List.for_all
+           (fun v ->
+             Ddg.mem g' (v + by)
+             && (not (Ddg.mem g' v))
+             && Ddg.kind g' (v + by) = Ddg.kind g v
+             && Ddg.succs g' (v + by) = edges (Ddg.succs g v)
+             && Ddg.preds g' (v + by) = edges (Ddg.preds g v))
+           (Ddg.nodes g)
+      && Ddg.to_repr g' = shift_repr by r
+      && Ddg.to_repr (Ddg.copy g') = shift_repr by r
+      && Obj.reachable_words (Obj.repr g')
+         <= 2 * Obj.reachable_words (Obj.repr g))
+
+let test_of_repr_rejects_bad_ids () =
+  let r = Ddg.to_repr (List.hd (Lazy.force suite_graphs)).Loop.ddg in
+  let id, _, s, p = List.hd r.Ddg.repr_nodes in
+  let with_extra node = { r with Ddg.repr_nodes = r.Ddg.repr_nodes @ [ node ] } in
+  Alcotest.check_raises "repeated id"
+    (Invalid_argument (Fmt.str "Ddg.of_repr: node %d listed twice" id))
+    (fun () -> ignore (Ddg.of_repr (with_extra (id, Op.Fmul, s, p))));
+  Alcotest.check_raises "negative id"
+    (Invalid_argument "Ddg.of_repr: negative node id -1")
+    (fun () -> ignore (Ddg.of_repr (with_extra (-1, Op.Fadd, [], []))))
+
+(* Id 90 starts in the overflow map of a two-node graph; the adds that
+   grow the array past it must move it in, not lose it. *)
+let test_overflow_moves_into_grown_array () =
+  let g =
+    Ddg.of_repr
+      { Ddg.repr_name = "grow"; repr_next_id = 91; repr_next_inv = 0;
+        repr_nodes = [ (0, Op.Load, [], []); (90, Op.Fmul, [], []) ];
+        repr_invariants = [] }
+  in
+  let added = List.init 40 (fun _ -> Ddg.add_node g Op.Fadd) in
+  check "overflow id still present" true (Ddg.mem g 90);
+  check "kind kept" true (Ddg.kind g 90 = Op.Fmul);
+  check "ids in order" true (Ddg.nodes g = (0 :: 90 :: added));
+  Ddg.add_edge g ~dep:Dep.True 90 (List.hd added);
+  check "valid" true (Ddg.validate g);
+  Ddg.remove_node g 90;
+  check "removed" false (Ddg.mem g 90);
+  check_int "count" 41 (Ddg.num_nodes g)
+
+module Int_map = Map.Make (Int)
+
+type churn = Add of Op.kind | Remove of int | Edge of int * int * int | Copy | Repr
+
+let churn_gen =
+  QCheck.Gen.(
+    frequency
+      [ (8, map (fun k -> Add k) (oneofl Op.all_kinds));
+        (1, map (fun i -> Remove i) small_nat);
+        (3, map3 (fun a b d -> Edge (a, b, d)) small_nat small_nat (int_bound 2));
+        (1, return Copy);
+        (1, return Repr) ])
+
+(* A graph whose few nodes have ids spread up to 120 (many past the
+   compactness bound, so in the overflow map) churned by adds, which
+   grow the array past them, removals, edges, copies and repr round
+   trips; after every step it must agree with a [Map] model of its
+   nodes and a multiset of its edges. *)
+let prop_churn_agrees_with_map_model =
+  QCheck.Test.make ~name:"dense ddg: churn across array growth = Map model"
+    ~count:100
+    QCheck.(
+      pair
+        (make Gen.(list_size (int_range 1 8) (int_bound 120)))
+        (make Gen.(list_size (int_range 20 200) churn_gen)))
+    (fun (seed_ids, ops) ->
+      let seed_ids = List.sort_uniq compare seed_ids in
+      let g =
+        ref
+          (Ddg.of_repr
+             { Ddg.repr_name = "churn";
+               repr_next_id = 1 + List.fold_left max 0 seed_ids;
+               repr_next_inv = 0;
+               repr_nodes = List.map (fun id -> (id, Op.Fadd, [], [])) seed_ids;
+               repr_invariants = [] })
+      in
+      let model =
+        ref (List.fold_left (fun m id -> Int_map.add id Op.Fadd m) Int_map.empty seed_ids)
+      in
+      let medges = ref [] in
+      let nth i = fst (List.nth (Int_map.bindings !model) (i mod Int_map.cardinal !model)) in
+      let key (e : Ddg.edge) = (e.src, e.dst, e.distance) in
+      let sorted l = List.sort compare (List.map key l) in
+      let agrees () =
+        let ids = List.map fst (Int_map.bindings !model) in
+        Ddg.validate !g
+        && Ddg.nodes !g = ids
+        && Ddg.num_nodes !g = Int_map.cardinal !model
+        && Ddg.num_edges !g = List.length !medges
+        && sorted (Ddg.edges !g) = List.sort compare !medges
+        && List.for_all
+             (fun id ->
+               Ddg.kind !g id = Int_map.find id !model
+               && sorted (Ddg.succs !g id)
+                  = List.sort compare (List.filter (fun (s, _, _) -> s = id) !medges)
+               && sorted (Ddg.preds !g id)
+                  = List.sort compare (List.filter (fun (_, d, _) -> d = id) !medges))
+             ids
+        && List.for_all
+             (fun id -> Ddg.mem !g id = Int_map.mem id !model)
+             (List.init 300 Fun.id)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Add k ->
+            let id = Ddg.add_node !g k in
+            model := Int_map.add id k !model
+          | Remove i when not (Int_map.is_empty !model) ->
+            let id = nth i in
+            Ddg.remove_node !g id;
+            model := Int_map.remove id !model;
+            medges := List.filter (fun (s, d, _) -> s <> id && d <> id) !medges
+          | Edge (a, b, d) when not (Int_map.is_empty !model) ->
+            let a = nth a and b = nth b in
+            Ddg.add_edge !g ~distance:d ~dep:Dep.True a b;
+            medges := (a, b, d) :: !medges
+          | Remove _ | Edge _ -> ()
+          | Copy -> g := Ddg.copy !g
+          | Repr -> g := Ddg.of_repr (Ddg.to_repr !g));
+          agrees ())
+        ops)
+
 let prop_cycles_carry_distance =
   (* every recurrence circuit must contain a loop-carried edge, otherwise
      the loop would be unschedulable *)
@@ -280,4 +443,10 @@ let tests =
     QCheck_alcotest.to_alcotest prop_copy_equals;
     QCheck_alcotest.to_alcotest prop_repr_roundtrip;
     QCheck_alcotest.to_alcotest prop_cycles_carry_distance;
+    ("ddg: of_repr rejects repeated and negative ids", `Quick,
+     test_of_repr_rejects_bad_ids);
+    ("ddg: overflow ids move into a grown array", `Quick,
+     test_overflow_moves_into_grown_array);
+    QCheck_alcotest.to_alcotest prop_sparse_ids_answer_like_compact;
+    QCheck_alcotest.to_alcotest prop_churn_agrees_with_map_model;
   ]

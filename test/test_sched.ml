@@ -376,6 +376,51 @@ let prop_order_deterministic =
       o1 = o2 && List.sort compare o1 = Ddg.nodes loop.Loop.ddg)
 
 (* ------------------------------------------------------------------ *)
+(* Order against the list-based reference (test/order_ref.ml) *)
+
+(* The Table 5 organizations under their own latencies, and the
+   Figure 6 ones under the binding-prefetch latency table. *)
+let order_configs =
+  lazy
+    (List.map (fun c -> (c, false)) (Hcrf_model.Presets.table5_configs ())
+    @ List.map (fun c -> (c, true)) (Hcrf_eval.Experiments.figure6_configs ()))
+
+let orders_agree (config, prefetch) (l : Loop.t) =
+  let override =
+    if prefetch then Hcrf_memsim.Prefetch.plan config l
+    else Hcrf_memsim.Prefetch.none
+  in
+  let lat = Latency.make ~override config in
+  Order.compute ~lat config l.Loop.ddg
+  = Order_ref.compute ~lat config l.Loop.ddg
+
+let prop_order_equals_reference =
+  QCheck.Test.make ~name:"order: equals the list-based reference"
+    ~count:200
+    QCheck.(pair small_nat (int_range 0 21))
+    (fun (i, c) ->
+      let rng = Hcrf_workload.Rng.create ~seed:(0x0DE5 + (i * 7919)) in
+      let loop = Hcrf_workload.Genloop.generate ~rng ~index:i () in
+      orders_agree (List.nth (Lazy.force order_configs) c) loop)
+
+let test_order_equals_reference_everywhere () =
+  let loops =
+    Hcrf_workload.Suite.generate ~n:200 ()
+    @ Hcrf_workload.Suite.kernels ()
+    @ List.map Hcrf_frontend.Compile.compile (Hcrf_incr.Progs.program ~n:120)
+  in
+  List.iter
+    (fun ((config, _) as c) ->
+      let differ =
+        List.filter (fun l -> not (orders_agree c l)) loops
+        |> List.map Loop.name
+      in
+      Alcotest.(check (list string))
+        (config.Hcrf_machine.Config.name ^ ": loops ordered differently")
+        [] differ)
+    (Lazy.force order_configs)
+
+(* ------------------------------------------------------------------ *)
 (* Flat-core observational equivalence.
 
    The data-oriented reservation table (Mrt) and the incremental
@@ -793,4 +838,7 @@ let tests =
     ("ports: uniform encoding back-compat", `Quick,
      test_uniform_ports_backcompat);
     QCheck_alcotest.to_alcotest prop_mrt_port_monotonicity;
+    ("order: equals the reference on suite, kernels, Progs", `Slow,
+     test_order_equals_reference_everywhere);
+    QCheck_alcotest.to_alcotest prop_order_equals_reference;
   ]

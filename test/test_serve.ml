@@ -244,7 +244,8 @@ let shifted_request ~by l =
       } }
 
 (* The scheduler sizes per-node arrays by the largest id, so a request
-   with sparse ids is refused before anything is built from it — while
+   with sparse ids is refused before it reaches the engine (building its
+   graph costs O(|V|): [Ddg] keeps such ids in an overflow map) — while
    every loop the repo generates (suite, kernels, frontend programs,
    fuzz and gap corpora) has compact ids and is accepted. *)
 let test_sparse_ids_refused () =
@@ -277,7 +278,8 @@ let test_sparse_ids_refused () =
 
 (* Requests a well-formed client never sends: a negative trip count, a
    successor edge to a node that does not exist, an id counter that
-   would hand out ids already in use, and ids far from compact (the
+   would hand out ids already in use, a node listed twice, and ids far
+   from compact (the
    scheduler would allocate per-node arrays for a million ids). *)
 let test_tiers_rejects_malformed_loop () =
   let req = sched_request (gen_loop 2) in
@@ -296,6 +298,18 @@ let test_tiers_rejects_malformed_loop () =
       in
       { ddg with
         Hcrf_ir.Ddg.repr_nodes = (id, kind, e :: succs, preds) :: rest }
+  in
+  (* the first node again, same edges, another kind: the old table kept
+     the last entry and scheduled a different loop *)
+  let twice =
+    match ddg.Hcrf_ir.Ddg.repr_nodes with
+    | [] -> Alcotest.fail "empty loop"
+    | ((id, kind, succs, preds) :: _) as nodes ->
+      let other =
+        if kind = Hcrf_ir.Op.Fmul then Hcrf_ir.Op.Fadd else Hcrf_ir.Op.Fmul
+      in
+      { ddg with
+        Hcrf_ir.Ddg.repr_nodes = nodes @ [ (id, other, succs, preds) ] }
   in
   List.iter
     (fun (what, req) ->
@@ -316,6 +330,7 @@ let test_tiers_rejects_malformed_loop () =
          Wire.sr_loop = { lr with Hcrf_ir.Loop.repr_trip_count = -3 } });
       ("dangling successor edge", with_ddg dangling);
       ("next id 0", with_ddg { ddg with Hcrf_ir.Ddg.repr_next_id = 0 });
+      ("node id listed twice", with_ddg twice);
       ("ids shifted by 1M", shifted_request ~by:1_000_000 (gen_loop 2)) ]
 
 (* One count, two readers: every [Tiers.stats] field is read from the
