@@ -10,11 +10,9 @@
 #   - the final incremental metrics are byte-identical to a cold
 #     evaluation of the same program (--verify, sched_seconds
 #     scrubbed);
-#   - modulo "timing:" lines and the jobs= field, stdout is
-#     byte-identical at jobs=1 and jobs=4 (stage classification is
-#     serial, so all counts are jobs-independent);
-#   - the --json report has the hcrf-bench/1 shape, key-compatible
-#     with the committed BENCH_incr.json runs[] entries;
+#   - modulo the banner's jobs= field, stdout is byte-identical at
+#     jobs=1 and jobs=4 (stage classification is serial, so all counts
+#     are jobs-independent);
 #   - with --incr-dir the session persists (memo.v3 plus the schedule
 #     store's shards): a fresh process re-evaluating the program against
 #     the same directory recomputes nothing and still verifies.
@@ -24,14 +22,12 @@ case "$1" in
   */*) explore="$1" ;;
   *) explore="./$1" ;;
 esac
-golden="$2"
 
 dir=$(mktemp -d "${TMPDIR:-/tmp}/hcrf-incr-smoke.XXXXXX")
 trap 'rm -rf "$dir"' EXIT
 
 run () {
-  "$explore" incr -c 4C32 --kernels 12 --edits 3 --verify \
-    --jobs "$1" --json "$dir/incr$1.json"
+  "$explore" incr -c 4C32 --kernels 12 --edits 3 --verify --jobs "$1"
 }
 
 run 1 > "$dir/j1.txt"
@@ -54,27 +50,11 @@ grep -q '^verify: ok' "$dir/j1.txt" ||
   { echo "incr smoke: incremental metrics differ from a cold run" >&2
     cat "$dir/j1.txt" >&2; exit 1; }
 
-# jobs determinism: wall-clock lines and the jobs= field are the only
-# legitimate differences
-sed 's/jobs=[0-9]*//' "$dir/j1.txt" | grep -v '^timing:' > "$dir/j1.filtered"
-sed 's/jobs=[0-9]*//' "$dir/j4.txt" | grep -v '^timing:' > "$dir/j4.filtered"
+# jobs determinism: the jobs= field is the only legitimate difference
+sed 's/jobs=[0-9]*//' "$dir/j1.txt" > "$dir/j1.filtered"
+sed 's/jobs=[0-9]*//' "$dir/j4.txt" > "$dir/j4.filtered"
 cmp "$dir/j1.filtered" "$dir/j4.filtered" ||
   { echo "incr smoke: jobs=4 output differs from jobs=1" >&2; exit 1; }
-
-# hcrf-bench/1 shape gate against the committed document
-grep -q '"schema": "hcrf-bench/1"' "$dir/incr1.json" ||
-  { echo "incr smoke: JSON report missing schema tag" >&2; exit 1; }
-if command -v jq > /dev/null 2>&1; then
-  jq -e '.runs | length >= 1 and all(.cold_wall_s >= 0 and .phase_ns != null)' \
-    "$dir/incr1.json" > /dev/null ||
-    { echo "incr smoke: malformed JSON report" >&2; exit 1; }
-  smoke_keys=$(jq -r '.runs[0] | keys | sort | join(",")' "$dir/incr1.json")
-  golden_keys=$(jq -r '.runs[0] | keys | sort | join(",")' "$golden")
-  [ "$smoke_keys" = "$golden_keys" ] ||
-    { echo "incr smoke: runs[] key shape drifted from BENCH_incr" >&2
-      echo "  smoke:  $smoke_keys" >&2
-      echo "  golden: $golden_keys" >&2; exit 1; }
-fi
 
 # cross-process persistence
 "$explore" incr -c 4C32 --kernels 12 --edits 3 --incr-dir "$dir/memo" \

@@ -44,10 +44,6 @@ let config_arg =
   in
   Term.(const resolve $ arg)
 
-let json_arg =
-  let doc = "Write an hcrf-bench/1 JSON report to $(docv)." in
-  Arg.(value & opt (some string) None & info [ "json" ] ~doc ~docv:"FILE")
-
 let n_arg =
   let doc = "Number of synthetic workbench loops." in
   Arg.(value & opt int 200 & info [ "n"; "loops" ] ~doc)
@@ -200,21 +196,18 @@ let schedule_cmd =
   let dump_arg =
     Arg.(value & flag & info [ "dump" ] ~doc:"Print the full schedule.")
   in
+  (* the same answer path as every other subcommand, so --memory,
+     --cache, --incr and --trace all take effect *)
   let run kernel config_name dump (ctx : Hcrf_eval.Runner.Ctx.t) =
     let config = config_of_string config_name in
     let loop = Hcrf_workload.Kernels.find kernel in
     let tracer = ctx.Hcrf_eval.Runner.Ctx.tracer in
-    let trace = Hcrf_obs.Tracer.start tracer ~label:kernel in
-    let result =
-      Hcrf_core.Mirs_hc.schedule ~trace config loop.Hcrf_ir.Loop.ddg
-    in
-    Hcrf_obs.Tracer.commit tracer trace;
-    match result with
-    | Error (`No_schedule ii) ->
-      Fmt.epr "no schedule up to II=%d@." ii;
+    match Hcrf_eval.Runner.run_loop ~ctx config loop with
+    | None ->
+      (* the runner has logged the failing II *)
       finish_trace tracer;
       exit 1
-    | Ok o ->
+    | Some { Hcrf_eval.Runner.outcome = o; _ } ->
       Fmt.pr "%s on %s: II=%d (MII=%d) SC=%d, %d ops (%d inserted)@." kernel
         config.Hcrf_machine.Config.name o.Engine.ii o.Engine.mii o.Engine.sc
         (Hcrf_ir.Ddg.num_nodes o.Engine.graph)
@@ -261,10 +254,9 @@ let hw_cmd =
   let all_arg =
     Arg.(value & flag & info [ "all" ] ~doc:"Print every Table-5 row.")
   in
-  (* hw prices hardware only — it never runs the scheduler, so the
-     shared ctx knobs are accepted (for interface consistency) but the
-     cache stays cold and the trace stays empty. *)
-  let run config_name all (ctx : Hcrf_eval.Runner.Ctx.t) =
+  (* hw prices hardware only — it never runs the scheduler, so it takes
+     none of the shared evaluation knobs *)
+  let run config_name all =
     if all then
       Fmt.pr "%a@."
         (Hcrf_eval.Experiments.pp_hw_rows ~title:"Hardware evaluation")
@@ -279,12 +271,11 @@ let hw_cmd =
         Fmt.(option ~none:(any "-") (fmt "%.3f"))
         est.Hcrf_model.Cacti.shared_access_ns
         est.Hcrf_model.Cacti.total_area_mlambda2
-    end;
-    Hcrf_obs.Tracer.close ctx.Hcrf_eval.Runner.Ctx.tracer
+    end
   in
   Cmd.v
     (Cmd.info "hw" ~doc:"Price a configuration with the technology model")
-    Term.(const run $ config_arg $ all_arg $ ctx_term)
+    Term.(const run $ config_arg $ all_arg)
 
 let ports_cmd =
   (* sweep the communication resources of an organization and report
@@ -300,34 +291,14 @@ let ports_cmd =
     in
     Arg.(value & flag & info [ "access" ] ~doc)
   in
-  let run config_name n access json (ctx : Hcrf_eval.Runner.Ctx.t) =
+  let run config_name n access (ctx : Hcrf_eval.Runner.Ctx.t) =
     let open Hcrf_machine in
     let base = Rf.of_notation config_name in
     let loops = Hcrf_workload.Suite.generate ~n () in
-    let rows = ref [] in
-    let wall f =
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      (r, Unix.gettimeofday () -. t0)
-    in
-    (* one swept design point: a cold pass then a warm pass (identical
-       unless a cache is armed), recorded for the JSON report *)
     let point rf =
       let config = Hcrf_model.Presets.of_model rf in
-      let run_once () =
-        Hcrf_eval.Runner.aggregate config
-          (Hcrf_eval.Runner.run_suite ~ctx config loops)
-      in
-      let a, cold_wall_s = wall run_once in
-      let _, warm_wall_s = wall run_once in
-      rows :=
-        { Hcrf_obs.Bench_report.config = Rf.notation rf; loops = n;
-          jobs = ctx.Hcrf_eval.Runner.Ctx.jobs;
-          sum_ii =
-            Some (a.Hcrf_eval.Metrics.sum_ii, a.Hcrf_eval.Metrics.pct_at_mii);
-          cold_wall_s; warm_wall_s; phase_ns = [] }
-        :: !rows;
-      a
+      Hcrf_eval.Runner.aggregate config
+        (Hcrf_eval.Runner.run_suite ~ctx config loops)
     in
     if access then begin
       Fmt.pr "Access-port sweep for %s (%d loops):@." config_name n;
@@ -369,16 +340,14 @@ let ports_cmd =
         Fmt.pr "cache: %a@." Hcrf_cache.Cache.pp_stats
           (Hcrf_cache.Cache.stats c))
       ctx.Hcrf_eval.Runner.Ctx.cache;
-    finish_trace ctx.Hcrf_eval.Runner.Ctx.tracer;
-    Option.iter (fun file -> Hcrf_obs.Bench_report.write file (List.rev !rows))
-      json
+    finish_trace ctx.Hcrf_eval.Runner.Ctx.tracer
   in
   Cmd.v
     (Cmd.info "ports"
        ~doc:
          "Sweep the LoadR/StoreR or per-bank access-port counts of an \
           organization")
-    Term.(const run $ config_arg $ n_arg $ access_arg $ json_arg $ ctx_term)
+    Term.(const run $ config_arg $ n_arg $ access_arg $ ctx_term)
 
 let scarcity_cmd =
   let flat_arg =
@@ -637,7 +606,7 @@ let serve_bench_cmd =
      additionally byte-compares against a local Runner.run_loop
      (wall-clock seconds scrubbed: independent computations).
      --malformed sends a garbage frame first and proves the daemon
-     survives it.  --json emits an hcrf-bench/1 document. *)
+     survives it.  Timing the daemon is perfbench's job (serve_mixed). *)
   let open Hcrf_server in
   let addr_arg =
     let doc =
@@ -685,7 +654,7 @@ let serve_bench_cmd =
     | Error msg -> fail "stats: %s" msg
   in
   let run addr_opt config_name n requests clients timeout_ms verify
-      malformed json (ctx : Hcrf_eval.Runner.Ctx.t) =
+      malformed (ctx : Hcrf_eval.Runner.Ctx.t) =
     let scenario = ctx.Hcrf_eval.Runner.Ctx.scenario in
     let addr_s =
       match
@@ -733,15 +702,7 @@ let serve_bench_cmd =
       | Ok _ -> fail "loop %d: unexpected reply" i
       | Error msg -> fail "loop %d: %s" i msg
     in
-    let wall f =
-      let t0 = Unix.gettimeofday () in
-      f ();
-      Unix.gettimeofday () -. t0
-    in
-    let cold_wall =
-      wall (fun () ->
-          Array.iteri (fun i _ -> baseline.(i) <- schedule_on c0 i) loops)
-    in
+    Array.iteri (fun i _ -> baseline.(i) <- schedule_on c0 i) loops;
     let mid = get_stats c0 in
     (* the storm: [clients] connections, [requests] total, round-robin
        over the loops — every response must byte-match the baseline *)
@@ -770,14 +731,8 @@ let serve_bench_cmd =
         r := !r + clients
       done
     in
-    let warm_wall =
-      wall (fun () ->
-          let threads =
-            List.init (max 1 clients) (fun k ->
-                Thread.create (storm_client k) ())
-          in
-          List.iter Thread.join threads)
-    in
+    List.iter Thread.join
+      (List.init (max 1 clients) (fun k -> Thread.create (storm_client k) ()));
     (match !first_error with
     | Some msg -> fail "%s" msg
     | None -> ());
@@ -786,19 +741,16 @@ let serve_bench_cmd =
     let d get = get after - get mid in
     Fmt.pr "serve-bench: %d loops, %d requests, %d clients on %a@." n
       requests clients Wire.pp_addr addr;
-    Fmt.pr "cold: computed=%d wall=%.3fs@."
-      (mid.Wire.computed - before.Wire.computed)
-      cold_wall;
+    Fmt.pr "cold: computed=%d@." (mid.Wire.computed - before.Wire.computed);
     Fmt.pr
       "storm: computed=%d lru_hits=%d tier2_hits=%d coalesced=%d \
-       rejected=%d timeouts=%d wall=%.3fs@."
+       rejected=%d timeouts=%d@."
       (d (fun s -> s.Wire.computed))
       (d (fun s -> s.Wire.lru_hits))
       (d (fun s -> s.Wire.tier2_hits))
       (d (fun s -> s.Wire.coalesced))
       (d (fun s -> s.Wire.rejected))
-      (d (fun s -> s.Wire.timeouts))
-      warm_wall;
+      (d (fun s -> s.Wire.timeouts));
     Fmt.pr "stats: %a@." Wire.pp_serve_stats after;
     if verify then begin
       (* the daemon's answers against this process's own runner: same
@@ -825,29 +777,22 @@ let serve_bench_cmd =
           | _ -> fail "loop %d: daemon and local disagree on feasibility" i)
         loops;
       Fmt.pr "verify: ok (%d loops identical to the local runner)@." n
-    end;
-    Option.iter
-      (fun file ->
-        Hcrf_obs.Bench_report.write file
-          [ { Hcrf_obs.Bench_report.config = config_name; loops = n;
-              jobs = clients; sum_ii = None; cold_wall_s = cold_wall;
-              warm_wall_s = warm_wall; phase_ns = [] } ])
-      json
+    end
   in
   Cmd.v
     (Cmd.info "serve-bench"
        ~doc:"Fire a request storm at a running hcrf_serve daemon")
     Term.(
       const run $ addr_arg $ config_arg $ n_arg $ requests_arg
-      $ clients_arg $ timeout_arg $ verify_arg $ malformed_arg $ json_arg
-      $ ctx_term)
+      $ clients_arg $ timeout_arg $ verify_arg $ malformed_arg $ ctx_term)
 
 let incr_cmd =
   (* a scripted edit session against the memoized pipeline: evaluate a
      generated frontend program cold, then apply [--edits] single-kernel
-     perturbations and report, per edit, exactly what recomputed.  All
-     non-"timing:" lines are deterministic (counts and names only), so
-     the smoke script can compare jobs=1 against jobs=4 byte-for-byte;
+     perturbations and report, per edit, exactly what recomputed.  Every
+     line but the banner's jobs= field is deterministic (counts and
+     names only), so the smoke script can compare jobs=1 against jobs=4
+     byte-for-byte;
      --verify re-evaluates the final program with a fresh cold context
      and byte-compares the per-kernel metrics (sched_seconds scrubbed:
      independently measured wall-clock). *)
@@ -873,8 +818,7 @@ let incr_cmd =
            { p with Hcrf_eval.Metrics.sched_seconds = 0. }))
       perfs
   in
-  let run config_name kernels edits verify json
-      (ctx : Hcrf_eval.Runner.Ctx.t) =
+  let run config_name kernels edits verify (ctx : Hcrf_eval.Runner.Ctx.t) =
     let config = config_of_string config_name in
     let kernels = max 1 kernels in
     (* the stage memo is the whole point here: default one on unless
@@ -895,9 +839,7 @@ let incr_cmd =
       | d -> Fmt.pr "  dirty:%a@." Fmt.(list ~sep:nop (fmt " %s")) d);
       Fmt.pr "result: scheduled=%d sum_ii=%d pct_at_mii=%.1f@."
         a.Hcrf_eval.Metrics.loops a.Hcrf_eval.Metrics.sum_ii
-        a.Hcrf_eval.Metrics.pct_at_mii;
-      Fmt.pr "timing: %s wall=%.3fs@." tag
-        stats.Hcrf_incr.Pipeline.wall_s
+        a.Hcrf_eval.Metrics.pct_at_mii
     in
     Fmt.pr "incr: config=%s kernels=%d edits=%d jobs=%d@."
       config.Hcrf_machine.Config.name kernels edits
@@ -905,7 +847,7 @@ let incr_cmd =
     let prog = ref (Hcrf_incr.Progs.program ~n:kernels) in
     let perfs0, agg0, cold_stats = Hcrf_incr.Pipeline.eval pipe !prog in
     report "cold" cold_stats agg0;
-    let last_perfs = ref perfs0 and warm_wall = ref 0. in
+    let last_perfs = ref perfs0 in
     for round = 1 to edits do
       (* deterministic spread over the kernels; distinct per round for
          any program of a few kernels or more *)
@@ -913,8 +855,7 @@ let incr_cmd =
       prog := Hcrf_incr.Progs.edit ~round ~kernel !prog;
       let perfs, agg, stats = Hcrf_incr.Pipeline.eval pipe !prog in
       report (Fmt.str "edit %d" round) stats agg;
-      last_perfs := perfs;
-      warm_wall := stats.Hcrf_incr.Pipeline.wall_s
+      last_perfs := perfs
     done;
     Option.iter
       (fun m ->
@@ -943,15 +884,7 @@ let incr_cmd =
       Fmt.pr "verify: ok (%d kernels byte-identical to a cold evaluation)@."
         kernels
     end;
-    finish_trace ctx.Hcrf_eval.Runner.Ctx.tracer;
-    Option.iter
-      (fun file ->
-        Hcrf_obs.Bench_report.write file
-          [ { Hcrf_obs.Bench_report.config = config_name; loops = kernels;
-              jobs = ctx.Hcrf_eval.Runner.Ctx.jobs; sum_ii = None;
-              cold_wall_s = cold_stats.Hcrf_incr.Pipeline.wall_s;
-              warm_wall_s = !warm_wall; phase_ns = [] } ])
-      json
+    finish_trace ctx.Hcrf_eval.Runner.Ctx.tracer
   in
   Cmd.v
     (Cmd.info "incr"
@@ -960,7 +893,7 @@ let incr_cmd =
           report what the memoized pipeline recomputes")
     Term.(
       const run $ config_arg $ kernels_arg $ edits_arg $ verify_arg
-      $ json_arg $ ctx_term)
+      $ ctx_term)
 
 let () =
   Logs.set_reporter (Logs_fmt.reporter ());

@@ -12,7 +12,6 @@ type eval_stats = {
   frontend_hits : int;
   frontend_recomputed : int;
   sched : Runner.pipeline_stats;
-  wall_s : float;
 }
 
 let create ?(ctx = Runner.Ctx.default) config = { ctx; config }
@@ -36,7 +35,6 @@ let frontend_stage ~trace memo kernel =
       (fun () -> snd (Hcrf_frontend.Compile.compile_keyed kernel))
 
 let eval t (kernels : Hcrf_frontend.Ast.t list) =
-  let t0 = Unix.gettimeofday () in
   let memo = t.ctx.Runner.Ctx.memo in
   let hits = ref 0 and recomputed = ref 0 in
   (* serial, input order: compilation is cheap next to scheduling, and
@@ -64,7 +62,6 @@ let eval t (kernels : Hcrf_frontend.Ast.t list) =
       frontend_hits = !hits;
       frontend_recomputed = !recomputed;
       sched;
-      wall_s = Unix.gettimeofday () -. t0;
     }
   in
   (perfs, aggregate, stats)

@@ -26,7 +26,6 @@ type eval_stats = {
   sched : Hcrf_eval.Runner.pipeline_stats;
       (** extract/schedule/metric stage accounting, incl. the dirty
           loop names *)
-  wall_s : float;  (** wall-clock of the whole [eval] call *)
 }
 
 val create : ?ctx:Hcrf_eval.Runner.Ctx.t -> Hcrf_machine.Config.t -> t

@@ -13,8 +13,8 @@
     allocation), and per-(row, slot) occupant stacks — int arrays with a
     separate length column — support the (rare) force-and-eject path.
     Observational equivalence with the original association-based table
-    ({!Mrt_ref}) is asserted by QCheck over random operation traces; the
-    eject-victim choice of [conflicts] (most recently placed occupant
+    (test/mrt_ref.ml) is asserted by QCheck over random operation traces;
+    the eject-victim choice of [conflicts] (most recently placed occupant
     first) and the duplicate-aware [remove] follow the reference
     semantics exactly.
 

@@ -7,9 +7,10 @@
     no slot exceeds the unit count.
 
     Resources are encoded as small integer row codes over one flat
-    counts array, so [can_place] is pure array probing; {!Mrt_ref} keeps
-    the original association-based implementation as the executable
-    specification, and QCheck asserts observational equivalence. *)
+    counts array, so [can_place] is pure array probing; the test suite
+    keeps the original association-based implementation (test/mrt_ref.ml)
+    as the executable specification, and QCheck asserts observational
+    equivalence. *)
 
 type t
 

@@ -1,14 +1,16 @@
 (** Reference modulo reservation table (pre-flat implementation).
 
     This is the original association-based MRT, kept verbatim as the
-    executable specification of {!Mrt}: the flat, data-oriented table
-    used by the engine must be observationally equivalent on every
-    operation sequence ([can_place]/[place]/[remove]/[conflicts]/
-    [occupancy]), and the QCheck harness in [test/test_sched.ml] drives
-    both against random traces to prove it.  Keep the two in sync: a
-    semantic change here must be mirrored in {!Mrt} and vice versa. *)
+    executable specification of {!Hcrf_sched.Mrt}: the flat,
+    data-oriented table used by the engine must be observationally
+    equivalent on every operation sequence ([can_place]/[place]/
+    [remove]/[conflicts]/[occupancy]), and the QCheck harness in
+    [test_sched.ml] drives both against random traces to prove it.  Keep
+    the two in sync: a semantic change here must be mirrored in
+    {!Hcrf_sched.Mrt} and vice versa. *)
 
 open Hcrf_machine
+open Hcrf_sched
 
 type slot_state = { mutable count : int; mutable occupants : int list }
 

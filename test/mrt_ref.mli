@@ -1,9 +1,11 @@
 (** Reference modulo reservation table (pre-flat implementation).
 
     The original association-based MRT, kept as the executable
-    specification for the flat {!Mrt}: QCheck drives both against random
-    operation traces and asserts observational equivalence.  Not used by
-    the engine. *)
+    specification for the flat {!Hcrf_sched.Mrt}: QCheck drives both
+    against random operation traces and asserts observational
+    equivalence.  Not used by the engine. *)
+
+open Hcrf_sched
 
 type t
 

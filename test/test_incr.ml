@@ -93,18 +93,16 @@ let run_session ?(pipe_of = fun ~jobs -> fresh_pipe ~jobs ()) ~jobs () =
   done;
   (!prog, cold, List.rev !per_edit)
 
-let strip_wall (s : Pipeline.eval_stats) = { s with Pipeline.wall_s = 0. }
-
 let test_golden_session () =
   let prog1, cold1, edits1 = run_session ~jobs:1 () in
   let prog4, cold4, edits4 = run_session ~jobs:4 () in
   check "programs agree" true (prog1 = prog4);
   check "cold stats identical at jobs 1 and 4" true
-    (strip_wall cold1 = strip_wall cold4);
+    (cold1 = cold4);
   List.iter2
     (fun (p1, s1) (p4, s4) ->
       check "per-edit stats identical at jobs 1 and 4" true
-        (strip_wall s1 = strip_wall s4);
+        (s1 = s4);
       check "per-edit perfs byte-identical at jobs 1 and 4" true
         (String.equal (bytes_of p1) (bytes_of p4)))
     edits1 edits4;
