@@ -197,17 +197,18 @@ let iter_nodes t f = List.iter f (fold_desc List.cons t [])
 let edges t = fold_desc (fun n acc -> n.succs @ acc) t []
 let num_edges t = fold_desc (fun n acc -> acc + List.length n.succs) t 0
 
+let is_true e = Dep.equal e.dep Dep.True
+
+(* The [True] edges of [l]: [l] itself, shared, when every edge is
+   [True] (the common case), so the walk allocates nothing. *)
+let true_edges l =
+  if List.for_all is_true l then l else List.filter is_true l
+
 (** True-dependence consumers of the value defined by [id]. *)
-let consumers t id =
-  List.filter_map
-    (fun e -> if Dep.equal e.dep Dep.True then Some e else None)
-    (succs t id)
+let consumers t id = true_edges (succs t id)
 
 (** The [True] in-edges of [id], i.e. the values it reads. *)
-let operands t id =
-  List.filter_map
-    (fun e -> if Dep.equal e.dep Dep.True then Some e else None)
-    (preds t id)
+let operands t id = true_edges (preds t id)
 
 let count_kind t p =
   fold_desc (fun n acc -> if p n.kind then acc + 1 else acc) t 0

@@ -80,7 +80,9 @@ val iter_nodes : t -> (node -> unit) -> unit
 val edges : t -> edge list
 val num_edges : t -> int
 
-(** [True]-dependence out-edges: the consumers of [id]'s value. *)
+(** [True]-dependence out-edges: the consumers of [id]'s value.  When
+    every out-edge is [True] (the common case) this is {!succs} itself,
+    so the call allocates nothing; likewise {!operands} and {!preds}. *)
 val consumers : t -> int -> edge list
 
 (** [True]-dependence in-edges: the values [id] reads. *)

@@ -3,14 +3,15 @@
     The paper's real-memory scenario (§6.2) uses a 32 KB lockup-free
     first-level cache with 32-byte lines and up to 8 pending misses;
     this module is the array itself, {!Sim} adds the MSHR/timing
-    model. *)
+    model.  Line, set and tag use floored division, so negative
+    addresses map to negative lines and valid sets. *)
 
 type t = {
   line_bytes : int;
   sets : int;
   assoc : int;
-  tags : int array array;
-  lru : int array array;
+  tags : int array;  (** [set * assoc + way] = tag *)
+  lru : int array;   (** [set * assoc + way] = last-use stamp *)
   mutable stamp : int;
   mutable hits : int;
   mutable misses : int;
@@ -23,6 +24,10 @@ val create : ?size_bytes:int -> ?line_bytes:int -> ?assoc:int -> unit -> t
 val line_addr : t -> int -> int
 val set_of : t -> int -> int
 val tag_of : t -> int -> int
+
+(** Access a line address ({!line_addr}); [true] on hit.  {!access}
+    without the division, for callers that need the line anyway. *)
+val access_line : t -> int -> bool
 
 (** Access a byte address; [true] on hit.  Allocates on miss
     (write-allocate for stores as well). *)

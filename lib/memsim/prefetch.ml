@@ -31,7 +31,9 @@ let plan (config : Hcrf_machine.Config.t) (loop : Loop.t) : int -> int option
           Op.equal_kind n.kind Op.Load
           && not (Hashtbl.mem in_recurrence n.id)
         then Hashtbl.replace prefetched n.id ());
-    fun id -> if Hashtbl.mem prefetched id then Some miss else None
+    (* one shared [Some]: the scheduler asks on every latency lookup *)
+    let some_miss = Some miss in
+    fun id -> if Hashtbl.mem prefetched id then some_miss else None
   end
 
 (** No prefetching at all: every load scheduled with hit latency. *)

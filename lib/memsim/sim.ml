@@ -38,84 +38,106 @@ let max_sim_iterations = 2048
     (including spill code; give spill slots a fixed address).  [ii] is
     the initiation interval, [n]/[e] the trip and entry counts.
     [debug] asserts the MSHR occupancy invariant after every
-    allocation. *)
+    allocation.
+
+    The simulated accesses allocate nothing: the pending fills live in
+    two flat arrays (line, ready time), oldest first, and the cache is
+    probed by line address. *)
 let run ?(mshrs = 8) ?(debug = false) ?(cache = Cache.create ()) ~ii
     ~hit_read ~miss_cycles ~n ~e (refs : mem_ref list) =
+  (* stable: refs issuing in the same cycle keep their list order *)
   let refs =
-    List.sort (fun a b -> compare a.issue_offset b.issue_offset) refs
+    Array.of_list
+      (List.stable_sort (fun a b -> compare a.issue_offset b.issue_offset)
+         refs)
   in
+  let nrefs = Array.length refs in
   let sim_iters = max 1 (min n max_sim_iterations) in
   let stall = ref 0 in
   let misses = ref 0 and accesses = ref 0 in
-  (* pending fills: (line, ready_time), newest first, length <= mshrs *)
-  let pending = ref [] in
-  let line addr = addr / cache.Cache.line_bytes in
-  let check_occupancy () =
-    if debug then
-      assert (List.length !pending <= mshrs)
+  (* pending fills, oldest first: [p_line.(k)], [p_ready.(k)] for
+     k < [np].  A miss with every MSHR busy first retires one fill, so
+     [np] never exceeds [max 1 mshrs]. *)
+  let slots = max 1 mshrs in
+  let p_line = Array.make slots 0 and p_ready = Array.make slots 0 in
+  let np = ref 0 in
+  let push line rdy =
+    p_line.(!np) <- line;
+    p_ready.(!np) <- rdy;
+    incr np;
+    if debug then assert (!np <= mshrs)
   in
   (* All MSHRs busy: the new miss steals the slot of the oldest pending
      fill, which means waiting until that fill retires.  The stolen
-     entry must leave [pending], or occupancy grows beyond [mshrs] and
+     entry must leave the queue, or occupancy grows beyond [mshrs] and
      every subsequent full-queue miss sees the same (stale) oldest
-     ready time, underestimating the serialization. *)
+     ready time, underestimating the serialization.  Among equal ready
+     times the newest entry goes. *)
   let retire_oldest () =
-    let oldest =
-      List.fold_left (fun acc (_, rdy) -> min acc rdy) max_int !pending
-    in
-    let removed = ref false in
-    pending :=
-      List.filter
-        (fun (_, rdy) ->
-          if (not !removed) && rdy = oldest then begin
-            removed := true;
-            false
-          end
-          else true)
-        !pending;
-    oldest
+    let victim = ref (-1) and oldest = ref max_int in
+    for k = 0 to !np - 1 do
+      if p_ready.(k) <= !oldest then begin
+        oldest := p_ready.(k);
+        victim := k
+      end
+    done;
+    if !victim >= 0 then begin
+      for k = !victim to !np - 2 do
+        p_line.(k) <- p_line.(k + 1);
+        p_ready.(k) <- p_ready.(k + 1)
+      done;
+      decr np
+    end;
+    !oldest
   in
   for i = 0 to sim_iters - 1 do
-    List.iter
-      (fun r ->
-        (* stalls block the in-order pipeline: later issues shift by the
-           accumulated stall, which also lets the pending fills drain
-           (the miss queue cannot grow without bound) *)
-        let t_issue = (i * ii) + r.issue_offset + !stall in
-        let addr = r.base + (i * r.stride) in
-        incr accesses;
-        pending := List.filter (fun (_, rdy) -> rdy > t_issue) !pending;
-        let hit = Cache.access cache addr in
-        if not hit then incr misses;
-        if r.is_load then begin
-          let ready =
-            if hit then t_issue + hit_read
-            else
-              match List.assoc_opt (line addr) !pending with
-              | Some rdy -> rdy (* merge with the fill in flight *)
-              | None ->
-                let start =
-                  if List.length !pending >= mshrs then retire_oldest ()
-                  else t_issue
-                in
-                let rdy = max start t_issue + miss_cycles in
-                pending := (line addr, rdy) :: !pending;
-                check_occupancy ();
-                rdy
-          in
-          let need = t_issue + r.sched_latency in
-          if ready > need then stall := !stall + (ready - need)
+    for j = 0 to nrefs - 1 do
+      let r = refs.(j) in
+      (* stalls block the in-order pipeline: later issues shift by the
+         accumulated stall, which also lets the pending fills drain
+         (the miss queue cannot grow without bound) *)
+      let t_issue = (i * ii) + r.issue_offset + !stall in
+      let line = Cache.line_addr cache (r.base + (i * r.stride)) in
+      incr accesses;
+      (* fills that have arrived by now leave the queue *)
+      let kept = ref 0 in
+      for k = 0 to !np - 1 do
+        if p_ready.(k) > t_issue then begin
+          p_line.(!kept) <- p_line.(k);
+          p_ready.(!kept) <- p_ready.(k);
+          incr kept
         end
-        else if not hit then begin
-          (* write-allocate fill occupies an MSHR but does not stall;
-             when every MSHR is busy the fill is simply dropped (the
-             store buffer holds the data), so the bound still holds *)
-          if List.length !pending < mshrs then begin
-            pending := (line addr, t_issue + miss_cycles) :: !pending;
-            check_occupancy ()
+      done;
+      np := !kept;
+      let hit = Cache.access_line cache line in
+      if not hit then incr misses;
+      if r.is_load then begin
+        let ready =
+          if hit then t_issue + hit_read
+          else begin
+            (* the newest fill of this line in flight, if any *)
+            let k = ref (!np - 1) in
+            while !k >= 0 && p_line.(!k) <> line do decr k done;
+            if !k >= 0 then p_ready.(!k) (* merge with the fill *)
+            else begin
+              let start =
+                if !np >= mshrs then retire_oldest () else t_issue
+              in
+              let rdy = max start t_issue + miss_cycles in
+              push line rdy;
+              rdy
+            end
           end
-        end)
-      refs
+        in
+        let need = t_issue + r.sched_latency in
+        if ready > need then stall := !stall + (ready - need)
+      end
+      else if (not hit) && !np < mshrs then
+        (* write-allocate fill occupies an MSHR but does not stall;
+           when every MSHR is busy the fill is simply dropped (the
+           store buffer holds the data), so the bound still holds *)
+        push line (t_issue + miss_cycles)
+    done
   done;
   let scale =
     float_of_int n /. float_of_int sim_iters *. float_of_int e

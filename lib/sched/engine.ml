@@ -87,6 +87,12 @@ type mstats = {
   mutable m_attempts : int;
 }
 
+(* The side tables indexed by node id ([prio], [aux], [last_force],
+   [spilled]) are arrays of one common length, grown together by
+   [reserve] when an inserted node's id runs past them.  The
+   configuration-derived tables ([finite_banks], [exec_locs]) and the
+   [cc_counts] scratch are built once per attempt: attempts run on
+   several domains, so they stay out of global memos. *)
 type state = {
   g : Ddg.t;
   config : Config.t;
@@ -94,11 +100,15 @@ type state = {
   sched : Schedule.t;
   press : Pressure.t;                    (* incremental MaxLives tracker *)
   pq : Pqueue.t;
-  prio : (int, float) Hashtbl.t;
-  aux : (int, int list) Hashtbl.t;       (* anchor -> inserted comm nodes *)
-  last_force : (int, int) Hashtbl.t;
-  spilled : (int, unit) Hashtbl.t;       (* value defs already spilled *)
+  mutable prio : float array;            (* id -> priority, [no_prio] unset *)
+  mutable aux : int list array;          (* anchor -> inserted comm nodes *)
+  mutable last_force : int array;        (* id -> forced cycle, [min_int] none *)
+  mutable spilled : Bytes.t;             (* value defs already spilled *)
   inv_spilled : (int * int, unit) Hashtbl.t; (* (inv, bank code) *)
+  finite_banks : (Topology.bank * int) array;
+      (* banks with a finite capacity, in bank-code order *)
+  exec_locs : Topology.loc list array;   (* kind tag -> candidate locations *)
+  cc_counts : (int, int) Hashtbl.t;      (* [consumers_cluster] scratch *)
   mutable budget : int;
   mutable refills : int;
       (* cumulative budget granted back by spills; capped so a spill /
@@ -129,26 +139,60 @@ let bank_code = function
   | Topology.L3 -> -2
   | Topology.Local i -> i
 
-let prio_of s v =
-  match Hashtbl.find_opt s.prio v with Some p -> p | None -> 1.0e9
+let no_prio = 1.0e9
 
-let set_prio s v p = Hashtbl.replace s.prio v p
+(* Grow the node-indexed side tables to cover id [v]. *)
+let reserve s v =
+  let n = Array.length s.prio in
+  if v >= n then begin
+    let n' = max (2 * n) (v + 1) in
+    let grow a fill =
+      let a' = Array.make n' fill in
+      Array.blit a 0 a' 0 n;
+      a'
+    in
+    s.prio <- grow s.prio no_prio;
+    s.aux <- grow s.aux [];
+    s.last_force <- grow s.last_force min_int;
+    let b = Bytes.make n' '\000' in
+    Bytes.blit s.spilled 0 b 0 n;
+    s.spilled <- b
+  end
+
+let prio_of s v = if v < Array.length s.prio then s.prio.(v) else no_prio
+
+let set_prio s v p =
+  reserve s v;
+  s.prio.(v) <- p
+
+let is_spilled s v =
+  v < Bytes.length s.spilled && Bytes.get s.spilled v <> '\000'
+
+let set_spilled s v =
+  reserve s v;
+  Bytes.set s.spilled v '\001'
+
+let last_force s v = if v < Array.length s.last_force then s.last_force.(v) else min_int
 
 let requeue s v =
   if Ddg.mem s.g v && not (Pqueue.mem s.pq v) then
     Pqueue.push s.pq ~priority:(prio_of s v) v
 
 let add_aux s ~anchor n =
-  let cur = Option.value ~default:[] (Hashtbl.find_opt s.aux anchor) in
-  Hashtbl.replace s.aux anchor (n :: cur)
+  reserve s anchor;
+  s.aux.(anchor) <- n :: s.aux.(anchor)
+
+let rec mark_srcs press = function
+  | [] -> ()
+  | (e : Ddg.edge) :: tl ->
+    Pressure.mark press e.src;
+    mark_srcs press tl
 
 (* Scheduling/unscheduling [v] changes its own lifetime and extends or
    shrinks its operand producers' (a consumer appeared/disappeared). *)
 let mark_lifetimes s v =
   Pressure.mark s.press v;
-  List.iter
-    (fun (e : Ddg.edge) -> Pressure.mark s.press e.src)
-    (Ddg.operands s.g v)
+  mark_srcs s.press (Ddg.operands s.g v)
 
 let place_node s v cu ~cycle ~loc =
   Schedule.place_prepared s.sched s.g v cu ~cycle ~loc;
@@ -168,12 +212,12 @@ let is_comm_kind = function
   | Op.Move | Op.Load_r | Op.Store_r -> true
   | _ -> false
 
-let def_bank_of s v =
-  match Schedule.entry s.sched v with
-  | None -> None
-  | Some e -> Topology.def_bank s.config (kind_of s v) e.loc
+(* The bank was fixed when [v] was placed ({!Schedule.def_bank}). *)
+let def_bank_of s v = Schedule.def_bank s.sched s.g v
 
 let cluster_of_loc = function Topology.Cluster i -> i | Topology.Global -> 0
+
+let cluster_loc s i = s.sched.Schedule.locs.(i + 1)
 
 (* ------------------------------------------------------------------ *)
 (* Graph surgery                                                       *)
@@ -235,10 +279,10 @@ let rec eject s v =
           | _ -> None)
         (Ddg.consumers s.g v)
     in
-    (match Hashtbl.find_opt s.aux v with
-    | None -> ()
-    | Some l ->
-      Hashtbl.remove s.aux v;
+    (match if v < Array.length s.aux then s.aux.(v) else [] with
+    | [] -> ()
+    | l ->
+      s.aux.(v) <- [];
       List.iter (maybe_discard s) l);
     requeue s v;
     List.iter (eject s) loc_bound
@@ -254,6 +298,21 @@ let emit_place s v ~cycle ~loc =
     in
     Tr.emit s.trace (Ev.Place { node = v; cycle; cluster })
 
+(* The first of the [n] cycles [from], [from + step], ... at which the
+   reservation vector [cu] fits, or -1; the engine never issues below
+   cycle 0. *)
+let rec scan s cu ~from ~step n =
+  if n <= 0 then -1
+  else if from >= 0 && Schedule.can_place_prepared s.sched cu ~cycle:from
+  then from
+  else scan s cu ~from:(from + step) ~step (n - 1)
+
+let rec has_scheduled_pred s v = function
+  | [] -> false
+  | (e : Ddg.edge) :: tl ->
+    (e.src <> v && Schedule.is_scheduled s.sched e.src)
+    || has_scheduled_pred s v tl
+
 let schedule_node s v ~loc =
   if
     Op.equal_kind (kind_of s v) Op.Move
@@ -267,12 +326,7 @@ let schedule_node s v ~loc =
   let ii = Schedule.ii s.sched in
   let estart = Schedule.estart s.sched s.g v in
   let lstart = Schedule.lstart s.sched s.g v in
-  let has_spreds =
-    List.exists
-      (fun (e : Ddg.edge) ->
-        e.src <> v && Schedule.is_scheduled s.sched e.src)
-      (Ddg.preds s.g v)
-  in
+  let has_spreds = has_scheduled_pred s v (Ddg.preds s.g v) in
   (* A down-copy splits its value's lifetime between the upstream bank
      (shared bank / memory) and the downstream FU-facing bank: issuing
      late moves the lifetime upstream.  Spill loads always issue late
@@ -301,37 +355,24 @@ let schedule_node s v ~loc =
   (* candidate scan over the precompiled reservation vector: no list of
      cycles, no per-cycle [uses] rebuild *)
   let cu = Schedule.prepare_uses s.sched s.g v ~loc in
-  let probe c = c >= 0 && Schedule.can_place_prepared s.sched cu ~cycle:c in
-  let scan_down hi n =
-    let rec go k =
-      if k >= n then None else if probe (hi - k) then Some (hi - k) else go (k + 1)
-    in
-    go 0
-  in
-  let scan_up lo n =
-    let rec go k =
-      if k >= n then None else if probe (lo + k) then Some (lo + k) else go (k + 1)
-    in
-    go 0
-  in
   let found =
     match (has_spreds, lstart) with
     | false, Some l when l >= 0 ->
       (* only successors scheduled: scan downwards from lstart *)
-      scan_down l (min ii (l + 1))
+      scan s cu ~from:l ~step:(-1) (min ii (l + 1))
     | _, Some l ->
       let hi = min l (estart + ii - 1) in
-      if hi < estart then None
-      else if prefer_late then scan_down hi (hi - estart + 1)
-      else scan_up estart (hi - estart + 1)
-    | _, None -> scan_up estart ii
+      if hi < estart then -1
+      else if prefer_late then scan s cu ~from:hi ~step:(-1) (hi - estart + 1)
+      else scan s cu ~from:estart ~step:1 (hi - estart + 1)
+    | _, None -> scan s cu ~from:estart ~step:1 ii
   in
   match found with
-  | Some cycle ->
+  | cycle when cycle >= 0 ->
     place_node s v cu ~cycle ~loc;
     emit_place s v ~cycle ~loc;
-    Hashtbl.remove s.last_force v
-  | None ->
+    if v < Array.length s.last_force then s.last_force.(v) <- min_int
+  | _ ->
     if not s.opts.backtracking then raise Attempt_failed;
     (* force and eject *)
     s.st.m_forcings <- s.st.m_forcings + 1;
@@ -341,11 +382,11 @@ let schedule_node s v ~loc =
       | _ -> max 0 estart
     in
     let cycle =
-      match Hashtbl.find_opt s.last_force v with
-      | Some p when p >= base -> p + 1
-      | Some _ | None -> base
+      let p = last_force s v in
+      if p >= base then p + 1 else base
     in
-    Hashtbl.replace s.last_force v cycle;
+    reserve s v;
+    s.last_force.(v) <- cycle;
     let guard = ref 64 in
     (* ejecting a conflict can invalidate [v] itself: a pending comm op
        is spliced out when its last scheduled consumer goes, and a
@@ -394,130 +435,133 @@ type plan = { new_src : int; steps : step list }
 
 (* [avoid] is the consumer the route is being planned for: reusing it
    (or a copy of its own output) as a step would wire the consumer's
-   value back into itself and silently disconnect the producer. *)
-let find_reusable_copy_at s src ~kind ~loc ~avoid =
-  List.find_opt
-    (fun (e : Ddg.edge) ->
+   value back into itself and silently disconnect the producer.  The
+   copy's id, or -1 when there is none. *)
+let rec find_copy s ~kind ~loc ~avoid = function
+  | [] -> -1
+  | (e : Ddg.edge) :: tl ->
+    if
       e.dst <> avoid
       && Op.equal_kind (kind_of s e.dst) kind
       && Schedule.is_scheduled s.sched e.dst
-      &&
-      match Schedule.entry s.sched e.dst with
-      | Some e' -> Topology.equal_loc e'.loc loc
-      | None -> false)
-    (Ddg.consumers s.g src)
-  |> Option.map (fun (e : Ddg.edge) -> e.dst)
+      && (match loc with
+         | None -> true
+         | Some loc -> Topology.equal_loc (Schedule.loc_of s.sched e.dst) loc)
+    then e.dst
+    else find_copy s ~kind ~loc ~avoid tl
 
-let find_reusable_copy s src ~kind ~cluster ~avoid =
-  find_reusable_copy_at s src ~kind ~loc:(Topology.Cluster cluster) ~avoid
+let reusable_copy_at s src ~kind ~loc ~avoid =
+  find_copy s ~kind ~loc:(Some loc) ~avoid (Ddg.consumers s.g src)
 
-(* How to obtain [p]'s value in the shared bank.  [db] is the bank of
-   the (possibly not yet placed) definition: a local bank goes up
-   through a StoreR, the third level comes up through a LoadR at
-   [Global]. *)
-let shared_handle s p ~(db : Topology.bank) ~avoid =
+(* A node already holding [p]'s value in the shared bank, given [db],
+   the bank of [p]'s (possibly not yet placed) definition; -1 when
+   none.  A LoadR's producer, or a StoreR@Global's, holds the value it
+   copies. *)
+let shared_root s p ~(db : Topology.bank) =
+  let producer_if kind =
+    if Op.equal_kind (kind_of s p) kind then
+      match Ddg.operands s.g p with
+      | (e : Ddg.edge) :: _ when def_bank_of s e.src = Some Topology.Shared ->
+        e.src
+      | _ -> -1
+    else -1
+  in
   match db with
-  | Topology.Shared -> `Already p
-  | Topology.Local i -> (
-    (* a LoadR's producer already holds the same value in Shared *)
-    let root =
-      if Op.equal_kind (kind_of s p) Op.Load_r then
-        match Ddg.operands s.g p with
-        | (e : Ddg.edge) :: _
-          when def_bank_of s e.src = Some Topology.Shared ->
-          Some e.src
-        | _ -> None
-      else None
-    in
-    match root with
-    | Some q -> `Already q
-    | None -> (
-      let existing_storer =
-        List.find_opt
-          (fun (e : Ddg.edge) ->
-            e.dst <> avoid
-            && Op.equal_kind (kind_of s e.dst) Op.Store_r
-            && Schedule.is_scheduled s.sched e.dst)
-          (Ddg.consumers s.g p)
+  | Topology.Shared -> p
+  | Topology.Local _ -> producer_if Op.Load_r
+  | Topology.L3 -> producer_if Op.Store_r
+
+(* A scheduled copy of [p]'s value into the shared bank to reuse (a
+   local bank goes up through a StoreR, the third level comes up
+   through a LoadR at [Global]); -1 when none. *)
+let shared_copy s p ~(db : Topology.bank) ~avoid =
+  match db with
+  | Topology.Shared -> -1
+  | Topology.Local _ ->
+    find_copy s ~kind:Op.Store_r ~loc:None ~avoid (Ddg.consumers s.g p)
+  | Topology.L3 ->
+    reusable_copy_at s p ~kind:Op.Load_r ~loc:Topology.Global ~avoid
+
+(* The fresh copy that brings a value defined in [db] up to the shared
+   bank. *)
+let fresh_up_copy s (db : Topology.bank) =
+  match db with
+  | Topology.Local i -> Fresh (Op.Store_r, cluster_loc s i)
+  | Topology.L3 | Topology.Shared -> Fresh (Op.Load_r, Topology.Global)
+
+(* The copy delivering a value from the shared bank to [rb] (in a
+   clustered file, from the producer's cluster): kind and location. *)
+let down_copy s (rb : Topology.bank) =
+  match rb, s.config.rf with
+  | Topology.Local j, Rf.Clustered _ -> (Op.Move, cluster_loc s j)
+  | Topology.Local j, _ -> (Op.Load_r, cluster_loc s j)
+  | (Topology.L3 | Topology.Shared), _ -> (Op.Store_r, Topology.Global)
+
+(* How a value defined in [db] by [p] reaches [rb].  [root] is a node
+   already holding it in the shared bank; failing that, [up] is a
+   scheduled copy of it up to the shared bank to reuse.  Unless [rb] is
+   the shared bank, [down] is a copy into [rb] to reuse off that shared
+   node.  Each is -1 when absent; an absent [up] or [down] is a fresh
+   copy.  A clustered file has no shared bank: its [root] is [p] and
+   its [down] a Move. *)
+type route = Direct | Route of { root : int; up : int; down : int }
+
+let route_of s ~p ~(db : Topology.bank) ~(rb : Topology.bank) ~avoid =
+  let reusable_down shared_node =
+    if shared_node >= 0 then
+      let kind, loc = down_copy s rb in
+      reusable_copy_at s shared_node ~kind ~loc ~avoid
+    else -1
+  in
+  if Topology.equal_bank db rb then Direct
+  else
+    match s.config.rf with
+    | Rf.Monolithic _ -> Direct
+    | Rf.Clustered _ -> (
+      match rb with
+      | Topology.Local _ -> Route { root = p; up = -1; down = reusable_down p }
+      | Topology.Shared | Topology.L3 -> Direct)
+    | Rf.Hierarchical _ ->
+      let root = shared_root s p ~db in
+      let up = if root >= 0 then -1 else shared_copy s p ~db ~avoid in
+      let down =
+        match rb with
+        | Topology.Shared -> -1
+        | Topology.Local _ | Topology.L3 ->
+          reusable_down (if root >= 0 then root else up)
       in
-      match existing_storer with
-      | Some e -> `Via e.dst
-      | None -> `Fresh (Op.Store_r, Topology.Cluster i)))
-  | Topology.L3 -> (
-    (* a StoreR@Global's producer already holds the same value in
-       Shared *)
-    let root =
-      if Op.equal_kind (kind_of s p) Op.Store_r then
-        match Ddg.operands s.g p with
-        | (e : Ddg.edge) :: _
-          when def_bank_of s e.src = Some Topology.Shared ->
-          Some e.src
-        | _ -> None
-      else None
-    in
-    match root with
-    | Some q -> `Already q
-    | None -> (
-      match
-        find_reusable_copy_at s p ~kind:Op.Load_r ~loc:Topology.Global
-          ~avoid
-      with
-      | Some lr -> `Via lr
-      | None -> `Fresh (Op.Load_r, Topology.Global)))
+      Route { root; up; down }
 
 (* Plan the copies needed so that a value defined in [db] by [p] can be
    read from [rb]. *)
 let plan_route s ~p ~(db : Topology.bank) ~(rb : Topology.bank) ~avoid :
     plan option =
-  if Topology.equal_bank db rb then None
-  else
-    match s.config.rf with
-    | Rf.Monolithic _ -> None
-    | Rf.Clustered _ -> (
+  match route_of s ~p ~db ~rb ~avoid with
+  | Direct -> None
+  | Route { root; up; down } ->
+    let src0, pre =
+      if root >= 0 then (root, [])
+      else if up >= 0 then (p, [ Reuse up ])
+      else (p, [ fresh_up_copy s db ])
+    in
+    let steps =
       match rb with
-      | Topology.Local j -> (
-        match find_reusable_copy s p ~kind:Op.Move ~cluster:j ~avoid with
-        | Some mv -> Some { new_src = p; steps = [ Reuse mv ] }
-        | None ->
-          Some
-            { new_src = p; steps = [ Fresh (Op.Move, Topology.Cluster j) ] })
-      | Topology.Shared | Topology.L3 -> None)
-    | Rf.Hierarchical _ ->
-      (* stage 1: a handle on the value in the shared bank *)
-      let src0, pre =
-        match shared_handle s p ~db ~avoid with
-        | `Already q -> (q, [])
-        | `Via sr -> (p, [ Reuse sr ])
-        | `Fresh (k, loc) -> (p, [ Fresh (k, loc) ])
-      in
-      (* stage 2: deliver from the shared bank to [rb]; a further copy
-         can only be reused off an existing node, not a fresh one *)
-      let shared_node =
-        match pre with
-        | [] -> Some src0
-        | [ Reuse sr ] -> Some sr
-        | _ -> None
-      in
-      let deliver kind loc =
-        match
-          Option.bind shared_node (fun n ->
-              find_reusable_copy_at s n ~kind ~loc ~avoid)
-        with
-        | Some n -> [ Reuse n ]
-        | None -> [ Fresh (kind, loc) ]
-      in
-      let plan_steps =
-        match rb with
-        | Topology.Shared -> pre
-        | Topology.Local j -> pre @ deliver Op.Load_r (Topology.Cluster j)
-        | Topology.L3 -> pre @ deliver Op.Store_r Topology.Global
-      in
-      if plan_steps = [] && src0 = p then None
-      else Some { new_src = src0; steps = plan_steps }
+      | Topology.Shared -> pre
+      | Topology.Local _ | Topology.L3 ->
+        let kind, loc = down_copy s rb in
+        pre @ [ (if down >= 0 then Reuse down else Fresh (kind, loc)) ]
+    in
+    if steps = [] && src0 = p then None else Some { new_src = src0; steps }
 
-let fresh_count plan =
-  List.length
-    (List.filter (function Fresh _ -> true | Reuse _ -> false) plan.steps)
+(* The number of fresh copies in [plan_route]'s plan, without building
+   it: the cluster-selection cost asks this for every candidate
+   location of every placement. *)
+let route_fresh s ~p ~db ~(rb : Topology.bank) ~avoid =
+  match route_of s ~p ~db ~rb ~avoid with
+  | Direct -> 0
+  | Route { root; up; down } ->
+    Bool.to_int (root < 0 && up < 0)
+    + Bool.to_int (down < 0 && not (Topology.equal_bank rb Topology.Shared))
 
 (* Rewire [edge] through the plan.  Returns the fresh nodes (with their
    locations) that now need scheduling, in dataflow order. *)
@@ -549,97 +593,104 @@ let apply_plan s ~anchor (edge : Ddg.edge) plan =
   (* a reused copy may be scheduled too late for this consumer: enforce
      the new dependence by ejecting the consumer (it will be replaced
      after the routing settles) *)
-  (match (Schedule.entry s.sched !cur, Schedule.entry s.sched edge.dst) with
-  | Some a, Some b ->
-    let lat =
-      Latency.of_def s.lat ~id:!cur ~kind:(kind_of s !cur)
-    in
-    if b.cycle < a.cycle + lat - (Schedule.ii s.sched * edge.distance) then
-      eject s edge.dst
-  | None, _ | _, None -> ());
+  (if Schedule.is_scheduled s.sched !cur && Schedule.is_scheduled s.sched edge.dst
+   then
+     let lat = Latency.of_def s.lat ~id:!cur ~kind:(kind_of s !cur) in
+     if
+       Schedule.cycle_of s.sched edge.dst
+       < Schedule.cycle_of s.sched !cur + lat
+         - (Schedule.ii s.sched * edge.distance)
+     then eject s edge.dst);
   List.rev !fresh
 
-(* Routing needs of [v] placed at [loc]: one plan per mismatched operand
-   or consumer edge.  Only edges whose other endpoint is scheduled are
+(* Routing needs of [v] placed at [loc], folded in order: every
+   mismatched operand edge, then every mismatched consumer edge, as
+   [f acc edge ~p ~db ~rb ~avoid] (value of [p] defined in [db], read
+   from [rb]).  Only edges whose other endpoint is scheduled are
    considered — the rest get routed when that endpoint is placed.
    NOTE: plans go stale as soon as one of them is applied (scheduling a
    fresh copy can eject or splice other nodes); apply only the first and
-   recompute (see [route_and_place]). *)
-let routes_for s v ~loc =
+   recompute (see [first_route]). *)
+let rec fold_operand_routes s v f ~rb acc = function
+  | [] -> acc
+  | (e : Ddg.edge) :: tl ->
+    let acc =
+      if
+        e.src <> v
+        && Op.defines_value (kind_of s e.src)
+        && Schedule.is_scheduled s.sched e.src
+      then
+        match def_bank_of s e.src with
+        | Some db -> f acc e ~p:e.src ~db ~rb ~avoid:e.dst
+        | None -> acc
+      else acc
+    in
+    fold_operand_routes s v f ~rb acc tl
+
+let rec fold_consumer_routes s v f ~db acc = function
+  | [] -> acc
+  | (e : Ddg.edge) :: tl ->
+    let acc =
+      if
+        Dep.equal e.dep Dep.True
+        && e.dst <> v
+        && Schedule.is_scheduled s.sched e.dst
+        && not (Op.equal_kind (kind_of s e.dst) Op.Move)
+      then
+        let rb =
+          Topology.read_bank s.config (kind_of s e.dst)
+            (Schedule.loc_of s.sched e.dst)
+        in
+        f acc e ~p:v ~db ~rb ~avoid:e.dst
+      else acc
+    in
+    fold_consumer_routes s v f ~db acc tl
+
+let fold_routes s v ~loc f acc =
   let kind = kind_of s v in
-  let operand_routes =
-    if Op.equal_kind kind Op.Move then []
+  let acc =
+    if Op.equal_kind kind Op.Move then acc
       (* a Move reads whatever local bank its producer is in *)
     else
-      let rb = Topology.read_bank s.config kind loc in
-      List.filter_map
-        (fun (e : Ddg.edge) ->
-          if
-            e.src <> v
-            && Op.defines_value (kind_of s e.src)
-            && Schedule.is_scheduled s.sched e.src
-          then
-            match def_bank_of s e.src with
-            | Some db ->
-              plan_route s ~p:e.src ~db ~rb ~avoid:e.dst
-              |> Option.map (fun pl -> (e, pl))
-            | None -> None
-          else None)
+      fold_operand_routes s v f ~rb:(Topology.read_bank s.config kind loc) acc
         (Ddg.operands s.g v)
   in
-  let consumer_routes =
-    match Topology.def_bank s.config kind loc with
-    | None -> []
-    | Some db ->
-      List.filter_map
-        (fun (e : Ddg.edge) ->
-          if
-            Dep.equal e.dep Dep.True
-            && e.dst <> v
-            && Schedule.is_scheduled s.sched e.dst
-            && not (Op.equal_kind (kind_of s e.dst) Op.Move)
-          then
-            let rb =
-              Topology.read_bank s.config (kind_of s e.dst)
-                (Schedule.loc_of s.sched e.dst)
-            in
-            plan_route s ~p:v ~db ~rb ~avoid:e.dst
-            |> Option.map (fun pl -> (e, pl))
-          else None)
-        (Ddg.succs s.g v)
-  in
-  operand_routes @ consumer_routes
+  match Topology.def_bank s.config kind loc with
+  | None -> acc
+  | Some db -> fold_consumer_routes s v f ~db acc (Ddg.succs s.g v)
+
+(* The first routing need of [v] at [loc] and its plan. *)
+let first_route s v ~loc =
+  fold_routes s v ~loc
+    (fun acc e ~p ~db ~rb ~avoid ->
+      match acc with
+      | Some _ -> acc
+      | None ->
+        Option.map (fun pl -> (e, pl)) (plan_route s ~p ~db ~rb ~avoid))
+    None
 
 (* Cost of placing [v] at [loc] without committing: fresh communication
    ops needed, slot availability, FU occupancy and bank fill. *)
 let placement_cost s v ~loc =
   let comm =
-    List.fold_left (fun acc (_, pl) -> acc + fresh_count pl) 0
-      (routes_for s v ~loc)
+    fold_routes s v ~loc
+      (fun acc _ ~p ~db ~rb ~avoid -> acc + route_fresh s ~p ~db ~rb ~avoid)
+      0
   in
-  let ii = Schedule.ii s.sched in
-  let estart = Schedule.estart s.sched s.g v in
   let slot_ok =
-    let cu = Schedule.prepare_uses s.sched s.g v ~loc in
-    let rec scan k =
-      if k >= ii then false
-      else if
-        Schedule.can_place_prepared s.sched cu ~cycle:(max 0 estart + k)
-      then true
-      else scan (k + 1)
-    in
-    scan 0
+    scan s
+      (Schedule.prepare_uses s.sched s.g v ~loc)
+      ~from:(max 0 (Schedule.estart s.sched s.g v))
+      ~step:1 (Schedule.ii s.sched)
+    >= 0
   in
   let cluster = cluster_of_loc loc in
-  let fill_resource =
-    if Op.is_memory (kind_of s v) then Topology.Mem cluster
-    else Topology.Fu cluster
+  let mrt = s.sched.Schedule.mrt in
+  let fu_fill =
+    Mrt.total_occupancy mrt
+      (if Op.is_memory (kind_of s v) then Topology.Mem cluster
+       else Topology.Fu cluster)
   in
-  let fu_fill = ref 0 in
-  for slot = 0 to ii - 1 do
-    fu_fill :=
-      !fu_fill + Mrt.occupancy s.sched.Schedule.mrt fill_resource ~slot
-  done;
   let bank_fill = Schedule.bank_def_count s.sched (Topology.Local cluster) in
   (* graded register-availability term: a nearly-full bank is almost as
      bad as a communication op, since placing here will trigger spill
@@ -658,65 +709,72 @@ let placement_cost s v ~loc =
     | None -> 0
     | Some _ ->
       let b = Topology.bank_code s.config (Topology.Local cluster) in
-      let f = ref 0 in
-      for slot = 0 to ii - 1 do
-        f :=
-          !f
-          + Mrt.occupancy s.sched.Schedule.mrt (Topology.Rd b) ~slot
-          + Mrt.occupancy s.sched.Schedule.mrt (Topology.Wr b) ~slot
-      done;
-      !f
+      Mrt.total_occupancy mrt (Topology.Rd b)
+      + Mrt.total_occupancy mrt (Topology.Wr b)
   in
   (* A cluster without a free slot in the window is almost always a bad
      idea (it forces ejections); communication comes next; resource and
      register balance break ties. *)
   ((if slot_ok then 0 else 1000) + (100 * comm) + pressure_penalty
-  + !fu_fill + bank_fill + port_fill)
+  + fu_fill + bank_fill + port_fill)
 
 (* ------------------------------------------------------------------ *)
 (* Location selection                                                  *)
 
-(* Majority cluster among the scheduled consumers of [v]. *)
+(* The cluster a scheduled node [v] executes in, or -1 (unscheduled,
+   or at [Global]). *)
+let cluster_at s v =
+  if Schedule.is_scheduled s.sched v then
+    match Schedule.loc_of s.sched v with
+    | Topology.Cluster c -> c
+    | Topology.Global -> -1
+  else -1
+
+(* Majority cluster among the scheduled consumers of [v], or -1.  Ties
+   go to the first maximum in the fold order of [s.cc_counts]; the
+   table is reset to its initial size on every call, so it folds as the
+   fresh table each call used to build did. *)
 let consumers_cluster s v =
-  let counts = Hashtbl.create 4 in
+  let counts = s.cc_counts in
+  Hashtbl.reset counts;
   List.iter
     (fun (e : Ddg.edge) ->
-      match Schedule.entry s.sched e.dst with
-      | Some { loc = Topology.Cluster c; _ } ->
+      let c = cluster_at s e.dst in
+      if c >= 0 then
         Hashtbl.replace counts c
-          (1 + Option.value ~default:0 (Hashtbl.find_opt counts c))
-      | Some { loc = Topology.Global; _ } | None -> ())
+          (1 + Option.value ~default:0 (Hashtbl.find_opt counts c)))
     (Ddg.consumers s.g v);
   Hashtbl.fold
-    (fun c n acc ->
-      match acc with
-      | Some (_, bn) when bn >= n -> acc
-      | _ -> Some (c, n))
-    counts None
-  |> Option.map fst
+    (fun c n (bc, bn) -> if bc >= 0 && bn >= n then (bc, bn) else (c, n))
+    counts (-1, 0)
+  |> fst
 
+(* The cluster of the first operand producer scheduled in one, or -1. *)
 let producer_cluster s v =
-  List.fold_left
-    (fun acc (e : Ddg.edge) ->
-      match acc with
-      | Some _ -> acc
-      | None -> (
-        match Schedule.entry s.sched e.src with
-        | Some { loc = Topology.Cluster c; _ } -> Some c
-        | Some { loc = Topology.Global; _ } | None -> None))
-    None (Ddg.operands s.g v)
+  let rec go = function
+    | [] -> -1
+    | (e : Ddg.edge) :: tl ->
+      let c = cluster_at s e.src in
+      if c >= 0 then c else go tl
+  in
+  go (Ddg.operands s.g v)
 
 (* Bank of the (first scheduled) producer's value, for bank-directed
    placement of LoadR/StoreR in a three-level hierarchy. *)
 let producer_def_bank s v =
-  List.fold_left
-    (fun acc (e : Ddg.edge) ->
-      match acc with Some _ -> acc | None -> def_bank_of s e.src)
-    None (Ddg.operands s.g v)
+  let rec go = function
+    | [] -> None
+    | (e : Ddg.edge) :: tl -> (
+      match def_bank_of s e.src with None -> go tl | b -> b)
+  in
+  go (Ddg.operands s.g v)
+
+(* Cluster [c], or a splice when there is none (-1). *)
+let loc_or_splice s c = if c >= 0 then `Loc (cluster_loc s c) else `Splice
 
 let decide_loc s v =
   let kind = kind_of s v in
-  match Topology.exec_locs s.config kind with
+  match s.exec_locs.(Schedule.kind_tag kind) with
   | [] -> `Splice
   | [ l ] -> `Loc l
   | locs -> (
@@ -748,61 +806,52 @@ let decide_loc s v =
           `Loc Topology.Global
         | Op.Load_r when l3 && producer_def_bank s v = Some Topology.L3 ->
           `Loc Topology.Global
-        | Op.Store_r -> (
-          match producer_cluster s v with
-          | Some c -> `Loc (Topology.Cluster c)
-          | None -> `Splice)
-        | _ -> (
-          match consumers_cluster s v with
-          | Some c -> `Loc (Topology.Cluster c)
-          | None -> `Splice))
+        | Op.Store_r -> loc_or_splice s (producer_cluster s v)
+        | _ -> loc_or_splice s (consumers_cluster s v))
     | Op.Spill_load -> (
       match consumers_cluster s v with
-      | Some c -> `Loc (Topology.Cluster c)
-      | None -> `Loc (List.hd locs))
+      | -1 -> `Loc (List.hd locs)
+      | c -> `Loc (cluster_loc s c))
     | Op.Spill_store -> (
       match producer_cluster s v with
-      | Some c -> `Loc (Topology.Cluster c)
-      | None -> `Loc (List.hd locs))
+      | -1 -> `Loc (List.hd locs)
+      | c -> `Loc (cluster_loc s c))
     | Op.Fadd | Op.Fmul | Op.Fdiv | Op.Fsqrt | Op.Load | Op.Store ->
       (* Select_Cluster heuristic [37]: fewest new communications, then
-         a free slot, then balanced FU/register use. *)
-      let best =
-        List.fold_left
-          (fun acc loc ->
-            let cost = placement_cost s v ~loc in
-            match acc with
-            | Some (_, bc) when bc <= cost -> acc
-            | _ -> Some (loc, cost))
-          None locs
+         a free slot, then balanced FU/register use; the first of equal
+         costs wins. *)
+      let rec best bl bc = function
+        | [] -> bl
+        | loc :: tl ->
+          let cost = placement_cost s v ~loc in
+          if cost < bc then best loc cost tl else best bl bc tl
       in
-      (match best with Some (l, _) -> `Loc l | None -> `Loc (List.hd locs)))
+      let first = List.hd locs in
+      `Loc (best first (placement_cost s v ~loc:first) (List.tl locs)))
 
 (* ------------------------------------------------------------------ *)
 (* Spilling                                                            *)
 
-let banks_of_config (config : Config.t) = Topology.all_banks config
+(* Whether [c] is placed and reads its operands from [bank]. *)
+let reads_from s bank c =
+  Ddg.mem s.g c
+  && Schedule.is_scheduled s.sched c
+  && Topology.equal_bank
+       (Topology.read_bank s.config (kind_of s c) (Schedule.loc_of s.sched c))
+       bank
 
-(* Invariants resident in [bank]: at least one scheduled direct consumer
-   reads the invariant from there. *)
-let invariant_residents_in s bank =
-  List.filter
-    (fun (inv : Ddg.invariant) ->
-      List.exists
-        (fun c ->
-          Ddg.mem s.g c
-          &&
-          match Schedule.entry s.sched c with
-          | Some e ->
-            Topology.equal_bank
-              (Topology.read_bank s.config (kind_of s c) e.loc)
-              bank
-          | None -> false)
-        inv.inv_consumers)
-    (Ddg.invariants s.g)
+(* An invariant is resident in [bank] when at least one scheduled
+   direct consumer reads it from there. *)
+let resident s bank (inv : Ddg.invariant) =
+  let rec go = function [] -> false | c :: tl -> reads_from s bank c || go tl in
+  go inv.inv_consumers
 
 let invariant_residents s bank =
-  List.length (invariant_residents_in s bank)
+  let rec go n = function
+    | [] -> n
+    | inv :: tl -> go (if resident s bank inv then n + 1 else n) tl
+  in
+  go 0 (Ddg.invariants s.g)
 
 (* Spill one value defined by [d] out of [bank].  For a distributed bank
    of a hierarchical RF the value is demoted to the shared bank
@@ -878,13 +927,13 @@ let spill_value s ~bank d =
       if e.dst <> up && not (Op.equal_kind ck store_kind) then begin
         let down = mk load_kind e.dst in
         (* a reload copy is already as short as it gets: never respill *)
-        Hashtbl.replace s.spilled down ();
+        set_spilled s down;
         Ddg.add_edge s.g ~distance:0 ~dep:Dep.True up down;
         Ddg.remove_edge s.g e;
         Ddg.add_edge s.g ~distance:e.distance ~dep:Dep.True down e.dst
       end)
     consumers;
-  Hashtbl.replace s.spilled d ();
+  set_spilled s d;
   s.st.m_value_spills <- s.st.m_value_spills + 1;
   refund_spill s !fresh;
   if Tr.enabled s.trace then
@@ -904,19 +953,9 @@ let spill_invariant s ~bank (inv : Ddg.invariant) =
   let consumers = inv.inv_consumers in
   List.iter
     (fun c ->
-      let reads_here =
-        Ddg.mem s.g c
-        &&
-        match Schedule.entry s.sched c with
-        | Some e ->
-          Topology.equal_bank
-            (Topology.read_bank s.config (kind_of s c) e.loc)
-            bank
-        | None -> false
-      in
-      if reads_here then begin
+      if reads_from s bank c then begin
         let down = Ddg.add_node s.g load_kind in
-        Hashtbl.replace s.spilled down ();
+        set_spilled s down;
         set_prio s down (prio_of s c -. 0.25);
         Pqueue.push s.pq ~priority:(prio_of s down) down;
         Ddg.add_edge s.g ~distance:0 ~dep:Dep.True down c;
@@ -934,7 +973,7 @@ let spill_invariant s ~bank (inv : Ddg.invariant) =
   !fresh
 
 let spillable_def s ~bank d =
-  (not (Hashtbl.mem s.spilled d))
+  (not (is_spilled s d))
   &&
   match (kind_of s d, bank) with
   | (Op.Fadd | Op.Fmul | Op.Fdiv | Op.Fsqrt | Op.Load), _ -> true
@@ -951,8 +990,9 @@ let pick_and_spill s ~bank lts =
   let inv_candidate =
     List.find_opt
       (fun (inv : Ddg.invariant) ->
-        not (Hashtbl.mem s.inv_spilled (inv.inv_id, bank_code bank)))
-      (invariant_residents_in s bank)
+        resident s bank inv
+        && not (Hashtbl.mem s.inv_spilled (inv.inv_id, bank_code bank)))
+      (Ddg.invariants s.g)
   in
   match inv_candidate with
   | Some inv -> spill_invariant s ~bank inv
@@ -975,6 +1015,31 @@ let pick_and_spill s ~bank lts =
     | Some l -> spill_value s ~bank l.def
     | None -> 0)
 
+(* Spill out of [bank] until [extra] more registers fit under [cap],
+   for at most [guard] more rounds.  Returns the nodes inserted; sets
+   [unfixable] when the bank stays over capacity with nothing left to
+   spill. *)
+let rec fix_bank s ~bank ~cap ~ninv ~extra ~unfixable ~guard inserted =
+  if guard <= 0 then inserted
+  else
+    let pressure = Pressure.pressure s.press ~bank in
+    if pressure + ninv + extra <= cap then inserted
+    else
+      let used = pressure + invariant_residents s bank in
+      if used + extra <= cap then inserted
+      else
+        match pick_and_spill s ~bank (Pressure.lifetimes s.press) with
+        | 0 ->
+          Logs.debug (fun m ->
+              m "unfixable: bank %a used=%d cap=%d ii=%d nodes=%d"
+                Topology.pp_bank bank used cap (Schedule.ii s.sched)
+                (Ddg.num_nodes s.g));
+          unfixable := true;
+          inserted
+        | n ->
+          fix_bank s ~bank ~cap ~ninv ~extra ~unfixable ~guard:(guard - 1)
+            (inserted + n)
+
 (* Check every finite bank; insert spill code until the requirement fits.
    Returns the number of inserted nodes; [`Unfixable] when a bank stays
    over capacity with no spill candidate left.
@@ -986,48 +1051,29 @@ let pick_and_spill s ~bank lts =
    any state ([`Inserted 0], or [`Unfixable] with no insertions) is
    returned directly while the revision is unchanged — rerunning the
    check on identical state is deterministic and side-effect-free, so
-   this skip is behaviour-preserving by construction (see DESIGN.md). *)
+   this skip is behaviour-preserving by construction (see DESIGN.md).
+
+   A bank holds at most every invariant, so [pressure + |invariants| +
+   extra <= cap] settles a bank without counting its residents — the
+   usual outcome of the check that runs after every step. *)
 let check_insert_spill ?(force_bank = None) s =
   if force_bank = None && s.memo_srev = s.srev then s.memo_verdict
   else begin
     let srev0 = s.srev in
-    let ii = Schedule.ii s.sched in
-    let inserted = ref 0 in
-    let unfixable = ref false in
-    List.iter
-      (fun bank ->
-        match Topology.bank_capacity s.config bank with
-        | Cap.Inf -> ()
-        | Cap.Finite cap ->
-          let forced =
-            match force_bank with
-            | Some b when Topology.equal_bank b bank -> 1
-            | _ -> 0
-          in
-          let guard = ref 64 in
-          let rec fix extra_required =
-            decr guard;
-            if !guard <= 0 then ()
-            else begin
-              let used =
-                Pressure.pressure s.press ~bank + invariant_residents s bank
-              in
-              if used + extra_required > cap then begin
-                let n = pick_and_spill s ~bank (Pressure.lifetimes s.press) in
-                inserted := !inserted + n;
-                if n > 0 then fix extra_required
-                else begin
-                  Logs.debug (fun m ->
-                      m "unfixable: bank %a used=%d cap=%d ii=%d nodes=%d"
-                        Topology.pp_bank bank used cap ii
-                        (Ddg.num_nodes s.g));
-                  unfixable := true
-                end
-              end
-            end
-          in
-          fix forced)
-      (banks_of_config s.config);
+    (* spilling never adds invariants *)
+    let ninv = List.length (Ddg.invariants s.g) in
+    let inserted = ref 0 and unfixable = ref false in
+    for i = 0 to Array.length s.finite_banks - 1 do
+      let bank, cap = s.finite_banks.(i) in
+      let extra =
+        match force_bank with
+        | Some b when Topology.equal_bank b bank -> 1
+        | _ -> 0
+      in
+      (* at most 63 rounds per bank *)
+      inserted :=
+        !inserted + fix_bank s ~bank ~cap ~ninv ~extra ~unfixable ~guard:63 0
+    done;
     let verdict = if !unfixable then `Unfixable else `Inserted !inserted in
     if force_bank = None && s.srev = srev0 then begin
       s.memo_srev <- s.srev;
@@ -1104,26 +1150,24 @@ let repair_deps s =
   List.iter
     (fun (e : Ddg.edge) ->
       if Ddg.has_edge s.g e then
-        match (Schedule.entry s.sched e.src, Schedule.entry s.sched e.dst)
-        with
-        | Some a, Some b ->
-          let lat = Latency.of_edge s.lat s.g e in
-          if b.cycle < a.cycle + lat - (ii * e.distance) then begin
-            incr count;
-            eject s e.dst
-          end
-        | None, _ | _, None -> ())
+        if
+          Schedule.is_scheduled s.sched e.src
+          && Schedule.is_scheduled s.sched e.dst
+          && Schedule.cycle_of s.sched e.dst
+             < Schedule.cycle_of s.sched e.src + Latency.of_edge s.lat s.g e
+               - (ii * e.distance)
+        then begin
+          incr count;
+          eject s e.dst
+        end)
     (Ddg.edges s.g);
   !count
 
 let pressure_ok s =
-  List.for_all
-    (fun bank ->
-      match Topology.bank_capacity s.config bank with
-      | Cap.Inf -> true
-      | Cap.Finite cap ->
-        Pressure.pressure s.press ~bank + invariant_residents s bank <= cap)
-    (banks_of_config s.config)
+  Array.for_all
+    (fun (bank, cap) ->
+      Pressure.pressure s.press ~bank + invariant_residents s bank <= cap)
+    s.finite_banks
 
 (* Explicit rotating allocation per bank, with capacity reduced by the
    invariant residents. *)
@@ -1131,24 +1175,20 @@ let allocation_failure s =
   Tr.span s.trace Ev.Regalloc (fun () ->
       let ii = Schedule.ii s.sched in
       let lts = Pressure.lifetimes s.press in
-      List.fold_left
-        (fun acc bank ->
+      Array.fold_left
+        (fun acc (bank, cap) ->
           match acc with
           | Some _ -> acc
           | None -> (
-            match Topology.bank_capacity s.config bank with
-            | Cap.Inf -> None
-            | Cap.Finite cap -> (
-              let capacity =
-                Cap.Finite (max 0 (cap - invariant_residents s bank))
-              in
-              match
-                Regalloc.allocate_bank ~trace:s.trace ~ii ~bank ~capacity
-                  lts
-              with
-              | Some _ -> None
-              | None -> Some bank)))
-        None (banks_of_config s.config))
+            let capacity =
+              Cap.Finite (max 0 (cap - invariant_residents s bank))
+            in
+            match
+              Regalloc.allocate_bank ~trace:s.trace ~ii ~bank ~capacity lts
+            with
+            | Some _ -> None
+            | None -> Some bank))
+        None s.finite_banks)
 
 let all_scheduled s =
   List.for_all (fun v -> Schedule.is_scheduled s.sched v) (Ddg.nodes s.g)
@@ -1160,6 +1200,7 @@ let attempt config opts g0 ~order ~ii ~trace ~arena =
   let g = Ddg.copy g0 in
   let lat = Latency.make ~override:opts.load_override config in
   let sched = Schedule.create ~arena ~lat config ~ii in
+  let ids = 1 + List.fold_left max 0 order in
   let s =
     {
       g;
@@ -1168,11 +1209,25 @@ let attempt config opts g0 ~order ~ii ~trace ~arena =
       sched;
       press = Pressure.create ~arena sched g;
       pq = Pqueue.create ();
-      prio = Hashtbl.create 64;
-      aux = Hashtbl.create 64;
-      last_force = Hashtbl.create 64;
-      spilled = Hashtbl.create 16;
+      prio = Array.make ids no_prio;
+      aux = Array.make ids [];
+      last_force = Array.make ids min_int;
+      spilled = Bytes.make ids '\000';
       inv_spilled = Hashtbl.create 16;
+      finite_banks =
+        Topology.all_banks config
+        |> List.filter_map (fun b ->
+               match Topology.bank_capacity config b with
+               | Cap.Finite cap -> Some (b, cap)
+               | Cap.Inf -> None)
+        |> Array.of_list;
+      exec_locs =
+        (let t = Array.make (List.length Op.all_kinds) [] in
+         List.iter
+           (fun k -> t.(Schedule.kind_tag k) <- Topology.exec_locs config k)
+           Op.all_kinds;
+         t);
+      cc_counts = Hashtbl.create 4;
       budget = opts.budget_ratio * max 1 (Ddg.num_nodes g);
       refills = 0;
       ratio = opts.budget_ratio;
@@ -1223,9 +1278,9 @@ let attempt config opts g0 ~order ~ii ~trace ~arena =
                plan is recomputed against the current graph *)
             let rec route_all guard =
               if guard > 0 && Ddg.mem s.g u then
-                match routes_for s u ~loc with
-                | [] -> ()
-                | (edge, plan) :: _ ->
+                match first_route s u ~loc with
+                | None -> ()
+                | Some (edge, plan) ->
                   schedule_fresh (apply_plan s ~anchor:u edge plan);
                   route_all (guard - 1)
             in

@@ -50,11 +50,19 @@ type t = {
   valid : bool array;      (* row -> resource exists in the configuration *)
   units : int array;       (* row -> unit count (max_int encodes Cap.Inf) *)
   counts : int array;      (* row * ii + slot -> occupied units *)
+  row_total : int array;   (* row -> occupied units summed over slots *)
   occ : int array array;   (* row * ii + slot -> occupant stack *)
   occ_len : int array;     (* live length of each occupant stack *)
-  placed : (int, (int * int * int) array) Hashtbl.t;
-      (* node -> (row, issue cycle, duration) per use *)
+  mutable placed_cu : cuses array;
+      (* node -> the reservation vector it holds, [unplaced] if none *)
+  mutable placed_cycle : int array;  (* node -> its issue cycle *)
 }
+
+(* Precompiled uses: row, duration and rank within its row group per
+   entry (see {!compile}). *)
+and cuses = { urows : int array; udurs : int array; uneeds : int array }
+
+let unplaced = { urows = [||]; udurs = [||]; uneeds = [||] }
 
 (* Arena slot ids (see {!Arena}). *)
 let slot_counts = 0
@@ -85,8 +93,9 @@ let create ?arena (config : Config.t) ~ii =
         Arena.ints a ~id:slot_occ_len ~fill:0 cells )
     | None -> (Array.make cells 0, Array.make cells [||], Array.make cells 0)
   in
-  { ii; config; x; rows; valid; units; counts; occ; occ_len;
-    placed = Hashtbl.create 64 }
+  { ii; config; x; rows; valid; units; counts;
+    row_total = Array.make rows 0; occ; occ_len;
+    placed_cu = Array.make 64 unplaced; placed_cycle = Array.make 64 0 }
 
 let bad_resource r =
   Fmt.invalid_arg "Mrt: resource %a not in configuration"
@@ -104,8 +113,6 @@ let smod t c =
 
 (* ------------------------------------------------------------------ *)
 (* Precompiled uses                                                    *)
-
-type cuses = { urows : int array; udurs : int array; uneeds : int array }
 
 (* Entries touching the same row (a two-operand read of one constrained
    bank) must fit *jointly*: compilation groups them per row, longest
@@ -195,41 +202,57 @@ let remove_occ t idx node =
     t.occ_len.(idx) <- len - 1
   end
 
+let is_placed t node =
+  node >= 0 && node < Array.length t.placed_cu
+  && t.placed_cu.(node) != unplaced
+
+(* Room in the per-node placement columns for [node]. *)
+let reserve_node t node =
+  if node < 0 then Fmt.invalid_arg "Mrt.place: negative node %d" node;
+  let cap = Array.length t.placed_cu in
+  if node >= cap then begin
+    let cap' = max (2 * cap) (node + 1) in
+    let cu = Array.make cap' unplaced and cy = Array.make cap' 0 in
+    Array.blit t.placed_cu 0 cu 0 cap;
+    Array.blit t.placed_cycle 0 cy 0 cap;
+    t.placed_cu <- cu;
+    t.placed_cycle <- cy
+  end
+
 let place_c t ~node (u : cuses) ~cycle =
-  if Hashtbl.mem t.placed node then
+  if is_placed t node then
     Fmt.invalid_arg "Mrt.place: node %d already placed" node;
-  let n = Array.length u.urows in
-  let record = Array.make n (0, 0, 0) in
-  for i = 0 to n - 1 do
-    let r = u.urows.(i) and dur = u.udurs.(i) in
+  reserve_node t node;
+  for i = 0 to Array.length u.urows - 1 do
+    let r = u.urows.(i) in
     let base = r * t.ii in
-    let d = if dur > t.ii then t.ii else dur in
+    let d = if u.udurs.(i) > t.ii then t.ii else u.udurs.(i) in
     for k = 0 to d - 1 do
       let idx = base + smod t (cycle + k) in
       t.counts.(idx) <- t.counts.(idx) + 1;
       push_occ t idx node
     done;
-    record.(i) <- (r, cycle, dur)
+    t.row_total.(r) <- t.row_total.(r) + d
   done;
-  Hashtbl.replace t.placed node record
-
-let is_placed t node = Hashtbl.mem t.placed node
+  t.placed_cu.(node) <- u;
+  t.placed_cycle.(node) <- cycle
 
 let remove t ~node =
-  match Hashtbl.find_opt t.placed node with
-  | None -> ()
-  | Some record ->
-    Array.iter
-      (fun (r, cycle, dur) ->
-        let base = r * t.ii in
-        let d = if dur > t.ii then t.ii else dur in
-        for k = 0 to d - 1 do
-          let idx = base + smod t (cycle + k) in
-          t.counts.(idx) <- t.counts.(idx) - 1;
-          remove_occ t idx node
-        done)
-      record;
-    Hashtbl.remove t.placed node
+  if is_placed t node then begin
+    let u = t.placed_cu.(node) and cycle = t.placed_cycle.(node) in
+    for i = 0 to Array.length u.urows - 1 do
+      let r = u.urows.(i) in
+      let base = r * t.ii in
+      let d = if u.udurs.(i) > t.ii then t.ii else u.udurs.(i) in
+      for k = 0 to d - 1 do
+        let idx = base + smod t (cycle + k) in
+        t.counts.(idx) <- t.counts.(idx) - 1;
+        remove_occ t idx node
+      done;
+      t.row_total.(r) <- t.row_total.(r) - d
+    done;
+    t.placed_cu.(node) <- unplaced
+  end
 
 let conflicts_c t (u : cuses) ~cycle =
   let acc = ref [] in
@@ -259,3 +282,7 @@ let conflicts t uses ~cycle = conflicts_c t (compile t uses) ~cycle
 (** Occupancy count of resource [r] at modulo slot [s] (for tests and
     statistics). *)
 let occupancy t r ~slot = t.counts.((row t r * t.ii) + slot)
+
+(** Occupancy of [r] summed over every slot, kept up to date by
+    [place]/[remove]. *)
+let total_occupancy t r = t.row_total.(row t r)

@@ -22,7 +22,9 @@ val create : ?arena:Arena.t -> Hcrf_machine.Config.t -> ii:int -> t
 (** Can all of [uses] (resource, duration) be reserved at [cycle]? *)
 val can_place : t -> (Topology.resource * int) list -> cycle:int -> bool
 
-(** Reserve; raises [Invalid_argument] if [node] is already placed. *)
+(** Reserve; raises [Invalid_argument] if [node] is already placed or
+    negative.  What a node holds is recorded in per-node arrays indexed
+    by its id. *)
 val place :
   t -> node:int -> (Topology.resource * int) list -> cycle:int -> unit
 
@@ -38,6 +40,10 @@ val conflicts :
 
 (** Occupancy count of a resource at a modulo slot. *)
 val occupancy : t -> Topology.resource -> slot:int -> int
+
+(** The sum of {!occupancy} over every slot, in O(1): a per-row total
+    that [place]/[remove] maintain. *)
+val total_occupancy : t -> Topology.resource -> int
 
 (** {1 Precompiled uses}
 

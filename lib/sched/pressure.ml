@@ -35,6 +35,7 @@ type t = {
   ii : int;
   nclusters : int;            (* bank index: Local i -> i, Shared -> nclusters *)
   req : int array;            (* bank * ii + slot -> live values *)
+  peak : int array;           (* bank -> max of its [req] row, -1 = stale *)
   mutable c_bank : int array; (* id -> applied bank index, -1 = none *)
   mutable c_start : int array;
   mutable c_stop : int array;
@@ -42,6 +43,7 @@ type t = {
   mutable dirty : int array;  (* stack of marked ids *)
   mutable ndirty : int;
   mutable in_dirty : Bytes.t;
+  arena : Arena.t option;  (* keeps grown columns for the next attempt *)
 }
 
 (* Arena slot ids (see {!Arena}). *)
@@ -66,8 +68,10 @@ let create ?arena (sched : Schedule.t) (g : Ddg.t) =
       ( Array.make cells 0, Array.make cap (-1), Array.make cap 0,
         Array.make cap 0 )
   in
-  { sched; g; ii; nclusters; req; c_bank; c_start; c_stop; cap;
-    dirty = Array.make 64 0; ndirty = 0; in_dirty = Bytes.make cap '\000' }
+  { sched; g; ii; nclusters; req; peak = Array.make (nclusters + 2) (-1);
+    c_bank; c_start; c_stop; cap;
+    dirty = Array.make 64 0; ndirty = 0; in_dirty = Bytes.make cap '\000';
+    arena }
 
 let bank_index t = function
   | Topology.Local i -> i
@@ -81,14 +85,17 @@ let bank_decode t i =
 
 let grow t id =
   let cap' = max (2 * t.cap) (id + 1) in
-  let extend a fill =
+  let extend a fill slot =
     let a' = Array.make cap' fill in
     Array.blit a 0 a' 0 t.cap;
+    (match t.arena with
+    | Some ar -> Arena.keep_ints ar ~id:slot a'
+    | None -> ());
     a'
   in
-  t.c_bank <- extend t.c_bank (-1);
-  t.c_start <- extend t.c_start 0;
-  t.c_stop <- extend t.c_stop 0;
+  t.c_bank <- extend t.c_bank (-1) slot_bank;
+  t.c_start <- extend t.c_start 0 slot_start;
+  t.c_stop <- extend t.c_stop 0 slot_stop;
   let b = Bytes.make cap' '\000' in
   Bytes.blit t.in_dirty 0 b 0 t.cap;
   t.in_dirty <- b;
@@ -113,6 +120,7 @@ let mark t v =
 let apply t ~b ~start ~stop sign =
   let sp = stop - start in
   if sp > 0 then begin
+    t.peak.(b) <- -1;
     let base = b * t.ii in
     let full = sp / t.ii and rem = sp mod t.ii in
     if full > 0 then
@@ -125,6 +133,17 @@ let apply t ~b ~start ~stop sign =
       t.req.(slot) <- t.req.(slot) + sign
     done
   end
+
+(* The last cycle the scheduled consumers of a value born at [birth]
+   read it. *)
+let rec last_use t acc = function
+  | [] -> acc
+  | (edge : Ddg.edge) :: tl ->
+    last_use t
+      (if Schedule.is_scheduled t.sched edge.dst then
+         max acc (Schedule.cycle_of t.sched edge.dst + (t.ii * edge.distance))
+       else acc)
+      tl
 
 let flush t =
   for i = 0 to t.ndirty - 1 do
@@ -140,26 +159,15 @@ let flush t =
       && Op.defines_value (Ddg.kind t.g v)
       && Schedule.is_scheduled t.sched v
     then begin
-      let e = Schedule.entry_exn t.sched v in
       let kind = Ddg.kind t.g v in
-      let bank =
-        match Topology.def_bank t.sched.Schedule.config kind e.loc with
-        | Some b -> b
-        | None -> assert false
-      in
+      (* the schedule fixed the definition bank when it placed [v] *)
+      let b = t.sched.Schedule.e_bank.(v) in
+      assert (b >= 0);
       let birth =
-        e.Schedule.cycle + Latency.of_def t.sched.Schedule.lat ~id:v ~kind
+        Schedule.cycle_of t.sched v
+        + Latency.of_def t.sched.Schedule.lat ~id:v ~kind
       in
-      let stop =
-        List.fold_left
-          (fun acc (edge : Ddg.edge) ->
-            if Schedule.is_scheduled t.sched edge.dst then
-              max acc
-                (Schedule.cycle_of t.sched edge.dst + (t.ii * edge.distance))
-            else acc)
-          birth (Ddg.consumers t.g v)
-      in
-      let b = bank_index t bank in
+      let stop = last_use t birth (Ddg.consumers t.g v) in
       t.c_bank.(v) <- b;
       t.c_start.(v) <- birth;
       t.c_stop.(v) <- stop;
@@ -173,12 +181,16 @@ let flush t =
     (Lifetimes.of_schedule sched g)]. *)
 let pressure t ~bank =
   flush t;
-  let base = bank_index t bank * t.ii in
-  let m = ref 0 in
-  for k = 0 to t.ii - 1 do
-    if t.req.(base + k) > !m then m := t.req.(base + k)
-  done;
-  !m
+  let b = bank_index t bank in
+  if t.peak.(b) < 0 then begin
+    let base = b * t.ii in
+    let m = ref 0 in
+    for k = 0 to t.ii - 1 do
+      if t.req.(base + k) > !m then m := t.req.(base + k)
+    done;
+    t.peak.(b) <- !m
+  end;
+  t.peak.(b)
 
 (** The current lifetime list, identical (records and order) to
     [Lifetimes.of_schedule sched g]. *)

@@ -3,7 +3,9 @@
     Keeps the per-bank, per-modulo-slot count of simultaneously live
     values in sync with the schedule by deltas, so the engine's
     after-every-placement capacity check costs O(banks × II) instead of
-    a full {!Lifetimes.of_schedule} recomputation.  Equivalence with the
+    a full {!Lifetimes.of_schedule} recomputation; each bank's peak is
+    cached until a delta touches that bank, so a check after a step
+    that left a bank alone reads it in O(1).  Equivalence with the
     reference is part of the contract (and QCheck-verified): after any
     mark/flush sequence, {!pressure} equals [Lifetimes.pressure] of
     [Lifetimes.of_schedule], and {!lifetimes} returns the reference's

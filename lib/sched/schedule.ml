@@ -15,7 +15,9 @@
     cluster selection), and a cache of precompiled reservation vectors
     keyed by (op kind, location, Move source bank) so the engine's
     candidate scan probes the reservation table without building a
-    [uses] list per cycle. *)
+    [uses] list per cycle.  Locations and definition banks decode to
+    values built once per schedule, so [loc_of], [cycle_of] and
+    [def_bank] allocate nothing. *)
 
 open Hcrf_ir
 open Hcrf_machine
@@ -36,6 +38,8 @@ type t = {
   bank_defs : int array;        (* bank index -> scheduled defs there *)
   ucache : (int, Mrt.cuses) Hashtbl.t;
   arena : Arena.t option;
+  locs : Topology.loc array;    (* location code + 1 -> location *)
+  banks : Topology.bank option array;  (* bank index -> [Some bank] *)
 }
 
 let unscheduled = min_int
@@ -46,7 +50,6 @@ let slot_loc = 8
 let slot_bank = 9
 
 let loc_code = function Topology.Global -> -1 | Topology.Cluster i -> i
-let loc_decode = function -1 -> Topology.Global | i -> Topology.Cluster i
 
 (* Bank index: Local i -> i, Shared -> #clusters, L3 -> #clusters + 1;
    -1 encodes "no bank". *)
@@ -71,7 +74,14 @@ let create ?arena ?(lat : Latency.t option) (config : Config.t) ~ii =
   { config; ii; lat; mrt = Mrt.create ?arena config ~ii; nclusters;
     e_cycle; e_loc; e_bank; cap; nsched = 0;
     bank_defs = Array.make (nclusters + 2) 0;
-    ucache = Hashtbl.create 64; arena }
+    ucache = Hashtbl.create 64; arena;
+    locs =
+      Array.init (nclusters + 1) (function
+        | 0 -> Topology.Global
+        | i -> Topology.Cluster (i - 1));
+    banks =
+      Array.init (nclusters + 2) (fun i ->
+          Some (Topology.bank_of_code config i)) }
 
 let grow t id =
   let cap' = max (2 * t.cap) (id + 1) in
@@ -91,18 +101,20 @@ let grow t id =
 let ii t = t.ii
 let is_scheduled t v = v < t.cap && v >= 0 && t.e_cycle.(v) <> unscheduled
 
+let not_scheduled v = Fmt.invalid_arg "Schedule: node %d not scheduled" v
+
+let cycle_of t v = if is_scheduled t v then t.e_cycle.(v) else not_scheduled v
+
+let loc_of t v =
+  if is_scheduled t v then t.locs.(t.e_loc.(v) + 1) else not_scheduled v
+
 let entry t v =
-  if is_scheduled t v then
-    Some { cycle = t.e_cycle.(v); loc = loc_decode t.e_loc.(v) }
+  if is_scheduled t v then Some { cycle = t.e_cycle.(v); loc = loc_of t v }
   else None
 
 let entry_exn t v =
-  match entry t v with
-  | Some e -> e
-  | None -> Fmt.invalid_arg "Schedule: node %d not scheduled" v
-
-let cycle_of t v = (entry_exn t v).cycle
-let loc_of t v = (entry_exn t v).loc
+  if is_scheduled t v then { cycle = t.e_cycle.(v); loc = loc_of t v }
+  else not_scheduled v
 
 let scheduled_nodes t =
   let acc = ref [] in
@@ -116,12 +128,7 @@ let num_scheduled t = t.nsched
 (** Bank holding the value defined by scheduled node [v], if any. *)
 let def_bank t (_g : Ddg.t) v =
   if not (is_scheduled t v) then None
-  else
-    match t.e_bank.(v) with
-    | -1 -> None
-    | i when i = t.nclusters -> Some Topology.Shared
-    | i when i = t.nclusters + 1 -> Some Topology.L3
-    | i -> Some (Topology.Local i)
+  else match t.e_bank.(v) with -1 -> None | i -> t.banks.(i)
 
 (** Scheduled definitions currently living in [bank] (for the cluster
     selection and down-copy heuristics). *)
@@ -129,11 +136,12 @@ let bank_def_count t bank = t.bank_defs.(bank_index t bank)
 
 (* Source bank for a [Move]'s reservation: the bank of its producer. *)
 let move_src_bank t (g : Ddg.t) v =
-  let operands = Ddg.operands g v in
-  List.fold_left
-    (fun acc (e : Ddg.edge) ->
-      match acc with Some _ -> acc | None -> def_bank t g e.src)
-    None operands
+  let rec first = function
+    | [] -> None
+    | (e : Ddg.edge) :: tl -> (
+      match def_bank t g e.src with None -> first tl | b -> b)
+  in
+  first (Ddg.operands g v)
 
 let uses_of t (g : Ddg.t) v ~loc =
   let kind = Ddg.kind g v in
@@ -171,27 +179,34 @@ let cuses_of t (g : Ddg.t) v ~loc =
 
 (** Earliest legal issue cycle given the scheduled predecessors. *)
 let estart t (g : Ddg.t) v =
-  List.fold_left
-    (fun acc (e : Ddg.edge) ->
+  let rec go acc = function
+    | [] -> acc
+    | (e : Ddg.edge) :: tl ->
       if is_scheduled t e.src then
-        max acc
-          (t.e_cycle.(e.src) + Latency.of_edge t.lat g e
-          - (t.ii * e.distance))
-      else acc)
-    0 (Ddg.preds g v)
+        go
+          (max acc
+             (t.e_cycle.(e.src) + Latency.of_edge t.lat g e
+             - (t.ii * e.distance)))
+          tl
+      else go acc tl
+  in
+  go 0 (Ddg.preds g v)
 
 (** Latest legal issue cycle given the scheduled successors; [None] when
     no successor is scheduled. *)
 let lstart t (g : Ddg.t) v =
-  List.fold_left
-    (fun acc (e : Ddg.edge) ->
+  let rec go found acc = function
+    | [] -> if found then Some acc else None
+    | (e : Ddg.edge) :: tl ->
       if is_scheduled t e.dst then
-        let bound =
-          t.e_cycle.(e.dst) - Latency.of_edge t.lat g e + (t.ii * e.distance)
-        in
-        Some (match acc with None -> bound | Some a -> min a bound)
-      else acc)
-    None (Ddg.succs g v)
+        go true
+          (min acc
+             (t.e_cycle.(e.dst) - Latency.of_edge t.lat g e
+             + (t.ii * e.distance)))
+          tl
+      else go found acc tl
+  in
+  go false max_int (Ddg.succs g v)
 
 (* Deliberate fault injection for the differential fuzzer (hcrf_check):
    [Lax_resources] makes [can_place] ignore the reservation table, so the
@@ -258,31 +273,34 @@ let resource_conflicts t g v ~cycle ~loc =
 (** Scheduled neighbours whose dependence constraints are violated by [v]
     issuing at [cycle]. *)
 let dependence_violations t (g : Ddg.t) v ~cycle =
-  let bad_preds =
-    List.filter_map
-      (fun (e : Ddg.edge) ->
-        if
-          e.src <> v
-          && is_scheduled t e.src
-          && t.e_cycle.(e.src) + Latency.of_edge t.lat g e
-             - (t.ii * e.distance)
-             > cycle
-        then Some e.src
-        else None)
-      (Ddg.preds g v)
-  and bad_succs =
-    List.filter_map
-      (fun (e : Ddg.edge) ->
-        if
-          e.dst <> v
-          && is_scheduled t e.dst
-          && cycle + Latency.of_edge t.lat g e - (t.ii * e.distance)
-             > t.e_cycle.(e.dst)
-        then Some e.dst
-        else None)
-      (Ddg.succs g v)
+  let pred_bad (e : Ddg.edge) =
+    e.src <> v
+    && is_scheduled t e.src
+    && t.e_cycle.(e.src) + Latency.of_edge t.lat g e - (t.ii * e.distance)
+       > cycle
+  and succ_bad (e : Ddg.edge) =
+    e.dst <> v
+    && is_scheduled t e.dst
+    && cycle + Latency.of_edge t.lat g e - (t.ii * e.distance)
+       > t.e_cycle.(e.dst)
   in
-  List.sort_uniq compare (bad_preds @ bad_succs)
+  (* usually nothing is violated: answer that without building lists *)
+  if
+    not
+      (List.exists pred_bad (Ddg.preds g v)
+      || List.exists succ_bad (Ddg.succs g v))
+  then []
+  else
+    let bad_preds =
+      List.filter_map
+        (fun (e : Ddg.edge) -> if pred_bad e then Some e.src else None)
+        (Ddg.preds g v)
+    and bad_succs =
+      List.filter_map
+        (fun (e : Ddg.edge) -> if succ_bad e then Some e.dst else None)
+        (Ddg.succs g v)
+    in
+    List.sort_uniq compare (bad_preds @ bad_succs)
 
 let max_cycle t =
   let m = ref 0 in

@@ -31,6 +31,8 @@ type t = {
   bank_defs : int array;        (** bank index -> scheduled defs there *)
   ucache : (int, Mrt.cuses) Hashtbl.t;
   arena : Arena.t option;
+  locs : Topology.loc array;    (** location code + 1 -> location *)
+  banks : Topology.bank option array;  (** bank index -> [Some bank] *)
 }
 
 val create :
@@ -43,6 +45,8 @@ val entry : t -> int -> entry option
 (** Raises [Invalid_argument] when not scheduled. *)
 val entry_exn : t -> int -> entry
 
+(** [cycle_of] and [loc_of] allocate nothing; both raise
+    [Invalid_argument] when [v] is not scheduled. *)
 val cycle_of : t -> int -> int
 val loc_of : t -> int -> Topology.loc
 
@@ -66,6 +70,9 @@ val move_src_bank : t -> Hcrf_ir.Ddg.t -> int -> Topology.bank option
 val uses_of :
   t -> Hcrf_ir.Ddg.t -> int -> loc:Topology.loc ->
   (Topology.resource * int) list
+
+(** Dense index of an operation kind, [0 .. 10], for per-kind tables. *)
+val kind_tag : Hcrf_ir.Op.kind -> int
 
 (** Earliest legal issue cycle given the scheduled predecessors. *)
 val estart : t -> Hcrf_ir.Ddg.t -> int -> int

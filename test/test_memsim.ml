@@ -169,6 +169,154 @@ let test_sim_iteration_cap () =
     r.Sim.simulated_iterations
 
 (* ------------------------------------------------------------------ *)
+(* Negative addresses *)
+
+let test_cache_negative_addresses () =
+  let c = Cache.create ~size_bytes:128 ~line_bytes:32 ~assoc:2 () in
+  (* floored: -1 and -32 share line -1; -33 starts line -2 *)
+  check_int "line of -1" (-1) (Cache.line_addr c (-1));
+  check_int "line of -32" (-1) (Cache.line_addr c (-32));
+  check_int "line of -33" (-2) (Cache.line_addr c (-33));
+  check_int "set of -1 in range" 1 (Cache.set_of c (-1));
+  check_int "tag of -1" (-1) (Cache.tag_of c (-1));
+  ignore (Cache.access c (-8));
+  check "same negative line hits" true (Cache.access c (-32));
+  check "line 0 is a different line" false (Cache.access c 0);
+  (* tag -1 is a real tag, not a free way *)
+  let c' = Cache.create ~size_bytes:128 ~line_bytes:32 ~assoc:2 () in
+  check "cold negative line misses" false (Cache.access c' (-1))
+
+(* y[i] = y[i-5] + x[i]: the y[i-5] stream starts 40 bytes below y. *)
+let test_negative_stream_runs () =
+  let open Hcrf_frontend.Ast in
+  let loop =
+    Hcrf_frontend.Compile.compile
+      (make ~name:"lag5" [ store "y" (arr ~off:(-5) "y" +: arr "x") ])
+  in
+  check "a stream starts below 0" true
+    (List.exists (fun (s : Hcrf_ir.Loop.stream) -> s.base < 0)
+       loop.Hcrf_ir.Loop.streams);
+  let config = Hcrf_model.Presets.published "S64" in
+  List.iter
+    (fun prefetch ->
+      let ctx =
+        Hcrf_eval.Runner.Ctx.make
+          ~scenario:(Hcrf_eval.Runner.Real { prefetch }) ()
+      in
+      match Hcrf_eval.Runner.run_loop ~ctx config loop with
+      | Some r ->
+        check "stalls are finite" true
+          (Float.is_finite r.Hcrf_eval.Runner.perf.Hcrf_eval.Metrics.stall_cycles)
+      | None -> Alcotest.fail "lag5 did not schedule")
+    [ false; true ]
+
+(* ------------------------------------------------------------------ *)
+(* Flat simulator = list-based reference *)
+
+let same_result (a : Sim.result) (b : Sim.result) =
+  a.stall_cycles = b.stall_cycles
+  && a.simulated_iterations = b.simulated_iterations
+  && a.misses = b.misses && a.accesses = b.accesses
+
+(* Random reference sets: a handful of base lines (so streams collide
+   and fills merge), strides 0..1024, loads and stores, 1..16 MSHRs and
+   a small cache so sets conflict. *)
+let gen_case =
+  QCheck.Gen.(
+    let ref_gen =
+      map
+        (fun ((node, is_load, off), (sched, line, delta, stride)) ->
+          { Sim.node; is_load; issue_offset = off; sched_latency = sched;
+            base = (line * 32) + delta; stride })
+        (pair
+           (triple small_nat bool (int_range 0 12))
+           (quad (int_range 0 40) (int_range (-4) 12) (int_range 0 31)
+              (int_range 0 1024)))
+    in
+    quad (int_range 1 16) (int_range 1 8)
+      (pair (int_range 1 6) (int_range 4 40))
+      (list_size (int_range 0 14) ref_gen))
+
+let print_case (mshrs, ii, (hit, miss), refs) =
+  Fmt.str "mshrs=%d ii=%d hit=%d miss=%d refs=[%s]" mshrs ii hit miss
+    (String.concat "; "
+       (List.map
+          (fun (r : Sim.mem_ref) ->
+            Fmt.str "%s@%d lat %d %d+%d*i"
+              (if r.is_load then "ld" else "st")
+              r.issue_offset r.sched_latency r.base r.stride)
+          refs))
+
+let prop_sim_equals_reference =
+  QCheck.Test.make ~name:"sim: flat MSHRs = list-based reference"
+    ~count:300
+    (QCheck.make ~print:print_case gen_case)
+    (fun (mshrs, ii, (hit_read, miss_cycles), refs) ->
+      let cache () = Cache.create ~size_bytes:512 () in
+      same_result
+        (Sim.run ~debug:true ~mshrs ~cache:(cache ()) ~ii ~hit_read
+           ~miss_cycles ~n:96 ~e:3 refs)
+        (Sim_ref.run ~mshrs ~cache:(cache ()) ~ii ~hit_read ~miss_cycles
+           ~n:96 ~e:3 refs))
+
+(* Every (loop, Figure-6 config) of a 20-loop workbench under binding
+   prefetch: the stall counts the evaluation uses, field by field. *)
+let test_sim_equals_reference_workbench () =
+  let loops = Hcrf_workload.Suite.generate ~n:20 () in
+  List.iter
+    (fun (config : Hcrf_machine.Config.t) ->
+      List.iter
+        (fun (loop : Hcrf_ir.Loop.t) ->
+          let override = Prefetch.plan config loop in
+          let opts =
+            { Hcrf_sched.Engine.default_options with load_override = override }
+          in
+          match Hcrf_sched.Engine.schedule ~opts config loop.Hcrf_ir.Loop.ddg with
+          | Error _ -> ()
+          | Ok o ->
+            let refs = Hcrf_eval.Runner.mem_refs config loop o ~override in
+            let ii = o.Hcrf_sched.Engine.ii
+            and hit_read = config.lats.Hcrf_machine.Latencies.mem_read
+            and miss_cycles = Hcrf_machine.Config.miss_cycles config
+            and n = loop.Hcrf_ir.Loop.trip_count
+            and e = loop.Hcrf_ir.Loop.entries in
+            let a = Sim.run ~ii ~hit_read ~miss_cycles ~n ~e refs
+            and b = Sim_ref.run ~ii ~hit_read ~miss_cycles ~n ~e refs in
+            let where =
+              Hcrf_ir.Loop.name loop ^ " on " ^ config.Hcrf_machine.Config.name
+            in
+            check_int (where ^ ": misses") b.misses a.misses;
+            check_int (where ^ ": accesses") b.accesses a.accesses;
+            check (where ^ ": stall cycles") true
+              (a.stall_cycles = b.stall_cycles))
+        loops)
+    (Hcrf_eval.Experiments.figure6_configs ())
+
+(* The simulated accesses allocate nothing: the minor words of a run do
+   not grow with the number of simulated iterations. *)
+let test_sim_allocation_flat () =
+  let refs =
+    List.init 12 (fun k ->
+        mk_ref ~node:k ~is_load:(k mod 3 <> 0) ~offset:(k / 2)
+          ~base:(k * 4096) ~stride:(8 * (k + 1)) ~sched:(2 + (k mod 2 * 10))
+          ())
+  in
+  let words n =
+    let run () =
+      ignore
+        (Sim.run ~mshrs:4 ~ii:3 ~hit_read:2 ~miss_cycles:20 ~n ~e:1 refs)
+    in
+    run ();
+    let w0 = Gc.minor_words () in
+    run ();
+    Gc.minor_words () -. w0
+  in
+  let small = words 64 and large = words 2048 in
+  if large > small then
+    Alcotest.failf "minor words grow with iterations: %.0f at n=64, %.0f at n=2048"
+      small large
+
+(* ------------------------------------------------------------------ *)
 (* Prefetch *)
 
 let test_prefetch_plan () =
@@ -225,4 +373,9 @@ let tests =
     ("prefetch: plan", `Quick, test_prefetch_plan);
     ("prefetch: recurrence loads", `Quick, test_prefetch_skips_recurrence_loads);
     ("prefetch: short loops", `Quick, test_prefetch_skips_short_loops);
+    ("cache: negative addresses", `Quick, test_cache_negative_addresses);
+    ("sim: negative stream base", `Quick, test_negative_stream_runs);
+    QCheck_alcotest.to_alcotest prop_sim_equals_reference;
+    ("sim: workbench = reference", `Quick, test_sim_equals_reference_workbench);
+    ("sim: allocation flat in iterations", `Quick, test_sim_allocation_flat);
   ]
