@@ -13,7 +13,7 @@
 #   - modulo the banner's jobs= field, stdout is byte-identical at
 #     jobs=1 and jobs=4 (stage classification is serial, so all counts
 #     are jobs-independent);
-#   - with --incr-dir the session persists (memo.v3 plus the schedule
+#   - with --incr-dir the session persists (memo.v4 plus the schedule
 #     store's shards): a fresh process re-evaluating the program against
 #     the same directory recomputes nothing and still verifies.
 set -eu

@@ -120,7 +120,7 @@ let memo_term =
   let incr_dir =
     let doc =
       "Back the incremental stage memo with $(docv) (persisted as \
-       $(docv)/memo.v3 plus the schedule store's shards; overrides \
+       $(docv)/memo.v4 plus the schedule store's shards; overrides \
        HCRF_INCR)."
     in
     Arg.(value & opt (some string) None & info [ "incr-dir" ] ~doc ~docv:"DIR")

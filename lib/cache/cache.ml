@@ -71,9 +71,8 @@ let find ?(trace = Tr.off) ?(validate = fun (_ : Entry.t) -> true) t key =
         sh.counters <- { sh.counters with hits = sh.counters.hits + 1 };
         Some e
       | Some _ ->
-        (* present but rejected by [validate] (e.g. the entry's schedule
-           is bound to different node ids than the querying loop's): the
-           caller must recompute, so this is a miss *)
+        (* present but rejected by [validate]: the caller must
+           recompute, so this is a miss *)
         miss ()
       | None -> (
         let disk =

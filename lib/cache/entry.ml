@@ -19,47 +19,8 @@ type t =
       outcome : stored_outcome;
       stall_cycles : float;
       retries : int;
-      input_digest : string;
     }
   | Failed of int
-
-(* Canonical, *id-sensitive* digest of an input graph.  The cache key's
-   WL fingerprint deliberately equates isomorphic graphs, but a stored
-   schedule's assignments are tied to concrete node ids: replaying them
-   for a renumbered twin would bind values and memory streams to the
-   wrong nodes.  Entries therefore also record this digest of the graph
-   they were computed from, and [Cache.find ~validate] degrades a hit
-   with a different digest to a miss.  Adjacency-list and invariant
-   *order* are canonicalized away — they cannot change what a replayed
-   schedule computes. *)
-let ddg_digest (g : Ddg.t) =
-  let b = Buffer.create 512 in
-  List.iter
-    (fun v ->
-      Buffer.add_string b (string_of_int v);
-      Buffer.add_char b ':';
-      Buffer.add_string b (Op.kind_name (Ddg.kind g v));
-      Buffer.add_char b ';')
-    (Ddg.nodes g);
-  List.iter
-    (fun (src, dst, dep, dist) ->
-      Buffer.add_string b
-        (Printf.sprintf "%d>%d:%s:%d;" src dst dep dist))
-    (List.sort compare
-       (List.map
-          (fun (e : Ddg.edge) -> (e.src, e.dst, Dep.name e.dep, e.distance))
-          (Ddg.edges g)));
-  List.iter
-    (fun (iv, consumers) ->
-      Buffer.add_string b
-        (Printf.sprintf "i%d:%s;" iv
-           (String.concat "," (List.map string_of_int consumers))))
-    (List.sort compare
-       (List.map
-          (fun (i : Ddg.invariant) ->
-            (i.inv_id, List.sort compare i.inv_consumers))
-          (Ddg.invariants g)));
-  Digest.string (Buffer.contents b)
 
 (* Every bank of the configuration; the shared bank is included
    unconditionally (residency is 0 where it does not exist). *)
@@ -67,8 +28,7 @@ let banks_of (config : Hcrf_machine.Config.t) =
   List.init (Hcrf_machine.Config.clusters config) (fun i -> Topology.Local i)
   @ [ Topology.Shared ]
 
-let of_outcome config (o : Engine.outcome) ~input_digest ~stall_cycles
-    ~retries =
+let of_outcome config (o : Engine.outcome) ~stall_cycles ~retries =
   let assigns =
     List.filter_map
       (fun v ->
@@ -106,7 +66,6 @@ let of_outcome config (o : Engine.outcome) ~input_digest ~stall_cycles
         };
       stall_cycles;
       retries;
-      input_digest;
     }
 
 let to_outcome config (s : stored_outcome) : Engine.outcome =

@@ -35,26 +35,13 @@ type t =
       outcome : stored_outcome;
       stall_cycles : float;  (** memory-simulation stalls of the run *)
       retries : int;  (** escalation rungs taken by the runner *)
-      input_digest : string;
-          (** {!ddg_digest} of the *input* graph the schedule was
-              computed from (ids included) *)
     }
   | Failed of int  (** last II tried before giving up *)
 
-(** Canonical id-sensitive digest of a graph.  The cache key's WL
-    fingerprint equates isomorphic graphs, but stored assignments are
-    tied to concrete node ids; comparing this digest at lookup time
-    (via [Cache.find ~validate]) keeps a renumbered twin from replaying
-    a schedule bound to the wrong ids.  Invariant under adjacency-list
-    and invariant-table reordering, sensitive to any renumbering. *)
-val ddg_digest : Hcrf_ir.Ddg.t -> string
-
-(** Snapshot an outcome (pure; does not consume the outcome).
-    [input_digest] must be {!ddg_digest} of the graph handed to the
-    engine — not of the outcome's extended graph. *)
+(** Snapshot an outcome (pure; does not consume the outcome). *)
 val of_outcome :
   Hcrf_machine.Config.t -> Hcrf_sched.Engine.outcome ->
-  input_digest:string -> stall_cycles:float -> retries:int -> t
+  stall_cycles:float -> retries:int -> t
 
 (** Rebuild a full outcome for [config], its schedule under the latency
     table the engine scheduled with.  The caller must pass the same

@@ -2,12 +2,11 @@
 
     Labels, configurations and options are MD5 over length-prefixed
     part lists, so no two distinct part lists share an encoding.  A
-    loop is one MD5 over a transcript of Weisfeiler–Lehman refinement
-    on integer ranks: every table in it is sorted by content and every
-    node is named only by its class, which makes the result invariant
-    under node renumbering and edge reordering while remaining
-    sensitive to kinds, dependence labels, distances and per-node
-    attributes. *)
+    loop is one MD5 over a varint transcript of its graph in node-id
+    order, with every adjacency and attribute list sorted by content:
+    reordering edges, streams or invariants leaves it alone, while any
+    node id, kind, dependence label, distance, stream or id counter
+    moves it. *)
 
 open Hcrf_ir
 
@@ -34,13 +33,12 @@ let float f = Printf.sprintf "%h" f
 let bool b = if b then "t" else "f"
 
 (* ------------------------------------------------------------------ *)
-(* Loops: WL color refinement on integer ranks                         *)
+(* Loops: one canonical, id-sensitive transcript                       *)
 
 (* The transcript's encoding: ints as zigzag varints (7 bits a byte,
-   high bit set on all but the last), int arrays prefixed by their
-   length, tables by their entry count.  Every part is self-delimiting,
-   so distinct transcripts never share bytes, and small ints (ranks,
-   degrees, distances) take one byte, which keeps the buffer small. *)
+   high bit set on all but the last), lists prefixed by their length.
+   Every part is self-delimiting, so distinct transcripts never share
+   bytes, and small ints (ids, kinds, distances) take one byte. *)
 let add_int b n =
   let u = ref ((n lsl 1) lxor (n asr (Sys.int_size - 1))) in
   while !u land lnot 0x7f <> 0 do
@@ -49,30 +47,11 @@ let add_int b n =
   done;
   Buffer.add_char b (Char.unsafe_chr !u)
 
-let add_ints b a =
-  add_int b (Array.length a);
-  Array.iter (add_int b) a
-
-let add_table b entries =
-  add_int b (Array.length entries);
-  Array.iter (add_ints b) entries
-
-(* Lexicographic, then shorter first.  Fields are compared one by one,
-   never packed into one int: distances come from the wire and a
-   packed key could overflow and merge distinct loops. *)
-let compare_ints (a : int array) (b : int array) =
-  let la = Array.length a and lb = Array.length b in
-  let i = ref 0 in
-  while !i < la && !i < lb && a.(!i) = b.(!i) do incr i done;
-  if !i < la && !i < lb then Int.compare a.(!i) b.(!i) else Int.compare la lb
-
-let sort_ints entries =
-  Array.stable_sort compare_ints entries;
-  entries
-
-(* In-place heapsort of the (dep, distance, rank) triples stored at
-   positions [p] = [off], [off + 3], ... of [s]: no allocation, and
-   O(k log k) even for a node carrying every edge of a request. *)
+(* In-place heapsort of the first [k] int triples of [s] (at 0, 3, ...),
+   lexicographically: no allocation, and O(k log k) even for a node
+   carrying every edge of a request.  Fields are compared one by one,
+   never packed into one int: distances and stream bases come from the
+   wire and a packed key could overflow. *)
 let triple_greater s p q =
   let c = Int.compare s.(p) s.(q) in
   if c <> 0 then c > 0
@@ -87,47 +66,36 @@ let swap_triples s p q =
     s.(q + d) <- x
   done
 
-let rec sift s off i len =
+let rec sift s i len =
   let l = (2 * i) + 1 in
   if l < len then begin
     let m =
-      if l + 1 < len && triple_greater s (off + (3 * l) + 3) (off + (3 * l))
-      then l + 1
+      if l + 1 < len && triple_greater s (3 * (l + 1)) (3 * l) then l + 1
       else l
     in
-    if triple_greater s (off + (3 * m)) (off + (3 * i)) then begin
-      swap_triples s (off + (3 * i)) (off + (3 * m));
-      sift s off m len
+    if triple_greater s (3 * m) (3 * i) then begin
+      swap_triples s (3 * i) (3 * m);
+      sift s m len
     end
   end
 
-let sort_triples s off k =
-  for i = (k / 2) - 1 downto 0 do sift s off i k done;
+let sort_triples s k =
+  for i = (k / 2) - 1 downto 0 do sift s i k done;
   for last = k - 1 downto 1 do
-    swap_triples s off (off + (3 * last));
-    sift s off 0 last
+    swap_triples s 0 (3 * last);
+    sift s 0 last
   done
 
-(* Replace each node's rank by the rank of its signature in the sorted
-   table of this round's distinct signatures, write that table, and
-   return its size.  Ranks depend only on the multiset of signatures,
-   never on node order. *)
-let classify b sigs rank =
-  let n = Array.length sigs in
-  let order = Array.init n Fun.id in
-  Array.stable_sort (fun i j -> compare_ints sigs.(i) sigs.(j)) order;
-  let d = ref (-1) in
-  Array.iteri
-    (fun k i ->
-      if k = 0 || compare_ints sigs.(order.(k - 1)) sigs.(i) <> 0 then incr d;
-      rank.(i) <- !d)
-    order;
-  add_int b (!d + 1);
-  Array.iteri
-    (fun k i ->
-      if k = 0 || rank.(order.(k - 1)) <> rank.(i) then add_ints b sigs.(i))
-    order;
-  !d + 1
+(* Write a list's elements as sorted triples, count first; [put s p x]
+   stores [x]'s triple at [s.(p)], [s.(p + 1)], [s.(p + 2)]. *)
+let add_triples b scratch put l =
+  let k = List.length l in
+  if 3 * k > Array.length !scratch then scratch := Array.make (6 * k) 0;
+  let s = !scratch in
+  List.iteri (fun i x -> put s (3 * i) x) l;
+  sort_triples s k;
+  add_int b k;
+  for i = 0 to (3 * k) - 1 do add_int b s.(i) done
 
 (* Codes spelled out, so the transcript never depends on the
    declaration order of [Op.kind] or [Dep.t]. *)
@@ -140,121 +108,40 @@ let dep_code : Dep.t -> int = function True -> 0 | Anti -> 1 | Output -> 2
 
 let of_loop (l : Loop.t) =
   let g = l.Loop.ddg in
-  (* dense indices: position in the sorted id list, so nothing is sized
-     by an id (ids may come from the wire) *)
-  let ids = Array.of_list (Ddg.nodes g) in
-  let n = Array.length ids in
-  let index id =
-    let lo = ref 0 and hi = ref n in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if ids.(mid) < id then lo := mid + 1 else hi := mid
-    done;
-    if !lo < n && ids.(!lo) = id then !lo else -1
+  let b = Buffer.create 256 in
+  let scratch = ref (Array.make 48 0) in
+  add_int b (Ddg.num_nodes g);
+  Ddg.iter_nodes g (fun v ->
+      add_int b v.Ddg.id;
+      add_int b (kind_code v.Ddg.kind);
+      add_triples b scratch
+        (fun s p (e : Ddg.edge) ->
+          s.(p) <- e.Ddg.dst;
+          s.(p + 1) <- dep_code e.Ddg.dep;
+          s.(p + 2) <- e.Ddg.distance)
+        v.Ddg.succs);
+  add_triples b scratch
+    (fun s p (st : Loop.stream) ->
+      s.(p) <- st.Loop.op;
+      s.(p + 1) <- st.Loop.base;
+      s.(p + 2) <- st.Loop.stride)
+    l.Loop.streams;
+  let invs =
+    List.sort
+      (fun (a : Ddg.invariant) b -> Int.compare a.Ddg.inv_id b.Ddg.inv_id)
+      (Ddg.invariants g)
   in
-  let index_exn id =
-    let i = index id in
-    if i < 0 then invalid_arg "Fingerprint.of_loop: edge or consumer of an \
-                               unknown node";
-    i
-  in
-  let nodes = Array.map (Ddg.node g) ids in
-  (* initial label: kind, invariants read, then the node's first memory
-     stream (flag, base, stride) *)
-  let label =
-    Array.map (fun (v : Ddg.node) -> [| kind_code v.Ddg.kind; 0; 0; 0; 0 |])
-      nodes
-  in
+  add_int b (List.length invs);
   List.iter
     (fun (inv : Ddg.invariant) ->
-      List.iter
-        (fun c ->
-          let a = label.(index_exn c) in
-          a.(1) <- a.(1) + 1)
-        inv.Ddg.inv_consumers)
-    (Ddg.invariants g);
-  List.iter
-    (fun (s : Loop.stream) ->
-      let i = index s.Loop.op in
-      if i >= 0 && label.(i).(2) = 0 then begin
-        label.(i).(2) <- 1;
-        label.(i).(3) <- s.Loop.base;
-        label.(i).(4) <- s.Loop.stride
-      end)
-    l.Loop.streams;
-  (* each node's in- and out-edges as flat (dep, distance, neighbour
-     index) triples *)
-  let triples other edges =
-    let a = Array.make (3 * List.length edges) 0 in
-    List.iteri
-      (fun k (e : Ddg.edge) ->
-        a.(3 * k) <- dep_code e.Ddg.dep;
-        a.((3 * k) + 1) <- e.Ddg.distance;
-        a.((3 * k) + 2) <- index_exn (other e))
-      edges;
-    a
-  in
-  let ins = Array.map (fun v -> triples (fun e -> e.Ddg.src) v.Ddg.preds) nodes
-  and outs =
-    Array.map (fun v -> triples (fun e -> e.Ddg.dst) v.Ddg.succs) nodes
-  in
-  let b = Buffer.create 256 in
-  add_int b n;
-  let rank = Array.make n 0 in
-  let signature i =
-    let ni = Array.length ins.(i) and no = Array.length outs.(i) in
-    let s = Array.make (2 + ni + no) 0 in
-    s.(0) <- rank.(i);
-    s.(1) <- ni / 3;
-    let put off e =
-      for k = 0 to (Array.length e / 3) - 1 do
-        let p = off + (3 * k) in
-        s.(p) <- e.(3 * k);
-        s.(p + 1) <- e.((3 * k) + 1);
-        s.(p + 2) <- rank.(e.((3 * k) + 2))
-      done
-    in
-    put 2 ins.(i);
-    put (2 + ni) outs.(i);
-    sort_triples s 2 (ni / 3);
-    sort_triples s (2 + ni) (no / 3);
-    s
-  in
-  (* refinement only ever splits classes; stop when the partition is
-     stable (at most n rounds) *)
-  let rec refine rounds d =
-    if rounds >= n then d
-    else
-      let d' = classify b (Array.init n signature) rank in
-      if d' > d then refine (rounds + 1) d' else d'
-  in
-  let d = refine 0 (classify b label rank) in
-  let counts = Array.make d 0 in
-  Array.iter (fun r -> counts.(r) <- counts.(r) + 1) rank;
-  add_ints b counts;
-  let edges = ref [] in
-  Array.iteri
-    (fun i e ->
-      for k = 0 to (Array.length e / 3) - 1 do
-        edges :=
-          [| rank.(i); rank.(e.((3 * k) + 2)); e.(3 * k); e.((3 * k) + 1) |]
-          :: !edges
-      done)
-    outs;
-  add_table b (sort_ints (Array.of_list !edges));
-  let consumer_classes (inv : Ddg.invariant) =
-    let a =
-      Array.of_list
-        (List.map (fun c -> rank.(index_exn c)) inv.Ddg.inv_consumers)
-    in
-    Array.sort Int.compare a;
-    a
-  in
-  add_table b
-    (sort_ints
-       (Array.of_list (List.map consumer_classes (Ddg.invariants g))));
+      add_int b inv.Ddg.inv_id;
+      add_int b (List.length inv.Ddg.inv_consumers);
+      List.iter (add_int b) (List.sort Int.compare inv.Ddg.inv_consumers))
+    invs;
   add_int b l.Loop.trip_count;
   add_int b l.Loop.entries;
+  add_int b (Ddg.next_id g);
+  add_int b (Ddg.next_inv g);
   Digest.string (Buffer.contents b)
 
 (* ------------------------------------------------------------------ *)
@@ -265,10 +152,9 @@ let cap = function Hcrf_machine.Cap.Inf -> "inf" | Finite n -> int n
 (* The generalized fields append parts only when present, with a
    distinct leading tag per field group: a legacy (absent-everywhere)
    organization keeps its legacy part list byte-for-byte — and hence its
-   historical config digest; full cache keys also cover the loop
-   fingerprint, whose bytes changed with stage-memo version 3 — while
-   any two configurations differing in any port/level field get
-   distinct encodings (parts are length-prefixed, tags are distinct). *)
+   historical config digest — while any two configurations differing in
+   any port/level field get distinct encodings (parts are
+   length-prefixed, tags are distinct). *)
 let access_parts tag a =
   match Hcrf_machine.Rf.norm_access a with
   | None -> []

@@ -6,15 +6,16 @@
     memory stream, a register count, a scheduler option) changes the
     digest with overwhelming probability.
 
-    Loop fingerprints are computed with Weisfeiler–Lehman color
-    refinement on integer ranks: node ids never enter the key, only
-    operation kinds, memory streams, invariant reads and the multiset
-    structure of the (dep, distance)-labelled edges.  Two loops that
-    differ only by a node renumbering or by the order edges were
-    inserted therefore hash equal; renaming the loop does not change
-    the fingerprint either (the name does not affect any scheduling
-    outcome).  Key bytes are stable only within one version of the
-    stage memo ([Hcrf_eval.Memo.version]), which persists them. *)
+    Loop fingerprints include the node ids: the scheduler breaks ties
+    by id (cluster choice, priority queue) and numbers the nodes it
+    inserts from the graph's id counter, so a stored schedule is bound
+    to concrete ids and only replays for a loop with exactly these ids
+    and counters.  Two loops that differ only in the order of their
+    adjacency, stream or invariant lists hash equal; a renumbered twin
+    does not.  Renaming the loop does not change the fingerprint (the
+    name does not affect any scheduling outcome).  Key bytes are stable
+    only within one version of the schedule store ({!Store.version})
+    and of the stage memo, which persist them. *)
 
 type t
 
@@ -33,19 +34,13 @@ val of_string : string -> t
 (** Combine fingerprints into one.  Order-sensitive. *)
 val combine : t list -> t
 
-(** Fingerprint of a loop: its graph (with memory streams as node
-    attributes), trip count and entry count.  The loop's name is
-    deliberately excluded.  A node's class starts as its label (kind,
-    invariants read, first memory stream's base and stride); each
-    round replaces it by the rank of its signature (class, then its
-    in- and out-edges as sorted (dep, distance, neighbour class)
-    lists) in the sorted table of the round's distinct signatures,
-    until a round splits no class.  One MD5 covers the transcript:
-    the label table, every round's signature table, then the class
-    sizes, the sorted edge and invariant-consumer multisets over the
-    final classes, and the trip and entry counts.  Raises
-    [Invalid_argument] when an edge or invariant consumer names a node
-    the graph lacks (see {!Hcrf_ir.Ddg.validate}). *)
+(** Fingerprint of a loop: one MD5 over a varint transcript.  In
+    node-id order it holds each node's id and kind, then its out-edges
+    sorted as (dst, dep, distance); after the nodes come the memory
+    streams sorted as (op, base, stride), the invariants by id with
+    their consumers sorted, the trip and entry counts, and the graph's
+    id counters ([repr_next_id], [repr_next_inv]).  The loop's name is
+    deliberately excluded. *)
 val of_loop : Hcrf_ir.Loop.t -> t
 
 (** Fingerprint of a full machine configuration: resources, register

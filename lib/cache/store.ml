@@ -1,12 +1,10 @@
 type t = { dir : string }
 
-(* version 4: [Entry.stored_outcome] snapshots the load-latency override
-   the engine scheduled with.  Files of older versions (the flat v2
-   layout included) fail the magic test and are recomputed.  Loop
-   fingerprints changed bytes with stage-memo version 3 without a bump
-   here: keys are file names, so an entry stored under an old-scheme key
-   is simply never looked up again. *)
-let version = 4
+(* version 5: loop fingerprints include node ids and id counters, and
+   entries no longer carry the input graph's id digest.  Files of older
+   versions (the flat v2 layout included) fail the magic test and are
+   recomputed. *)
+let version = 5
 let magic = Printf.sprintf "hcrf-cache %d\n" version
 
 (* Shard count and the shard of a key (its leading hex nibble).  16 is

@@ -17,9 +17,9 @@
 
 type t
 
-(** Current on-disk format version (bumped whenever the entry schema or
-    directory layout changes; payload-incompatible older files are then
-    skipped as stale). *)
+(** Current on-disk format version (bumped whenever the key scheme, the
+    entry schema or the directory layout changes; payload-incompatible
+    older files are then skipped as stale). *)
 val version : int
 
 (** Number of shard subdirectories (16: one per leading hex nibble). *)

@@ -146,8 +146,8 @@ let exec_iterations = [ 2; 7; 13 ]
    warm replay must reproduce this exactly. *)
 let snapshot config (r : Runner.loop_result) =
   Marshal.to_string
-    ( Hcrf_cache.Entry.of_outcome config r.Runner.outcome ~input_digest:""
-        ~stall_cycles:0. ~retries:0,
+    ( Hcrf_cache.Entry.of_outcome config r.Runner.outcome ~stall_cycles:0.
+        ~retries:0,
       r.Runner.perf )
     []
 
@@ -203,15 +203,8 @@ let oracle ?cache ?(exact = false) ?exact_out ?(trace = Tr.off) ~opts config
       else fail Ev.Replay_divergence "warm replay differs from cold outcome"
     in
     (* leg 5: metamorphic twins through the same cache *)
-    let fp = Hcrf_cache.Fingerprint.of_loop loop in
-    let digest = Hcrf_cache.Entry.ddg_digest loop.Loop.ddg in
     let mii = cold.Runner.outcome.Engine.mii in
     let twin_leg name twin =
-      let* () =
-        if Hcrf_cache.Fingerprint.equal (Hcrf_cache.Fingerprint.of_loop twin) fp
-        then Ok ()
-        else fail Ev.Metamorphic "%s twin: WL fingerprint changed" name
-      in
       let* rt =
         match Runner.run_loop ~ctx config twin with
         | Some r -> Ok r
@@ -236,11 +229,11 @@ let oracle ?cache ?(exact = false) ?exact_out ?(trace = Tr.off) ~opts config
     in
     let reorder = Morph.rewrite_loop ~m:Fun.id loop in
     let* () =
-      (* reordering adjacency lists must not move the id digest: the
+      (* reordering adjacency lists must not move the cache key: the
          cache replays the cold entry for this twin *)
-      if String.equal (Hcrf_cache.Entry.ddg_digest reorder.Loop.ddg) digest
-      then Ok ()
-      else fail Ev.Metamorphic "reorder twin: id digest changed"
+      let key = Runner.cache_key ~scenario:Runner.Ideal ~opts config in
+      if Hcrf_cache.Fingerprint.equal (key reorder) (key loop) then Ok ()
+      else fail Ev.Metamorphic "reorder twin: cache key changed"
     in
     let* () = twin_leg "reorder" reorder in
     let renumber =

@@ -11,9 +11,10 @@
       values and memory at several iteration counts;
     - a warm replay through the case's (private) schedule cache must
       validate and be byte-identical to the cold outcome;
-    - metamorphic twins (adjacency reorder; node renumbering) must keep
-      the WL fingerprint, schedule successfully, validate, execute
-      correctly and agree on MII.  (Full II/spill equality under
+    - metamorphic twins (adjacency reorder; node renumbering) must
+      schedule successfully, validate, execute correctly and agree on
+      MII, and the reorder twin must keep the cache key (the cache
+      replays the cold entry for it).  (Full II/spill equality under
       renumbering does *not* hold for this engine — cluster selection
       is id-sensitive — so the oracle deliberately checks the invariant
       that does hold; see DESIGN.md.)

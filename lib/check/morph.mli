@@ -2,9 +2,9 @@
 
     A rewrite relabels node ids through a bijection and reverses every
     adjacency list (and invariant consumer list), producing a loop that
-    is isomorphic to the original — same WL fingerprint, same reference
-    semantics — while looking as different as possible to anything that
-    iterates over ids or edge lists. *)
+    is isomorphic to the original — same reference semantics — while
+    looking as different as possible to anything that iterates over ids
+    or edge lists. *)
 
 (** A bijection on the graph's node ids that maps the sorted id
     sequence onto its reverse (identity outside the graph, and the

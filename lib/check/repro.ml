@@ -94,7 +94,9 @@ let decode_base base =
   | Some r -> Some r
   | None -> ( match cand (i0 + 1) with Some r -> Some r | None -> cand (i0 - 1))
 
-let ast_of_loop (loop : Loop.t) : (string, string) result =
+(* A loop as a frontend program and its OCaml rendering, or why it is
+   not expressible. *)
+let render (loop : Loop.t) =
   let module Ast = Hcrf_frontend.Ast in
   let g = loop.Loop.ddg in
   let ( let* ) = Result.bind in
@@ -124,7 +126,9 @@ let ast_of_loop (loop : Loop.t) : (string, string) result =
   (* single-consumer tree rooted in stores *)
   let rec expr v =
     let k = Ddg.kind g v in
-    let ops = List.map (fun (e : Ddg.edge) -> e.Ddg.src) (Ddg.preds g v) in
+    (* [preds] lists in-edges newest first: the compiler adds them in
+       operand order *)
+    let ops = List.rev_map (fun (e : Ddg.edge) -> e.Ddg.src) (Ddg.preds g v) in
     let* () =
       match Ddg.succs g v with
       | [ _ ] -> Ok ()
@@ -170,28 +174,38 @@ let ast_of_loop (loop : Loop.t) : (string, string) result =
   in
   let stmts = List.rev stmts in
   let* () = if stmts = [] then err "loop has no stores" else Ok () in
-  (* every non-store node must feed some store: tree coverage implies
-     node counts match after recompiling, which the fingerprint checks *)
-  let ast =
-    Hcrf_frontend.Ast.make ~trip_count:loop.Loop.trip_count
-      ~entries:loop.Loop.entries ~name:(Loop.name loop)
-      (List.map fst stmts)
-  in
+  Ok
+    ( Ast.make ~trip_count:loop.Loop.trip_count ~entries:loop.Loop.entries
+        ~name:(Loop.name loop) (List.map fst stmts),
+      Fmt.str "make ~trip_count:%d ~entries:%d ~name:%S [%a]"
+        loop.Loop.trip_count loop.Loop.entries (Loop.name loop)
+        (Fmt.list ~sep:(Fmt.any "; ") Fmt.string)
+        (List.map snd stmts) )
+
+(* The rendering must survive a round trip through the compiler: the
+   compiled program renders to the same text (same trees, arrays and
+   offsets), and the node and edge counts match, so no node of [loop]
+   lies outside the trees (a dead node is not expressible). *)
+let ast_of_loop (loop : Loop.t) : (string, string) result =
+  let ( let* ) = Result.bind in
+  let err fmt = Fmt.kstr (fun s -> Error s) fmt in
+  let* ast, text = render loop in
   match Hcrf_frontend.Compile.compile ast with
   | exception Hcrf_frontend.Compile.Error msg ->
     err "candidate AST rejected by the compiler: %s" msg
   | compiled ->
+    let g = loop.Loop.ddg and g' = compiled.Loop.ddg in
+    let same_text =
+      match render compiled with
+      | Ok (_, text') -> String.equal text text'
+      | Error _ -> false
+    in
     if
-      Hcrf_cache.Fingerprint.equal
-        (Hcrf_cache.Fingerprint.of_loop compiled)
-        (Hcrf_cache.Fingerprint.of_loop loop)
-    then
-      Ok
-        (Fmt.str "make ~trip_count:%d ~entries:%d ~name:%S [%a]"
-           loop.Loop.trip_count loop.Loop.entries (Loop.name loop)
-           (Fmt.list ~sep:(Fmt.any "; ") Fmt.string)
-           (List.map snd stmts))
-    else err "candidate AST compiles to a non-isomorphic loop"
+      same_text
+      && Ddg.num_nodes g' = Ddg.num_nodes g
+      && Ddg.num_edges g' = Ddg.num_edges g
+    then Ok text
+    else err "candidate AST compiles to a different loop"
 
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                       *)

@@ -13,8 +13,7 @@
     giving the loop as an OCaml {!Hcrf_ir.Ddg.repr} value, and an
     [# ast:] line giving a frontend {!Hcrf_frontend.Ast} program when
     the loop is expressible as one (verified by recompiling the
-    candidate and comparing WL fingerprints), or the reason it is
-    not. *)
+    candidate), or the reason it is not. *)
 
 type t = {
   seed : int;          (** campaign seed *)
@@ -33,8 +32,9 @@ type t = {
 (** Render [t.loop] as a frontend AST program when expressible;
     [Error reason] otherwise.  Expressible means: an invariant-free
     forest of single-consumer arithmetic over unit-stride array reads
-    feeding stores, with no loop-carried or ordering edges, that
-    recompiles to a WL-identical loop. *)
+    feeding stores, with no loop-carried or ordering edges, whose
+    program recompiles to a loop with the same rendering and the same
+    node and edge counts (so a dead node is not expressible). *)
 val ast_of_loop : Hcrf_ir.Loop.t -> (string, string) result
 
 val to_string : t -> string

@@ -105,7 +105,7 @@ type incr_spec = Incr_off | Incr_memory | Incr_dir of string
 
 (* HCRF_INCR turns the incremental stage memo on: "on"/"1"/"" for an
    in-memory memo, "off"/"0" to force it off, anything else is a
-   directory the memo persists to ([<dir>/memo.v3] plus store shards). *)
+   directory the memo persists to ([<dir>/memo.v4] plus store shards). *)
 let incr () =
   match Sys.getenv_opt "HCRF_INCR" with
   | None -> Incr_off

@@ -5,7 +5,6 @@
 
 type value =
   | Loop_v of Hcrf_ir.Loop.repr
-  | Fp_v of Hcrf_cache.Fingerprint.t
   | Perf_v of Metrics.loop_perf option
 
 module Counters = Hcrf_obs.Counters
@@ -20,9 +19,10 @@ type t = {
 }
 
 (* version 2: the table holds no schedule entries; they live in [cache].
-   version 3: extract-stage [Fp_v] values are rank-based WL loop
-   fingerprints; version-2 files hold MD5-chain ones. *)
-let version = 3
+   version 3: extract-stage values were rank-based WL loop fingerprints.
+   version 4: no extract stage; metric keys use the id-sensitive loop
+   fingerprint. *)
+let version = 4
 let magic = Printf.sprintf "hcrf-memo %d\n" version
 let file_of_dir dir = Filename.concat dir (Printf.sprintf "memo.v%d" version)
 

@@ -1,6 +1,6 @@
 (** The stage memo of the incremental evaluation pipeline.
 
-    One table memoizes the frontend, extract and metric stages of the
+    One table memoizes the frontend and metric stages of the
     program → loops → schedules → metrics pipeline
     ({!Runner.run_pipeline}, [Hcrf_incr.Pipeline]): entries are keyed by
     (stage, input digest) and hold the stage's closure-free result, so
@@ -26,7 +26,6 @@
 (** One memoized stage result. *)
 type value =
   | Loop_v of Hcrf_ir.Loop.repr  (** frontend: compiled kernel *)
-  | Fp_v of Hcrf_cache.Fingerprint.t  (** extract: WL loop fingerprint *)
   | Perf_v of Metrics.loop_perf option
       (** metric: derived metrics; [None] replays a scheduling failure
           without re-logging it *)
@@ -34,7 +33,7 @@ type value =
 type t
 
 (** An empty memo; with [dir], load a previously {!save}d table from
-    [dir/memo.v3] (a corrupt file, or one of an older version, is
+    [dir/memo.v4] (a corrupt file, or one of an older version, is
     discarded with a warning) and back {!cache} with the store shards
     under [dir]. *)
 val create : ?dir:string -> unit -> t
@@ -70,12 +69,12 @@ val emit :
 val length : t -> int
 
 (** Per-stage lookup counts since creation, read from the registry's
-    hit and miss notes, sorted by key (["extract.hits"],
-    ["extract.misses"], ["frontend.hits"], ...); zero counts are
+    hit and miss notes, sorted by key (["frontend.hits"],
+    ["frontend.misses"], ["metric.hits"], ...); zero counts are
     omitted. *)
 val stage_stats : t -> (string * int) list
 
-(** Persist the table to [dir/memo.v3] (atomic rename; schedule
+(** Persist the table to [dir/memo.v4] (atomic rename; schedule
     entries already persist in the cache's store shards as they are
     added); a no-op without [dir].  Returns [false] (warned) when the
     write failed. *)

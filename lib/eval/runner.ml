@@ -94,17 +94,12 @@ let scenario_tag = function
     always replaces it with the override derived from the scenario and
     loop, both of which the key covers.  The tracer is not part of the
     key either — tracing must never change what is computed. *)
-let cache_key_of_fp ~scenario ~opts (config : Hcrf_machine.Config.t)
-    ~loop_fp =
+let cache_key ~scenario ~opts config (loop : Loop.t) =
   Hcrf_cache.Fingerprint.combine
     [ Hcrf_cache.Fingerprint.of_config config;
-      loop_fp;
+      Hcrf_cache.Fingerprint.of_loop loop;
       Hcrf_cache.Fingerprint.of_options opts;
       Hcrf_cache.Fingerprint.of_string (scenario_tag scenario) ]
-
-let cache_key ~scenario ~opts config (loop : Loop.t) =
-  cache_key_of_fp ~scenario ~opts config
-    ~loop_fp:(Hcrf_cache.Fingerprint.of_loop loop)
 
 let warn_no_schedule (config : Hcrf_machine.Config.t) loop ii =
   Logs.warn (fun m ->
@@ -174,9 +169,7 @@ let compute_entry ?(trace = Tr.off) ~scenario ~opts config (loop : Loop.t) =
   match compute ~scenario ~opts ~trace config loop with
   | Error ii -> Hcrf_cache.Entry.Failed ii
   | Ok (outcome, stall_cycles, retries) ->
-    Hcrf_cache.Entry.of_outcome config outcome
-      ~input_digest:(Hcrf_cache.Entry.ddg_digest loop.Loop.ddg)
-      ~stall_cycles ~retries
+    Hcrf_cache.Entry.of_outcome config outcome ~stall_cycles ~retries
 
 (* Replay an entry — fresh or cached, same code either way — into a
    [loop_result]; [None] for [Failed] entries, with the same warning as
@@ -191,21 +184,7 @@ let result_of_entry config (loop : Loop.t) = function
          (Hcrf_cache.Entry.to_outcome config outcome)
          ~stall_cycles ~retries)
 
-(* The key's WL fingerprint equates isomorphic loops, but stored
-   assignments are bound to concrete node ids: only replay entries whose
-   input graph had exactly these ids ([digest], {!Entry.ddg_digest}). *)
-let compatible ~digest = function
-  | Hcrf_cache.Entry.Failed _ -> true
-  | Hcrf_cache.Entry.Scheduled { input_digest; _ } ->
-    String.equal input_digest digest
-
-let entry_compatible (loop : Loop.t) =
-  compatible ~digest:(Hcrf_cache.Entry.ddg_digest loop.Loop.ddg)
-
-let lookup ?trace cache key ~digest =
-  Hcrf_cache.Cache.find ?trace ~validate:(compatible ~digest) cache key
-
-let store ?trace cache key entry = Hcrf_cache.Cache.add ?trace cache key entry
+let entry_compatible (_ : Loop.t) (_ : Hcrf_cache.Entry.t) = true
 
 (** Traced parallel map for drivers that run the engine directly rather
     than through [run_loop]: each work unit gets a trace labelled by
@@ -241,27 +220,14 @@ type pipeline_stats = {
   dirty : string list;
 }
 
-(* The WL fingerprint of a loop, through the memo's extract stage (keyed
-   by a cheap id-sensitive structural digest) when there is a memo. *)
-let loop_fingerprint ~trace memo loop =
-  match memo with
-  | None -> Hcrf_cache.Fingerprint.of_loop loop
-  | Some m ->
-    fst
-      (Memo.memoize m ~trace ~stage:Ev.Extract
-         (Digest.string (Marshal.to_string (Loop.to_repr loop) []))
-         ~get:(function Memo.Fp_v fp -> Some fp | _ -> None)
-         ~put:(fun fp -> Memo.Fp_v fp)
-         (fun () -> Hcrf_cache.Fingerprint.of_loop loop))
-
 (* The one resolver behind [run_loop], [run_suite] and [run_pipeline]:
    the schedule entry of every loop of a batch, in input order, with the
    cache keys and how the batch was answered.  Entries live in one store
    — the context's cache, else the memo's.  Keys, lookups and the
-   coalescing of duplicates (same key *and* same input ids) run serially
-   in input order, so stats and trace counters are identical at any job
-   count; only the owners' engine runs fan out on the [Par] pool, and
-   their entries are committed to the store serially in input order. *)
+   coalescing of duplicates (same key) run serially in input order, so
+   stats and trace counters are identical at any job count; only the
+   owners' engine runs fan out on the [Par] pool, and their entries are
+   committed to the store serially in input order. *)
 let resolve ~(ctx : Ctx.t) ~traces config loops =
   let { Ctx.scenario; opts; memo; _ } = ctx in
   let cache =
@@ -270,23 +236,16 @@ let resolve ~(ctx : Ctx.t) ~traces config loops =
     | None -> Option.map Memo.cache memo
   in
   let n = Array.length loops in
-  let keys =
-    Array.mapi
-      (fun i loop ->
-        cache_key_of_fp ~scenario ~opts config
-          ~loop_fp:(loop_fingerprint ~trace:traces.(i) memo loop))
-      loops
-  in
+  let keys = Array.map (cache_key ~scenario ~opts config) loops in
   let entries = Array.make n None in
   let owners = Hashtbl.create 16 in
   let todo = ref [] and joins = ref [] in
   Array.iteri
-    (fun i (loop : Loop.t) ->
+    (fun i key ->
       let trace = traces.(i) in
-      let digest = Hcrf_cache.Entry.ddg_digest loop.Loop.ddg in
       let t0 = Memo.now_ns () in
       entries.(i) <-
-        Option.bind cache (fun c -> lookup ~trace c keys.(i) ~digest);
+        Option.bind cache (fun c -> Hcrf_cache.Cache.find ~trace c key);
       let hit = Option.is_some entries.(i) in
       Option.iter
         (fun m ->
@@ -295,12 +254,12 @@ let resolve ~(ctx : Ctx.t) ~traces config loops =
             ~since:t0)
         memo;
       if not hit then
-        match Hashtbl.find_opt owners (keys.(i), digest) with
+        match Hashtbl.find_opt owners key with
         | Some owner -> joins := (i, owner) :: !joins
         | None ->
-          Hashtbl.add owners (keys.(i), digest) i;
+          Hashtbl.add owners key i;
           todo := i :: !todo)
-    loops;
+    keys;
   let todo = List.rev !todo in
   let fresh =
     Par.map ~jobs:ctx.Ctx.jobs
@@ -316,7 +275,9 @@ let resolve ~(ctx : Ctx.t) ~traces config loops =
   in
   List.iter2
     (fun i entry ->
-      Option.iter (fun c -> store ~trace:traces.(i) c keys.(i) entry) cache;
+      Option.iter
+        (fun c -> Hcrf_cache.Cache.add ~trace:traces.(i) c keys.(i) entry)
+        cache;
       entries.(i) <- Some entry)
     todo fresh;
   List.iter (fun (i, owner) -> entries.(i) <- entries.(owner)) !joins;
@@ -356,7 +317,7 @@ let run_loop ?ctx config loop =
 
 (* The staged pipeline: the resolver, plus the *metric* stage, which
    memoizes the derived [loop_perf] keyed by cache key + loop name (the
-   one input the WL fingerprint deliberately excludes). *)
+   one input the loop fingerprint deliberately excludes). *)
 let run_pipeline ?(ctx = Ctx.default) config loops =
   let metric_hits = ref 0 in
   let perf_of loop entry =

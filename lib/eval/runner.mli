@@ -73,28 +73,11 @@ val result_of_entry :
   Hcrf_machine.Config.t -> Hcrf_ir.Loop.t -> Hcrf_cache.Entry.t ->
   loop_result option
 
-(** Whether a stored entry may be replayed for a loop whose input graph
-    has {!Hcrf_cache.Entry.ddg_digest} [digest]: fingerprints equate
-    isomorphic loops, but stored assignments are bound to concrete node
-    ids, so only entries computed from exactly these ids are compatible
-    ([Failed] entries always are). *)
-val compatible : digest:string -> Hcrf_cache.Entry.t -> bool
-
-(** [compatible] with the digest of [loop]'s graph. *)
+(** Always [true]: cache keys include node ids, so every entry found
+    under a loop's key was computed from exactly that loop.  Kept for
+    the benchmark harness (perfbench), which still calls it; it goes
+    with the next change to that harness. *)
 val entry_compatible : Hcrf_ir.Loop.t -> Hcrf_cache.Entry.t -> bool
-
-(** The answer path's store lookup: the entry under [key] when it is
-    {!compatible} with [digest].  Every schedule-entry read of a
-    {!Hcrf_cache.Cache} — batch runner and serving daemon alike — goes
-    through here. *)
-val lookup :
-  ?trace:Hcrf_obs.Trace.t -> Hcrf_cache.Cache.t -> Hcrf_cache.Fingerprint.t ->
-  digest:string -> Hcrf_cache.Entry.t option
-
-(** The answer path's store write, the counterpart of {!lookup}. *)
-val store :
-  ?trace:Hcrf_obs.Trace.t -> Hcrf_cache.Cache.t -> Hcrf_cache.Fingerprint.t ->
-  Hcrf_cache.Entry.t -> unit
 
 (** Schedule one loop (with escalating budget retries so aggregate
     metrics never silently drop loops); [None] only if every retry
@@ -105,10 +88,9 @@ val run_loop :
 
 (** Schedule a whole suite; loops that fail to schedule are dropped
     (and logged).  One resolver answers every schedule: it computes
-    each loop's key (through the memo's extract stage when [ctx] has a
-    memo), looks it up in one store — [ctx.cache], else the memo's
-    {!Memo.cache}, else none — and coalesces duplicates (same key and
-    same node ids) onto one owner, all serially in input order; only
+    each loop's key, looks it up in one store — [ctx.cache], else the
+    memo's {!Memo.cache}, else none — and coalesces duplicates (same
+    key) onto one owner, all serially in input order; only
     the owners' engine runs fan out over [ctx.jobs] domains ({!Par}),
     and their entries are committed to the store serially in input
     order.  Results are replayed from the entries ({!result_of_entry})

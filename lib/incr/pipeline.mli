@@ -1,10 +1,10 @@
 (** The staged, memoized evaluation pipeline over a frontend program.
 
-    A program (a list of loop-language kernels) flows through four
-    fingerprinted stages — frontend compile, loop extraction / WL
-    fingerprint construction, schedule, metrics — each memoized under
-    its input digest: the schedule stage in the runner's one schedule
-    store, the others in the context's {!Hcrf_eval.Memo}.  {!eval}
+    A program (a list of loop-language kernels) flows through three
+    fingerprinted stages — frontend compile, schedule, metrics — each
+    memoized under its input digest: the schedule stage in the
+    runner's one schedule store, the others in the context's
+    {!Hcrf_eval.Memo}.  {!eval}
     after an edit therefore recomputes only the stages whose upstream
     digest changed: an edited kernel recompiles and reschedules, every
     untouched kernel replays from the memo, and the results are
@@ -24,8 +24,8 @@ type eval_stats = {
   frontend_hits : int;  (** kernels replayed from the frontend memo *)
   frontend_recomputed : int;  (** kernels recompiled *)
   sched : Hcrf_eval.Runner.pipeline_stats;
-      (** extract/schedule/metric stage accounting, incl. the dirty
-          loop names *)
+      (** schedule/metric stage accounting, incl. the dirty loop
+          names *)
 }
 
 val create : ?ctx:Hcrf_eval.Runner.Ctx.t -> Hcrf_machine.Config.t -> t

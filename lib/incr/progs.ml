@@ -4,9 +4,8 @@
 
 open Hcrf_frontend.Ast
 
-(* Six kernel shapes, parameterized by the kernel index so compiled
-   loops are pairwise WL-distinct (offsets, invariant names and
-   trip/entry counts all vary with [i]). *)
+(* Six kernel shapes, parameterized by the kernel index (offsets,
+   invariant names and trip/entry counts all vary with [i]). *)
 let kernel i =
   let off = 1 + (i / 6 mod 3) in
   let trip_count = 60 + (20 * (i mod 5)) in

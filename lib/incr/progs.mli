@@ -8,9 +8,11 @@
 
 (** [program ~n] is a program of [n] kernels cycling through six loop
     shapes (daxpy, reduction, stencil, read-modify-write, select,
-    sqrt recurrence) with per-index offsets and trip/entry counts, so
-    kernels are pairwise distinct both by {!Hcrf_frontend.Ast.digest}
-    and by WL fingerprint of the compiled loops. *)
+    sqrt recurrence) with per-index offsets, invariant names and
+    trip/entry counts, so kernels are pairwise distinct by
+    {!Hcrf_frontend.Ast.digest}.  Invariant names do not reach the
+    compiled loop, so compiled loops repeat: the 120 kernels of
+    [program ~n:120] compile to 60 distinct loops. *)
 val program : n:int -> Hcrf_frontend.Ast.t list
 
 (** [edit ~round ~kernel prog] returns [prog] with kernel [kernel]

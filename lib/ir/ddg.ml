@@ -119,6 +119,9 @@ let add_node t kind =
   place t { id; kind; succs = []; preds = [] };
   id
 
+let next_id t = t.next_id
+let next_inv t = t.next_inv
+
 let add_edge t ?(distance = 0) ~dep src dst =
   if distance < 0 then invalid_arg "Ddg.add_edge: negative distance";
   let e = { src; dst; dep; distance } in

@@ -47,6 +47,11 @@ val preds : t -> int -> edge list
 (** Returns the fresh node's id. *)
 val add_node : t -> Op.kind -> int
 
+(** The id counters: the ids {!add_node} and {!add_invariant} hand out
+    next. *)
+val next_id : t -> int
+val next_inv : t -> int
+
 val add_edge : t -> ?distance:int -> dep:Dep.t -> int -> int -> unit
 
 (** Whether this exact edge is present. *)

@@ -25,11 +25,10 @@ val make :
   ?trip_count:int -> ?entries:int -> ?streams:stream list -> Ddg.t -> t
 
 (** Closure-free snapshot of a loop, the one form a loop is marshalled
-    in: the stage memo stores it and hashes it into extract-stage keys,
-    and the daemon's requests carry it.  A live [Ddg.t] may carry a
-    watcher closure; {!Ddg.repr} does not.  The field order and types
-    are part of the [memo.v3] format — changing them changes its
-    bytes. *)
+    in: the stage memo stores it and the daemon's requests carry it.  A
+    live [Ddg.t] may carry a watcher closure; {!Ddg.repr} does not.
+    The field order and types are part of the [memo.v4] format —
+    changing them changes its bytes. *)
 type repr = {
   repr_ddg : Ddg.repr;
   repr_trip_count : int;

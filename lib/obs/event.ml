@@ -8,7 +8,7 @@ type comm = Store_r | Load_r | Move
 type cache_op = Hit | Miss | Store
 type spill = Value | Invariant
 type phase = Mii | Order | Schedule | Regalloc | Memsim | Exact
-type incr_stage = Frontend | Extract | Sched | Metric
+type incr_stage = Frontend | Sched | Metric
 type incr_op = Stage_hit | Stage_miss | Stage_recompute
 
 type serve_op =
@@ -73,8 +73,7 @@ let phase_names =
     (Regalloc, "regalloc"); (Memsim, "memsim"); (Exact, "exact") ]
 
 let incr_stage_names =
-  [ (Frontend, "frontend"); (Extract, "extract"); (Sched, "sched");
-    (Metric, "metric") ]
+  [ (Frontend, "frontend"); (Sched, "sched"); (Metric, "metric") ]
 
 let incr_op_names =
   [ (Stage_hit, "hit"); (Stage_miss, "miss"); (Stage_recompute, "recompute") ]

@@ -11,9 +11,8 @@ type phase = Mii | Order | Schedule | Regalloc | Memsim | Exact
 
 (** One stage of the incremental evaluation pipeline
     ([Hcrf_eval.Runner.run_pipeline] / [Hcrf_incr.Pipeline]): frontend
-    kernel compilation, loop extraction / [Ddg.repr] construction,
-    scheduling, metric derivation. *)
-type incr_stage = Frontend | Extract | Sched | Metric
+    kernel compilation, scheduling, metric derivation. *)
+type incr_stage = Frontend | Sched | Metric
 
 (** One stage-memo step: the lookup hit, the lookup missed, or the
     stage function actually re-ran.  A miss that is then answered by

@@ -1,6 +1,6 @@
 (** The [Jsonl] sink: one JSON object per line, one file per run.
 
-    Line 1 is a versioned header ([{"schema":"hcrf-trace","version":1}]);
+    Line 1 is a versioned header ([{"schema":"hcrf-trace","version":2}]);
     every following line is one event tagged with the label of the work
     unit that produced it.  Events reach {!write} only through
     {!Tracer.commit}, which serializes per-work-unit buffers in input
@@ -12,7 +12,9 @@
     event kind) and reject anything else. *)
 
 let schema_name = "hcrf-trace"
-let version = 1
+
+(* version 2: the [incr] event's stage enum lost ["extract"] *)
+let version = 2
 
 type value = S of string | I of int
 

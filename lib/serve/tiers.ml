@@ -9,8 +9,8 @@ type t = {
   lru : (Fingerprint.t, Entry.t) Lru.t;
   cache : Cache.t;
   pool : Pool.t;
-  (* keyed like the resolver's coalescing: cache key and input digest *)
-  inflight : (Fingerprint.t * string, Entry.t Pool.future) Hashtbl.t;
+  (* keyed like the resolver's coalescing: by cache key *)
+  inflight : (Fingerprint.t, Entry.t Pool.future) Hashtbl.t;
   inflight_mutex : Mutex.t;
   tracer : Tracer.t;
   (* the always-on registry of [Serve] notes, counted whether or not a
@@ -53,14 +53,14 @@ let note t trace op =
   observed t (fun () -> Counters.note t.counts trace (Ev.Serve op))
 
 (* The tier-3 computation: the batch runner's exact compute path,
-   traced as its own work unit, stored through the runner's store
-   helper.  Runs on a pool domain (or inline during drain). *)
-let compute_task t ~id:((key, _) as id) ~scenario ~opts ~config ~loop fut () =
+   traced as its own work unit, stored in the shared cache.  Runs on a
+   pool domain (or inline during drain). *)
+let compute_task t ~key ~scenario ~opts ~config ~loop fut () =
   let result =
     match
       let tr = Tracer.start t.tracer ~label:(Loop.name loop) in
       let entry = Runner.compute_entry ~trace:tr ~scenario ~opts config loop in
-      Runner.store ~trace:tr t.cache key entry;
+      Cache.add ~trace:tr t.cache key entry;
       commit_trace t tr;
       entry
     with
@@ -68,7 +68,7 @@ let compute_task t ~id:((key, _) as id) ~scenario ~opts ~config ~loop fut () =
     | exception e -> Error e
   in
   Mutex.lock t.inflight_mutex;
-  Hashtbl.remove t.inflight id;
+  Hashtbl.remove t.inflight key;
   Mutex.unlock t.inflight_mutex;
   Pool.fulfil fut result
 
@@ -98,42 +98,38 @@ let schedule t (r : Wire.schedule_request) : Wire.response =
       let opts = Wire.engine_of_options r.Wire.sr_opts in
       let scenario = r.Wire.sr_scenario in
       let key = Runner.cache_key ~scenario ~opts config loop in
-      let digest = Entry.ddg_digest loop.Loop.ddg in
       let hit entry =
         commit_trace t trace;
         Wire.Scheduled entry
       in
       match Lru.find t.lru key with
-      | Some entry when Runner.compatible ~digest entry ->
+      | Some entry ->
         note t trace Ev.Lru_hit;
         hit entry
-      | Some _ | None -> (
+      | None -> (
         note t trace Ev.Lru_miss;
-        match Runner.lookup ~trace t.cache key ~digest with
+        match Cache.find ~trace t.cache key with
         | Some entry ->
           note t trace Ev.Disk_hit;
           Lru.add t.lru key entry;
           hit entry
         | None -> (
-          (* tier 3: register the future under (key, digest) before
-             anything runs, so a racing duplicate joins it — and a
-             renumbered twin, whose entry would be bound to other ids,
-             does not *)
-          let id = (key, digest) in
+          (* tier 3: register the future under the key before anything
+             runs, so a racing duplicate joins it *)
           Mutex.lock t.inflight_mutex;
           let fut, owner =
-            match Hashtbl.find_opt t.inflight id with
+            match Hashtbl.find_opt t.inflight key with
             | Some fut -> (fut, false)
             | None ->
               let fut = Pool.promise () in
-              Hashtbl.replace t.inflight id fut;
+              Hashtbl.replace t.inflight key fut;
               (fut, true)
           in
           Mutex.unlock t.inflight_mutex;
           if owner then begin
             note t trace Ev.Computed;
             let task =
-              compute_task t ~id ~scenario ~opts ~config ~loop fut
+              compute_task t ~key ~scenario ~opts ~config ~loop fut
             in
             (* a drained pool refuses thunks: compute inline so the
                last in-flight requests still complete *)

@@ -7,15 +7,13 @@
       front of the sharded on-disk store;
     + the scheduling engine, on a persistent {!Pool} of worker domains.
 
-    Tiers 1 and 2 accept an entry only when it is
-    {!Hcrf_eval.Runner.compatible} with the request's node ids, and
-    tier 2 is read and written through the batch runner's own
-    {!Hcrf_eval.Runner.lookup} and {!Hcrf_eval.Runner.store}.  Every
-    tier-3 computation is registered under (cache key, input digest)
-    while in flight, so a cold storm of identical requests coalesces
-    onto one engine run — the duplicates block on the same future and
-    all receive the same entry (byte-identical responses) — while a
-    renumbered twin computes its own.  Computations run
+    Every tier is keyed by {!Hcrf_eval.Runner.cache_key}, which
+    includes the node ids, so an answer is always bound to the
+    request's own ids.  Every tier-3 computation is registered under
+    its key while in flight, so a cold storm of identical requests
+    coalesces onto one engine run — the duplicates block on the same
+    future and all receive the same entry (byte-identical responses) —
+    while a renumbered twin computes its own.  Computations run
     {!Hcrf_eval.Runner.compute_entry}, the exact compute path of the
     batch runner, so a daemon answer can never differ from a local
     run.  This coalescing across connections stays apart from the

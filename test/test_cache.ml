@@ -1,5 +1,5 @@
 (* Tests for the content-addressed schedule cache: canonical
-   fingerprints (renumbering/reordering invariance, single-field
+   fingerprints (reordering invariance, renumbering and single-field
    sensitivity), warm/cold byte-identity of suite aggregates, replay
    validity, and on-disk robustness. *)
 
@@ -57,14 +57,16 @@ let reversing_bijection g =
   List.iter2 (Hashtbl.add tbl) ids (List.rev ids);
   Hashtbl.find tbl
 
-let prop_renumbering_invariant =
-  QCheck.Test.make ~name:"renumbered loops fingerprint equal"
+(* The engine breaks ties by node id, so a schedule is bound to its
+   loop's ids: a renumbered twin needs a key of its own. *)
+let prop_renumbering_sensitive =
+  QCheck.Test.make ~name:"renumbered loops fingerprint differ"
     ~count:n_loops
     QCheck.(int_range 0 (n_loops - 1))
     (fun i ->
       let l = nth_loop i in
       let l' = rewrite_loop ~m:(reversing_bijection l.Loop.ddg) l in
-      Fingerprint.equal (Fingerprint.of_loop l) (Fingerprint.of_loop l'))
+      not (Fingerprint.equal (Fingerprint.of_loop l) (Fingerprint.of_loop l')))
 
 let prop_reordering_invariant =
   QCheck.Test.make ~name:"edge/node-reordered loops fingerprint equal"
@@ -86,10 +88,21 @@ let all_distinct names fps =
     (Fmt.str "all of [%s] hash distinct" (String.concat "; " names))
     (List.length hexes) (List.length sorted)
 
+(* [l] with its graph's id counters raised by [ids] and [invs]. *)
+let with_counters ?(ids = 0) ?(invs = 0) (l : Loop.t) =
+  let r = Ddg.to_repr l.Loop.ddg in
+  { l with
+    Loop.ddg =
+      Ddg.of_repr
+        { r with
+          Ddg.repr_next_id = r.Ddg.repr_next_id + ids;
+          repr_next_inv = r.Ddg.repr_next_inv + invs } }
+
 (* The single-field mutants of a loop: one dependence distance, one
    opcode, the trip and entry counts, one memory-stream base address,
-   and two distances near [max_int / 2] one apart (a key that packed
-   (dep, distance, class) into one int would overflow and merge them). *)
+   the two id counters, and two distances near [max_int / 2] one apart
+   (a key that packed (dst, dep, distance) into one int would overflow
+   and merge them). *)
 let mutants (l : Loop.t) =
   let g = l.Loop.ddg in
   let with_distance f =
@@ -132,6 +145,8 @@ let mutants (l : Loop.t) =
       ("trip", { l with Loop.trip_count = l.Loop.trip_count + 1 });
       ("entries", { l with Loop.entries = l.Loop.entries + 1 }) ]
   @ named "stream-base" shift_stream
+  @ [ ("next-id", with_counters ~ids:1 l);
+      ("next-inv", with_counters ~invs:1 l) ]
   @ named "distance max_int/2" (with_distance (fun _ -> max_int / 2))
   @ named "distance max_int/2+1" (with_distance (fun _ -> (max_int / 2) + 1))
 
@@ -142,39 +157,36 @@ let test_loop_sensitivity () =
     (List.map (fun (_, l) -> Fingerprint.of_loop l) variants)
 
 (* ------------------------------------------------------------------ *)
-(* The rank-based key against the MD5-chain reference: equal exactly
-   when the reference keys are equal *)
+(* The key against a plain reference: the loop as an OCaml value with
+   every list sorted, compared structurally.  Keys must be equal exactly
+   when the references are. *)
 
-let keys_agree a b =
-  Fingerprint.equal (Fingerprint.of_loop a) (Fingerprint.of_loop b)
-  = String.equal (Fingerprint_ref.of_loop a) (Fingerprint_ref.of_loop b)
+let reference (l : Loop.t) =
+  let r = Ddg.to_repr l.Loop.ddg in
+  ( List.sort compare
+      (List.map
+         (fun (id, kind, succs, _) ->
+           ( id, kind,
+             List.sort compare
+               (List.map
+                  (fun (e : Ddg.edge) -> (e.Ddg.dst, e.Ddg.dep, e.Ddg.distance))
+                  succs) ))
+         r.Ddg.repr_nodes),
+    List.sort compare
+      (List.map
+         (fun (iv, cs) -> (iv, List.sort compare cs))
+         r.Ddg.repr_invariants),
+    List.sort compare l.Loop.streams,
+    ( l.Loop.trip_count, l.Loop.entries, r.Ddg.repr_next_id,
+      r.Ddg.repr_next_inv ) )
 
-let prop_agrees_with_reference =
-  QCheck.Test.make
-    ~name:"key equality = reference key equality (twins, mutants)"
-    ~count:60 QCheck.small_nat
-    (fun i ->
-      let l = gen_loop (1000 + i) in
-      let twin =
-        Hcrf_check.Morph.rewrite_loop
-          ~m:(Hcrf_check.Morph.reversing_bijection l.Loop.ddg) l
-      in
-      keys_agree l twin
-      && List.for_all (fun (_, m) -> keys_agree l m) (mutants l))
-
-(* Both keys must split [loops] into the same classes: all pairs. *)
+(* Both must split [loops] into the same classes: all pairs. *)
 let check_same_partition what loops =
-  let keys =
-    List.map
-      (fun l -> (Fingerprint.of_loop l, Fingerprint_ref.of_loop l))
-      loops
-  in
+  let keys = List.map (fun l -> (Fingerprint.of_loop l, reference l)) loops in
   let disagreements =
     List.concat_map
       (fun (k, r) ->
-        List.filter
-          (fun (k', r') -> Fingerprint.equal k k' <> String.equal r r')
-          keys)
+        List.filter (fun (k', r') -> Fingerprint.equal k k' <> (r = r')) keys)
       keys
   in
   check_int (what ^ ": pairs where the keys disagree") 0
@@ -204,14 +216,15 @@ let path k first = List.init (k - 1) (fun i -> (first + i, first + i + 1, 0))
 
 (* One 6-op ring against two 3-op rings, every edge [True] at distance
    1: non-isomorphic, but every node sees the same neighbourhood, so
-   1-dimensional WL (new and reference key alike) cannot split them. *)
+   1-dimensional Weisfeiler–Lehman refinement, an id-blind key, cannot
+   split them. *)
 let wl_twins () =
   ( fadd_loop "ring6" 6 (ring ~distance:1 6 0) [],
     fadd_loop "rings3x2" 6 (ring ~distance:1 3 0 @ ring ~distance:1 3 3) [] )
 
-(* Loops that only a full refinement tells apart (fingerprinted only,
-   never scheduled): every node carries the same label and each pair
-   has the same edge multiset over labels.  An out-star and a path
+(* Loops an id-blind key splits only by full refinement (fingerprinted
+   only, never scheduled): every node carries the same label and each
+   pair has the same edge multiset over labels.  An out-star and a path
    split at round 1; a 7-path and a 3-path plus a 4-ring have the same
    round-1 classes and edges between them and split at round 2; one
    invariant read by two nodes and two invariants read by one each
@@ -239,15 +252,13 @@ let test_partition_progs () =
   check_int "Progs kernels: classes" 60
     (check_same_partition "Progs ~n:120" loops)
 
-(* The key alone would replay one loop's schedule for the other; the
-   id-sensitive digest check ([Runner.compatible]) must not, neither in
-   the batch runner nor in the daemon's tiers. *)
+(* An id-blind key would replay one loop's schedule for the other; the
+   id-sensitive key keeps them apart, both in the batch runner and in
+   the daemon's tiers. *)
 let test_wl_collision_gets_own_schedule () =
   let a, b = wl_twins () in
-  check "keys collide" true
+  check "keys differ" false
     (Fingerprint.equal (Fingerprint.of_loop a) (Fingerprint.of_loop b));
-  check "reference keys collide" true
-    (String.equal (Fingerprint_ref.of_loop a) (Fingerprint_ref.of_loop b));
   let config = Hcrf_model.Presets.published "4C32" in
   let opts = Hcrf_sched.Engine.default_options in
   (* the stored outcome, wall-clock scrubbed *)
@@ -274,9 +285,8 @@ let test_wl_collision_gets_own_schedule () =
         check (what ^ ": run_loop answers its own schedule") true
           (String.equal (own loop)
              (outcome_bytes what
-                (Entry.of_outcome config r.Runner.outcome
-                   ~input_digest:(Entry.ddg_digest loop.Loop.ddg)
-                   ~stall_cycles:0. ~retries:0)))
+                (Entry.of_outcome config r.Runner.outcome ~stall_cycles:0.
+                   ~retries:0)))
       | None -> Alcotest.failf "%s: not scheduled" what);
       match
         Hcrf_server.Tiers.schedule tiers
@@ -490,8 +500,8 @@ let test_prefetch_replay_validates () =
           outcomes))
 
 (* Duplicates coalesce only when their node ids match: a renumbered twin
-   has the same key but must get its own engine run, or it would replay
-   an entry bound to the other loop's ids. *)
+   has another key and gets its own engine run, or it would replay an
+   entry bound to the other loop's ids. *)
 let test_coalescing_respects_node_ids () =
   let config = Hcrf_model.Presets.published "4C32" in
   let l = nth_loop 3 in
@@ -501,12 +511,67 @@ let test_coalescing_respects_node_ids () =
   in
   let key = Runner.cache_key ~scenario:Runner.Ideal
       ~opts:Hcrf_sched.Engine.default_options config in
-  check "twin has the same key" true (Fingerprint.equal (key l) (key twin));
-  check "twin has another digest" false
-    (String.equal (Entry.ddg_digest l.Loop.ddg) (Entry.ddg_digest twin.Loop.ddg));
+  check "twin has another key" false (Fingerprint.equal (key l) (key twin));
   let _, s = Runner.run_pipeline config [ l; twin; l ] in
   check_int "loop and twin computed" 2 s.Runner.computed;
   check_int "the repeated loop coalesced" 1 s.Runner.coalesced
+
+(* A loop and its renumbered twin, run a, b, a, b through one cache:
+   each keeps its own entry, so the second round hits twice. *)
+let test_twins_do_not_evict () =
+  let config = Hcrf_model.Presets.published "4C32" in
+  let a = List.hd (Hcrf_workload.Suite.generate ~n:1 ()) in
+  let b =
+    Hcrf_check.Morph.rewrite_loop
+      ~m:(Hcrf_check.Morph.reversing_bijection a.Loop.ddg) a
+  in
+  let cache = Cache.create () in
+  let ctx = Runner.Ctx.make ~cache () in
+  List.iter (fun l -> ignore (Runner.run_loop ~ctx config l)) [ a; b; a; b ];
+  let s = Cache.stats cache in
+  check_int "runner: hits" 2 s.Cache.hits;
+  check_int "runner: misses" 2 s.Cache.misses;
+  let tiers = Hcrf_server.Tiers.create ~lru_capacity:4 ~jobs:1 () in
+  Fun.protect ~finally:(fun () -> Hcrf_server.Tiers.shutdown tiers)
+  @@ fun () ->
+  List.iter
+    (fun l ->
+      ignore
+        (Hcrf_server.Tiers.schedule tiers
+           (Hcrf_server.Wire.request_of_loop ~config
+              ~opts:Hcrf_sched.Engine.default_options
+              ~scenario:Runner.Ideal l)))
+    [ a; b; a; b ];
+  let s = Hcrf_server.Tiers.stats tiers in
+  check_int "tiers: computed" 2 s.Hcrf_server.Wire.computed;
+  check_int "tiers: LRU hits" 2 s.Hcrf_server.Wire.lru_hits
+
+(* The engine numbers the nodes it inserts from the graph's id counter,
+   so a loop whose counter is raised gets a different schedule entry.
+   Replayed warm after its original, it must answer its own cold entry,
+   not the original's. *)
+let test_id_counter_reaches_the_key () =
+  let config = Hcrf_model.Presets.published "4C16S16" in
+  let l = List.hd (Hcrf_workload.Suite.generate ~n:1 ()) in
+  let twin = with_counters ~ids:7 l in
+  let bytes (r : Runner.loop_result option) =
+    match r with
+    | None -> Alcotest.fail "not scheduled"
+    | Some r -> (
+      match
+        Entry.of_outcome config r.Runner.outcome ~stall_cycles:0. ~retries:0
+      with
+      | Entry.Scheduled s ->
+        Marshal.to_string { s.outcome with Entry.s_seconds = 0. } []
+      | Entry.Failed _ -> Alcotest.fail "not scheduled")
+  in
+  let ctx = Runner.Ctx.make ~cache:(Cache.create ()) () in
+  ignore (Runner.run_loop ~ctx config l);
+  let warm = bytes (Runner.run_loop ~ctx config twin) in
+  check "twin's warm entry = its own cold entry" true
+    (String.equal warm (bytes (Runner.run_loop config twin)));
+  check "and differs from the original's" false
+    (String.equal warm (bytes (Runner.run_loop config l)))
 
 (* ------------------------------------------------------------------ *)
 (* On-disk robustness *)
@@ -627,11 +692,10 @@ let test_store_sharded_layout () =
         nibble shard)
     files
 
-(* Entries of older store versions are stale: a v3 entry (sharded, but
-   without the load-latency snapshot) fails the magic test and is
-   recomputed over, and a v2 entry in the flat pre-sharding layout is
-   not even looked for. *)
-let test_store_old_versions_stale () =
+(* Entries of older store versions are stale: a sharded entry under
+   version [v]'s magic fails the magic test and is recomputed over, and
+   a v2 entry in the flat pre-sharding layout is not even looked for. *)
+let check_stale_version v =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let l = nth_loop 3 in
@@ -661,7 +725,7 @@ let test_store_old_versions_stale () =
     output_string oc bytes;
     close_out oc
   in
-  write sharded (demote 3);
+  write sharded (demote v);
   write (Filename.concat dir (Filename.basename sharded)) (demote 2);
   let c = Cache.create ~dir () in
   let r = run c in
@@ -674,12 +738,19 @@ let test_store_old_versions_stale () =
     (Marshal.to_string (scrub r) [] = Marshal.to_string (scrub fresh) []);
   let s = Cache.stats c in
   check_int "no disk hit" 0 s.Cache.disk_hits;
-  check_int "the stale v3 entry is a disk error" 1 s.Cache.disk_errors;
+  check_int (Fmt.str "the stale v%d entry is a disk error" v) 1
+    s.Cache.disk_errors;
   check_int "recomputed and stored" 1 s.Cache.stores;
   (* the recomputed entry overwrote the stale one *)
   let c' = Cache.create ~dir () in
   ignore (run c');
   check_int "the rewritten entry disk-hits" 1 (Cache.stats c').Cache.disk_hits
+
+(* v3 entries lack the load-latency snapshot *)
+let test_store_old_versions_stale () = check_stale_version 3
+
+(* v4 entries were stored under id-blind keys and carry an id digest *)
+let test_store_v4_stale () = check_stale_version 4
 
 (* Corrupting an entry in one shard must only cost that shard's entry:
    every other shard still serves disk hits. *)
@@ -734,7 +805,7 @@ let test_unusable_dir_degrades () =
 
 let tests =
   [
-    QCheck_alcotest.to_alcotest prop_renumbering_invariant;
+    QCheck_alcotest.to_alcotest prop_renumbering_sensitive;
     QCheck_alcotest.to_alcotest prop_reordering_invariant;
     ("fingerprint: loop sensitivity", `Quick, test_loop_sensitivity);
     ("fingerprint: config sensitivity", `Quick, test_config_sensitivity);
@@ -749,14 +820,18 @@ let tests =
      test_prefetch_replay_validates);
     ("coalescing: renumbered twin computes", `Quick,
      test_coalescing_respects_node_ids);
+    ("twins: a, b, a, b hits twice (runner and tiers)", `Quick,
+     test_twins_do_not_evict);
+    ("fingerprint: id counter reaches the key", `Quick,
+     test_id_counter_reaches_the_key);
     ("store: disk roundtrip", `Quick, test_disk_roundtrip);
     ("store: corruption recovers", `Quick, test_disk_corruption_recovers);
     ("store: sharded v3 layout", `Quick, test_store_sharded_layout);
     ("store: v2 and v3 entries are stale", `Quick,
      test_store_old_versions_stale);
+    ("store: v4 entries are stale", `Quick, test_store_v4_stale);
     ("store: corruption isolated per shard", `Slow, test_corruption_per_shard);
     ("store: unusable dir degrades", `Quick, test_unusable_dir_degrades);
-    QCheck_alcotest.to_alcotest prop_agrees_with_reference;
     ("fingerprint: suite + kernels split as the reference", `Quick,
      test_partition_suite_and_kernels);
     ("fingerprint: Progs kernels split as the reference", `Quick,

@@ -1,14 +1,14 @@
 (* Tests for the differential fuzzing subsystem: campaign determinism,
    fault injection with shrinking, reproducer round-trips, corpus
    replay (with and without a shared cache, with and without the
-   injected fault) and the cache's id-digest guard that fuzzing
-   uncovered. *)
+   injected fault), the rendering of loops as frontend programs, and
+   the id-sensitive cache key that fuzzing motivated. *)
 
 open Hcrf_ir
 open Hcrf_check
 module Ev = Hcrf_obs.Event
 module Cache = Hcrf_cache.Cache
-module Entry = Hcrf_cache.Entry
+module Fingerprint = Hcrf_cache.Fingerprint
 module Runner = Hcrf_eval.Runner
 module Schedule = Hcrf_sched.Schedule
 
@@ -94,6 +94,36 @@ let test_repro_roundtrip () =
     Alcotest.(check bool) "metadata identical" true
       ({ r with loop } = { r' with Repro.loop })
 
+(* A compiled frontend program renders back to its own source (array
+   [a<i>] is the compiler's [i]-th allocation); the same loop with one
+   dead node (a load nobody reads) compiles to a smaller graph, so it
+   is not expressible. *)
+let test_repro_ast_rendering () =
+  let module Ast = Hcrf_frontend.Ast in
+  let loop =
+    Hcrf_frontend.Compile.compile
+      (Ast.make ~trip_count:64 ~entries:2 ~name:"axpy"
+         [ Ast.store "a0" Ast.((arr "a2" *: arr "a1") +: arr ~off:1 "a1") ])
+  in
+  Alcotest.(check (result string string))
+    "rendered"
+    (Ok
+       ({|make ~trip_count:64 ~entries:2 ~name:"axpy" [store "a0" ~off:0 |}
+       ^ {|(((arr "a2" ~off:0) *: (arr "a1" ~off:0)) +: (arr "a1" ~off:1))]|}))
+    (Repro.ast_of_loop loop);
+  let g = Ddg.copy loop.Loop.ddg in
+  let dead = Ddg.add_node g Op.Load in
+  let dead_loop =
+    { loop with
+      Loop.ddg = g;
+      streams = { Loop.op = dead; base = 8; stride = 8 } :: loop.Loop.streams }
+  in
+  match Repro.ast_of_loop dead_loop with
+  | Ok text -> Alcotest.failf "dead node rendered as %s" text
+  | Error reason ->
+    Alcotest.(check string) "not expressible"
+      "candidate AST compiles to a different loop" reason
+
 (* A malformed reproducer must be rejected, not half-parsed. *)
 let test_repro_strict_parser () =
   (match Repro.of_string "hcrf-repro 1\nbogus 42\n" with
@@ -144,11 +174,11 @@ let test_corpus_replay () =
         "pass" (vname v.Check.kind))
     (replay ())
 
-(* Regression for the bug the metamorphic oracle found: two isomorphic
-   loops share a WL fingerprint, so a renumbered twin used to replay a
-   cached schedule bound to the other loop's node ids.  The cache now
-   stores the id-sensitive graph digest and treats a mismatch as a miss;
-   a reorder-only twin (same ids) must still hit. *)
+(* Regression for the bug the metamorphic oracle found: a renumbered
+   twin once shared an id-blind key with its original and replayed a
+   cached schedule bound to the other loop's node ids.  The key now
+   includes the ids: the renumbered twin misses and stores its own
+   entry, while a reorder-only twin (same ids) still hits. *)
 let test_cache_id_digest_guard () =
   let g = Ddg.create ~name:"chain" () in
   let ld = Ddg.add_node g Op.Load in
@@ -177,8 +207,10 @@ let test_cache_id_digest_guard () =
   let s1 = Cache.stats cache in
   Alcotest.(check int) "cold run stores" 1 s1.Cache.stores;
   let reorder = Morph.rewrite_loop ~m:Fun.id loop in
-  Alcotest.(check bool) "reorder keeps the id digest" true
-    (Entry.ddg_digest reorder.Loop.ddg = Entry.ddg_digest loop.Loop.ddg);
+  let same_key a b =
+    Fingerprint.equal (Fingerprint.of_loop a) (Fingerprint.of_loop b)
+  in
+  Alcotest.(check bool) "reorder keeps the key" true (same_key reorder loop);
   ignore (run reorder);
   let s2 = Cache.stats cache in
   Alcotest.(check int) "reorder twin hits" (s1.Cache.hits + 1) s2.Cache.hits;
@@ -187,14 +219,17 @@ let test_cache_id_digest_guard () =
   let renum =
     Morph.rewrite_loop ~m:(Morph.reversing_bijection loop.Loop.ddg) loop
   in
-  Alcotest.(check bool) "renumbering changes the id digest" true
-    (Entry.ddg_digest renum.Loop.ddg <> Entry.ddg_digest loop.Loop.ddg);
+  Alcotest.(check bool) "renumbering changes the key" false
+    (same_key renum loop);
   ignore (run renum);
   let s3 = Cache.stats cache in
   Alcotest.(check int) "renumbered twin misses" (s2.Cache.misses + 1)
     s3.Cache.misses;
-  Alcotest.(check int) "renumbered twin recomputes and overwrites"
-    (s2.Cache.stores + 1) s3.Cache.stores
+  Alcotest.(check int) "renumbered twin recomputes and stores"
+    (s2.Cache.stores + 1) s3.Cache.stores;
+  ignore (run loop);
+  Alcotest.(check int) "the original still hits" (s3.Cache.hits + 1)
+    (Cache.stats cache).Cache.hits
 
 (* The oracle itself on a healthy loop. *)
 let test_oracle_pass () =
@@ -215,6 +250,8 @@ let tests =
      test_fault_injection_caught);
     ("check: repro roundtrip", `Quick, test_repro_roundtrip);
     ("check: repro strict parser", `Quick, test_repro_strict_parser);
+    ("check: repro AST rendering, dead node not expressible", `Quick,
+     test_repro_ast_rendering);
     ("check: corpus replay", `Slow, test_corpus_replay);
     ("check: cache id-digest guard", `Quick, test_cache_id_digest_guard);
   ]

@@ -46,8 +46,8 @@ let prop_dirty_cone =
       let prog' = Progs.edit ~round ~kernel prog in
       let perfs, _, stats = Pipeline.eval pipe prog' in
       let s = stats.Pipeline.sched in
-      (* the edited kernel recomputes frontend, extract, sched and
-         metric; every other kernel replays all four stages *)
+      (* the edited kernel recomputes frontend, sched and metric;
+         every other kernel replays all three stages *)
       stats.Pipeline.frontend_recomputed = 1
       && stats.Pipeline.frontend_hits = n - 1
       && s.Runner.computed = 1
@@ -58,8 +58,8 @@ let prop_dirty_cone =
       && String.equal (bytes_of perfs) (bytes_of (cold_eval prog')))
 
 (* an edit under a different engine configuration dirties the schedule
-   stage of every kernel but replays every frontend/extract stage: the
-   WL fingerprint is config-independent, the schedule key is not *)
+   stage of every kernel but replays every frontend stage: the compiled
+   loop is config-independent, the schedule key is not *)
 let test_config_change_cone () =
   let n = 6 in
   let prog = Progs.program ~n in
@@ -161,7 +161,7 @@ let test_no_edit_fixpoint () =
 (* ------------------------------------------------------------------ *)
 (* Persistence *)
 
-(* the memo's directory holds memo.v3 and the schedule store's shard
+(* the memo's directory holds memo.v4 and the schedule store's shard
    subdirectories *)
 let rec rm_rf p =
   if Sys.is_directory p then begin
@@ -211,21 +211,32 @@ let test_memo_corruption () =
     output_string oc content;
     close_out oc
   in
-  let current = Filename.concat dir "memo.v3" in
+  let current = Filename.concat dir "memo.v4" in
   let intact = In_channel.with_open_bin current In_channel.input_all in
-  write "memo.v3" "hcrf-memo 3\ngarbage follows the magic";
+  write "memo.v4" "hcrf-memo 4\ngarbage follows the magic";
   let reloaded = Memo.create ~dir () in
   check_int "corrupt file discarded, empty memo" 0 (Memo.length reloaded);
   (* and truncating below the magic must not raise either *)
-  write "memo.v3" "x";
+  write "memo.v4" "x";
   check_int "truncated file discarded" 0 (Memo.length (Memo.create ~dir ()));
   (* files of older versions are stale: warned about, never read — a
      v1 file held schedule entries, a v2 file MD5-chain loop
-     fingerprints (here v2 even carries an intact table) *)
+     fingerprints, a v3 file rank-based WL ones and extract-stage
+     values (here v2 and v3 even carry an intact table) *)
   Sys.remove current;
   write "memo.v1" "hcrf-memo 1\nwhatever a v1 writer left";
   write "memo.v2" intact;
-  check_int "v1 and v2 files ignored" 0 (Memo.length (Memo.create ~dir ()))
+  write "memo.v3" intact;
+  check_int "v1, v2 and v3 files ignored" 0
+    (Memo.length (Memo.create ~dir ()));
+  (* a file under the current name that carries the v3 magic is
+     refused by the seal before anything is unmarshalled *)
+  write "memo.v4"
+    ("hcrf-memo 3\n"
+    ^ String.sub intact (String.length "hcrf-memo 4\n")
+        (String.length intact - String.length "hcrf-memo 4\n"));
+  check_int "v3 magic under the v4 name ignored" 0
+    (Memo.length (Memo.create ~dir ()))
 
 (* ------------------------------------------------------------------ *)
 

@@ -38,7 +38,7 @@ let all_events =
     Event.Serve Event.Lru_hit;
     Event.Serve Event.Coalesced;
     Event.Incr { stage = Event.Sched; op = Event.Stage_hit; ns = 210 };
-    Event.Incr { stage = Event.Extract; op = Event.Stage_miss; ns = 9 };
+    Event.Incr { stage = Event.Metric; op = Event.Stage_miss; ns = 9 };
     Event.Incr { stage = Event.Frontend; op = Event.Stage_recompute; ns = 42 };
   ]
 
@@ -70,7 +70,7 @@ let test_enum_names () =
     | Spill_insert { kind = Value | Invariant; _ }
     | Phase { phase = Mii | Order | Schedule | Regalloc | Memsim | Exact; _ }
     | Incr
-        { stage = Frontend | Extract | Sched | Metric;
+        { stage = Frontend | Sched | Metric;
           op = Stage_hit | Stage_miss | Stage_recompute; _ }
     | Serve
         ( Request | Lru_hit | Lru_miss | Disk_hit | Computed | Coalesced
@@ -92,7 +92,7 @@ let test_enum_names () =
   check_names "phase" phase_names phase_name phase_of_name
     [ Mii; Order; Schedule; Regalloc; Memsim; Exact ];
   check_names "incr_stage" incr_stage_names incr_stage_name
-    incr_stage_of_name [ Frontend; Extract; Sched; Metric ];
+    incr_stage_of_name [ Frontend; Sched; Metric ];
   check_names "incr_op" incr_op_names incr_op_name incr_op_of_name
     [ Stage_hit; Stage_miss; Stage_recompute ];
   check_names "serve_op" serve_op_names serve_op_name serve_op_of_name
@@ -125,8 +125,8 @@ let test_counters_histogram () =
       ("fuzz.optimality", 1);
       ("fuzz.pass", 1);
       ("ii_try", 1);
-      ("incr.extract.miss", 1);
       ("incr.frontend.recompute", 1);
+      ("incr.metric.miss", 1);
       ("incr.sched.hit", 1);
       ("phase.exact", 1);
       ("phase.mii", 1);
@@ -148,8 +148,8 @@ let test_counters_histogram () =
   Alcotest.(check (list (pair string int)))
     "phase and stage wall-clock lands in timings, not counts"
     [
-      ("incr.extract.miss", 9);
       ("incr.frontend.recompute", 42);
+      ("incr.metric.miss", 9);
       ("incr.sched.hit", 210);
       ("phase.exact", 55);
       ("phase.mii", 1234);
@@ -166,8 +166,8 @@ let test_counters_histogram () =
     "pp is sorted key=value"
     "budget.escalate=1 cache.hit=1 cache.miss=1 cache.store=1 comm.load_r=1 \
      comm.move=1 comm.store_r=1 eject=1 exact=1 exact.steps=901 \
-     fuzz.optimality=1 fuzz.pass=1 ii_try=1 incr.extract.miss=1 \
-     incr.frontend.recompute=1 incr.sched.hit=1 phase.exact=1 phase.mii=1 \
+     fuzz.optimality=1 fuzz.pass=1 ii_try=1 incr.frontend.recompute=1 \
+     incr.metric.miss=1 incr.sched.hit=1 phase.exact=1 phase.mii=1 \
      place=2 regalloc.fail=1 serve.coalesced=1 serve.lru_hit=1 \
      serve.request=1 shrink=1 shrink.steps=3 spill.invariant=1 \
      spill.invariant.nodes=1 spill.value=1 spill.value.nodes=2"
@@ -202,7 +202,7 @@ let golden_lines =
     {|{"loop":"k1","ev":"serve","op":"lru_hit"}|};
     {|{"loop":"k1","ev":"serve","op":"coalesced"}|};
     {|{"loop":"k1","ev":"incr","stage":"sched","op":"hit","ns":210}|};
-    {|{"loop":"k1","ev":"incr","stage":"extract","op":"miss","ns":9}|};
+    {|{"loop":"k1","ev":"incr","stage":"metric","op":"miss","ns":9}|};
     {|{"loop":"k1","ev":"incr","stage":"frontend","op":"recompute","ns":42}|};
   ]
 
@@ -220,7 +220,7 @@ let read_lines path =
 
 let test_jsonl_golden () =
   check_str "header line is the versioned schema tag"
-    {|{"schema":"hcrf-trace","version":1}|} Jsonl.header_line;
+    {|{"schema":"hcrf-trace","version":2}|} Jsonl.header_line;
   List.iteri
     (fun i ev ->
       check_str
@@ -281,6 +281,8 @@ let test_jsonl_rejects () =
       ("serve extra field", {|{"loop":"x","ev":"serve","op":"request","n":1}|});
       ( "bad incr stage",
         {|{"loop":"x","ev":"incr","stage":"parse","op":"hit","ns":1}|} );
+      ( "removed extract stage",
+        {|{"loop":"x","ev":"incr","stage":"extract","op":"hit","ns":1}|} );
       ( "bad incr op",
         {|{"loop":"x","ev":"incr","stage":"sched","op":"warm","ns":1}|} );
       ( "incr missing ns",
@@ -291,23 +293,29 @@ let test_jsonl_rejects () =
     (fun (what, line) ->
       check what true (Result.is_error (Jsonl.event_of_line line)))
     bad;
-  (* a file whose header claims another version is rejected at line 1 *)
-  let path = Filename.temp_file "hcrf-obs-test" ".jsonl" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  let oc = open_out path in
-  output_string oc "{\"schema\":\"hcrf-trace\",\"version\":2}\n";
-  output_string oc (List.hd golden_lines);
-  output_char oc '\n';
-  close_out oc;
-  match Jsonl.read_file path with
-  | Ok _ -> Alcotest.fail "future schema version accepted"
-  | Error m ->
-    let contains s sub =
-      let n = String.length s and m = String.length sub in
-      let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-      go 0
-    in
-    check "error names line 1" true (contains m ":1:")
+  (* a file whose header claims another version is rejected at line 1,
+     before any event is read: a future version, and version 1, whose
+     language still had the extract stage *)
+  let contains s sub =
+    let n = String.length s and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+    go 0
+  in
+  List.iter
+    (fun (what, version, line) ->
+      let path = Filename.temp_file "hcrf-obs-test" ".jsonl" in
+      Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+      let oc = open_out path in
+      Printf.fprintf oc "{\"schema\":\"hcrf-trace\",\"version\":%d}\n%s\n"
+        version line;
+      close_out oc;
+      match Jsonl.read_file path with
+      | Ok _ -> Alcotest.failf "%s accepted" what
+      | Error m ->
+        check (what ^ ": error names line 1") true (contains m ":1:"))
+    [ ("future schema version", 3, List.hd golden_lines);
+      ( "version-1 trace with an extract event", 1,
+        {|{"loop":"k1","ev":"incr","stage":"extract","op":"miss","ns":9}|} ) ]
 
 (* ------------------------------------------------------------------ *)
 (* Determinism of the Counters sink *)

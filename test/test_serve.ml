@@ -150,15 +150,9 @@ let entry_bytes (e : Hcrf_cache.Entry.t) = Marshal.to_string e []
 
 let scrub_entry = function
   | Hcrf_cache.Entry.Failed _ as e -> e
-  | Hcrf_cache.Entry.Scheduled { outcome; stall_cycles; retries; input_digest }
-    ->
+  | Hcrf_cache.Entry.Scheduled s ->
     Hcrf_cache.Entry.Scheduled
-      {
-        outcome = { outcome with Hcrf_cache.Entry.s_seconds = 0. };
-        stall_cycles;
-        retries;
-        input_digest;
-      }
+      { s with outcome = { s.outcome with Hcrf_cache.Entry.s_seconds = 0. } }
 
 let sched_request ?(timeout_ms = 0) l =
   Wire.request_of_loop ~timeout_ms ~config ~opts ~scenario l
@@ -194,9 +188,9 @@ let test_tiers_cold_storm_coalesces () =
   check_int "hits + coalesced cover the rest" (n - 1)
     (s.Wire.lru_hits + s.Wire.tier2_hits + s.Wire.coalesced)
 
-(* In-flight coalescing keys on the node ids too: a renumbered twin
-   racing its original must not be handed an entry bound to the
-   original's ids. *)
+(* In-flight coalescing keys on the node ids too (the key includes
+   them): a renumbered twin racing its original must not be handed an
+   entry bound to the original's ids. *)
 let test_tiers_twin_gets_own_entry () =
   let tiers = Tiers.create ~lru_capacity:16 ~jobs:1 () in
   Fun.protect ~finally:(fun () -> Tiers.shutdown tiers) @@ fun () ->
@@ -206,25 +200,24 @@ let test_tiers_twin_gets_own_entry () =
       ~m:(Hcrf_check.Morph.reversing_bijection l.Hcrf_ir.Loop.ddg) l
   in
   let loops = [| l; twin; l |] in
-  let digests = Array.make 3 "" in
+  let replies = Array.make 3 "" in
   let threads =
     List.init 3 (fun i ->
         Thread.create
           (fun () ->
             match Tiers.schedule tiers (sched_request loops.(i)) with
-            | Wire.Scheduled (Hcrf_cache.Entry.Scheduled { input_digest; _ })
-              ->
-              digests.(i) <- input_digest
+            | Wire.Scheduled e -> replies.(i) <- entry_bytes (scrub_entry e)
             | _ -> ())
           ())
   in
   List.iter Thread.join threads;
   Array.iteri
-    (fun i (loop : Hcrf_ir.Loop.t) ->
-      Alcotest.(check string)
-        (Fmt.str "request %d answered for its own node ids" i)
-        (Hcrf_cache.Entry.ddg_digest loop.Hcrf_ir.Loop.ddg)
-        digests.(i))
+    (fun i loop ->
+      let own = Hcrf_eval.Runner.compute_entry ~scenario ~opts config loop in
+      Alcotest.(check bool)
+        (Fmt.str "request %d answered with its own entry" i)
+        true
+        (String.equal replies.(i) (entry_bytes (scrub_entry own))))
     loops
 
 (* [l]'s request with every node id (edges, invariant consumers, streams
