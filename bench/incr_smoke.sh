@@ -13,9 +13,11 @@
 #   - modulo the banner's jobs= field, stdout is byte-identical at
 #     jobs=1 and jobs=4 (stage classification is serial, so all counts
 #     are jobs-independent);
-#   - with --incr-dir the session persists (memo.v4 plus the schedule
-#     store's shards): a fresh process re-evaluating the program against
-#     the same directory recomputes nothing and still verifies.
+#   - with --cache DIR the schedules persist in the store's shards (the
+#     stage memo itself stays in-process and writes no file): a fresh
+#     process re-evaluating the program against the same directory
+#     answers every schedule from the store, recomputes nothing and
+#     still verifies.
 set -eu
 
 case "$1" in
@@ -56,14 +58,18 @@ sed 's/jobs=[0-9]*//' "$dir/j4.txt" > "$dir/j4.filtered"
 cmp "$dir/j1.filtered" "$dir/j4.filtered" ||
   { echo "incr smoke: jobs=4 output differs from jobs=1" >&2; exit 1; }
 
-# cross-process persistence
-"$explore" incr -c 4C32 --kernels 12 --edits 3 --incr-dir "$dir/memo" \
+# cross-process persistence through the schedule store
+"$explore" incr -c 4C32 --kernels 12 --edits 3 --cache "$dir/store" \
   > "$dir/p1.txt"
 "$explore" incr -c 4C32 --kernels 12 --edits 0 --verify \
-  --incr-dir "$dir/memo" > "$dir/p2.txt"
-grep -q '^cold: .* recomputed=0 ' "$dir/p2.txt" &&
+  --cache "$dir/store" > "$dir/p2.txt"
+grep -q '^cold: .* store_hits=12 recomputed=0 ' "$dir/p2.txt" &&
   grep -q '^verify: ok' "$dir/p2.txt" ||
   { echo "incr smoke: a fresh process did not replay the persisted session" >&2
     cat "$dir/p2.txt" >&2; exit 1; }
+if [ -n "$(find "$dir" -name 'memo.v*' -print -quit)" ]; then
+  echo "incr smoke: the stage memo wrote a file" >&2
+  find "$dir" -name 'memo.v*' >&2; exit 1
+fi
 
 echo "incr smoke: ok (3-edit session, one dirty kernel per edit, bytes match cold, jobs-invariant, persists across processes)"

@@ -11,11 +11,12 @@
 
    Every scheduling subcommand takes the same evaluation knobs:
    --jobs/-j, --cache DIR / --no-cache, --trace FILE / --no-trace,
-   --memory SCENARIO, --incr / --incr-dir DIR / --no-incr.  One shared
-   Cmdliner term assembles them into the single [Runner.Ctx] every
-   driver consumes — a new subcommand cannot drift from the others —
-   and the environment (HCRF_JOBS, HCRF_CACHE, HCRF_TRACE, HCRF_INCR)
-   supplies defaults exactly as in bench/main.exe. *)
+   --memory SCENARIO.  One shared Cmdliner term assembles them into the
+   single [Runner.Ctx] every driver consumes — a new subcommand cannot
+   drift from the others — and the environment (HCRF_JOBS, HCRF_CACHE,
+   HCRF_TRACE) supplies defaults exactly as in bench/main.exe.  Only
+   [incr] adds a stage memo, in-process; --cache DIR is the one place
+   any evaluation state persists. *)
 
 open Cmdliner
 open Hcrf_sched
@@ -106,39 +107,6 @@ let tracer_term =
   in
   Term.(const make $ trace_file $ no_trace)
 
-(* Incremental stage memo: --incr forces an in-memory memo, --incr-dir
-   a persistent one, --no-incr disables it; otherwise HCRF_INCR is
-   honoured. *)
-let memo_term =
-  let incr_flag =
-    let doc =
-      "Enable the in-memory incremental stage memo (overrides \
-       HCRF_INCR)."
-    in
-    Arg.(value & flag & info [ "incr" ] ~doc)
-  in
-  let incr_dir =
-    let doc =
-      "Back the incremental stage memo with $(docv) (persisted as \
-       $(docv)/memo.v4 plus the schedule store's shards; overrides \
-       HCRF_INCR)."
-    in
-    Arg.(value & opt (some string) None & info [ "incr-dir" ] ~doc ~docv:"DIR")
-  in
-  let no_incr =
-    let doc = "Disable the incremental stage memo even if HCRF_INCR is set." in
-    Arg.(value & flag & info [ "no-incr" ] ~doc)
-  in
-  let make on dir no =
-    let open Hcrf_eval.Env in
-    if no then None
-    else
-      match dir with
-      | Some d -> memo_of_spec (Incr_dir d)
-      | None -> if on then memo_of_spec Incr_memory else memo ()
-  in
-  Term.(const make $ incr_flag $ incr_dir $ no_incr)
-
 let memory_conv =
   Arg.enum
     [
@@ -161,15 +129,13 @@ let memory_arg =
    [Runner.Ctx.make] is the single construction path, so adding a knob
    here adds it to every subcommand at once. *)
 let ctx_term =
-  let make scenario jobs cache memo tracer =
+  let make scenario jobs cache tracer =
     let jobs =
       match jobs with Some j -> max 1 j | None -> Hcrf_eval.Env.jobs ()
     in
-    Hcrf_eval.Runner.Ctx.make ~scenario ?cache ?memo ~jobs ~tracer ()
+    Hcrf_eval.Runner.Ctx.make ~scenario ?cache ~jobs ~tracer ()
   in
-  Term.(
-    const make $ memory_arg $ jobs_arg $ cache_term $ memo_term
-    $ tracer_term)
+  Term.(const make $ memory_arg $ jobs_arg $ cache_term $ tracer_term)
 
 (* Sorted event totals at the end of a traced run, then flush/close any
    JSONL sink.  Prints nothing under the null tracer. *)
@@ -197,7 +163,7 @@ let schedule_cmd =
     Arg.(value & flag & info [ "dump" ] ~doc:"Print the full schedule.")
   in
   (* the same answer path as every other subcommand, so --memory,
-     --cache, --incr and --trace all take effect *)
+     --cache and --trace all take effect *)
   let run kernel config_name dump (ctx : Hcrf_eval.Runner.Ctx.t) =
     let config = config_of_string config_name in
     let loop = Hcrf_workload.Kernels.find kernel in
@@ -755,8 +721,10 @@ let serve_bench_cmd =
     if verify then begin
       (* the daemon's answers against this process's own runner: same
          compute path, independent run — identical modulo wall-clock *)
-      let scrub (p : Hcrf_eval.Metrics.loop_perf) =
-        { p with Hcrf_eval.Metrics.sched_seconds = 0. }
+      let bytes_of (p : Hcrf_eval.Metrics.loop_perf) =
+        Marshal.to_string
+          { p with Hcrf_eval.Metrics.sched_seconds = 0. }
+          [ Marshal.No_sharing ]
       in
       Array.iteri
         (fun i l ->
@@ -770,8 +738,8 @@ let serve_bench_cmd =
             if
               not
                 (String.equal
-                   (Marshal.to_string (scrub r.Hcrf_eval.Runner.perf) [])
-                   (Marshal.to_string (scrub s.Hcrf_eval.Runner.perf) []))
+                   (bytes_of r.Hcrf_eval.Runner.perf)
+                   (bytes_of s.Hcrf_eval.Runner.perf))
             then fail "loop %d: daemon result differs from local runner" i
           | None, None -> ()
           | _ -> fail "loop %d: daemon and local disagree on feasibility" i)
@@ -812,24 +780,23 @@ let incr_cmd =
     Arg.(value & flag & info [ "verify" ] ~doc)
   in
   let fail fmt = Fmt.kstr (fun m -> Fmt.epr "incr: %s@." m; exit 1) fmt in
-  let scrub perfs =
-    List.map
-      (Option.map (fun (p : Hcrf_eval.Metrics.loop_perf) ->
-           { p with Hcrf_eval.Metrics.sched_seconds = 0. }))
-      perfs
+  (* No_sharing: entries replayed from disk box their floats apart
+     where a cold run shares one box, and the bytes must not care *)
+  let bytes_of perfs =
+    Marshal.to_string
+      (List.map
+         (Option.map (fun (p : Hcrf_eval.Metrics.loop_perf) ->
+              { p with Hcrf_eval.Metrics.sched_seconds = 0. }))
+         perfs)
+      [ Marshal.No_sharing ]
   in
   let run config_name kernels edits verify (ctx : Hcrf_eval.Runner.Ctx.t) =
     let config = config_of_string config_name in
     let kernels = max 1 kernels in
-    (* the stage memo is the whole point here: default one on unless
-       --no-incr (or HCRF_INCR) already decided *)
-    let ctx =
-      match ctx.Hcrf_eval.Runner.Ctx.memo with
-      | Some _ -> ctx
-      | None ->
-        { ctx with
-          Hcrf_eval.Runner.Ctx.memo = Some (Hcrf_eval.Memo.create ()) }
-    in
+    (* the stage memo is the whole point here; it lives in this
+       process, and schedules persist through --cache DIR *)
+    let memo = Hcrf_eval.Memo.create () in
+    let ctx = { ctx with Hcrf_eval.Runner.Ctx.memo = Some memo } in
     let pipe = Hcrf_incr.Pipeline.create ~ctx config in
     let report tag (stats : Hcrf_incr.Pipeline.eval_stats)
         (a : Hcrf_eval.Metrics.aggregate) =
@@ -857,14 +824,9 @@ let incr_cmd =
       report (Fmt.str "edit %d" round) stats agg;
       last_perfs := perfs
     done;
-    Option.iter
-      (fun m ->
-        Fmt.pr "memo: entries=%d%a@." (Hcrf_eval.Memo.length m)
-          Fmt.(
-            list ~sep:nop (fun ppf (k, v) -> pf ppf " %s=%d" k v))
-          (Hcrf_eval.Memo.stage_stats m);
-        ignore (Hcrf_eval.Memo.save m))
-      ctx.Hcrf_eval.Runner.Ctx.memo;
+    Fmt.pr "memo: entries=%d%a@." (Hcrf_eval.Memo.length memo)
+      Fmt.(list ~sep:nop (fun ppf (k, v) -> pf ppf " %s=%d" k v))
+      (Hcrf_eval.Memo.stage_stats memo);
     if verify then begin
       (* same program, fresh context: no memo, no cache, nothing warm *)
       let cold_ctx =
@@ -875,11 +837,7 @@ let incr_cmd =
       in
       let cold = Hcrf_incr.Pipeline.create ~ctx:cold_ctx config in
       let cold_perfs, _, _ = Hcrf_incr.Pipeline.eval cold !prog in
-      if
-        not
-          (String.equal
-             (Marshal.to_string (scrub !last_perfs) [])
-             (Marshal.to_string (scrub cold_perfs) []))
+      if not (String.equal (bytes_of !last_perfs) (bytes_of cold_perfs))
       then fail "incremental metrics differ from a cold evaluation";
       Fmt.pr "verify: ok (%d kernels byte-identical to a cold evaluation)@."
         kernels

@@ -58,7 +58,8 @@ let read_file p =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let read_sealed ~magic p =
+(* A sealed file is [magic | MD5 of payload | payload]. *)
+let read_payload p =
   match read_file p with
   | exception e -> Error (Printexc.to_string e)
   | content ->
@@ -76,7 +77,7 @@ let read_sealed ~magic p =
 
 let tmp_counter = Atomic.make 0
 
-let write_sealed ~magic p payload =
+let write_payload p payload =
   let tmp =
     Printf.sprintf "%s.tmp.%d.%d" p (Unix.getpid ())
       (Atomic.fetch_and_add tmp_counter 1)
@@ -105,7 +106,7 @@ let load t ~key =
   in
   if not (Sys.file_exists p) then `Miss
   else
-    match read_sealed ~magic p with
+    match read_payload p with
     | Error reason -> stale reason
     | Ok payload -> (
       (* the checksum matched, so the payload is exactly what a
@@ -119,8 +120,7 @@ let load t ~key =
 let save t ~key entry =
   let p = path t ~key in
   match
-    write_sealed ~magic p
-      (Marshal.to_string (Fingerprint.to_hex key, entry) [])
+    write_payload p (Marshal.to_string (Fingerprint.to_hex key, entry) [])
   with
   | Ok () -> true
   | Error reason ->

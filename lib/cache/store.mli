@@ -5,9 +5,9 @@
     with its own mutex instead of one global lock.
 
     The file format is defensive: a versioned magic header followed by
-    an MD5 checksum of the marshalled payload ({!write_sealed}).  A
-    truncated, corrupt, garbage or version-stale file fails the header
-    or checksum test and is reported as a miss with a {!Logs} warning — never an exception,
+    an MD5 checksum of the marshalled payload.  A truncated, corrupt,
+    garbage or version-stale file fails the header or checksum test and
+    is reported as a miss with a {!Logs} warning — never an exception,
     and in particular the unmarshaller is never run on bytes that were
     not written by a matching layout of this module.
 
@@ -46,19 +46,3 @@ val load :
 
 (** [false] — with a warning — when the entry could not be written. *)
 val save : t -> key:Fingerprint.t -> Entry.t -> bool
-
-(** {1 Sealed files}
-
-    The one on-disk codec of the repository, shared with the stage
-    memo: [magic | MD5 of payload | payload], written through a
-    temporary file in the same directory and an atomic rename. *)
-
-(** [Error reason] when the write failed (the temporary file is
-    removed). *)
-val write_sealed : magic:string -> string -> string -> (unit, string) result
-
-(** The payload of a sealed file; [Error reason] when it is unreadable,
-    truncated, carries another magic (another format or version) or
-    fails its checksum — the payload is then never returned, so a
-    caller never unmarshals bytes a matching writer did not produce. *)
-val read_sealed : magic:string -> string -> (string, string) result

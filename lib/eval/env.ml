@@ -10,8 +10,6 @@
       grammar, e.g. [4C16S16-L3:64@r2w1]);
     - [HCRF_CACHE=<dir>] schedule cache backed by [dir]
       ([HCRF_CACHE=""] for in-memory only);
-    - [HCRF_INCR=on|off|<dir>] incremental stage memo (in-memory for
-      [on]; persisted under [dir] otherwise);
     - [HCRF_TRACE=<file>] JSONL event trace written to [file], plus
       in-process counters ([HCRF_TRACE=""] for counters only);
     - [HCRF_SERVE_ADDR=<addr>] default daemon address for [hcrf_serve]
@@ -24,7 +22,7 @@
     [HCRF_*] names this version does not know at all. *)
 
 let known =
-  [ "HCRF_CACHE"; "HCRF_CONFIG"; "HCRF_INCR"; "HCRF_JOBS"; "HCRF_LOOPS";
+  [ "HCRF_CACHE"; "HCRF_CONFIG"; "HCRF_JOBS"; "HCRF_LOOPS";
     "HCRF_SERVE_ADDR"; "HCRF_SERVE_LRU"; "HCRF_TRACE" ]
 
 (* HCRF_LOOPS override; anything non-numeric or <= 0 warns loudly. *)
@@ -100,27 +98,6 @@ let serve_lru () =
              using %d"
             s default_serve_lru);
       default_serve_lru)
-
-type incr_spec = Incr_off | Incr_memory | Incr_dir of string
-
-(* HCRF_INCR turns the incremental stage memo on: "on"/"1"/"" for an
-   in-memory memo, "off"/"0" to force it off, anything else is a
-   directory the memo persists to ([<dir>/memo.v4] plus store shards). *)
-let incr () =
-  match Sys.getenv_opt "HCRF_INCR" with
-  | None -> Incr_off
-  | Some s -> (
-    match String.lowercase_ascii s with
-    | "" | "on" | "1" -> Incr_memory
-    | "off" | "0" -> Incr_off
-    | _ -> Incr_dir s)
-
-let memo_of_spec = function
-  | Incr_off -> None
-  | Incr_memory -> Some (Memo.create ())
-  | Incr_dir dir -> Some (Memo.create ~dir ())
-
-let memo () = memo_of_spec (incr ())
 
 type trace_spec = Off | Counters_only | File of string
 

@@ -7,8 +7,6 @@
       grammar, e.g. [4C16S16-L3:64@r2w1]);
     - [HCRF_CACHE=<dir>] schedule cache backed by [dir]
       ([HCRF_CACHE=""] for in-memory only);
-    - [HCRF_INCR=on|off|<dir>] incremental stage memo (in-memory for
-      [on]; persisted under [dir] otherwise);
     - [HCRF_TRACE=<file>] JSONL event trace written to [file], plus
       in-process counters ([HCRF_TRACE=""] for counters only);
     - [HCRF_SERVE_ADDR=<addr>] default daemon address for [hcrf_serve]
@@ -37,21 +35,6 @@ val jobs : unit -> int
 
 (** [HCRF_CACHE]; a fresh cache per call — call once per process. *)
 val cache : unit -> Hcrf_cache.Cache.t option
-
-type incr_spec = Incr_off | Incr_memory | Incr_dir of string
-
-(** [HCRF_INCR] as a spec (no side effects): unset, ["off"] or ["0"]
-    are {!Incr_off}; [""], ["on"] or ["1"] are {!Incr_memory}; anything
-    else names the directory a persistent memo lives in. *)
-val incr : unit -> incr_spec
-
-(** Build the stage memo a spec asks for ({!Incr_dir} loads
-    [dir/memo.v4] and backs its schedule cache with the store shards
-    under [dir]) — a fresh memo per call, so call once per process. *)
-val memo_of_spec : incr_spec -> Memo.t option
-
-(** [memo_of_spec (incr ())]. *)
-val memo : unit -> Memo.t option
 
 (** [HCRF_SERVE_ADDR]; [None] when unset or empty. *)
 val serve_addr : unit -> string option

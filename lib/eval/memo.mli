@@ -16,9 +16,11 @@
     {!stage_stats} reads, and recorded in the work unit's trace when
     that trace is enabled.
 
-    Values must stay marshal-safe (a memo can be persisted to disk):
-    loops are stored as {!Hcrf_ir.Loop.repr} because a live [Ddg.t] may
-    carry a watcher closure.
+    The memo lives in-process only: the schedule entries are the one
+    evaluation state that persists, in the store shards of a cache
+    built with a directory.  Loops are stored as {!Hcrf_ir.Loop.repr}
+    snapshots because a live [Ddg.t] is mutable (the schedulers insert
+    nodes into it); every replay rebuilds a graph of its own.
 
     All operations are thread-safe (one internal mutex), so a [Par] pool
     may share one memo. *)
@@ -32,24 +34,18 @@ type value =
 
 type t
 
-(** An empty memo; with [dir], load a previously {!save}d table from
-    [dir/memo.v4] (a corrupt file, or one of an older version, is
-    discarded with a warning) and back {!cache} with the store shards
-    under [dir]. *)
-val create : ?dir:string -> unit -> t
+(** An empty memo over an in-memory schedule cache of its own. *)
+val create : unit -> t
 
 (** The schedule cache the memo owns: where the sched stage's entries
     live when the runner context has no cache of its own. *)
 val cache : t -> Hcrf_cache.Cache.t
 
-(** Store a result under a stage namespace ([key]s of different stages
-    never collide). *)
-val add : t -> stage:Hcrf_obs.Event.incr_stage -> string -> value -> unit
-
 (** One memoized stage: the value under [key], replayed when the stored
     value is accepted by [get] (returned with [true]), else computed,
-    stored as [put v] and returned with [false].  Notes the stage's
-    hit or miss, and its recompute, timed (see {!emit}). *)
+    stored as [put v] and returned with [false].  Each stage has its
+    own key namespace.  Notes the stage's hit or miss, and its
+    recompute, timed (see {!emit}). *)
 val memoize :
   t -> trace:Hcrf_obs.Trace.t -> stage:Hcrf_obs.Event.incr_stage -> string ->
   get:(value -> 'a option) -> put:('a -> value) -> (unit -> 'a) -> 'a * bool
@@ -73,9 +69,3 @@ val length : t -> int
     ["frontend.misses"], ["metric.hits"], ...); zero counts are
     omitted. *)
 val stage_stats : t -> (string * int) list
-
-(** Persist the table to [dir/memo.v4] (atomic rename; schedule
-    entries already persist in the cache's store shards as they are
-    added); a no-op without [dir].  Returns [false] (warned) when the
-    write failed. *)
-val save : t -> bool

@@ -207,7 +207,3 @@ let compile (l : Ast.t) : Loop.t =
   if not (Ddg.validate st.g) then errf "internal: malformed graph";
   Loop.make ~trip_count:l.Ast.trip_count ~entries:l.Ast.entries
     ~streams:(streams st) st.g
-
-(* The compiled loop paired with its kernel digest — the key the
-   frontend stage of the incremental pipeline memoizes under. *)
-let compile_keyed (l : Ast.t) : string * Loop.t = (Ast.digest l, compile l)

@@ -18,7 +18,3 @@ val element_bytes : int
 (** Compile a loop; raises {!Error} on malformed input (use of an
     undefined scalar, [prev] of a never-defined scalar, ...). *)
 val compile : Ast.t -> Hcrf_ir.Loop.t
-
-(** [compile] paired with the kernel's {!Ast.digest} — the memo key of
-    the frontend stage of the incremental pipeline. *)
-val compile_keyed : Ast.t -> string * Hcrf_ir.Loop.t

@@ -32,7 +32,7 @@ let frontend_stage ~trace memo kernel =
         | Memo.Loop_v r -> Some (Hcrf_ir.Loop.of_repr r)
         | _ -> None)
       ~put:(fun loop -> Memo.Loop_v (Hcrf_ir.Loop.to_repr loop))
-      (fun () -> snd (Hcrf_frontend.Compile.compile_keyed kernel))
+      (fun () -> Hcrf_frontend.Compile.compile kernel)
 
 let eval t (kernels : Hcrf_frontend.Ast.t list) =
   let memo = t.ctx.Runner.Ctx.memo in

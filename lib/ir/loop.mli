@@ -27,7 +27,7 @@ val make :
 (** Closure-free snapshot of a loop, the one form a loop is marshalled
     in: the stage memo stores it and the daemon's requests carry it.  A
     live [Ddg.t] may carry a watcher closure; {!Ddg.repr} does not.
-    The field order and types are part of the [memo.v4] format —
+    The field order and types are part of the daemon's wire format —
     changing them changes its bytes. *)
 type repr = {
   repr_ddg : Ddg.repr;

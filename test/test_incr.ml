@@ -2,7 +2,7 @@
    Memo): the dirty-cone property (one edited kernel recomputes exactly
    its own four stages, everything else replays), byte-identity of
    incremental and cold evaluation at several job counts, the no-edit
-   fixpoint, and stage-memo persistence (round-trip and corruption). *)
+   fixpoint, and a fresh memo replaying a disk cache's schedules. *)
 
 open Hcrf_eval
 module Pipeline = Hcrf_incr.Pipeline
@@ -19,7 +19,9 @@ let scrub perfs =
          { p with Metrics.sched_seconds = 0. }))
     perfs
 
-let bytes_of perfs = Marshal.to_string (scrub perfs) []
+(* No_sharing: entries loaded from disk box their floats apart where a
+   cold run shares one box; equal values must give equal bytes *)
+let bytes_of perfs = Marshal.to_string (scrub perfs) [ Marshal.No_sharing ]
 
 (* a pipeline with a fresh in-memory memo *)
 let fresh_pipe ?(jobs = 1) () =
@@ -159,10 +161,8 @@ let test_no_edit_fixpoint () =
     (String.equal (bytes_of perfs0) (bytes_of perfs1))
 
 (* ------------------------------------------------------------------ *)
-(* Persistence *)
+(* Persistence: schedules persist in the store shards, the memo does not *)
 
-(* the memo's directory holds memo.v4 and the schedule store's shard
-   subdirectories *)
 let rec rm_rf p =
   if Sys.is_directory p then begin
     Array.iter (fun e -> rm_rf (Filename.concat p e)) (Sys.readdir p);
@@ -176,67 +176,31 @@ let with_tmp_dir f =
   Unix.mkdir dir 0o700;
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
-let test_memo_persistence () =
+(* a second process, modelled by fresh memos and caches over one
+   directory: every schedule replays from the store shards, and the
+   replayed metrics equal a cold evaluation's *)
+let test_memo_over_disk_cache () =
   with_tmp_dir @@ fun dir ->
   let prog = Progs.program ~n:5 in
-  let saved =
-    let memo = Memo.create ~dir () in
-    let ctx = Runner.Ctx.make ~memo () in
-    let _ = Pipeline.eval (Pipeline.create ~ctx config) prog in
-    check "save succeeds" true (Memo.save memo);
-    Memo.length memo
+  let eval () =
+    let ctx =
+      Runner.Ctx.make ~cache:(Hcrf_cache.Cache.create ~dir ())
+        ~memo:(Memo.create ()) ()
+    in
+    Pipeline.eval (Pipeline.create ~ctx config) prog
   in
-  check "something was memoized" true (saved > 0);
-  (* a second process: reload the memo and replay everything *)
-  let memo = Memo.create ~dir () in
-  check_int "reloaded table has every entry" saved (Memo.length memo);
-  let ctx = Runner.Ctx.make ~memo () in
-  let perfs, _, stats = Pipeline.eval (Pipeline.create ~ctx config) prog in
-  check_int "warm start recompiles nothing" 0
+  let _, _, first = eval () in
+  check_int "first process schedules every loop" 5
+    first.Pipeline.sched.Runner.computed;
+  let perfs, _, stats = eval () in
+  check_int "fresh memo recompiles every kernel" 5
     stats.Pipeline.frontend_recomputed;
-  check_int "warm start reschedules nothing" 0
+  check_int "fresh memo reschedules nothing" 0
     stats.Pipeline.sched.Runner.computed;
-  check "warm-start perfs = cold perfs" true
+  check_int "every schedule is a store hit" 5
+    stats.Pipeline.sched.Runner.store_hits;
+  check "replayed perfs = cold perfs" true
     (String.equal (bytes_of perfs) (bytes_of (cold_eval prog)))
-
-let test_memo_corruption () =
-  with_tmp_dir @@ fun dir ->
-  let memo = Memo.create ~dir () in
-  Memo.add memo ~stage:Hcrf_obs.Event.Metric "k"
-    (Memo.Perf_v None);
-  check "save succeeds" true (Memo.save memo);
-  check_int "saved entry reloads" 1 (Memo.length (Memo.create ~dir ()));
-  let write name content =
-    let oc = open_out (Filename.concat dir name) in
-    output_string oc content;
-    close_out oc
-  in
-  let current = Filename.concat dir "memo.v4" in
-  let intact = In_channel.with_open_bin current In_channel.input_all in
-  write "memo.v4" "hcrf-memo 4\ngarbage follows the magic";
-  let reloaded = Memo.create ~dir () in
-  check_int "corrupt file discarded, empty memo" 0 (Memo.length reloaded);
-  (* and truncating below the magic must not raise either *)
-  write "memo.v4" "x";
-  check_int "truncated file discarded" 0 (Memo.length (Memo.create ~dir ()));
-  (* files of older versions are stale: warned about, never read — a
-     v1 file held schedule entries, a v2 file MD5-chain loop
-     fingerprints, a v3 file rank-based WL ones and extract-stage
-     values (here v2 and v3 even carry an intact table) *)
-  Sys.remove current;
-  write "memo.v1" "hcrf-memo 1\nwhatever a v1 writer left";
-  write "memo.v2" intact;
-  write "memo.v3" intact;
-  check_int "v1, v2 and v3 files ignored" 0
-    (Memo.length (Memo.create ~dir ()));
-  (* a file under the current name that carries the v3 magic is
-     refused by the seal before anything is unmarshalled *)
-  write "memo.v4"
-    ("hcrf-memo 3\n"
-    ^ String.sub intact (String.length "hcrf-memo 4\n")
-        (String.length intact - String.length "hcrf-memo 4\n"));
-  check_int "v3 magic under the v4 name ignored" 0
-    (Memo.length (Memo.create ~dir ()))
 
 (* ------------------------------------------------------------------ *)
 
@@ -249,7 +213,5 @@ let tests =
     ("memo stage counts equal the traced incr counts", `Quick,
      test_stage_stats_are_trace_counts);
     ("no-edit evaluation is a fixpoint", `Quick, test_no_edit_fixpoint);
-    ("memo persistence round-trip", `Quick, test_memo_persistence);
-    ("memo corruption discarded with a warning", `Quick,
-     test_memo_corruption);
+    ("fresh memo replays a disk cache", `Quick, test_memo_over_disk_cache);
   ]
