@@ -45,6 +45,9 @@ val of_string : string -> (t, string) result
     (created if needed) and returns the path. *)
 val write : dir:string -> t -> string
 
+(** [Error] on an unreadable or malformed file, including a loop whose
+    node ids are not compact ({!Hcrf_ir.Ddg.compact}): replaying it
+    would size the scheduler's tables by its largest id. *)
 val load : string -> (t, string) result
 
 (** Sorted [*.repro] paths under a directory ([] if it is missing). *)

@@ -22,6 +22,10 @@ type node = {
   kind : Op.kind;
   mutable succs : edge list; (* out-edges *)
   mutable preds : edge list; (* in-edges *)
+  mutable others : int;
+      (* non-[True] edges: those in [succs] count in the low 31 bits,
+         those in [preds] above; one word, as every outcome keeps its
+         graph *)
 }
 
 type invariant = {
@@ -53,7 +57,27 @@ type t = {
          nor serialized. *)
 }
 
-let absent = { id = -1; kind = Op.Fadd; succs = []; preds = [] }
+let absent =
+  { id = -1; kind = Op.Fadd; succs = []; preds = []; others = 0 }
+
+let is_true e = Dep.equal e.dep Dep.True
+
+(* [others] units of a non-[True] out-edge and in-edge *)
+let out_unit = 1
+let in_unit = 1 lsl 31
+
+let count_others succs preds =
+  List.fold_left
+    (fun n e -> if is_true e then n else n + in_unit)
+    (List.fold_left (fun n e -> if is_true e then n else n + out_unit) 0 succs)
+    preds
+
+let true_out n = n.others land (in_unit - 1) = 0
+let true_in n = n.others < in_unit
+
+(* A node with its non-[True] counters taken from its lists. *)
+let make_node id kind succs preds =
+  { id; kind; succs; preds; others = count_others succs preds }
 
 (* Ids below this bound may live in [dense] for a graph of [n] nodes. *)
 let dense_bound n = (2 * n) + 64
@@ -116,11 +140,17 @@ let place t (n : node) =
 let add_node t kind =
   let id = t.next_id in
   t.next_id <- id + 1;
-  place t { id; kind; succs = []; preds = [] };
+  place t (make_node id kind [] []);
   id
 
 let next_id t = t.next_id
 let next_inv t = t.next_inv
+
+(** Whether the ids are compact: the id counter, which bounds every id
+    of a valid graph, is at most [2·|V| + 64].  The scheduler sizes its
+    per-node tables by the largest id, so graphs from outside (wire
+    requests, [.repro] files) must pass this. *)
+let compact t = t.next_id <= dense_bound t.count
 
 let add_edge t ?(distance = 0) ~dep src dst =
   if distance < 0 then invalid_arg "Ddg.add_edge: negative distance";
@@ -128,6 +158,10 @@ let add_edge t ?(distance = 0) ~dep src dst =
   let ns = node t src and nd = node t dst in
   ns.succs <- e :: ns.succs;
   nd.preds <- e :: nd.preds;
+  if not (is_true e) then begin
+    ns.others <- ns.others + out_unit;
+    nd.others <- nd.others + in_unit
+  end;
   notify t src
 
 let edge_equal a b =
@@ -135,10 +169,10 @@ let edge_equal a b =
   && a.distance = b.distance
 
 (* Remove a single occurrence (parallel identical edges are legal, e.g.
-   x*x uses the same value twice). *)
+   x*x uses the same value twice); [l] itself when there is none. *)
 let remove_once p l =
   let rec go acc = function
-    | [] -> List.rev acc
+    | [] -> l
     | x :: rest -> if p x then List.rev_append acc rest else go (x :: acc) rest
   in
   go [] l
@@ -149,8 +183,17 @@ let has_edge t e =
 
 let remove_edge t e =
   let ns = node t e.src and nd = node t e.dst in
-  ns.succs <- remove_once (edge_equal e) ns.succs;
-  nd.preds <- remove_once (edge_equal e) nd.preds;
+  let other = not (is_true e) in
+  let succs = remove_once (edge_equal e) ns.succs in
+  if succs != ns.succs then begin
+    ns.succs <- succs;
+    if other then ns.others <- ns.others - out_unit
+  end;
+  let preds = remove_once (edge_equal e) nd.preds in
+  if preds != nd.preds then begin
+    nd.preds <- preds;
+    if other then nd.others <- nd.others - in_unit
+  end;
   notify t e.src
 
 (** Remove a node and every edge touching it.  Invariant consumer lists are
@@ -200,18 +243,17 @@ let iter_nodes t f = List.iter f (fold_desc List.cons t [])
 let edges t = fold_desc (fun n acc -> n.succs @ acc) t []
 let num_edges t = fold_desc (fun n acc -> acc + List.length n.succs) t 0
 
-let is_true e = Dep.equal e.dep Dep.True
-
-(* The [True] edges of [l]: [l] itself, shared, when every edge is
-   [True] (the common case), so the walk allocates nothing. *)
-let true_edges l =
-  if List.for_all is_true l then l else List.filter is_true l
-
-(** True-dependence consumers of the value defined by [id]. *)
-let consumers t id = true_edges (succs t id)
+(** True-dependence consumers of the value defined by [id]: the
+    out-edge list itself, in O(1), when it holds no other edge (the
+    common case). *)
+let consumers t id =
+  let n = node t id in
+  if true_out n then n.succs else List.filter is_true n.succs
 
 (** The [True] in-edges of [id], i.e. the values it reads. *)
-let operands t id = true_edges (preds t id)
+let operands t id =
+  let n = node t id in
+  if true_in n then n.preds else List.filter is_true n.preds
 
 let count_kind t p =
   fold_desc (fun n acc -> if p n.kind then acc + 1 else acc) t 0
@@ -252,7 +294,9 @@ let copy t =
          t.invariants)
     (fold_desc
        (fun n acc ->
-         { id = n.id; kind = n.kind; succs = n.succs; preds = n.preds } :: acc)
+         { id = n.id; kind = n.kind; succs = n.succs; preds = n.preds;
+           others = n.others }
+         :: acc)
        t [])
 
 (* ------------------------------------------------------------------ *)
@@ -286,7 +330,7 @@ let of_repr r =
          (fun (inv_id, inv_consumers) -> { inv_id; inv_consumers })
          r.repr_invariants)
     (List.map
-       (fun (id, kind, succs, preds) -> { id; kind; succs; preds })
+       (fun (id, kind, succs, preds) -> make_node id kind succs preds)
        r.repr_nodes)
 
 let pp ppf t =
@@ -300,11 +344,13 @@ let pp ppf t =
 
 (** Structural well-formedness: every edge endpoint exists and appears in
     both adjacency lists; distances are non-negative; node and invariant
-    ids lie below the id counters, so fresh ids never collide. *)
+    ids lie below the id counters, so fresh ids never collide; the
+    non-[True] edge counters match the lists. *)
 let validate t =
   let ok = ref true in
   iter_nodes t (fun n ->
       if n.id < 0 || n.id >= t.next_id then ok := false;
+      if n.others <> count_others n.succs n.preds then ok := false;
       List.iter
         (fun e ->
           if e.src <> n.id || not (mem t e.dst) || e.distance < 0 then

@@ -18,11 +18,17 @@ type edge = {
   distance : int;  (** iterations between production and consumption *)
 }
 
-type node = {
+(** Read-only outside this module: the counter below is kept in step
+    with the lists by {!add_edge}, {!remove_edge}, {!copy} and
+    {!of_repr}. *)
+type node = private {
   id : int;
   kind : Op.kind;
   mutable succs : edge list;  (** out-edges *)
   mutable preds : edge list;  (** in-edges *)
+  mutable others : int;
+      (** the non-[True] edges: those in [succs] count in the low 31
+          bits, those in [preds] above *)
 }
 
 type invariant = {
@@ -51,6 +57,12 @@ val add_node : t -> Op.kind -> int
     next. *)
 val next_id : t -> int
 val next_inv : t -> int
+
+(** Whether the ids are compact: [next_id] (which bounds every id of a
+    valid graph) is at most [2·|V| + 64].  The scheduler's per-node
+    tables are sized by the largest id, so the wire and [.repro] loading
+    refuse graphs that are not. *)
+val compact : t -> bool
 
 val add_edge : t -> ?distance:int -> dep:Dep.t -> int -> int -> unit
 
@@ -87,7 +99,8 @@ val num_edges : t -> int
 
 (** [True]-dependence out-edges: the consumers of [id]'s value.  When
     every out-edge is [True] (the common case) this is {!succs} itself,
-    so the call allocates nothing; likewise {!operands} and {!preds}. *)
+    found in O(1) from the node's non-[True] counter, so the call
+    allocates nothing; likewise {!operands} and {!preds}. *)
 val consumers : t -> int -> edge list
 
 (** [True]-dependence in-edges: the values [id] reads. *)
@@ -129,5 +142,5 @@ val pp : Format.formatter -> t -> unit
 (** Structural well-formedness: every edge endpoint exists and appears
     in both adjacency lists; distances are non-negative; node and
     invariant ids lie below the id counters, so fresh ids never
-    collide. *)
+    collide; each node's non-[True] edge counters match its lists. *)
 val validate : t -> bool

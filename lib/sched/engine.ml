@@ -670,8 +670,9 @@ let first_route s v ~loc =
     None
 
 (* Cost of placing [v] at [loc] without committing: fresh communication
-   ops needed, slot availability, FU occupancy and bank fill. *)
-let placement_cost s v ~loc =
+   ops needed, slot availability, FU occupancy and bank fill.  [estart]
+   is [v]'s earliest cycle, which does not depend on [loc]. *)
+let placement_cost s v ~estart ~loc =
   let comm =
     fold_routes s v ~loc
       (fun acc _ ~p ~db ~rb ~avoid -> acc + route_fresh s ~p ~db ~rb ~avoid)
@@ -680,8 +681,7 @@ let placement_cost s v ~loc =
   let slot_ok =
     scan s
       (Schedule.prepare_uses s.sched s.g v ~loc)
-      ~from:(max 0 (Schedule.estart s.sched s.g v))
-      ~step:1 (Schedule.ii s.sched)
+      ~from:(max 0 estart) ~step:1 (Schedule.ii s.sched)
     >= 0
   in
   let cluster = cluster_of_loc loc in
@@ -820,14 +820,15 @@ let decide_loc s v =
       (* Select_Cluster heuristic [37]: fewest new communications, then
          a free slot, then balanced FU/register use; the first of equal
          costs wins. *)
+      let estart = Schedule.estart s.sched s.g v in
       let rec best bl bc = function
         | [] -> bl
         | loc :: tl ->
-          let cost = placement_cost s v ~loc in
+          let cost = placement_cost s v ~estart ~loc in
           if cost < bc then best loc cost tl else best bl bc tl
       in
       let first = List.hd locs in
-      `Loc (best first (placement_cost s v ~loc:first) (List.tl locs)))
+      `Loc (best first (placement_cost s v ~estart ~loc:first) (List.tl locs)))
 
 (* ------------------------------------------------------------------ *)
 (* Spilling                                                            *)
@@ -1332,7 +1333,12 @@ let schedule ?(opts = default_options) ?(trace = Tr.off) (config : Config.t)
     (g0 : Ddg.t) : (outcome, error) result =
   let t0 = Unix.gettimeofday () in
   let lat = Latency.make ~override:opts.load_override config in
-  let mii = Mii.compute ~trace ~lat config g0 in
+  (* one SCC/RecMII pass serves both the bound and the order *)
+  let recs, mii =
+    Tr.span trace Ev.Mii (fun () ->
+        let recs = Mii.recurrences lat g0 in
+        (recs, Mii.compute ~lat ~recs config g0))
+  in
   let max_ii =
     match opts.max_ii with Some m -> m | None -> max (4 * mii) (mii + 128)
   in
@@ -1340,7 +1346,7 @@ let schedule ?(opts = default_options) ?(trace = Tr.off) (config : Config.t)
   let order =
     Tr.span trace Ev.Order (fun () ->
         match opts.ordering with
-        | `Hrms -> Order.compute ~lat config g0
+        | `Hrms -> Order.compute ~lat ~recs config g0
         | `Topological ->
           let asap, _ = Order.asap_alap lat g0 in
           List.sort

@@ -76,38 +76,55 @@ let res_mii (config : Config.t) (g : Ddg.t) =
   in
   (fu, mem, comm)
 
-(* Positive-cycle test: is there a cycle with total (latency - ii *
-   distance) > 0 among [nodes]?  Floyd-Warshall with max-plus weights. *)
-let has_positive_cycle (lat : Latency.t) (g : Ddg.t) ~ii nodes =
+(* The edges inside one SCC, by position in [nodes]: (source, target,
+   latency, distance), read from the graph once for every probe of the
+   RecMII search. *)
+type scc_edges = { n : int; edges : (int * int * int * int) array }
+
+let scc_edges (lat : Latency.t) (g : Ddg.t) nodes =
   let n = List.length nodes in
-  if n = 0 then false
-  else begin
-    let idx = Hashtbl.create n in
-    List.iteri (fun i v -> Hashtbl.replace idx v i) nodes;
-    let neg_inf = min_int / 4 in
-    let d = Array.make_matrix n n neg_inf in
-    List.iter
+  let idx = Hashtbl.create n in
+  List.iteri (fun i v -> Hashtbl.replace idx v i) nodes;
+  let edges =
+    List.concat_map
       (fun v ->
         let i = Hashtbl.find idx v in
-        List.iter
+        List.filter_map
           (fun (e : Ddg.edge) ->
-            match Hashtbl.find_opt idx e.dst with
-            | None -> ()
-            | Some j ->
-              let w = Latency.of_edge lat g e - (ii * e.distance) in
-              if w > d.(i).(j) then d.(i).(j) <- w)
+            Option.map
+              (fun j -> (i, j, Latency.of_edge lat g e, e.distance))
+              (Hashtbl.find_opt idx e.dst))
           (Ddg.succs g v))
-      nodes;
+      nodes
+  in
+  { n; edges = Array.of_list edges }
+
+(* Positive-cycle test: is there a cycle with total (latency - ii *
+   distance) > 0 among the SCC's nodes?  Floyd-Warshall with max-plus
+   weights over a flat n×n matrix. *)
+let has_positive_cycle (c : scc_edges) ~ii =
+  let n = c.n in
+  if n = 0 then false
+  else begin
+    let neg_inf = min_int / 4 in
+    let d = Array.make (n * n) neg_inf in
+    Array.iter
+      (fun (i, j, l, dist) ->
+        let w = l - (ii * dist) in
+        if w > d.((i * n) + j) then d.((i * n) + j) <- w)
+      c.edges;
     let exception Found in
     try
       for k = 0 to n - 1 do
         for i = 0 to n - 1 do
-          if d.(i).(k) > neg_inf then
+          let dik = d.((i * n) + k) in
+          if dik > neg_inf then
             for j = 0 to n - 1 do
-              if d.(k).(j) > neg_inf && d.(i).(k) + d.(k).(j) > d.(i).(j)
-              then begin
-                d.(i).(j) <- d.(i).(k) + d.(k).(j);
-                if i = j && d.(i).(j) > 0 then raise Found
+              let dkj = d.((k * n) + j) in
+              let ij = (i * n) + j in
+              if dkj > neg_inf && dik + dkj > d.(ij) then begin
+                d.(ij) <- dik + dkj;
+                if i = j && d.(ij) > 0 then raise Found
               end
             done
         done
@@ -115,7 +132,7 @@ let has_positive_cycle (lat : Latency.t) (g : Ddg.t) ~ii nodes =
       (* also catch self loops found during init *)
       let pos = ref false in
       for i = 0 to n - 1 do
-        if d.(i).(i) > 0 then pos := true
+        if d.((i * n) + i) > 0 then pos := true
       done;
       !pos
     with Found -> true
@@ -131,28 +148,37 @@ let scc_rec_mii (lat : Latency.t) (g : Ddg.t) nodes =
         acc + max 1 (Latency.of_def lat ~id:v ~kind:(Ddg.kind g v)))
       1 nodes
   in
+  let c = scc_edges lat g nodes in
   let rec search lo hi =
     if lo >= hi then lo
     else
       let mid = (lo + hi) / 2 in
-      if has_positive_cycle lat g ~ii:mid nodes then search (mid + 1) hi
+      if has_positive_cycle c ~ii:mid then search (mid + 1) hi
       else search lo mid
   in
   search 1 upper
 
+type recurrence = { rmii : int; scc : int list }
+
+let recurrences (lat : Latency.t) (g : Ddg.t) =
+  List.map
+    (fun scc -> { rmii = scc_rec_mii lat g scc; scc })
+    (Scc.recurrences g)
+
+let rec_of_recurrences recs =
+  List.fold_left (fun acc r -> max acc r.rmii) 1 recs
+
 (** Recurrence-constrained bound (1 when the graph is acyclic: an empty
     recurrence constraint, and II >= 1 always). *)
 let rec_mii (lat : Latency.t) (g : Ddg.t) =
-  List.fold_left
-    (fun acc scc -> max acc (scc_rec_mii lat g scc))
-    1
-    (Scc.recurrences g)
+  rec_of_recurrences (recurrences lat g)
 
-let bounds ?(lat : Latency.t option) (config : Config.t) (g : Ddg.t) =
+let bounds ?(lat : Latency.t option) ?recs (config : Config.t) (g : Ddg.t) =
   let lat = match lat with Some l -> l | None -> Latency.make config in
   let fu, mem, comm = res_mii config g in
-  { fu; mem; comm; rec_ = rec_mii lat g }
+  let recs = match recs with Some r -> r | None -> recurrences lat g in
+  { fu; mem; comm; rec_ = rec_of_recurrences recs }
 
-let compute ?(trace = Hcrf_obs.Trace.off) ?lat config g =
+let compute ?(trace = Hcrf_obs.Trace.off) ?lat ?recs config g =
   Hcrf_obs.Trace.span trace Hcrf_obs.Event.Mii (fun () ->
-      max 1 (mii (bounds ?lat config g)))
+      max 1 (mii (bounds ?lat ?recs config g)))

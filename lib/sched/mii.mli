@@ -23,13 +23,24 @@ val res_mii : Hcrf_machine.Config.t -> Hcrf_ir.Ddg.t -> int * int * int
 (** RecMII of one SCC: the smallest II admitting no positive cycle. *)
 val scc_rec_mii : Latency.t -> Hcrf_ir.Ddg.t -> int list -> int
 
+(** A recurrence ({!Hcrf_ir.Scc.recurrences}) and its RecMII. *)
+type recurrence = { rmii : int; scc : int list }
+
+(** The SCC/RecMII pass: every recurrence of the graph, in
+    {!Hcrf_ir.Scc.recurrences} order.  [Engine.schedule] runs it once
+    per loop and hands it to both {!compute} and [Order.compute]. *)
+val recurrences : Latency.t -> Hcrf_ir.Ddg.t -> recurrence list
+
 val rec_mii : Latency.t -> Hcrf_ir.Ddg.t -> int
 
+(** [recs], when given, must be [recurrences lat g]; it saves the
+    SCC/RecMII pass. *)
 val bounds :
-  ?lat:Latency.t -> Hcrf_machine.Config.t -> Hcrf_ir.Ddg.t -> bounds
+  ?lat:Latency.t -> ?recs:recurrence list -> Hcrf_machine.Config.t ->
+  Hcrf_ir.Ddg.t -> bounds
 
 (** max(1, max of all bounds); the whole computation is recorded as a
-    [Phase Mii] span on [trace]. *)
+    [Phase Mii] span on [trace].  [recs] as for {!bounds}. *)
 val compute :
-  ?trace:Hcrf_obs.Trace.t -> ?lat:Latency.t -> Hcrf_machine.Config.t ->
-  Hcrf_ir.Ddg.t -> int
+  ?trace:Hcrf_obs.Trace.t -> ?lat:Latency.t -> ?recs:recurrence list ->
+  Hcrf_machine.Config.t -> Hcrf_ir.Ddg.t -> int

@@ -143,6 +143,9 @@ let compile t (uses : (Topology.resource * int) list) =
   fill 0 (-1) 0 ranked;
   { urows; udurs; uneeds }
 
+(* The slots of a reservation of [dur] cycles from [cycle] are
+   [smod cycle] onwards, wrapping at II: one division per reservation,
+   not one per slot. *)
 let fits_row t ~r ~cycle ~dur ~need =
   let u = t.units.(r) in
   if u = max_int then true
@@ -150,10 +153,12 @@ let fits_row t ~r ~cycle ~dur ~need =
     let dur = if dur > t.ii then t.ii else dur in
     let base = r * t.ii in
     let ok = ref true in
-    let k = ref 0 in
+    let k = ref 0 and slot = ref (smod t cycle) in
     while !ok && !k < dur do
-      if t.counts.(base + smod t (cycle + !k)) + need > u then ok := false;
-      incr k
+      if t.counts.(base + !slot) + need > u then ok := false;
+      incr k;
+      incr slot;
+      if !slot = t.ii then slot := 0
     done;
     !ok
   end
@@ -227,10 +232,13 @@ let place_c t ~node (u : cuses) ~cycle =
     let r = u.urows.(i) in
     let base = r * t.ii in
     let d = if u.udurs.(i) > t.ii then t.ii else u.udurs.(i) in
-    for k = 0 to d - 1 do
-      let idx = base + smod t (cycle + k) in
+    let slot = ref (smod t cycle) in
+    for _ = 0 to d - 1 do
+      let idx = base + !slot in
       t.counts.(idx) <- t.counts.(idx) + 1;
-      push_occ t idx node
+      push_occ t idx node;
+      incr slot;
+      if !slot = t.ii then slot := 0
     done;
     t.row_total.(r) <- t.row_total.(r) + d
   done;
@@ -244,10 +252,13 @@ let remove t ~node =
       let r = u.urows.(i) in
       let base = r * t.ii in
       let d = if u.udurs.(i) > t.ii then t.ii else u.udurs.(i) in
-      for k = 0 to d - 1 do
-        let idx = base + smod t (cycle + k) in
+      let slot = ref (smod t cycle) in
+      for _ = 0 to d - 1 do
+        let idx = base + !slot in
         t.counts.(idx) <- t.counts.(idx) - 1;
-        remove_occ t idx node
+        remove_occ t idx node;
+        incr slot;
+        if !slot = t.ii then slot := 0
       done;
       t.row_total.(r) <- t.row_total.(r) - d
     done;
@@ -263,14 +274,17 @@ let conflicts_c t (u : cuses) ~cycle =
     if un < max_int then begin
       let base = r * t.ii in
       let d = if dur > t.ii then t.ii else dur in
-      for k = d - 1 downto 0 do
-        let idx = base + smod t (cycle + k) in
+      let slot = ref (smod t cycle) in
+      for _ = 0 to d - 1 do
+        let idx = base + !slot in
         if t.counts.(idx) + need > un && t.occ_len.(idx) > 0 then
-          acc := t.occ.(idx).(t.occ_len.(idx) - 1) :: !acc
+          acc := t.occ.(idx).(t.occ_len.(idx) - 1) :: !acc;
+        incr slot;
+        if !slot = t.ii then slot := 0
       done
     end
   done;
-  List.sort_uniq compare !acc
+  List.sort_uniq Int.compare !acc
 
 (* ------------------------------------------------------------------ *)
 (* List-based interface (compatibility; compiles on the fly)           *)

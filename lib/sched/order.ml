@@ -115,8 +115,9 @@ let path_nodes v ~src ~dst =
 
 (** Compute the scheduling priority order.  Returns node ids, highest
     priority first. *)
-let compute ?(lat : Latency.t option) config (g : Ddg.t) : int list =
+let compute ?(lat : Latency.t option) ?recs config (g : Ddg.t) : int list =
   let lat = match lat with Some l -> l | None -> Latency.make config in
+  let recs = match recs with Some r -> r | None -> Mii.recurrences lat g in
   let v = view lat g in
   let n = Array.length v.ids in
   let asap, alap = dense_asap_alap v in
@@ -139,8 +140,7 @@ let compute ?(lat : Latency.t option) config (g : Ddg.t) : int list =
   in
   (* 1. recurrences, hardest first, with connecting path nodes *)
   let groups =
-    Scc.recurrences g
-    |> List.map (fun scc -> (Mii.scc_rec_mii lat g scc, scc))
+    List.map (fun (r : Mii.recurrence) -> (r.rmii, r.scc)) recs
     |> List.sort (fun (a, sa) (b, sb) ->
            compare (b, List.length sb) (a, List.length sa))
     |> List.map (fun (_, scc) -> List.map (index_of v.ids) scc)

@@ -17,6 +17,8 @@ val asap_alap : Latency.t -> Hcrf_ir.Ddg.t -> (int -> int) * (int -> int)
 (** The scheduling priority order: node ids, highest priority first
     (always a permutation of the graph's nodes).  Each expansion step
     appends the unordered node minimising (not adjacent to the ordered
-    region, mobility, ASAP, id). *)
+    region, mobility, ASAP, id).  [recs], when given, must be
+    [Mii.recurrences lat g]; it saves the SCC/RecMII pass. *)
 val compute :
-  ?lat:Latency.t -> Hcrf_machine.Config.t -> Hcrf_ir.Ddg.t -> int list
+  ?lat:Latency.t -> ?recs:Mii.recurrence list -> Hcrf_machine.Config.t ->
+  Hcrf_ir.Ddg.t -> int list

@@ -6,105 +6,111 @@
     serve, and ejected nodes are re-queued with their original priority
     (§5.1).
 
-    Implemented as a binary min-heap over [(priority, node)] pairs with
-    lazy deletion: [remove] only invalidates the node's live entries (a
-    hash-table drop), and [pop] skips stale heap cells on the way down.
-    Entries carry a generation stamp so a re-pushed pair is distinct from
-    its own stale copies.  The observable behaviour is exactly that of
-    the original [Set.Make (float * int)] implementation — identical
-    [(priority, node)] pushes coalesce, and [pop] returns the
-    lexicographic minimum — as checked by QCheck against a set model. *)
+    An indexed binary min-heap over (priority, node): the priorities sit
+    unboxed in a float array beside the nodes, and a node -> heap
+    position array makes [mem] and [remove] direct.  The contract is the
+    engine's discipline: a node is queued at most once and keeps one
+    priority, so a re-push with the same priority is a no-op and one
+    with another priority raises.  [pop] returns the lexicographic
+    minimum of (priority, node), as the lazy-deletion heap it replaces
+    did (test/pqueue_ref.ml; QCheck compares the two). *)
 
 type t = {
-  mutable heap : (float * int * int) array;  (* priority, node, generation *)
-  mutable hn : int;                          (* live prefix of [heap] *)
-  live : (int, (float * int) list) Hashtbl.t;
-      (* node -> (priority, generation) of each live entry *)
-  mutable count : int;                       (* total live entries *)
-  mutable gen : int;
+  mutable prio : float array;  (* heap position -> priority *)
+  mutable node : int array;    (* heap position -> node *)
+  mutable pos : int array;     (* node -> heap position, -1 = absent *)
+  mutable n : int;             (* live prefix of [prio] and [node] *)
 }
 
 let create () =
-  { heap = Array.make 64 (0., 0, 0); hn = 0; live = Hashtbl.create 64;
-    count = 0; gen = 0 }
+  { prio = Array.make 64 0.; node = Array.make 64 0; pos = Array.make 64 (-1);
+    n = 0 }
 
-let is_empty t = t.count = 0
-let size t = t.count
-let mem t node = Hashtbl.mem t.live node
+let is_empty t = t.n = 0
+let size t = t.n
+let mem t v = v >= 0 && v < Array.length t.pos && t.pos.(v) >= 0
 
-(* Lexicographic (priority, node); generations never order. *)
-let lt (p1, v1, _) (p2, v2, _) = p1 < p2 || (p1 = p2 && v1 < v2)
+(* Heap cell [i] orders before a (priority, node) pair. *)
+let lt t i p v =
+  let pi = t.prio.(i) in
+  pi < p || (pi = p && t.node.(i) < v)
 
-let heap_push t e =
-  if t.hn = Array.length t.heap then begin
-    let h = Array.make (2 * t.hn) (0., 0, 0) in
-    Array.blit t.heap 0 h 0 t.hn;
-    t.heap <- h
-  end;
-  let h = t.heap in
-  let i = ref t.hn in
-  t.hn <- t.hn + 1;
-  let continue = ref true in
-  while !continue && !i > 0 do
-    let parent = (!i - 1) / 2 in
-    if lt e h.(parent) then begin
-      h.(!i) <- h.(parent);
-      i := parent
+let set t i p v =
+  t.prio.(i) <- p;
+  t.node.(i) <- v;
+  t.pos.(v) <- i
+
+(* Put (p, v) at hole [i], moving it towards the root. *)
+let rec sift_up t i p v =
+  if i > 0 then begin
+    let parent = (i - 1) / 2 in
+    if lt t parent p v then set t i p v
+    else begin
+      set t i t.prio.(parent) t.node.(parent);
+      sift_up t parent p v
     end
-    else continue := false
-  done;
-  h.(!i) <- e
+  end
+  else set t i p v
 
-let heap_pop t =
-  let h = t.heap in
-  let top = h.(0) in
-  t.hn <- t.hn - 1;
-  if t.hn > 0 then begin
-    let e = h.(t.hn) in
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 in
-      if l >= t.hn then continue := false
-      else begin
-        let c = if l + 1 < t.hn && lt h.(l + 1) h.(l) then l + 1 else l in
-        if lt h.(c) e then begin
-          h.(!i) <- h.(c);
-          i := c
-        end
-        else continue := false
-      end
-    done;
-    h.(!i) <- e
-  end;
-  top
-
-let push t ~priority node =
-  let entries = Option.value ~default:[] (Hashtbl.find_opt t.live node) in
-  (* identical (priority, node) pushes coalesce, as in a set *)
-  if not (List.mem_assoc priority entries) then begin
-    t.gen <- t.gen + 1;
-    Hashtbl.replace t.live node ((priority, t.gen) :: entries);
-    t.count <- t.count + 1;
-    heap_push t (priority, node, t.gen)
+(* Put (p, v) at hole [i], moving it towards the leaves. *)
+let rec sift_down t i p v =
+  let l = (2 * i) + 1 in
+  if l >= t.n then set t i p v
+  else begin
+    let c = if l + 1 < t.n && lt t (l + 1) t.prio.(l) t.node.(l) then l + 1 else l in
+    if lt t c p v then begin
+      set t i t.prio.(c) t.node.(c);
+      sift_down t c p v
+    end
+    else set t i p v
   end
 
-let rec pop t =
-  if t.hn = 0 then None
-  else
-    let _, v, g = heap_pop t in
-    match Hashtbl.find_opt t.live v with
-    | Some entries when List.exists (fun (_, g') -> g' = g) entries ->
-      (match List.filter (fun (_, g') -> g' <> g) entries with
-      | [] -> Hashtbl.remove t.live v
-      | rest -> Hashtbl.replace t.live v rest);
-      t.count <- t.count - 1;
-      Some v
-    | Some _ | None -> pop t  (* stale cell: lazily deleted *)
+let grow_heap t =
+  let cap = 2 * Array.length t.node in
+  let prio = Array.make cap 0. and node = Array.make cap 0 in
+  Array.blit t.prio 0 prio 0 t.n;
+  Array.blit t.node 0 node 0 t.n;
+  t.prio <- prio;
+  t.node <- node
 
-let remove t node =
-  match Hashtbl.find_opt t.live node with
-  | None -> ()
-  | Some entries ->
-    t.count <- t.count - List.length entries;
-    Hashtbl.remove t.live node
+let grow_pos t v =
+  let len = Array.length t.pos in
+  let pos = Array.make (max (2 * len) (v + 1)) (-1) in
+  Array.blit t.pos 0 pos 0 len;
+  t.pos <- pos
+
+let push t ~priority v =
+  if v < 0 then Fmt.invalid_arg "Pqueue.push: negative node %d" v;
+  if v >= Array.length t.pos then grow_pos t v;
+  let i = t.pos.(v) in
+  if i >= 0 then begin
+    if t.prio.(i) <> priority then
+      Fmt.invalid_arg "Pqueue.push: node %d already queued at %g, not %g" v
+        t.prio.(i) priority
+  end
+  else begin
+    if t.n = Array.length t.node then grow_heap t;
+    t.n <- t.n + 1;
+    sift_up t (t.n - 1) priority v
+  end
+
+(* Drop heap cell [i]: the last cell fills the hole and moves to its
+   place. *)
+let delete t i =
+  t.pos.(t.node.(i)) <- -1;
+  t.n <- t.n - 1;
+  if i < t.n then begin
+    let p = t.prio.(t.n) and v = t.node.(t.n) in
+    if i > 0 && not (lt t ((i - 1) / 2) p v) then sift_up t i p v
+    else sift_down t i p v
+  end
+
+let pop t =
+  if t.n = 0 then None
+  else begin
+    let v = t.node.(0) in
+    delete t 0;
+    Some v
+  end
+
+let remove t v = if mem t v then delete t t.pos.(v)

@@ -4,16 +4,17 @@
     lifetime from scratch; the engine needs the requirement after every
     single placement, which made the check quadratic in the loop size.
     This tracker keeps, for every bank, the per-modulo-slot count of
-    simultaneously live values — exactly the [req] array the reference
-    builds — and updates it by *deltas*: when a node's lifetime may have
-    changed (it or a consumer was placed or ejected, or the graph was
-    rewired under it), the node is marked dirty, and the next query
-    subtracts its previously applied slot contribution and re-applies
-    the fresh one.
+    simultaneously live values — the [req] array the reference builds,
+    held as a per-bank count of whole-II laps (live at every slot) plus
+    per-slot remainders — and updates it by *deltas*: when a node's
+    lifetime may have changed (it or a consumer was placed or ejected,
+    or the graph was rewired under it), the node is marked dirty, and
+    the next query subtracts its previously applied contribution and
+    re-applies the fresh one, unless the lifetime came out unchanged.
 
     The invariant, checked by QCheck against the reference over random
-    place/eject traces: after [flush], [req] equals the array
-    {!Lifetimes.pressure} would build from {!Lifetimes.of_schedule},
+    place/eject traces: after [flush], laps plus remainders equal the
+    array {!Lifetimes.pressure} would build from {!Lifetimes.of_schedule},
     bank by bank and slot by slot, and {!lifetimes} returns exactly the
     reference's lifetime list (same records, same increasing-definition
     order — the spill heuristic breaks ties by list position, so order
@@ -34,7 +35,10 @@ type t = {
   g : Ddg.t;
   ii : int;
   nclusters : int;            (* bank index: Local i -> i, Shared -> nclusters *)
-  req : int array;            (* bank * ii + slot -> live values *)
+  req : int array;
+      (* bank * ii + slot -> live values, less the bank's [laps] *)
+  laps : int array;
+      (* bank -> whole-II laps of its lifetimes: live at every slot *)
   peak : int array;           (* bank -> max of its [req] row, -1 = stale *)
   mutable c_bank : int array; (* id -> applied bank index, -1 = none *)
   mutable c_start : int array;
@@ -68,7 +72,8 @@ let create ?arena (sched : Schedule.t) (g : Ddg.t) =
       ( Array.make cells 0, Array.make cap (-1), Array.make cap 0,
         Array.make cap 0 )
   in
-  { sched; g; ii; nclusters; req; peak = Array.make (nclusters + 2) (-1);
+  { sched; g; ii; nclusters; req; laps = Array.make (nclusters + 2) 0;
+    peak = Array.make (nclusters + 2) (-1);
     c_bank; c_start; c_stop; cap;
     dirty = Array.make 64 0; ndirty = 0; in_dirty = Bytes.make cap '\000';
     arena }
@@ -116,22 +121,25 @@ let mark t v =
   end
 
 (* Add [sign] copies of the lifetime [start, stop) in bank row [b] to
-   the slot counts — the same slot arithmetic as [Lifetimes.pressure]. *)
+   the slot counts — the slot arithmetic of [Lifetimes.pressure], with
+   the whole-II laps, which raise every slot alike, kept in [laps]: only
+   the [span mod II] remainder touches the row, and a lifetime of whole
+   laps leaves its peak as it was. *)
 let apply t ~b ~start ~stop sign =
   let sp = stop - start in
   if sp > 0 then begin
-    t.peak.(b) <- -1;
-    let base = b * t.ii in
     let full = sp / t.ii and rem = sp mod t.ii in
-    if full > 0 then
-      for k = 0 to t.ii - 1 do
-        t.req.(base + k) <- t.req.(base + k) + (sign * full)
-      done;
-    let s0 = ((start mod t.ii) + t.ii) mod t.ii in
-    for k = 0 to rem - 1 do
-      let slot = base + ((s0 + k) mod t.ii) in
-      t.req.(slot) <- t.req.(slot) + sign
-    done
+    t.laps.(b) <- t.laps.(b) + (sign * full);
+    if rem > 0 then begin
+      t.peak.(b) <- -1;
+      let base = b * t.ii in
+      let slot = ref (((start mod t.ii) + t.ii) mod t.ii) in
+      for _ = 1 to rem do
+        t.req.(base + !slot) <- t.req.(base + !slot) + sign;
+        incr slot;
+        if !slot = t.ii then slot := 0
+      done
+    end
   end
 
 (* The last cycle the scheduled consumers of a value born at [birth]
@@ -145,15 +153,21 @@ let rec last_use t acc = function
        else acc)
       tl
 
+(* Withdraw [v]'s applied lifetime, if any. *)
+let retract t v =
+  match t.c_bank.(v) with
+  | -1 -> ()
+  | b ->
+    apply t ~b ~start:t.c_start.(v) ~stop:t.c_stop.(v) (-1);
+    t.c_bank.(v) <- -1
+
+(* A dirty node whose (bank, start, stop) came out as applied is
+   skipped: most marks are a neighbour's placement that did not move
+   this lifetime. *)
 let flush t =
   for i = 0 to t.ndirty - 1 do
     let v = t.dirty.(i) in
     Bytes.set t.in_dirty v '\000';
-    (match t.c_bank.(v) with
-    | -1 -> ()
-    | b ->
-      apply t ~b ~start:t.c_start.(v) ~stop:t.c_stop.(v) (-1);
-      t.c_bank.(v) <- -1);
     if
       Ddg.mem t.g v
       && Op.defines_value (Ddg.kind t.g v)
@@ -168,11 +182,16 @@ let flush t =
         + Latency.of_def t.sched.Schedule.lat ~id:v ~kind
       in
       let stop = last_use t birth (Ddg.consumers t.g v) in
-      t.c_bank.(v) <- b;
-      t.c_start.(v) <- birth;
-      t.c_stop.(v) <- stop;
-      apply t ~b ~start:birth ~stop 1
+      if not (t.c_bank.(v) = b && t.c_start.(v) = birth && t.c_stop.(v) = stop)
+      then begin
+        retract t v;
+        t.c_bank.(v) <- b;
+        t.c_start.(v) <- birth;
+        t.c_stop.(v) <- stop;
+        apply t ~b ~start:birth ~stop 1
+      end
     end
+    else retract t v
   done;
   t.ndirty <- 0
 
@@ -190,7 +209,7 @@ let pressure t ~bank =
     done;
     t.peak.(b) <- !m
   end;
-  t.peak.(b)
+  t.laps.(b) + t.peak.(b)
 
 (** The current lifetime list, identical (records and order) to
     [Lifetimes.of_schedule sched g]. *)

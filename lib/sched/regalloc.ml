@@ -24,11 +24,6 @@ type assignment = {
 
 let cdiv a b = (a + b - 1) / b
 
-(* Arc overlap on a circle of circumference [c]. *)
-let overlaps c (s1, len1) (s2, len2) =
-  let within s len x = ((x - s) mod c + c) mod c < len in
-  within s1 len1 s2 || within s2 len2 s1
-
 (** Allocate the lifetimes of one bank.  Returns [None] when [capacity]
     (if finite) is exceeded; a failure is reported on [trace]. *)
 let allocate_bank ?(trace = Hcrf_obs.Trace.off) ~ii
@@ -67,21 +62,35 @@ let allocate_bank ?(trace = Hcrf_obs.Trace.off) ~ii
         lts
       |> List.sort (fun (_, _, a) (_, _, b) -> compare b a)
     in
+    (* The wheel's occupancy, one cell per (register, cycle): an arc
+       fits where all of its cells are free (two arcs of a circle
+       overlap exactly when they share a cell). *)
     let rec try_wheel r =
       if r > lower + 8 then None
       else begin
         let c = r * ii in
-        let placed = ref [] in
+        let wheel = Bytes.make c '\000' in
+        let rec free cell n =
+          n = 0
+          || (Bytes.get wheel cell = '\000'
+             && free (if cell + 1 = c then 0 else cell + 1) (n - 1))
+        in
+        let rec occupy cell n =
+          if n > 0 then begin
+            Bytes.set wheel cell '\001';
+            occupy (if cell + 1 = c then 0 else cell + 1) (n - 1)
+          end
+        in
         let map = ref [] in
         let place_one (def, phase, span) =
+          let len = min span c in
           let rec try_offset o =
             if o >= r then false
             else
               let pos = (phase + (o * ii)) mod c in
-              if List.exists (overlaps c (pos, span)) !placed then
-                try_offset (o + 1)
+              if not (free pos len) then try_offset (o + 1)
               else begin
-                placed := (pos, span) :: !placed;
+                occupy pos len;
                 map := (def, o) :: !map;
                 true
               end

@@ -36,7 +36,9 @@ type t = {
   mutable cap : int;            (* length of the entry columns *)
   mutable nsched : int;
   bank_defs : int array;        (* bank index -> scheduled defs there *)
-  ucache : (int, Mrt.cuses) Hashtbl.t;
+  ucache : Mrt.cuses option array array;
+      (* block (kind, or Move source bank) -> location -> compiled
+         reservation; a block is allocated on first use *)
   arena : Arena.t option;
   locs : Topology.loc array;    (* location code + 1 -> location *)
   banks : Topology.bank option array;  (* bank index -> [Some bank] *)
@@ -58,6 +60,13 @@ let bank_index t = function
   | Topology.Shared -> t.nclusters
   | Topology.L3 -> t.nclusters + 1
 
+let kind_tag = function
+  | Op.Fadd -> 0 | Op.Fmul -> 1 | Op.Fdiv -> 2 | Op.Fsqrt -> 3
+  | Op.Load -> 4 | Op.Store -> 5 | Op.Move -> 6 | Op.Load_r -> 7
+  | Op.Store_r -> 8 | Op.Spill_load -> 9 | Op.Spill_store -> 10
+
+let n_kinds = List.length Op.all_kinds
+
 let create ?arena ?(lat : Latency.t option) (config : Config.t) ~ii =
   let lat = match lat with Some l -> l | None -> Latency.make config in
   let nclusters = Config.clusters config in
@@ -74,7 +83,7 @@ let create ?arena ?(lat : Latency.t option) (config : Config.t) ~ii =
   { config; ii; lat; mrt = Mrt.create ?arena config ~ii; nclusters;
     e_cycle; e_loc; e_bank; cap; nsched = 0;
     bank_defs = Array.make (nclusters + 2) 0;
-    ucache = Hashtbl.create 64; arena;
+    ucache = Array.make (n_kinds + nclusters + 2) [||]; arena;
     locs =
       Array.init (nclusters + 1) (function
         | 0 -> Topology.Global
@@ -150,31 +159,36 @@ let uses_of t (g : Ddg.t) v ~loc =
   in
   Topology.uses t.config kind loc ~src
 
-let kind_tag = function
-  | Op.Fadd -> 0 | Op.Fmul -> 1 | Op.Fdiv -> 2 | Op.Fsqrt -> 3
-  | Op.Load -> 4 | Op.Store -> 5 | Op.Move -> 6 | Op.Load_r -> 7
-  | Op.Store_r -> 8 | Op.Spill_load -> 9 | Op.Spill_store -> 10
-
 (* Reservation vector of [v] at [loc], compiled once per
-   (kind, location, Move source bank) and cached. *)
+   (kind, location, Move source bank) and cached in [ucache]: one block
+   of locations per kind, then one per source bank for Moves that have
+   one (a Move without lands in its kind's block).  Blocks are
+   allocated on first use: every outcome keeps its schedule, and most
+   use a few kinds and no Moves. *)
 let cuses_of t (g : Ddg.t) v ~loc =
   let kind = Ddg.kind g v in
   let src =
     match kind with Op.Move -> move_src_bank t g v | _ -> None
   in
-  let skey =
+  let block =
     match src with
-    | None -> 0
-    | Some Topology.Shared -> 1
-    | Some Topology.L3 -> 2
-    | Some (Topology.Local i) -> i + 3
+    | None -> kind_tag kind
+    | Some b -> n_kinds + bank_index t b
   in
-  let key = (((kind_tag kind * 64) + loc_code loc + 1) * 64) + skey in
-  match Hashtbl.find_opt t.ucache key with
+  let b =
+    match t.ucache.(block) with
+    | [||] ->
+      let b = Array.make (t.nclusters + 1) None in
+      t.ucache.(block) <- b;
+      b
+    | b -> b
+  in
+  let l = loc_code loc + 1 in
+  match b.(l) with
   | Some cu -> cu
   | None ->
     let cu = Mrt.compile t.mrt (Topology.uses t.config kind loc ~src) in
-    Hashtbl.replace t.ucache key cu;
+    b.(l) <- Some cu;
     cu
 
 (** Earliest legal issue cycle given the scheduled predecessors. *)
@@ -300,7 +314,7 @@ let dependence_violations t (g : Ddg.t) v ~cycle =
         (fun (e : Ddg.edge) -> if succ_bad e then Some e.dst else None)
         (Ddg.succs g v)
     in
-    List.sort_uniq compare (bad_preds @ bad_succs)
+    List.sort_uniq Int.compare (bad_preds @ bad_succs)
 
 let max_cycle t =
   let m = ref 0 in

@@ -29,7 +29,9 @@ type t = {
   mutable cap : int;            (** length of the entry columns *)
   mutable nsched : int;
   bank_defs : int array;        (** bank index -> scheduled defs there *)
-  ucache : (int, Mrt.cuses) Hashtbl.t;
+  ucache : Mrt.cuses option array array;
+      (** block (kind, or Move source bank) -> location -> compiled
+          reservation; a block is allocated on first use *)
   arena : Arena.t option;
   locs : Topology.loc array;    (** location code + 1 -> location *)
   banks : Topology.bank option array;  (** bank index -> [Some bank] *)

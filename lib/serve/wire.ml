@@ -65,12 +65,11 @@ let request_of_loop ?(timeout_ms = 0) ~config ~opts ~scenario l =
 (* The wire is untrusted: a repeated id, a dangling edge or an id past
    the id counter would surface deep inside the engine, and the
    scheduler sizes per-node arrays by the largest id, so check the graph
-   here.  [Loop.of_repr] refuses a repeated id, so [n] counts distinct
-   nodes. *)
+   here.  [Loop.of_repr] refuses a repeated id, so [Ddg.compact]
+   weighs the id counter against a count of distinct nodes. *)
 let loop_of_request r =
   let loop = Loop.of_repr r.sr_loop in
-  let n = Ddg.num_nodes loop.Loop.ddg in
-  if r.sr_loop.Loop.repr_ddg.Ddg.repr_next_id > (2 * n) + 64 then
+  if not (Ddg.compact loop.Loop.ddg) then
     invalid_arg "loop_of_request: node ids are not compact";
   if not (Ddg.validate loop.Loop.ddg) then
     invalid_arg "loop_of_request: malformed dependence graph";

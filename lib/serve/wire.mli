@@ -65,8 +65,9 @@ val request_of_loop :
 (** Rebuild the loop; raises [Invalid_argument] on non-positive counts,
     a repeated or negative node id, a graph that fails
     {!Hcrf_ir.Ddg.validate}, or node ids that are
-    not compact: the id counter [repr_next_id] (which bounds every id)
-    may be at most [2 * n + 64] for a graph of [n] nodes, so the
+    not compact ({!Hcrf_ir.Ddg.compact}): the id counter [repr_next_id]
+    (which bounds every id) may be at most [2 * n + 64] for a graph of
+    [n] nodes, so the
     scheduler's per-node arrays stay proportional to the request.
     Callers reject such requests as malformed.  Every loop the
     workload generators, the frontend and the fuzz shrinker produce

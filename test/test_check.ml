@@ -133,6 +133,43 @@ let test_repro_strict_parser () =
   | Ok _ -> Alcotest.fail "future version accepted"
   | Error _ -> ()
 
+(* The scheduler sizes its per-node tables by the largest node id, so a
+   reproducer whose ids are not compact is refused at load: here one
+   corpus file with a node renumbered to 2,000,000.  Every committed
+   reproducer is compact and still loads. *)
+let test_repro_refuses_sparse_ids () =
+  let in_test d = if Sys.file_exists d then d else Filename.concat "test" d in
+  let files =
+    Repro.corpus_files (in_test "corpus")
+    @ Repro.corpus_files (in_test "gap_corpus")
+  in
+  Alcotest.(check int) "committed reproducers" 10 (List.length files);
+  List.iter
+    (fun path ->
+      match Repro.load path with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: %s" (Filename.basename path) e)
+    files;
+  let text =
+    In_channel.with_open_bin
+      (Filename.concat (in_test "corpus") "case0003-invalid_schedule.repro")
+      In_channel.input_all
+  in
+  let renumber line =
+    match String.split_on_char ' ' line with
+    | [ "next"; "20"; inv ] -> "next 2000001 " ^ inv
+    | [ "node"; "4"; kind ] -> "node 2000000 " ^ kind
+    | "stream" :: "4" :: rest -> String.concat " " ("stream" :: "2000000" :: rest)
+    | _ -> line
+  in
+  let sparse =
+    String.concat "\n" (List.map renumber (String.split_on_char '\n' text))
+  in
+  Alcotest.(check bool) "the edit took" true (sparse <> text);
+  match Repro.of_string sparse with
+  | Ok _ -> Alcotest.fail "sparse ids accepted"
+  | Error e -> Alcotest.(check string) "refused" "node ids are not compact" e
+
 (* The committed corpus holds shrunk witnesses of the Lax_resources
    fault.  With the fault armed, replaying must reproduce each file's
    recorded verdict, with and without a shared schedule cache (the
@@ -253,5 +290,7 @@ let tests =
     ("check: repro AST rendering, dead node not expressible", `Quick,
      test_repro_ast_rendering);
     ("check: corpus replay", `Slow, test_corpus_replay);
+    ("check: repro refuses sparse node ids", `Quick,
+     test_repro_refuses_sparse_ids);
     ("check: cache id-digest guard", `Quick, test_cache_id_digest_guard);
   ]

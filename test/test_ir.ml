@@ -421,6 +421,108 @@ let prop_cycles_carry_distance =
             scc)
         (Scc.recurrences g))
 
+(* The array Tarjan walk against the hash-table reference
+   (test/scc_ref.ml): the same components in the same order, on suite,
+   kernel and generated graphs, with their ids as built or shifted past
+   the compactness bound into the overflow map. *)
+let prop_scc_equals_reference =
+  QCheck.Test.make ~name:"scc: array walk = hash-table reference" ~count:120
+    QCheck.(triple (int_range 0 2) (int_range 0 200) (int_range 0 2))
+    (fun (source, i, shift) ->
+      let g =
+        match source with
+        | 0 -> (List.nth (Lazy.force suite_graphs) (i mod 40)).Loop.ddg
+        | 1 ->
+          let kernels = Hcrf_workload.Kernels.all in
+          (snd (List.nth kernels (i mod List.length kernels)) ()).Loop.ddg
+        | _ ->
+          let rng = Hcrf_workload.Rng.create ~seed:(0x5CC + (i * 7919)) in
+          (Hcrf_workload.Genloop.generate ~rng ~index:i ()).Loop.ddg
+      in
+      let g =
+        match shift with
+        | 0 -> g
+        | k -> Ddg.of_repr (shift_repr (if k = 1 then 1_000_000 else 1 lsl 40)
+                              (Ddg.to_repr g))
+      in
+      Scc.sccs g = Scc_ref.sccs g)
+
+type edge_op =
+  | E_add of int * int * Dep.t * int
+  | E_dup of int      (* add a parallel copy of an existing edge *)
+  | E_remove of int   (* remove one occurrence of an existing edge *)
+  | E_absent          (* remove an edge that is not there *)
+  | E_node
+  | E_drop of int     (* remove a node and its edges *)
+  | E_copy
+  | E_repr
+
+let edge_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (6, map3 (fun (a, b) dep d -> E_add (a, b, dep, d))
+             (pair small_nat small_nat)
+             (oneofl [ Dep.True; Dep.True; Dep.Anti; Dep.Output ])
+             (int_bound 2));
+        (3, map (fun i -> E_dup i) small_nat);
+        (4, map (fun i -> E_remove i) small_nat);
+        (1, return E_absent);
+        (1, return E_node);
+        (1, map (fun i -> E_drop i) small_nat);
+        (1, return E_copy);
+        (1, return E_repr) ])
+
+(* The non-[True] counters behind [consumers]/[operands]: after every
+   add, parallel add, remove (of a present or an absent edge), node
+   removal, copy and repr round trip, [validate] finds the counters in
+   step with the lists, [consumers]/[operands] are the [True] part of
+   [succs]/[preds], and are those very lists when nothing else is in
+   them. *)
+let prop_true_edge_counters =
+  QCheck.Test.make ~name:"ddg: non-True counters follow every edit"
+    ~count:200
+    QCheck.(make Gen.(list_size (int_range 1 80) edge_op_gen))
+    (fun ops ->
+      let g = ref (Ddg.create ~name:"counters" ()) in
+      for _ = 1 to 6 do ignore (Ddg.add_node !g Op.Fadd) done;
+      let is_true (e : Ddg.edge) = Dep.equal e.dep Dep.True in
+      let pick l i = List.nth l (i mod List.length l) in
+      let consistent () =
+        Ddg.validate !g
+        && List.for_all
+             (fun v ->
+               let succs = Ddg.succs !g v and preds = Ddg.preds !g v in
+               Ddg.consumers !g v = List.filter is_true succs
+               && Ddg.operands !g v = List.filter is_true preds
+               && ((not (List.for_all is_true succs))
+                  || Ddg.consumers !g v == succs)
+               && ((not (List.for_all is_true preds))
+                  || Ddg.operands !g v == preds))
+             (Ddg.nodes !g)
+      in
+      List.for_all
+        (fun op ->
+          let nodes = Ddg.nodes !g and edges = Ddg.edges !g in
+          (match op with
+          | E_add (a, b, dep, distance) when nodes <> [] ->
+            Ddg.add_edge !g ~distance ~dep (pick nodes a) (pick nodes b)
+          | E_dup i when edges <> [] ->
+            let e = pick edges i in
+            Ddg.add_edge !g ~distance:e.distance ~dep:e.dep e.src e.dst
+          | E_remove i when edges <> [] -> Ddg.remove_edge !g (pick edges i)
+          | E_absent when nodes <> [] ->
+            let v = List.hd nodes in
+            Ddg.remove_edge !g
+              { Ddg.src = v; dst = v; dep = Dep.Output; distance = 99 }
+          | E_node -> ignore (Ddg.add_node !g Op.Fmul)
+          | E_drop i when List.length nodes > 1 ->
+            Ddg.remove_node !g (pick nodes i)
+          | E_copy -> g := Ddg.copy !g
+          | E_repr -> g := Ddg.of_repr (Ddg.to_repr !g)
+          | E_add _ | E_dup _ | E_remove _ | E_absent | E_drop _ -> ());
+          consistent ())
+        ops)
+
 let tests =
   [
     ("op: predicates", `Quick, test_op_predicates);
@@ -449,4 +551,6 @@ let tests =
      test_overflow_moves_into_grown_array);
     QCheck_alcotest.to_alcotest prop_sparse_ids_answer_like_compact;
     QCheck_alcotest.to_alcotest prop_churn_agrees_with_map_model;
+    QCheck_alcotest.to_alcotest prop_scc_equals_reference;
+    QCheck_alcotest.to_alcotest prop_true_edge_counters;
   ]

@@ -566,22 +566,54 @@ let prop_pressure_equiv_lifetimes =
         (fun config -> run_pressure_trace config ~seed ~index)
         (Lazy.force equiv_configs))
 
+(* The wheel-occupancy bitmap against the arc-list first-fit
+   (test/regalloc_ref.ml): the same assignment, or both fail, on random
+   lifetimes, some longer than the whole wheel and some in another
+   bank, under tight and unbounded capacities. *)
+let prop_regalloc_equals_reference =
+  QCheck.Test.make ~name:"regalloc: wheel bitmap = arc-list reference"
+    ~count:300
+    QCheck.(
+      triple (int_range 1 8) (int_range 0 12)
+        (small_list (triple (int_range (-20) 40) (int_range 0 30) bool)))
+    (fun (ii, cap, spans) ->
+      let lts =
+        List.mapi
+          (fun def (start, span, other) ->
+            { Lifetimes.def;
+              bank = (if other then Topology.Shared else Topology.Local 0);
+              start; stop = start + span })
+          spans
+      in
+      List.for_all
+        (fun capacity ->
+          Regalloc.allocate_bank ~ii ~bank:(Topology.Local 0) ~capacity lts
+          = Regalloc_ref.allocate_bank ~ii ~bank:(Topology.Local 0) ~capacity
+              lts)
+        [ Cap.Finite cap; Cap.Inf ])
+
 module Pq_model = Set.Make (struct
   type t = float * int
 
   let compare = compare
 end)
 
+(* Each case draws one priority per node from a table, so every push of
+   a node uses its one priority: the discipline the indexed heap
+   requires. *)
 let prop_pqueue_set_model =
-  QCheck.Test.make ~name:"pqueue: lazy-deletion heap = set model" ~count:200
-    QCheck.(small_list (triple (int_range 0 4) (int_range 0 15) (int_range 0 9)))
-    (fun ops ->
+  QCheck.Test.make ~name:"pqueue: indexed heap = set model" ~count:200
+    QCheck.(
+      pair
+        (array_of_size (Gen.return 16) (int_range 0 9))
+        (small_list (pair (int_range 0 4) (int_range 0 15))))
+    (fun (prios, ops) ->
       let q = Pqueue.create () in
       let m = ref Pq_model.empty in
       let ok = ref true in
       List.iter
-        (fun (act, node, p) ->
-          let priority = float_of_int p /. 2. in
+        (fun (act, node) ->
+          let priority = float_of_int prios.(node) /. 2. in
           (match act with
           | 0 | 1 ->
             Pqueue.push q ~priority node;
@@ -603,6 +635,76 @@ let prop_pqueue_set_model =
           then ok := false)
         ops;
       !ok)
+
+let test_pqueue_repush () =
+  let q = Pqueue.create () in
+  Pqueue.push q ~priority:1.5 7;
+  Pqueue.push q ~priority:1.5 7;
+  check_int "same priority: one entry" 1 (Pqueue.size q);
+  Alcotest.check_raises "another priority"
+    (Invalid_argument "Pqueue.push: node 7 already queued at 1.5, not 2")
+    (fun () -> Pqueue.push q ~priority:2. 7);
+  check "still at its priority" true (Pqueue.pop q = Some 7 && Pqueue.is_empty q)
+
+(* The engine's use of the queue: the original nodes pushed once each
+   in order, then pops interleaved with requeues of nodes not queued
+   (ejections), fresh nodes at fractional priorities (inserted copies)
+   and removals (spliced copies); every node keeps its first priority.
+   The indexed heap must pop, [mem] and [size] exactly as the
+   lazy-deletion reference. *)
+let prop_pqueue_equals_reference =
+  QCheck.Test.make ~name:"pqueue: indexed heap = lazy-deletion reference"
+    ~count:300
+    QCheck.(
+      pair (int_range 1 40)
+        (small_list (pair (int_range 0 5) (int_range 0 200))))
+    (fun (n0, ops) ->
+      let q = Pqueue.create () and r = Pqueue_ref.create () in
+      let prio = Hashtbl.create 64 in
+      let next = ref n0 in
+      let push v =
+        let priority = Hashtbl.find prio v in
+        Pqueue.push q ~priority v;
+        Pqueue_ref.push r ~priority v
+      in
+      for v = 0 to n0 - 1 do
+        Hashtbl.replace prio v (float_of_int v);
+        push v
+      done;
+      let agree v =
+        Pqueue.size q = Pqueue_ref.size r
+        && Pqueue.is_empty q = Pqueue_ref.is_empty r
+        && Pqueue.mem q v = Pqueue_ref.mem r v
+      in
+      List.for_all
+        (fun (act, x) ->
+          let v = x mod !next in
+          let same_pop =
+            match act with
+            | 0 | 1 -> Pqueue.pop q = Pqueue_ref.pop r
+            | 2 ->
+              (* a requeue: only when not queued *)
+              if not (Pqueue.mem q v) then push v;
+              true
+            | 3 ->
+              (* a fresh node just ahead of, or behind, an existing one *)
+              let n = !next in
+              incr next;
+              Hashtbl.replace prio n
+                (Hashtbl.find prio v +. if x land 1 = 0 then -0.25 else 0.125);
+              push n;
+              true
+            | 4 ->
+              (* a re-push at the node's own priority *)
+              push v;
+              true
+            | _ ->
+              Pqueue.remove q v;
+              Pqueue_ref.remove r v;
+              true
+          in
+          same_pop && agree v)
+        ops)
 
 (* Minimized eject-victim witness (shrunk from the campaign's failure
    under a seeded oldest-occupant bug, campaign case 2): one single-slot
@@ -819,6 +921,7 @@ let tests =
     ("mrt: conflicts", `Quick, test_mrt_conflicts);
     ("mrt: double place", `Quick, test_mrt_double_place_rejected);
     ("pqueue: ordering", `Quick, test_pqueue);
+    ("pqueue: re-push at another priority raises", `Quick, test_pqueue_repush);
     ("lifetimes: pressure", `Quick, test_lifetimes_pressure);
     ("lifetimes: loop carried", `Quick, test_lifetimes_loop_carried_read);
     ("regalloc: disjoint", `Quick, test_regalloc_simple);
@@ -830,6 +933,8 @@ let tests =
     QCheck_alcotest.to_alcotest prop_mrt_flat_equiv_ref;
     QCheck_alcotest.to_alcotest prop_pressure_equiv_lifetimes;
     QCheck_alcotest.to_alcotest prop_pqueue_set_model;
+    QCheck_alcotest.to_alcotest prop_pqueue_equals_reference;
+    QCheck_alcotest.to_alcotest prop_regalloc_equals_reference;
     QCheck_alcotest.to_alcotest prop_regalloc_geq_maxlives;
     QCheck_alcotest.to_alcotest prop_mrt_place_remove_roundtrip;
     QCheck_alcotest.to_alcotest prop_pressure_monotone;
