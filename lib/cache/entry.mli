@@ -1,13 +1,14 @@
 (** Serializable cache entries for scheduling outcomes.
 
-    An {!Hcrf_sched.Engine.outcome} contains mutable hash tables and one
-    closure ([invariant_residents]), so it cannot be marshalled
+    An {!Hcrf_sched.Engine.outcome} holds a graph with mutable tables
+    and a latency table with a closure, so it cannot be marshalled
     directly.  An entry instead stores a closure-free snapshot — the
-    final graph as a {!Hcrf_ir.Ddg.repr}, the (node, cycle, location)
-    assignments, the per-bank invariant residency captured as a finite
-    table — from which {!to_outcome} rebuilds a behaviourally identical
-    outcome by replaying the placements into a fresh
-    {!Hcrf_sched.Schedule.t}.
+    final graph as a {!Hcrf_ir.Ddg.repr}, the schedule's per-node
+    columns as int arrays, the per-bank invariant residency table and
+    the load-latency override as a finite list — from which
+    {!to_outcome} restores an identical outcome: {!Hcrf_ir.Ddg.of_repr}
+    plus a column restore ({!Hcrf_sched.Schedule.of_columns}), with no
+    placement replayed.
 
     Failed scheduling attempts are cached too ([Failed]), so a loop that
     exhausts every escalation rung is not re-ground on the next run. *)
@@ -17,11 +18,11 @@ type stored_outcome = {
   s_mii : int;
   s_bounds : Hcrf_sched.Mii.bounds;
   s_sc : int;
-  s_assigns : (int * int * Hcrf_sched.Topology.loc) list;
-      (** node, cycle, location — sorted by (cycle, node) so that
-          producers are replayed before the [Move]s that read them *)
+  s_cycle : int array;  (** id -> issue cycle, [min_int] unscheduled *)
+  s_loc : int array;  (** id -> location code (-1 Global, i cluster) *)
+  s_bank : int array;  (** id -> definition bank code, -1 when none *)
   s_graph : Hcrf_ir.Ddg.repr;
-  s_invariant_residents : (Hcrf_sched.Topology.bank * int) list;
+  s_invariant_residents : int array;  (** bank code -> residents *)
   s_load_override : (int * int) list;
       (** node, load latency: the engine's latency override (binding
           prefetch), so a replayed schedule reads lifetimes with the
@@ -40,10 +41,9 @@ type t =
 
 (** Snapshot an outcome (pure; does not consume the outcome). *)
 val of_outcome :
-  Hcrf_machine.Config.t -> Hcrf_sched.Engine.outcome ->
-  stall_cycles:float -> retries:int -> t
+  Hcrf_sched.Engine.outcome -> stall_cycles:float -> retries:int -> t
 
-(** Rebuild a full outcome for [config], its schedule under the latency
+(** Restore a full outcome for [config], its schedule under the latency
     table the engine scheduled with.  The caller must pass the same
     configuration the entry was stored under (the cache key guarantees
     this). *)

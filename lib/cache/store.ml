@@ -1,10 +1,11 @@
 type t = { dir : string }
 
-(* version 5: loop fingerprints include node ids and id counters, and
-   entries no longer carry the input graph's id digest.  Files of older
-   versions (the flat v2 layout included) fail the magic test and are
-   recomputed. *)
-let version = 5
+(* version 6: entries store the schedule as per-node int columns and
+   the invariant residency as a per-bank-code table (v5 stored a
+   (node, cycle, location) list to replay and a (bank, count) list).
+   Files of older versions (the flat v2 layout included) fail the magic
+   test and are recomputed. *)
+let version = 6
 let magic = Printf.sprintf "hcrf-cache %d\n" version
 
 (* Shard count and the shard of a key (its leading hex nibble).  16 is

@@ -142,11 +142,11 @@ let fail kind fmt = Fmt.kstr (fun detail -> Error { kind; detail }) fmt
 let exec_iterations = [ 2; 7; 13 ]
 
 (* Closure-free byte snapshot of a runner result: the serialized cache
-   entry (graph, assignments, counters) plus the derived metrics.  A
+   entry (graph, schedule columns, counters) plus the derived metrics.  A
    warm replay must reproduce this exactly. *)
-let snapshot config (r : Runner.loop_result) =
+let snapshot (r : Runner.loop_result) =
   Marshal.to_string
-    ( Hcrf_cache.Entry.of_outcome config r.Runner.outcome ~stall_cycles:0.
+    ( Hcrf_cache.Entry.of_outcome r.Runner.outcome ~stall_cycles:0.
         ~retries:0,
       r.Runner.perf )
     []
@@ -199,7 +199,7 @@ let oracle ?cache ?(exact = false) ?exact_out ?(trace = Tr.off) ~opts config
     in
     let* () = validate_leg Ev.Replay_divergence "replayed" warm in
     let* () =
-      if String.equal (snapshot config cold) (snapshot config warm) then Ok ()
+      if String.equal (snapshot cold) (snapshot warm) then Ok ()
       else fail Ev.Replay_divergence "warm replay differs from cold outcome"
     in
     (* leg 5: metamorphic twins through the same cache *)

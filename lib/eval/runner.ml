@@ -169,7 +169,7 @@ let compute_entry ?(trace = Tr.off) ~scenario ~opts config (loop : Loop.t) =
   match compute ~scenario ~opts ~trace config loop with
   | Error ii -> Hcrf_cache.Entry.Failed ii
   | Ok (outcome, stall_cycles, retries) ->
-    Hcrf_cache.Entry.of_outcome config outcome ~stall_cycles ~retries
+    Hcrf_cache.Entry.of_outcome outcome ~stall_cycles ~retries
 
 (* Replay an entry — fresh or cached, same code either way — into a
    [loop_result]; [None] for [Failed] entries, with the same warning as

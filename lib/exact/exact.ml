@@ -811,34 +811,22 @@ let build_extended config g0 sigma ~idx_of =
     (Ddg.nodes g0);
   (g, !loc_tbl, !src_tbl, !n_comm)
 
-let residents_fun config g locs_by_id =
-  let counts =
-    List.fold_left
-      (fun acc (inv : Ddg.invariant) ->
-        let banks =
-          List.fold_left
-            (fun bs c ->
-              let b =
-                Topology.read_bank config (Ddg.kind g c)
-                  (loc_of_code (List.assoc c locs_by_id))
-              in
-              if List.exists (Topology.equal_bank b) bs then bs else b :: bs)
-            [] inv.Ddg.inv_consumers
-        in
-        List.fold_left
-          (fun acc b ->
-            match List.find_opt (fun (b', _) -> Topology.equal_bank b b') acc with
-            | Some (_, r) -> (b, r + 1) :: List.remove_assoc b acc
-            | None -> (b, 1) :: acc)
-          acc banks)
-      [] (Ddg.invariants g)
-  in
-  fun bank ->
-    match
-      List.find_opt (fun (b, _) -> Topology.equal_bank bank b) counts
-    with
-    | Some (_, r) -> r
-    | None -> 0
+(* Invariant residents per bank code: an invariant holds a register in
+   every bank one of its consumers reads it from. *)
+let residents_of config g locs_by_id =
+  let t = Array.make (Config.clusters config + 2) 0 in
+  List.iter
+    (fun (inv : Ddg.invariant) ->
+      List.map
+        (fun c ->
+          Topology.bank_code config
+            (Topology.read_bank config (Ddg.kind g c)
+               (loc_of_code (List.assoc c locs_by_id))))
+        inv.Ddg.inv_consumers
+      |> List.sort_uniq Int.compare
+      |> List.iter (fun b -> t.(b) <- t.(b) + 1))
+    (Ddg.invariants g);
+  t
 
 (* A dependence- and resource-feasible leaf: normalize cycles to be
    non-negative (shifting by multiples of II preserves everything),
@@ -852,20 +840,12 @@ let try_leaf config lat ~ii ~mii0 ~g ~residents ~n_comm st =
     done;
     if p.n = 0 || !mn >= 0 then 0 else (((- !mn) + ii - 1) / ii) * ii
   in
-  let by_cycle =
-    List.sort
-      (fun a b ->
-        let c = compare st.cycles.(a) st.cycles.(b) in
-        if c <> 0 then c else compare p.ids.(a) p.ids.(b))
-      (List.init p.n Fun.id)
-  in
   let s = Schedule.create ~lat config ~ii in
-  List.iter
-    (fun v ->
-      Schedule.place s g p.ids.(v)
-        ~cycle:(st.cycles.(v) + shift)
-        ~loc:st.locs.(v).(st.locix.(v)))
-    by_cycle;
+  for v = 0 to p.n - 1 do
+    Schedule.place s g p.ids.(v)
+      ~cycle:(st.cycles.(v) + shift)
+      ~loc:st.locs.(v).(st.locix.(v))
+  done;
   if Validate.check ~invariant_residents:residents s g = [] then begin
     let outcome =
       {
@@ -923,9 +903,10 @@ let witness_at config lat g0 ~ii ~mii0 ~steps ~budget ~sigmas ~cands
                 [| Mrt.compile mrt (Topology.uses config kind locs.(i).(0) ~src) |])
               prob.ids
           in
-          let residents = residents_fun config g loc_tbl in
+          let residents = residents_of config g loc_tbl in
           let press =
-            build_pressure config lat g ~prob ~locs ~residents_of:residents
+            build_pressure config lat g ~prob ~locs ~residents_of:(fun b ->
+                residents.(Topology.bank_code config b))
           in
           (* Invariant residents alone overflowing a bank can never
              validate; drop the assignment without searching. *)

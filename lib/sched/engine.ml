@@ -33,6 +33,7 @@ open Hcrf_ir
 open Hcrf_machine
 module Tr = Hcrf_obs.Trace
 module Ev = Hcrf_obs.Event
+module Work = Schedule.Work
 
 type options = {
   budget_ratio : int;
@@ -68,7 +69,7 @@ type outcome = {
   sc : int;
   schedule : Schedule.t;
   graph : Ddg.t;        (** final graph with all inserted operations *)
-  invariant_residents : Topology.bank -> int;
+  invariant_residents : int array;
   seconds : float;
   stats : stats;
 }
@@ -97,7 +98,8 @@ type state = {
   g : Ddg.t;
   config : Config.t;
   lat : Latency.t;
-  sched : Schedule.t;
+  work : Work.t;        (* reservation table, compiled uses, arena *)
+  sched : Schedule.t;   (* [work]'s columns *)
   press : Pressure.t;                    (* incremental MaxLives tracker *)
   pq : Pqueue.t;
   mutable prio : float array;            (* id -> priority, [no_prio] unset *)
@@ -120,11 +122,6 @@ type state = {
   n0 : int;  (** nodes in the original graph, for the growth cap *)
   st : mstats;
   trace : Tr.t;
-  mutable srev : int;
-      (* state revision: bumped on every placement, ejection and graph
-         edit; keys the capacity-check memo below *)
-  mutable memo_srev : int;               (* -1 = no memo *)
-  mutable memo_verdict : [ `Inserted of int | `Unfixable ];
 }
 
 (* Safety net: spilling must not grow the graph without bound (the paper
@@ -195,15 +192,13 @@ let mark_lifetimes s v =
   mark_srcs s.press (Ddg.operands s.g v)
 
 let place_node s v cu ~cycle ~loc =
-  Schedule.place_prepared s.sched s.g v cu ~cycle ~loc;
-  s.srev <- s.srev + 1;
+  Work.place s.work s.g v cu ~cycle ~loc;
   mark_lifetimes s v
 
 let unplace_node s v =
   if Schedule.is_scheduled s.sched v then begin
-    s.srev <- s.srev + 1;
     mark_lifetimes s v;
-    Schedule.unplace s.sched v
+    Work.unplace s.work v
   end
 
 let kind_of s v = Ddg.kind s.g v
@@ -226,7 +221,6 @@ let cluster_loc s i = s.sched.Schedule.locs.(i + 1)
    consumers (distances compose).  Invariant consumer lists are updated:
    consumers of an invariant's LoadR become direct consumers again. *)
 let splice_out s v =
-  s.srev <- s.srev + 1;  (* invariant consumer lists may change below *)
   let operands = Ddg.operands s.g v in
   let consumers = Ddg.consumers s.g v in
   (match operands with
@@ -303,8 +297,7 @@ let emit_place s v ~cycle ~loc =
    cycle 0. *)
 let rec scan s cu ~from ~step n =
   if n <= 0 then -1
-  else if from >= 0 && Schedule.can_place_prepared s.sched cu ~cycle:from
-  then from
+  else if from >= 0 && Work.fits s.work cu ~cycle:from then from
   else scan s cu ~from:(from + step) ~step (n - 1)
 
 let rec has_scheduled_pred s v = function
@@ -354,7 +347,7 @@ let schedule_node s v ~loc =
   in
   (* candidate scan over the precompiled reservation vector: no list of
      cycles, no per-cycle [uses] rebuild *)
-  let cu = Schedule.prepare_uses s.sched s.g v ~loc in
+  let cu = Work.prepare s.work s.g v ~loc in
   let found =
     match (has_spreds, lstart) with
     | false, Some l when l >= 0 ->
@@ -401,7 +394,7 @@ let schedule_node s v ~loc =
     let rec clear () =
       decr guard;
       if probe_ok () then
-        match Schedule.resource_conflicts s.sched s.g v ~cycle ~loc with
+        match Work.conflicts s.work s.g v ~cycle ~loc with
         | [] -> ()
         | conflicts when !guard > 0 ->
           List.iter (eject s) conflicts;
@@ -411,19 +404,19 @@ let schedule_node s v ~loc =
     clear ();
     if not (Ddg.mem s.g v) then ()
     else if not (probe_ok ()) then requeue s v
-    (* re-prepare: the ejections above may have unscheduled a Move's
-       producer, changing the reservation vector *)
-    else if Schedule.can_place s.sched s.g v ~cycle ~loc then begin
-      place_node s v
-        (Schedule.prepare_uses s.sched s.g v ~loc)
-        ~cycle ~loc;
-      emit_place s v ~cycle ~loc;
-      List.iter (eject s)
-        (Schedule.dependence_violations s.sched s.g v ~cycle)
-    end
     else
-      (* unbreakable conflict (should not happen); retry later *)
-      requeue s v
+      (* re-prepare: the ejections above may have unscheduled a Move's
+         producer, changing the reservation vector *)
+      let cu = Work.prepare s.work s.g v ~loc in
+      if Work.fits s.work cu ~cycle then begin
+        place_node s v cu ~cycle ~loc;
+        emit_place s v ~cycle ~loc;
+        List.iter (eject s)
+          (Schedule.dependence_violations s.sched s.g v ~cycle)
+      end
+      else
+        (* unbreakable conflict (should not happen); retry later *)
+        requeue s v
   end
 
 (* ------------------------------------------------------------------ *)
@@ -679,15 +672,13 @@ let placement_cost s v ~estart ~loc =
       0
   in
   let slot_ok =
-    scan s
-      (Schedule.prepare_uses s.sched s.g v ~loc)
-      ~from:(max 0 estart) ~step:1 (Schedule.ii s.sched)
+    scan s (Work.prepare s.work s.g v ~loc) ~from:(max 0 estart) ~step:1
+      (Schedule.ii s.sched)
     >= 0
   in
   let cluster = cluster_of_loc loc in
-  let mrt = s.sched.Schedule.mrt in
   let fu_fill =
-    Mrt.total_occupancy mrt
+    Work.total_occupancy s.work
       (if Op.is_memory (kind_of s v) then Topology.Mem cluster
        else Topology.Fu cluster)
   in
@@ -709,8 +700,8 @@ let placement_cost s v ~estart ~loc =
     | None -> 0
     | Some _ ->
       let b = Topology.bank_code s.config (Topology.Local cluster) in
-      Mrt.total_occupancy mrt (Topology.Rd b)
-      + Mrt.total_occupancy mrt (Topology.Wr b)
+      Work.total_occupancy s.work (Topology.Rd b)
+      + Work.total_occupancy s.work (Topology.Wr b)
   in
   (* A cluster without a free slot in the window is almost always a bad
      idea (it forces ejections); communication comes next; resource and
@@ -1047,41 +1038,27 @@ let rec fix_bank s ~bank ~cap ~ninv ~extra ~unfixable ~guard inserted =
 
    The requirement comes from the incremental tracker ([Pressure]), so a
    check that inserts nothing is O(banks × II); the full lifetime list is
-   only materialized when a bank actually overflows.  Checks are also
-   memoized on the state revision: a verdict reached without modifying
-   any state ([`Inserted 0], or [`Unfixable] with no insertions) is
-   returned directly while the revision is unchanged — rerunning the
-   check on identical state is deterministic and side-effect-free, so
-   this skip is behaviour-preserving by construction (see DESIGN.md).
+   only materialized when a bank actually overflows.
 
    A bank holds at most every invariant, so [pressure + |invariants| +
    extra <= cap] settles a bank without counting its residents — the
    usual outcome of the check that runs after every step. *)
 let check_insert_spill ?(force_bank = None) s =
-  if force_bank = None && s.memo_srev = s.srev then s.memo_verdict
-  else begin
-    let srev0 = s.srev in
-    (* spilling never adds invariants *)
-    let ninv = List.length (Ddg.invariants s.g) in
-    let inserted = ref 0 and unfixable = ref false in
-    for i = 0 to Array.length s.finite_banks - 1 do
-      let bank, cap = s.finite_banks.(i) in
-      let extra =
-        match force_bank with
-        | Some b when Topology.equal_bank b bank -> 1
-        | _ -> 0
-      in
-      (* at most 63 rounds per bank *)
-      inserted :=
-        !inserted + fix_bank s ~bank ~cap ~ninv ~extra ~unfixable ~guard:63 0
-    done;
-    let verdict = if !unfixable then `Unfixable else `Inserted !inserted in
-    if force_bank = None && s.srev = srev0 then begin
-      s.memo_srev <- s.srev;
-      s.memo_verdict <- verdict
-    end;
-    verdict
-  end
+  (* spilling never adds invariants *)
+  let ninv = List.length (Ddg.invariants s.g) in
+  let inserted = ref 0 and unfixable = ref false in
+  for i = 0 to Array.length s.finite_banks - 1 do
+    let bank, cap = s.finite_banks.(i) in
+    let extra =
+      match force_bank with
+      | Some b when Topology.equal_bank b bank -> 1
+      | _ -> 0
+    in
+    (* at most 63 rounds per bank *)
+    inserted :=
+      !inserted + fix_bank s ~bank ~cap ~ninv ~extra ~unfixable ~guard:63 0
+  done;
+  if !unfixable then `Unfixable else `Inserted !inserted
 
 (* ------------------------------------------------------------------ *)
 (* Final cleanup and checks                                            *)
@@ -1200,13 +1177,15 @@ let all_scheduled s =
 let attempt config opts g0 ~order ~ii ~trace ~arena =
   let g = Ddg.copy g0 in
   let lat = Latency.make ~override:opts.load_override config in
-  let sched = Schedule.create ~arena ~lat config ~ii in
+  let work = Work.create ~arena ~lat config ~ii in
+  let sched = Work.columns work in
   let ids = 1 + List.fold_left max 0 order in
   let s =
     {
       g;
       config;
       lat;
+      work;
       sched;
       press = Pressure.create ~arena sched g;
       pq = Pqueue.create ();
@@ -1244,17 +1223,10 @@ let attempt config opts g0 ~order ~ii ~trace ~arena =
           m_attempts = 0;
         };
       trace;
-      srev = 0;
-      memo_srev = -1;
-      memo_verdict = `Inserted 0;
     }
   in
-  (* graph surgery invalidates affected lifetimes and the check memo *)
-  Ddg.set_watcher g
-    (Some
-       (fun u ->
-         s.srev <- s.srev + 1;
-         Pressure.mark s.press u));
+  (* graph surgery invalidates affected lifetimes *)
+  Ddg.set_watcher g (Some (Pressure.mark s.press));
   List.iteri (fun i v -> set_prio s v (float_of_int i)) order;
   List.iter (fun v -> Pqueue.push s.pq ~priority:(prio_of s v) v) order;
   let schedule_fresh fresh =
@@ -1365,15 +1337,18 @@ let schedule ?(opts = default_options) ?(trace = Tr.off) (config : Config.t)
       | Some s ->
         let seconds = Unix.gettimeofday () -. t0 in
         let bounds = Mii.bounds ~lat:s.lat config s.g in
+        let schedule = Work.product s.work ~next_id:(Ddg.next_id s.g) in
         Ok
           {
             ii;
             mii;
             bounds;
-            sc = Schedule.stage_count s.sched;
-            schedule = s.sched;
+            sc = Schedule.stage_count schedule;
+            schedule;
             graph = s.g;
-            invariant_residents = (fun b -> invariant_residents s b);
+            invariant_residents =
+              Array.init (Config.clusters config + 2) (fun i ->
+                  invariant_residents s (Topology.bank_of_code config i));
             seconds;
             stats =
               {

@@ -42,9 +42,12 @@ type outcome = {
   bounds : Mii.bounds;  (** of the final graph, for bound classification *)
   sc : int;
   schedule : Schedule.t;
+      (** the product: columns sized to the final graph's [next_id]; no
+          reservation table or arena buffer of the engine's *)
   graph : Hcrf_ir.Ddg.t;  (** final graph with all inserted operations *)
-  invariant_residents : Topology.bank -> int;
-      (** whole-loop registers reserved for loop invariants, per bank *)
+  invariant_residents : int array;
+      (** bank code ({!Topology.bank_code}) -> whole-loop registers
+          reserved for loop invariants; one cell per code *)
   seconds : float;
   stats : stats;
 }

@@ -83,11 +83,6 @@ let bank_index t = function
   | Topology.Shared -> t.nclusters
   | Topology.L3 -> t.nclusters + 1
 
-let bank_decode t i =
-  if i = t.nclusters then Topology.Shared
-  else if i = t.nclusters + 1 then Topology.L3
-  else Topology.Local i
-
 let grow t id =
   let cap' = max (2 * t.cap) (id + 1) in
   let extend a fill slot =
@@ -221,7 +216,7 @@ let lifetimes t =
       acc :=
         {
           Lifetimes.def = v;
-          bank = bank_decode t t.c_bank.(v);
+          bank = Topology.bank_of_code t.sched.Schedule.config t.c_bank.(v);
           start = t.c_start.(v);
           stop = t.c_stop.(v);
         }

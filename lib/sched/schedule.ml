@@ -1,23 +1,18 @@
-(** Partial (and, eventually, complete) modulo schedules.
+(** Modulo schedules: the product and the engine's working state.
 
-    An entry assigns a node an issue cycle (in the flat, non-modulo time
-    axis — stage count falls out of the maximum cycle) and an execution
-    location.  The reservation table is kept in sync by [place]/[unplace].
+    The product ({!t}) is what scheduling hands on: flat per-node int
+    columns (issue cycle with a [min_int] sentinel, location code,
+    definition bank code) and a per-bank count of scheduled
+    definitions.  Locations and banks decode to values built once per
+    schedule, so [loc_of], [cycle_of] and [def_bank] allocate nothing.
 
-    [estart]/[lstart] are the classic windows derived from the *scheduled*
-    neighbours: a node may issue at cycle c only if
-    c >= cycle(p) + latency(e) - II * distance(e) for scheduled
-    predecessors p, and symmetrically for scheduled successors.
-
-    Storage is flat: per-node int columns indexed by node id (cycle with
-    a [min_int] sentinel, encoded location, encoded definition bank), a
-    per-bank count of scheduled definitions (O(1) bank-fill queries for
-    cluster selection), and a cache of precompiled reservation vectors
-    keyed by (op kind, location, Move source bank) so the engine's
-    candidate scan probes the reservation table without building a
-    [uses] list per cycle.  Locations and definition banks decode to
-    values built once per schedule, so [loc_of], [cycle_of] and
-    [def_bank] allocate nothing. *)
+    The working state ({!Work}) adds what only the engine reads while it
+    searches: the modulo reservation table with its occupant stacks, a
+    cache of precompiled reservation vectors keyed by (op kind,
+    location, Move source bank), and the {!Arena} its flat buffers come
+    from.  A finished attempt cuts an exact-size, arena-free product
+    from it ({!Work.product}); the working tables never leave the
+    engine. *)
 
 open Hcrf_ir
 open Hcrf_machine
@@ -28,33 +23,21 @@ type t = {
   config : Config.t;
   ii : int;
   lat : Latency.t;
-  mrt : Mrt.t;
   nclusters : int;
   mutable e_cycle : int array;  (* id -> issue cycle; min_int = unscheduled *)
   mutable e_loc : int array;    (* id -> location code (-1 Global, i cluster) *)
-  mutable e_bank : int array;   (* id -> def-bank index, -1 when none *)
-  mutable cap : int;            (* length of the entry columns *)
-  mutable nsched : int;
-  bank_defs : int array;        (* bank index -> scheduled defs there *)
-  ucache : Mrt.cuses option array array;
-      (* block (kind, or Move source bank) -> location -> compiled
-         reservation; a block is allocated on first use *)
-  arena : Arena.t option;
+  mutable e_bank : int array;   (* id -> def-bank code, -1 when none *)
+  mutable cap : int;            (* live length of the entry columns *)
+  bank_defs : int array;        (* bank code -> scheduled defs there *)
   locs : Topology.loc array;    (* location code + 1 -> location *)
-  banks : Topology.bank option array;  (* bank index -> [Some bank] *)
+  banks : Topology.bank option array;  (* bank code -> [Some bank] *)
 }
 
 let unscheduled = min_int
 
-(* Arena slot ids for the entry columns (see {!Arena}). *)
-let slot_cycle = 7
-let slot_loc = 8
-let slot_bank = 9
-
 let loc_code = function Topology.Global -> -1 | Topology.Cluster i -> i
 
-(* Bank index: Local i -> i, Shared -> #clusters, L3 -> #clusters + 1;
-   -1 encodes "no bank". *)
+(* [Topology.bank_code], from the schedule's own cluster count. *)
 let bank_index t = function
   | Topology.Local i -> i
   | Topology.Shared -> t.nclusters
@@ -67,23 +50,13 @@ let kind_tag = function
 
 let n_kinds = List.length Op.all_kinds
 
-let create ?arena ?(lat : Latency.t option) (config : Config.t) ~ii =
+(* A schedule over the given columns, [cap] cells of each live. *)
+let make ?(lat : Latency.t option) (config : Config.t) ~ii ~cap
+    (e_cycle, e_loc, e_bank) =
   let lat = match lat with Some l -> l | None -> Latency.make config in
   let nclusters = Config.clusters config in
-  let cap = 256 in
-  let e_cycle, e_loc, e_bank =
-    match arena with
-    | Some a ->
-      ( Arena.ints a ~id:slot_cycle ~fill:unscheduled cap,
-        Arena.ints a ~id:slot_loc ~fill:(-1) cap,
-        Arena.ints a ~id:slot_bank ~fill:(-1) cap )
-    | None ->
-      (Array.make cap unscheduled, Array.make cap (-1), Array.make cap (-1))
-  in
-  { config; ii; lat; mrt = Mrt.create ?arena config ~ii; nclusters;
-    e_cycle; e_loc; e_bank; cap; nsched = 0;
+  { config; ii; lat; nclusters; e_cycle; e_loc; e_bank; cap;
     bank_defs = Array.make (nclusters + 2) 0;
-    ucache = Array.make (n_kinds + nclusters + 2) [||]; arena;
     locs =
       Array.init (nclusters + 1) (function
         | 0 -> Topology.Global
@@ -92,20 +65,26 @@ let create ?arena ?(lat : Latency.t option) (config : Config.t) ~ii =
       Array.init (nclusters + 2) (fun i ->
           Some (Topology.bank_of_code config i)) }
 
-let grow t id =
-  let cap' = max (2 * t.cap) (id + 1) in
-  let extend a fill slot =
-    let a' = Array.make cap' fill in
-    Array.blit a 0 a' 0 t.cap;
-    (match t.arena with
-    | Some ar -> Arena.keep_ints ar ~id:slot a'
-    | None -> ());
-    a'
-  in
-  t.e_cycle <- extend t.e_cycle unscheduled slot_cycle;
-  t.e_loc <- extend t.e_loc (-1) slot_loc;
-  t.e_bank <- extend t.e_bank (-1) slot_bank;
-  t.cap <- cap'
+let create ?lat config ~ii = make ?lat config ~ii ~cap:0 ([||], [||], [||])
+
+let of_columns ?lat config ~ii ~cycle ~loc ~bank =
+  let t = make ?lat config ~ii ~cap:(Array.length cycle) (cycle, loc, bank) in
+  Array.iter
+    (fun b -> if b >= 0 then t.bank_defs.(b) <- t.bank_defs.(b) + 1)
+    bank;
+  t
+
+(* [a]'s first [keep] cells in a fresh array of [len], the rest [fill]. *)
+let resize a ~keep ~len fill =
+  let a' = Array.make len fill in
+  Array.blit a 0 a' 0 keep;
+  a'
+
+let columns t ~len =
+  let keep = min t.cap len in
+  ( resize t.e_cycle ~keep ~len unscheduled,
+    resize t.e_loc ~keep ~len (-1),
+    resize t.e_bank ~keep ~len (-1) )
 
 let ii t = t.ii
 let is_scheduled t v = v < t.cap && v >= 0 && t.e_cycle.(v) <> unscheduled
@@ -132,8 +111,6 @@ let scheduled_nodes t =
   done;
   !acc
 
-let num_scheduled t = t.nsched
-
 (** Bank holding the value defined by scheduled node [v], if any. *)
 let def_bank t (_g : Ddg.t) v =
   if not (is_scheduled t v) then None
@@ -159,37 +136,40 @@ let uses_of t (g : Ddg.t) v ~loc =
   in
   Topology.uses t.config kind loc ~src
 
-(* Reservation vector of [v] at [loc], compiled once per
-   (kind, location, Move source bank) and cached in [ucache]: one block
-   of locations per kind, then one per source bank for Moves that have
-   one (a Move without lands in its kind's block).  Blocks are
-   allocated on first use: every outcome keeps its schedule, and most
-   use a few kinds and no Moves. *)
-let cuses_of t (g : Ddg.t) v ~loc =
-  let kind = Ddg.kind g v in
-  let src =
-    match kind with Op.Move -> move_src_bank t g v | _ -> None
-  in
-  let block =
-    match src with
-    | None -> kind_tag kind
-    | Some b -> n_kinds + bank_index t b
-  in
-  let b =
-    match t.ucache.(block) with
-    | [||] ->
-      let b = Array.make (t.nclusters + 1) None in
-      t.ucache.(block) <- b;
-      b
-    | b -> b
-  in
-  let l = loc_code loc + 1 in
-  match b.(l) with
-  | Some cu -> cu
-  | None ->
-    let cu = Mrt.compile t.mrt (Topology.uses t.config kind loc ~src) in
-    b.(l) <- Some cu;
-    cu
+(* Extend the columns to cover id [v]. *)
+let grow t v =
+  let len = max (2 * t.cap) (v + 1) in
+  let e_cycle, e_loc, e_bank = columns t ~len in
+  t.e_cycle <- e_cycle;
+  t.e_loc <- e_loc;
+  t.e_bank <- e_bank;
+  t.cap <- len
+
+(* Record [v] at ([cycle], [loc]); the columns must cover [v]. *)
+let record t g v ~cycle ~loc =
+  if is_scheduled t v then Fmt.invalid_arg "Schedule.place: %d placed" v;
+  t.e_cycle.(v) <- cycle;
+  t.e_loc.(v) <- loc_code loc;
+  t.e_bank.(v) <-
+    (match Topology.def_bank t.config (Ddg.kind g v) loc with
+    | None -> -1
+    | Some b ->
+      let i = bank_index t b in
+      t.bank_defs.(i) <- t.bank_defs.(i) + 1;
+      i)
+
+let place t g v ~cycle ~loc =
+  if v >= t.cap then grow t v;
+  record t g v ~cycle ~loc
+
+let unplace t v =
+  if is_scheduled t v then begin
+    t.e_cycle.(v) <- unscheduled;
+    (match t.e_bank.(v) with
+    | -1 -> ()
+    | i -> t.bank_defs.(i) <- t.bank_defs.(i) - 1);
+    t.e_bank.(v) <- -1
+  end
 
 (** Earliest legal issue cycle given the scheduled predecessors. *)
 let estart t (g : Ddg.t) v =
@@ -221,68 +201,6 @@ let lstart t (g : Ddg.t) v =
       else go found acc tl
   in
   go false max_int (Ddg.succs g v)
-
-(* Deliberate fault injection for the differential fuzzer (hcrf_check):
-   [Lax_resources] makes [can_place] ignore the reservation table, so the
-   engine happily oversubscribes functional units and ports.  [Validate]
-   rebuilds occupancy independently and must flag every such schedule;
-   the fuzzer asserts it does.  Never set outside tests/campaigns. *)
-type fault = Lax_resources
-
-let fault : fault option ref = ref None
-
-(* ---- precompiled probing (the engine's candidate scan) ------------- *)
-
-let prepare_uses t g v ~loc = cuses_of t g v ~loc
-
-let can_place_prepared t cu ~cycle =
-  match !fault with
-  | Some Lax_resources -> true
-  | None -> Mrt.can_place_c t.mrt cu ~cycle
-
-let place_prepared t g v cu ~cycle ~loc =
-  if is_scheduled t v then Fmt.invalid_arg "Schedule.place: %d placed" v;
-  Mrt.place_c t.mrt ~node:v cu ~cycle;
-  if v >= t.cap then grow t v;
-  t.e_cycle.(v) <- cycle;
-  t.e_loc.(v) <- loc_code loc;
-  let bank =
-    match Topology.def_bank t.config (Ddg.kind g v) loc with
-    | None -> -1
-    | Some b ->
-      let i = bank_index t b in
-      t.bank_defs.(i) <- t.bank_defs.(i) + 1;
-      i
-  in
-  t.e_bank.(v) <- bank;
-  t.nsched <- t.nsched + 1
-
-let conflicts_prepared t cu ~cycle = Mrt.conflicts_c t.mrt cu ~cycle
-
-(* ---- list-based interface ----------------------------------------- *)
-
-let can_place t g v ~cycle ~loc =
-  match !fault with
-  | Some Lax_resources -> true
-  | None -> Mrt.can_place_c t.mrt (cuses_of t g v ~loc) ~cycle
-
-let place t g v ~cycle ~loc =
-  place_prepared t g v (cuses_of t g v ~loc) ~cycle ~loc
-
-let unplace t v =
-  if is_scheduled t v then begin
-    Mrt.remove t.mrt ~node:v;
-    t.e_cycle.(v) <- unscheduled;
-    (match t.e_bank.(v) with
-    | -1 -> ()
-    | i -> t.bank_defs.(i) <- t.bank_defs.(i) - 1);
-    t.e_bank.(v) <- -1;
-    t.nsched <- t.nsched - 1
-  end
-
-(** Nodes that must be ejected to reserve [v]'s resources at [cycle]. *)
-let resource_conflicts t g v ~cycle ~loc =
-  Mrt.conflicts_c t.mrt (cuses_of t g v ~loc) ~cycle
 
 (** Scheduled neighbours whose dependence constraints are violated by [v]
     issuing at [cycle]. *)
@@ -316,16 +234,23 @@ let dependence_violations t (g : Ddg.t) v ~cycle =
     in
     List.sort_uniq Int.compare (bad_preds @ bad_succs)
 
-let max_cycle t =
+(** Number of stages of II cycles in the kernel. *)
+let stage_count t =
   let m = ref 0 in
   for v = 0 to t.cap - 1 do
-    if t.e_cycle.(v) <> unscheduled && t.e_cycle.(v) > !m then
-      m := t.e_cycle.(v)
+    if t.e_cycle.(v) > !m then m := t.e_cycle.(v)
   done;
-  !m
+  (!m / t.ii) + 1
 
-(** Number of stages of II cycles in the kernel. *)
-let stage_count t = (max_cycle t / t.ii) + 1
+(* Deliberate fault injection for the differential fuzzer (hcrf_check):
+   [Lax_resources] makes the working state's probes ignore the
+   reservation table, so the engine happily oversubscribes functional
+   units and ports.  [Validate] rebuilds occupancy independently and
+   must flag every such schedule; the fuzzer asserts it does.  Never set
+   outside tests/campaigns. *)
+type fault = Lax_resources
+
+let fault : fault option ref = ref None
 
 let pp ppf t =
   let entries =
@@ -339,3 +264,110 @@ let pp ppf t =
         (e.cycle mod t.ii) Topology.pp_loc e.loc)
     entries;
   Fmt.pf ppf "@]"
+
+module Work = struct
+  type schedule = t
+
+  type t = {
+    cols : schedule;  (* arena-backed; only the first [cap] cells are live *)
+    mrt : Mrt.t;
+    ucache : Mrt.cuses option array array;
+        (* block (kind, or Move source bank) -> location -> compiled
+           reservation; a block is allocated on first use *)
+    arena : Arena.t option;
+  }
+
+  (* Arena slot ids for the entry columns (see {!Arena}). *)
+  let slot_cycle = 7
+  let slot_loc = 8
+  let slot_bank = 9
+
+  let create ?arena ?lat config ~ii =
+    let cap = 256 in
+    let cols =
+      match arena with
+      | Some a ->
+        ( Arena.ints a ~id:slot_cycle ~fill:unscheduled cap,
+          Arena.ints a ~id:slot_loc ~fill:(-1) cap,
+          Arena.ints a ~id:slot_bank ~fill:(-1) cap )
+      | None ->
+        (Array.make cap unscheduled, Array.make cap (-1), Array.make cap (-1))
+    in
+    let cols = make ?lat config ~ii ~cap cols in
+    { cols; mrt = Mrt.create ?arena config ~ii;
+      ucache = Array.make (n_kinds + cols.nclusters + 2) [||]; arena }
+
+  (* Grow the columns to cover [v], handing the grown buffers back to
+     the arena. *)
+  let grow w v =
+    let c = w.cols in
+    grow c v;
+    Option.iter
+      (fun a ->
+        Arena.keep_ints a ~id:slot_cycle c.e_cycle;
+        Arena.keep_ints a ~id:slot_loc c.e_loc;
+        Arena.keep_ints a ~id:slot_bank c.e_bank)
+      w.arena
+
+  (* Reservation vector of [v] at [loc], compiled once per
+     (kind, location, Move source bank) and cached in [ucache]: one
+     block of locations per kind, then one per source bank for Moves
+     that have one (a Move without lands in its kind's block).  Blocks
+     are allocated on first use: most loops use a few kinds and no
+     Moves. *)
+  let prepare w (g : Ddg.t) v ~loc =
+    let c = w.cols in
+    let kind = Ddg.kind g v in
+    let src =
+      match kind with Op.Move -> move_src_bank c g v | _ -> None
+    in
+    let block =
+      match src with
+      | None -> kind_tag kind
+      | Some b -> n_kinds + bank_index c b
+    in
+    let b =
+      match w.ucache.(block) with
+      | [||] ->
+        let b = Array.make (c.nclusters + 1) None in
+        w.ucache.(block) <- b;
+        b
+      | b -> b
+    in
+    let l = loc_code loc + 1 in
+    match b.(l) with
+    | Some cu -> cu
+    | None ->
+      let cu = Mrt.compile w.mrt (Topology.uses c.config kind loc ~src) in
+      b.(l) <- Some cu;
+      cu
+
+  let fits w cu ~cycle =
+    match !fault with
+    | Some Lax_resources -> true
+    | None -> Mrt.can_place_c w.mrt cu ~cycle
+
+  let place w g v cu ~cycle ~loc =
+    if v >= w.cols.cap then grow w v;
+    record w.cols g v ~cycle ~loc;
+    Mrt.place_c w.mrt ~node:v cu ~cycle
+
+  let unplace w v =
+    if is_scheduled w.cols v then begin
+      Mrt.remove w.mrt ~node:v;
+      unplace w.cols v
+    end
+
+  let conflicts w g v ~cycle ~loc =
+    Mrt.conflicts_c w.mrt (prepare w g v ~loc) ~cycle
+
+  let total_occupancy w r = Mrt.total_occupancy w.mrt r
+
+  let product w ~next_id =
+    let c = w.cols in
+    let e_cycle, e_loc, e_bank = columns c ~len:next_id in
+    { c with e_cycle; e_loc; e_bank; cap = next_id;
+      bank_defs = Array.copy c.bank_defs }
+
+  let columns w = w.cols
+end

@@ -1,19 +1,20 @@
-(** Partial (and, eventually, complete) modulo schedules.
+(** Modulo schedules: the product and the engine's working state.
 
-    An entry assigns a node an issue cycle (in the flat, non-modulo time
-    axis — stage count falls out of the maximum cycle) and an execution
-    location.  The reservation table is kept in sync by
-    [place]/[unplace].
+    The product ({!t}) assigns every node an issue cycle (in the flat,
+    non-modulo time axis — stage count falls out of the maximum cycle),
+    an execution location and the bank its value is defined in, as flat
+    per-node int columns.  It holds no reservation table: {!place}
+    records a placement and reserves nothing.
 
     [estart]/[lstart] are the classic windows derived from the
     *scheduled* neighbours: a node may issue at cycle c only if
     [c >= cycle(p) + latency(e) - II * distance(e)] for scheduled
     predecessors p, and symmetrically for scheduled successors.
 
-    Entries live in flat per-node int columns (no hashing on the hot
-    path); reservation vectors are precompiled per (op kind, location,
-    Move source bank) and probed via {!prepare_uses} /
-    {!can_place_prepared} in the engine's candidate scan. *)
+    The working state ({!Work}) is the engine's: the same columns plus
+    the modulo reservation table, its occupant stacks, the precompiled
+    reservation vectors and the {!Arena} buffers.  A finished attempt
+    cuts an exact-size, arena-free product from it. *)
 
 type entry = { cycle : int; loc : Topology.loc }
 
@@ -21,24 +22,29 @@ type t = {
   config : Hcrf_machine.Config.t;
   ii : int;
   lat : Latency.t;
-  mrt : Mrt.t;
   nclusters : int;
   mutable e_cycle : int array;  (** id -> issue cycle; [min_int] = unscheduled *)
   mutable e_loc : int array;    (** id -> location code (-1 Global, i cluster) *)
-  mutable e_bank : int array;   (** id -> def-bank index, -1 when none *)
-  mutable cap : int;            (** length of the entry columns *)
-  mutable nsched : int;
-  bank_defs : int array;        (** bank index -> scheduled defs there *)
-  ucache : Mrt.cuses option array array;
-      (** block (kind, or Move source bank) -> location -> compiled
-          reservation; a block is allocated on first use *)
-  arena : Arena.t option;
+  mutable e_bank : int array;
+      (** id -> {!Topology.bank_code} of the definition bank, -1 when none *)
+  mutable cap : int;            (** live length of the entry columns *)
+  bank_defs : int array;        (** bank code -> scheduled defs there *)
   locs : Topology.loc array;    (** location code + 1 -> location *)
-  banks : Topology.bank option array;  (** bank index -> [Some bank] *)
+  banks : Topology.bank option array;  (** bank code -> [Some bank] *)
 }
 
-val create :
-  ?arena:Arena.t -> ?lat:Latency.t -> Hcrf_machine.Config.t -> ii:int -> t
+(** An empty product. *)
+val create : ?lat:Latency.t -> Hcrf_machine.Config.t -> ii:int -> t
+
+(** A product over the given columns (cycle, location code, bank code;
+    equal lengths), which it takes over: the inverse of {!columns}. *)
+val of_columns :
+  ?lat:Latency.t -> Hcrf_machine.Config.t -> ii:int -> cycle:int array ->
+  loc:int array -> bank:int array -> t
+
+(** Fresh copies of the (cycle, location code, bank code) columns,
+    [len] cells each. *)
+val columns : t -> len:int -> int array * int array * int array
 
 val ii : t -> int
 val is_scheduled : t -> int -> bool
@@ -54,8 +60,6 @@ val loc_of : t -> int -> Topology.loc
 
 (** Scheduled node ids, in increasing id order. *)
 val scheduled_nodes : t -> int list
-
-val num_scheduled : t -> int
 
 (** Bank holding the value defined by scheduled node [v], if any. *)
 val def_bank : t -> Hcrf_ir.Ddg.t -> int -> Topology.bank option
@@ -83,9 +87,27 @@ val estart : t -> Hcrf_ir.Ddg.t -> int -> int
     no successor is scheduled. *)
 val lstart : t -> Hcrf_ir.Ddg.t -> int -> int option
 
+(** Record [v] at ([cycle], [loc]); raises [Invalid_argument] when
+    already placed. *)
+val place :
+  t -> Hcrf_ir.Ddg.t -> int -> cycle:int -> loc:Topology.loc -> unit
+
+val unplace : t -> int -> unit
+
+(** Scheduled neighbours whose dependence constraints are violated by
+    [v] issuing at [cycle]. *)
+val dependence_violations :
+  t -> Hcrf_ir.Ddg.t -> int -> cycle:int -> int list
+
+(** Number of stages of II cycles in the kernel. *)
+val stage_count : t -> int
+
+val pp : Format.formatter -> t -> unit
+
 (** Deliberate engine faults for differential testing.  [Lax_resources]
-    makes {!can_place} ignore the reservation table entirely, so the
-    engine builds resource-oversubscribed schedules that an independent
+    makes the working state's probe ({!Work.fits}) ignore the
+    reservation table entirely, so the engine builds
+    resource-oversubscribed schedules that an independent
     {!Validate.check} must reject — the fuzzer's canary.  The flag is
     global and read-only during scheduling; set it only from tests and
     fuzzing campaigns, and reset it afterwards. *)
@@ -93,46 +115,46 @@ type fault = Lax_resources
 
 val fault : fault option ref
 
-(** {1 Precompiled probing}
+(** The engine's working state for one attempt. *)
+module Work : sig
+  type schedule := t
+  type t
 
-    [prepare_uses] compiles (and caches) the reservation vector of [v]
-    at [loc]; the [_prepared] variants probe/commit it without
-    rebuilding the [uses] list.  The vector is only valid while the
-    inputs that chose it hold — for a [Move], the producer's bank. *)
+  (** When [arena] is given, the reservation table and the columns
+      borrow their flat buffers from it (see {!Arena}); at most one live
+      working state may use a given arena. *)
+  val create :
+    ?arena:Arena.t -> ?lat:Latency.t -> Hcrf_machine.Config.t -> ii:int ->
+    t
 
-val prepare_uses :
-  t -> Hcrf_ir.Ddg.t -> int -> loc:Topology.loc -> Mrt.cuses
+  (** The columns under construction: read them with the product's
+      queries, change them only through [place]/[unplace] below. *)
+  val columns : t -> schedule
 
-val can_place_prepared : t -> Mrt.cuses -> cycle:int -> bool
+  (** The reservation vector of [v] at [loc], compiled once and cached.
+      It is only valid while the inputs that chose it hold — for a
+      [Move], the producer's bank. *)
+  val prepare : t -> Hcrf_ir.Ddg.t -> int -> loc:Topology.loc -> Mrt.cuses
 
-(** Raises [Invalid_argument] when already placed. *)
-val place_prepared :
-  t -> Hcrf_ir.Ddg.t -> int -> Mrt.cuses -> cycle:int ->
-  loc:Topology.loc -> unit
+  val fits : t -> Mrt.cuses -> cycle:int -> bool
 
-val conflicts_prepared : t -> Mrt.cuses -> cycle:int -> int list
+  (** Record and reserve; raises [Invalid_argument] when already
+      placed. *)
+  val place :
+    t -> Hcrf_ir.Ddg.t -> int -> Mrt.cuses -> cycle:int ->
+    loc:Topology.loc -> unit
 
-val can_place :
-  t -> Hcrf_ir.Ddg.t -> int -> cycle:int -> loc:Topology.loc -> bool
+  val unplace : t -> int -> unit
 
-(** Raises [Invalid_argument] when already placed. *)
-val place :
-  t -> Hcrf_ir.Ddg.t -> int -> cycle:int -> loc:Topology.loc -> unit
+  (** Nodes that must be ejected to reserve [v]'s resources at
+      [cycle]. *)
+  val conflicts :
+    t -> Hcrf_ir.Ddg.t -> int -> cycle:int -> loc:Topology.loc -> int list
 
-val unplace : t -> int -> unit
+  (** {!Mrt.total_occupancy} of the reservation table. *)
+  val total_occupancy : t -> Topology.resource -> int
 
-(** Nodes that must be ejected to reserve [v]'s resources at [cycle]. *)
-val resource_conflicts :
-  t -> Hcrf_ir.Ddg.t -> int -> cycle:int -> loc:Topology.loc -> int list
-
-(** Scheduled neighbours whose dependence constraints are violated by
-    [v] issuing at [cycle]. *)
-val dependence_violations :
-  t -> Hcrf_ir.Ddg.t -> int -> cycle:int -> int list
-
-val max_cycle : t -> int
-
-(** Number of stages of II cycles in the kernel. *)
-val stage_count : t -> int
-
-val pp : Format.formatter -> t -> unit
+  (** The product: the columns cut to [next_id] cells in fresh arrays;
+      no reservation table, compiled reservation or arena buffer. *)
+  val product : t -> next_id:int -> schedule
+end

@@ -45,11 +45,17 @@ let pp_issue ppf = function
     Fmt.pf ppf "bank %a: rotating allocation failed" Topology.pp_bank b
 
 (** [check ~invariant_residents s g] returns all problems found ([] for a
-    valid schedule).  [invariant_residents] gives the per-bank number of
-    whole-loop registers reserved for loop invariants. *)
-let check ?(invariant_residents = fun (_ : Topology.bank) -> 0)
-    (s : Schedule.t) (g : Ddg.t) : issue list =
+    valid schedule).  [invariant_residents] gives, per bank code, the
+    number of whole-loop registers reserved for loop invariants (0 past
+    its end). *)
+let check ?(invariant_residents = [||]) (s : Schedule.t) (g : Ddg.t) :
+    issue list =
   let config = s.Schedule.config in
+  let residents bank =
+    let i = Topology.bank_code config bank in
+    if i < Array.length invariant_residents then invariant_residents.(i)
+    else 0
+  in
   let ii = Schedule.ii s in
   let issues = ref [] in
   let add i = issues := i :: !issues in
@@ -125,7 +131,7 @@ let check ?(invariant_residents = fun (_ : Topology.bank) -> 0)
     (fun bank ->
       let used =
         Lifetimes.pressure ~ii ~bank
-          ~invariant_residents:(invariant_residents bank) lts
+          ~invariant_residents:(residents bank) lts
       in
       match Topology.bank_capacity config bank with
       | Cap.Inf -> ()

@@ -22,12 +22,12 @@ type issue =
 val pp_issue : Format.formatter -> issue -> unit
 
 (** All problems found ([] for a valid schedule).
-    [invariant_residents] gives the per-bank number of whole-loop
-    registers reserved for loop invariants. *)
+    [invariant_residents] gives, per bank code ({!Topology.bank_code}),
+    the number of whole-loop registers reserved for loop invariants; a
+    code past its end reserves none. *)
 val check :
-  ?invariant_residents:(Topology.bank -> int) -> Schedule.t ->
-  Hcrf_ir.Ddg.t -> issue list
+  ?invariant_residents:int array -> Schedule.t -> Hcrf_ir.Ddg.t ->
+  issue list
 
 val is_valid :
-  ?invariant_residents:(Topology.bank -> int) -> Schedule.t ->
-  Hcrf_ir.Ddg.t -> bool
+  ?invariant_residents:int array -> Schedule.t -> Hcrf_ir.Ddg.t -> bool

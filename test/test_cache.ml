@@ -285,7 +285,7 @@ let test_wl_collision_gets_own_schedule () =
         check (what ^ ": run_loop answers its own schedule") true
           (String.equal (own loop)
              (outcome_bytes what
-                (Entry.of_outcome config r.Runner.outcome ~stall_cycles:0.
+                (Entry.of_outcome r.Runner.outcome ~stall_cycles:0.
                    ~retries:0)))
       | None -> Alcotest.failf "%s: not scheduled" what);
       match
@@ -499,6 +499,90 @@ let test_prefetch_replay_validates () =
             | None -> true)
           outcomes))
 
+(* The engine's outcome and its replay through an entry, for suite
+   loops on [configs] under ideal memory and binding prefetch. *)
+let engine_and_replayed ~n configs =
+  let module E = Hcrf_sched.Engine in
+  let loops = Hcrf_workload.Suite.generate ~n () in
+  List.concat_map
+    (fun name ->
+      let config = Hcrf_model.Presets.published name in
+      List.concat_map
+        (fun (l : Loop.t) ->
+          List.filter_map
+            (fun override ->
+              let opts =
+                { E.default_options with E.load_override = override }
+              in
+              match E.schedule ~opts config l.Loop.ddg with
+              | Error _ -> None
+              | Ok o -> (
+                match Entry.of_outcome o ~stall_cycles:0. ~retries:0 with
+                | Entry.Scheduled s ->
+                  Some (name, l, o, Entry.to_outcome config s.outcome)
+                | Entry.Failed _ -> None))
+            [ Hcrf_memsim.Prefetch.none; Hcrf_memsim.Prefetch.plan config l ])
+        loops)
+    configs
+
+(* An outcome keeps the product only: its schedule's reachable words
+   are three int columns sized by the graph's id counter plus a fixed
+   part (decode tables, the configuration and the latency table), at
+   most 21 words per id on these 6- to 14-node loops.  A reservation
+   table with its occupant stacks, or a 256-cell arena buffer, is
+   several times more. *)
+let test_outcomes_stay_small () =
+  let words (o : Hcrf_sched.Engine.outcome) =
+    Obj.reachable_words (Obj.repr o.Hcrf_sched.Engine.schedule)
+  in
+  let items = engine_and_replayed ~n:12 [ "8C16S16"; "S64" ] in
+  check_int "12 loops x 2 configs x 2 memory scenarios" 48
+    (List.length items);
+  List.iter
+    (fun (name, (l : Loop.t), o, r) ->
+      let bound = 24 * Ddg.next_id o.Hcrf_sched.Engine.graph in
+      List.iter
+        (fun (what, o) ->
+          if words o > bound then
+            Alcotest.failf "%s on %s: %s schedule takes %d words > %d"
+              (Loop.name l) name what (words o) bound)
+        [ ("engine", o); ("replayed", r) ])
+    items
+
+(* Replaying an entry restores the engine's outcome: every node's
+   cycle, location and definition bank, the stage count, the invariant
+   residents of every bank and the graph. *)
+let test_replay_equals_engine () =
+  let module S = Hcrf_sched.Schedule in
+  let module E = Hcrf_sched.Engine in
+  let items =
+    engine_and_replayed ~n:12 [ "S64"; "2C32"; "4C16S16"; "8C16S16" ]
+  in
+  List.iter
+    (fun (name, (l : Loop.t), (o : E.outcome), (r : E.outcome)) ->
+      let what = Fmt.str "%s on %s" (Loop.name l) name in
+      let config = Hcrf_model.Presets.published name in
+      Ddg.iter_nodes o.E.graph (fun n ->
+          let v = n.Ddg.id in
+          if
+            S.entry o.E.schedule v <> S.entry r.E.schedule v
+            || S.def_bank o.E.schedule o.E.graph v
+               <> S.def_bank r.E.schedule r.E.graph v
+          then Alcotest.failf "%s: node %d differs" what v);
+      check_int (what ^ ": stage count") (S.stage_count o.E.schedule)
+        (S.stage_count r.E.schedule);
+      check_int (what ^ ": sc") o.E.sc r.E.sc;
+      List.iter
+        (fun b ->
+          let i = Hcrf_sched.Topology.bank_code config b in
+          check_int (what ^ ": residents") o.E.invariant_residents.(i)
+            r.E.invariant_residents.(i))
+        (Hcrf_sched.Topology.all_banks config);
+      check (what ^ ": graph") true
+        (Ddg.to_repr o.E.graph = Ddg.to_repr r.E.graph);
+      check (what ^ ": replay validates") true (Hcrf_core.Mirs_hc.is_valid r))
+    items
+
 (* Duplicates coalesce only when their node ids match: a renumbered twin
    has another key and gets its own engine run, or it would replay an
    entry bound to the other loop's ids. *)
@@ -559,7 +643,7 @@ let test_id_counter_reaches_the_key () =
     | None -> Alcotest.fail "not scheduled"
     | Some r -> (
       match
-        Entry.of_outcome config r.Runner.outcome ~stall_cycles:0. ~retries:0
+        Entry.of_outcome r.Runner.outcome ~stall_cycles:0. ~retries:0
       with
       | Entry.Scheduled s ->
         Marshal.to_string { s.outcome with Entry.s_seconds = 0. } []
@@ -752,6 +836,9 @@ let test_store_old_versions_stale () = check_stale_version 3
 (* v4 entries were stored under id-blind keys and carry an id digest *)
 let test_store_v4_stale () = check_stale_version 4
 
+(* v5 entries store a placement list to replay, not schedule columns *)
+let test_store_v5_stale () = check_stale_version 5
+
 (* Corrupting an entry in one shard must only cost that shard's entry:
    every other shard still serves disk hits. *)
 let test_corruption_per_shard () =
@@ -818,6 +905,9 @@ let tests =
     QCheck_alcotest.to_alcotest prop_replay_validates;
     ("replay: prefetch outcomes validate", `Quick,
      test_prefetch_replay_validates);
+    ("replay: outcomes stay small", `Quick, test_outcomes_stay_small);
+    ("replay: restores the engine's outcome", `Quick,
+     test_replay_equals_engine);
     ("coalescing: renumbered twin computes", `Quick,
      test_coalescing_respects_node_ids);
     ("twins: a, b, a, b hits twice (runner and tiers)", `Quick,
@@ -830,6 +920,7 @@ let tests =
     ("store: v2 and v3 entries are stale", `Quick,
      test_store_old_versions_stale);
     ("store: v4 entries are stale", `Quick, test_store_v4_stale);
+    ("store: v5 entries are stale", `Quick, test_store_v5_stale);
     ("store: corruption isolated per shard", `Slow, test_corruption_per_shard);
     ("store: unusable dir degrades", `Quick, test_unusable_dir_degrades);
     ("fingerprint: suite + kernels split as the reference", `Quick,

@@ -490,7 +490,8 @@ let run_pressure_trace config ~seed ~index =
   let loop = Hcrf_workload.Genloop.generate ~rng ~index () in
   let g = loop.Loop.ddg in
   let ii = 1 + Hcrf_workload.Rng.int rng 8 in
-  let s = Schedule.create config ~ii in
+  let w = Schedule.Work.create config ~ii in
+  let s = Schedule.Work.columns w in
   let press = Pressure.create s g in
   Ddg.set_watcher g (Some (fun u -> Pressure.mark press u));
   let nodes = Array.of_list (Ddg.nodes g) in
@@ -509,7 +510,7 @@ let run_pressure_trace config ~seed ~index =
     let v = nodes.(Hcrf_workload.Rng.int rng (Array.length nodes)) in
     (if Schedule.is_scheduled s v then begin
        mark v;
-       Schedule.unplace s v
+       Schedule.Work.unplace w v
      end
      else
        let kind = Ddg.kind g v in
@@ -520,8 +521,9 @@ let run_pressure_trace config ~seed ~index =
            List.nth locs (Hcrf_workload.Rng.int rng (List.length locs))
          in
          let cycle = Hcrf_workload.Rng.int rng 40 in
-         if Schedule.can_place s g v ~cycle ~loc then begin
-           Schedule.place s g v ~cycle ~loc;
+         let cu = Schedule.Work.prepare w g v ~loc in
+         if Schedule.Work.fits w cu ~cycle then begin
+           Schedule.Work.place w g v cu ~cycle ~loc;
            mark v
          end);
     (if Hcrf_workload.Rng.bool rng 0.1 then
