@@ -4,9 +4,10 @@
 # and jobs=4.  The acceptance contract:
 #
 #   - the cold evaluation recomputes every kernel (nothing pre-warmed);
-#   - each edit recomputes exactly the one dirty kernel — frontend,
-#     schedule and metric stages of every other kernel replay from the
-#     stage memo;
+#   - each edit recompiles and reschedules exactly the one dirty
+#     kernel — every other kernel replays its compiled loop from the
+#     stage memo and its schedule from the store (metrics are derived
+#     from the schedule on every evaluation);
 #   - the final incremental metrics are byte-identical to a cold
 #     evaluation of the same program (--verify, sched_seconds
 #     scrubbed);

@@ -203,21 +203,11 @@ let of_config (c : Hcrf_machine.Config.t) =
 (* ------------------------------------------------------------------ *)
 (* Scheduler options                                                   *)
 
-let of_options ?(probe = []) (o : Hcrf_sched.Engine.options) =
-  let samples =
-    List.concat_map
-      (fun id ->
-        [ int id;
-          (match o.Hcrf_sched.Engine.load_override id with
-          | None -> "-"
-          | Some l -> int l) ])
-      probe
-  in
+let of_options (o : Hcrf_sched.Engine.options) =
   digest
-    ([ "options"; int o.Hcrf_sched.Engine.budget_ratio;
-       (match o.Hcrf_sched.Engine.max_ii with None -> "-" | Some i -> int i);
-       bool o.Hcrf_sched.Engine.backtracking;
-       (match o.Hcrf_sched.Engine.ordering with
-       | `Hrms -> "hrms"
-       | `Topological -> "topo") ]
-    @ samples)
+    [ "options"; int o.Hcrf_sched.Engine.budget_ratio;
+      (match o.Hcrf_sched.Engine.max_ii with None -> "-" | Some i -> int i);
+      bool o.Hcrf_sched.Engine.backtracking;
+      (match o.Hcrf_sched.Engine.ordering with
+      | `Hrms -> "hrms"
+      | `Topological -> "topo") ]

@@ -48,9 +48,7 @@ val of_loop : Hcrf_ir.Loop.t -> t
     and miss latency.  The configuration's display name is excluded. *)
 val of_config : Hcrf_machine.Config.t -> t
 
-(** Fingerprint of scheduler options.  [probe] lists the node ids on
-    which [load_override] is sampled (it is a function and cannot be
-    hashed directly); the default samples nothing, which is correct
-    whenever the override is derived deterministically from inputs
-    already covered by the key. *)
-val of_options : ?probe:int list -> Hcrf_sched.Engine.options -> t
+(** Fingerprint of scheduler options.  [load_override] is a function
+    and is not sampled: every caller derives it deterministically from
+    inputs the key already covers (the memory scenario and the loop). *)
+val of_options : Hcrf_sched.Engine.options -> t

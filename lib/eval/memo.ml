@@ -1,17 +1,13 @@
-(** The stage memo of the incremental evaluation pipeline: one table,
-    keyed by (stage, input digest), holding closure-free stage results,
-    beside the one schedule cache its schedule entries live in.  See the
-    interface for the contract. *)
-
-type value =
-  | Loop_v of Hcrf_ir.Loop.repr
-  | Perf_v of Metrics.loop_perf option
+(** The stage memo of the incremental evaluation pipeline: one table
+    from kernel digest to live compiled loop, beside the one schedule
+    cache its schedule entries live in.  See the interface for the
+    contract. *)
 
 module Counters = Hcrf_obs.Counters
 module Ev = Hcrf_obs.Event
 
 type t = {
-  table : (string, value) Hashtbl.t;
+  table : (string, Hcrf_ir.Loop.t) Hashtbl.t;
   counts : Counters.t;  (* every [Incr] note, traced or not *)
   mutex : Mutex.t;
   cache : Hcrf_cache.Cache.t;
@@ -27,43 +23,34 @@ let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-let full_key ~stage key = Ev.incr_stage_name stage ^ ":" ^ key
-
 let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 
-let emit t trace stage op ~since =
-  let ev = Ev.Incr { stage; op; ns = now_ns () - since } in
+let emit t trace op ~since =
+  let ev = Ev.Incr { op; ns = now_ns () - since } in
   locked t (fun () -> Counters.note t.counts trace ev)
 
-let memoize t ~trace ~stage key ~get ~put compute =
+let find_or_compile t ~trace digest compile =
   let t0 = now_ns () in
-  let key = full_key ~stage key in
-  let found = locked t (fun () -> Hashtbl.find_opt t.table key) in
-  match Option.bind found get with
-  | Some v ->
-    emit t trace stage Stage_hit ~since:t0;
-    (v, true)
+  match locked t (fun () -> Hashtbl.find_opt t.table digest) with
+  | Some loop ->
+    emit t trace Stage_hit ~since:t0;
+    (loop, true)
   | None ->
-    emit t trace stage Stage_miss ~since:t0;
+    emit t trace Stage_miss ~since:t0;
     let t1 = now_ns () in
-    let v = compute () in
-    let stored = put v in
-    locked t (fun () -> Hashtbl.replace t.table key stored);
-    emit t trace stage Stage_recompute ~since:t1;
-    (v, false)
+    let loop = compile () in
+    locked t (fun () -> Hashtbl.replace t.table digest loop);
+    emit t trace Stage_recompute ~since:t1;
+    (loop, false)
 
 let length t = locked t (fun () -> Hashtbl.length t.table)
 
 (* The lookup counts, read back from the registry's [Incr] notes. *)
 let stage_stats t =
   locked t @@ fun () ->
-  List.concat_map
-    (fun (stage, name) ->
-      List.filter_map
-        (fun (op, suffix) ->
-          match Counters.count t.counts (Ev.Incr { stage; op; ns = 0 }) with
-          | 0 -> None
-          | n -> Some (name ^ suffix, n))
-        [ (Ev.Stage_hit, ".hits"); (Ev.Stage_miss, ".misses") ])
-    Ev.incr_stage_names
-  |> List.sort compare
+  List.filter_map
+    (fun (op, key) ->
+      match Counters.count t.counts (Ev.Incr { op; ns = 0 }) with
+      | 0 -> None
+      | n -> Some (key, n))
+    [ (Ev.Stage_hit, "frontend.hits"); (Ev.Stage_miss, "frontend.misses") ]

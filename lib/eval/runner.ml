@@ -216,13 +216,12 @@ type pipeline_stats = {
   store_hits : int;
   computed : int;
   coalesced : int;
-  metric_hits : int;
   dirty : string list;
 }
 
 (* The one resolver behind [run_loop], [run_suite] and [run_pipeline]:
-   the schedule entry of every loop of a batch, in input order, with the
-   cache keys and how the batch was answered.  Entries live in one store
+   the schedule entry of every loop of a batch, in input order, and how
+   the batch was answered.  Entries live in one store
    — the context's cache, else the memo's.  Keys, lookups and the
    coalescing of duplicates (same key) run serially in input order, so
    stats and trace counters are identical at any job count; only the
@@ -242,18 +241,10 @@ let resolve ~(ctx : Ctx.t) ~traces config loops =
   let todo = ref [] and joins = ref [] in
   Array.iteri
     (fun i key ->
-      let trace = traces.(i) in
-      let t0 = Memo.now_ns () in
       entries.(i) <-
-        Option.bind cache (fun c -> Hcrf_cache.Cache.find ~trace c key);
-      let hit = Option.is_some entries.(i) in
-      Option.iter
-        (fun m ->
-          Memo.emit m trace Ev.Sched
-            (if hit then Ev.Stage_hit else Ev.Stage_miss)
-            ~since:t0)
-        memo;
-      if not hit then
+        Option.bind cache (fun c ->
+            Hcrf_cache.Cache.find ~trace:traces.(i) c key);
+      if Option.is_none entries.(i) then
         match Hashtbl.find_opt owners key with
         | Some owner -> joins := (i, owner) :: !joins
         | None ->
@@ -264,13 +255,7 @@ let resolve ~(ctx : Ctx.t) ~traces config loops =
   let fresh =
     Par.map ~jobs:ctx.Ctx.jobs
       (fun i ->
-        let trace = traces.(i) in
-        let t0 = Memo.now_ns () in
-        let entry = compute_entry ~trace ~scenario ~opts config loops.(i) in
-        Option.iter
-          (fun m -> Memo.emit m trace Ev.Sched Ev.Stage_recompute ~since:t0)
-          memo;
-        entry)
+        compute_entry ~trace:traces.(i) ~scenario ~opts config loops.(i))
       todo
   in
   List.iter2
@@ -282,66 +267,38 @@ let resolve ~(ctx : Ctx.t) ~traces config loops =
     todo fresh;
   List.iter (fun (i, owner) -> entries.(i) <- entries.(owner)) !joins;
   let computed = List.length todo and coalesced = List.length !joins in
-  ( keys,
-    Array.map Option.get entries,
+  ( Array.map Option.get entries,
     { total = n; store_hits = n - computed - coalesced; computed; coalesced;
-      metric_hits = 0; dirty = List.map (fun i -> Loop.name loops.(i)) todo }
-  )
+      dirty = List.map (fun i -> Loop.name loops.(i)) todo } )
 
-(* Resolve a batch, then derive each loop's result with [f] serially in
-   input order, committing its trace right after. *)
-let run_batch ~(ctx : Ctx.t) config loops f =
+(* Resolve a batch, then replay each loop's entry serially in input
+   order, committing its trace right after. *)
+let run_batch ~(ctx : Ctx.t) config loops =
   let loops = Array.of_list loops in
   let traces =
     Array.map
       (fun loop -> Hcrf_obs.Tracer.start ctx.Ctx.tracer ~label:(Loop.name loop))
       loops
   in
-  let keys, entries, stats = resolve ~ctx ~traces config loops in
+  let entries, stats = resolve ~ctx ~traces config loops in
   let results =
     List.init (Array.length loops) (fun i ->
-        let r = f ~trace:traces.(i) keys.(i) loops.(i) entries.(i) in
+        let r = result_of_entry config loops.(i) entries.(i) in
         Hcrf_obs.Tracer.commit ctx.Ctx.tracer traces.(i);
         r)
   in
   (results, stats)
 
 let run_suite ?(ctx = Ctx.default) config loops =
-  fst
-    (run_batch ~ctx config loops (fun ~trace:_ _ loop entry ->
-         result_of_entry config loop entry))
-  |> List.filter_map Fun.id
+  List.filter_map Fun.id (fst (run_batch ~ctx config loops))
 
 let run_loop ?ctx config loop =
   match run_suite ?ctx config [ loop ] with [ r ] -> Some r | _ -> None
 
-(* The staged pipeline: the resolver, plus the *metric* stage, which
-   memoizes the derived [loop_perf] keyed by cache key + loop name (the
-   one input the loop fingerprint deliberately excludes). *)
 let run_pipeline ?(ctx = Ctx.default) config loops =
-  let metric_hits = ref 0 in
-  let perf_of loop entry =
-    Option.map (fun r -> r.perf) (result_of_entry config loop entry)
-  in
-  let results, stats =
-    run_batch ~ctx config loops (fun ~trace key loop entry ->
-        match ctx.Ctx.memo with
-        | None -> perf_of loop entry
-        | Some m ->
-          let p, hit =
-            Memo.memoize m ~trace ~stage:Ev.Metric
-              (Hcrf_cache.Fingerprint.to_hex
-                 (Hcrf_cache.Fingerprint.combine
-                    [ key; Hcrf_cache.Fingerprint.of_string (Loop.name loop) ]))
-              ~get:(function Memo.Perf_v p -> Some p | _ -> None)
-              ~put:(fun p -> Memo.Perf_v p)
-              (fun () -> perf_of loop entry)
-          in
-          if hit then incr metric_hits;
-          p)
-  in
-  (results, { stats with metric_hits = !metric_hits })
+  let results, stats = run_batch ~ctx config loops in
+  (List.map (Option.map (fun r -> r.perf)) results, stats)
 
 let pp_pipeline_stats ppf s =
-  Fmt.pf ppf "loops=%d store_hits=%d recomputed=%d coalesced=%d metric_hits=%d"
-    s.total s.store_hits s.computed s.coalesced s.metric_hits
+  Fmt.pf ppf "loops=%d store_hits=%d recomputed=%d coalesced=%d"
+    s.total s.store_hits s.computed s.coalesced

@@ -111,15 +111,14 @@ val par_map :
 val aggregate :
   Hcrf_machine.Config.t -> loop_result list -> Metrics.aggregate
 
-(** How one {!run_pipeline} call answered its schedule stages.  All
-    fields depend only on classification decisions taken serially in
-    input order, so they are identical at any job count. *)
+(** How one {!run_pipeline} call answered its schedules.  All fields
+    depend only on classification decisions taken serially in input
+    order, so they are identical at any job count. *)
 type pipeline_stats = {
   total : int;  (** loops evaluated *)
-  store_hits : int;  (** schedule stages answered by the store *)
+  store_hits : int;  (** schedules answered by the store *)
   computed : int;  (** dirty: the engine actually re-ran *)
   coalesced : int;  (** duplicates joined onto an in-flight owner *)
-  metric_hits : int;  (** metric stages replayed from the memo *)
   dirty : string list;
       (** names of the loops that re-ran the engine, in input order *)
 }
@@ -127,13 +126,13 @@ type pipeline_stats = {
 val pp_pipeline_stats : Format.formatter -> pipeline_stats -> unit
 
 (** Evaluate a suite as the staged incremental pipeline: the
-    {!run_suite} resolver, plus a metric stage memoized in [ctx.memo]
-    (keyed by cache key and loop name).  After an edit only the loops
-    whose upstream digest changed re-run the engine; everything else
-    replays from the memo and the store, byte-identical to a cold run up
-    to re-measured [sched_seconds].  Per-loop results come back in input
-    order ([None] where every scheduling retry failed); stats, stage
-    counters and trace files are independent of [ctx.jobs]. *)
+    {!run_suite} resolver and {!result_of_entry} replay, with each
+    loop's metrics in input order ([None] where every scheduling retry
+    failed, warned on every call) and how the schedules were answered.
+    After an edit only the loops whose cache key changed re-run the
+    engine; everything else replays from the store, byte-identical to a
+    cold run up to re-measured [sched_seconds].  Stats and trace files
+    are independent of [ctx.jobs]. *)
 val run_pipeline :
   ?ctx:Ctx.t -> Hcrf_machine.Config.t -> Hcrf_ir.Loop.t list ->
   Metrics.loop_perf option list * pipeline_stats

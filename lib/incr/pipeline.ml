@@ -3,7 +3,6 @@
 
 module Runner = Hcrf_eval.Runner
 module Memo = Hcrf_eval.Memo
-module Ev = Hcrf_obs.Event
 
 type t = { ctx : Runner.Ctx.t; config : Hcrf_machine.Config.t }
 
@@ -19,20 +18,14 @@ let create ?(ctx = Runner.Ctx.default) config = { ctx; config }
 let ctx t = t.ctx
 
 (* The frontend stage of one kernel: compile, memoized under the
-   kernel's content digest.  Loops are snapshotted as reprs (a live
-   [Ddg.t] may carry a watcher closure); the round trip preserves ids,
-   so replayed loops are behaviourally identical to recompiled ones. *)
+   kernel's content digest.  A hit hands back the stored loop itself;
+   the engine schedules a copy of its graph, so sharing it is safe. *)
 let frontend_stage ~trace memo kernel =
+  let compile () = Hcrf_frontend.Compile.compile kernel in
   match memo with
-  | None -> (Hcrf_frontend.Compile.compile kernel, false)
+  | None -> (compile (), false)
   | Some m ->
-    Memo.memoize m ~trace ~stage:Ev.Frontend
-      (Hcrf_frontend.Ast.digest kernel)
-      ~get:(function
-        | Memo.Loop_v r -> Some (Hcrf_ir.Loop.of_repr r)
-        | _ -> None)
-      ~put:(fun loop -> Memo.Loop_v (Hcrf_ir.Loop.to_repr loop))
-      (fun () -> Hcrf_frontend.Compile.compile kernel)
+    Memo.find_or_compile m ~trace (Hcrf_frontend.Ast.digest kernel) compile
 
 let eval t (kernels : Hcrf_frontend.Ast.t list) =
   let memo = t.ctx.Runner.Ctx.memo in

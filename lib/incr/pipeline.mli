@@ -1,15 +1,15 @@
 (** The staged, memoized evaluation pipeline over a frontend program.
 
     A program (a list of loop-language kernels) flows through three
-    fingerprinted stages — frontend compile, schedule, metrics — each
-    memoized under its input digest: the schedule stage in the
-    runner's one schedule store, the others in the context's
-    {!Hcrf_eval.Memo}.  {!eval}
-    after an edit therefore recomputes only the stages whose upstream
-    digest changed: an edited kernel recompiles and reschedules, every
-    untouched kernel replays from the memo, and the results are
-    byte-identical to a cold evaluation (up to re-measured
-    [sched_seconds]).
+    stages — frontend compile, schedule, metrics.  The compile is
+    memoized under the kernel's content digest in the context's
+    {!Hcrf_eval.Memo}, which keeps the live compiled loop; the schedule
+    is memoized under the loop's cache key in the runner's one schedule
+    store; the metrics are derived from the schedule entry on every
+    evaluation.  {!eval} after an edit therefore recompiles and
+    reschedules only the edited kernel, every untouched kernel replays,
+    and the results are byte-identical to a cold evaluation (up to
+    re-measured [sched_seconds]).
 
     Without a memo in the context, {!eval} degrades to plain (cached)
     suite evaluation — same results, nothing replayed. *)
@@ -24,8 +24,7 @@ type eval_stats = {
   frontend_hits : int;  (** kernels replayed from the frontend memo *)
   frontend_recomputed : int;  (** kernels recompiled *)
   sched : Hcrf_eval.Runner.pipeline_stats;
-      (** schedule/metric stage accounting, incl. the dirty loop
-          names *)
+      (** schedule accounting, incl. the dirty loop names *)
 }
 
 val create : ?ctx:Hcrf_eval.Runner.Ctx.t -> Hcrf_machine.Config.t -> t

@@ -25,8 +25,8 @@ val make :
   ?trip_count:int -> ?entries:int -> ?streams:stream list -> Ddg.t -> t
 
 (** Closure-free snapshot of a loop, the one form a loop is marshalled
-    in: the stage memo stores it and the daemon's requests carry it.  A
-    live [Ddg.t] may carry a watcher closure; {!Ddg.repr} does not.
+    in: the daemon's requests carry it.  A live [Ddg.t] may carry a
+    watcher closure; {!Ddg.repr} does not.
     The field order and types are part of the daemon's wire format —
     changing them changes its bytes. *)
 type repr = {

@@ -8,7 +8,6 @@ type comm = Store_r | Load_r | Move
 type cache_op = Hit | Miss | Store
 type spill = Value | Invariant
 type phase = Mii | Order | Schedule | Regalloc | Memsim | Exact
-type incr_stage = Frontend | Sched | Metric
 type incr_op = Stage_hit | Stage_miss | Stage_recompute
 
 type serve_op =
@@ -57,9 +56,9 @@ type t =
           branch-and-bound steps spent *)
   | Serve of serve_op
       (** one step of the scheduling daemon's tiered answer path *)
-  | Incr of { stage : incr_stage; op : incr_op; ns : int }
+  | Incr of { op : incr_op; ns : int }
       (** one stage-memo step of the incremental pipeline, with the
-          time spent in the lookup or recomputation, in integer
+          time spent in the lookup or compilation, in integer
           nanoseconds *)
 
 (* One (constructor, name) table per enum: both directions below read
@@ -71,9 +70,6 @@ let spill_names = [ (Value, "value"); (Invariant, "invariant") ]
 let phase_names =
   [ (Mii, "mii"); (Order, "order"); (Schedule, "schedule");
     (Regalloc, "regalloc"); (Memsim, "memsim"); (Exact, "exact") ]
-
-let incr_stage_names =
-  [ (Frontend, "frontend"); (Sched, "sched"); (Metric, "metric") ]
 
 let incr_op_names =
   [ (Stage_hit, "hit"); (Stage_miss, "miss"); (Stage_recompute, "recompute") ]
@@ -104,8 +100,6 @@ let spill_name = name_in spill_names
 let spill_of_name = of_name_in spill_names
 let phase_name = name_in phase_names
 let phase_of_name = of_name_in phase_names
-let incr_stage_name = name_in incr_stage_names
-let incr_stage_of_name = of_name_in incr_stage_names
 let incr_op_name = name_in incr_op_names
 let incr_op_of_name = of_name_in incr_op_names
 let serve_op_name = name_in serve_op_names
@@ -123,10 +117,7 @@ let phase_keys = keys "phase." phase_names
 let fuzz_keys = keys "fuzz." fuzz_verdict_names
 let serve_keys = keys "serve." serve_op_names
 
-let incr_keys =
-  List.map
-    (fun (stage, n) -> (stage, keys ("incr." ^ n ^ ".") incr_op_names))
-    incr_stage_names
+let incr_keys = keys "incr.frontend." incr_op_names
 
 (** Stable counter key of an event; phase spans share one key per phase
     (their durations are accumulated separately by {!Counters}). *)
@@ -144,4 +135,4 @@ let key = function
   | Shrink _ -> "shrink"
   | Exact_search _ -> "exact"
   | Serve op -> List.assq op serve_keys
-  | Incr { stage; op; _ } -> List.assq op (List.assq stage incr_keys)
+  | Incr { op; _ } -> List.assq op incr_keys

@@ -9,15 +9,9 @@ type cache_op = Hit | Miss | Store
 type spill = Value | Invariant
 type phase = Mii | Order | Schedule | Regalloc | Memsim | Exact
 
-(** One stage of the incremental evaluation pipeline
-    ([Hcrf_eval.Runner.run_pipeline] / [Hcrf_incr.Pipeline]): frontend
-    kernel compilation, scheduling, metric derivation. *)
-type incr_stage = Frontend | Sched | Metric
-
-(** One stage-memo step: the lookup hit, the lookup missed, or the
-    stage function actually re-ran.  A miss that is then answered by
-    another tier (e.g. a schedule-stage miss served from the shared
-    schedule cache) emits [Stage_miss] without a [Stage_recompute]. *)
+(** One step of the incremental pipeline's stage memo
+    ([Hcrf_eval.Memo], the frontend compile of [Hcrf_incr.Pipeline]):
+    the lookup hit, the lookup missed, or the kernel was compiled. *)
 type incr_op = Stage_hit | Stage_miss | Stage_recompute
 
 (** One step of the scheduling daemon's ([hcrf_serve]) tiered answer
@@ -71,10 +65,10 @@ type t =
           branch-and-bound steps spent *)
   | Serve of serve_op
       (** one step of the scheduling daemon's tiered answer path *)
-  | Incr of { stage : incr_stage; op : incr_op; ns : int }
+  | Incr of { op : incr_op; ns : int }
       (** one stage-memo step of the incremental pipeline, with the
-          time spent in the lookup or recomputation, in integer
-          nanoseconds *)
+          time spent in the lookup or compilation, in integer
+          nanoseconds; counted under [incr.frontend.<op>] *)
 
 (** {1 Names}
 
@@ -87,7 +81,6 @@ val comm_names : (comm * string) list
 val cache_op_names : (cache_op * string) list
 val spill_names : (spill * string) list
 val phase_names : (phase * string) list
-val incr_stage_names : (incr_stage * string) list
 val incr_op_names : (incr_op * string) list
 val serve_op_names : (serve_op * string) list
 val fuzz_verdict_names : (fuzz_verdict * string) list
@@ -100,8 +93,6 @@ val spill_name : spill -> string
 val spill_of_name : string -> spill option
 val phase_name : phase -> string
 val phase_of_name : string -> phase option
-val incr_stage_name : incr_stage -> string
-val incr_stage_of_name : string -> incr_stage option
 val incr_op_name : incr_op -> string
 val incr_op_of_name : string -> incr_op option
 val serve_op_name : serve_op -> string

@@ -1,6 +1,6 @@
 (** The [Jsonl] sink: one JSON object per line, one file per run.
 
-    Line 1 is a versioned header ([{"schema":"hcrf-trace","version":2}]);
+    Line 1 is a versioned header ([{"schema":"hcrf-trace","version":3}]);
     every following line is one event tagged with the label of the work
     unit that produced it.  Events reach {!write} only through
     {!Tracer.commit}, which serializes per-work-unit buffers in input
@@ -13,8 +13,10 @@
 
 let schema_name = "hcrf-trace"
 
-(* version 2: the [incr] event's stage enum lost ["extract"] *)
-let version = 2
+(* version 2: the [incr] event's stage enum lost ["extract"];
+   version 3: the [incr] event lost its [stage] field (the stage memo
+   has one stage, the frontend) *)
+let version = 3
 
 type value = S of string | I of int
 
@@ -76,13 +78,8 @@ let payload (ev : Event.t) =
     ( "exact_search",
       [ ("lb", I lb); ("witness_ii", I witness_ii); ("steps", I steps) ] )
   | Event.Serve op -> ("serve", [ ("op", S (Event.serve_op_name op)) ])
-  | Event.Incr { stage; op; ns } ->
-    ( "incr",
-      [
-        ("stage", S (Event.incr_stage_name stage));
-        ("op", S (Event.incr_op_name op));
-        ("ns", I ns);
-      ] )
+  | Event.Incr { op; ns } ->
+    ("incr", [ ("op", S (Event.incr_op_name op)); ("ns", I ns) ])
 
 let line_of_event ~label ev =
   let kind, fields = payload ev in
@@ -272,10 +269,9 @@ let decode ~kind fields =
     let* op = enum "op" Event.serve_op_of_name in
     Ok (Event.Serve op)
   | "incr" ->
-    let* stage = enum "stage" Event.incr_stage_of_name in
     let* op = enum "op" Event.incr_op_of_name in
     let* ns = int "ns" in
-    Ok (Event.Incr { stage; op; ns })
+    Ok (Event.Incr { op; ns })
   | other -> Error (Fmt.str "unknown event kind %S" other)
 
 let event_of_line line : (string * Event.t, string) result =

@@ -131,11 +131,6 @@ let growth_cap s = Ddg.num_nodes s.g > (8 * s.n0) + 64
 
 exception Attempt_failed
 
-let bank_code = function
-  | Topology.Shared -> -1
-  | Topology.L3 -> -2
-  | Topology.Local i -> i
-
 let no_prio = 1.0e9
 
 (* Grow the node-indexed side tables to cover id [v]. *)
@@ -956,7 +951,8 @@ let spill_invariant s ~bank (inv : Ddg.invariant) =
         incr fresh
       end)
     consumers;
-  Hashtbl.replace s.inv_spilled (inv.inv_id, bank_code bank) ();
+  Hashtbl.replace s.inv_spilled
+    (inv.inv_id, Topology.bank_code s.config bank) ();
   s.st.m_invariant_spills <- s.st.m_invariant_spills + 1;
   refund_spill s !fresh;
   if Tr.enabled s.trace then
@@ -983,7 +979,9 @@ let pick_and_spill s ~bank lts =
     List.find_opt
       (fun (inv : Ddg.invariant) ->
         resident s bank inv
-        && not (Hashtbl.mem s.inv_spilled (inv.inv_id, bank_code bank)))
+        && not
+             (Hashtbl.mem s.inv_spilled
+                (inv.inv_id, Topology.bank_code s.config bank)))
       (Ddg.invariants s.g)
   in
   match inv_candidate with

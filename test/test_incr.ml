@@ -1,8 +1,9 @@
 (* Tests for the incremental pipeline (lib/incr + Runner.run_pipeline +
-   Memo): the dirty-cone property (one edited kernel recomputes exactly
-   its own four stages, everything else replays), byte-identity of
-   incremental and cold evaluation at several job counts, the no-edit
-   fixpoint, and a fresh memo replaying a disk cache's schedules. *)
+   Memo): the dirty-cone property (one edited kernel recompiles and
+   reschedules, everything else replays), byte-identity of incremental
+   and cold evaluation at several job counts, the no-edit fixpoint, the
+   memo's shared live loops, and a fresh memo replaying a disk cache's
+   schedules. *)
 
 open Hcrf_eval
 module Pipeline = Hcrf_incr.Pipeline
@@ -48,13 +49,12 @@ let prop_dirty_cone =
       let prog' = Progs.edit ~round ~kernel prog in
       let perfs, _, stats = Pipeline.eval pipe prog' in
       let s = stats.Pipeline.sched in
-      (* the edited kernel recomputes frontend, sched and metric;
-         every other kernel replays all three stages *)
+      (* the edited kernel recompiles and reschedules; every other
+         kernel replays its compiled loop and its schedule *)
       stats.Pipeline.frontend_recomputed = 1
       && stats.Pipeline.frontend_hits = n - 1
       && s.Runner.computed = 1
       && s.Runner.store_hits = n - 1
-      && s.Runner.metric_hits = n - 1
       && s.Runner.dirty = [ (List.nth prog' kernel).Hcrf_frontend.Ast.name ]
       (* and the replayed results are byte-identical to a cold run *)
       && String.equal (bytes_of perfs) (bytes_of (cold_eval prog')))
@@ -76,9 +76,7 @@ let test_config_change_cone () =
   let stats = eval_with (Hcrf_model.Presets.published "S64") 1 in
   check_int "frontend replays across configs" n stats.Pipeline.frontend_hits;
   check_int "every schedule recomputes" n
-    stats.Pipeline.sched.Runner.computed;
-  check_int "no metric hit across configs" 0
-    stats.Pipeline.sched.Runner.metric_hits
+    stats.Pipeline.sched.Runner.computed
 
 (* ------------------------------------------------------------------ *)
 (* Golden edit script: incremental == cold, at jobs 1 and 4 *)
@@ -143,7 +141,8 @@ let test_stage_stats_are_trace_counts () =
       (Hcrf_obs.Counters.counts counters)
     |> List.sort compare
   in
-  check "every stage was looked up" true (List.length traced >= 4);
+  check "both lookup outcomes were noted" true
+    (List.map fst traced = [ "frontend.hits"; "frontend.misses" ]);
   Alcotest.(check (list (pair string int)))
     "stage_stats = traced incr.<stage>.hit/miss counts" traced
     (Memo.stage_stats memo)
@@ -156,9 +155,56 @@ let test_no_edit_fixpoint () =
   check_int "nothing recompiles" 0 stats.Pipeline.frontend_recomputed;
   check_int "nothing reschedules" 0 stats.Pipeline.sched.Runner.computed;
   check "no dirty loops" true (stats.Pipeline.sched.Runner.dirty = []);
-  check_int "every metric replays" 8 stats.Pipeline.sched.Runner.metric_hits;
+  check_int "every kernel replays its loop" 8 stats.Pipeline.frontend_hits;
+  check_int "every schedule replays" 8 stats.Pipeline.sched.Runner.store_hits;
   check "replayed perfs byte-identical" true
     (String.equal (bytes_of perfs0) (bytes_of perfs1))
+
+(* The memo keeps one live loop per kernel digest and nothing else: a
+   3-edit session adds one entry per edit, an untouched kernel gets back
+   the very loop its first compile stored, and that loop still equals a
+   fresh compile — scheduling, prefetch planning and cache simulation
+   over it mutated nothing. *)
+let test_memo_shares_live_loops () =
+  let memo = Memo.create () in
+  let ctx =
+    Runner.Ctx.make ~scenario:(Runner.Real { prefetch = true }) ~memo ()
+  in
+  let pipe = Pipeline.create ~ctx config in
+  let prog0 = Progs.program ~n:12 in
+  let _ = Pipeline.eval pipe prog0 in
+  let stored kernel =
+    fst
+      (Memo.find_or_compile memo ~trace:Hcrf_obs.Trace.off
+         (Hcrf_frontend.Ast.digest kernel) (fun () ->
+           Alcotest.failf "%s is not in the memo" kernel.Hcrf_frontend.Ast.name))
+  in
+  let before = List.map stored prog0 in
+  let prog = ref prog0 in
+  for round = 1 to 3 do
+    let entries = Memo.length memo in
+    prog := Progs.edit ~round ~kernel:(round * 7 mod 12) !prog;
+    let _ = Pipeline.eval pipe !prog in
+    check_int (Fmt.str "edit %d adds one memo entry" round) (entries + 1)
+      (Memo.length memo)
+  done;
+  let untouched = ref 0 in
+  List.iter2
+    (fun (kernel, loop) kernel' ->
+      if kernel == kernel' then begin
+        incr untouched;
+        let name = kernel.Hcrf_frontend.Ast.name in
+        check (name ^ ": the same live loop") true (stored kernel == loop);
+        let fresh = Hcrf_frontend.Compile.compile kernel in
+        check (name ^ ": fingerprint of a fresh compile") true
+          (Hcrf_cache.Fingerprint.equal
+             (Hcrf_cache.Fingerprint.of_loop loop)
+             (Hcrf_cache.Fingerprint.of_loop fresh));
+        check (name ^ ": repr of a fresh compile") true
+          (Hcrf_ir.Loop.to_repr loop = Hcrf_ir.Loop.to_repr fresh)
+      end)
+    (List.combine prog0 before) !prog;
+  check_int "nine kernels untouched" 9 !untouched
 
 (* ------------------------------------------------------------------ *)
 (* Persistence: schedules persist in the store shards, the memo does not *)
@@ -213,5 +259,7 @@ let tests =
     ("memo stage counts equal the traced incr counts", `Quick,
      test_stage_stats_are_trace_counts);
     ("no-edit evaluation is a fixpoint", `Quick, test_no_edit_fixpoint);
+    ("memo shares live loops, one entry per edit", `Quick,
+     test_memo_shares_live_loops);
     ("fresh memo replays a disk cache", `Quick, test_memo_over_disk_cache);
   ]

@@ -37,9 +37,9 @@ let all_events =
     Event.Serve Event.Request;
     Event.Serve Event.Lru_hit;
     Event.Serve Event.Coalesced;
-    Event.Incr { stage = Event.Sched; op = Event.Stage_hit; ns = 210 };
-    Event.Incr { stage = Event.Metric; op = Event.Stage_miss; ns = 9 };
-    Event.Incr { stage = Event.Frontend; op = Event.Stage_recompute; ns = 42 };
+    Event.Incr { op = Event.Stage_hit; ns = 210 };
+    Event.Incr { op = Event.Stage_miss; ns = 9 };
+    Event.Incr { op = Event.Stage_recompute; ns = 42 };
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -69,9 +69,7 @@ let test_enum_names () =
     | Cache (Hit | Miss | Store)
     | Spill_insert { kind = Value | Invariant; _ }
     | Phase { phase = Mii | Order | Schedule | Regalloc | Memsim | Exact; _ }
-    | Incr
-        { stage = Frontend | Sched | Metric;
-          op = Stage_hit | Stage_miss | Stage_recompute; _ }
+    | Incr { op = Stage_hit | Stage_miss | Stage_recompute; _ }
     | Serve
         ( Request | Lru_hit | Lru_miss | Disk_hit | Computed | Coalesced
         | Reject | Timeout )
@@ -91,8 +89,6 @@ let test_enum_names () =
     [ Value; Invariant ];
   check_names "phase" phase_names phase_name phase_of_name
     [ Mii; Order; Schedule; Regalloc; Memsim; Exact ];
-  check_names "incr_stage" incr_stage_names incr_stage_name
-    incr_stage_of_name [ Frontend; Sched; Metric ];
   check_names "incr_op" incr_op_names incr_op_name incr_op_of_name
     [ Stage_hit; Stage_miss; Stage_recompute ];
   check_names "serve_op" serve_op_names serve_op_name serve_op_of_name
@@ -125,9 +121,9 @@ let test_counters_histogram () =
       ("fuzz.optimality", 1);
       ("fuzz.pass", 1);
       ("ii_try", 1);
+      ("incr.frontend.hit", 1);
+      ("incr.frontend.miss", 1);
       ("incr.frontend.recompute", 1);
-      ("incr.metric.miss", 1);
-      ("incr.sched.hit", 1);
       ("phase.exact", 1);
       ("phase.mii", 1);
       ("place", 2);
@@ -148,9 +144,9 @@ let test_counters_histogram () =
   Alcotest.(check (list (pair string int)))
     "phase and stage wall-clock lands in timings, not counts"
     [
+      ("incr.frontend.hit", 210);
+      ("incr.frontend.miss", 9);
       ("incr.frontend.recompute", 42);
-      ("incr.metric.miss", 9);
-      ("incr.sched.hit", 210);
       ("phase.exact", 55);
       ("phase.mii", 1234);
     ]
@@ -166,8 +162,8 @@ let test_counters_histogram () =
     "pp is sorted key=value"
     "budget.escalate=1 cache.hit=1 cache.miss=1 cache.store=1 comm.load_r=1 \
      comm.move=1 comm.store_r=1 eject=1 exact=1 exact.steps=901 \
-     fuzz.optimality=1 fuzz.pass=1 ii_try=1 incr.frontend.recompute=1 \
-     incr.metric.miss=1 incr.sched.hit=1 phase.exact=1 phase.mii=1 \
+     fuzz.optimality=1 fuzz.pass=1 ii_try=1 incr.frontend.hit=1 \
+     incr.frontend.miss=1 incr.frontend.recompute=1 phase.exact=1 phase.mii=1 \
      place=2 regalloc.fail=1 serve.coalesced=1 serve.lru_hit=1 \
      serve.request=1 shrink=1 shrink.steps=3 spill.invariant=1 \
      spill.invariant.nodes=1 spill.value=1 spill.value.nodes=2"
@@ -201,9 +197,9 @@ let golden_lines =
     {|{"loop":"k1","ev":"serve","op":"request"}|};
     {|{"loop":"k1","ev":"serve","op":"lru_hit"}|};
     {|{"loop":"k1","ev":"serve","op":"coalesced"}|};
-    {|{"loop":"k1","ev":"incr","stage":"sched","op":"hit","ns":210}|};
-    {|{"loop":"k1","ev":"incr","stage":"metric","op":"miss","ns":9}|};
-    {|{"loop":"k1","ev":"incr","stage":"frontend","op":"recompute","ns":42}|};
+    {|{"loop":"k1","ev":"incr","op":"hit","ns":210}|};
+    {|{"loop":"k1","ev":"incr","op":"miss","ns":9}|};
+    {|{"loop":"k1","ev":"incr","op":"recompute","ns":42}|};
   ]
 
 let read_lines path =
@@ -220,7 +216,7 @@ let read_lines path =
 
 let test_jsonl_golden () =
   check_str "header line is the versioned schema tag"
-    {|{"schema":"hcrf-trace","version":2}|} Jsonl.header_line;
+    {|{"schema":"hcrf-trace","version":3}|} Jsonl.header_line;
   List.iteri
     (fun i ev ->
       check_str
@@ -279,14 +275,14 @@ let test_jsonl_rejects () =
       );
       ("bad serve op", {|{"loop":"x","ev":"serve","op":"warm"}|});
       ("serve extra field", {|{"loop":"x","ev":"serve","op":"request","n":1}|});
-      ( "bad incr stage",
-        {|{"loop":"x","ev":"incr","stage":"parse","op":"hit","ns":1}|} );
+      ( "removed incr stage field",
+        {|{"loop":"x","ev":"incr","stage":"frontend","op":"hit","ns":1}|} );
       ( "removed extract stage",
         {|{"loop":"x","ev":"incr","stage":"extract","op":"hit","ns":1}|} );
       ( "bad incr op",
-        {|{"loop":"x","ev":"incr","stage":"sched","op":"warm","ns":1}|} );
+        {|{"loop":"x","ev":"incr","op":"warm","ns":1}|} );
       ( "incr missing ns",
-        {|{"loop":"x","ev":"incr","stage":"sched","op":"hit"}|} );
+        {|{"loop":"x","ev":"incr","op":"hit"}|} );
     ]
   in
   List.iter
@@ -294,8 +290,9 @@ let test_jsonl_rejects () =
       check what true (Result.is_error (Jsonl.event_of_line line)))
     bad;
   (* a file whose header claims another version is rejected at line 1,
-     before any event is read: a future version, and version 1, whose
-     language still had the extract stage *)
+     before any event is read: a future version, version 1, whose
+     language still had the extract stage, and version 2, whose incr
+     events still named their stage *)
   let contains s sub =
     let n = String.length s and m = String.length sub in
     let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -313,9 +310,11 @@ let test_jsonl_rejects () =
       | Ok _ -> Alcotest.failf "%s accepted" what
       | Error m ->
         check (what ^ ": error names line 1") true (contains m ":1:"))
-    [ ("future schema version", 3, List.hd golden_lines);
+    [ ("future schema version", 4, List.hd golden_lines);
       ( "version-1 trace with an extract event", 1,
-        {|{"loop":"k1","ev":"incr","stage":"extract","op":"miss","ns":9}|} ) ]
+        {|{"loop":"k1","ev":"incr","stage":"extract","op":"miss","ns":9}|} );
+      ( "version-2 trace with a staged incr event", 2,
+        {|{"loop":"k1","ev":"incr","stage":"sched","op":"hit","ns":9}|} ) ]
 
 (* ------------------------------------------------------------------ *)
 (* Determinism of the Counters sink *)
@@ -498,8 +497,8 @@ let test_pipeline_matches_suite () =
       check (Fmt.str "run_pipeline perfs = run_suite perfs (jobs %d)" jobs)
         true
         (bytes pipeline_perfs = bytes suite_perfs);
-      check_int "no memo: nothing hits the store or the stage memo" 0
-        Runner.(stats.store_hits + stats.metric_hits);
+      check_int "no memo, no cache: nothing hits the store" 0
+        stats.Runner.store_hits;
       check_int "every distinct loop was computed" (List.length loops)
         Runner.(stats.computed + stats.coalesced))
     [ 1; 4 ]
