@@ -33,8 +33,3 @@ let of_bounds ?(has_memory = true) (b : Mii.bounds) : bound =
   else if b.rec_ = m then Rec
   else if b.mem = m then Mem
   else Fu
-
-let of_outcome (o : Engine.outcome) : bound =
-  of_bounds
-    ~has_memory:(Hcrf_ir.Ddg.num_memory_ops o.Engine.graph > 0)
-    o.Engine.bounds

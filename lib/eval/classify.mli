@@ -18,5 +18,3 @@ val pp : Format.formatter -> bound -> unit
     as memory bound if it has memory operations, compute bound
     otherwise. *)
 val of_bounds : ?has_memory:bool -> Hcrf_sched.Mii.bounds -> bound
-
-val of_outcome : Hcrf_sched.Engine.outcome -> bound

@@ -1,13 +1,13 @@
 (** The stage memo of the incremental evaluation pipeline: one table
-    from kernel digest to live compiled loop, beside the one schedule
-    cache its schedule entries live in.  See the interface for the
-    contract. *)
+    from kernel digest to live compiled loop and its fingerprint, beside
+    the one schedule cache its schedule entries live in.  See the
+    interface for the contract. *)
 
 module Counters = Hcrf_obs.Counters
 module Ev = Hcrf_obs.Event
 
 type t = {
-  table : (string, Hcrf_ir.Loop.t) Hashtbl.t;
+  table : (string, Hcrf_ir.Loop.t * Hcrf_cache.Fingerprint.t) Hashtbl.t;
   counts : Counters.t;  (* every [Incr] note, traced or not *)
   mutex : Mutex.t;
   cache : Hcrf_cache.Cache.t;
@@ -32,16 +32,16 @@ let emit t trace op ~since =
 let find_or_compile t ~trace digest compile =
   let t0 = now_ns () in
   match locked t (fun () -> Hashtbl.find_opt t.table digest) with
-  | Some loop ->
+  | Some compiled ->
     emit t trace Stage_hit ~since:t0;
-    (loop, true)
+    (compiled, true)
   | None ->
     emit t trace Stage_miss ~since:t0;
     let t1 = now_ns () in
-    let loop = compile () in
-    locked t (fun () -> Hashtbl.replace t.table digest loop);
+    let compiled = compile () in
+    locked t (fun () -> Hashtbl.replace t.table digest compiled);
     emit t trace Stage_recompute ~since:t1;
-    (loop, false)
+    (compiled, false)
 
 let length t = locked t (fun () -> Hashtbl.length t.table)
 

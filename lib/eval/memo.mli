@@ -1,11 +1,13 @@
 (** The stage memo of the incremental evaluation pipeline.
 
     One table maps a kernel's content digest to its compiled, live
-    {!Hcrf_ir.Loop.t} ([Hcrf_incr.Pipeline]'s frontend stage), so an
-    edit recompiles only the kernels whose digest changed.  Schedules
-    are not kept here: they live in one schedule cache — the runner
-    context's when it has one, otherwise the memo's own {!cache} —
-    which counts its own lookups, and metrics are derived from the
+    {!Hcrf_ir.Loop.t} and that loop's {!Hcrf_cache.Fingerprint.of_loop}
+    ([Hcrf_incr.Pipeline]'s frontend stage), so an edit recompiles and
+    re-fingerprints only the kernels whose digest changed; every other
+    kernel hands its stored fingerprint to the schedule resolver.
+    Schedules are not kept here: they live in one schedule cache — the
+    runner context's when it has one, otherwise the memo's own {!cache}
+    — which counts its own lookups, and metrics are read from the
     schedule entry on every evaluation.
 
     A stored loop is shared by every evaluation that finds it, so no
@@ -33,12 +35,16 @@ val create : unit -> t
     the runner context has no cache of its own. *)
 val cache : t -> Hcrf_cache.Cache.t
 
-(** The loop stored under [digest], returned with [true]; else
-    [compile ()], stored under [digest] and returned with [false].
-    Notes the hit or miss, and the compilation, timed. *)
+(** The loop and fingerprint stored under [digest], returned with
+    [true]; else [compile ()], stored under [digest] and returned with
+    [false].  [compile] returns the compiled loop with its
+    {!Hcrf_cache.Fingerprint.of_loop}, so a kernel's fingerprint is
+    taken once per compilation, not once per evaluation.  Notes the hit
+    or miss, and the compilation, timed. *)
 val find_or_compile :
-  t -> trace:Hcrf_obs.Trace.t -> string -> (unit -> Hcrf_ir.Loop.t) ->
-  Hcrf_ir.Loop.t * bool
+  t -> trace:Hcrf_obs.Trace.t -> string ->
+  (unit -> Hcrf_ir.Loop.t * Hcrf_cache.Fingerprint.t) ->
+  (Hcrf_ir.Loop.t * Hcrf_cache.Fingerprint.t) * bool
 
 (** Number of loops in the memo. *)
 val length : t -> int

@@ -44,8 +44,7 @@ let add_sched_stats a b =
     retries = a.retries + b.retries;
   }
 
-let sched_stats_of_outcome ?(retries = 0) (o : Engine.outcome) =
-  let s = o.Engine.stats in
+let sched_stats ~retries (s : Engine.stats) =
   {
     attempts = s.Engine.attempts;
     ejections = s.Engine.ejections;
@@ -86,27 +85,45 @@ type loop_perf = {
 let useful_cycles ~ii ~sc ~n ~e =
   float_of_int ii *. (float_of_int n +. (float_of_int (sc - 1) *. float_of_int e))
 
-let of_outcome ?(stall_cycles = 0.) ?retries (loop : Loop.t)
-    (o : Engine.outcome) =
+(* The one constructor behind [of_outcome] and [of_stored]: the §2.3
+   formulas over a schedule's figures.  [mem_ops] counts the memory
+   operations of the final graph, spill code included. *)
+let make ~stall_cycles ~retries (loop : Loop.t) ~ii ~mii ~sc ~bounds ~mem_ops
+    ~seconds ~stats =
   let e = loop.Loop.entries in
   let n = loop.Loop.trip_count * e in
-  let trf = Ddg.num_memory_ops o.Engine.graph in
   {
     name = Loop.name loop;
-    ii = o.Engine.ii;
-    mii = o.Engine.mii;
-    sc = o.Engine.sc;
+    ii;
+    mii;
+    sc;
     trip_count = loop.Loop.trip_count;
     entries = e;
     ops = Ddg.num_nodes loop.Loop.ddg;
-    mem_refs_per_iter = trf;
-    useful_cycles = useful_cycles ~ii:o.Engine.ii ~sc:o.Engine.sc ~n ~e;
+    mem_refs_per_iter = mem_ops;
+    useful_cycles = useful_cycles ~ii ~sc ~n ~e;
     stall_cycles;
-    traffic = float_of_int (n * trf);
-    bound = Classify.of_outcome o;
-    sched_seconds = o.Engine.seconds;
-    sched = sched_stats_of_outcome ?retries o;
+    traffic = float_of_int (n * mem_ops);
+    bound = Classify.of_bounds ~has_memory:(mem_ops > 0) bounds;
+    sched_seconds = seconds;
+    sched = sched_stats ~retries stats;
   }
+
+let of_outcome ?(stall_cycles = 0.) ?(retries = 0) loop (o : Engine.outcome) =
+  make ~stall_cycles ~retries loop ~ii:o.Engine.ii ~mii:o.Engine.mii
+    ~sc:o.Engine.sc ~bounds:o.Engine.bounds
+    ~mem_ops:(Ddg.num_memory_ops o.Engine.graph) ~seconds:o.Engine.seconds
+    ~stats:o.Engine.stats
+
+let of_stored ~stall_cycles ~retries loop (s : Hcrf_cache.Entry.stored_outcome)
+    =
+  let mem_ops =
+    List.fold_left
+      (fun k (_, kind, _, _) -> if Op.is_memory kind then k + 1 else k)
+      0 s.Hcrf_cache.Entry.s_graph.Ddg.repr_nodes
+  in
+  make ~stall_cycles ~retries loop ~ii:s.s_ii ~mii:s.s_mii ~sc:s.s_sc
+    ~bounds:s.s_bounds ~mem_ops ~seconds:s.s_seconds ~stats:s.s_stats
 
 type aggregate = {
   config : string;

@@ -24,9 +24,6 @@ type sched_stats = {
 val zero_sched_stats : sched_stats
 val add_sched_stats : sched_stats -> sched_stats -> sched_stats
 
-val sched_stats_of_outcome :
-  ?retries:int -> Hcrf_sched.Engine.outcome -> sched_stats
-
 val pp_sched_stats : Format.formatter -> sched_stats -> unit
 
 type loop_perf = {
@@ -48,9 +45,19 @@ type loop_perf = {
 
 val useful_cycles : ii:int -> sc:int -> n:int -> e:int -> float
 
+(** Metrics of a loop's outcome; [stall_cycles] and [retries] default
+    to 0. *)
 val of_outcome :
   ?stall_cycles:float -> ?retries:int -> Hcrf_ir.Loop.t ->
   Hcrf_sched.Engine.outcome -> loop_perf
+
+(** Metrics of a loop's stored schedule, read straight from the entry:
+    the same figures {!of_outcome} gives for the replayed outcome
+    (one constructor behind both), with no graph rebuilt — the
+    memory-operation count is read off the stored graph's node list. *)
+val of_stored :
+  stall_cycles:float -> retries:int -> Hcrf_ir.Loop.t ->
+  Hcrf_cache.Entry.stored_outcome -> loop_perf
 
 type aggregate = {
   config : string;

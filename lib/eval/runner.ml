@@ -88,6 +88,11 @@ let scenario_tag = function
   | Real { prefetch = false } -> "real"
   | Real { prefetch = true } -> "prefetch"
 
+(* The one layout of a key's parts; [resolve] applies it to digests it
+   takes once per batch. *)
+let key ~config ~options ~scenario loop =
+  Hcrf_cache.Fingerprint.combine [ config; loop; options; scenario ]
+
 (** Canonical cache key of one [run_loop] invocation: configuration,
     loop (graph, streams, trip/entry counts), scheduler options and the
     memory scenario.  [opts.load_override] is *not* sampled: the runner
@@ -95,11 +100,10 @@ let scenario_tag = function
     loop, both of which the key covers.  The tracer is not part of the
     key either — tracing must never change what is computed. *)
 let cache_key ~scenario ~opts config (loop : Loop.t) =
-  Hcrf_cache.Fingerprint.combine
-    [ Hcrf_cache.Fingerprint.of_config config;
-      Hcrf_cache.Fingerprint.of_loop loop;
-      Hcrf_cache.Fingerprint.of_options opts;
-      Hcrf_cache.Fingerprint.of_string (scenario_tag scenario) ]
+  key ~config:(Hcrf_cache.Fingerprint.of_config config)
+    ~options:(Hcrf_cache.Fingerprint.of_options opts)
+    ~scenario:(Hcrf_cache.Fingerprint.of_string (scenario_tag scenario))
+    (Hcrf_cache.Fingerprint.of_loop loop)
 
 let warn_no_schedule (config : Hcrf_machine.Config.t) loop ii =
   Logs.warn (fun m ->
@@ -184,6 +188,15 @@ let result_of_entry config (loop : Loop.t) = function
          (Hcrf_cache.Entry.to_outcome config outcome)
          ~stall_cycles ~retries)
 
+(* The metrics alone, read from the entry without replaying it; the
+   same warning for [Failed] entries. *)
+let perf_of_entry config (loop : Loop.t) = function
+  | Hcrf_cache.Entry.Failed ii ->
+    warn_no_schedule config loop ii;
+    None
+  | Hcrf_cache.Entry.Scheduled { outcome; stall_cycles; retries; _ } ->
+    Some (Metrics.of_stored ~stall_cycles ~retries loop outcome)
+
 let entry_compatible (_ : Loop.t) (_ : Hcrf_cache.Entry.t) = true
 
 (** Traced parallel map for drivers that run the engine directly rather
@@ -226,8 +239,10 @@ type pipeline_stats = {
    coalescing of duplicates (same key) run serially in input order, so
    stats and trace counters are identical at any job count; only the
    owners' engine runs fan out on the [Par] pool, and their entries are
-   committed to the store serially in input order. *)
-let resolve ~(ctx : Ctx.t) ~traces config loops =
+   committed to the store serially in input order.  [fingerprints]
+   holds each loop's [Fingerprint.of_loop]; the configuration, options
+   and scenario digests are taken once for the whole batch. *)
+let resolve ~(ctx : Ctx.t) ~traces config loops fingerprints =
   let { Ctx.scenario; opts; memo; _ } = ctx in
   let cache =
     match ctx.Ctx.cache with
@@ -235,7 +250,12 @@ let resolve ~(ctx : Ctx.t) ~traces config loops =
     | None -> Option.map Memo.cache memo
   in
   let n = Array.length loops in
-  let keys = Array.map (cache_key ~scenario ~opts config) loops in
+  let keys =
+    let config = Hcrf_cache.Fingerprint.of_config config
+    and options = Hcrf_cache.Fingerprint.of_options opts
+    and scenario = Hcrf_cache.Fingerprint.of_string (scenario_tag scenario) in
+    Array.map (key ~config ~options ~scenario) fingerprints
+  in
   let entries = Array.make n None in
   let owners = Hashtbl.create 16 in
   let todo = ref [] and joins = ref [] in
@@ -271,33 +291,37 @@ let resolve ~(ctx : Ctx.t) ~traces config loops =
     { total = n; store_hits = n - computed - coalesced; computed; coalesced;
       dirty = List.map (fun i -> Loop.name loops.(i)) todo } )
 
-(* Resolve a batch, then replay each loop's entry serially in input
-   order, committing its trace right after. *)
-let run_batch ~(ctx : Ctx.t) config loops =
-  let loops = Array.of_list loops in
+(* Resolve a batch, then turn each loop's entry into a result with
+   [result] serially in input order, committing its trace right
+   after. *)
+let run_batch ~(ctx : Ctx.t) config loops fingerprints result =
   let traces =
     Array.map
       (fun loop -> Hcrf_obs.Tracer.start ctx.Ctx.tracer ~label:(Loop.name loop))
       loops
   in
-  let entries, stats = resolve ~ctx ~traces config loops in
+  let entries, stats = resolve ~ctx ~traces config loops fingerprints in
   let results =
     List.init (Array.length loops) (fun i ->
-        let r = result_of_entry config loops.(i) entries.(i) in
+        let r = result config loops.(i) entries.(i) in
         Hcrf_obs.Tracer.commit ctx.Ctx.tracer traces.(i);
         r)
   in
   (results, stats)
 
 let run_suite ?(ctx = Ctx.default) config loops =
-  List.filter_map Fun.id (fst (run_batch ~ctx config loops))
+  let loops = Array.of_list loops in
+  let fingerprints = Array.map Hcrf_cache.Fingerprint.of_loop loops in
+  List.filter_map Fun.id
+    (fst (run_batch ~ctx config loops fingerprints result_of_entry))
 
 let run_loop ?ctx config loop =
   match run_suite ?ctx config [ loop ] with [ r ] -> Some r | _ -> None
 
-let run_pipeline ?(ctx = Ctx.default) config loops =
-  let results, stats = run_batch ~ctx config loops in
-  (List.map (Option.map (fun r -> r.perf)) results, stats)
+let run_pipeline ?(ctx = Ctx.default) config compiled =
+  let loops = Array.of_list (List.map fst compiled)
+  and fingerprints = Array.of_list (List.map snd compiled) in
+  run_batch ~ctx config loops fingerprints perf_of_entry
 
 let pp_pipeline_stats ppf s =
   Fmt.pf ppf "loops=%d store_hits=%d recomputed=%d coalesced=%d"

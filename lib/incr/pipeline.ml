@@ -17,11 +17,15 @@ let create ?(ctx = Runner.Ctx.default) config = { ctx; config }
 
 let ctx t = t.ctx
 
-(* The frontend stage of one kernel: compile, memoized under the
-   kernel's content digest.  A hit hands back the stored loop itself;
-   the engine schedules a copy of its graph, so sharing it is safe. *)
+(* The frontend stage of one kernel: compile and fingerprint, memoized
+   under the kernel's content digest.  A hit hands back the stored loop
+   itself; the engine schedules a copy of its graph, so sharing it is
+   safe. *)
 let frontend_stage ~trace memo kernel =
-  let compile () = Hcrf_frontend.Compile.compile kernel in
+  let compile () =
+    let loop = Hcrf_frontend.Compile.compile kernel in
+    (loop, Hcrf_cache.Fingerprint.of_loop loop)
+  in
   match memo with
   | None -> (compile (), false)
   | Some m ->
@@ -32,20 +36,20 @@ let eval t (kernels : Hcrf_frontend.Ast.t list) =
   let hits = ref 0 and recomputed = ref 0 in
   (* serial, input order: compilation is cheap next to scheduling, and
      a serial pass keeps stage counters jobs-independent *)
-  let loops =
+  let compiled =
     List.map
       (fun kernel ->
         let trace =
           Hcrf_obs.Tracer.start t.ctx.Runner.Ctx.tracer
             ~label:kernel.Hcrf_frontend.Ast.name
         in
-        let loop, hit = frontend_stage ~trace memo kernel in
+        let c, hit = frontend_stage ~trace memo kernel in
         incr (if hit then hits else recomputed);
         Hcrf_obs.Tracer.commit t.ctx.Runner.Ctx.tracer trace;
-        loop)
+        c)
       kernels
   in
-  let perfs, sched = Runner.run_pipeline ~ctx:t.ctx t.config loops in
+  let perfs, sched = Runner.run_pipeline ~ctx:t.ctx t.config compiled in
   let aggregate =
     Hcrf_eval.Metrics.aggregate t.config (List.filter_map Fun.id perfs)
   in

@@ -592,7 +592,10 @@ let test_coalescing_respects_node_ids () =
   let key = Runner.cache_key ~scenario:Runner.Ideal
       ~opts:Hcrf_sched.Engine.default_options config in
   check "twin has another key" false (Fingerprint.equal (key l) (key twin));
-  let _, s = Runner.run_pipeline config [ l; twin; l ] in
+  let _, s =
+    Runner.run_pipeline config
+      (List.map (fun l -> (l, Fingerprint.of_loop l)) [ l; twin; l ])
+  in
   check_int "loop and twin computed" 2 s.Runner.computed;
   check_int "the repeated loop coalesced" 1 s.Runner.coalesced
 

@@ -38,11 +38,9 @@ let test_classify_cases () =
 let test_classify_kernels () =
   let config = Hcrf_model.Presets.published "S128" in
   let classify name =
-    match
-      Hcrf_core.Mirs_hc.schedule config
-        (Hcrf_workload.Kernels.find name).Hcrf_ir.Loop.ddg
-    with
-    | Ok o -> Classify.name (Classify.of_outcome o)
+    let l = Hcrf_workload.Kernels.find name in
+    match Hcrf_core.Mirs_hc.schedule config l.Hcrf_ir.Loop.ddg with
+    | Ok o -> Classify.name (Metrics.of_outcome l o).Metrics.bound
     | Error _ -> "fail"
   in
   Alcotest.(check string) "dot is recurrence bound" "Rec." (classify "dot");

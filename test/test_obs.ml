@@ -471,13 +471,19 @@ let test_env () =
 (* ------------------------------------------------------------------ *)
 (* The three entry points share one answer path: without a memo,
    run_loop (per loop), run_suite and run_pipeline give byte-identical
-   results at any job count *)
+   results at any job count.  run_pipeline reads its metrics straight
+   from the schedule entries; run_suite replays whole outcomes. *)
+
+let paired loops =
+  List.map (fun l -> (l, Hcrf_cache.Fingerprint.of_loop l)) loops
+
+let scrub_perf (p : Metrics.loop_perf) = { p with Metrics.sched_seconds = 0. }
+let perf_bytes perfs =
+  Marshal.to_string (List.map scrub_perf perfs) [ Marshal.No_sharing ]
 
 let test_pipeline_matches_suite () =
   let config = Hcrf_model.Presets.published "S64" in
   let loops = Lazy.force small_suite in
-  let scrub (p : Metrics.loop_perf) = { p with Metrics.sched_seconds = 0. } in
-  let bytes perfs = Marshal.to_string (List.map scrub perfs) [] in
   List.iter
     (fun jobs ->
       let ctx = Runner.Ctx.make ~jobs () in
@@ -490,18 +496,99 @@ let test_pipeline_matches_suite () =
       let suite_perfs =
         List.map (fun r -> r.Runner.perf) (Runner.run_suite ~ctx config loops)
       in
-      let pipeline_perfs, stats = Runner.run_pipeline ~ctx config loops in
+      let pipeline_perfs, stats =
+        Runner.run_pipeline ~ctx config (paired loops)
+      in
       let pipeline_perfs = List.filter_map Fun.id pipeline_perfs in
       check (Fmt.str "run_loop perfs = run_suite perfs (jobs %d)" jobs) true
-        (bytes loop_perfs = bytes suite_perfs);
+        (perf_bytes loop_perfs = perf_bytes suite_perfs);
       check (Fmt.str "run_pipeline perfs = run_suite perfs (jobs %d)" jobs)
         true
-        (bytes pipeline_perfs = bytes suite_perfs);
+        (perf_bytes pipeline_perfs = perf_bytes suite_perfs);
       check_int "no memo, no cache: nothing hits the store" 0
         stats.Runner.store_hits;
       check_int "every distinct loop was computed" (List.length loops)
         Runner.(stats.computed + stats.coalesced))
-    [ 1; 4 ]
+    [ 1; 4 ];
+  (* Binding prefetch on a clustered organization: the engine inserts
+     spill code (in synth0005), so the memory-operation count of the
+     final graph differs from the original's.  One shared cache, a cold
+     and a warm pass, and one loop whose key holds a failed entry. *)
+  let config = Hcrf_model.Presets.published "2C32" in
+  let scenario = Runner.Real { prefetch = true } in
+  let cache = Hcrf_cache.Cache.create () in
+  let ctx = Runner.Ctx.make ~scenario ~cache () in
+  let failed = 3 in
+  Hcrf_cache.Cache.add cache
+    (Runner.cache_key ~scenario ~opts:ctx.Runner.Ctx.opts config
+       (List.nth loops failed))
+    (Hcrf_cache.Entry.Failed 7);
+  let n = List.length loops in
+  let pipeline pass =
+    let perfs, stats = Runner.run_pipeline ~ctx config (paired loops) in
+    check_int (pass ^ ": one result per loop") n (List.length perfs);
+    check (pass ^ ": the failed entry gives None") true
+      (List.nth perfs failed = None);
+    check_int (pass ^ ": only the failed loop gives None") 1
+      (List.length (List.filter Option.is_none perfs));
+    (List.filter_map Fun.id perfs, stats)
+  in
+  let cold, cold_stats = pipeline "cold" in
+  check_int "cold: the failed entry is the one store hit" 1
+    cold_stats.Runner.store_hits;
+  let results = Runner.run_suite ~ctx config loops in
+  check_int "run_suite drops the failed loop" (n - 1) (List.length results);
+  check "run_suite drops exactly the failed loop" false
+    (List.exists (fun r -> r.Runner.loop == List.nth loops failed) results);
+  check "spill code reaches the final graphs" true
+    (List.exists
+       (fun r ->
+         Hcrf_ir.Ddg.num_memory_ops r.Runner.outcome.Hcrf_sched.Engine.graph
+         > Hcrf_ir.Ddg.num_memory_ops r.Runner.loop.Hcrf_ir.Loop.ddg)
+       results);
+  let suite_perfs = List.map (fun r -> r.Runner.perf) results in
+  let warm, warm_stats = pipeline "warm" in
+  check_int "warm: every schedule from the store" n
+    warm_stats.Runner.store_hits;
+  check "prefetch, cold: run_pipeline perfs = run_suite perfs" true
+    (perf_bytes cold = perf_bytes suite_perfs);
+  check "prefetch, warm: run_pipeline perfs = run_suite perfs" true
+    (perf_bytes warm = perf_bytes suite_perfs)
+
+(* Cache keys are what the on-disk stores are filed under: one kernel's
+   key is pinned, and the keys a batch builds from its per-batch prefix
+   are exactly [cache_key]'s, for the suite and the pipeline paths. *)
+let test_batch_keys_are_cache_keys () =
+  let opts = Hcrf_sched.Engine.default_options in
+  check_str "daxpy on S64, ideal memory, default options"
+    "6e606c853d80165e506fc453b2e5abfb"
+    (Hcrf_cache.Fingerprint.to_hex
+       (Runner.cache_key ~scenario:Runner.Ideal ~opts
+          (Hcrf_model.Presets.published "S64")
+          (Hcrf_workload.Kernels.daxpy ())));
+  let config = Hcrf_model.Presets.published "4C32S16" in
+  let loops = Lazy.force small_suite in
+  List.iter
+    (fun (scenario, batch) ->
+      let what = Runner.scenario_tag scenario in
+      let cache = Hcrf_cache.Cache.create () in
+      let ctx = Runner.Ctx.make ~scenario ~cache () in
+      batch ctx;
+      let stored = (Hcrf_cache.Cache.stats cache).Hcrf_cache.Cache.stores in
+      check_int (what ^ ": one entry per loop") (List.length loops) stored;
+      List.iter
+        (fun l ->
+          check
+            (Fmt.str "%s: %s is stored under its cache_key" what
+               (Hcrf_ir.Loop.name l))
+            true
+            (Option.is_some
+               (Hcrf_cache.Cache.find cache
+                  (Runner.cache_key ~scenario ~opts config l))))
+        loops)
+    [ (Runner.Ideal, fun ctx -> ignore (Runner.run_suite ~ctx config loops));
+      ( Runner.Real { prefetch = true },
+        fun ctx -> ignore (Runner.run_pipeline ~ctx config (paired loops)) ) ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -518,4 +605,6 @@ let tests =
     ("jsonl: replay/merge across jobs", `Slow, test_jsonl_replay_merge);
     ("env: HCRF_* parsing", `Quick, test_env);
     ("runner: pipeline matches suite", `Slow, test_pipeline_matches_suite);
+    ("runner: batch keys are cache keys, pinned", `Quick,
+     test_batch_keys_are_cache_keys);
   ]
