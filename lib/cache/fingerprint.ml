@@ -1,12 +1,15 @@
 (** Canonical fingerprints of scheduling inputs (see the interface).
 
     Labels, configurations and options are MD5 over length-prefixed
-    part lists, so no two distinct part lists share an encoding.  A
-    loop is one MD5 over a varint transcript of its graph in node-id
-    order, with every adjacency and attribute list sorted by content:
-    reordering edges, streams or invariants leaves it alone, while any
-    node id, kind, dependence label, distance, stream or id counter
-    moves it. *)
+    parts, [<decimal length>:<part>] each after a head part naming the
+    kind of digest, so no two distinct part sequences share an
+    encoding.  One writer emits that text straight into one buffer:
+    lengths and ints go in digit by digit, string parts are blitted,
+    and no part is built as a string of its own.  A loop is one MD5
+    over a varint transcript of its graph in node-id order, with every
+    adjacency and attribute list sorted by content: reordering edges,
+    streams or invariants leaves it alone, while any node id, kind,
+    dependence label, distance, stream or id counter moves it. *)
 
 open Hcrf_ir
 
@@ -18,19 +21,74 @@ let compare = String.compare
 let to_hex t = Digest.to_hex t
 let pp ppf t = Fmt.string ppf (to_hex t)
 
-(* Unambiguous encoding: each part is length-prefixed before
-   concatenation, so part boundaries cannot be confused. *)
-let digest parts =
-  Digest.string
-    (String.concat ""
-       (List.map (fun p -> string_of_int (String.length p) ^ ":" ^ p) parts))
+(* ------------------------------------------------------------------ *)
+(* The length-prefixed text writer                                     *)
 
-let of_string s = digest [ "label"; s ]
-let combine ts = digest ("combine" :: ts)
+type writer = { mutable buf : Bytes.t; mutable pos : int }
 
-let int i = string_of_int i
-let float f = Printf.sprintf "%h" f
-let bool b = if b then "t" else "f"
+let reserve w n =
+  if w.pos + n > Bytes.length w.buf then begin
+    let b = Bytes.create (max (w.pos + n) (2 * Bytes.length w.buf)) in
+    Bytes.blit w.buf 0 b 0 w.pos;
+    w.buf <- b
+  end
+
+(* Characters of [string_of_int n].  Digits are taken from the
+   non-positive twin of [n], which exists for every int, [min_int]
+   included. *)
+let width n =
+  let rec go m d = if m > -10 then d else go (m / 10) (d + 1) in
+  if n < 0 then go n 2 else go (-n) 1
+
+(* [n] in decimal, exactly as [string_of_int] spells it: on the
+   non-positive side, [m mod 10] is minus the last digit. *)
+let put_dec w n =
+  let d = width n in
+  reserve w d;
+  let m = ref (if n < 0 then n else -n) in
+  for i = w.pos + d - 1 downto w.pos + Bool.to_int (n < 0) do
+    Bytes.unsafe_set w.buf i (Char.unsafe_chr (48 - (!m mod 10)));
+    m := !m / 10
+  done;
+  if n < 0 then Bytes.unsafe_set w.buf w.pos '-';
+  w.pos <- w.pos + d
+
+let put_colon w =
+  reserve w 1;
+  Bytes.unsafe_set w.buf w.pos ':';
+  w.pos <- w.pos + 1
+
+let put_part w s =
+  put_dec w (String.length s);
+  put_colon w;
+  reserve w (String.length s);
+  Bytes.unsafe_blit_string s 0 w.buf w.pos (String.length s);
+  w.pos <- w.pos + String.length s
+
+let put_int w i =
+  put_dec w (width i);
+  put_colon w;
+  put_dec w i
+
+let part_size s = width (String.length s) + 1 + String.length s
+
+(* A writer opened with its head part, sized for [size] more bytes. *)
+let start head size =
+  let w = { buf = Bytes.create (part_size head + size); pos = 0 } in
+  put_part w head;
+  w
+
+let finish w = Digest.subbytes w.buf 0 w.pos
+
+let of_string s =
+  let w = start "label" (part_size s) in
+  put_part w s;
+  finish w
+
+let combine ts =
+  let w = start "combine" (List.fold_left (fun n t -> n + part_size t) 0 ts) in
+  List.iter (put_part w) ts;
+  finish w
 
 (* ------------------------------------------------------------------ *)
 (* Loops: one canonical, id-sensitive transcript                       *)
@@ -147,67 +205,91 @@ let of_loop (l : Loop.t) =
 (* ------------------------------------------------------------------ *)
 (* Machine configurations                                              *)
 
-let cap = function Hcrf_machine.Cap.Inf -> "inf" | Finite n -> int n
+let put_cap w = function
+  | Hcrf_machine.Cap.Inf -> put_part w "inf"
+  | Finite n -> put_int w n
 
-(* The generalized fields append parts only when present, with a
-   distinct leading tag per field group: a legacy (absent-everywhere)
-   organization keeps its legacy part list byte-for-byte — and hence its
+(* The generalized fields add parts only when present, with a distinct
+   leading tag per field group: a legacy (absent-everywhere)
+   organization keeps its legacy encoding byte for byte — and hence its
    historical config digest — while any two configurations differing in
    any port/level field get distinct encodings (parts are
    length-prefixed, tags are distinct). *)
-let access_parts tag a =
+let put_access w tag a =
   match Hcrf_machine.Rf.norm_access a with
-  | None -> []
-  | Some a -> [ tag; cap a.pr; cap a.pw ]
+  | None -> ()
+  | Some a ->
+    put_part w tag;
+    put_cap w a.pr;
+    put_cap w a.pw
 
-let l3_parts = function
-  | None -> []
+let put_l3 w = function
+  | None -> ()
   | Some (l : Hcrf_machine.Rf.level3) ->
-    [ "l3"; cap l.l3_regs; cap l.l3_lp; cap l.l3_sp ]
-    @ access_parts "tacc" l.l3_access
+    put_part w "l3";
+    put_cap w l.l3_regs;
+    put_cap w l.l3_lp;
+    put_cap w l.l3_sp;
+    put_access w "tacc" l.l3_access
 
-let rf_parts (rf : Hcrf_machine.Rf.t) =
+let put_rf w (rf : Hcrf_machine.Rf.t) =
   match rf with
   | Monolithic { regs; access } ->
-    [ "mono"; cap regs ] @ access_parts "lacc" access
+    put_part w "mono";
+    put_cap w regs;
+    put_access w "lacc" access
   | Clustered { clusters; regs_per_bank; lp; sp; buses; access } ->
-    [ "clustered"; int clusters; cap regs_per_bank; cap lp; cap sp;
-      cap buses ]
-    @ access_parts "lacc" access
+    put_part w "clustered";
+    put_int w clusters;
+    put_cap w regs_per_bank;
+    put_cap w lp;
+    put_cap w sp;
+    put_cap w buses;
+    put_access w "lacc" access
   | Hierarchical
       { clusters; regs_per_bank; shared_regs; lp; sp; local_access;
         shared_access; l3 } ->
-    [ "hier"; int clusters; cap regs_per_bank; cap shared_regs; cap lp;
-      cap sp ]
-    @ l3_parts l3
-    @ access_parts "lacc" local_access
-    @ access_parts "sacc" shared_access
+    put_part w "hier";
+    put_int w clusters;
+    put_cap w regs_per_bank;
+    put_cap w shared_regs;
+    put_cap w lp;
+    put_cap w sp;
+    put_l3 w l3;
+    put_access w "lacc" local_access;
+    put_access w "sacc" shared_access
 
 let of_config (c : Hcrf_machine.Config.t) =
   let l = c.Hcrf_machine.Config.lats in
-  digest
-    ([ "config"; int c.Hcrf_machine.Config.n_fus;
-       int c.Hcrf_machine.Config.n_mem_ports ]
-    @ rf_parts c.Hcrf_machine.Config.rf
-    @ [ int l.Hcrf_machine.Latencies.fadd; int l.Hcrf_machine.Latencies.fmul;
-        int l.Hcrf_machine.Latencies.fdiv;
-        int l.Hcrf_machine.Latencies.fsqrt;
-        int l.Hcrf_machine.Latencies.mem_read;
-        int l.Hcrf_machine.Latencies.mem_write;
-        int l.Hcrf_machine.Latencies.move;
-        int l.Hcrf_machine.Latencies.loadr;
-        int l.Hcrf_machine.Latencies.storer;
-        float c.Hcrf_machine.Config.cycle_ns;
-        float c.Hcrf_machine.Config.miss_ns ])
+  let w = start "config" 128 in
+  put_int w c.Hcrf_machine.Config.n_fus;
+  put_int w c.Hcrf_machine.Config.n_mem_ports;
+  put_rf w c.Hcrf_machine.Config.rf;
+  put_int w l.Hcrf_machine.Latencies.fadd;
+  put_int w l.Hcrf_machine.Latencies.fmul;
+  put_int w l.Hcrf_machine.Latencies.fdiv;
+  put_int w l.Hcrf_machine.Latencies.fsqrt;
+  put_int w l.Hcrf_machine.Latencies.mem_read;
+  put_int w l.Hcrf_machine.Latencies.mem_write;
+  put_int w l.Hcrf_machine.Latencies.move;
+  put_int w l.Hcrf_machine.Latencies.loadr;
+  put_int w l.Hcrf_machine.Latencies.storer;
+  put_part w (Printf.sprintf "%h" c.Hcrf_machine.Config.cycle_ns);
+  put_part w (Printf.sprintf "%h" c.Hcrf_machine.Config.miss_ns);
+  finish w
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler options                                                   *)
 
 let of_options (o : Hcrf_sched.Engine.options) =
-  digest
-    [ "options"; int o.Hcrf_sched.Engine.budget_ratio;
-      (match o.Hcrf_sched.Engine.max_ii with None -> "-" | Some i -> int i);
-      bool o.Hcrf_sched.Engine.backtracking;
-      (match o.Hcrf_sched.Engine.ordering with
-      | `Hrms -> "hrms"
-      | `Topological -> "topo") ]
+  let w = start "options" 32 in
+  put_int w o.Hcrf_sched.Engine.budget_ratio;
+  (match o.Hcrf_sched.Engine.max_ii with
+  | None -> put_part w "-"
+  | Some i -> put_int w i);
+  put_part w (if o.Hcrf_sched.Engine.backtracking then "t" else "f");
+  put_part w
+    (match o.Hcrf_sched.Engine.ordering with
+    | `Hrms -> "hrms"
+    | `Topological -> "topo");
+  finish w

@@ -372,6 +372,96 @@ let test_options_sensitivity () =
   check "override invisible" true
     (Fingerprint.equal (Fingerprint.of_options d) (Fingerprint.of_options ov))
 
+(* The one-buffer text writer is byte-identical to the part-list
+   encoder it replaced (test/fingerprint_ref.ml) on every configuration
+   the experiments and the sensitivity tests build, on latencies down
+   to [min_int], on every options variant, and on arbitrary labels.
+   [Fingerprint.t] is abstract, so [combine]'s parts are digests of
+   arbitrary labels, in lists of any length, nested once. *)
+let test_encoder_matches_reference () =
+  let open Hcrf_machine in
+  let same what a b = Alcotest.(check string) what (Digest.to_hex b) (hex a) in
+  let base = Hcrf_model.Presets.published "8C16S16" in
+  let with_rf n = { base with Config.rf = Rf.of_notation n } in
+  let with_lat f = { base with Config.lats = f base.Config.lats } in
+  let configs =
+    Hcrf_model.Presets.table5_configs ()
+    @ Experiments.figure6_configs ()
+    @ List.map with_rf
+        [ "4C32S16@r2w1"; "4C32S16@r3w1"; "4C32S16@r2w2"; "4C32S16@Sr2w1";
+          "4C32S16-L3:64"; "4C32S16-L3:128"; "4C32S16-L3:64l2s1";
+          "4C32S16-L3:64l1s2"; "4C32S16-L3:64@Tr2w1"; "4C32S16-L3:64@Tr2w2";
+          "4C16S16-L3:64l2s2@Tr2w1"; "2C32S32@Sr4w2"; "4C32@r2w1";
+          "S128@r2w1"; "4C16S16@rinfwinf"; "S64"; "4C32" ]
+    @ List.map with_lat
+        [ (fun l -> { l with Latencies.fadd = -1 });
+          (fun l -> { l with Latencies.fmul = -1234567 });
+          (fun l -> { l with Latencies.storer = min_int });
+          (fun l -> { l with Latencies.move = max_int });
+          (fun l -> { l with Latencies.fdiv = min_int; fsqrt = -10 }) ]
+    @ [ { base with Config.n_fus = min_int; n_mem_ports = -9 };
+        { base with Config.cycle_ns = -0.; miss_ns = 1e300 } ]
+  in
+  List.iteri
+    (fun i (c : Config.t) ->
+      same (Fmt.str "config %d (%a)" i Rf.pp c.Config.rf)
+        (Fingerprint.of_config c) (Fingerprint_ref.of_config c))
+    configs;
+  let d = Hcrf_sched.Engine.default_options in
+  List.iter
+    (fun (what, o) ->
+      same ("options " ^ what) (Fingerprint.of_options o)
+        (Fingerprint_ref.of_options o))
+    [ ("default", d);
+      ("budget", { d with Hcrf_sched.Engine.budget_ratio = d.budget_ratio + 1 });
+      ("negative budget", { d with budget_ratio = min_int });
+      ("max-ii", { d with max_ii = Some 64 });
+      ("negative max-ii", { d with max_ii = Some (-3) });
+      ("backtracking", { d with backtracking = false });
+      ("ordering", { d with ordering = `Topological }) ];
+  let label =
+    QCheck.(oneof [ string; string_of_size (Gen.int_range 100 1200) ])
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~name:"labels and combinations" ~count:300
+       QCheck.(pair label (small_list label))
+       (fun (s, ls) ->
+         let ts = List.map Fingerprint.of_string ls
+         and rs = List.map Fingerprint_ref.of_string ls in
+         hex (Fingerprint.of_string s)
+         = Digest.to_hex (Fingerprint_ref.of_string s)
+         && hex (Fingerprint.combine ts)
+            = Digest.to_hex (Fingerprint_ref.combine rs)
+         && hex (Fingerprint.combine (Fingerprint.combine ts :: ts))
+            = Digest.to_hex
+                (Fingerprint_ref.combine (Fingerprint_ref.combine rs :: rs))));
+  List.iter
+    (fun s ->
+      same ("label of length " ^ string_of_int (String.length s))
+        (Fingerprint.of_string s) (Fingerprint_ref.of_string s))
+    [ ""; "x"; String.make 9 'a'; String.make 10 'b'; String.make 100 'c';
+      String.make 1000 ':' ];
+  same "empty combination" (Fingerprint.combine []) (Fingerprint_ref.combine [])
+
+(* A digest allocates its output, one buffer and the configuration's
+   two hexadecimal clock strings: no part strings, no part list. *)
+let test_digests_allocate_bounded () =
+  let ds = List.init 4 (fun i -> Fingerprint.of_string (string_of_int i)) in
+  let c = Hcrf_model.Presets.published "8C16S16" in
+  let words_per_call f =
+    ignore (Sys.opaque_identity (f ()));
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 1000 do ignore (Sys.opaque_identity (f ())) done;
+    (Gc.minor_words () -. w0) /. 1000.
+  in
+  let bounded what bound f =
+    let w = words_per_call f in
+    if w > bound then
+      Alcotest.failf "%s: %.1f words a call, bound %.0f" what w bound
+  in
+  bounded "combine of four digests" 32. (fun () -> Fingerprint.combine ds);
+  bounded "of_config 8C16S16" 160. (fun () -> Fingerprint.of_config c)
+
 (* ------------------------------------------------------------------ *)
 (* Warm/cold byte-identity of suite aggregates *)
 
@@ -898,6 +988,10 @@ let tests =
     ("fingerprint: generalized port/level sensitivity", `Quick,
      test_generalized_config_sensitivity);
     ("fingerprint: options sensitivity", `Quick, test_options_sensitivity);
+    ("fingerprint: one-buffer encoder = reference", `Quick,
+     test_encoder_matches_reference);
+    ("fingerprint: combine and of_config allocate a bounded number of words",
+     `Quick, test_digests_allocate_bounded);
     ("suite: warm = cold, jobs 1 and 4", `Slow, test_warm_cold_identical);
     ( "suite: warm = cold under real memory", `Slow,
       test_warm_cold_identical_real_memory );

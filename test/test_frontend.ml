@@ -528,6 +528,50 @@ let prop_interpreter_agrees =
           src.Ast.name (Hashtbl.length expected) (Hashtbl.length got);
       agrees)
 
+(* The digest reads structure only: a kernel that shares one node (or
+   one string) twice digests as one built from fresh copies, while
+   every single-field edit, and every move of a statement across an
+   [If] branch or list boundary, gives a digest of its own. *)
+let test_digest_structural () =
+  let e = arr "x" in
+  let shared = make ~name:"k" [ store "y" (e *: e) ] in
+  let fresh = make ~name:"k" [ store "y" (arr "x" *: arr "x") ] in
+  let apart = String.init 1 (fun _ -> 'x') in
+  let built = make ~name:(String.make 1 'k') [ store "y" (arr apart *: arr "x") ] in
+  check "shared node digests as fresh copies" true
+    (String.equal (digest shared) (digest fresh));
+  check "strings built apart digest as literals" true
+    (String.equal (digest fresh) (digest built));
+  let s1 = def "t" (arr "x") and s2 = store "y" (var "t") in
+  let c = param "c" in
+  let variants =
+    [ fresh;
+      make ~name:"k2" [ store "y" (arr "x" *: arr "x") ];
+      make ~name:"k" ~trip_count:999 [ store "y" (arr "x" *: arr "x") ];
+      make ~name:"k" ~entries:2 [ store "y" (arr "x" *: arr "x") ];
+      make ~name:"k" [ store ~off:1 "y" (arr "x" *: arr "x") ];
+      make ~name:"k" [ store "y" (arr ~off:(-1) "x" *: arr "x") ];
+      make ~name:"k" [ store "y" (arr "x" +: arr "x") ];
+      make ~name:"k" [ store "y" (arr "x" -: arr "x") ];
+      make ~name:"k" [ store "y" (arr "x" /: arr "x") ];
+      make ~name:"k" [ store "z" (arr "x" *: arr "x") ];
+      make ~name:"k" [ store "y" (param "x" *: arr "x") ];
+      make ~name:"k" [ store "y" (sqrt_ (arr "x") *: arr "x") ];
+      make ~name:"k" [ def "y" (arr "x" *: arr "x") ];
+      make ~name:"k" [ s1; s2 ];
+      make ~name:"k" [ s1; store "y" (prev "t") ];
+      make ~name:"k" [ s1; store "y" (prev ~d:2 "t") ];
+      make ~name:"k" [ if_ c [ s1; s2 ] [] ];
+      make ~name:"k" [ if_ c [ s1 ] [ s2 ] ];
+      make ~name:"k" [ if_ c [] [ s1; s2 ] ];
+      make ~name:"k" [ if_ c [ s1 ] []; s2 ];
+      make ~name:"k" [ store "y" (select c (arr "x") (arr "x")) ];
+      make ~name:"k" [ store "y" (select c (arr "x") (arr ~off:1 "x")) ] ]
+  in
+  let digests = List.map digest variants in
+  check_int "every variant digests apart" (List.length variants)
+    (List.length (List.sort_uniq String.compare digests))
+
 let tests =
   [
     ("frontend: daxpy", `Quick, test_compile_daxpy);
@@ -541,6 +585,8 @@ let tests =
     ("frontend: undefined scalar", `Quick, test_undefined_scalar_rejected);
     ("frontend: nested if", `Quick, test_nested_if);
     ("frontend: functional end-to-end", `Quick, test_functional_end_to_end);
+    ("ast: digest ignores sharing, separates single-field edits", `Quick,
+     test_digest_structural);
     QCheck_alcotest.to_alcotest prop_random_programs;
     QCheck_alcotest.to_alcotest prop_interpreter_agrees;
   ]
