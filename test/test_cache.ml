@@ -988,13 +988,13 @@ let tests =
     ("fingerprint: generalized port/level sensitivity", `Quick,
      test_generalized_config_sensitivity);
     ("fingerprint: options sensitivity", `Quick, test_options_sensitivity);
+    ("suite: warm = cold, jobs 1 and 4", `Slow, test_warm_cold_identical);
+    ( "suite: warm = cold under real memory", `Slow,
+      test_warm_cold_identical_real_memory );
     ("fingerprint: one-buffer encoder = reference", `Quick,
      test_encoder_matches_reference);
     ("fingerprint: combine and of_config allocate a bounded number of words",
      `Quick, test_digests_allocate_bounded);
-    ("suite: warm = cold, jobs 1 and 4", `Slow, test_warm_cold_identical);
-    ( "suite: warm = cold under real memory", `Slow,
-      test_warm_cold_identical_real_memory );
     QCheck_alcotest.to_alcotest prop_replay_validates;
     ("replay: prefetch outcomes validate", `Quick,
      test_prefetch_replay_validates);
