@@ -13,9 +13,11 @@
     and counters.  Two loops that differ only in the order of their
     adjacency, stream or invariant lists hash equal; a renumbered twin
     does not.  Renaming the loop does not change the fingerprint (the
-    name does not affect any scheduling outcome).  Key bytes are stable
-    only within one version of the schedule store ({!Store.version})
-    and of the stage memo, which persist them. *)
+    name does not affect any scheduling outcome).
+
+    Every fingerprint is the MD5 of one {!Hcrf_ir.Transcript}.  Key
+    bytes are stable only within one version of the schedule store
+    ({!Store.version}), which files entries under them. *)
 
 type t
 
@@ -43,9 +45,12 @@ val combine : t list -> t
     deliberately excluded. *)
 val of_loop : Hcrf_ir.Loop.t -> t
 
-(** Fingerprint of a full machine configuration: resources, register
-    file organization (including port and bus counts), latencies, clock
-    and miss latency.  The configuration's display name is excluded. *)
+(** Fingerprint of a full machine configuration: resources, latencies,
+    clock and miss latency (as IEEE-754 bytes), then the register file
+    organization (including port and bus counts).  A port or level
+    field that is absent, or unbounded on both sides, writes nothing,
+    so [4C16S16@rinfwinf] and [4C16S16] share a key.  The
+    configuration's display name is excluded. *)
 val of_config : Hcrf_machine.Config.t -> t
 
 (** Fingerprint of scheduler options.  [load_override] is a function

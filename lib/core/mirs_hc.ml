@@ -17,11 +17,7 @@
 open Hcrf_ir
 open Hcrf_sched
 
-type options = Engine.options
-
 let default_options = Engine.default_options
-
-type outcome = Engine.outcome
 
 (** Schedule one loop body for [config].  Returns the complete schedule
     (with all inserted communication and spill operations in
@@ -30,23 +26,9 @@ type outcome = Engine.outcome
 let schedule ?(opts = default_options) ?trace config (g : Ddg.t) =
   Engine.schedule ~opts ?trace config g
 
-(** Schedule a whole {!Loop.t}; convenience wrapper keeping the loop
-    metadata alongside the outcome. *)
-type scheduled_loop = { loop : Loop.t; outcome : outcome }
-
-let schedule_loop ?opts ?trace config (l : Loop.t) =
-  match schedule ?opts ?trace config l.Loop.ddg with
-  | Ok outcome -> Ok { loop = l; outcome }
-  | Error e -> Error e
-
 (** Validate an outcome with the independent checker. *)
-let validate (o : outcome) =
+let validate (o : Engine.outcome) =
   Validate.check ~invariant_residents:o.Engine.invariant_residents
     o.Engine.schedule o.Engine.graph
 
 let is_valid o = validate o = []
-
-(** Memory accesses per iteration of the final schedule, including spill
-    traffic — the paper's trf metric (§2.3). *)
-let memory_refs_per_iter (o : outcome) =
-  Ddg.num_memory_ops o.Engine.graph

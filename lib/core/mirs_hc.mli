@@ -13,33 +13,18 @@
     clustered RF as MIRS_C [37].  The configuration alone selects the
     behaviour. *)
 
-type options = Hcrf_sched.Engine.options
-
-val default_options : options
-
-type outcome = Hcrf_sched.Engine.outcome
+val default_options : Hcrf_sched.Engine.options
 
 (** Schedule one loop body for the configuration.  Returns the complete
     schedule (with all inserted communication and spill operations in
     [outcome.graph]) or [`No_schedule ii] if no II up to the cap
     admitted a schedule. *)
 val schedule :
-  ?opts:options -> ?trace:Hcrf_obs.Trace.t -> Hcrf_machine.Config.t ->
-  Hcrf_ir.Ddg.t -> (outcome, Hcrf_sched.Engine.error) result
-
-type scheduled_loop = { loop : Hcrf_ir.Loop.t; outcome : outcome }
-
-(** Schedule a whole {!Hcrf_ir.Loop.t}, keeping the metadata alongside
-    the outcome. *)
-val schedule_loop :
-  ?opts:options -> ?trace:Hcrf_obs.Trace.t -> Hcrf_machine.Config.t ->
-  Hcrf_ir.Loop.t -> (scheduled_loop, Hcrf_sched.Engine.error) result
+  ?opts:Hcrf_sched.Engine.options -> ?trace:Hcrf_obs.Trace.t ->
+  Hcrf_machine.Config.t -> Hcrf_ir.Ddg.t ->
+  (Hcrf_sched.Engine.outcome, Hcrf_sched.Engine.error) result
 
 (** Run the independent checker on an outcome. *)
-val validate : outcome -> Hcrf_sched.Validate.issue list
+val validate : Hcrf_sched.Engine.outcome -> Hcrf_sched.Validate.issue list
 
-val is_valid : outcome -> bool
-
-(** Memory accesses per iteration of the final schedule, including
-    spill traffic — the paper's trf metric (§2.3). *)
-val memory_refs_per_iter : outcome -> int
+val is_valid : Hcrf_sched.Engine.outcome -> bool

@@ -11,11 +11,10 @@
 open Hcrf_ir
 open Hcrf_sched
 
+(* Every other option (budget ratio, II cap, load-latency override)
+   keeps its default. *)
 let options : Engine.options =
   { Engine.default_options with backtracking = false; ordering = `Topological }
 
-let schedule ?(budget_ratio = 6) ?max_ii ?(load_override = fun _ -> None)
-    ?trace config (g : Ddg.t) =
-  Engine.schedule
-    ~opts:{ options with budget_ratio; max_ii; load_override }
-    ?trace config g
+let schedule ?trace config (g : Ddg.t) =
+  Engine.schedule ~opts:options ?trace config g

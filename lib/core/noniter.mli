@@ -9,9 +9,8 @@
     ordering (which depends on backtracking to resolve its
     both-neighbours placements). *)
 
-val options : Hcrf_sched.Engine.options
-
+(** Schedule with backtracking off and topological ordering; every
+    other option keeps its value in {!Hcrf_sched.Engine.default_options}. *)
 val schedule :
-  ?budget_ratio:int -> ?max_ii:int -> ?load_override:(int -> int option) ->
   ?trace:Hcrf_obs.Trace.t -> Hcrf_machine.Config.t -> Hcrf_ir.Ddg.t ->
   (Hcrf_sched.Engine.outcome, Hcrf_sched.Engine.error) result

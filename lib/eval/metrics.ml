@@ -13,55 +13,12 @@
 open Hcrf_ir
 open Hcrf_sched
 
-(* Scheduler-effort counters, summed over a suite.  [attempts],
-   [ejections] etc. come from the engine's own per-attempt counters;
-   [retries] counts the escalation-ladder re-runs taken by
-   [Runner.run_loop] when the default budget failed. *)
-type sched_stats = {
-  attempts : int;
-  ejections : int;
-  forcings : int;
-  value_spills : int;
-  invariant_spills : int;
-  comm_inserted : int;
-  ii_restarts : int;
-  retries : int;
-}
-
-let zero_sched_stats =
-  { attempts = 0; ejections = 0; forcings = 0; value_spills = 0;
-    invariant_spills = 0; comm_inserted = 0; ii_restarts = 0; retries = 0 }
-
-let add_sched_stats a b =
-  {
-    attempts = a.attempts + b.attempts;
-    ejections = a.ejections + b.ejections;
-    forcings = a.forcings + b.forcings;
-    value_spills = a.value_spills + b.value_spills;
-    invariant_spills = a.invariant_spills + b.invariant_spills;
-    comm_inserted = a.comm_inserted + b.comm_inserted;
-    ii_restarts = a.ii_restarts + b.ii_restarts;
-    retries = a.retries + b.retries;
-  }
-
-let sched_stats ~retries (s : Engine.stats) =
-  {
-    attempts = s.Engine.attempts;
-    ejections = s.Engine.ejections;
-    forcings = s.Engine.forcings;
-    value_spills = s.Engine.value_spills;
-    invariant_spills = s.Engine.invariant_spills;
-    comm_inserted = s.Engine.comm_inserted;
-    ii_restarts = s.Engine.ii_restarts;
-    retries;
-  }
-
-let pp_sched_stats ppf s =
+let pp_sched ppf ((s : Engine.stats), retries) =
   Fmt.pf ppf
     "attempts=%d ejections=%d forcings=%d spills=%d(+%d inv) comm=%d \
      ii-restarts=%d retries=%d"
     s.attempts s.ejections s.forcings s.value_spills s.invariant_spills
-    s.comm_inserted s.ii_restarts s.retries
+    s.comm_inserted s.ii_restarts retries
 
 type loop_perf = {
   name : string;
@@ -77,7 +34,8 @@ type loop_perf = {
   traffic : float;
   bound : Classify.bound;
   sched_seconds : float;
-  sched : sched_stats;
+  sched : Engine.stats;
+  retries : int;  (** escalation-ladder re-runs taken by [Runner.run_loop] *)
 }
 
 (* [n] is the total number of iterations over all entries, matching the
@@ -106,7 +64,8 @@ let make ~stall_cycles ~retries (loop : Loop.t) ~ii ~mii ~sc ~bounds ~mem_ops
     traffic = float_of_int (n * mem_ops);
     bound = Classify.of_bounds ~has_memory:(mem_ops > 0) bounds;
     sched_seconds = seconds;
-    sched = sched_stats ~retries stats;
+    sched = stats;
+    retries;
   }
 
 let of_outcome ?(stall_cycles = 0.) ?(retries = 0) loop (o : Engine.outcome) =
@@ -139,7 +98,8 @@ type aggregate = {
   dynamic_ops : float;      (** original operations executed *)
   exec_seconds : float;     (** exec_cycles * cycle time *)
   sched_seconds : float;    (** scheduler wall-clock for the suite *)
-  sched : sched_stats;      (** scheduler effort, summed over the suite *)
+  sched : Engine.stats;     (** scheduler effort, summed over the suite *)
+  retries : int;            (** escalation re-runs, summed over the suite *)
   bound_share : (Classify.bound * int * float) list;
       (** per bound: number of loops, execution cycles *)
 }
@@ -185,8 +145,9 @@ let aggregate (config : Hcrf_machine.Config.t) (perfs : loop_perf list) =
     sched_seconds = sum (fun p -> p.sched_seconds);
     sched =
       List.fold_left
-        (fun acc (p : loop_perf) -> add_sched_stats acc p.sched)
-        zero_sched_stats perfs;
+        (fun acc (p : loop_perf) -> Engine.add_stats acc p.sched)
+        Engine.zero_stats perfs;
+    retries = sumi (fun p -> p.retries);
     bound_share;
   }
 
@@ -198,7 +159,7 @@ let pp_aggregate ?cache ?trace ppf a =
     "%s: loops=%d sum_ii=%d (mii %d, %.1f%% at mii) cycles=%.3e (stall %.2e) \
      traffic=%.3e time=%.4fs ipc=%.2f@\n  sched: %a"
     a.config a.loops a.sum_ii a.sum_mii a.pct_at_mii a.exec_cycles a.stall
-    a.total_traffic a.exec_seconds (ipc a) pp_sched_stats a.sched;
+    a.total_traffic a.exec_seconds (ipc a) pp_sched (a.sched, a.retries);
   (match cache with
   | None -> ()
   | Some c -> Fmt.pf ppf "@\n  cache: %a" Hcrf_cache.Cache.pp_stats c);

@@ -7,25 +7,6 @@
     execution time is cycles times the cycle time; stall cycles come
     from the memory simulation (0 under ideal memory). *)
 
-(** Scheduler-effort counters, summed over a suite: the engine's own
-    attempt/ejection/spill/communication counters plus [retries], the
-    escalation-ladder re-runs taken by [Runner.run_loop]. *)
-type sched_stats = {
-  attempts : int;
-  ejections : int;
-  forcings : int;
-  value_spills : int;
-  invariant_spills : int;
-  comm_inserted : int;
-  ii_restarts : int;
-  retries : int;
-}
-
-val zero_sched_stats : sched_stats
-val add_sched_stats : sched_stats -> sched_stats -> sched_stats
-
-val pp_sched_stats : Format.formatter -> sched_stats -> unit
-
 type loop_perf = {
   name : string;
   ii : int;
@@ -40,7 +21,8 @@ type loop_perf = {
   traffic : float;
   bound : Classify.bound;
   sched_seconds : float;
-  sched : sched_stats;
+  sched : Hcrf_sched.Engine.stats;  (** the engine's own effort counters *)
+  retries : int;  (** escalation-ladder re-runs taken by [Runner.run_loop] *)
 }
 
 val useful_cycles : ii:int -> sc:int -> n:int -> e:int -> float
@@ -73,7 +55,8 @@ type aggregate = {
   dynamic_ops : float;    (** original operations executed *)
   exec_seconds : float;
   sched_seconds : float;  (** scheduler wall-clock for the suite *)
-  sched : sched_stats;    (** scheduler effort, summed over the suite *)
+  sched : Hcrf_sched.Engine.stats;  (** summed over the suite *)
+  retries : int;          (** escalation re-runs, summed over the suite *)
   bound_share : (Classify.bound * int * float) list;
       (** per bound: number of loops, execution cycles *)
 }

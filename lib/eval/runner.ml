@@ -127,7 +127,7 @@ let compute ~scenario ~opts ~trace (config : Hcrf_machine.Config.t)
   let opts = { opts with Engine.load_override = override } in
   (* escalating retries: a dropped loop would silently bias every
      aggregate metric, so spend more budget (and allow any II) before
-     giving up.  The rung count feeds [Metrics.sched_stats.retries]. *)
+     giving up.  The rung count feeds [Metrics.loop_perf.retries]. *)
   let retries = ref 0 in
   let escalate rung =
     incr retries;

@@ -84,52 +84,38 @@ let pp ppf t =
     Fmt.(list ~sep:cut (fun ppf s -> Fmt.pf ppf "  %a" pp_stmt s))
     t.body
 
-(* The digest is MD5 over an explicit transcript: one tag byte per
-   constructor, ints as zigzag varints (7 bits a byte, high bit set on
-   all but the last), every string and statement list prefixed by its
-   length.  Every part is self-delimiting, so two kernels share a
-   transcript only when they are structurally equal, however their
+(* The digest is MD5 over a {!Hcrf_ir.Transcript}: one tag byte per
+   constructor, varint ints, every string and statement list prefixed
+   by its length.  Every part is self-delimiting, so two kernels share
+   a transcript only when they are structurally equal, however their
    nodes and strings were built or shared. *)
-let add_int b n =
-  let u = ref ((n lsl 1) lxor (n asr (Sys.int_size - 1))) in
-  while !u land lnot 0x7f <> 0 do
-    Buffer.add_char b (Char.unsafe_chr (0x80 lor (!u land 0x7f)));
-    u := !u lsr 7
-  done;
-  Buffer.add_char b (Char.unsafe_chr !u)
+module T = Hcrf_ir.Transcript
 
-let add_string b s =
-  add_int b (String.length s);
-  Buffer.add_string b s
+let rec add_expr w = function
+  | Arr (a, k) -> T.tag w 'a'; T.string w a; T.int w k
+  | Var s -> T.tag w 'v'; T.string w s
+  | Prev (s, d) -> T.tag w 'p'; T.string w s; T.int w d
+  | Param s -> T.tag w '$'; T.string w s
+  | Add (x, y) -> T.tag w '+'; add_expr w x; add_expr w y
+  | Sub (x, y) -> T.tag w '-'; add_expr w x; add_expr w y
+  | Mul (x, y) -> T.tag w '*'; add_expr w x; add_expr w y
+  | Div (x, y) -> T.tag w '/'; add_expr w x; add_expr w y
+  | Sqrt x -> T.tag w 'r'; add_expr w x
+  | Select (c, x, y) -> T.tag w '?'; add_expr w c; add_expr w x; add_expr w y
 
-let rec add_expr b = function
-  | Arr (a, k) -> Buffer.add_char b 'a'; add_string b a; add_int b k
-  | Var s -> Buffer.add_char b 'v'; add_string b s
-  | Prev (s, d) -> Buffer.add_char b 'p'; add_string b s; add_int b d
-  | Param s -> Buffer.add_char b '$'; add_string b s
-  | Add (x, y) -> Buffer.add_char b '+'; add_expr b x; add_expr b y
-  | Sub (x, y) -> Buffer.add_char b '-'; add_expr b x; add_expr b y
-  | Mul (x, y) -> Buffer.add_char b '*'; add_expr b x; add_expr b y
-  | Div (x, y) -> Buffer.add_char b '/'; add_expr b x; add_expr b y
-  | Sqrt x -> Buffer.add_char b 'r'; add_expr b x
-  | Select (c, x, y) ->
-    Buffer.add_char b '?'; add_expr b c; add_expr b x; add_expr b y
+let rec add_stmts w l =
+  T.int w (List.length l);
+  List.iter (add_stmt w) l
 
-let rec add_stmts b l =
-  add_int b (List.length l);
-  List.iter (add_stmt b) l
-
-and add_stmt b = function
-  | Def (s, e) -> Buffer.add_char b 'D'; add_string b s; add_expr b e
-  | Store (a, k, e) ->
-    Buffer.add_char b 'S'; add_string b a; add_int b k; add_expr b e
-  | If (c, t, e) ->
-    Buffer.add_char b 'I'; add_expr b c; add_stmts b t; add_stmts b e
+and add_stmt w = function
+  | Def (s, e) -> T.tag w 'D'; T.string w s; add_expr w e
+  | Store (a, k, e) -> T.tag w 'S'; T.string w a; T.int w k; add_expr w e
+  | If (c, t, e) -> T.tag w 'I'; add_expr w c; add_stmts w t; add_stmts w e
 
 let digest (t : t) =
-  let b = Buffer.create 256 in
-  add_string b t.name;
-  add_stmts b t.body;
-  add_int b t.trip_count;
-  add_int b t.entries;
-  Digest.string (Buffer.contents b)
+  let w = T.create 256 in
+  T.string w t.name;
+  add_stmts w t.body;
+  T.int w t.trip_count;
+  T.int w t.entries;
+  T.digest w

@@ -51,9 +51,10 @@ val store : ?off:int -> string -> expr -> stmt
 val if_ : expr -> stmt list -> stmt list -> stmt
 val make : ?trip_count:int -> ?entries:int -> name:string -> stmt list -> t
 
-(** Canonical per-kernel content digest: MD5 over an explicit
-    transcript (a tag byte per constructor, varint ints, length-prefixed
-    strings and statement lists) of name, body, trip and entry counts.
+(** Canonical per-kernel content digest: MD5 over a
+    {!Hcrf_ir.Transcript} (a tag byte per constructor, varint ints,
+    length-prefixed strings and statement lists) of name, body, trip
+    and entry counts.
     Structurally equal kernels digest equal whatever their physical
     sharing; any edit to any of those fields changes it.  The frontend
     stage of the incremental pipeline is keyed on this. *)

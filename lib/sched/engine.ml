@@ -62,6 +62,19 @@ type stats = {
   ii_restarts : int;
 }
 
+let zero_stats =
+  { ejections = 0; forcings = 0; value_spills = 0; invariant_spills = 0;
+    comm_inserted = 0; attempts = 0; ii_restarts = 0 }
+
+let add_stats a b =
+  { ejections = a.ejections + b.ejections;
+    forcings = a.forcings + b.forcings;
+    value_spills = a.value_spills + b.value_spills;
+    invariant_spills = a.invariant_spills + b.invariant_spills;
+    comm_inserted = a.comm_inserted + b.comm_inserted;
+    attempts = a.attempts + b.attempts;
+    ii_restarts = a.ii_restarts + b.ii_restarts }
+
 type outcome = {
   ii : int;
   mii : int;

@@ -36,6 +36,11 @@ type stats = {
   ii_restarts : int;
 }
 
+(** The all-zero counters, and field-by-field sums (a suite's effort
+    is the sum of its loops'). *)
+val zero_stats : stats
+val add_stats : stats -> stats -> stats
+
 type outcome = {
   ii : int;
   mii : int;  (** of the original graph, before inserted operations *)

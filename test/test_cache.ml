@@ -372,15 +372,15 @@ let test_options_sensitivity () =
   check "override invisible" true
     (Fingerprint.equal (Fingerprint.of_options d) (Fingerprint.of_options ov))
 
-(* The one-buffer text writer is byte-identical to the part-list
-   encoder it replaced (test/fingerprint_ref.ml) on every configuration
-   the experiments and the sensitivity tests build, on latencies down
-   to [min_int], on every options variant, and on arbitrary labels.
+(* Distinct inputs digest apart and equal inputs digest equal, over
+   every configuration the experiments and the sensitivity tests build
+   (all seven Figure 6 entries are also Table 5 entries, so those pairs
+   must agree), latencies and counts down to [min_int], every options
+   variant, and arbitrary labels, label lists and nested combinations.
    [Fingerprint.t] is abstract, so [combine]'s parts are digests of
-   arbitrary labels, in lists of any length, nested once. *)
-let test_encoder_matches_reference () =
+   labels. *)
+let test_digests_distinct () =
   let open Hcrf_machine in
-  let same what a b = Alcotest.(check string) what (Digest.to_hex b) (hex a) in
   let base = Hcrf_model.Presets.published "8C16S16" in
   let with_rf n = { base with Config.rf = Rf.of_notation n } in
   let with_lat f = { base with Config.lats = f base.Config.lats } in
@@ -402,49 +402,66 @@ let test_encoder_matches_reference () =
     @ [ { base with Config.n_fus = min_int; n_mem_ports = -9 };
         { base with Config.cycle_ns = -0.; miss_ns = 1e300 } ]
   in
+  let unnamed (c : Config.t) = { c with Config.name = "" } in
+  let equal_pairs = ref 0 in
   List.iteri
-    (fun i (c : Config.t) ->
-      same (Fmt.str "config %d (%a)" i Rf.pp c.Config.rf)
-        (Fingerprint.of_config c) (Fingerprint_ref.of_config c))
+    (fun i (a : Config.t) ->
+      List.iteri
+        (fun j (b : Config.t) ->
+          if i < j then begin
+            let same = unnamed a = unnamed b in
+            if same then incr equal_pairs;
+            Alcotest.(check bool)
+              (Fmt.str "configs %d (%s) and %d (%s) digest %s" i
+                 (Rf.notation a.Config.rf) j (Rf.notation b.Config.rf)
+                 (if same then "equal" else "apart"))
+              same
+              (Fingerprint.equal (Fingerprint.of_config a)
+                 (Fingerprint.of_config b))
+          end)
+        configs)
     configs;
+  check "some pairs are equal apart from the name" true (!equal_pairs >= 7);
   let d = Hcrf_sched.Engine.default_options in
-  List.iter
-    (fun (what, o) ->
-      same ("options " ^ what) (Fingerprint.of_options o)
-        (Fingerprint_ref.of_options o))
+  let options =
     [ ("default", d);
       ("budget", { d with Hcrf_sched.Engine.budget_ratio = d.budget_ratio + 1 });
       ("negative budget", { d with budget_ratio = min_int });
       ("max-ii", { d with max_ii = Some 64 });
       ("negative max-ii", { d with max_ii = Some (-3) });
       ("backtracking", { d with backtracking = false });
-      ("ordering", { d with ordering = `Topological }) ];
+      ("ordering", { d with ordering = `Topological }) ]
+  in
+  all_distinct (List.map fst options)
+    (List.map (fun (_, o) -> Fingerprint.of_options o) options);
   let label =
     QCheck.(oneof [ string; string_of_size (Gen.int_range 100 1200) ])
   in
+  let apart a b = not (Fingerprint.equal a b) in
+  let combined ls = Fingerprint.combine (List.map Fingerprint.of_string ls) in
   QCheck.Test.check_exn
     (QCheck.Test.make ~name:"labels and combinations" ~count:300
-       QCheck.(pair label (small_list label))
-       (fun (s, ls) ->
-         let ts = List.map Fingerprint.of_string ls
-         and rs = List.map Fingerprint_ref.of_string ls in
-         hex (Fingerprint.of_string s)
-         = Digest.to_hex (Fingerprint_ref.of_string s)
-         && hex (Fingerprint.combine ts)
-            = Digest.to_hex (Fingerprint_ref.combine rs)
-         && hex (Fingerprint.combine (Fingerprint.combine ts :: ts))
-            = Digest.to_hex
-                (Fingerprint_ref.combine (Fingerprint_ref.combine rs :: rs))));
-  List.iter
-    (fun s ->
-      same ("label of length " ^ string_of_int (String.length s))
-        (Fingerprint.of_string s) (Fingerprint_ref.of_string s))
-    [ ""; "x"; String.make 9 'a'; String.make 10 'b'; String.make 100 'c';
-      String.make 1000 ':' ];
-  same "empty combination" (Fingerprint.combine []) (Fingerprint_ref.combine [])
+       QCheck.(pair (pair label label) (pair (small_list label) (small_list label)))
+       (fun ((s, s'), (ls, ls')) ->
+         let ts = List.map Fingerprint.of_string ls in
+         (s = s' || apart (Fingerprint.of_string s) (Fingerprint.of_string s'))
+         && apart (Fingerprint.of_string s) (Fingerprint.of_string (s ^ "\000"))
+         && (ls = ls' || apart (combined ls) (combined ls'))
+         && apart (combined ls) (combined (ls @ [ s ]))
+         && apart (Fingerprint.combine ts)
+              (Fingerprint.combine [ Fingerprint.combine ts ])
+         && apart
+              (Fingerprint.combine (Fingerprint.combine ts :: ts))
+              (Fingerprint.combine (ts @ ts))));
+  all_distinct
+    [ "empty label"; "empty combination"; "combination of the empty label";
+      "nested empty combination" ]
+    [ Fingerprint.of_string ""; Fingerprint.combine [];
+      Fingerprint.combine [ Fingerprint.of_string "" ];
+      Fingerprint.combine [ Fingerprint.combine [] ] ]
 
-(* A digest allocates its output, one buffer and the configuration's
-   two hexadecimal clock strings: no part strings, no part list. *)
+(* A digest allocates its output and one transcript buffer: no part
+   strings, no part list, no rendered floats. *)
 let test_digests_allocate_bounded () =
   let ds = List.init 4 (fun i -> Fingerprint.of_string (string_of_int i)) in
   let c = Hcrf_model.Presets.published "8C16S16" in
@@ -460,7 +477,7 @@ let test_digests_allocate_bounded () =
       Alcotest.failf "%s: %.1f words a call, bound %.0f" what w bound
   in
   bounded "combine of four digests" 32. (fun () -> Fingerprint.combine ds);
-  bounded "of_config 8C16S16" 160. (fun () -> Fingerprint.of_config c)
+  bounded "of_config 8C16S16" 48. (fun () -> Fingerprint.of_config c)
 
 (* ------------------------------------------------------------------ *)
 (* Warm/cold byte-identity of suite aggregates *)
@@ -928,6 +945,20 @@ let test_store_v4_stale () = check_stale_version 4
 (* v5 entries store a placement list to replay, not schedule columns *)
 let test_store_v5_stale () = check_stale_version 5
 
+(* v6 entries were filed under keys of the decimal text encoding *)
+let test_store_v6_stale () = check_stale_version 6
+
+(* Loop and kernel transcripts are pinned: these values predate the
+   shared transcript writer and must not move with it. *)
+let test_transcripts_pinned () =
+  Alcotest.(check string) "daxpy loop fingerprint"
+    "80280d841f83b34384ba38d931b89046"
+    (hex (Fingerprint.of_loop (Hcrf_workload.Kernels.daxpy ())));
+  Alcotest.(check string) "first Progs kernel's AST digest"
+    "db20b60ca53afc6b28658a134ba92d3f"
+    (Digest.to_hex
+       (Hcrf_frontend.Ast.digest (List.hd (Hcrf_incr.Progs.program ~n:6))))
+
 (* Corrupting an entry in one shard must only cost that shard's entry:
    every other shard still serves disk hits. *)
 let test_corruption_per_shard () =
@@ -991,8 +1022,8 @@ let tests =
     ("suite: warm = cold, jobs 1 and 4", `Slow, test_warm_cold_identical);
     ( "suite: warm = cold under real memory", `Slow,
       test_warm_cold_identical_real_memory );
-    ("fingerprint: one-buffer encoder = reference", `Quick,
-     test_encoder_matches_reference);
+    ("fingerprint: distinct inputs digest apart", `Quick,
+     test_digests_distinct);
     ("fingerprint: combine and of_config allocate a bounded number of words",
      `Quick, test_digests_allocate_bounded);
     QCheck_alcotest.to_alcotest prop_replay_validates;
@@ -1022,4 +1053,7 @@ let tests =
      test_partition_progs);
     ("fingerprint: WL collision gets its own schedule", `Quick,
      test_wl_collision_gets_own_schedule);
+    ("store: v6 entries are stale", `Quick, test_store_v6_stale);
+    ("fingerprint: loop and kernel transcripts pinned", `Quick,
+     test_transcripts_pinned);
   ]

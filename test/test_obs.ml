@@ -561,7 +561,7 @@ let test_pipeline_matches_suite () =
 let test_batch_keys_are_cache_keys () =
   let opts = Hcrf_sched.Engine.default_options in
   check_str "daxpy on S64, ideal memory, default options"
-    "6e606c853d80165e506fc453b2e5abfb"
+    "b58037ff0faeb8b156f3ea8ea294a12e"
     (Hcrf_cache.Fingerprint.to_hex
        (Runner.cache_key ~scenario:Runner.Ideal ~opts
           (Hcrf_model.Presets.published "S64")
