@@ -36,13 +36,7 @@ val of_string : string -> t
 (** Combine fingerprints into one.  Order-sensitive. *)
 val combine : t list -> t
 
-(** Fingerprint of a loop: one MD5 over a varint transcript.  In
-    node-id order it holds each node's id and kind, then its out-edges
-    sorted as (dst, dep, distance); after the nodes come the memory
-    streams sorted as (op, base, stride), the invariants by id with
-    their consumers sorted, the trip and entry counts, and the graph's
-    id counters ([repr_next_id], [repr_next_inv]).  The loop's name is
-    deliberately excluded. *)
+(** Fingerprint of a loop: the key it carries, {!Hcrf_ir.Loop.key}. *)
 val of_loop : Hcrf_ir.Loop.t -> t
 
 (** Fingerprint of a full machine configuration: resources, latencies,

@@ -1,13 +1,13 @@
 (** The stage memo of the incremental evaluation pipeline: one table
-    from kernel digest to live compiled loop and its fingerprint, beside
-    the one schedule cache its schedule entries live in.  See the
-    interface for the contract. *)
+    from kernel digest to live compiled loop, beside the one schedule
+    cache its schedule entries live in.  See the interface for the
+    contract. *)
 
 module Counters = Hcrf_obs.Counters
 module Ev = Hcrf_obs.Event
 
 type t = {
-  table : (string, Hcrf_ir.Loop.t * Hcrf_cache.Fingerprint.t) Hashtbl.t;
+  table : (string, Hcrf_ir.Loop.t) Hashtbl.t;
   counts : Counters.t;  (* every [Incr] note, traced or not *)
   mutex : Mutex.t;
   cache : Hcrf_cache.Cache.t;

@@ -88,31 +88,22 @@ let scenario_tag = function
   | Real { prefetch = false } -> "real"
   | Real { prefetch = true } -> "prefetch"
 
-(* The one layout of a key's parts; [resolve] applies it to digests it
-   takes once per batch. *)
-let key ~config ~options ~scenario loop =
-  Hcrf_cache.Fingerprint.combine [ config; loop; options; scenario ]
-
-(** Canonical cache key of one [run_loop] invocation: configuration,
-    loop (graph, streams, trip/entry counts), scheduler options and the
-    memory scenario.  [opts.load_override] is *not* sampled: the runner
-    always replaces it with the override derived from the scenario and
-    loop, both of which the key covers.  The tracer is not part of the
-    key either — tracing must never change what is computed. *)
-let cache_key ~scenario ~opts config (loop : Loop.t) =
-  key ~config:(Hcrf_cache.Fingerprint.of_config config)
-    ~options:(Hcrf_cache.Fingerprint.of_options opts)
-    ~scenario:(Hcrf_cache.Fingerprint.of_string (scenario_tag scenario))
-    (Hcrf_cache.Fingerprint.of_loop loop)
+(* The configuration, options and scenario digests are taken once per
+   partial application, so [resolve] keys a whole batch from one
+   prefix.  [opts.load_override] is *not* sampled: the runner always
+   replaces it with the override derived from the scenario and loop,
+   both of which the key covers.  The tracer is not part of the key
+   either — tracing must never change what is computed. *)
+let cache_key ~scenario ~opts config =
+  let module F = Hcrf_cache.Fingerprint in
+  let config = F.of_config config and options = F.of_options opts
+  and scenario = F.of_string (scenario_tag scenario) in
+  fun loop -> F.combine [ config; F.of_loop loop; options; scenario ]
 
 let warn_no_schedule (config : Hcrf_machine.Config.t) loop ii =
   Logs.warn (fun m ->
       m "no schedule for %s on %s up to II=%d" (Loop.name loop)
         config.Hcrf_machine.Config.name ii)
-
-let result_of_parts loop outcome ~stall_cycles ~retries =
-  { loop; outcome;
-    perf = Metrics.of_outcome ~stall_cycles ~retries loop outcome }
 
 (* The uncached work: schedule (with escalation) and, under a real
    memory scenario, simulate the stalls.  Returns everything a cache
@@ -183,10 +174,10 @@ let result_of_entry config (loop : Loop.t) = function
     warn_no_schedule config loop ii;
     None
   | Hcrf_cache.Entry.Scheduled { outcome; stall_cycles; retries; _ } ->
+    let outcome = Hcrf_cache.Entry.to_outcome config outcome in
     Some
-      (result_of_parts loop
-         (Hcrf_cache.Entry.to_outcome config outcome)
-         ~stall_cycles ~retries)
+      { loop; outcome;
+        perf = Metrics.of_outcome ~stall_cycles ~retries loop outcome }
 
 (* The metrics alone, read from the entry without replaying it; the
    same warning for [Failed] entries. *)
@@ -239,10 +230,9 @@ type pipeline_stats = {
    coalescing of duplicates (same key) run serially in input order, so
    stats and trace counters are identical at any job count; only the
    owners' engine runs fan out on the [Par] pool, and their entries are
-   committed to the store serially in input order.  [fingerprints]
-   holds each loop's [Fingerprint.of_loop]; the configuration, options
-   and scenario digests are taken once for the whole batch. *)
-let resolve ~(ctx : Ctx.t) ~traces config loops fingerprints =
+   committed to the store serially in input order.  Every key comes
+   from one [cache_key] prefix. *)
+let resolve ~(ctx : Ctx.t) ~traces config loops =
   let { Ctx.scenario; opts; memo; _ } = ctx in
   let cache =
     match ctx.Ctx.cache with
@@ -250,12 +240,7 @@ let resolve ~(ctx : Ctx.t) ~traces config loops fingerprints =
     | None -> Option.map Memo.cache memo
   in
   let n = Array.length loops in
-  let keys =
-    let config = Hcrf_cache.Fingerprint.of_config config
-    and options = Hcrf_cache.Fingerprint.of_options opts
-    and scenario = Hcrf_cache.Fingerprint.of_string (scenario_tag scenario) in
-    Array.map (key ~config ~options ~scenario) fingerprints
-  in
+  let keys = Array.map (cache_key ~scenario ~opts config) loops in
   let entries = Array.make n None in
   let owners = Hashtbl.create 16 in
   let todo = ref [] and joins = ref [] in
@@ -294,13 +279,13 @@ let resolve ~(ctx : Ctx.t) ~traces config loops fingerprints =
 (* Resolve a batch, then turn each loop's entry into a result with
    [result] serially in input order, committing its trace right
    after. *)
-let run_batch ~(ctx : Ctx.t) config loops fingerprints result =
+let run_batch ~(ctx : Ctx.t) config loops result =
   let traces =
     Array.map
       (fun loop -> Hcrf_obs.Tracer.start ctx.Ctx.tracer ~label:(Loop.name loop))
       loops
   in
-  let entries, stats = resolve ~ctx ~traces config loops fingerprints in
+  let entries, stats = resolve ~ctx ~traces config loops in
   let results =
     List.init (Array.length loops) (fun i ->
         let r = result config loops.(i) entries.(i) in
@@ -310,18 +295,14 @@ let run_batch ~(ctx : Ctx.t) config loops fingerprints result =
   (results, stats)
 
 let run_suite ?(ctx = Ctx.default) config loops =
-  let loops = Array.of_list loops in
-  let fingerprints = Array.map Hcrf_cache.Fingerprint.of_loop loops in
   List.filter_map Fun.id
-    (fst (run_batch ~ctx config loops fingerprints result_of_entry))
+    (fst (run_batch ~ctx config (Array.of_list loops) result_of_entry))
 
 let run_loop ?ctx config loop =
   match run_suite ?ctx config [ loop ] with [ r ] -> Some r | _ -> None
 
-let run_pipeline ?(ctx = Ctx.default) config compiled =
-  let loops = Array.of_list (List.map fst compiled)
-  and fingerprints = Array.of_list (List.map snd compiled) in
-  run_batch ~ctx config loops fingerprints perf_of_entry
+let run_pipeline ?(ctx = Ctx.default) config loops =
+  run_batch ~ctx config (Array.of_list loops) perf_of_entry
 
 let pp_pipeline_stats ppf s =
   Fmt.pf ppf "loops=%d store_hits=%d recomputed=%d coalesced=%d"

@@ -51,8 +51,11 @@ val scenario_tag : memory_scenario -> string
     loop, options and memory scenario, combined in that order.  Neither
     [opts.load_override] (derived from scenario and loop, both covered)
     nor the tracer is sampled — tracing must never change what is
-    computed.  The batch paths build the same value from a per-batch
-    prefix of configuration, options and scenario digests. *)
+    computed.  The loop part is the key the loop carries
+    ({!Hcrf_ir.Loop.key}), so only a loop's first key costs its
+    transcript.  Applied to all but the loop, it takes the
+    configuration, options and scenario digests once: the batch paths
+    key every loop of a batch from one such prefix. *)
 val cache_key :
   scenario:memory_scenario -> opts:Hcrf_sched.Engine.options ->
   Hcrf_machine.Config.t -> Hcrf_ir.Loop.t -> Hcrf_cache.Fingerprint.t
@@ -128,20 +131,16 @@ type pipeline_stats = {
 val pp_pipeline_stats : Format.formatter -> pipeline_stats -> unit
 
 (** Evaluate a suite as the staged incremental pipeline: the
-    {!run_suite} resolver over each loop paired with its
-    {!Hcrf_cache.Fingerprint.of_loop} (the stage memo keeps it beside
-    the compiled loop, so an untouched kernel is never re-fingerprinted;
-    the configuration, options and scenario digests are taken once per
-    call), with each loop's metrics read straight from its schedule
-    entry ({!Metrics.of_stored}: no graph rebuilt, the same figures
-    {!result_of_entry} gives) in input order — [None] where every
-    scheduling retry failed, warned on every call — and how the
-    schedules were answered.  After an edit only the loops whose cache
+    {!run_suite} resolver over the loops (a loop the stage memo hands
+    back again carries its key), with each loop's metrics read straight
+    from its schedule entry ({!Metrics.of_stored}: no graph rebuilt,
+    the same figures {!result_of_entry} gives) in input order — [None]
+    where every scheduling retry failed, warned on every call — and how
+    the schedules were answered.  After an edit only the loops whose cache
     key changed re-run the engine; everything else is read from the
     store, byte-identical to a cold run up to re-measured
     [sched_seconds].  Stats and trace files are independent of
     [ctx.jobs]. *)
 val run_pipeline :
-  ?ctx:Ctx.t -> Hcrf_machine.Config.t ->
-  (Hcrf_ir.Loop.t * Hcrf_cache.Fingerprint.t) list ->
+  ?ctx:Ctx.t -> Hcrf_machine.Config.t -> Hcrf_ir.Loop.t list ->
   Metrics.loop_perf option list * pipeline_stats

@@ -17,39 +17,34 @@ let create ?(ctx = Runner.Ctx.default) config = { ctx; config }
 
 let ctx t = t.ctx
 
-(* The frontend stage of one kernel: compile and fingerprint, memoized
-   under the kernel's content digest.  A hit hands back the stored loop
-   itself; the engine schedules a copy of its graph, so sharing it is
-   safe. *)
-let frontend_stage ~trace memo kernel =
-  let compile () =
-    let loop = Hcrf_frontend.Compile.compile kernel in
-    (loop, Hcrf_cache.Fingerprint.of_loop loop)
-  in
-  match memo with
-  | None -> (compile (), false)
-  | Some m ->
-    Memo.find_or_compile m ~trace (Hcrf_frontend.Ast.digest kernel) compile
-
 let eval t (kernels : Hcrf_frontend.Ast.t list) =
   let memo = t.ctx.Runner.Ctx.memo in
   let hits = ref 0 and recomputed = ref 0 in
   (* serial, input order: compilation is cheap next to scheduling, and
      a serial pass keeps stage counters jobs-independent *)
-  let compiled =
+  let loops =
     List.map
       (fun kernel ->
         let trace =
           Hcrf_obs.Tracer.start t.ctx.Runner.Ctx.tracer
             ~label:kernel.Hcrf_frontend.Ast.name
         in
-        let c, hit = frontend_stage ~trace memo kernel in
+        (* the frontend stage: a hit hands back the stored loop itself,
+           and its key with it *)
+        let compile () = Hcrf_frontend.Compile.compile kernel in
+        let loop, hit =
+          match memo with
+          | None -> (compile (), false)
+          | Some m ->
+            Memo.find_or_compile m ~trace (Hcrf_frontend.Ast.digest kernel)
+              compile
+        in
         incr (if hit then hits else recomputed);
         Hcrf_obs.Tracer.commit t.ctx.Runner.Ctx.tracer trace;
-        c)
+        loop)
       kernels
   in
-  let perfs, sched = Runner.run_pipeline ~ctx:t.ctx t.config compiled in
+  let perfs, sched = Runner.run_pipeline ~ctx:t.ctx t.config loops in
   let aggregate =
     Hcrf_eval.Metrics.aggregate t.config (List.filter_map Fun.id perfs)
   in

@@ -3,12 +3,13 @@
     A program (a list of loop-language kernels) flows through three
     stages — frontend compile, schedule, metrics.  The compile is
     memoized under the kernel's content digest in the context's
-    {!Hcrf_eval.Memo}, which keeps the live compiled loop and its
-    loop fingerprint, taken once at compile time; the schedule is
-    memoized under the loop's cache key in the runner's one schedule
-    store, the key built from the memo's fingerprint and a per-call
-    prefix; the metrics are read straight from the schedule entry on
-    every evaluation ({!Hcrf_eval.Runner.run_pipeline}).  {!eval} after
+    {!Hcrf_eval.Memo}, which keeps the live compiled loop, and the
+    loop keeps its own key ({!Hcrf_ir.Loop.key}), taken on its first
+    read; the schedule is memoized under the loop's cache key in the
+    runner's one schedule store, the key built from the loop's carried
+    key and a per-call prefix; the metrics are read straight from the
+    schedule entry on every evaluation
+    ({!Hcrf_eval.Runner.run_pipeline}).  {!eval} after
     an edit therefore recompiles, re-fingerprints and reschedules only
     the edited kernel, every untouched kernel replays without a graph
     being rebuilt, and the results are byte-identical to a cold

@@ -20,6 +20,14 @@ let n_loops = 24
 let loops = lazy (List.init n_loops gen_loop)
 let nth_loop i = List.nth (Lazy.force loops) i
 
+(* [l] rebuilt through [Loop.make], with the given fields replaced. *)
+let remake ?ddg ?trip_count ?entries ?streams (l : Loop.t) =
+  Loop.make
+    ~trip_count:(Option.value trip_count ~default:l.Loop.trip_count)
+    ~entries:(Option.value entries ~default:l.Loop.entries)
+    ~streams:(Option.value streams ~default:l.Loop.streams)
+    (Option.value ddg ~default:l.Loop.ddg)
+
 (* ------------------------------------------------------------------ *)
 (* Fingerprint invariance *)
 
@@ -45,10 +53,9 @@ let rewrite_loop ~m (l : Loop.t) =
           (fun (iv, consumers) -> (iv, List.rev_map m consumers))
           r.Ddg.repr_invariants }
   in
-  { l with
-    Loop.ddg = Ddg.of_repr r';
-    streams =
-      List.rev_map (fun s -> { s with Loop.op = m s.Loop.op }) l.Loop.streams }
+  remake l ~ddg:(Ddg.of_repr r')
+    ~streams:
+      (List.rev_map (fun s -> { s with Loop.op = m s.Loop.op }) l.Loop.streams)
 
 (* A non-trivial bijection: map the sorted id list onto its reverse. *)
 let reversing_bijection g =
@@ -91,12 +98,12 @@ let all_distinct names fps =
 (* [l] with its graph's id counters raised by [ids] and [invs]. *)
 let with_counters ?(ids = 0) ?(invs = 0) (l : Loop.t) =
   let r = Ddg.to_repr l.Loop.ddg in
-  { l with
-    Loop.ddg =
-      Ddg.of_repr
-        { r with
-          Ddg.repr_next_id = r.Ddg.repr_next_id + ids;
-          repr_next_inv = r.Ddg.repr_next_inv + invs } }
+  remake l
+    ~ddg:
+      (Ddg.of_repr
+         { r with
+           Ddg.repr_next_id = r.Ddg.repr_next_id + ids;
+           repr_next_inv = r.Ddg.repr_next_inv + invs })
 
 (* The single-field mutants of a loop: one dependence distance, one
    opcode, the trip and entry counts, one memory-stream base address,
@@ -113,7 +120,7 @@ let mutants (l : Loop.t) =
       Ddg.remove_edge g' e;
       Ddg.add_edge g' ~distance:(f e.Ddg.distance) ~dep:e.Ddg.dep e.Ddg.src
         e.Ddg.dst;
-      [ { l with Loop.ddg = g' } ]
+      [ remake l ~ddg:g' ]
   in
   let flip_opcode () =
     let r = Ddg.to_repr g in
@@ -130,20 +137,19 @@ let mutants (l : Loop.t) =
               end)
             r.Ddg.repr_nodes }
     in
-    { l with Loop.ddg = Ddg.of_repr r' }
+    remake l ~ddg:(Ddg.of_repr r')
   in
   let shift_stream =
     match l.Loop.streams with
     | [] -> []
     | s :: rest ->
-      [ { l with
-          Loop.streams = { s with Loop.base = s.Loop.base + 8 } :: rest } ]
+      [ remake l ~streams:({ s with Loop.base = s.Loop.base + 8 } :: rest) ]
   in
   let named name ls = List.map (fun l -> (name, l)) ls in
   named "distance" (with_distance succ)
   @ [ ("opcode", flip_opcode ());
-      ("trip", { l with Loop.trip_count = l.Loop.trip_count + 1 });
-      ("entries", { l with Loop.entries = l.Loop.entries + 1 }) ]
+      ("trip", remake l ~trip_count:(l.Loop.trip_count + 1));
+      ("entries", remake l ~entries:(l.Loop.entries + 1)) ]
   @ named "stream-base" shift_stream
   @ [ ("next-id", with_counters ~ids:1 l);
       ("next-inv", with_counters ~invs:1 l) ]
@@ -700,8 +706,7 @@ let test_coalescing_respects_node_ids () =
       ~opts:Hcrf_sched.Engine.default_options config in
   check "twin has another key" false (Fingerprint.equal (key l) (key twin));
   let _, s =
-    Runner.run_pipeline config
-      (List.map (fun l -> (l, Fingerprint.of_loop l)) [ l; twin; l ])
+    Runner.run_pipeline config [ l; twin; l ]
   in
   check_int "loop and twin computed" 2 s.Runner.computed;
   check_int "the repeated loop coalesced" 1 s.Runner.coalesced
@@ -1009,6 +1014,102 @@ let test_unusable_dir_degrades () =
   check_int "memory hit" 1 (Cache.stats c).Cache.hits
 
 (* ------------------------------------------------------------------ *)
+(* The carried key *)
+
+(* A loop carries the key its first read computed, so a graph mutated
+   after that read would be filed under a stale key.  Run every kind of
+   loop the system hands the runner — the tab6 suite at 20 loops, every
+   kernel, a [Progs] program and one edit through [Pipeline.eval], the
+   [.repro] corpus, a seed-42 fuzz campaign and the [Shrink] candidates
+   of its cases — then check that each carried key is still the one a
+   fresh rebuild of the loop computes. *)
+let test_no_stale_key () =
+  let module Check = Hcrf_check.Check in
+  let module Shrink = Hcrf_check.Shrink in
+  let config = Hcrf_model.Presets.published "4C32S16" in
+  let prefetch =
+    Runner.Ctx.make ~scenario:(Runner.Real { prefetch = true }) ()
+  in
+  let suite = Hcrf_workload.Suite.generate ~n:20 () in
+  ignore (Experiments.table6 ~loops:suite ());
+  let kernels = Hcrf_workload.Suite.kernels () in
+  ignore (Runner.run_suite ~ctx:prefetch config kernels);
+  let memo = Memo.create () in
+  let pipe =
+    Hcrf_incr.Pipeline.create
+      ~ctx:{ prefetch with Runner.Ctx.memo = Some memo } config
+  in
+  let prog = Hcrf_incr.Progs.program ~n:12 in
+  let edited = Hcrf_incr.Progs.edit ~round:1 ~kernel:5 prog in
+  ignore (Hcrf_incr.Pipeline.eval pipe prog);
+  ignore (Hcrf_incr.Pipeline.eval pipe edited);
+  let compiled =
+    List.map
+      (fun k ->
+        fst
+          (Memo.find_or_compile memo ~trace:Hcrf_obs.Trace.off
+             (Hcrf_frontend.Ast.digest k) (fun () ->
+               Alcotest.failf "%s not memoized" k.Hcrf_frontend.Ast.name)))
+      (prog @ edited)
+  in
+  let dir = if Sys.file_exists "corpus" then "corpus" else "test/corpus" in
+  let corpus =
+    match Check.replay_corpus dir with
+    | Ok rs -> List.map (fun (_, r, _) -> r.Hcrf_check.Repro.loop) rs
+    | Error e -> Alcotest.fail e
+  in
+  (* With the scheduler's fault armed every fuzz case fails, so the
+     report hands back each case's loop, and a shrinker that runs the
+     oracle on each candidate sees the candidates. *)
+  let fuzz, candidates =
+    Fun.protect ~finally:(fun () -> Hcrf_sched.Schedule.fault := None)
+    @@ fun () ->
+    Hcrf_sched.Schedule.fault := Some Hcrf_sched.Schedule.Lax_resources;
+    let report = Check.campaign ~shrink:false ~seed:42 ~cases:6 () in
+    let fuzz = List.map (fun f -> f.Check.f_loop) report.Check.r_failures in
+    let seen = ref [] in
+    let still_failing (c : Shrink.candidate) =
+      seen := c.Shrink.loop :: !seen;
+      Check.is_failure
+        (Check.oracle ~opts:Hcrf_sched.Engine.default_options config
+           c.Shrink.loop)
+          .Check.kind
+    in
+    List.iter
+      (fun loop ->
+        ignore
+          (Shrink.run ~still_failing ~max_evals:12
+             { Shrink.loop; lats = config.Hcrf_machine.Config.lats }))
+      (List.filteri (fun i _ -> i < 2) fuzz);
+    (fuzz, !seen)
+  in
+  List.iter
+    (fun (what, loops) ->
+      check (what ^ ": some loops") true (loops <> []);
+      List.iter
+        (fun l ->
+          check
+            (Fmt.str "%s: %s carries its graph's key" what (Loop.name l))
+            true
+            (Fingerprint.equal (Fingerprint.of_loop l)
+               (Fingerprint.of_loop (Loop.of_repr (Loop.to_repr l)))))
+        loops)
+    [ ("tab6@20", suite); ("kernels", kernels); ("progs", compiled);
+      ("corpus", corpus); ("fuzz", fuzz); ("shrink", candidates) ]
+
+(* The transcript runs on a loop's first key read only: later reads
+   return the carried key and allocate nothing. *)
+let test_second_key_read_allocates_nothing () =
+  let l = Hcrf_workload.Kernels.daxpy () in
+  let first = Fingerprint.of_loop l in
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do ignore (Sys.opaque_identity (Fingerprint.of_loop l)) done;
+  let words = Gc.minor_words () -. before in
+  check (Fmt.str "100 more reads allocate %.0f words" words) true
+    (words < 100.);
+  check "the same key" true (Fingerprint.equal first (Fingerprint.of_loop l))
+
+(* ------------------------------------------------------------------ *)
 
 let tests =
   [
@@ -1056,4 +1157,7 @@ let tests =
     ("store: v6 entries are stale", `Quick, test_store_v6_stale);
     ("fingerprint: loop and kernel transcripts pinned", `Quick,
      test_transcripts_pinned);
+    ("fingerprint: no carried key goes stale", `Quick, test_no_stale_key);
+    ("fingerprint: a second key read allocates nothing", `Quick,
+     test_second_key_read_allocates_nothing);
   ]

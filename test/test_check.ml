@@ -114,9 +114,9 @@ let test_repro_ast_rendering () =
   let g = Ddg.copy loop.Loop.ddg in
   let dead = Ddg.add_node g Op.Load in
   let dead_loop =
-    { loop with
-      Loop.ddg = g;
-      streams = { Loop.op = dead; base = 8; stride = 8 } :: loop.Loop.streams }
+    Loop.make ~trip_count:loop.Loop.trip_count ~entries:loop.Loop.entries
+      ~streams:({ Loop.op = dead; base = 8; stride = 8 } :: loop.Loop.streams)
+      g
   in
   match Repro.ast_of_loop dead_loop with
   | Ok text -> Alcotest.failf "dead node rendered as %s" text
@@ -169,6 +169,51 @@ let test_repro_refuses_sparse_ids () =
   match Repro.of_string sparse with
   | Ok _ -> Alcotest.fail "sparse ids accepted"
   | Error e -> Alcotest.(check string) "refused" "node ids are not compact" e
+
+(* A reproducer of daxpy whose first load carries a second stream
+   fails to load, like any loop [Loop.make] refuses; the same file
+   without that line loads. *)
+let test_repro_refuses_two_streams_on_one_op () =
+  let in_test d = if Sys.file_exists d then d else Filename.concat "test" d in
+  let base =
+    match
+      Repro.load
+        (Filename.concat (in_test "corpus") "case0003-invalid_schedule.repro")
+    with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
+  in
+  let daxpy = Hcrf_workload.Kernels.daxpy () in
+  let first = List.hd daxpy.Loop.streams in
+  let text = Repro.to_string { base with Repro.loop = daxpy } in
+  let line (s : Loop.stream) =
+    Fmt.str "stream %d %d %d" s.Loop.op s.Loop.base s.Loop.stride
+  in
+  let extra =
+    line { first with Loop.base = first.Loop.base + 28_680; stride = 0 }
+  in
+  let doubled =
+    String.concat "\n"
+      (List.concat_map
+         (fun l -> if l = line first then [ l; extra ] else [ l ])
+         (String.split_on_char '\n' text))
+  in
+  Alcotest.(check bool) "the edit took" true (doubled <> text);
+  let load text =
+    let path = Filename.temp_file "hcrf" ".repro" in
+    Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+    Out_channel.with_open_bin path (fun oc -> output_string oc text);
+    Repro.load path
+  in
+  (match load text with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "daxpy reproducer: %s" e);
+  match load doubled with
+  | Ok _ -> Alcotest.fail "two streams on one op accepted"
+  | Error e ->
+    Alcotest.(check string) "refused"
+      (Printexc.to_string (Invalid_argument "Loop.make: two streams on one op"))
+      e
 
 (* The committed corpus holds shrunk witnesses of the Lax_resources
    fault.  With the fault armed, replaying must reproduce each file's
@@ -312,4 +357,6 @@ let tests =
      test_repro_refuses_sparse_ids);
     ("check: cache id-digest guard", `Quick, test_cache_id_digest_guard);
     ("check: generalized hierarchy campaign", `Slow, test_generalized_campaign);
+    ("check: repro refuses two streams on one op", `Quick,
+     test_repro_refuses_two_streams_on_one_op);
   ]

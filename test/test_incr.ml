@@ -179,7 +179,7 @@ let test_memo_shares_live_loops () =
          (Hcrf_frontend.Ast.digest kernel) (fun () ->
            Alcotest.failf "%s is not in the memo" kernel.Hcrf_frontend.Ast.name))
   in
-  let before = List.map (fun k -> fst (stored k)) prog0 in
+  let before = List.map stored prog0 in
   let prog = ref prog0 in
   for round = 1 to 3 do
     let entries = Memo.length memo in
@@ -194,7 +194,7 @@ let test_memo_shares_live_loops () =
       if kernel == kernel' then begin
         incr untouched;
         let name = kernel.Hcrf_frontend.Ast.name in
-        check (name ^ ": the same live loop") true (fst (stored kernel) == loop);
+        check (name ^ ": the same live loop") true (stored kernel == loop);
         let fresh = Hcrf_frontend.Compile.compile kernel in
         check (name ^ ": fingerprint of a fresh compile") true
           (Hcrf_cache.Fingerprint.equal
@@ -205,16 +205,19 @@ let test_memo_shares_live_loops () =
       end)
     (List.combine prog0 before) !prog;
   check_int "nine kernels untouched" 9 !untouched;
-  (* every stored fingerprint, edited kernels included, is its loop's
-     and a fresh compile's *)
+  (* every stored loop's carried key, edited kernels included, is the
+     one its rebuilt graph computes afresh, and a fresh compile's *)
   List.iter
     (fun kernel ->
       let name = kernel.Hcrf_frontend.Ast.name in
-      let loop, fp = stored kernel in
+      let loop = stored kernel in
+      let fp = Hcrf_cache.Fingerprint.of_loop loop in
       let fresh = Hcrf_frontend.Compile.compile kernel in
-      check (name ^ ": stored fingerprint is its loop's") true
-        (Hcrf_cache.Fingerprint.equal fp (Hcrf_cache.Fingerprint.of_loop loop));
-      check (name ^ ": stored fingerprint is a fresh compile's") true
+      check (name ^ ": carried key is its graph's") true
+        (Hcrf_cache.Fingerprint.equal fp
+           (Hcrf_cache.Fingerprint.of_loop
+              Hcrf_ir.Loop.(of_repr (to_repr loop))));
+      check (name ^ ": carried key is a fresh compile's") true
         (Hcrf_cache.Fingerprint.equal fp
            (Hcrf_cache.Fingerprint.of_loop fresh)))
     !prog

@@ -193,6 +193,25 @@ let test_loop_rejects_bad_counts () =
     (Invalid_argument "Loop.make: trip_count < 1") (fun () ->
       ignore (Loop.make ~trip_count:0 g))
 
+(* daxpy with a second stream on its first load, in both list orders.
+   The cache simulator replays only an op's first stream while the key
+   sorts the streams, so the two orders would share one key and
+   simulate differently: [make] refuses both. *)
+let test_loop_rejects_two_streams_on_one_op () =
+  let d = Hcrf_workload.Kernels.daxpy () in
+  let first = List.hd d.Loop.streams in
+  let extra =
+    { first with Loop.base = first.Loop.base + 28_680; stride = 0 }
+  in
+  List.iter
+    (fun streams ->
+      Alcotest.check_raises "two streams on one op"
+        (Invalid_argument "Loop.make: two streams on one op") (fun () ->
+          ignore
+            (Loop.make ~trip_count:d.Loop.trip_count ~entries:d.Loop.entries
+               ~streams d.Loop.ddg)))
+    [ d.Loop.streams @ [ extra ]; extra :: d.Loop.streams ]
+
 (* ------------------------------------------------------------------ *)
 (* Properties over generated graphs *)
 
@@ -553,4 +572,6 @@ let tests =
     QCheck_alcotest.to_alcotest prop_churn_agrees_with_map_model;
     QCheck_alcotest.to_alcotest prop_scc_equals_reference;
     QCheck_alcotest.to_alcotest prop_true_edge_counters;
+    ("loop: two streams on one op refused", `Quick,
+     test_loop_rejects_two_streams_on_one_op);
   ]

@@ -348,7 +348,10 @@ let test_prefetch_skips_recurrence_loads () =
 let test_prefetch_skips_short_loops () =
   let config = Hcrf_model.Presets.published "S64" in
   let l = Hcrf_workload.Kernels.find "daxpy" in
-  let short = { l with Hcrf_ir.Loop.trip_count = 8 } in
+  let short =
+    Hcrf_ir.Loop.make ~trip_count:8 ~entries:l.Hcrf_ir.Loop.entries
+      ~streams:l.Hcrf_ir.Loop.streams l.Hcrf_ir.Loop.ddg
+  in
   let plan = Prefetch.plan config short in
   Hcrf_ir.Ddg.iter_nodes short.Hcrf_ir.Loop.ddg (fun n ->
       check "short loop: nothing prefetched" true (plan n.id = None))

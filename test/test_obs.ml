@@ -474,9 +474,6 @@ let test_env () =
    results at any job count.  run_pipeline reads its metrics straight
    from the schedule entries; run_suite replays whole outcomes. *)
 
-let paired loops =
-  List.map (fun l -> (l, Hcrf_cache.Fingerprint.of_loop l)) loops
-
 let scrub_perf (p : Metrics.loop_perf) = { p with Metrics.sched_seconds = 0. }
 let perf_bytes perfs =
   Marshal.to_string (List.map scrub_perf perfs) [ Marshal.No_sharing ]
@@ -497,7 +494,7 @@ let test_pipeline_matches_suite () =
         List.map (fun r -> r.Runner.perf) (Runner.run_suite ~ctx config loops)
       in
       let pipeline_perfs, stats =
-        Runner.run_pipeline ~ctx config (paired loops)
+        Runner.run_pipeline ~ctx config loops
       in
       let pipeline_perfs = List.filter_map Fun.id pipeline_perfs in
       check (Fmt.str "run_loop perfs = run_suite perfs (jobs %d)" jobs) true
@@ -525,7 +522,7 @@ let test_pipeline_matches_suite () =
     (Hcrf_cache.Entry.Failed 7);
   let n = List.length loops in
   let pipeline pass =
-    let perfs, stats = Runner.run_pipeline ~ctx config (paired loops) in
+    let perfs, stats = Runner.run_pipeline ~ctx config loops in
     check_int (pass ^ ": one result per loop") n (List.length perfs);
     check (pass ^ ": the failed entry gives None") true
       (List.nth perfs failed = None);
@@ -588,7 +585,7 @@ let test_batch_keys_are_cache_keys () =
         loops)
     [ (Runner.Ideal, fun ctx -> ignore (Runner.run_suite ~ctx config loops));
       ( Runner.Real { prefetch = true },
-        fun ctx -> ignore (Runner.run_pipeline ~ctx config (paired loops)) ) ]
+        fun ctx -> ignore (Runner.run_pipeline ~ctx config loops) ) ]
 
 (* ------------------------------------------------------------------ *)
 

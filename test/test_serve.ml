@@ -326,6 +326,35 @@ let test_tiers_rejects_malformed_loop () =
       ("node id listed twice", with_ddg twice);
       ("ids shifted by 1M", shifted_request ~by:1_000_000 (gen_loop 2)) ]
 
+(* A request whose loop has two streams on one op (daxpy's first load
+   again, stride 0, in both list orders) is refused as malformed: the
+   two orders would share a cache key but simulate differently. *)
+let test_tiers_rejects_two_streams_on_one_op () =
+  let req = sched_request (Hcrf_workload.Kernels.daxpy ()) in
+  let lr = req.Wire.sr_loop in
+  let first = List.hd lr.Hcrf_ir.Loop.repr_streams in
+  let extra =
+    { first with Hcrf_ir.Loop.base = first.Hcrf_ir.Loop.base + 28_680;
+                 stride = 0 }
+  in
+  List.iter
+    (fun streams ->
+      let req =
+        { req with
+          Wire.sr_loop = { lr with Hcrf_ir.Loop.repr_streams = streams } }
+      in
+      let tiers = Tiers.create ~lru_capacity:4 ~jobs:1 () in
+      Fun.protect ~finally:(fun () -> Tiers.shutdown tiers) @@ fun () ->
+      (match Tiers.schedule tiers req with
+      | Wire.Refused (Wire.Malformed, _) -> ()
+      | Wire.Refused (k, _) ->
+        Alcotest.failf "wrong kind: %s" (Wire.error_kind_name k)
+      | _ -> Alcotest.fail "accepted"
+      | exception e -> Alcotest.failf "raised %s" (Printexc.to_string e));
+      check_int "nothing computed" 0 (Tiers.stats tiers).Wire.computed)
+    [ lr.Hcrf_ir.Loop.repr_streams @ [ extra ];
+      extra :: lr.Hcrf_ir.Loop.repr_streams ]
+
 (* One count, two readers: every [Tiers.stats] field is read from the
    same [Serve] notes the traced requests commit, so each must equal
    its serve.* key in the tracer's Counters sink. *)
@@ -570,4 +599,6 @@ let tests =
     ("daemon: loopback roundtrip", `Slow, test_daemon_roundtrip);
     ("daemon: concurrent clients coalesce", `Slow, test_daemon_concurrent_clients);
     ("daemon: survives malformed frames", `Slow, test_daemon_survives_malformed);
+    ("tiers: two streams on one op refused", `Quick,
+     test_tiers_rejects_two_streams_on_one_op);
   ]
