@@ -43,6 +43,11 @@ let find_or_compile t ~trace digest compile =
     emit t trace Stage_recompute ~since:t1;
     (compiled, false)
 
+let note_hits t traces =
+  let ev = Ev.Incr { op = Stage_hit; ns = 0 } in
+  locked t (fun () ->
+      List.iter (fun trace -> Counters.note t.counts trace ev) traces)
+
 let length t = locked t (fun () -> Hashtbl.length t.table)
 
 (* The lookup counts, read back from the registry's [Incr] notes. *)

@@ -42,6 +42,11 @@ val find_or_compile :
   t -> trace:Hcrf_obs.Trace.t -> string -> (unit -> Hcrf_ir.Loop.t) ->
   Hcrf_ir.Loop.t * bool
 
+(** One [Stage_hit] note per trace, all under one lock, timed at 0 ns:
+    the kernels a pipeline answered without a lookup, counted as the
+    hits those lookups would have been. *)
+val note_hits : t -> Hcrf_obs.Trace.t list -> unit
+
 (** Number of loops in the memo. *)
 val length : t -> int
 

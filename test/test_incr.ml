@@ -265,6 +265,123 @@ let test_memo_over_disk_cache () =
     (String.equal (bytes_of perfs) (bytes_of (cold_eval prog)))
 
 (* ------------------------------------------------------------------ *)
+(* Reuse: a kernel physically equal to the last evaluation's at its
+   position keeps its perfs, with no digest, key or lookup *)
+
+type step =
+  | Edit of int * int  (** [Progs.edit] round, kernel *)
+  | Rev
+  | Drop of int
+  | Dup of int
+  | Copy of int  (** a structurally equal fresh copy *)
+
+let pp_step ppf = function
+  | Edit (round, k) -> Fmt.pf ppf "edit %d@%d" round k
+  | Rev -> Fmt.string ppf "rev"
+  | Drop k -> Fmt.pf ppf "drop %d" k
+  | Dup k -> Fmt.pf ppf "dup %d" k
+  | Copy k -> Fmt.pf ppf "copy %d" k
+
+let apply prog step =
+  let n = List.length prog in
+  let at k f =
+    List.concat (List.mapi (fun i x -> if i = k mod n then f x else [ x ]) prog)
+  in
+  match step with
+  | Edit (round, kernel) -> Progs.edit ~round ~kernel prog
+  | Rev -> List.rev prog
+  | Drop k -> if n <= 1 then prog else at k (fun _ -> [])
+  | Dup k -> at k (fun x -> [ x; x ])
+  | Copy k ->
+    at k (fun (x : Hcrf_frontend.Ast.t) ->
+        [ Marshal.from_string (Marshal.to_string x []) 0 ])
+
+let arb_session =
+  let open QCheck.Gen in
+  let step =
+    frequency
+      [ (3, map2 (fun r k -> Edit (r, k)) (int_range 1 50) (int_bound 20));
+        (1, return Rev); (1, map (fun k -> Drop k) (int_bound 20));
+        (1, map (fun k -> Dup k) (int_bound 20));
+        (2, map (fun k -> Copy k) (int_bound 20)) ]
+  in
+  QCheck.make ~shrink:QCheck.Shrink.(pair nil list)
+    ~print:(fun (n, steps) ->
+      Fmt.str "n=%d [%a]" n Fmt.(list ~sep:semi pp_step) steps)
+    (pair (int_range 2 10) (list_size (int_range 1 6) step))
+
+let agg_bytes (a : Metrics.aggregate) =
+  Marshal.to_string { a with Metrics.sched_seconds = 0. } [ Marshal.No_sharing ]
+
+(* Two pipelines on two configurations share one memo; after every
+   step each one's perfs and aggregate equal a cold evaluation's *)
+let prop_reuse_is_sound =
+  QCheck.Test.make ~name:"reuse by identity = cold, any edit script"
+    ~count:30 arb_session (fun (n, steps) ->
+      let memo = Memo.create () in
+      let pipes =
+        List.map
+          (fun c ->
+            (c, Pipeline.create ~ctx:(Runner.Ctx.make ~memo ()) c))
+          [ config; Hcrf_model.Presets.published "S64" ]
+      in
+      let same prog =
+        List.for_all
+          (fun (c, pipe) ->
+            let perfs, agg, _ = Pipeline.eval pipe prog in
+            let cold_perfs, cold_agg, _ =
+              Pipeline.eval (Pipeline.create c) prog
+            in
+            String.equal (bytes_of perfs) (bytes_of cold_perfs)
+            && String.equal (agg_bytes agg) (agg_bytes cold_agg))
+          pipes
+      in
+      let prog = ref (Progs.program ~n) in
+      same !prog
+      && List.for_all
+           (fun step ->
+             prog := apply !prog step;
+             same !prog)
+           steps)
+
+(* What reuse skips is really skipped: a no-edit evaluation of 120
+   kernels makes no store lookup and allocates little, an edit makes
+   one lookup, and both report the counts a full walk would *)
+let test_reuse_skips_lookups () =
+  let memo = Memo.create () in
+  let pipe = Pipeline.create ~ctx:(Runner.Ctx.make ~memo ()) config in
+  let prog = Progs.program ~n:120 in
+  let lookups () =
+    let s = Hcrf_cache.Cache.stats (Memo.cache memo) in
+    s.Hcrf_cache.Cache.hits + s.Hcrf_cache.Cache.misses
+  in
+  let expect ~edited =
+    let dirty = Option.to_list edited in
+    let k = List.length dirty in
+    { Pipeline.kernels = 120; frontend_hits = 120 - k;
+      frontend_recomputed = k;
+      sched =
+        { Runner.total = 120; store_hits = 120 - k; computed = k;
+          coalesced = 0; dirty } }
+  in
+  let _ = Pipeline.eval pipe prog in
+  let before = lookups () in
+  let w0 = Gc.minor_words () in
+  let _, _, again = Pipeline.eval pipe prog in
+  let words = Gc.minor_words () -. w0 in
+  check_int "a no-edit evaluation makes no store lookup" before (lookups ());
+  check "no-edit stats as a full walk's" true (again = expect ~edited:None);
+  (* a full walk, which digests and looks up every kernel, allocates
+     about 27.5k words here *)
+  check (Fmt.str "no-edit evaluation allocates %.0f words < 12000" words)
+    true (words < 12000.);
+  let prog' = Progs.edit ~round:1 ~kernel:17 prog in
+  let _, _, edit = Pipeline.eval pipe prog' in
+  check_int "an edit makes exactly one store lookup" (before + 1) (lookups ());
+  check "edit stats as a full walk's" true
+    (edit = expect ~edited:(Some "k017"))
+
+(* ------------------------------------------------------------------ *)
 
 let tests =
   [
@@ -278,4 +395,7 @@ let tests =
     ("memo shares live loops, one entry per edit", `Quick,
      test_memo_shares_live_loops);
     ("fresh memo replays a disk cache", `Quick, test_memo_over_disk_cache);
+    QCheck_alcotest.to_alcotest prop_reuse_is_sound;
+    ("reuse skips the untouched kernels' lookups", `Quick,
+     test_reuse_skips_lookups);
   ]
