@@ -10,7 +10,10 @@
 val short_trip_threshold : int
 
 (** Latency override for {!Hcrf_sched.Engine.options} —
-    [Some miss_cycles] for the loads to prefetch, [None] otherwise. *)
+    [Some miss_cycles] for the loads to prefetch, [None] otherwise.
+    Answers from a bitmap sized by the graph's id counter
+    ({!Hcrf_ir.Ddg.next_id}): ids at or past it, such as nodes the
+    engine inserts, and negative ids answer [None]. *)
 val plan : Hcrf_machine.Config.t -> Hcrf_ir.Loop.t -> int -> int option
 
 (** No prefetching at all: every load scheduled with hit latency. *)

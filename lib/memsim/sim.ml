@@ -36,15 +36,22 @@ let max_sim_iterations = 2048
 
 (** [refs] must describe every memory operation of the *final* graph
     (including spill code; give spill slots a fixed address).  [ii] is
-    the initiation interval, [n]/[e] the trip and entry counts.
-    [debug] asserts the MSHR occupancy invariant after every
-    allocation.
+    the initiation interval, [n]/[e] the trip and entry counts, [mshrs]
+    at least 1.  [debug] asserts the MSHR occupancy invariant after
+    every allocation.
 
-    The simulated accesses allocate nothing: the pending fills live in
-    two flat arrays (line, ready time), oldest first, and the cache is
-    probed by line address. *)
+    The hot loop costs a handful of integer operations per simulated
+    access and allocates nothing.  The sorted references are copied
+    into flat int columns once per run.  The pending fills live in two
+    flat arrays (line, ready time), oldest first, and are compacted
+    only when the earliest ready time [min_ready] is due, which is
+    exact: an access removes the fills ready by its issue time, and
+    there are none while [min_ready] is later.  The cache is probed by
+    line address with a shift and a mask ({!Cache.access_line}, inlined
+    here). *)
 let run ?(mshrs = 8) ?(debug = false) ?(cache = Cache.create ()) ~ii
     ~hit_read ~miss_cycles ~n ~e (refs : mem_ref list) =
+  if mshrs < 1 then invalid_arg "Sim.run: mshrs must be at least 1";
   (* stable: refs issuing in the same cycle keep their list order *)
   let refs =
     Array.of_list
@@ -52,66 +59,44 @@ let run ?(mshrs = 8) ?(debug = false) ?(cache = Cache.create ()) ~ii
          refs)
   in
   let nrefs = Array.length refs in
+  let r_load = Array.map (fun r -> r.is_load) refs
+  and r_offset = Array.map (fun r -> r.issue_offset) refs
+  and r_latency = Array.map (fun r -> r.sched_latency) refs
+  and r_base = Array.map (fun r -> r.base) refs
+  and r_stride = Array.map (fun r -> r.stride) refs in
   let sim_iters = max 1 (min n max_sim_iterations) in
-  let stall = ref 0 in
-  let misses = ref 0 and accesses = ref 0 in
+  let stall = ref 0 and misses = ref 0 in
   (* pending fills, oldest first: [p_line.(k)], [p_ready.(k)] for
-     k < [np].  A miss with every MSHR busy first retires one fill, so
-     [np] never exceeds [max 1 mshrs]. *)
-  let slots = max 1 mshrs in
-  let p_line = Array.make slots 0 and p_ready = Array.make slots 0 in
-  let np = ref 0 in
-  let push line rdy =
-    p_line.(!np) <- line;
-    p_ready.(!np) <- rdy;
-    incr np;
-    if debug then assert (!np <= mshrs)
-  in
-  (* All MSHRs busy: the new miss steals the slot of the oldest pending
-     fill, which means waiting until that fill retires.  The stolen
-     entry must leave the queue, or occupancy grows beyond [mshrs] and
-     every subsequent full-queue miss sees the same (stale) oldest
-     ready time, underestimating the serialization.  Among equal ready
-     times the newest entry goes. *)
-  let retire_oldest () =
-    let victim = ref (-1) and oldest = ref max_int in
-    for k = 0 to !np - 1 do
-      if p_ready.(k) <= !oldest then begin
-        oldest := p_ready.(k);
-        victim := k
-      end
-    done;
-    if !victim >= 0 then begin
-      for k = !victim to !np - 2 do
-        p_line.(k) <- p_line.(k + 1);
-        p_ready.(k) <- p_ready.(k + 1)
-      done;
-      decr np
-    end;
-    !oldest
-  in
+     k < [np]; [min_ready] is the smallest ready time among them
+     ([max_int] when none).  A miss with every MSHR busy first retires
+     one fill, so [np] never exceeds [mshrs]. *)
+  let p_line = Array.make mshrs 0 and p_ready = Array.make mshrs 0 in
+  let np = ref 0 and min_ready = ref max_int in
   for i = 0 to sim_iters - 1 do
     for j = 0 to nrefs - 1 do
-      let r = refs.(j) in
       (* stalls block the in-order pipeline: later issues shift by the
          accumulated stall, which also lets the pending fills drain
          (the miss queue cannot grow without bound) *)
-      let t_issue = (i * ii) + r.issue_offset + !stall in
-      let line = Cache.line_addr cache (r.base + (i * r.stride)) in
-      incr accesses;
+      let t_issue = (i * ii) + r_offset.(j) + !stall in
+      let line = Cache.line_addr cache (r_base.(j) + (i * r_stride.(j))) in
       (* fills that have arrived by now leave the queue *)
-      let kept = ref 0 in
-      for k = 0 to !np - 1 do
-        if p_ready.(k) > t_issue then begin
-          p_line.(!kept) <- p_line.(k);
-          p_ready.(!kept) <- p_ready.(k);
-          incr kept
-        end
-      done;
-      np := !kept;
+      if !min_ready <= t_issue then begin
+        let kept = ref 0 and m = ref max_int in
+        for k = 0 to !np - 1 do
+          let rdy = p_ready.(k) in
+          if rdy > t_issue then begin
+            p_line.(!kept) <- p_line.(k);
+            p_ready.(!kept) <- rdy;
+            if rdy < !m then m := rdy;
+            incr kept
+          end
+        done;
+        np := !kept;
+        min_ready := !m
+      end;
       let hit = Cache.access_line cache line in
       if not hit then incr misses;
-      if r.is_load then begin
+      if r_load.(j) then begin
         let ready =
           if hit then t_issue + hit_read
           else begin
@@ -121,22 +106,58 @@ let run ?(mshrs = 8) ?(debug = false) ?(cache = Cache.create ()) ~ii
             if !k >= 0 then p_ready.(!k) (* merge with the fill *)
             else begin
               let start =
-                if !np >= mshrs then retire_oldest () else t_issue
+                if !np < mshrs then t_issue
+                else begin
+                  (* All MSHRs busy: the new miss steals the slot of
+                     the oldest pending fill, which means waiting until
+                     that fill retires.  The stolen entry must leave
+                     the queue, or occupancy grows beyond [mshrs] and
+                     every later full-queue miss sees the same (stale)
+                     oldest ready time, underestimating the
+                     serialization.  Among equal ready times the
+                     newest entry goes. *)
+                  let oldest = !min_ready in
+                  let v = ref (!np - 1) in
+                  while p_ready.(!v) <> oldest do decr v done;
+                  let m = ref max_int in
+                  for k = 0 to !np - 2 do
+                    if k >= !v then begin
+                      p_line.(k) <- p_line.(k + 1);
+                      p_ready.(k) <- p_ready.(k + 1)
+                    end;
+                    if p_ready.(k) < !m then m := p_ready.(k)
+                  done;
+                  decr np;
+                  min_ready := !m;
+                  oldest
+                end
               in
-              let rdy = max start t_issue + miss_cycles in
-              push line rdy;
+              let rdy =
+                (if start > t_issue then start else t_issue) + miss_cycles
+              in
+              p_line.(!np) <- line;
+              p_ready.(!np) <- rdy;
+              incr np;
+              if rdy < !min_ready then min_ready := rdy;
+              if debug then assert (!np <= mshrs);
               rdy
             end
           end
         in
-        let need = t_issue + r.sched_latency in
+        let need = t_issue + r_latency.(j) in
         if ready > need then stall := !stall + (ready - need)
       end
-      else if (not hit) && !np < mshrs then
+      else if (not hit) && !np < mshrs then begin
         (* write-allocate fill occupies an MSHR but does not stall;
            when every MSHR is busy the fill is simply dropped (the
            store buffer holds the data), so the bound still holds *)
-        push line (t_issue + miss_cycles)
+        let rdy = t_issue + miss_cycles in
+        p_line.(!np) <- line;
+        p_ready.(!np) <- rdy;
+        incr np;
+        if rdy < !min_ready then min_ready := rdy;
+        if debug then assert (!np <= mshrs)
+      end
     done
   done;
   let scale =
@@ -146,5 +167,5 @@ let run ?(mshrs = 8) ?(debug = false) ?(cache = Cache.create ()) ~ii
     stall_cycles = float_of_int !stall *. scale;
     simulated_iterations = sim_iters;
     misses = !misses;
-    accesses = !accesses;
+    accesses = sim_iters * nrefs;
   }

@@ -33,7 +33,14 @@ val max_sim_iterations : int
     entry count.  A miss arriving with every MSHR busy steals the slot
     of the oldest pending fill (waiting for it to retire first), so the
     outstanding-miss count never exceeds [mshrs]; [debug] asserts that
-    invariant after every allocation. *)
+    invariant after every allocation.  Raises [Invalid_argument] if
+    [mshrs < 1].
+
+    The simulated accesses allocate nothing and cost a few integer
+    operations each: the references are copied into flat columns once
+    per run, the pending fills are compacted only when the earliest of
+    them is due, and the cache is probed by line address with a shift
+    and a mask. *)
 val run :
   ?mshrs:int -> ?debug:bool -> ?cache:Cache.t -> ii:int -> hit_read:int ->
   miss_cycles:int -> n:int -> e:int -> mem_ref list -> result

@@ -218,9 +218,10 @@ let same_result (a : Sim.result) (b : Sim.result) =
   && a.simulated_iterations = b.simulated_iterations
   && a.misses = b.misses && a.accesses = b.accesses
 
-(* Random reference sets: a handful of base lines (so streams collide
-   and fills merge), strides 0..1024, loads and stores, 1..16 MSHRs and
-   a small cache so sets conflict. *)
+(* Random reference sets: a handful of base lines on both sides of 0
+   (so streams collide and fills merge), strides -1024..1024, loads and
+   stores, 1..16 MSHRs, and a small cache of 16/32/64-byte lines, 1/2/4
+   ways and 1..8 sets, so sets conflict. *)
 let gen_case =
   QCheck.Gen.(
     let ref_gen =
@@ -230,15 +231,19 @@ let gen_case =
             base = (line * 32) + delta; stride })
         (pair
            (triple small_nat bool (int_range 0 12))
-           (quad (int_range 0 40) (int_range (-4) 12) (int_range 0 31)
-              (int_range 0 1024)))
+           (quad (int_range 0 40) (int_range (-12) 12) (int_range 0 31)
+              (int_range (-1024) 1024)))
     in
-    quad (int_range 1 16) (int_range 1 8)
-      (pair (int_range 1 6) (int_range 4 40))
-      (list_size (int_range 0 14) ref_gen))
+    pair
+      (triple (oneofl [ 16; 32; 64 ]) (oneofl [ 1; 2; 4 ])
+         (oneofl [ 1; 2; 4; 8 ]))
+      (quad (int_range 1 16) (int_range 1 8)
+         (pair (int_range 1 6) (int_range 4 40))
+         (list_size (int_range 0 14) ref_gen)))
 
-let print_case (mshrs, ii, (hit, miss), refs) =
-  Fmt.str "mshrs=%d ii=%d hit=%d miss=%d refs=[%s]" mshrs ii hit miss
+let print_case ((line_bytes, assoc, sets), (mshrs, ii, (hit, miss), refs)) =
+  Fmt.str "line=%d assoc=%d sets=%d mshrs=%d ii=%d hit=%d miss=%d refs=[%s]"
+    line_bytes assoc sets mshrs ii hit miss
     (String.concat "; "
        (List.map
           (fun (r : Sim.mem_ref) ->
@@ -251,13 +256,15 @@ let prop_sim_equals_reference =
   QCheck.Test.make ~name:"sim: flat MSHRs = list-based reference"
     ~count:300
     (QCheck.make ~print:print_case gen_case)
-    (fun (mshrs, ii, (hit_read, miss_cycles), refs) ->
-      let cache () = Cache.create ~size_bytes:512 () in
+    (fun ((line_bytes, assoc, sets), (mshrs, ii, (hit_read, miss_cycles), refs))
+    ->
+      let size_bytes = line_bytes * assoc * sets in
       same_result
-        (Sim.run ~debug:true ~mshrs ~cache:(cache ()) ~ii ~hit_read
-           ~miss_cycles ~n:96 ~e:3 refs)
-        (Sim_ref.run ~mshrs ~cache:(cache ()) ~ii ~hit_read ~miss_cycles
-           ~n:96 ~e:3 refs))
+        (Sim.run ~debug:true ~mshrs
+           ~cache:(Cache.create ~size_bytes ~line_bytes ~assoc ())
+           ~ii ~hit_read ~miss_cycles ~n:96 ~e:3 refs)
+        (Sim_ref.run ~mshrs ~size_bytes ~line_bytes ~assoc ~ii ~hit_read
+           ~miss_cycles ~n:96 ~e:3 refs))
 
 (* Every (loop, Figure-6 config) of a 20-loop workbench under binding
    prefetch: the stall counts the evaluation uses, field by field. *)
@@ -356,6 +363,127 @@ let test_prefetch_skips_short_loops () =
   Hcrf_ir.Ddg.iter_nodes short.Hcrf_ir.Loop.ddg (fun n ->
       check "short loop: nothing prefetched" true (plan n.id = None))
 
+(* ------------------------------------------------------------------ *)
+(* Argument checks *)
+
+(* With no MSHR the first miss used to retire from an empty queue and
+   wrap [max_int + miss_cycles] to a negative ready time: 64 misses and
+   no stall at all, where one MSHR stalls 2,432 cycles. *)
+let test_sim_refuses_no_mshr () =
+  let refs = [ mk_ref ~stride:32 () ] in
+  let run mshrs =
+    Sim.run ~mshrs ~ii:4 ~hit_read:2 ~miss_cycles:40 ~n:64 ~e:1 refs
+  in
+  check "one mshr stalls" true ((run 1).Sim.stall_cycles > 0.);
+  List.iter
+    (fun mshrs ->
+      Alcotest.check_raises
+        (Fmt.str "mshrs:%d refused" mshrs)
+        (Invalid_argument "Sim.run: mshrs must be at least 1")
+        (fun () -> ignore (run mshrs)))
+    [ 0; -1 ]
+
+let test_cache_refuses_bad_geometry () =
+  let refused what f =
+    match f () with
+    | (_ : Cache.t) -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "line 0" (fun () -> Cache.create ~line_bytes:0 ());
+  refused "assoc 0" (fun () -> Cache.create ~assoc:0 ());
+  refused "size 0" (fun () -> Cache.create ~size_bytes:0 ());
+  refused "negative line" (fun () -> Cache.create ~line_bytes:(-32) ());
+  refused "negative assoc" (fun () -> Cache.create ~assoc:(-2) ());
+  refused "negative size" (fun () -> Cache.create ~size_bytes:(-1024) ());
+  refused "line 24" (fun () ->
+      Cache.create ~size_bytes:(24 * 2 * 4) ~line_bytes:24 ());
+  refused "3 sets" (fun () -> Cache.create ~size_bytes:(32 * 2 * 3) ());
+  (* a power-of-two set count with a 3-way cache is fine *)
+  let c = Cache.create ~size_bytes:(32 * 3 * 4) ~assoc:3 () in
+  check_int "3-way sets" 4 c.Cache.sets
+
+(* Shift and mask are floored division and remainder by powers of two,
+   over the whole int range and on both sides of 0. *)
+let prop_shift_is_floored_division =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (triple (int_range 0 10) (int_range 1 4) (int_range 0 9))
+        (oneof [ int; int_range (-100_000) 100_000 ]))
+  in
+  QCheck.Test.make ~name:"cache: shift/mask = floored division" ~count:2000
+    (QCheck.make
+       ~print:(fun ((ls, a, ss), addr) ->
+         Fmt.str "line=%d assoc=%d sets=%d addr=%d" (1 lsl ls) a (1 lsl ss)
+           addr)
+       gen)
+    (fun ((ls, assoc, ss), addr) ->
+      let line_bytes = 1 lsl ls and sets = 1 lsl ss in
+      let c =
+        Cache.create ~size_bytes:(line_bytes * assoc * sets) ~line_bytes
+          ~assoc ()
+      in
+      Cache.line_addr c addr = Sim_ref.line_addr ~line_bytes addr
+      && Cache.set_of c addr = Sim_ref.set_of ~line_bytes ~sets addr
+      && Cache.tag_of c addr = Sim_ref.tag_of ~line_bytes ~sets addr)
+
+(* The plan as hash membership: loads outside every recurrence of a
+   loop longer than the short-trip threshold. *)
+let hash_plan (config : Hcrf_machine.Config.t) (loop : Hcrf_ir.Loop.t) =
+  let g = loop.Hcrf_ir.Loop.ddg in
+  let in_recurrence = Hashtbl.create 16 in
+  List.iter
+    (List.iter (fun v -> Hashtbl.replace in_recurrence v ()))
+    (Hcrf_ir.Scc.recurrences g);
+  let prefetched = Hashtbl.create 16 in
+  Hcrf_ir.Ddg.iter_nodes g (fun n ->
+      if
+        Hcrf_ir.Op.equal_kind n.kind Hcrf_ir.Op.Load
+        && not (Hashtbl.mem in_recurrence n.id)
+      then Hashtbl.replace prefetched n.id ());
+  let long = loop.Hcrf_ir.Loop.trip_count > Prefetch.short_trip_threshold in
+  fun id ->
+    if long && Hashtbl.mem prefetched id then
+      Some (Hcrf_machine.Config.miss_cycles config)
+    else None
+
+(* Every suite loop and kernel on every Figure-6 configuration: the
+   bitmap answers every id of the graph, and a few past its id counter
+   and below 0, exactly as hash membership did. *)
+let test_prefetch_bitmap_equals_hash () =
+  let loops =
+    Hcrf_workload.Suite.generate ()
+    @ List.map (fun (_, mk) -> mk ()) Hcrf_workload.Kernels.all
+  in
+  List.iter
+    (fun (config : Hcrf_machine.Config.t) ->
+      List.iter
+        (fun (loop : Hcrf_ir.Loop.t) ->
+          let plan = Prefetch.plan config loop
+          and reference = hash_plan config loop
+          and next = Hcrf_ir.Ddg.next_id loop.Hcrf_ir.Loop.ddg in
+          for id = -3 to next + 3 do
+            if plan id <> reference id then
+              Alcotest.failf "%s on %s: id %d answers %s"
+                (Hcrf_ir.Loop.name loop) config.Hcrf_machine.Config.name id
+                (match plan id with Some l -> string_of_int l | None -> "None")
+          done)
+        loops)
+    (Hcrf_eval.Experiments.figure6_configs ())
+
+(* Nodes the engine inserts get ids at or past the id counter the plan
+   saw; they, and negative ids, are never prefetched. *)
+let test_prefetch_ids_outside_bitmap () =
+  let config = Hcrf_model.Presets.published "S64" in
+  let l = Hcrf_workload.Kernels.find "daxpy" in
+  let plan = Prefetch.plan config l in
+  let next = Hcrf_ir.Ddg.next_id l.Hcrf_ir.Loop.ddg in
+  check "some load prefetched" true
+    (List.exists (fun v -> plan v <> None) (Hcrf_ir.Ddg.nodes l.Hcrf_ir.Loop.ddg));
+  List.iter
+    (fun id -> check (Fmt.str "id %d: None" id) true (plan id = None))
+    [ next; next + 1; next + 1000; max_int; -1; min_int ]
+
 let tests =
   [
     ("cache: geometry", `Quick, test_cache_geometry);
@@ -381,4 +509,12 @@ let tests =
     QCheck_alcotest.to_alcotest prop_sim_equals_reference;
     ("sim: workbench = reference", `Quick, test_sim_equals_reference_workbench);
     ("sim: allocation flat in iterations", `Quick, test_sim_allocation_flat);
+    ("sim: mshrs < 1 refused", `Quick, test_sim_refuses_no_mshr);
+    ("cache: degenerate geometry refused", `Quick,
+      test_cache_refuses_bad_geometry);
+    QCheck_alcotest.to_alcotest prop_shift_is_floored_division;
+    ("prefetch: bitmap = hash membership", `Quick,
+      test_prefetch_bitmap_equals_hash);
+    ("prefetch: ids outside the bitmap", `Quick,
+      test_prefetch_ids_outside_bitmap);
   ]
