@@ -655,20 +655,25 @@ let serve_bench_cmd =
     | Ok () -> ()
     | Error msg -> fail "ping: %s" msg);
     let before = get_stats c0 in
-    (* first responses per loop: the identity baseline for the storm *)
-    let baseline = Array.make n "" in
     let timeout_ms = if timeout_ms > 0 then Some timeout_ms else None in
     let schedule_on client i =
       match
         Client.schedule client ?timeout_ms ~config ~opts ~scenario loops.(i)
       with
-      | Ok (Wire.Scheduled entry) -> Marshal.to_string entry []
+      | Ok (Wire.Scheduled entry) -> entry
       | Ok (Wire.Refused (k, msg)) ->
         fail "loop %d refused (%s): %s" i (Wire.error_kind_name k) msg
       | Ok _ -> fail "loop %d: unexpected reply" i
       | Error msg -> fail "loop %d: %s" i msg
     in
-    Array.iteri (fun i _ -> baseline.(i) <- schedule_on c0 i) loops;
+    (* No_sharing: the bytes depend on the entry's values only, not on
+       how the daemon's copy of it happens to share them *)
+    let bytes_of_entry (e : Hcrf_cache.Entry.t) =
+      Marshal.to_string e [ Marshal.No_sharing ]
+    in
+    (* first responses per loop: the identity baseline for the storm *)
+    let baseline = Array.init n (schedule_on c0) in
+    let baseline_bytes = Array.map bytes_of_entry baseline in
     let mid = get_stats c0 in
     (* the storm: [clients] connections, [requests] total, round-robin
        over the loops — every response must byte-match the baseline *)
@@ -681,8 +686,8 @@ let serve_bench_cmd =
       while !r < requests do
         let i = !r mod n in
         (try
-           let bytes = schedule_on client i in
-           if not (String.equal bytes baseline.(i)) then begin
+           let bytes = bytes_of_entry (schedule_on client i) in
+           if not (String.equal bytes baseline_bytes.(i)) then begin
              Mutex.lock errors;
              if !first_error = None then
                first_error :=
@@ -728,10 +733,9 @@ let serve_bench_cmd =
       in
       Array.iteri
         (fun i l ->
-          let entry : Hcrf_cache.Entry.t =
-            Marshal.from_string baseline.(i) 0
+          let remote =
+            Hcrf_eval.Runner.result_of_entry config l baseline.(i)
           in
-          let remote = Hcrf_eval.Runner.result_of_entry config l entry in
           let local = Hcrf_eval.Runner.run_loop ~ctx config l in
           match (remote, local) with
           | Some r, Some s ->

@@ -44,10 +44,6 @@ let dir t = Option.map Store.dir t.store
 
 let shard t key = t.shards_.(Store.shard_of_key key)
 
-let locked sh f =
-  Mutex.lock sh.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock sh.mutex) f
-
 module Tr = Hcrf_obs.Trace
 module Ev = Hcrf_obs.Event
 
@@ -57,7 +53,7 @@ let emit trace op =
 let find ?(trace = Tr.off) ?(validate = fun (_ : Entry.t) -> true) t key =
   let sh = shard t key in
   let result =
-    locked sh (fun () ->
+    Mutex.protect sh.mutex (fun () ->
       let miss ?(disk_error = false) () =
         sh.counters <-
           { sh.counters with
@@ -100,7 +96,7 @@ let find ?(trace = Tr.off) ?(validate = fun (_ : Entry.t) -> true) t key =
 let add ?(trace = Tr.off) t key entry =
   emit trace Ev.Store;
   let sh = shard t key in
-  locked sh (fun () ->
+  Mutex.protect sh.mutex (fun () ->
       Hashtbl.replace sh.table key entry;
       let wrote =
         match t.store with
@@ -119,7 +115,7 @@ let add ?(trace = Tr.off) t key entry =
 let stats t =
   Array.fold_left
     (fun acc sh ->
-      let c = locked sh (fun () -> sh.counters) in
+      let c = Mutex.protect sh.mutex (fun () -> sh.counters) in
       {
         hits = acc.hits + c.hits;
         misses = acc.misses + c.misses;

@@ -32,182 +32,6 @@ let dep_of_name s =
 let one_line s = String.map (function '\n' | '\r' -> ' ' | c -> c) s
 
 (* ------------------------------------------------------------------ *)
-(* The informational OCaml rendering                                   *)
-
-let kind_constructor = function
-  | Op.Fadd -> "Fadd"
-  | Op.Fmul -> "Fmul"
-  | Op.Fdiv -> "Fdiv"
-  | Op.Fsqrt -> "Fsqrt"
-  | Op.Load -> "Load"
-  | Op.Store -> "Store"
-  | Op.Move -> "Move"
-  | Op.Load_r -> "Load_r"
-  | Op.Store_r -> "Store_r"
-  | Op.Spill_load -> "Spill_load"
-  | Op.Spill_store -> "Spill_store"
-
-let pp_edge_ml ppf (e : Ddg.edge) =
-  Fmt.pf ppf "{src=%d;dst=%d;dep=%s;distance=%d}" e.Ddg.src e.Ddg.dst
-    (match e.Ddg.dep with
-    | Dep.True -> "True"
-    | Dep.Anti -> "Anti"
-    | Dep.Output -> "Output")
-    e.Ddg.distance
-
-let pp_repr_ml ppf (r : Ddg.repr) =
-  Fmt.pf ppf
-    "{repr_name=%S;repr_next_id=%d;repr_next_inv=%d;repr_nodes=[%a];\
-     repr_invariants=[%a]}"
-    r.Ddg.repr_name r.Ddg.repr_next_id r.Ddg.repr_next_inv
-    (Fmt.list ~sep:(Fmt.any ";")
-       (fun ppf (id, k, succs, preds) ->
-         Fmt.pf ppf "(%d,%s,[%a],[%a])" id (kind_constructor k)
-           (Fmt.list ~sep:(Fmt.any ";") pp_edge_ml)
-           succs
-           (Fmt.list ~sep:(Fmt.any ";") pp_edge_ml)
-           preds))
-    r.Ddg.repr_nodes
-    (Fmt.list ~sep:(Fmt.any ";")
-       (fun ppf (inv, cs) ->
-         Fmt.pf ppf "(%d,[%a])" inv
-           (Fmt.list ~sep:(Fmt.any ";") Fmt.int)
-           cs))
-    r.Ddg.repr_invariants
-
-(* ------------------------------------------------------------------ *)
-(* Best-effort frontend AST rendering                                  *)
-
-(* [Compile] allocates array [i] at base [i * (2^20 + 1056)] plus
-   [offset * element size]; invert that to recover (array, offset). *)
-let decode_base base =
-  let unit = (1 lsl 20) + 1056 in
-  let cand i =
-    if i < 0 then None
-    else
-      let rem = base - (i * unit) in
-      if rem mod 8 = 0 && abs (rem / 8) <= 4096 then Some (i, rem / 8)
-      else None
-  in
-  let i0 = base / unit in
-  match cand i0 with
-  | Some r -> Some r
-  | None -> ( match cand (i0 + 1) with Some r -> Some r | None -> cand (i0 - 1))
-
-(* A loop as a frontend program and its OCaml rendering, or why it is
-   not expressible. *)
-let render (loop : Loop.t) =
-  let module Ast = Hcrf_frontend.Ast in
-  let g = loop.Loop.ddg in
-  let ( let* ) = Result.bind in
-  let err fmt = Fmt.kstr (fun s -> Error s) fmt in
-  let* () =
-    if Ddg.invariants g = [] then Ok () else err "loop has invariants"
-  in
-  let* () =
-    if
-      List.for_all
-        (fun (e : Ddg.edge) -> e.Ddg.dep = Dep.True && e.Ddg.distance = 0)
-        (Ddg.edges g)
-    then Ok ()
-    else err "loop has loop-carried or memory-ordering edges"
-  in
-  (* recover (array index, offset) of every memory node *)
-  let decode v =
-    match Loop.stream_for loop v with
-    | None -> err "memory node %d has no stream" v
-    | Some s ->
-      if s.Loop.stride <> 8 then err "node %d: stride %d" v s.Loop.stride
-      else (
-        match decode_base s.Loop.base with
-        | Some (i, k) -> Ok (Fmt.str "a%d" i, k)
-        | None -> err "node %d: base %d not array-shaped" v s.Loop.base)
-  in
-  (* single-consumer tree rooted in stores *)
-  let rec expr v =
-    let k = Ddg.kind g v in
-    (* [preds] lists in-edges newest first: the compiler adds them in
-       operand order *)
-    let ops = List.rev_map (fun (e : Ddg.edge) -> e.Ddg.src) (Ddg.preds g v) in
-    let* () =
-      match Ddg.succs g v with
-      | [ _ ] -> Ok ()
-      | l -> err "node %d has %d consumers" v (List.length l)
-    in
-    match (k, ops) with
-    | Op.Load, [] ->
-      let* a, off = decode v in
-      Ok (Ast.arr ~off a, Fmt.str "(arr %S ~off:%d)" a off)
-    | Op.Fsqrt, [ a ] ->
-      let* ea, sa = expr a in
-      Ok (Ast.sqrt_ ea, Fmt.str "(sqrt_ %s)" sa)
-    | Op.Fadd, [ a; b ] ->
-      let* ea, sa = expr a in
-      let* eb, sb = expr b in
-      Ok (Ast.(ea +: eb), Fmt.str "(%s +: %s)" sa sb)
-    | Op.Fmul, [ a; b ] ->
-      let* ea, sa = expr a in
-      let* eb, sb = expr b in
-      Ok (Ast.(ea *: eb), Fmt.str "(%s *: %s)" sa sb)
-    | Op.Fdiv, [ a; b ] ->
-      let* ea, sa = expr a in
-      let* eb, sb = expr b in
-      Ok (Ast.(ea /: eb), Fmt.str "(%s /: %s)" sa sb)
-    | k, ops ->
-      err "node %d: %s with %d operands is not expressible" v (Op.kind_name k)
-        (List.length ops)
-  in
-  let* stmts =
-    List.fold_left
-      (fun acc v ->
-        let* acc = acc in
-        match Ddg.kind g v with
-        | Op.Store -> (
-          match (Ddg.preds g v, Ddg.succs g v) with
-          | [ e ], [] ->
-            let* a, off = decode v in
-            let* ev, sv = expr e.Ddg.src in
-            Ok ((Ast.store ~off a ev, Fmt.str "store %S ~off:%d %s" a off sv) :: acc)
-          | _ -> err "store %d is not a single-operand sink" v)
-        | _ -> Ok acc)
-      (Ok []) (Ddg.nodes g)
-  in
-  let stmts = List.rev stmts in
-  let* () = if stmts = [] then err "loop has no stores" else Ok () in
-  Ok
-    ( Ast.make ~trip_count:loop.Loop.trip_count ~entries:loop.Loop.entries
-        ~name:(Loop.name loop) (List.map fst stmts),
-      Fmt.str "make ~trip_count:%d ~entries:%d ~name:%S [%a]"
-        loop.Loop.trip_count loop.Loop.entries (Loop.name loop)
-        (Fmt.list ~sep:(Fmt.any "; ") Fmt.string)
-        (List.map snd stmts) )
-
-(* The rendering must survive a round trip through the compiler: the
-   compiled program renders to the same text (same trees, arrays and
-   offsets), and the node and edge counts match, so no node of [loop]
-   lies outside the trees (a dead node is not expressible). *)
-let ast_of_loop (loop : Loop.t) : (string, string) result =
-  let ( let* ) = Result.bind in
-  let err fmt = Fmt.kstr (fun s -> Error s) fmt in
-  let* ast, text = render loop in
-  match Hcrf_frontend.Compile.compile ast with
-  | exception Hcrf_frontend.Compile.Error msg ->
-    err "candidate AST rejected by the compiler: %s" msg
-  | compiled ->
-    let g = loop.Loop.ddg and g' = compiled.Loop.ddg in
-    let same_text =
-      match render compiled with
-      | Ok (_, text') -> String.equal text text'
-      | Error _ -> false
-    in
-    if
-      same_text
-      && Ddg.num_nodes g' = Ddg.num_nodes g
-      && Ddg.num_edges g' = Ddg.num_edges g
-    then Ok text
-    else err "candidate AST compiles to a different loop"
-
-(* ------------------------------------------------------------------ *)
 (* Serialization                                                       *)
 
 let to_string t =
@@ -263,10 +87,6 @@ let to_string t =
     (fun (s : Loop.stream) ->
       line "stream %d %d %d" s.Loop.op s.Loop.base s.Loop.stride)
     t.loop.Loop.streams;
-  line "# ocaml: Ddg.of_repr %a" pp_repr_ml r;
-  (match ast_of_loop t.loop with
-  | Ok ast -> line "# ast: Ast.%s" ast
-  | Error reason -> line "# ast: not expressible: %s" reason);
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)

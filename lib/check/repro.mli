@@ -7,13 +7,7 @@
     latency record) and the (possibly shrunk) loop itself — node ids,
     adjacency-list order, id counters, invariants, streams — in a
     versioned line format with a strict parser, so a corpus survives
-    unrelated refactors.
-
-    Two informational comments close each file: an [# ocaml:] line
-    giving the loop as an OCaml {!Hcrf_ir.Ddg.repr} value, and an
-    [# ast:] line giving a frontend {!Hcrf_frontend.Ast} program when
-    the loop is expressible as one (verified by recompiling the
-    candidate), or the reason it is not. *)
+    unrelated refactors. *)
 
 type t = {
   seed : int;          (** campaign seed *)
@@ -28,14 +22,6 @@ type t = {
   detail : string;     (** one-line description of the failure *)
   loop : Hcrf_ir.Loop.t;
 }
-
-(** Render [t.loop] as a frontend AST program when expressible;
-    [Error reason] otherwise.  Expressible means: an invariant-free
-    forest of single-consumer arithmetic over unit-stride array reads
-    feeding stores, with no loop-carried or ordering edges, whose
-    program recompiles to a loop with the same rendering and the same
-    node and edge counts (so a dead node is not expressible). *)
-val ast_of_loop : Hcrf_ir.Loop.t -> (string, string) result
 
 val to_string : t -> string
 val of_string : string -> (t, string) result

@@ -19,19 +19,15 @@ let create () =
 
 let cache t = t.cache
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
 let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 
 let emit t trace op ~since =
   let ev = Ev.Incr { op; ns = now_ns () - since } in
-  locked t (fun () -> Counters.note t.counts trace ev)
+  Mutex.protect t.mutex (fun () -> Counters.note t.counts trace ev)
 
 let find_or_compile t ~trace digest compile =
   let t0 = now_ns () in
-  match locked t (fun () -> Hashtbl.find_opt t.table digest) with
+  match Mutex.protect t.mutex (fun () -> Hashtbl.find_opt t.table digest) with
   | Some compiled ->
     emit t trace Stage_hit ~since:t0;
     (compiled, true)
@@ -39,20 +35,20 @@ let find_or_compile t ~trace digest compile =
     emit t trace Stage_miss ~since:t0;
     let t1 = now_ns () in
     let compiled = compile () in
-    locked t (fun () -> Hashtbl.replace t.table digest compiled);
+    Mutex.protect t.mutex (fun () -> Hashtbl.replace t.table digest compiled);
     emit t trace Stage_recompute ~since:t1;
     (compiled, false)
 
 let note_hits t traces =
   let ev = Ev.Incr { op = Stage_hit; ns = 0 } in
-  locked t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       List.iter (fun trace -> Counters.note t.counts trace ev) traces)
 
-let length t = locked t (fun () -> Hashtbl.length t.table)
+let length t = Mutex.protect t.mutex (fun () -> Hashtbl.length t.table)
 
 (* The lookup counts, read back from the registry's [Incr] notes. *)
 let stage_stats t =
-  locked t @@ fun () ->
+  Mutex.protect t.mutex @@ fun () ->
   List.filter_map
     (fun (op, key) ->
       match Counters.count t.counts (Ev.Incr { op; ns = 0 }) with

@@ -342,30 +342,36 @@ let pp ppf t =
         n.succs);
   Fmt.pf ppf "@]"
 
-(** Structural well-formedness: every edge endpoint exists and appears in
-    both adjacency lists; distances are non-negative; node and invariant
-    ids lie below the id counters, so fresh ids never collide; the
-    non-[True] edge counters match the lists. *)
+(* Occurrences of [e] in [l], counted without allocating. *)
+let rec count_edge e n = function
+  | [] -> n
+  | x :: l -> count_edge e (if edge_equal e x then n + 1 else n) l
+
+(** Structural well-formedness: every edge endpoint exists, and each
+    edge appears as often in its target's in-edges as in its source's
+    out-edges; distances are non-negative; node and invariant ids lie
+    below the id counters, so fresh ids never collide; the non-[True]
+    edge counters match the lists. *)
 let validate t =
-  let ok = ref true in
-  iter_nodes t (fun n ->
+  let ok = ref true and outs = ref 0 and ins = ref 0 in
+  fold_desc
+    (fun n () ->
       if n.id < 0 || n.id >= t.next_id then ok := false;
       if n.others <> count_others n.succs n.preds then ok := false;
+      ins := !ins + List.length n.preds;
       List.iter
         (fun e ->
-          if e.src <> n.id || not (mem t e.dst) || e.distance < 0 then
-            ok := false
-          else
-            let back = (node t e.dst).preds in
-            if not (List.exists (edge_equal e) back) then ok := false)
-        n.succs;
-      List.iter
-        (fun e ->
-          if e.dst <> n.id || not (mem t e.src) then ok := false
-          else
-            let fwd = (node t e.src).succs in
-            if not (List.exists (edge_equal e) fwd) then ok := false)
-        n.preds);
+          incr outs;
+          if
+            e.src <> n.id || (not (mem t e.dst)) || e.distance < 0
+            || count_edge e 0 (node t e.dst).preds <> count_edge e 0 n.succs
+          then ok := false)
+        n.succs)
+    t ();
+  (* each out-edge occurs as often among its target's in-edges as
+     among its source's out-edges; equal totals then leave no in-edge
+     outside those counts, so both sides hold the same multiset *)
+  if !outs <> !ins then ok := false;
   List.iter
     (fun inv ->
       if inv.inv_id < 0 || inv.inv_id >= t.next_inv then ok := false;

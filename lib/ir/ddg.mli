@@ -139,8 +139,9 @@ val of_repr : repr -> t
 
 val pp : Format.formatter -> t -> unit
 
-(** Structural well-formedness: every edge endpoint exists and appears
-    in both adjacency lists; distances are non-negative; node and
-    invariant ids lie below the id counters, so fresh ids never
+(** Structural well-formedness: every edge endpoint exists, and each
+    edge appears as often in its target's in-edges as in its source's
+    out-edges (parallel edges count); distances are non-negative; node
+    and invariant ids lie below the id counters, so fresh ids never
     collide; each node's non-[True] edge counters match its lists. *)
 val validate : t -> bool

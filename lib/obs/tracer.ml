@@ -33,11 +33,8 @@ let start t ~label = if is_null t then Trace.off else Trace.create ~label
 
 let commit t trace =
   if is_null t || not (Trace.enabled trace) then ()
-  else begin
-    Mutex.lock t.lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.lock)
-      (fun () ->
+  else
+    Mutex.protect t.lock (fun () ->
         let label = Trace.label trace in
         let evs = Trace.events trace in
         List.iter
@@ -45,7 +42,6 @@ let commit t trace =
             | Counters c -> Counters.add_all c evs
             | Jsonl j -> List.iter (Jsonl.write j ~label) evs)
           t.sinks)
-  end
 
 let close t =
   List.iter (function Jsonl j -> Jsonl.close j | Counters _ -> ()) t.sinks

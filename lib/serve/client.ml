@@ -1,19 +1,8 @@
 type t = { fd : Unix.file_descr; max_frame : int }
 
 let connect ?(max_frame = Wire.default_max_frame) addr =
-  let sock, sockaddr =
-    match addr with
-    | Wire.Unix_sock path ->
-      (Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0, Unix.ADDR_UNIX path)
-    | Wire.Tcp (host, port) ->
-      let ip =
-        try Unix.inet_addr_of_string host
-        with Failure _ -> (
-          try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-          with Not_found -> Unix.inet_addr_loopback)
-      in
-      (Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0, Unix.ADDR_INET (ip, port))
-  in
+  let domain, sockaddr = Wire.sockaddr addr in
+  let sock = Unix.socket domain Unix.SOCK_STREAM 0 in
   match Unix.connect sock sockaddr with
   | () -> Ok { fd = sock; max_frame }
   | exception Unix.Unix_error (e, _, _) ->

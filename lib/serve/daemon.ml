@@ -14,28 +14,19 @@ let addr t = t.addr_
 let tiers t = t.tiers_
 
 let bind_listen addr =
-  match addr with
-  | Wire.Unix_sock path ->
-    (match Unix.lstat path with
+  (match addr with
+  | Wire.Unix_sock path -> (
+    match Unix.lstat path with
     | { Unix.st_kind = Unix.S_SOCK; _ } -> Unix.unlink path
     | _ -> ()
-    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.bind fd (Unix.ADDR_UNIX path);
-    Unix.listen fd 64;
-    fd
-  | Wire.Tcp (host, port) ->
-    let ip =
-      try Unix.inet_addr_of_string host
-      with Failure _ -> (
-        try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-        with Not_found -> Unix.inet_addr_loopback)
-    in
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    Unix.bind fd (Unix.ADDR_INET (ip, port));
-    Unix.listen fd 64;
-    fd
+    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ())
+  | Wire.Tcp _ -> ());
+  let domain, sockaddr = Wire.sockaddr addr in
+  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  if domain = Unix.PF_INET then Unix.setsockopt fd Unix.SO_REUSEADDR true;
+  Unix.bind fd sockaddr;
+  Unix.listen fd 64;
+  fd
 
 let create ?(max_frame = Wire.default_max_frame) ~addr tiers =
   {

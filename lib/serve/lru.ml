@@ -31,10 +31,6 @@ let create ~capacity =
     evictions = 0;
   }
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
 let unlink t n =
   (match n.prev with Some p -> p.next <- n.next | None -> t.head <- n.next);
   (match n.next with Some s -> s.prev <- n.prev | None -> t.tail <- n.prev);
@@ -47,7 +43,7 @@ let push_front t n =
   t.head <- Some n
 
 let find t k =
-  locked t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       match Hashtbl.find_opt t.table k with
       | None -> None
       | Some n ->
@@ -56,7 +52,7 @@ let find t k =
         Some n.value)
 
 let add t k v =
-  locked t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       match Hashtbl.find_opt t.table k with
       | Some n ->
         n.value <- v;
@@ -74,10 +70,10 @@ let add t k v =
             Hashtbl.remove t.table lru.key;
             t.evictions <- t.evictions + 1)
 
-let length t = locked t (fun () -> Hashtbl.length t.table)
+let length t = Mutex.protect t.mutex (fun () -> Hashtbl.length t.table)
 
 let stats t =
-  locked t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       {
         evictions = t.evictions;
         length = Hashtbl.length t.table;

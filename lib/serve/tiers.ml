@@ -42,15 +42,13 @@ let create ?dir ?lru_capacity ?jobs ?(tracer = Tracer.null) () =
     obs_mutex = Mutex.create ();
   }
 
-let observed t f =
-  Mutex.lock t.obs_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.obs_mutex) f
-
-let commit_trace t trace = observed t (fun () -> Tracer.commit t.tracer trace)
+let commit_trace t trace =
+  Mutex.protect t.obs_mutex (fun () -> Tracer.commit t.tracer trace)
 
 (* One tier decision: counted in the registry, traced when enabled. *)
 let note t trace op =
-  observed t (fun () -> Counters.note t.counts trace (Ev.Serve op))
+  Mutex.protect t.obs_mutex (fun () ->
+      Counters.note t.counts trace (Ev.Serve op))
 
 (* The tier-3 computation: the batch runner's exact compute path,
    traced as its own work unit, stored in the shared cache.  Runs on a
@@ -155,7 +153,7 @@ let reject t ~kind msg =
 
 let stats t : Wire.serve_stats =
   let ls = Lru.stats t.lru in
-  observed t (fun () ->
+  Mutex.protect t.obs_mutex (fun () ->
       let n op = Counters.count t.counts (Ev.Serve op) in
       {
         Wire.requests = n Ev.Request;

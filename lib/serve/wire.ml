@@ -18,6 +18,17 @@ let pp_addr ppf = function
   | Unix_sock p -> Fmt.pf ppf "unix:%s" p
   | Tcp (h, p) -> Fmt.pf ppf "%s:%d" h p
 
+let sockaddr = function
+  | Unix_sock path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
+  | Tcp (host, port) ->
+    let ip =
+      try Unix.inet_addr_of_string host
+      with Failure _ -> (
+        try (Unix.gethostbyname host).Unix.h_addr_list.(0)
+        with Not_found -> Unix.inet_addr_loopback)
+    in
+    (Unix.PF_INET, Unix.ADDR_INET (ip, port))
+
 (* ------------------------------------------------------------------ *)
 (* Messages *)
 

@@ -29,6 +29,11 @@ val addr_of_string : string -> addr
 
 val pp_addr : Format.formatter -> addr -> unit
 
+(** The socket domain and address of [addr], for the daemon and its
+    clients alike: a TCP host is an IP literal, else its first
+    [gethostbyname] address, else loopback. *)
+val sockaddr : addr -> Unix.socket_domain * Unix.sockaddr
+
 (** {1 Messages} *)
 
 (** Closure-free subset of {!Hcrf_sched.Engine.options}. *)

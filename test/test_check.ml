@@ -94,36 +94,6 @@ let test_repro_roundtrip () =
     Alcotest.(check bool) "metadata identical" true
       ({ r with loop } = { r' with Repro.loop })
 
-(* A compiled frontend program renders back to its own source (array
-   [a<i>] is the compiler's [i]-th allocation); the same loop with one
-   dead node (a load nobody reads) compiles to a smaller graph, so it
-   is not expressible. *)
-let test_repro_ast_rendering () =
-  let module Ast = Hcrf_frontend.Ast in
-  let loop =
-    Hcrf_frontend.Compile.compile
-      (Ast.make ~trip_count:64 ~entries:2 ~name:"axpy"
-         [ Ast.store "a0" Ast.((arr "a2" *: arr "a1") +: arr ~off:1 "a1") ])
-  in
-  Alcotest.(check (result string string))
-    "rendered"
-    (Ok
-       ({|make ~trip_count:64 ~entries:2 ~name:"axpy" [store "a0" ~off:0 |}
-       ^ {|(((arr "a2" ~off:0) *: (arr "a1" ~off:0)) +: (arr "a1" ~off:1))]|}))
-    (Repro.ast_of_loop loop);
-  let g = Ddg.copy loop.Loop.ddg in
-  let dead = Ddg.add_node g Op.Load in
-  let dead_loop =
-    Loop.make ~trip_count:loop.Loop.trip_count ~entries:loop.Loop.entries
-      ~streams:({ Loop.op = dead; base = 8; stride = 8 } :: loop.Loop.streams)
-      g
-  in
-  match Repro.ast_of_loop dead_loop with
-  | Ok text -> Alcotest.failf "dead node rendered as %s" text
-  | Error reason ->
-    Alcotest.(check string) "not expressible"
-      "candidate AST compiles to a different loop" reason
-
 (* A malformed reproducer must be rejected, not half-parsed. *)
 let test_repro_strict_parser () =
   (match Repro.of_string "hcrf-repro 1\nbogus 42\n" with
@@ -350,8 +320,6 @@ let tests =
      test_fault_injection_caught);
     ("check: repro roundtrip", `Quick, test_repro_roundtrip);
     ("check: repro strict parser", `Quick, test_repro_strict_parser);
-    ("check: repro AST rendering, dead node not expressible", `Quick,
-     test_repro_ast_rendering);
     ("check: corpus replay", `Slow, test_corpus_replay);
     ("check: repro refuses sparse node ids", `Quick,
      test_repro_refuses_sparse_ids);

@@ -542,6 +542,43 @@ let prop_true_edge_counters =
           consistent ())
         ops)
 
+(* x * x, and copies whose adjacency lists disagree on how often the
+   parallel edge occurs: each edge still appears on both sides, so only
+   a count tells them apart.  The copy that drops one in-edge keys like
+   the original (the key reads out-edges), yet gives the multiply one
+   operand. *)
+let test_validate_counts_parallel_edges () =
+  let g = Ddg.create ~name:"square" () in
+  let x = Ddg.add_node g Op.Load in
+  let m = Ddg.add_node g Op.Fmul in
+  let s = Ddg.add_node g Op.Store in
+  Ddg.add_edge g ~dep:Dep.True x m;
+  Ddg.add_edge g ~dep:Dep.True x m;
+  Ddg.add_edge g ~dep:Dep.True m s;
+  check "square is well-formed" true (Ddg.validate g);
+  let r = Ddg.to_repr g in
+  let edit v ~succs ~preds =
+    Ddg.of_repr
+      { r with
+        Ddg.repr_nodes =
+          List.map
+            (fun ((id, k, ss, ps) as n) ->
+              if id = v then (id, k, succs ss, preds ps) else n)
+            r.Ddg.repr_nodes }
+  in
+  let drop = function _ :: l -> l | [] -> [] in
+  let dup = function e :: l -> e :: e :: l | [] -> [] in
+  let dropped = edit m ~succs:Fun.id ~preds:drop in
+  check_int "one operand left" 1 (List.length (Ddg.operands dropped m));
+  check "same key" true
+    (String.equal (Loop.key (Loop.make g)) (Loop.key (Loop.make dropped)));
+  check "in-edge dropped" false (Ddg.validate dropped);
+  List.iter
+    (fun (what, g) -> check what false (Ddg.validate g))
+    [ ("out-edge dropped", edit x ~succs:drop ~preds:Fun.id);
+      ("in-edge repeated", edit m ~succs:Fun.id ~preds:dup);
+      ("out-edge repeated", edit x ~succs:dup ~preds:Fun.id) ]
+
 let tests =
   [
     ("op: predicates", `Quick, test_op_predicates);
@@ -574,4 +611,6 @@ let tests =
     QCheck_alcotest.to_alcotest prop_true_edge_counters;
     ("loop: two streams on one op refused", `Quick,
      test_loop_rejects_two_streams_on_one_op);
+    ("ddg: validate counts parallel edges", `Quick,
+     test_validate_counts_parallel_edges);
   ]

@@ -304,6 +304,29 @@ let test_tiers_rejects_malformed_loop () =
       { ddg with
         Hcrf_ir.Ddg.repr_nodes = nodes @ [ (id, other, succs, preds) ] }
   in
+  (* x * x with one of its two parallel in-edges dropped: both lists
+     still hold the edge, but not equally often, and the engine would
+     see one operand *)
+  let square =
+    let sq =
+      sched_request
+        (Hcrf_frontend.Compile.compile
+           Hcrf_frontend.Ast.(
+             make ~name:"square" [ store "y" (arr "x" *: arr "x") ]))
+    in
+    let d = sq.Wire.sr_loop.Hcrf_ir.Loop.repr_ddg in
+    { sq with
+      Wire.sr_loop =
+        { sq.Wire.sr_loop with
+          Hcrf_ir.Loop.repr_ddg =
+            { d with
+              Hcrf_ir.Ddg.repr_nodes =
+                List.map
+                  (fun ((id, kind, succs, preds) as n) ->
+                    if kind <> Hcrf_ir.Op.Fmul then n
+                    else (id, kind, succs, List.tl preds))
+                  d.Hcrf_ir.Ddg.repr_nodes } } }
+  in
   List.iter
     (fun (what, req) ->
       let tiers = Tiers.create ~lru_capacity:4 ~jobs:1 () in
@@ -324,7 +347,8 @@ let test_tiers_rejects_malformed_loop () =
       ("dangling successor edge", with_ddg dangling);
       ("next id 0", with_ddg { ddg with Hcrf_ir.Ddg.repr_next_id = 0 });
       ("node id listed twice", with_ddg twice);
-      ("ids shifted by 1M", shifted_request ~by:1_000_000 (gen_loop 2)) ]
+      ("ids shifted by 1M", shifted_request ~by:1_000_000 (gen_loop 2));
+      ("parallel in-edge dropped", square) ]
 
 (* A request whose loop has two streams on one op (daxpy's first load
    again, stride 0, in both list orders) is refused as malformed: the
@@ -579,6 +603,101 @@ let test_daemon_survives_malformed () =
   | _ -> Alcotest.fail "daemon no longer schedules"
 
 (* ------------------------------------------------------------------ *)
+(* One-sided adjacency edits *)
+
+(* A valid repr with one edit on one side of one node: drop or repeat
+   one of its out-edges (in-edges), or add one it did not have there.
+   Each edit leaves the two sides holding different multisets of
+   edges, so the graph check, the wire and the reproducer parser must
+   all refuse it, and all accept the unedited repr. *)
+type side_edit = Drop | Repeat | Add of int * Hcrf_ir.Dep.t * int
+
+let one_sided_pool =
+  lazy
+    (Array.of_list
+       (Hcrf_workload.Suite.generate ~n:40 ()
+       @ Hcrf_workload.Suite.kernels ()
+       @ List.map Hcrf_frontend.Compile.compile
+           (Hcrf_incr.Progs.program ~n:40)))
+
+let prop_one_sided_edit_refused =
+  let open Hcrf_ir in
+  QCheck.Test.make ~name:"one-sided adjacency edit refused everywhere"
+    ~count:300
+    QCheck.(
+      make
+        ~print:(fun (l, v, out, edit) ->
+          Fmt.str "loop %d node %d %s %s" l v
+            (if out then "succs" else "preds")
+            (match edit with
+            | Drop -> "drop"
+            | Repeat -> "repeat"
+            | Add (w, dep, d) -> Fmt.str "add %d %s %d" w (Dep.name dep) d))
+        Gen.(
+          quad nat nat bool
+            (frequency
+               [ (2, return Drop); (2, return Repeat);
+                 (2, map3 (fun w dep d -> Add (w, dep, d)) nat
+                       (oneofl [ Dep.True; Dep.Anti; Dep.Output ])
+                       (int_bound 2)) ])))
+    (fun (li, vi, out, edit) ->
+      let pool = Lazy.force one_sided_pool in
+      let loop = pool.(li mod Array.length pool) in
+      let lr = Loop.to_repr loop in
+      let d = lr.Loop.repr_ddg in
+      let ids = List.map (fun (id, _, _, _) -> id) d.Ddg.repr_nodes in
+      let side (_, _, succs, preds) = if out then succs else preds in
+      (* a drop or a repeat needs an edge on the edited side *)
+      let editable =
+        List.filter
+          (fun n -> match edit with Add _ -> true | _ -> side n <> [])
+          d.Ddg.repr_nodes
+      in
+      let accepted r =
+        let lr = { lr with Loop.repr_ddg = r } in
+        let wire =
+          match
+            Wire.loop_of_request { (sched_request loop) with Wire.sr_loop = lr }
+          with
+          | _ -> true
+          | exception Invalid_argument _ -> false
+        in
+        let repro =
+          Hcrf_check.Repro.of_string
+            (Hcrf_check.Repro.to_string
+               { Hcrf_check.Repro.seed = 0; case = 0; params = "default";
+                 config = "4C32"; n_fus = 8; n_mem_ports = 4;
+                 lats = config.Hcrf_machine.Config.lats; options = "default";
+                 verdict = Hcrf_obs.Event.Invalid_schedule; detail = "";
+                 loop = Loop.of_repr lr })
+        in
+        (Ddg.validate (Ddg.of_repr r), wire, Result.is_ok repro)
+      in
+      if editable = [] then QCheck.assume_fail ()
+      else
+        let v, _, _, _ = List.nth editable (vi mod List.length editable) in
+        let change l =
+          match (edit, l) with
+          | Drop, _ :: rest -> rest
+          | Repeat, e :: _ -> e :: l
+          | Add (w, dep, distance), _ ->
+            let w = List.nth ids (w mod List.length ids) in
+            let src, dst = if out then (v, w) else (w, v) in
+            { Ddg.src; dst; dep; distance } :: l
+          | (Drop | Repeat), [] -> assert false
+        in
+        let nodes =
+          List.map
+            (fun ((id, k, succs, preds) as n) ->
+              if id <> v then n
+              else if out then (id, k, change succs, preds)
+              else (id, k, succs, change preds))
+            d.Ddg.repr_nodes
+        in
+        accepted d = (true, true, true)
+        && accepted { d with Ddg.repr_nodes = nodes } = (false, false, false))
+
+(* ------------------------------------------------------------------ *)
 
 let tests =
   [
@@ -601,4 +720,5 @@ let tests =
     ("daemon: survives malformed frames", `Slow, test_daemon_survives_malformed);
     ("tiers: two streams on one op refused", `Quick,
      test_tiers_rejects_two_streams_on_one_op);
+    QCheck_alcotest.to_alcotest prop_one_sided_edit_refused;
   ]
