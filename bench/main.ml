@@ -71,8 +71,7 @@ let stats ~loops ~ctx =
   List.iter
     (fun name ->
       let config = Hcrf_model.Presets.published name in
-      let results = Runner.run_suite ~ctx config loops in
-      let a = Runner.aggregate config results in
+      let a = Runner.run_suite ~ctx config loops in
       (* the cache line shows the counters accumulated so far in this
          invocation (the cache is shared by all sections) *)
       let cache_now =
@@ -97,8 +96,7 @@ let trace ~loops ~ctx =
         Hcrf_obs.Tracer.make [ Hcrf_obs.Tracer.Counters counters ]
       in
       let ctx = { ctx with Runner.Ctx.tracer } in
-      let results = Runner.run_suite ~ctx config loops in
-      let a = Runner.aggregate config results in
+      let a = Runner.run_suite ~ctx config loops in
       Fmt.pr "%a@." (Metrics.pp_aggregate ?cache:None ~trace:counters) a)
     [ "S64"; "4C32S16" ]
 

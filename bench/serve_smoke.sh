@@ -5,9 +5,11 @@
 #
 #   - every warm response comes from a cache tier: the storm moves no
 #     engine computation counter (computed=0);
-#   - responses are byte-identical to a direct local Runner.run_loop
+#   - entries are byte-identical to a direct local Runner.compute_entry
 #     (--verify; scheduler wall-clock scrubbed);
 #   - a malformed frame is refused without taking the daemon down;
+#   - a storm with no clients or no loops is refused up front (non-zero
+#     exit at once, nothing sent);
 #   - SIGTERM drains cleanly (final stats line, exit 0, socket gone);
 #   - the drain line's counters are the daemon's counted Serve notes:
 #     with counters-only tracing (HCRF_TRACE=) each equals its serve.*
@@ -58,6 +60,17 @@ grep -q '^verify: ok' bench_out.txt ||
   { echo "serve smoke: daemon responses differ from the local runner" >&2
     cat bench_out.txt >&2; exit 1; }
 
+# degenerate storms: each storm thread steps by --clients and wraps
+# modulo --loops, so either at 0 must be refused before any request
+for bad in "--clients 0" "--loops 0"; do
+  status=0
+  timeout 10 "$explore" serve-bench --addr "$sock" -c 4C32 -r 10 $bad \
+    > "$dir/bad_out.txt" 2> "$dir/bad_err.txt" || status=$?
+  [ "$status" -ne 0 ] && [ "$status" -ne 124 ] && [ ! -s "$dir/bad_out.txt" ] ||
+    { echo "serve smoke: serve-bench $bad exited $status instead of refusing" >&2
+      cat "$dir/bad_out.txt" "$dir/bad_err.txt" >&2; exit 1; }
+done
+
 # graceful drain: SIGTERM, clean exit, final stats, socket removed
 kill -TERM "$daemon_pid"
 wait "$daemon_pid" ||
@@ -91,4 +104,4 @@ done
 find "$dir/cache" -mindepth 2 -name '*.hcrf' | grep -q . ||
   { echo "serve smoke: no sharded cache entries written" >&2; exit 1; }
 
-echo "serve smoke: ok (1000-request storm warm, verified, malformed survived, drained, stats = trace counts)"
+echo "serve smoke: ok (1000-request storm warm, verified, malformed survived, empty storms refused, drained, stats = trace counts)"

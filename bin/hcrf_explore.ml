@@ -196,8 +196,7 @@ let suite_cmd =
   let run config_name n (ctx : Hcrf_eval.Runner.Ctx.t) =
     let config = config_of_string config_name in
     let loops = Hcrf_workload.Suite.generate ~n () in
-    let results = Hcrf_eval.Runner.run_suite ~ctx config loops in
-    let a = Hcrf_eval.Runner.aggregate config results in
+    let a = Hcrf_eval.Runner.run_suite ~ctx config loops in
     let cache_stats =
       Option.map Hcrf_cache.Cache.stats ctx.Hcrf_eval.Runner.Ctx.cache
     in
@@ -263,8 +262,7 @@ let ports_cmd =
     let loops = Hcrf_workload.Suite.generate ~n () in
     let point rf =
       let config = Hcrf_model.Presets.of_model rf in
-      Hcrf_eval.Runner.aggregate config
-        (Hcrf_eval.Runner.run_suite ~ctx config loops)
+      Hcrf_eval.Runner.run_suite ~ctx config loops
     in
     if access then begin
       Fmt.pr "Access-port sweep for %s (%d loops):@." config_name n;
@@ -569,8 +567,9 @@ let serve_bench_cmd =
      tier counters each phase moved: one cold pass (every distinct loop
      once), then a concurrent warm storm.  Every response is checked
      byte-identical to the first response for its loop; --verify
-     additionally byte-compares against a local Runner.run_loop
-     (wall-clock seconds scrubbed: independent computations).
+     additionally byte-compares each entry against a local
+     Runner.compute_entry (wall-clock seconds scrubbed: independent
+     computations).
      --malformed sends a garbage frame first and proves the daemon
      survives it.  Timing the daemon is perfbench's job (serve_mixed). *)
   let open Hcrf_server in
@@ -621,6 +620,9 @@ let serve_bench_cmd =
   in
   let run addr_opt config_name n requests clients timeout_ms verify
       malformed (ctx : Hcrf_eval.Runner.Ctx.t) =
+    (* each storm thread steps by [clients] and wraps modulo [n] *)
+    if clients < 1 then fail "--clients must be at least 1 (got %d)" clients;
+    if n < 1 then fail "--loops must be at least 1 (got %d)" n;
     let scenario = ctx.Hcrf_eval.Runner.Ctx.scenario in
     let addr_s =
       match
@@ -703,7 +705,7 @@ let serve_bench_cmd =
       done
     in
     List.iter Thread.join
-      (List.init (max 1 clients) (fun k -> Thread.create (storm_client k) ()));
+      (List.init clients (fun k -> Thread.create (storm_client k) ()));
     (match !first_error with
     | Some msg -> fail "%s" msg
     | None -> ());
@@ -724,29 +726,23 @@ let serve_bench_cmd =
       (d (fun s -> s.Wire.timeouts));
     Fmt.pr "stats: %a@." Wire.pp_serve_stats after;
     if verify then begin
-      (* the daemon's answers against this process's own runner: same
-         compute path, independent run — identical modulo wall-clock *)
-      let bytes_of (p : Hcrf_eval.Metrics.loop_perf) =
-        Marshal.to_string
-          { p with Hcrf_eval.Metrics.sched_seconds = 0. }
-          [ Marshal.No_sharing ]
+      (* the daemon's entries against this process's own compute path:
+         independent runs, identical up to the wall-clock seconds *)
+      let scrubbed = function
+        | Hcrf_cache.Entry.Scheduled s ->
+          Hcrf_cache.Entry.Scheduled
+            { s with outcome = { s.outcome with s_seconds = 0. } }
+        | Hcrf_cache.Entry.Failed _ as e -> e
       in
       Array.iteri
         (fun i l ->
-          let remote =
-            Hcrf_eval.Runner.result_of_entry config l baseline.(i)
-          in
-          let local = Hcrf_eval.Runner.run_loop ~ctx config l in
-          match (remote, local) with
-          | Some r, Some s ->
-            if
-              not
-                (String.equal
-                   (bytes_of r.Hcrf_eval.Runner.perf)
-                   (bytes_of s.Hcrf_eval.Runner.perf))
-            then fail "loop %d: daemon result differs from local runner" i
-          | None, None -> ()
-          | _ -> fail "loop %d: daemon and local disagree on feasibility" i)
+          let local = Hcrf_eval.Runner.compute_entry ~scenario ~opts config l in
+          if
+            not
+              (String.equal
+                 (bytes_of_entry (scrubbed baseline.(i)))
+                 (bytes_of_entry (scrubbed local)))
+          then fail "loop %d: daemon entry differs from the local runner" i)
         loops;
       Fmt.pr "verify: ok (%d loops identical to the local runner)@." n
     end

@@ -14,8 +14,7 @@ open Hcrf_sched
 let figure1 ?(ctx = Runner.Ctx.default) ~loops () =
   List.map
     (fun config ->
-      let results = Runner.run_suite ~ctx config loops in
-      let a = Runner.aggregate config results in
+      let a = Runner.run_suite ~ctx config loops in
       (config.Config.name, Metrics.ipc a))
     (Presets.figure1_configs ())
 
@@ -46,8 +45,7 @@ let table1_configs () =
 let table1 ?(ctx = Runner.Ctx.default) ~loops () =
   List.map
     (fun config ->
-      let results = Runner.run_suite ~ctx config loops in
-      let a = Runner.aggregate config results in
+      let a = Runner.run_suite ~ctx config loops in
       let nloops = float_of_int a.Metrics.loops in
       {
         t1_config = config.Config.name;
@@ -170,9 +168,7 @@ let table3 ?(ctx = Runner.Ctx.default) ~loops () =
         let config =
           Presets.static_config ~bounded_bandwidth:bounded notation
         in
-        let a =
-          Runner.aggregate config (Runner.run_suite ~ctx config loops)
-        in
+        let a = Runner.run_suite ~ctx config loops in
         (a.Metrics.pct_at_mii, a.Metrics.sum_ii, a.Metrics.sched_seconds)
       in
       {
@@ -334,10 +330,7 @@ type perf_row = {
 let perf_rows ?(ctx = Runner.Ctx.default) ~scenario ~configs ~loops () =
   let ctx = { ctx with Runner.Ctx.scenario } in
   let aggregates =
-    List.map
-      (fun config ->
-        ( config,
-          Runner.aggregate config (Runner.run_suite ~ctx config loops) ))
+    List.map (fun config -> (config, Runner.run_suite ~ctx config loops))
       configs
   in
   let base =
@@ -496,7 +489,7 @@ let port_scarcity ?(flat = "4C32") ?(hier = "4C16S16")
   let flat_rf = Rf.of_notation flat and hier_rf = Rf.of_notation hier in
   let run rf acc =
     let config = Presets.of_model (rf_with_access rf acc) in
-    Runner.aggregate config (Runner.run_suite ~ctx config loops)
+    Runner.run_suite ~ctx config loops
   in
   List.map
     (fun acc ->

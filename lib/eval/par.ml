@@ -70,5 +70,3 @@ let map ?(jobs = 1) f items =
            | Empty | Failed _ -> assert false (* no Failed: checked above *))
          slots)
   end
-
-let filter_map ?jobs f items = List.filter_map Fun.id (map ?jobs f items)

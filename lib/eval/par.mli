@@ -14,7 +14,3 @@ val default_jobs : unit -> int
 (** [map ~jobs f items] is [List.map f items], evaluated by [jobs]
     domains. *)
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-
-(** [filter_map ~jobs f items] is [List.filter_map f items], evaluated
-    by [jobs] domains (order preserved). *)
-val filter_map : ?jobs:int -> ('a -> 'b option) -> 'a list -> 'b list

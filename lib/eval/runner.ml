@@ -166,27 +166,23 @@ let compute_entry ?(trace = Tr.off) ~scenario ~opts config (loop : Loop.t) =
   | Ok (outcome, stall_cycles, retries) ->
     Hcrf_cache.Entry.of_outcome outcome ~stall_cycles ~retries
 
-(* Replay an entry — fresh or cached, same code either way — into a
-   [loop_result]; [None] for [Failed] entries, with the same warning as
-   a live failure. *)
-let result_of_entry config (loop : Loop.t) = function
-  | Hcrf_cache.Entry.Failed ii ->
-    warn_no_schedule config loop ii;
-    None
-  | Hcrf_cache.Entry.Scheduled { outcome; stall_cycles; retries; _ } ->
-    let outcome = Hcrf_cache.Entry.to_outcome config outcome in
-    Some
-      { loop; outcome;
-        perf = Metrics.of_outcome ~stall_cycles ~retries loop outcome }
-
-(* The metrics alone, read from the entry without replaying it; the
-   same warning for [Failed] entries. *)
+(* A loop's metrics, read from its entry without replaying it; [None]
+   for [Failed] entries, with the same warning as a live failure. *)
 let perf_of_entry config (loop : Loop.t) = function
   | Hcrf_cache.Entry.Failed ii ->
     warn_no_schedule config loop ii;
     None
   | Hcrf_cache.Entry.Scheduled { outcome; stall_cycles; retries; _ } ->
     Some (Metrics.of_stored ~stall_cycles ~retries loop outcome)
+
+(* Replay an entry — fresh or cached, same code either way — into a
+   [loop_result]: the metrics of [perf_of_entry] plus the restored
+   outcome. *)
+let result_of_entry config (loop : Loop.t) entry =
+  match (entry, perf_of_entry config loop entry) with
+  | Hcrf_cache.Entry.Scheduled { outcome; _ }, Some perf ->
+    Some { loop; outcome = Hcrf_cache.Entry.to_outcome config outcome; perf }
+  | _ -> None
 
 let entry_compatible (_ : Loop.t) (_ : Hcrf_cache.Entry.t) = true
 
@@ -223,7 +219,7 @@ type pipeline_stats = {
   dirty : string list;
 }
 
-(* The one resolver behind [run_loop], [run_suite] and [run_pipeline]:
+(* The one resolver behind [run_pipeline] and [run_loop]:
    the schedule entry of every loop of a batch, in input order, and how
    the batch was answered.  Entries live in one store
    — the context's cache, else the memo's.  Keys, lookups and the
@@ -276,33 +272,33 @@ let resolve ~(ctx : Ctx.t) ~traces config loops =
     { total = n; store_hits = n - computed - coalesced; computed; coalesced;
       dirty = List.map (fun i -> Loop.name loops.(i)) todo } )
 
-(* Resolve a batch, then turn each loop's entry into a result with
-   [result] serially in input order, committing its trace right
-   after. *)
-let run_batch ~(ctx : Ctx.t) config loops result =
-  let traces =
-    Array.map
-      (fun loop -> Hcrf_obs.Tracer.start ctx.Ctx.tracer ~label:(Loop.name loop))
-      loops
-  in
-  let entries, stats = resolve ~ctx ~traces config loops in
-  let results =
-    List.init (Array.length loops) (fun i ->
-        let r = result config loops.(i) entries.(i) in
-        Hcrf_obs.Tracer.commit ctx.Ctx.tracer traces.(i);
-        r)
-  in
-  (results, stats)
+let start_trace (ctx : Ctx.t) loop =
+  Hcrf_obs.Tracer.start ctx.Ctx.tracer ~label:(Loop.name loop)
 
-let run_suite ?(ctx = Ctx.default) config loops =
-  List.filter_map Fun.id
-    (fst (run_batch ~ctx config (Array.of_list loops) result_of_entry))
-
-let run_loop ?ctx config loop =
-  match run_suite ?ctx config [ loop ] with [ r ] -> Some r | _ -> None
-
+(* Resolve a batch, then read each loop's metrics from its entry
+   serially in input order, committing its trace right after. *)
 let run_pipeline ?(ctx = Ctx.default) config loops =
-  run_batch ~ctx config (Array.of_list loops) perf_of_entry
+  let loops = Array.of_list loops in
+  let traces = Array.map (start_trace ctx) loops in
+  let entries, stats = resolve ~ctx ~traces config loops in
+  let perfs =
+    List.init (Array.length loops) (fun i ->
+        let p = perf_of_entry config loops.(i) entries.(i) in
+        Hcrf_obs.Tracer.commit ctx.Ctx.tracer traces.(i);
+        p)
+  in
+  (perfs, stats)
+
+let run_suite ?ctx config loops =
+  Metrics.aggregate config
+    (List.filter_map Fun.id (fst (run_pipeline ?ctx config loops)))
+
+let run_loop ?(ctx = Ctx.default) config loop =
+  let trace = start_trace ctx loop in
+  let entries, _ = resolve ~ctx ~traces:[| trace |] config [| loop |] in
+  let r = result_of_entry config loop entries.(0) in
+  Hcrf_obs.Tracer.commit ctx.Ctx.tracer trace;
+  r
 
 let pp_pipeline_stats ppf s =
   Fmt.pf ppf "loops=%d store_hits=%d recomputed=%d coalesced=%d"

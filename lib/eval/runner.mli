@@ -72,8 +72,10 @@ val compute_entry :
   Hcrf_ir.Loop.t -> Hcrf_cache.Entry.t
 
 (** Replay an entry (fresh or cached — same code either way) into a
-    [loop_result]; [None] for [Failed] entries, with the same warning a
-    live failure logs. *)
+    [loop_result]: the outcome restored by {!Hcrf_cache.Entry.to_outcome},
+    the metrics read from the entry by {!Metrics.of_stored} (the one
+    constructor of every runner answer's metrics).  [None] for [Failed]
+    entries, with the same warning a live failure logs. *)
 val result_of_entry :
   Hcrf_machine.Config.t -> Hcrf_ir.Loop.t -> Hcrf_cache.Entry.t ->
   loop_result option
@@ -85,26 +87,21 @@ val result_of_entry :
 val entry_compatible : Hcrf_ir.Loop.t -> Hcrf_cache.Entry.t -> bool
 
 (** Schedule one loop (with escalating budget retries so aggregate
-    metrics never silently drop loops); [None] only if every retry
-    failed.  A one-loop {!run_suite}. *)
+    metrics never silently drop loops) and replay its full outcome;
+    [None] only if every retry failed.  The {!run_pipeline} resolver
+    over one loop, plus {!result_of_entry}: the only runner call that
+    rebuilds an outcome. *)
 val run_loop :
   ?ctx:Ctx.t -> Hcrf_machine.Config.t -> Hcrf_ir.Loop.t ->
   loop_result option
 
-(** Schedule a whole suite; loops that fail to schedule are dropped
-    (and logged).  One resolver answers every schedule: it computes
-    each loop's key, looks it up in one store — [ctx.cache], else the
-    memo's {!Memo.cache}, else none — and coalesces duplicates (same
-    key) onto one owner, all serially in input order; only
-    the owners' engine runs fan out over [ctx.jobs] domains ({!Par}),
-    and their entries are committed to the store serially in input
-    order.  Results are replayed from the entries ({!result_of_entry})
-    and trace buffers committed in input order, so aggregates, trace
-    counter totals and JSONL trace files are byte-identical at any job
-    count, warm or cold cache alike. *)
+(** Schedule a whole suite and answer its aggregate: the
+    {!Metrics.aggregate} of {!run_pipeline}'s metrics in input order.
+    Loops that fail to schedule are dropped (and logged); no outcome
+    is replayed. *)
 val run_suite :
   ?ctx:Ctx.t -> Hcrf_machine.Config.t -> Hcrf_ir.Loop.t list ->
-  loop_result list
+  Metrics.aggregate
 
 (** Traced parallel map for drivers that run the engine directly rather
     than through {!run_loop}: each item gets a trace labelled by
@@ -113,6 +110,9 @@ val par_map :
   ctx:Ctx.t -> label:('a -> string) ->
   (trace:Hcrf_obs.Trace.t -> 'a -> 'b) -> 'a list -> 'b list
 
+(** {!Metrics.aggregate} over the results' metrics.  Kept for the
+    benchmark harness (perfbench), which still calls it; batch drivers
+    take their aggregate from {!run_suite}. *)
 val aggregate :
   Hcrf_machine.Config.t -> loop_result list -> Metrics.aggregate
 
@@ -130,17 +130,24 @@ type pipeline_stats = {
 
 val pp_pipeline_stats : Format.formatter -> pipeline_stats -> unit
 
-(** Evaluate a suite as the staged incremental pipeline: the
-    {!run_suite} resolver over the loops (a loop the stage memo hands
-    back again carries its key), with each loop's metrics read straight
-    from its schedule entry ({!Metrics.of_stored}: no graph rebuilt,
-    the same figures {!result_of_entry} gives) in input order — [None]
-    where every scheduling retry failed, warned on every call — and how
-    the schedules were answered.  After an edit only the loops whose cache
-    key changed re-run the engine; everything else is read from the
-    store, byte-identical to a cold run up to re-measured
-    [sched_seconds].  Stats and trace files are independent of
-    [ctx.jobs]. *)
+(** Evaluate a suite — the one batch body behind {!run_suite} and the
+    incremental pipeline.  One resolver answers every schedule: it
+    computes each loop's key (a loop the stage memo hands back again
+    carries its key), looks it up in one store — [ctx.cache], else the
+    memo's {!Memo.cache}, else none — and coalesces duplicates (same
+    key) onto one owner, all serially in input order; only the owners'
+    engine runs fan out over [ctx.jobs] domains ({!Par}), and their
+    entries are committed to the store serially in input order.  Each
+    loop's metrics are read straight from its schedule entry
+    ({!Metrics.of_stored}: no graph rebuilt, the same figures
+    {!result_of_entry} gives) and its trace buffer committed, in input
+    order — [None] where every scheduling retry failed, warned on every
+    call — followed by how the schedules were answered.  After an edit
+    only the loops whose cache key changed re-run the engine; everything
+    else is read from the store, byte-identical to a cold run up to
+    re-measured [sched_seconds].  Metrics, stats, trace counter totals
+    and JSONL trace files are independent of [ctx.jobs], warm or cold
+    cache alike. *)
 val run_pipeline :
   ?ctx:Ctx.t -> Hcrf_machine.Config.t -> Hcrf_ir.Loop.t list ->
   Metrics.loop_perf option list * pipeline_stats

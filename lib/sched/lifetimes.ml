@@ -82,6 +82,3 @@ let pressure ~ii ~(bank : Topology.bank) ?(invariant_residents = 0)
 (** All banks that appear in some lifetime, for iteration. *)
 let banks lts =
   List.sort_uniq compare (List.map (fun l -> l.bank) lts)
-
-let pp_lifetime ppf l =
-  Fmt.pf ppf "n%d:%a[%d,%d)" l.def Topology.pp_bank l.bank l.start l.stop

@@ -35,5 +35,3 @@ val pressure :
 
 (** Banks appearing in some lifetime. *)
 val banks : lifetime list -> Topology.bank list
-
-val pp_lifetime : Format.formatter -> lifetime -> unit

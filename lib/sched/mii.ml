@@ -19,9 +19,6 @@ type bounds = {
 
 let mii b = max (max b.fu b.mem) (max b.comm b.rec_)
 
-let pp_bounds ppf b =
-  Fmt.pf ppf "fu=%d mem=%d comm=%d rec=%d" b.fu b.mem b.comm b.rec_
-
 let cdiv a b = if b <= 0 then 0 else (a + b - 1) / b
 
 let cdiv_cap a (c : Cap.t) =

@@ -15,7 +15,6 @@ type bounds = {
 }
 
 val mii : bounds -> int
-val pp_bounds : Format.formatter -> bounds -> unit
 
 (** The resource components (fu, mem, comm). *)
 val res_mii : Hcrf_machine.Config.t -> Hcrf_ir.Ddg.t -> int * int * int

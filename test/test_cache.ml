@@ -498,25 +498,26 @@ let presets = [ "S64"; "4C32"; "4C32S16" ]
 let scrub (a : Metrics.aggregate) = { a with Metrics.sched_seconds = 0. }
 let bytes_of a = Marshal.to_string a []
 
+(* The cold pass replays each loop's outcome through [run_loop]; the
+   warm passes read the suite's aggregate from [run_suite]. *)
+let replayed_aggregate ctx config suite =
+  Runner.aggregate config (List.filter_map (Runner.run_loop ~ctx config) suite)
+
 let test_warm_cold_identical () =
   let suite = List.init 10 gen_loop in
   List.iter
     (fun name ->
       let config = Hcrf_model.Presets.published name in
-      let uncached =
-        Runner.aggregate config (Runner.run_suite config suite)
-      in
+      let uncached = Runner.run_suite config suite in
       let cache = Cache.create () in
-      let cached jobs =
-        let ctx = Runner.Ctx.make ~cache ~jobs () in
-        Runner.aggregate config (Runner.run_suite ~ctx config suite)
-      in
-      let cold = cached 1 in
+      let cold = replayed_aggregate (Runner.Ctx.make ~cache ()) config suite in
       check (name ^ ": cold cached run equals the uncached run") true
         (String.equal (bytes_of (scrub uncached)) (bytes_of (scrub cold)));
       List.iter
         (fun jobs ->
-          let warm = cached jobs in
+          let warm =
+            Runner.run_suite ~ctx:(Runner.Ctx.make ~cache ~jobs ()) config suite
+          in
           check
             (Fmt.str "%s jobs=%d: warm bytes equal the cold run" name jobs)
             true
@@ -543,16 +544,12 @@ let test_warm_cold_identical_real_memory () =
   let config = Hcrf_model.Presets.published "4C32S16" in
   let scenario = Runner.Real { prefetch = false } in
   let uncached =
-    let ctx = Runner.Ctx.make ~scenario () in
-    Runner.aggregate config (Runner.run_suite ~ctx config suite)
+    Runner.run_suite ~ctx:(Runner.Ctx.make ~scenario ()) config suite
   in
   let cache = Cache.create () in
-  let run () =
-    let ctx = Runner.Ctx.make ~scenario ~cache ~jobs:4 () in
-    Runner.aggregate config (Runner.run_suite ~ctx config suite)
-  in
-  let cold = run () in
-  let warm = run () in
+  let ctx = Runner.Ctx.make ~scenario ~cache ~jobs:4 () in
+  let cold = replayed_aggregate ctx config suite in
+  let warm = Runner.run_suite ~ctx config suite in
   check "real-memory warm aggregate is byte-identical to cold" true
     (String.equal (bytes_of cold) (bytes_of warm));
   check "real-memory cached run equals the uncached run" true
@@ -1109,6 +1106,21 @@ let test_second_key_read_allocates_nothing () =
     (words < 100.);
   check "the same key" true (Fingerprint.equal first (Fingerprint.of_loop l))
 
+(* A warm suite reads each loop's metrics from its entry: no graph is
+   rebuilt and no schedule restored, so the pass stays small. *)
+let test_warm_suite_allocates_little () =
+  let config = Hcrf_model.Presets.published "4C32S16" in
+  let suite = Hcrf_workload.Suite.generate ~n:24 () in
+  let ctx = Runner.Ctx.make ~cache:(Cache.create ()) () in
+  let cold = Runner.run_suite ~ctx config suite in
+  let before = Gc.minor_words () in
+  let warm = Runner.run_suite ~ctx config suite in
+  let per_loop = (Gc.minor_words () -. before) /. 24. in
+  check "warm aggregate equals the cold one" true
+    (String.equal (bytes_of cold) (bytes_of warm));
+  check (Fmt.str "warm pass allocates %.0f minor words a loop" per_loop) true
+    (per_loop < 400.)
+
 (* ------------------------------------------------------------------ *)
 
 let tests =
@@ -1160,4 +1172,6 @@ let tests =
     ("fingerprint: no carried key goes stale", `Quick, test_no_stale_key);
     ("fingerprint: a second key read allocates nothing", `Quick,
      test_second_key_read_allocates_nothing);
+    ("suite: a warm pass allocates under 400 minor words a loop", `Quick,
+     test_warm_suite_allocates_little);
   ]

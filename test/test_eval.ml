@@ -75,7 +75,9 @@ let test_metrics_of_outcome () =
 
 let test_aggregate () =
   let config = Hcrf_model.Presets.published "S128" in
-  let results = Runner.run_suite config (Lazy.force small_suite) in
+  let results =
+    List.filter_map (Runner.run_loop config) (Lazy.force small_suite)
+  in
   check_int "nothing dropped" 24 (List.length results);
   let a = Runner.aggregate config results in
   check_int "loops" 24 a.Metrics.loops;
@@ -91,7 +93,7 @@ let test_runner_real_memory () =
   let loops = Lazy.force small_suite in
   let agg scenario =
     let ctx = Runner.Ctx.make ~scenario () in
-    Runner.aggregate config (Runner.run_suite ~ctx config loops)
+    Runner.run_suite ~ctx config loops
   in
   let ideal = agg Runner.Ideal in
   let real = agg (Runner.Real { prefetch = false }) in
@@ -136,7 +138,7 @@ let test_parallel_determinism () =
     (fun scenario ->
       let agg jobs =
         let ctx = Runner.Ctx.make ~scenario ~jobs () in
-        Runner.aggregate config (Runner.run_suite ~ctx config loops)
+        Runner.run_suite ~ctx config loops
       in
       let serial = agg 1 and par = agg 4 in
       Alcotest.(check string)

@@ -363,9 +363,7 @@ let bytes_of a = Marshal.to_string (scrub a) []
 let test_null_sink_purity () =
   let config = Hcrf_model.Presets.published "S64" in
   let loops = Lazy.force small_suite in
-  let agg ctx =
-    Runner.aggregate config (Runner.run_suite ~ctx config loops)
-  in
+  let agg ctx = Runner.run_suite ~ctx config loops in
   let untraced = agg (Runner.Ctx.make ()) in
   let null_traced = agg (Runner.Ctx.make ~tracer:Tracer.null ()) in
   let counter_traced =
@@ -469,88 +467,87 @@ let test_env () =
   Unix.putenv "HCRF_CONFIG" ""
 
 (* ------------------------------------------------------------------ *)
-(* The three entry points share one answer path: without a memo,
-   run_loop (per loop), run_suite and run_pipeline give byte-identical
-   results at any job count.  run_pipeline reads its metrics straight
-   from the schedule entries; run_suite replays whole outcomes. *)
-
-let scrub_perf (p : Metrics.loop_perf) = { p with Metrics.sched_seconds = 0. }
-let perf_bytes perfs =
-  Marshal.to_string (List.map scrub_perf perfs) [ Marshal.No_sharing ]
+(* The three entry points share one answer path: run_suite's aggregate
+   is the aggregate of the run_loop perfs and of the run_pipeline perfs,
+   at any job count, cold or warm.  All three read their metrics from
+   the schedule entries; only run_loop also replays the outcome.
+   Binding prefetch on a clustered organization makes the engine insert
+   spill code (in synth0005), so the memory-operation count of the
+   final graph differs from the original's; one loop's key holds a
+   failed entry. *)
 
 let test_pipeline_matches_suite () =
-  let config = Hcrf_model.Presets.published "S64" in
-  let loops = Lazy.force small_suite in
-  List.iter
-    (fun jobs ->
-      let ctx = Runner.Ctx.make ~jobs () in
-      let loop_perfs =
-        List.filter_map
-          (fun l ->
-            Option.map (fun r -> r.Runner.perf) (Runner.run_loop ~ctx config l))
-          loops
-      in
-      let suite_perfs =
-        List.map (fun r -> r.Runner.perf) (Runner.run_suite ~ctx config loops)
-      in
-      let pipeline_perfs, stats =
-        Runner.run_pipeline ~ctx config loops
-      in
-      let pipeline_perfs = List.filter_map Fun.id pipeline_perfs in
-      check (Fmt.str "run_loop perfs = run_suite perfs (jobs %d)" jobs) true
-        (perf_bytes loop_perfs = perf_bytes suite_perfs);
-      check (Fmt.str "run_pipeline perfs = run_suite perfs (jobs %d)" jobs)
-        true
-        (perf_bytes pipeline_perfs = perf_bytes suite_perfs);
-      check_int "no memo, no cache: nothing hits the store" 0
-        stats.Runner.store_hits;
-      check_int "every distinct loop was computed" (List.length loops)
-        Runner.(stats.computed + stats.coalesced))
-    [ 1; 4 ];
-  (* Binding prefetch on a clustered organization: the engine inserts
-     spill code (in synth0005), so the memory-operation count of the
-     final graph differs from the original's.  One shared cache, a cold
-     and a warm pass, and one loop whose key holds a failed entry. *)
   let config = Hcrf_model.Presets.published "2C32" in
   let scenario = Runner.Real { prefetch = true } in
-  let cache = Hcrf_cache.Cache.create () in
-  let ctx = Runner.Ctx.make ~scenario ~cache () in
-  let failed = 3 in
-  Hcrf_cache.Cache.add cache
-    (Runner.cache_key ~scenario ~opts:ctx.Runner.Ctx.opts config
-       (List.nth loops failed))
-    (Hcrf_cache.Entry.Failed 7);
-  let n = List.length loops in
-  let pipeline pass =
-    let perfs, stats = Runner.run_pipeline ~ctx config loops in
-    check_int (pass ^ ": one result per loop") n (List.length perfs);
-    check (pass ^ ": the failed entry gives None") true
-      (List.nth perfs failed = None);
-    check_int (pass ^ ": only the failed loop gives None") 1
-      (List.length (List.filter Option.is_none perfs));
-    (List.filter_map Fun.id perfs, stats)
+  let loops = Lazy.force small_suite in
+  let n = List.length loops and failed = 3 in
+  let with_failed_entry jobs =
+    let cache = Hcrf_cache.Cache.create () in
+    let ctx = Runner.Ctx.make ~scenario ~cache ~jobs () in
+    Hcrf_cache.Cache.add cache
+      (Runner.cache_key ~scenario ~opts:ctx.Runner.Ctx.opts config
+         (List.nth loops failed))
+      (Hcrf_cache.Entry.Failed 7);
+    ctx
   in
-  let cold, cold_stats = pipeline "cold" in
+  let via_loop ctx =
+    let rs = List.filter_map (Runner.run_loop ~ctx config) loops in
+    check_int "run_loop drops the failed loop" (n - 1) (List.length rs);
+    check "run_loop drops exactly the failed loop" false
+      (List.exists (fun r -> r.Runner.loop == List.nth loops failed) rs);
+    check "spill code reaches the final graphs" true
+      (List.exists
+         (fun r ->
+           Hcrf_ir.Ddg.num_memory_ops r.Runner.outcome.Hcrf_sched.Engine.graph
+           > Hcrf_ir.Ddg.num_memory_ops r.Runner.loop.Hcrf_ir.Loop.ddg)
+         rs);
+    Metrics.aggregate config (List.map (fun r -> r.Runner.perf) rs)
+  in
+  let via_pipeline ctx =
+    let perfs, _ = Runner.run_pipeline ~ctx config loops in
+    check "run_pipeline: None for exactly the failed loop" true
+      (List.equal Bool.equal
+         (List.map Option.is_none perfs)
+         (List.init n (fun i -> i = failed)));
+    Metrics.aggregate config (List.filter_map Fun.id perfs)
+  in
+  List.iter
+    (fun jobs ->
+      (* a cold and a warm pass of one entry point over its own cache *)
+      let passes run =
+        let ctx = with_failed_entry jobs in
+        let cold = run ctx in
+        (cold, run ctx)
+      in
+      let suite_cold, suite_warm =
+        passes (fun ctx -> Runner.run_suite ~ctx config loops)
+      in
+      check_int "run_suite drops exactly the failed loop" (n - 1)
+        suite_cold.Metrics.loops;
+      List.iter
+        (fun (name, run) ->
+          let cold, warm = passes run in
+          check
+            (Fmt.str "jobs %d, cold: run_suite aggregate = %s perfs" jobs name)
+            true
+            (bytes_of suite_cold = bytes_of cold);
+          check
+            (Fmt.str "jobs %d, warm: run_suite aggregate = %s perfs" jobs name)
+            true
+            (bytes_of suite_warm = bytes_of warm))
+        [ ("run_loop", via_loop); ("run_pipeline", via_pipeline) ])
+    [ 1; 4 ];
+  let stats ctx = snd (Runner.run_pipeline ~ctx config loops) in
+  let none = stats (Runner.Ctx.make ~scenario ()) in
+  check_int "no memo, no cache: nothing hits the store" 0
+    none.Runner.store_hits;
+  check_int "every distinct loop was computed" n
+    Runner.(none.computed + none.coalesced);
+  let ctx = with_failed_entry 1 in
   check_int "cold: the failed entry is the one store hit" 1
-    cold_stats.Runner.store_hits;
-  let results = Runner.run_suite ~ctx config loops in
-  check_int "run_suite drops the failed loop" (n - 1) (List.length results);
-  check "run_suite drops exactly the failed loop" false
-    (List.exists (fun r -> r.Runner.loop == List.nth loops failed) results);
-  check "spill code reaches the final graphs" true
-    (List.exists
-       (fun r ->
-         Hcrf_ir.Ddg.num_memory_ops r.Runner.outcome.Hcrf_sched.Engine.graph
-         > Hcrf_ir.Ddg.num_memory_ops r.Runner.loop.Hcrf_ir.Loop.ddg)
-       results);
-  let suite_perfs = List.map (fun r -> r.Runner.perf) results in
-  let warm, warm_stats = pipeline "warm" in
+    (stats ctx).Runner.store_hits;
   check_int "warm: every schedule from the store" n
-    warm_stats.Runner.store_hits;
-  check "prefetch, cold: run_pipeline perfs = run_suite perfs" true
-    (perf_bytes cold = perf_bytes suite_perfs);
-  check "prefetch, warm: run_pipeline perfs = run_suite perfs" true
-    (perf_bytes warm = perf_bytes suite_perfs)
+    (stats ctx).Runner.store_hits
 
 (* Cache keys are what the on-disk stores are filed under: one kernel's
    key is pinned, and the keys a batch builds from its per-batch prefix
