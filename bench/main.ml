@@ -132,8 +132,7 @@ let sections =
     ("trace", true, trace) ]
 
 let () =
-  Logs.set_reporter (Logs_fmt.reporter ());
-  Logs.set_level (Some Logs.Warning);
+  Hcrf_obs.Logging.setup ();
   Env.warn_unknown ();
   let args =
     List.filter (fun a -> a <> "--") (List.tl (Array.to_list Sys.argv))

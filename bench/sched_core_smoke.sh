@@ -8,7 +8,9 @@
 # aggregates can hide: Figure 6 at 20 loops (real memory with binding
 # prefetch, so the stall simulation too) and the full placement — every
 # node's cycle and cluster — of each built-in kernel on S64, 4C32S16
-# and 8C16S16, plus 4C32S16 under prefetch.  main.exe and hcrf_explore
+# and 8C16S16, plus 4C32S16 under prefetch, then on the organizations
+# those miss: flat clustered 4C32 and 2C64 (Move reuse), a third level
+# (4C16S16-L3:64) and constrained ports (4C16S16@r2w1).  main.exe and hcrf_explore
 # print no timing, so the raw bytes are compared.  An unknown section
 # name must be refused (exit 2), not silently ignored.
 #
@@ -44,6 +46,9 @@ kernels="daxpy dot vscale saxpy3 fir5 stencil3 tridiag horner cmul norm2
   done
   for k in $kernels; do
     "$explore" schedule -k "$k" -c 4C32S16 --memory prefetch --dump
+  done
+  for c in 4C32 2C64 4C16S16-L3:64 4C16S16@r2w1; do
+    for k in $kernels; do "$explore" schedule -k "$k" -c "$c" --dump; done
   done
 } > sched_core_schedules.txt
 same "$golden_schedules" sched_core_schedules.txt

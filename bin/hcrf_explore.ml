@@ -854,8 +854,7 @@ let incr_cmd =
       $ ctx_term)
 
 let () =
-  Logs.set_reporter (Logs_fmt.reporter ());
-  Logs.set_level (Some Logs.Warning);
+  Hcrf_obs.Logging.setup ();
   Hcrf_eval.Env.warn_unknown ();
   let info =
     Cmd.info "hcrf_explore" ~version:"1.0"

@@ -52,8 +52,7 @@ let max_frame_arg =
     & info [ "max-frame" ] ~doc ~docv:"BYTES")
 
 let run addr cache_dir lru jobs max_frame =
-  Logs.set_reporter (Logs_fmt.reporter ());
-  Logs.set_level (Some Logs.Warning);
+  Hcrf_obs.Logging.setup ();
   Hcrf_eval.Env.warn_unknown ();
   match
     match addr with

@@ -101,12 +101,22 @@ type mstats = {
   mutable m_attempts : int;
 }
 
+(* The candidate locations of one operation kind, in Select_Cluster's
+   order, with the bank the kind reads its operands from and the bank
+   it defines its value in at each of them. *)
+type cands = {
+  locs : Topology.loc list;
+  rbs : Topology.bank array;         (* candidate -> read bank *)
+  dbs : Topology.bank option array;  (* candidate -> definition bank *)
+}
+
 (* The side tables indexed by node id ([prio], [aux], [last_force],
    [spilled]) are arrays of one common length, grown together by
    [reserve] when an inserted node's id runs past them.  The
-   configuration-derived tables ([finite_banks], [exec_locs]) and the
-   [cc_counts] scratch are built once per attempt: attempts run on
-   several domains, so they stay out of global memos. *)
+   configuration-derived tables ([finite_banks], [exec]) and the
+   scratch ([cc_counts], [sc_comm], [sc_mark]) are built once per
+   attempt: attempts run on several domains, so they stay out of global
+   memos. *)
 type state = {
   g : Ddg.t;
   config : Config.t;
@@ -122,8 +132,13 @@ type state = {
   inv_spilled : (int * int, unit) Hashtbl.t; (* (inv, bank code) *)
   finite_banks : (Topology.bank * int) array;
       (* banks with a finite capacity, in bank-code order *)
-  exec_locs : Topology.loc list array;   (* kind tag -> candidate locations *)
+  exec : cands array;                    (* kind tag -> candidates *)
   cc_counts : (int, int) Hashtbl.t;      (* [consumers_cluster] scratch *)
+  sc_comm : int array;   (* candidate -> fresh copies ([score_routes]) *)
+  sc_mark : int array;
+      (* cluster -> the last operand edge ([sc_edge]) whose shared node
+         a scheduled down copy there already holds *)
+  mutable sc_edge : int;
   mutable budget : int;
   mutable refills : int;
       (* cumulative budget granted back by spills; capped so a spill /
@@ -604,15 +619,12 @@ let apply_plan s ~anchor (edge : Ddg.edge) plan =
      then eject s edge.dst);
   List.rev !fresh
 
-(* Routing needs of [v] placed at [loc], folded in order: every
-   mismatched operand edge, then every mismatched consumer edge, as
-   [f acc edge ~p ~db ~rb ~avoid] (value of [p] defined in [db], read
-   from [rb]).  Only edges whose other endpoint is scheduled are
-   considered — the rest get routed when that endpoint is placed.
-   NOTE: plans go stale as soon as one of them is applied (scheduling a
-   fresh copy can eject or splice other nodes); apply only the first and
-   recompute (see [first_route]). *)
-let rec fold_operand_routes s v f ~rb acc = function
+(* The edges of [v] that may need routing, folded in order.  Only
+   edges whose other endpoint is scheduled are considered — the rest
+   get routed when that endpoint is placed.  An operand edge comes with
+   the bank [db] its producer's value is defined in, a consumer edge
+   with the bank [rb] its consumer reads from. *)
+let rec fold_operand_edges s v f acc = function
   | [] -> acc
   | (e : Ddg.edge) :: tl ->
     let acc =
@@ -622,13 +634,13 @@ let rec fold_operand_routes s v f ~rb acc = function
         && Schedule.is_scheduled s.sched e.src
       then
         match def_bank_of s e.src with
-        | Some db -> f acc e ~p:e.src ~db ~rb ~avoid:e.dst
+        | Some db -> f acc e ~db
         | None -> acc
       else acc
     in
-    fold_operand_routes s v f ~rb acc tl
+    fold_operand_edges s v f acc tl
 
-let rec fold_consumer_routes s v f ~db acc = function
+let rec fold_consumer_edges s v f acc = function
   | [] -> acc
   | (e : Ddg.edge) :: tl ->
     let acc =
@@ -638,27 +650,38 @@ let rec fold_consumer_routes s v f ~db acc = function
         && Schedule.is_scheduled s.sched e.dst
         && not (Op.equal_kind (kind_of s e.dst) Op.Move)
       then
-        let rb =
-          Topology.read_bank s.config (kind_of s e.dst)
-            (Schedule.loc_of s.sched e.dst)
-        in
-        f acc e ~p:v ~db ~rb ~avoid:e.dst
+        f acc e
+          ~rb:
+            (Topology.read_bank s.config (kind_of s e.dst)
+               (Schedule.loc_of s.sched e.dst))
       else acc
     in
-    fold_consumer_routes s v f ~db acc tl
+    fold_consumer_edges s v f acc tl
 
+(* Routing needs of [v] placed at [loc], folded in order: every
+   mismatched operand edge, then every mismatched consumer edge, as
+   [f acc edge ~p ~db ~rb ~avoid] (value of [p] defined in [db], read
+   from [rb]).
+   NOTE: plans go stale as soon as one of them is applied (scheduling a
+   fresh copy can eject or splice other nodes); apply only the first and
+   recompute (see [first_route]). *)
 let fold_routes s v ~loc f acc =
   let kind = kind_of s v in
   let acc =
     if Op.equal_kind kind Op.Move then acc
       (* a Move reads whatever local bank its producer is in *)
     else
-      fold_operand_routes s v f ~rb:(Topology.read_bank s.config kind loc) acc
-        (Ddg.operands s.g v)
+      let rb = Topology.read_bank s.config kind loc in
+      fold_operand_edges s v
+        (fun acc (e : Ddg.edge) ~db -> f acc e ~p:e.src ~db ~rb ~avoid:e.dst)
+        acc (Ddg.operands s.g v)
   in
   match Topology.def_bank s.config kind loc with
   | None -> acc
-  | Some db -> fold_consumer_routes s v f ~db acc (Ddg.succs s.g v)
+  | Some db ->
+    fold_consumer_edges s v
+      (fun acc (e : Ddg.edge) ~rb -> f acc e ~p:v ~db ~rb ~avoid:e.dst)
+      acc (Ddg.succs s.g v)
 
 (* The first routing need of [v] at [loc] and its plan. *)
 let first_route s v ~loc =
@@ -670,20 +693,93 @@ let first_route s v ~loc =
         Option.map (fun pl -> (e, pl)) (plan_route s ~p ~db ~rb ~avoid))
     None
 
-(* Cost of placing [v] at [loc] without committing: fresh communication
-   ops needed, slot availability, FU occupancy and bank fill.  [estart]
-   is [v]'s earliest cycle, which does not depend on [loc]. *)
-let placement_cost s v ~estart ~loc =
-  let comm =
-    fold_routes s v ~loc
-      (fun acc _ ~p ~db ~rb ~avoid -> acc + route_fresh s ~p ~db ~rb ~avoid)
-      0
+let bank_tag = function
+  | Topology.Local _ -> 0
+  | Topology.Shared -> 1
+  | Topology.L3 -> 2
+
+(* [v], whose routes are scored, is not scheduled: no mark is its own. *)
+let mark_down_copies s sn ~kind =
+  List.iter
+    (fun (e : Ddg.edge) ->
+      if
+        Op.equal_kind (kind_of s e.dst) kind
+        && Schedule.is_scheduled s.sched e.dst
+      then
+        match Schedule.loc_of s.sched e.dst with
+        | Topology.Cluster j -> s.sc_mark.(j) <- s.sc_edge
+        | Topology.Global -> ())
+    (Ddg.consumers s.g sn)
+
+(* [route_of]'s shared node for the value [p] defines in [db] (its
+   root, else its up copy; -1 for none) does not depend on the reading
+   bank.  A clustered file has no shared bank: [p] is its own root, and
+   its down copies are Moves. *)
+let score_operand s v (c : cands) ~p ~(db : Topology.bank) =
+  let hier =
+    match s.config.rf with
+    | Rf.Hierarchical _ -> true
+    | Rf.Monolithic _ | Rf.Clustered _ -> false
   in
-  let slot_ok =
-    scan s (Work.prepare s.work s.g v ~loc) ~from:(max 0 estart) ~step:1
-      (Schedule.ii s.sched)
-    >= 0
+  let root = if hier then shared_root s p ~db else p in
+  let sn = if root >= 0 then root else shared_copy s p ~db ~avoid:v in
+  s.sc_edge <- s.sc_edge + 1;
+  if sn >= 0 then
+    mark_down_copies s sn ~kind:(if hier then Op.Load_r else Op.Move);
+  for k = 0 to Array.length c.rbs - 1 do
+    let rb = c.rbs.(k) in
+    if not (Topology.equal_bank db rb) then
+      let fresh =
+        match (rb, s.config.rf) with
+        | Topology.Local j, (Rf.Clustered _ | Rf.Hierarchical _) ->
+          Bool.to_int (sn < 0) + Bool.to_int (s.sc_mark.(j) <> s.sc_edge)
+        | _ -> route_fresh s ~p ~db ~rb ~avoid:v
+      in
+      s.sc_comm.(k) <- s.sc_comm.(k) + fresh
+  done
+
+let score_consumer s v (c : cands) ~rb ~avoid =
+  let rec go k tag fresh =
+    if k < Array.length c.dbs then
+      match c.dbs.(k) with
+      | Some db when not (Topology.equal_bank db rb) ->
+        let fresh =
+          if bank_tag db = tag then fresh
+          else route_fresh s ~p:v ~db ~rb ~avoid
+        in
+        s.sc_comm.(k) <- s.sc_comm.(k) + fresh;
+        go (k + 1) (bank_tag db) fresh
+      | Some _ | None -> go (k + 1) tag fresh
   in
+  go 0 (-1) 0
+
+(* The fresh communication ops [v] (not a Move) needs at each candidate
+   of [c], into [s.sc_comm]: cell [k] equals the sum of [route_fresh]
+   over [fold_routes] at candidate [k], but one walk of [v]'s edges
+   serves every candidate.
+   - An operand edge's shared node depends on its producer only.  One
+     walk of that node's consumers marks the clusters holding a
+     scheduled down copy of it to reuse.
+   - A consumer edge's count depends on [v]'s definition bank only
+     through [equal_bank db rb] and [db]'s constructor: one
+     [route_fresh] serves every candidate defining into a bank of that
+     constructor. *)
+let score_routes s v (c : cands) =
+  Array.fill s.sc_comm 0 (Array.length c.rbs) 0;
+  fold_operand_edges s v
+    (fun () (e : Ddg.edge) ~db -> score_operand s v c ~p:e.src ~db)
+    () (Ddg.operands s.g v);
+  if Op.defines_value (kind_of s v) then
+    fold_consumer_edges s v
+      (fun () (e : Ddg.edge) ~rb -> score_consumer s v c ~rb ~avoid:e.dst)
+      () (Ddg.succs s.g v)
+
+(* Cost of placing [v] at [loc] without committing: [comm] fresh
+   communication ops ({!score_routes}), slot availability, FU occupancy
+   and bank fill.  Every window of II cycles asks the same slot
+   question, so [v]'s earliest cycle does not enter. *)
+let placement_cost s v ~comm ~loc =
+  let slot_ok = Work.fits_any s.work (Work.prepare s.work s.g v ~loc) in
   let cluster = cluster_of_loc loc in
   let fu_fill =
     Work.total_occupancy s.work
@@ -773,7 +869,8 @@ let loc_or_splice s c = if c >= 0 then `Loc (cluster_loc s c) else `Splice
 
 let decide_loc s v =
   let kind = kind_of s v in
-  match s.exec_locs.(Schedule.kind_tag kind) with
+  let c = s.exec.(Schedule.kind_tag kind) in
+  match c.locs with
   | [] -> `Splice
   | [ l ] -> `Loc l
   | locs -> (
@@ -819,15 +916,14 @@ let decide_loc s v =
       (* Select_Cluster heuristic [37]: fewest new communications, then
          a free slot, then balanced FU/register use; the first of equal
          costs wins. *)
-      let estart = Schedule.estart s.sched s.g v in
-      let rec best bl bc = function
+      score_routes s v c;
+      let rec best k bl bc = function
         | [] -> bl
         | loc :: tl ->
-          let cost = placement_cost s v ~estart ~loc in
-          if cost < bc then best loc cost tl else best bl bc tl
+          let cost = placement_cost s v ~comm:s.sc_comm.(k) ~loc in
+          if cost < bc then best (k + 1) loc cost tl else best (k + 1) bl bc tl
       in
-      let first = List.hd locs in
-      `Loc (best first (placement_cost s v ~estart ~loc:first) (List.tl locs)))
+      `Loc (best 0 (List.hd locs) max_int locs))
 
 (* ------------------------------------------------------------------ *)
 (* Spilling                                                            *)
@@ -1212,13 +1308,21 @@ let attempt config opts g0 ~order ~ii ~trace ~arena =
                | Cap.Finite cap -> Some (b, cap)
                | Cap.Inf -> None)
         |> Array.of_list;
-      exec_locs =
-        (let t = Array.make (List.length Op.all_kinds) [] in
+      exec =
+        (let none = { locs = []; rbs = [||]; dbs = [||] } in
+         let t = Array.make (List.length Op.all_kinds) none in
          List.iter
-           (fun k -> t.(Schedule.kind_tag k) <- Topology.exec_locs config k)
+           (fun k ->
+             let locs = Topology.exec_locs config k in
+             let at f = Array.of_list (List.map (f config k) locs) in
+             t.(Schedule.kind_tag k) <-
+               { locs; rbs = at Topology.read_bank; dbs = at Topology.def_bank })
            Op.all_kinds;
          t);
       cc_counts = Hashtbl.create 4;
+      sc_comm = Array.make (Config.clusters config) 0;
+      sc_mark = Array.make (Config.clusters config) 0;
+      sc_edge = 0;
       budget = opts.budget_ratio * max 1 (Ddg.num_nodes g);
       refills = 0;
       ratio = opts.budget_ratio;

@@ -51,6 +51,9 @@ type t = {
   units : int array;       (* row -> unit count (max_int encodes Cap.Inf) *)
   counts : int array;      (* row * ii + slot -> occupied units *)
   row_total : int array;   (* row -> occupied units summed over slots *)
+  row_sat : int array;
+      (* row -> slots whose count has reached the unit count; a row of
+         zero units starts saturated at every slot *)
   occ : int array array;   (* row * ii + slot -> occupant stack *)
   occ_len : int array;     (* live length of each occupant stack *)
   mutable placed_cu : cuses array;
@@ -94,7 +97,9 @@ let create ?arena (config : Config.t) ~ii =
     | None -> (Array.make cells 0, Array.make cells [||], Array.make cells 0)
   in
   { ii; config; x; rows; valid; units; counts;
-    row_total = Array.make rows 0; occ; occ_len;
+    row_total = Array.make rows 0;
+    row_sat = Array.map (fun u -> if u = 0 then ii else 0) units;
+    occ; occ_len;
     placed_cu = Array.make 64 unplaced; placed_cycle = Array.make 64 0 }
 
 let bad_resource r =
@@ -177,6 +182,18 @@ let can_place_c t (u : cuses) ~cycle =
   done;
   !ok
 
+(* [can_place_c] depends on the cycle only modulo II, so the slots
+   [0, II) are every candidate there is.  A vector of one single-cycle
+   entry (need 1) fits somewhere iff its row has an unsaturated slot. *)
+let can_place_any_c t (u : cuses) =
+  if Array.length u.urows = 1 && u.udurs.(0) = 1 then
+    t.row_sat.(u.urows.(0)) < t.ii
+  else begin
+    let c = ref 0 in
+    while !c < t.ii && not (can_place_c t u ~cycle:!c) do incr c done;
+    !c < t.ii
+  end
+
 (* Occupant stack push/pop-one for cell [idx]. *)
 let push_occ t idx node =
   let st = t.occ.(idx) in
@@ -236,6 +253,7 @@ let place_c t ~node (u : cuses) ~cycle =
     for _ = 0 to d - 1 do
       let idx = base + !slot in
       t.counts.(idx) <- t.counts.(idx) + 1;
+      if t.counts.(idx) = t.units.(r) then t.row_sat.(r) <- t.row_sat.(r) + 1;
       push_occ t idx node;
       incr slot;
       if !slot = t.ii then slot := 0
@@ -256,6 +274,8 @@ let remove t ~node =
       for _ = 0 to d - 1 do
         let idx = base + !slot in
         t.counts.(idx) <- t.counts.(idx) - 1;
+        if t.counts.(idx) = t.units.(r) - 1 then
+          t.row_sat.(r) <- t.row_sat.(r) - 1;
         remove_occ t idx node;
         incr slot;
         if !slot = t.ii then slot := 0
@@ -300,3 +320,6 @@ let occupancy t r ~slot = t.counts.((row t r * t.ii) + slot)
 (** Occupancy of [r] summed over every slot, kept up to date by
     [place]/[remove]. *)
 let total_occupancy t r = t.row_total.(row t r)
+
+(** Slots of [r] whose count has reached its unit count. *)
+let saturated t r = t.row_sat.(row t r)

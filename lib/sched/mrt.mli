@@ -45,6 +45,12 @@ val occupancy : t -> Topology.resource -> slot:int -> int
     that [place]/[remove] maintain. *)
 val total_occupancy : t -> Topology.resource -> int
 
+(** The slots of a resource whose {!occupancy} has reached its unit
+    count (all II of them for a resource of zero units, none for an
+    unbounded one), in O(1): a per-row count that [place]/[remove]
+    maintain. *)
+val saturated : t -> Topology.resource -> int
+
 (** {1 Precompiled uses}
 
     A [uses] list compiled once against a table can be probed at many
@@ -59,5 +65,11 @@ type cuses
 val compile : t -> (Topology.resource * int) list -> cuses
 
 val can_place_c : t -> cuses -> cycle:int -> bool
+
+(** Does [cuses] fit at some cycle, i.e. at some slot in [0, II)?  O(1)
+    for a vector of one single-cycle entry (from {!saturated}); any
+    other vector is probed slot by slot. *)
+val can_place_any_c : t -> cuses -> bool
+
 val place_c : t -> node:int -> cuses -> cycle:int -> unit
 val conflicts_c : t -> cuses -> cycle:int -> int list

@@ -347,6 +347,11 @@ module Work = struct
     | Some Lax_resources -> true
     | None -> Mrt.can_place_c w.mrt cu ~cycle
 
+  let fits_any w cu =
+    match !fault with
+    | Some Lax_resources -> true
+    | None -> Mrt.can_place_any_c w.mrt cu
+
   let place w g v cu ~cycle ~loc =
     if v >= w.cols.cap then grow w v;
     record w.cols g v ~cycle ~loc;

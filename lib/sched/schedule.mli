@@ -138,6 +138,10 @@ module Work : sig
 
   val fits : t -> Mrt.cuses -> cycle:int -> bool
 
+  (** Whether [fits] holds at some cycle ({!Mrt.can_place_any_c}):
+      every window of II consecutive cycles asks the same question. *)
+  val fits_any : t -> Mrt.cuses -> bool
+
   (** Record and reserve; raises [Invalid_argument] when already
       placed. *)
   val place :

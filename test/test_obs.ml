@@ -586,6 +586,53 @@ let test_batch_keys_are_cache_keys () =
 
 (* ------------------------------------------------------------------ *)
 
+(* Two domains warn at once through the executables' reporter: with
+   one [Format] queue shared unlocked, this raised [Stdlib.Queue.Empty]
+   or garbled lines; through {!Logging.setup} every report arrives whole,
+   one a line. *)
+let test_logging_domain_safe () =
+  let reporter = Logs.reporter () and level = Logs.level () in
+  let buf = Buffer.create 65536 in
+  let n = 5000 in
+  let warn tag =
+    match
+      for i = 1 to n do
+        Logs.warn (fun m -> m "%s %d" tag i)
+      done
+    with
+    | () -> None
+    | exception e -> Some (Printexc.to_string e)
+  in
+  let raised =
+    Fun.protect
+      ~finally:(fun () ->
+        Logs.set_reporter reporter;
+        Logs.set_level level)
+      (fun () ->
+        Logging.setup ~dst:(Format.formatter_of_buffer buf) ();
+        let other = Domain.spawn (fun () -> warn "b") in
+        let here = warn "a" in
+        [ here; Domain.join other ])
+  in
+  Alcotest.(check (list (option string))) "no report raised" [ None; None ]
+    raised;
+  let reports =
+    String.split_on_char '\n' (Buffer.contents buf)
+    |> List.filter (fun l -> l <> "")
+    |> List.map (fun l ->
+           match String.rindex_opt l ']' with
+           | Some i -> String.sub l (i + 2) (String.length l - i - 2)
+           | None -> l)
+    |> List.sort compare
+  in
+  let expected =
+    List.concat_map
+      (fun tag -> List.init n (fun i -> Fmt.str "%s %d" tag (i + 1)))
+      [ "a"; "b" ]
+    |> List.sort compare
+  in
+  Alcotest.(check (list string)) "every report, whole" expected reports
+
 let tests =
   [
     ("event: every enum name round-trips", `Quick, test_enum_names);
@@ -601,4 +648,5 @@ let tests =
     ("runner: pipeline matches suite", `Slow, test_pipeline_matches_suite);
     ("runner: batch keys are cache keys, pinned", `Quick,
      test_batch_keys_are_cache_keys);
+    ("logging: two domains warn at once", `Quick, test_logging_domain_safe);
   ]

@@ -438,9 +438,37 @@ let equiv_configs =
       Hcrf_model.Presets.published "2C32S32";
     ]
 
+(* The reservation vector of an operation the engine places: [pick]
+   chooses the kind and one of its locations; [None] when the kind has
+   none in [config].  Fdiv and Fsqrt hold their unit several cycles; on
+   an access-constrained bank a two-operand read lists its read-port
+   row twice.  A monolithic file lists LoadR/StoreR at its one cluster
+   without the port rows they would reserve: those vectors are skipped
+   too. *)
+let engine_uses config ~pick =
+  let kinds =
+    [| Op.Fadd; Op.Fmul; Op.Fdiv; Op.Fsqrt; Op.Load; Op.Store; Op.Load_r;
+       Op.Store_r |]
+  in
+  let kind = kinds.(pick mod Array.length kinds) in
+  match Topology.exec_locs config kind with
+  | [] -> None
+  | locs ->
+    let loc = List.nth locs (pick / Array.length kinds mod List.length locs) in
+    let uses =
+      Topology.uses config kind loc
+        ~src:(Some (Topology.read_bank config kind loc))
+    in
+    let rs = Topology.all_resources config in
+    if List.for_all (fun (res, _) -> List.mem res rs) uses then Some uses
+    else None
+
 (* One MRT trace: interleaved place/remove and conflict queries, every
    observation (can_place, is_placed, conflicts, occupancy) compared
-   between the two implementations after each step. *)
+   between the two implementations after each step.  The per-row
+   saturated-slot count must equal a recount of the reference's
+   occupancy, and the any-slot query must equal a probe of every slot in
+   [0, II), for the step's vector and for one cycle of every row. *)
 let run_mrt_trace config ~ii cmds =
   let rs = Array.of_list (Topology.all_resources config) in
   let nr = Array.length rs in
@@ -448,12 +476,32 @@ let run_mrt_trace config ~ii cmds =
   let r = Mrt_ref.create config ~ii in
   let ok = ref true in
   let same b = if not b then ok := false in
+  let some_slot f =
+    let rec go c = c < ii && (f c || go (c + 1)) in
+    go 0
+  in
+  let any_slot uses =
+    let cu = Mrt.compile m uses in
+    let any = Mrt.can_place_any_c m cu in
+    same (any = some_slot (fun cycle -> Mrt.can_place_c m cu ~cycle));
+    same (any = some_slot (fun cycle -> Mrt_ref.can_place r uses ~cycle))
+  in
   List.iter
     (fun (act, node, ri, cycle, dur) ->
       let uses = [ (rs.(ri mod nr), dur) ] in
       let uses =
         if (node + ri) mod 3 = 0 then
           (rs.((ri + 1) mod nr), ((dur * 7) mod 4) + 1) :: uses
+        else uses
+      in
+      (* grouped: a second entry on the same row, so need 2 *)
+      let uses =
+        if (node + ri) mod 5 = 1 then (rs.(ri mod nr), 1 + (dur mod 3)) :: uses
+        else uses
+      in
+      let uses =
+        if (node + (7 * ri)) mod 4 = 2 then
+          Option.value ~default:uses (engine_uses config ~pick:(ri + node))
         else uses
       in
       (match act mod 4 with
@@ -470,11 +518,19 @@ let run_mrt_trace config ~ii cmds =
       | _ -> ());
       same (Mrt.is_placed m node = Mrt_ref.is_placed r node);
       same (Mrt.conflicts m uses ~cycle = Mrt_ref.conflicts r uses ~cycle);
+      any_slot uses;
       Array.iter
         (fun res ->
+          let sat = ref 0 in
           for slot = 0 to ii - 1 do
-            same (Mrt.occupancy m res ~slot = Mrt_ref.occupancy r res ~slot)
-          done)
+            let n = Mrt_ref.occupancy r res ~slot in
+            same (Mrt.occupancy m res ~slot = n);
+            match Topology.units config res with
+            | Cap.Finite u when n >= u -> incr sat
+            | Cap.Finite _ | Cap.Inf -> ()
+          done;
+          same (Mrt.saturated m res = !sat);
+          any_slot [ (res, 1) ])
         rs)
     cmds;
   !ok
@@ -544,6 +600,16 @@ let run_pressure_trace config ~seed ~index =
   Ddg.set_watcher g None;
   !ok
 
+(* The equivalence organizations plus two with access-constrained
+   banks: @r0w1's read-port rows have zero units, and @r2w1 groups a
+   two-operand read into one row entry of need 2. *)
+let mrt_configs =
+  lazy
+    (Lazy.force equiv_configs
+    @ List.map
+        (fun n -> Hcrf_model.Presets.of_model (Rf.of_notation n))
+        [ "4C16S16@r0w1"; "4C16S16@r2w1" ])
+
 let prop_mrt_flat_equiv_ref =
   QCheck.Test.make ~name:"mrt: flat table = reference on random op traces"
     ~count:200
@@ -556,7 +622,7 @@ let prop_mrt_flat_equiv_ref =
       let cmds = List.map (fun (a, n, r, (c, d)) -> (a, n, r, c, d)) cmds in
       List.for_all
         (fun config -> run_mrt_trace config ~ii cmds)
-        (Lazy.force equiv_configs))
+        (Lazy.force mrt_configs))
 
 let prop_pressure_equiv_lifetimes =
   QCheck.Test.make
