@@ -10,11 +10,16 @@
 # node's cycle and cluster — of each built-in kernel on S64, 4C32S16
 # and 8C16S16, plus 4C32S16 under prefetch, then on the organizations
 # those miss: flat clustered 4C32 and 2C64 (Move reuse), a third level
-# (4C16S16-L3:64) and constrained ports (4C16S16@r2w1).  main.exe and hcrf_explore
-# print no timing, so the raw bytes are compared.  An unknown section
-# name must be refused (exit 2), not silently ignored.
+# (4C16S16-L3:64) and constrained ports (4C16S16@r2w1).  A fourth
+# pins how hard the engine worked: the counters-only trace line of the
+# tab6 run (ii_try, eject, place, spill and copy counts), which a
+# changed eject victim moves even when the schedules land the same.
+# main.exe and hcrf_explore print no timing, so the raw bytes are
+# compared.  An unknown section name must be refused (exit 2), not
+# silently ignored.
 #
-#   sched_core_smoke.sh MAIN_EXE GOLDEN_TAB6 EXPLORE_EXE GOLDEN_FIG6 GOLDEN_SCHEDULES
+#   sched_core_smoke.sh MAIN_EXE GOLDEN_TAB6 EXPLORE_EXE GOLDEN_FIG6 \
+#     GOLDEN_SCHEDULES GOLDEN_TRACE
 set -eu
 
 # dune passes the executables as paths relative to the rule's cwd
@@ -24,6 +29,7 @@ golden="$2"
 explore="$(path "$3")"
 golden_fig6="$4"
 golden_schedules="$5"
+golden_trace="$6"
 
 same() {
   cmp "$1" "$2" ||
@@ -34,6 +40,10 @@ same() {
 
 HCRF_LOOPS=20 HCRF_JOBS=1 "$exe" quick tab6 > sched_core.txt
 same "$golden" sched_core.txt
+
+HCRF_LOOPS=20 HCRF_JOBS=1 HCRF_TRACE= "$exe" quick tab6 |
+  grep '^trace:' > sched_core_trace.txt
+same "$golden_trace" sched_core_trace.txt
 
 HCRF_LOOPS=20 HCRF_JOBS=1 "$exe" quick fig6 > sched_core_fig6.txt
 same "$golden_fig6" sched_core_fig6.txt
@@ -59,4 +69,4 @@ status=0
   { echo "sched-core smoke: unknown section exited $status, not 2" >&2
     cat sched_core_unknown.txt >&2; exit 1; }
 
-echo "sched-core smoke: ok (tab6@20, fig6@20 and kernel placements byte-identical to goldens, unknown section refused)"
+echo "sched-core smoke: ok (tab6@20, its trace counts, fig6@20 and kernel placements byte-identical to goldens, unknown section refused)"

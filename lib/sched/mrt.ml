@@ -9,17 +9,17 @@
 
     Layout: resources are encoded as small integer row codes
     ([5 * cluster + tag]); one flat [counts] array of [rows * II] ints
-    answers [can_place] with pure array probes (no hashing, no list
+    answers [can_place_c] with pure array probes (no hashing, no list
     allocation), and per-(row, slot) occupant stacks — int arrays with a
     separate length column — support the (rare) force-and-eject path.
     Observational equivalence with the original association-based table
     (test/mrt_ref.ml) is asserted by QCheck over random operation traces;
-    the eject-victim choice of [conflicts] (most recently placed occupant
+    the eject-victim choice of [conflicts_c] (most recently placed occupant
     first) and the duplicate-aware [remove] follow the reference
     semantics exactly.
 
-    [uses] lists can be precompiled ({!compile}) into int-coded arrays
-    once per (op kind, location, source bank) and probed at many cycles
+    [uses] lists are compiled ({!compile}) into int-coded arrays once
+    per (op kind, location, source bank) and probed at many cycles
     without touching the original list — the scheduler's inner loop. *)
 
 open Hcrf_machine
@@ -306,19 +306,12 @@ let conflicts_c t (u : cuses) ~cycle =
   done;
   List.sort_uniq Int.compare !acc
 
-(* ------------------------------------------------------------------ *)
-(* List-based interface (compatibility; compiles on the fly)           *)
-
-let can_place t uses ~cycle = can_place_c t (compile t uses) ~cycle
-let place t ~node uses ~cycle = place_c t ~node (compile t uses) ~cycle
-let conflicts t uses ~cycle = conflicts_c t (compile t uses) ~cycle
-
 (** Occupancy count of resource [r] at modulo slot [s] (for tests and
     statistics). *)
 let occupancy t r ~slot = t.counts.((row t r * t.ii) + slot)
 
 (** Occupancy of [r] summed over every slot, kept up to date by
-    [place]/[remove]. *)
+    [place_c]/[remove]. *)
 let total_occupancy t r = t.row_total.(row t r)
 
 (** Slots of [r] whose count has reached its unit count. *)

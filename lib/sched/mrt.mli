@@ -7,7 +7,7 @@
     no slot exceeds the unit count.
 
     Resources are encoded as small integer row codes over one flat
-    counts array, so [can_place] is pure array probing; the test suite
+    counts array, so [can_place_c] is pure array probing; the test suite
     keeps the original association-based implementation (test/mrt_ref.ml)
     as the executable specification, and QCheck asserts observational
     equivalence. *)
@@ -19,44 +19,31 @@ type t
     live table may use a given arena. *)
 val create : ?arena:Arena.t -> Hcrf_machine.Config.t -> ii:int -> t
 
-(** Can all of [uses] (resource, duration) be reserved at [cycle]? *)
-val can_place : t -> (Topology.resource * int) list -> cycle:int -> bool
-
-(** Reserve; raises [Invalid_argument] if [node] is already placed or
-    negative.  What a node holds is recorded in per-node arrays indexed
-    by its id. *)
-val place :
-  t -> node:int -> (Topology.resource * int) list -> cycle:int -> unit
-
 val is_placed : t -> int -> bool
 
 (** Release everything [node] holds (no-op when not placed). *)
 val remove : t -> node:int -> unit
 
-(** Nodes whose ejection would make room for [uses] at [cycle]: for
-    every full resource slot, the most recently placed occupant. *)
-val conflicts :
-  t -> (Topology.resource * int) list -> cycle:int -> int list
-
 (** Occupancy count of a resource at a modulo slot. *)
 val occupancy : t -> Topology.resource -> slot:int -> int
 
 (** The sum of {!occupancy} over every slot, in O(1): a per-row total
-    that [place]/[remove] maintain. *)
+    that [place_c]/[remove] maintain. *)
 val total_occupancy : t -> Topology.resource -> int
 
 (** The slots of a resource whose {!occupancy} has reached its unit
     count (all II of them for a resource of zero units, none for an
-    unbounded one), in O(1): a per-row count that [place]/[remove]
+    unbounded one), in O(1): a per-row count that [place_c]/[remove]
     maintain. *)
 val saturated : t -> Topology.resource -> int
 
-(** {1 Precompiled uses}
+(** {1 Compiled uses}
 
-    A [uses] list compiled once against a table can be probed at many
-    cycles without list traversal or hashing — the scheduler's inner
-    candidate loop.  Compiled uses are only valid for tables of the same
-    configuration and II they were compiled against. *)
+    A [uses] list (resource, duration) is compiled once against a
+    table and then probed at many cycles without list traversal or
+    hashing — the scheduler's inner candidate loop.  Compiled uses are
+    only valid for tables of the same configuration and II they were
+    compiled against. *)
 
 type cuses
 
@@ -64,6 +51,7 @@ type cuses
     configuration. *)
 val compile : t -> (Topology.resource * int) list -> cuses
 
+(** Can [cuses] be reserved at [cycle]? *)
 val can_place_c : t -> cuses -> cycle:int -> bool
 
 (** Does [cuses] fit at some cycle, i.e. at some slot in [0, II)?  O(1)
@@ -71,5 +59,11 @@ val can_place_c : t -> cuses -> cycle:int -> bool
     other vector is probed slot by slot. *)
 val can_place_any_c : t -> cuses -> bool
 
+(** Reserve; raises [Invalid_argument] if [node] is already placed or
+    negative.  What a node holds is recorded in per-node arrays indexed
+    by its id. *)
 val place_c : t -> node:int -> cuses -> cycle:int -> unit
+
+(** Nodes whose ejection would make room for [cuses] at [cycle]: for
+    every full resource slot, the most recently placed occupant. *)
 val conflicts_c : t -> cuses -> cycle:int -> int list

@@ -68,8 +68,9 @@ val def_bank : t -> Hcrf_ir.Ddg.t -> int -> Topology.bank option
     cluster-selection and down-copy heuristics' fill measure. *)
 val bank_def_count : t -> Topology.bank -> int
 
-(** Source bank for a [Move]'s reservation: the bank of its (scheduled)
-    producer. *)
+(** The bank of [v]'s first scheduled operand producer: a [Move]'s
+    source bank (its reservation reads it), and the bank that directs a
+    LoadR or StoreR between the shared bank and L3. *)
 val move_src_bank : t -> Hcrf_ir.Ddg.t -> int -> Topology.bank option
 
 (** The resource reservations of [v] at [loc]. *)

@@ -295,30 +295,39 @@ let bank_capacity (c : Config.t) = function
   | Shared -> Rf.shared_regs c.rf
   | L3 -> Rf.l3_regs c.rf
 
+(** The copy that brings a value defined in [bank] up to the shared
+    bank: a StoreR from a local bank, a LoadR at [Global] from L3. *)
+let up_copy (c : Config.t) = function
+  | Local i -> (Op.Store_r, Cluster i)
+  | L3 when has_l3 c -> (Op.Load_r, Global)
+  | L3 | Shared -> invalid_arg "Topology.up_copy: no copy up from this bank"
+
+(** The copy that delivers a value from the shared bank into [bank] (in
+    a clustered RF, from another local bank): a LoadR or a Move into a
+    local bank, a StoreR at [Global] down to L3. *)
+let down_copy (c : Config.t) = function
+  | Local j -> (
+    match c.rf with
+    | Rf.Clustered _ -> (Op.Move, Cluster j)
+    | Rf.Monolithic _ | Rf.Hierarchical _ -> (Op.Load_r, Cluster j))
+  | L3 when has_l3 c -> (Op.Store_r, Global)
+  | L3 | Shared ->
+    invalid_arg "Topology.down_copy: no copy down into this bank"
+
 (** Communication operations needed to make a value defined in [src_bank]
     readable from [dst_bank]: a list of (op kind, execution loc) forming a
-    copy chain.  Empty when the banks match. *)
+    copy chain, up to the shared bank and down from it.  Empty when the
+    banks match. *)
 let comm_path (c : Config.t) ~(src_bank : bank) ~(dst_bank : bank) :
     (Op.kind * loc) list =
   if equal_bank src_bank dst_bank then []
   else
     match (c.rf, src_bank, dst_bank) with
     | Rf.Monolithic _, _, _ -> []
-    | Rf.Clustered _, Local _, Local d -> [ (Op.Move, Cluster d) ]
+    | Rf.Clustered _, Local _, Local _ -> [ down_copy c dst_bank ]
       (* the Move occupies Sp s via ~src at reservation time *)
     | Rf.Clustered _, _, _ ->
       invalid_arg "comm_path: shared/L3 bank in clustered RF"
-    | Rf.Hierarchical _, Local s, Shared -> [ (Op.Store_r, Cluster s) ]
-    | Rf.Hierarchical _, Shared, Local d -> [ (Op.Load_r, Cluster d) ]
-    | Rf.Hierarchical _, Local s, Local d ->
-      [ (Op.Store_r, Cluster s); (Op.Load_r, Cluster d) ]
-    | Rf.Hierarchical _, Shared, Shared -> []
-    | Rf.Hierarchical _, Shared, L3 when has_l3 c -> [ (Op.Store_r, Global) ]
-    | Rf.Hierarchical _, L3, Shared when has_l3 c -> [ (Op.Load_r, Global) ]
-    | Rf.Hierarchical _, Local s, L3 when has_l3 c ->
-      [ (Op.Store_r, Cluster s); (Op.Store_r, Global) ]
-    | Rf.Hierarchical _, L3, Local d when has_l3 c ->
-      [ (Op.Load_r, Global); (Op.Load_r, Cluster d) ]
-    | Rf.Hierarchical _, L3, L3 -> []
     | Rf.Hierarchical _, _, _ ->
-      invalid_arg "comm_path: L3 bank without a third level"
+      let via b f = if equal_bank b Shared then [] else [ f c b ] in
+      via src_bank up_copy @ via dst_bank down_copy

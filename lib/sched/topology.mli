@@ -102,9 +102,20 @@ val uses :
 
 val bank_capacity : Hcrf_machine.Config.t -> bank -> Hcrf_machine.Cap.t
 
+(** The copy that brings a value defined in a local bank or L3 up to
+    the shared bank (a StoreR in the bank's cluster, a LoadR at
+    [Global]), and the copy that delivers a value from the shared bank
+    into a local bank or L3 (a LoadR in the bank's cluster, a StoreR at
+    [Global]); in a clustered RF the down copy into a local bank is a
+    Move from another one.  Both raise [Invalid_argument] for a bank
+    with no such copy. *)
+val up_copy : Hcrf_machine.Config.t -> bank -> Hcrf_ir.Op.kind * loc
+val down_copy : Hcrf_machine.Config.t -> bank -> Hcrf_ir.Op.kind * loc
+
 (** Communication operations needed to make a value defined in
-    [src_bank] readable from [dst_bank]: a copy chain, empty when the
-    banks match. *)
+    [src_bank] readable from [dst_bank]: the copy chain of {!up_copy}
+    and {!down_copy} through the shared bank, empty when the banks
+    match. *)
 val comm_path :
   Hcrf_machine.Config.t -> src_bank:bank -> dst_bank:bank ->
   (Hcrf_ir.Op.kind * loc) list

@@ -230,6 +230,121 @@ let test_prefetch_pressure_on_shared () =
             check "consumer waits out the miss" true (gap >= miss))
           (Ddg.consumers g n.id))
 
+(* A node that fits at no location even in an empty reservation table
+   (no read or write port, or one read port under a two-operand op)
+   fits at no II: the engine answers before trying one. *)
+let test_unplaceable_answers_at_once () =
+  let l = Hcrf_workload.Kernels.find "fir5" in
+  List.iter
+    (fun notation ->
+      let config = Hcrf_model.Presets.of_notation notation in
+      let trace = Hcrf_obs.Trace.create ~label:notation in
+      (match Engine.schedule ~trace config l.Loop.ddg with
+      | Ok _ -> Alcotest.failf "fir5 on %s: scheduled" notation
+      | Error (`No_schedule _) -> ());
+      check_int (notation ^ ": no II tried") 0
+        (List.length
+           (List.filter
+              (function Hcrf_obs.Event.II_try _ -> true | _ -> false)
+              (Hcrf_obs.Trace.events trace))))
+    [ "4C16S16@r0w1"; "4C16S16@r1w1"; "4C32@r0w2"; "4C16S16@r2w0" ]
+
+(* ------------------------------------------------------------------ *)
+(* Select and Spill on hand-built partial schedules: these pin today's
+   policies, so a change to either shows as a diff here. *)
+
+(* An attempt at II 1 over [g], with nothing placed. *)
+let attempt_on config g =
+  Attempt.create config ~lat:(Latency.make config) ~budget_ratio:6
+    ~backtracking:true g ~order:(Ddg.nodes g) ~ii:1
+    ~trace:Hcrf_obs.Trace.off ~arena:(Arena.create ())
+
+let place s v c = Attempt.schedule_node s v ~loc:(Topology.Cluster c)
+
+let decided sel s v =
+  match Select.decide_loc sel s v with
+  | `Loc (Topology.Cluster c) -> c
+  | `Loc Topology.Global -> -1
+  | `Splice -> -2
+
+let test_select_follows_operand () =
+  let config = published "4C16S16" in
+  let g = Ddg.create ~name:"select" () in
+  let p = Ddg.add_node g Op.Fadd and c = Ddg.add_node g Op.Fadd in
+  Ddg.add_edge g ~dep:Dep.True p c;
+  (* enough independent ops to fill cluster 1's FUs at II 1 *)
+  let fillers =
+    List.init (Config.fus_per_cluster config - 1) (fun _ ->
+        Ddg.add_node g Op.Fadd)
+  in
+  let s = attempt_on config g and sel = Select.create config in
+  place s p 1;
+  check_int "beside its producer: no fresh copy" 1 (decided sel s c);
+  List.iter (fun v -> place s v 1) fillers;
+  check_int "cluster 1 saturated: the first cluster of equal cost" 0
+    (decided sel s c)
+
+let test_select_first_of_equal_costs () =
+  let config = published "4C16S16" in
+  let g = Ddg.create ~name:"select" () in
+  let a = Ddg.add_node g Op.Fadd and b = Ddg.add_node g Op.Fadd in
+  let c = Ddg.add_node g Op.Fadd in
+  Ddg.add_edge g ~dep:Dep.True a c;
+  Ddg.add_edge g ~dep:Dep.True b c;
+  let s = attempt_on config g and sel = Select.create config in
+  check_int "nothing placed: the first candidate" 0 (decided sel s c);
+  place s b 3;
+  place s a 2;
+  (* clusters 2 and 3 each need one operand copied (StoreR + LoadR) and
+     hold one op: equal costs, and the first candidate wins *)
+  check_int "tie between producers' clusters" 2 (decided sel s c)
+
+let tiny_bank = Topology.Local 0
+
+let lifetime def span =
+  { Lifetimes.def; bank = tiny_bank; start = 0; stop = span }
+
+let test_spill_invariant_first () =
+  let config = Config.make (Rf.monolithic 4) in
+  let g = Ddg.create ~name:"spill" () in
+  let v = Ddg.add_node g Op.Fadd and c = Ddg.add_node g Op.Fadd in
+  ignore (Ddg.add_invariant g ~consumers:[ c ]);
+  let s = attempt_on config g and sp = Spill.create () in
+  place s c 0;
+  let lts = [ lifetime v 6 ] in
+  ignore (Spill.pick_and_spill sp s ~bank:tiny_bank lts);
+  check_int "the resident invariant goes first" 1 s.st.m_invariant_spills;
+  check_int "no value yet" 0 s.st.m_value_spills;
+  ignore (Spill.pick_and_spill sp s ~bank:tiny_bank lts);
+  check_int "the invariant is not spilled twice" 1 s.st.m_invariant_spills;
+  check "then the value" true (Spill.is_spilled sp v)
+
+let test_spill_longest_span () =
+  let config = Config.make (Rf.monolithic 4) in
+  let g = Ddg.create ~name:"spill" () in
+  let n () = Ddg.add_node g Op.Fadd in
+  let a = n () in
+  let b = n () in
+  let c = n () in
+  let d = n () in
+  let s = attempt_on config g and sp = Spill.create () in
+  let lts = [ lifetime a 3; lifetime b 5; lifetime c 5; lifetime d 1 ] in
+  (* the value each call spills, -1 for none *)
+  let pick () =
+    let fresh v = not (Spill.is_spilled sp v) in
+    let before = List.filter fresh [ a; b; c; d ] in
+    if Spill.pick_and_spill sp s ~bank:tiny_bank lts = 0 then -1
+    else List.find (fun v -> not (fresh v)) before
+  in
+  let p1 = pick () in
+  let p2 = pick () in
+  let p3 = pick () in
+  let p4 = pick () in
+  Alcotest.(check (list int))
+    "longest span first, the earlier lifetime on ties, each once, never \
+     a span below 2"
+    [ b; c; a; -1 ] [ p1; p2; p3; p4 ]
+
 (* property: random suite loops × a rotating set of configs all validate *)
 let prop_suite_valid =
   let configs =
@@ -276,4 +391,10 @@ let tests =
     ("engine: vs non-iterative", `Slow, test_noniter_never_better_on_suite);
     ("engine: prefetch pressure", `Quick, test_prefetch_pressure_on_shared);
     QCheck_alcotest.to_alcotest ~long:true prop_suite_valid;
+    ("engine: unplaceable answers at once", `Quick,
+     test_unplaceable_answers_at_once);
+    ("select: beside the operand", `Quick, test_select_follows_operand);
+    ("select: first of equal costs", `Quick, test_select_first_of_equal_costs);
+    ("spill: invariant first", `Quick, test_spill_invariant_first);
+    ("spill: longest span", `Quick, test_spill_longest_span);
   ]

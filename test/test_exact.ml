@@ -161,14 +161,16 @@ let replay_into_mrt (o : Engine.outcome) config =
     (fun v ->
       let e = Hcrf_sched.Schedule.entry_exn sched v in
       let uses =
-        Hcrf_sched.Schedule.uses_of sched o.Engine.graph v
-          ~loc:e.Hcrf_sched.Schedule.loc
+        Hcrf_sched.Mrt.compile mrt
+          (Hcrf_sched.Schedule.uses_of sched o.Engine.graph v
+             ~loc:e.Hcrf_sched.Schedule.loc)
       in
       let fits =
-        Hcrf_sched.Mrt.can_place mrt uses ~cycle:e.Hcrf_sched.Schedule.cycle
+        Hcrf_sched.Mrt.can_place_c mrt uses
+          ~cycle:e.Hcrf_sched.Schedule.cycle
       in
       if fits then
-        Hcrf_sched.Mrt.place mrt ~node:v uses
+        Hcrf_sched.Mrt.place_c mrt ~node:v uses
           ~cycle:e.Hcrf_sched.Schedule.cycle;
       fits)
     (Hcrf_sched.Schedule.scheduled_nodes sched)

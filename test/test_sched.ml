@@ -118,24 +118,24 @@ let test_order_asap_alap_bounds () =
 let test_mrt_place_remove () =
   let config = Lazy.force s128 in
   let mrt = Mrt.create config ~ii:2 in
-  let uses = [ (Topology.Mem 0, 1) ] in
-  check "empty fits" true (Mrt.can_place mrt uses ~cycle:0);
+  let uses = Mrt.compile mrt [ (Topology.Mem 0, 1) ] in
+  check "empty fits" true (Mrt.can_place_c mrt uses ~cycle:0);
   (* 4 memory ports: 4 placements at the same slot fit, the 5th not *)
   for n = 1 to 4 do
-    Mrt.place mrt ~node:n uses ~cycle:0
+    Mrt.place_c mrt ~node:n uses ~cycle:0
   done;
-  check "full slot rejects" false (Mrt.can_place mrt uses ~cycle:0);
-  check "other slot fits" true (Mrt.can_place mrt uses ~cycle:1);
-  check "wraps modulo ii" false (Mrt.can_place mrt uses ~cycle:2);
+  check "full slot rejects" false (Mrt.can_place_c mrt uses ~cycle:0);
+  check "other slot fits" true (Mrt.can_place_c mrt uses ~cycle:1);
+  check "wraps modulo ii" false (Mrt.can_place_c mrt uses ~cycle:2);
   Mrt.remove mrt ~node:3;
-  check "freed after removal" true (Mrt.can_place mrt uses ~cycle:0);
+  check "freed after removal" true (Mrt.can_place_c mrt uses ~cycle:0);
   check_int "occupancy" 3 (Mrt.occupancy mrt (Topology.Mem 0) ~slot:0)
 
 let test_mrt_non_pipelined_duration () =
   let config = Lazy.force s128 in
   let mrt = Mrt.create config ~ii:4 in
   (* a 17-cycle reservation covers every slot of ii=4 *)
-  Mrt.place mrt ~node:1 [ (Topology.Fu 0, 17) ] ~cycle:0;
+  Mrt.place_c mrt ~node:1 (Mrt.compile mrt [ (Topology.Fu 0, 17) ]) ~cycle:0;
   for slot = 0 to 3 do
     check_int (Fmt.str "slot %d occupied" slot) 1
       (Mrt.occupancy mrt (Topology.Fu 0) ~slot)
@@ -149,21 +149,23 @@ let test_mrt_non_pipelined_duration () =
 let test_mrt_conflicts () =
   let config = Hcrf_model.Presets.published "4C32" in
   let mrt = Mrt.create config ~ii:1 in
-  let uses = [ (Topology.Mem 2, 1) ] in
-  Mrt.place mrt ~node:7 uses ~cycle:0;
-  check "slot full" false (Mrt.can_place mrt uses ~cycle:0);
+  let uses = Mrt.compile mrt [ (Topology.Mem 2, 1) ] in
+  Mrt.place_c mrt ~node:7 uses ~cycle:0;
+  check "slot full" false (Mrt.can_place_c mrt uses ~cycle:0);
   check "conflict names the occupant" true
-    (Mrt.conflicts mrt uses ~cycle:0 = [ 7 ]);
+    (Mrt.conflicts_c mrt uses ~cycle:0 = [ 7 ]);
   check "no conflict on other resource" true
-    (Mrt.conflicts mrt [ (Topology.Mem 1, 1) ] ~cycle:0 = [])
+    (Mrt.conflicts_c mrt (Mrt.compile mrt [ (Topology.Mem 1, 1) ]) ~cycle:0
+    = [])
 
 let test_mrt_double_place_rejected () =
   let config = Lazy.force s128 in
   let mrt = Mrt.create config ~ii:2 in
-  Mrt.place mrt ~node:1 [ (Topology.Fu 0, 1) ] ~cycle:0;
+  let uses = Mrt.compile mrt [ (Topology.Fu 0, 1) ] in
+  Mrt.place_c mrt ~node:1 uses ~cycle:0;
   check "double place raises" true
     (try
-       Mrt.place mrt ~node:1 [ (Topology.Fu 0, 1) ] ~cycle:1;
+       Mrt.place_c mrt ~node:1 uses ~cycle:1;
        false
      with Invalid_argument _ -> true)
 
@@ -292,7 +294,9 @@ let prop_mrt_place_remove_roundtrip =
       let mrt = Mrt.create config ~ii in
       List.iteri
         (fun node (cycle, dur) ->
-          Mrt.place mrt ~node [ (Topology.Fu 0, dur) ] ~cycle)
+          Mrt.place_c mrt ~node
+            (Mrt.compile mrt [ (Topology.Fu 0, dur) ])
+            ~cycle)
         reservations;
       List.iteri (fun node _ -> Mrt.remove mrt ~node) reservations;
       let clean = ref true in
@@ -504,12 +508,13 @@ let run_mrt_trace config ~ii cmds =
           Option.value ~default:uses (engine_uses config ~pick:(ri + node))
         else uses
       in
+      let cu = Mrt.compile m uses in
       (match act mod 4 with
       | 0 | 1 ->
-        let cm = Mrt.can_place m uses ~cycle in
+        let cm = Mrt.can_place_c m cu ~cycle in
         same (cm = Mrt_ref.can_place r uses ~cycle);
         if cm && not (Mrt.is_placed m node) then begin
-          Mrt.place m ~node uses ~cycle;
+          Mrt.place_c m ~node cu ~cycle;
           Mrt_ref.place r ~node uses ~cycle
         end
       | 2 ->
@@ -517,7 +522,7 @@ let run_mrt_trace config ~ii cmds =
         Mrt_ref.remove r ~node
       | _ -> ());
       same (Mrt.is_placed m node = Mrt_ref.is_placed r node);
-      same (Mrt.conflicts m uses ~cycle = Mrt_ref.conflicts r uses ~cycle);
+      same (Mrt.conflicts_c m cu ~cycle = Mrt_ref.conflicts r uses ~cycle);
       any_slot uses;
       Array.iter
         (fun res ->
@@ -788,21 +793,22 @@ let test_mrt_eject_victim_minimal () =
   let uses = [ (Topology.Mem 0, 1) ] in
   let m = Mrt.create config ~ii:1 in
   let r = Mrt_ref.create config ~ii:1 in
+  let cu = Mrt.compile m uses in
   (* 4 memory ports: fill the only slot with nodes 1..4 *)
   for node = 1 to 4 do
-    Mrt.place m ~node uses ~cycle:0;
+    Mrt.place_c m ~node cu ~cycle:0;
     Mrt_ref.place r ~node uses ~cycle:0
   done;
   check "reference ejects the most recent" true
     (Mrt_ref.conflicts r uses ~cycle:0 = [ 4 ]);
-  check "flat table agrees" true (Mrt.conflicts m uses ~cycle:0 = [ 4 ]);
+  check "flat table agrees" true (Mrt.conflicts_c m cu ~cycle:0 = [ 4 ]);
   (* after ejecting the victim, the next-most-recent becomes the victim *)
   Mrt.remove m ~node:4;
   Mrt_ref.remove r ~node:4;
-  Mrt.place m ~node:9 uses ~cycle:0;
+  Mrt.place_c m ~node:9 cu ~cycle:0;
   Mrt_ref.place r ~node:9 uses ~cycle:0;
   check "victim follows placement order, not id order" true
-    (Mrt.conflicts m uses ~cycle:0 = [ 9 ]
+    (Mrt.conflicts_c m cu ~cycle:0 = [ 9 ]
     && Mrt_ref.conflicts r uses ~cycle:0 = [ 9 ])
 
 (* The deterministic gate: 200 cases from seed 42, alternating the three
@@ -950,8 +956,10 @@ let prop_mrt_port_monotonicity =
           Option.map
             (fun loc ->
               let src = Some (Topology.read_bank config kind loc) in
-              let uses = Topology.uses config kind loc ~src in
-              (Mrt.can_place mrt uses ~cycle, mrt, uses))
+              let uses =
+                Mrt.compile mrt (Topology.uses config kind loc ~src)
+              in
+              (Mrt.can_place_c mrt uses ~cycle, mrt, uses))
             loc
         in
         match List.map probe mrts with
@@ -964,9 +972,9 @@ let prop_mrt_port_monotonicity =
           (* only advance the state when every table accepts, keeping
              the three histories aligned for the next probe *)
           if scarce && rich && inf then begin
-            Mrt.place m1 ~node u1 ~cycle;
-            Mrt.place m2 ~node u2 ~cycle;
-            Mrt.place m3 ~node u3 ~cycle
+            Mrt.place_c m1 ~node u1 ~cycle;
+            Mrt.place_c m2 ~node u2 ~cycle;
+            Mrt.place_c m3 ~node u3 ~cycle
           end
         | _ -> ()
       done;
