@@ -21,7 +21,6 @@ type stats = {
   disk_errors : int; (** corrupt/stale/unwritable on-disk entries *)
 }
 
-val zero_stats : stats
 val pp_stats : Format.formatter -> stats -> unit
 
 type t

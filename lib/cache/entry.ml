@@ -20,11 +20,10 @@ type t =
   | Scheduled of {
       outcome : stored_outcome;
       stall_cycles : float;
-      retries : int;
     }
   | Failed of int
 
-let of_outcome (o : Engine.outcome) ~stall_cycles ~retries =
+let of_outcome (o : Engine.outcome) ~stall_cycles =
   let cycle, loc, bank =
     Schedule.columns o.Engine.schedule ~len:(Ddg.next_id o.Engine.graph)
   in
@@ -50,7 +49,6 @@ let of_outcome (o : Engine.outcome) ~stall_cycles ~retries =
           s_stats = o.Engine.stats;
         };
       stall_cycles;
-      retries;
     }
 
 (* The arrays are copied out: an outcome's schedule is mutable, and the

@@ -35,13 +35,12 @@ type t =
   | Scheduled of {
       outcome : stored_outcome;
       stall_cycles : float;  (** memory-simulation stalls of the run *)
-      retries : int;  (** escalation rungs taken by the runner *)
     }
   | Failed of int  (** last II tried before giving up *)
 
 (** Snapshot an outcome (pure; does not consume the outcome). *)
 val of_outcome :
-  Hcrf_sched.Engine.outcome -> stall_cycles:float -> retries:int -> t
+  Hcrf_sched.Engine.outcome -> stall_cycles:float -> t
 
 (** Restore a full outcome for [config], its schedule under the latency
     table the engine scheduled with.  The caller must pass the same

@@ -15,7 +15,6 @@ let equal = String.equal
 let compare = String.compare
 
 let to_hex t = Digest.to_hex t
-let pp ppf t = Fmt.string ppf (to_hex t)
 
 let of_string s =
   let w = T.create (String.length s + 8) in
@@ -117,9 +116,6 @@ let of_options (o : Hcrf_sched.Engine.options) =
   let w = T.create 16 in
   T.tag w 'O';
   T.int w o.Hcrf_sched.Engine.budget_ratio;
-  (match o.Hcrf_sched.Engine.max_ii with
-  | None -> T.tag w '-'
-  | Some i -> T.tag w '#'; T.int w i);
   T.tag w (if o.Hcrf_sched.Engine.backtracking then 't' else 'f');
   T.tag w
     (match o.Hcrf_sched.Engine.ordering with

@@ -28,8 +28,6 @@ val compare : t -> t -> int
     names). *)
 val to_hex : t -> string
 
-val pp : Format.formatter -> t -> unit
-
 (** Fingerprint of an opaque label (e.g. a memory-scenario tag). *)
 val of_string : string -> t
 

@@ -1,12 +1,13 @@
 type t = { dir : string }
 
-(* version 7: keys digest configurations, options and labels as
-   tagged varint transcripts (v6 keys hashed a decimal length-prefixed
-   text), so every key moved.  Since v6 entries store the schedule as
-   per-node int columns and the invariant residency as a per-bank-code
-   table.  Files of older versions (the flat v2 layout included) fail
-   the magic test and are recomputed. *)
-let version = 7
+(* version 8: the options key lost its II-cap tag, so every key
+   moved, and an entry's escalation rung count moved into the stored
+   engine stats.  Since v7 keys digest configurations, options and
+   labels as tagged varint transcripts; since v6 entries store the
+   schedule as per-node int columns and the invariant residency as a
+   per-bank-code table.  Files of older versions (the flat v2 layout
+   included) fail the magic test and are recomputed. *)
+let version = 8
 let magic = Printf.sprintf "hcrf-cache %d\n" version
 
 (* Shard count and the shard of a key (its leading hex nibble).  16 is

@@ -36,9 +36,6 @@ val open_dir : string -> t option
 
 val dir : t -> string
 
-(** Sharded path of the entry file for [key] (exposed for tests). *)
-val path : t -> key:Fingerprint.t -> string
-
 (** [`Miss] on absence; [`Error] (with a warning) on a truncated,
     corrupt, garbage, version-stale or unreadable file. *)
 val load :

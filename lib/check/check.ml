@@ -146,8 +146,7 @@ let exec_iterations = [ 2; 7; 13 ]
    warm replay must reproduce this exactly. *)
 let snapshot (r : Runner.loop_result) =
   Marshal.to_string
-    ( Hcrf_cache.Entry.of_outcome r.Runner.outcome ~stall_cycles:0.
-        ~retries:0,
+    ( Hcrf_cache.Entry.of_outcome r.Runner.outcome ~stall_cycles:0.,
       r.Runner.perf )
     []
 
@@ -245,7 +244,7 @@ let oracle ?cache ?(exact = false) ?exact_out ?(trace = Tr.off) ~opts config
       if not exact then Ok ()
       else begin
         let o = cold.Runner.outcome in
-        let r = Exact.solve ~max_ii:o.Engine.ii ~trace config loop.Loop.ddg in
+        let r = Exact.solve ~up_to:o.Engine.ii ~trace config loop.Loop.ddg in
         (match exact_out with
         | None -> ()
         | Some cell ->
@@ -505,7 +504,7 @@ let measure_gap ~opts config (loop : Loop.t) =
   match Engine.schedule ~opts config loop.Loop.ddg with
   | Error _ -> None
   | Ok o ->
-    let r = Exact.solve ~max_ii:o.Engine.ii config loop.Loop.ddg in
+    let r = Exact.solve ~up_to:o.Engine.ii config loop.Loop.ddg in
     if r.Exact.x_optimal && o.Engine.ii - r.Exact.x_lb >= 1 then Some (o, r)
     else None
 

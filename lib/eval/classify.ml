@@ -19,8 +19,6 @@ let name = function
   | Rec -> "Rec."
   | Com -> "Com."
 
-let pp ppf b = Fmt.string ppf (name b)
-
 (** Classify from the MII component bounds.  The largest bound wins;
     ties are resolved communication > recurrence > memory > compute only
     when the bound is non-trivial (> 1); a trivially-bounded loop (every

@@ -11,7 +11,6 @@ type bound = Fu | Mem | Rec | Com
 
 val all : bound list
 val name : bound -> string
-val pp : Format.formatter -> bound -> unit
 
 (** The largest bound wins; ties resolve communication > recurrence >
     memory > compute when non-trivial; a trivially-bounded loop counts

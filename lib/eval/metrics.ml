@@ -13,12 +13,12 @@
 open Hcrf_ir
 open Hcrf_sched
 
-let pp_sched ppf ((s : Engine.stats), retries) =
+let pp_sched ppf (s : Engine.stats) =
   Fmt.pf ppf
     "attempts=%d ejections=%d forcings=%d spills=%d(+%d inv) comm=%d \
      ii-restarts=%d retries=%d"
     s.attempts s.ejections s.forcings s.value_spills s.invariant_spills
-    s.comm_inserted s.ii_restarts retries
+    s.comm_inserted s.ii_restarts s.retries
 
 type loop_perf = {
   name : string;
@@ -35,7 +35,6 @@ type loop_perf = {
   bound : Classify.bound;
   sched_seconds : float;
   sched : Engine.stats;
-  retries : int;  (** escalation-ladder re-runs taken by [Runner.run_loop] *)
 }
 
 (* [n] is the total number of iterations over all entries, matching the
@@ -46,7 +45,7 @@ let useful_cycles ~ii ~sc ~n ~e =
 (* The one constructor behind [of_outcome] and [of_stored]: the §2.3
    formulas over a schedule's figures.  [mem_ops] counts the memory
    operations of the final graph, spill code included. *)
-let make ~stall_cycles ~retries (loop : Loop.t) ~ii ~mii ~sc ~bounds ~mem_ops
+let make ~stall_cycles (loop : Loop.t) ~ii ~mii ~sc ~bounds ~mem_ops
     ~seconds ~stats =
   let e = loop.Loop.entries in
   let n = loop.Loop.trip_count * e in
@@ -65,23 +64,21 @@ let make ~stall_cycles ~retries (loop : Loop.t) ~ii ~mii ~sc ~bounds ~mem_ops
     bound = Classify.of_bounds ~has_memory:(mem_ops > 0) bounds;
     sched_seconds = seconds;
     sched = stats;
-    retries;
   }
 
-let of_outcome ?(stall_cycles = 0.) ?(retries = 0) loop (o : Engine.outcome) =
-  make ~stall_cycles ~retries loop ~ii:o.Engine.ii ~mii:o.Engine.mii
+let of_outcome ?(stall_cycles = 0.) loop (o : Engine.outcome) =
+  make ~stall_cycles loop ~ii:o.Engine.ii ~mii:o.Engine.mii
     ~sc:o.Engine.sc ~bounds:o.Engine.bounds
     ~mem_ops:(Ddg.num_memory_ops o.Engine.graph) ~seconds:o.Engine.seconds
     ~stats:o.Engine.stats
 
-let of_stored ~stall_cycles ~retries loop (s : Hcrf_cache.Entry.stored_outcome)
-    =
+let of_stored ~stall_cycles loop (s : Hcrf_cache.Entry.stored_outcome) =
   let mem_ops =
     List.fold_left
       (fun k (_, kind, _, _) -> if Op.is_memory kind then k + 1 else k)
       0 s.Hcrf_cache.Entry.s_graph.Ddg.repr_nodes
   in
-  make ~stall_cycles ~retries loop ~ii:s.s_ii ~mii:s.s_mii ~sc:s.s_sc
+  make ~stall_cycles loop ~ii:s.s_ii ~mii:s.s_mii ~sc:s.s_sc
     ~bounds:s.s_bounds ~mem_ops ~seconds:s.s_seconds ~stats:s.s_stats
 
 type aggregate = {
@@ -99,7 +96,6 @@ type aggregate = {
   exec_seconds : float;     (** exec_cycles * cycle time *)
   sched_seconds : float;    (** scheduler wall-clock for the suite *)
   sched : Engine.stats;     (** scheduler effort, summed over the suite *)
-  retries : int;            (** escalation re-runs, summed over the suite *)
   bound_share : (Classify.bound * int * float) list;
       (** per bound: number of loops, execution cycles *)
 }
@@ -147,7 +143,6 @@ let aggregate (config : Hcrf_machine.Config.t) (perfs : loop_perf list) =
       List.fold_left
         (fun acc (p : loop_perf) -> Engine.add_stats acc p.sched)
         Engine.zero_stats perfs;
-    retries = sumi (fun p -> p.retries);
     bound_share;
   }
 
@@ -159,7 +154,7 @@ let pp_aggregate ?cache ?trace ppf a =
     "%s: loops=%d sum_ii=%d (mii %d, %.1f%% at mii) cycles=%.3e (stall %.2e) \
      traffic=%.3e time=%.4fs ipc=%.2f@\n  sched: %a"
     a.config a.loops a.sum_ii a.sum_mii a.pct_at_mii a.exec_cycles a.stall
-    a.total_traffic a.exec_seconds (ipc a) pp_sched (a.sched, a.retries);
+    a.total_traffic a.exec_seconds (ipc a) pp_sched a.sched;
   (match cache with
   | None -> ()
   | Some c -> Fmt.pf ppf "@\n  cache: %a" Hcrf_cache.Cache.pp_stats c);

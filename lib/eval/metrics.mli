@@ -22,15 +22,13 @@ type loop_perf = {
   bound : Classify.bound;
   sched_seconds : float;
   sched : Hcrf_sched.Engine.stats;  (** the engine's own effort counters *)
-  retries : int;  (** escalation-ladder re-runs taken by [Runner.run_loop] *)
 }
 
 val useful_cycles : ii:int -> sc:int -> n:int -> e:int -> float
 
-(** Metrics of a loop's outcome; [stall_cycles] and [retries] default
-    to 0. *)
+(** Metrics of a loop's outcome; [stall_cycles] defaults to 0. *)
 val of_outcome :
-  ?stall_cycles:float -> ?retries:int -> Hcrf_ir.Loop.t ->
+  ?stall_cycles:float -> Hcrf_ir.Loop.t ->
   Hcrf_sched.Engine.outcome -> loop_perf
 
 (** Metrics of a loop's stored schedule, read straight from the entry:
@@ -38,7 +36,7 @@ val of_outcome :
     (one constructor behind both), with no graph rebuilt — the
     memory-operation count is read off the stored graph's node list. *)
 val of_stored :
-  stall_cycles:float -> retries:int -> Hcrf_ir.Loop.t ->
+  stall_cycles:float -> Hcrf_ir.Loop.t ->
   Hcrf_cache.Entry.stored_outcome -> loop_perf
 
 type aggregate = {
@@ -56,7 +54,6 @@ type aggregate = {
   exec_seconds : float;
   sched_seconds : float;  (** scheduler wall-clock for the suite *)
   sched : Hcrf_sched.Engine.stats;  (** summed over the suite *)
-  retries : int;          (** escalation re-runs, summed over the suite *)
   bound_share : (Classify.bound * int * float) list;
       (** per bound: number of loops, execution cycles *)
 }

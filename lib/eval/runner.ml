@@ -105,41 +105,21 @@ let warn_no_schedule (config : Hcrf_machine.Config.t) loop ii =
       m "no schedule for %s on %s up to II=%d" (Loop.name loop)
         config.Hcrf_machine.Config.name ii)
 
-(* The uncached work: schedule (with escalation) and, under a real
-   memory scenario, simulate the stalls.  Returns everything a cache
-   entry needs. *)
-let compute ~scenario ~opts ~trace (config : Hcrf_machine.Config.t)
-    (loop : Loop.t) =
+(* The uncached work — schedule (the engine's escalation ladder
+   included) and, under a real memory scenario, simulate the stalls —
+   packaged as a closure-free cache entry.  This is the single compute
+   path shared by [run_loop] and the serving daemon's miss handler, so
+   both produce (and persist) identical entries. *)
+let compute_entry ?(trace = Tr.off) ~scenario ~opts
+    (config : Hcrf_machine.Config.t) (loop : Loop.t) =
   let override =
     match scenario with
     | Real { prefetch = true } -> Hcrf_memsim.Prefetch.plan config loop
     | Ideal | Real { prefetch = false } -> Hcrf_memsim.Prefetch.none
   in
   let opts = { opts with Engine.load_override = override } in
-  (* escalating retries: a dropped loop would silently bias every
-     aggregate metric, so spend more budget (and allow any II) before
-     giving up.  The rung count feeds [Metrics.loop_perf.retries]. *)
-  let retries = ref 0 in
-  let escalate rung =
-    incr retries;
-    if Tr.enabled trace then Tr.emit trace (Ev.Budget_escalate { rung })
-  in
-  let result =
-    match Engine.schedule ~opts ~trace config loop.Loop.ddg with
-    | Ok o -> Ok o
-    | Error _ -> (
-      escalate 1;
-      let opts = { opts with Engine.budget_ratio = 16 } in
-      match Engine.schedule ~opts ~trace config loop.Loop.ddg with
-      | Ok o -> Ok o
-      | Error _ ->
-        escalate 2;
-        Engine.schedule
-          ~opts:{ opts with Engine.budget_ratio = 32; max_ii = Some 4096 }
-          ~trace config loop.Loop.ddg)
-  in
-  match result with
-  | Error (`No_schedule ii) -> Error ii
+  match Engine.schedule_escalating ~opts ~trace config loop.Loop.ddg with
+  | Error (`No_schedule ii) -> Hcrf_cache.Entry.Failed ii
   | Ok outcome ->
     let stall_cycles =
       match scenario with
@@ -155,16 +135,7 @@ let compute ~scenario ~opts ~trace (config : Hcrf_machine.Config.t)
         in
         r.Hcrf_memsim.Sim.stall_cycles
     in
-    Ok (outcome, stall_cycles, !retries)
-
-(* The uncached work packaged as a closure-free cache entry.  This is
-   the single compute path shared by [run_loop] and the serving daemon's
-   miss handler, so both produce (and persist) identical entries. *)
-let compute_entry ?(trace = Tr.off) ~scenario ~opts config (loop : Loop.t) =
-  match compute ~scenario ~opts ~trace config loop with
-  | Error ii -> Hcrf_cache.Entry.Failed ii
-  | Ok (outcome, stall_cycles, retries) ->
-    Hcrf_cache.Entry.of_outcome outcome ~stall_cycles ~retries
+    Hcrf_cache.Entry.of_outcome outcome ~stall_cycles
 
 (* A loop's metrics, read from its entry without replaying it; [None]
    for [Failed] entries, with the same warning as a live failure. *)
@@ -172,8 +143,8 @@ let perf_of_entry config (loop : Loop.t) = function
   | Hcrf_cache.Entry.Failed ii ->
     warn_no_schedule config loop ii;
     None
-  | Hcrf_cache.Entry.Scheduled { outcome; stall_cycles; retries; _ } ->
-    Some (Metrics.of_stored ~stall_cycles ~retries loop outcome)
+  | Hcrf_cache.Entry.Scheduled { outcome; stall_cycles } ->
+    Some (Metrics.of_stored ~stall_cycles loop outcome)
 
 (* Replay an entry — fresh or cached, same code either way — into a
    [loop_result]: the metrics of [perf_of_entry] plus the restored

@@ -60,12 +60,13 @@ val cache_key :
   scenario:memory_scenario -> opts:Hcrf_sched.Engine.options ->
   Hcrf_machine.Config.t -> Hcrf_ir.Loop.t -> Hcrf_cache.Fingerprint.t
 
-(** The uncached work — schedule with escalating budget retries and,
-    under a real memory scenario, simulate the stalls — packaged as a
-    closure-free cache entry ({!Hcrf_cache.Entry.Failed} when every
-    retry failed).  This is the single compute path behind [run_loop]
-    and the serving daemon's miss handler, so both produce identical
-    entries for identical inputs. *)
+(** The uncached work — schedule with
+    {!Hcrf_sched.Engine.schedule_escalating} and, under a real memory
+    scenario, simulate the stalls — packaged as a closure-free cache
+    entry ({!Hcrf_cache.Entry.Failed} when every rung failed).  This is
+    the single compute path behind [run_loop] and the serving daemon's
+    miss handler, so both produce identical entries for identical
+    inputs. *)
 val compute_entry :
   ?trace:Hcrf_obs.Trace.t -> scenario:memory_scenario ->
   opts:Hcrf_sched.Engine.options -> Hcrf_machine.Config.t ->
@@ -86,11 +87,11 @@ val result_of_entry :
     with the next change to that harness. *)
 val entry_compatible : Hcrf_ir.Loop.t -> Hcrf_cache.Entry.t -> bool
 
-(** Schedule one loop (with escalating budget retries so aggregate
-    metrics never silently drop loops) and replay its full outcome;
-    [None] only if every retry failed.  The {!run_pipeline} resolver
-    over one loop, plus {!result_of_entry}: the only runner call that
-    rebuilds an outcome. *)
+(** Schedule one loop (with the engine's escalation ladder, so
+    aggregate metrics never silently drop loops) and replay its full
+    outcome; [None] only if every rung failed.  The {!run_pipeline}
+    resolver over one loop, plus {!result_of_entry}: the only runner
+    call that rebuilds an outcome. *)
 val run_loop :
   ?ctx:Ctx.t -> Hcrf_machine.Config.t -> Hcrf_ir.Loop.t ->
   loop_result option
@@ -141,7 +142,7 @@ val pp_pipeline_stats : Format.formatter -> pipeline_stats -> unit
     loop's metrics are read straight from its schedule entry
     ({!Metrics.of_stored}: no graph rebuilt, the same figures
     {!result_of_entry} gives) and its trace buffer committed, in input
-    order — [None] where every scheduling retry failed, warned on every
+    order — [None] where every escalation rung failed, warned on every
     call — followed by how the schedules were answered.  After an edit
     only the loops whose cache key changed re-run the engine; everything
     else is read from the store, byte-identical to a cold run up to

@@ -866,6 +866,7 @@ let try_leaf config lat ~ii ~mii0 ~g ~residents ~n_comm st =
             comm_inserted = n_comm;
             attempts = 0;
             ii_restarts = 0;
+            retries = 0;
           };
       }
     in
@@ -937,7 +938,7 @@ let witness_at config lat g0 ~ii ~mii0 ~steps ~budget ~sigmas ~cands
 
 (* ------------------------------------------------------------------ *)
 
-let solve ?(budget = default_budget) ?max_ii ?(witness = true) ?(trace = Tr.off)
+let solve ?(budget = default_budget) ?up_to ?(witness = true) ?(trace = Tr.off)
     config g0 =
   List.iter
     (fun id ->
@@ -948,7 +949,7 @@ let solve ?(budget = default_budget) ?max_ii ?(witness = true) ?(trace = Tr.off)
       let lat = Latency.make config in
       let bounds = Mii.bounds ~lat config g0 in
       let mii0 = max 1 (Mii.mii bounds) in
-      let max_ii = Option.value max_ii ~default:(mii0 + 30) in
+      let max_ii = Option.value up_to ~default:(mii0 + 30) in
       let steps = ref 0 in
       let budget_hit = ref false in
       let sigmas = ref 0 in

@@ -80,11 +80,11 @@ val default_budget : int
     on scheduler-inserted kinds) for [config].
 
     [budget] bounds total search steps across both phases;
-    [max_ii] (default [mii + 30]) caps both the refutation sweep and the
+    [up_to] (default [mii + 30]) caps both the refutation sweep and the
     witness search — a typical caller passes the heuristic's achieved II
     since higher witnesses are uninteresting; [witness:false] skips
     phase B (lower bound only).  [trace] records the whole run as a
     [Phase Exact] span plus one [Exact_search] statistics event. *)
 val solve :
-  ?budget:int -> ?max_ii:int -> ?witness:bool -> ?trace:Hcrf_obs.Trace.t ->
+  ?budget:int -> ?up_to:int -> ?witness:bool -> ?trace:Hcrf_obs.Trace.t ->
   Hcrf_machine.Config.t -> Hcrf_ir.Ddg.t -> t

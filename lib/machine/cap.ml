@@ -35,10 +35,6 @@ let equal a b =
   | Finite a, Finite b -> a = b
   | Inf, Finite _ | Finite _, Inf -> false
 
-let pp ppf = function
-  | Finite n -> Fmt.int ppf n
-  | Inf -> Fmt.string ppf "inf"
-
 let to_string = function Finite n -> string_of_int n | Inf -> "inf"
 
 (** Parse ["inf"] or a non-negative integer; raises [Failure] on

@@ -23,7 +23,6 @@ val to_int_exn : t -> int
 
 val min : t -> t -> t
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 (** ["inf"] or the decimal count — the token used by {!Rf.notation}. *)
 val to_string : t -> string

@@ -13,8 +13,6 @@ type t = { reads : int; writes : int }
 
 let total p = p.reads + p.writes
 
-let pp ppf p = Fmt.pf ppf "%dr+%dw" p.reads p.writes
-
 let cap_int what c =
   match Cap.to_int_opt c with
   | Some n -> n

@@ -11,7 +11,6 @@
 type t = { reads : int; writes : int }
 
 val total : t -> int
-val pp : Format.formatter -> t -> unit
 
 (** Ports of one first-level (FU-facing) bank.  An explicit
     [@r..w..] access constraint on the configuration overrides the

@@ -51,7 +51,8 @@ type t =
   | Regalloc_fail of { bank : string }
       (** explicit rotating allocation failed for this bank *)
   | Budget_escalate of { rung : int }
-      (** the runner's escalation ladder re-ran the engine (rung 1, 2) *)
+      (** [Engine.schedule_escalating] climbed its escalation ladder to
+          this rung (1, 2): the II search again at a larger budget *)
   | Cache of cache_op  (** schedule-cache lookup or store *)
   | Phase of { phase : phase; ns : int }
       (** a timed span of one pipeline phase, in integer nanoseconds *)

@@ -7,26 +7,22 @@
     synchronization; {!Tracer.commit} replays the buffer into the
     suite-level sinks in input order. *)
 
-type buf = { label : string; mutable rev : Event.t list; mutable n : int }
+type buf = { label : string; mutable rev : Event.t list }
 
 type t = Off | On of buf
 
 let off = Off
 
-let create ~label = On { label; rev = []; n = 0 }
+let create ~label = On { label; rev = [] }
 
 let enabled = function Off -> false | On _ -> true
 
 let emit t ev =
   match t with
   | Off -> ()
-  | On b ->
-    b.rev <- ev :: b.rev;
-    b.n <- b.n + 1
+  | On b -> b.rev <- ev :: b.rev
 
 let label = function Off -> "" | On b -> b.label
-
-let length = function Off -> 0 | On b -> b.n
 
 let events = function Off -> [] | On b -> List.rev b.rev
 

@@ -24,9 +24,6 @@ val emit : t -> Event.t -> unit
 
 val label : t -> string
 
-(** Number of buffered events (0 when disabled). *)
-val length : t -> int
-
 (** Buffered events in emission order (the empty list when disabled). *)
 val events : t -> Event.t list
 

@@ -29,7 +29,8 @@
       attempt so replenishment cannot sustain a spill cycle forever)
       bounds the iterative process; when exhausted the attempt is
       discarded and the whole process restarts with II + 1.  That
-      loop, the end-of-attempt repairs and the II search are here. *)
+      loop, the end-of-attempt repairs, the II search and the
+      escalation ladder over it are here. *)
 
 open Hcrf_ir
 open Hcrf_machine
@@ -39,7 +40,6 @@ module Work = Schedule.Work
 
 type options = {
   budget_ratio : int;
-  max_ii : int option;  (** absolute cap on the II search (None: auto) *)
   load_override : int -> int option;
       (** per-load latency override for binding prefetching *)
   backtracking : bool;
@@ -51,8 +51,8 @@ type options = {
 }
 
 let default_options =
-  { budget_ratio = 6; max_ii = None; load_override = (fun _ -> None);
-    backtracking = true; ordering = `Hrms }
+  { budget_ratio = 6; load_override = (fun _ -> None); backtracking = true;
+    ordering = `Hrms }
 
 type stats = {
   ejections : int;
@@ -62,11 +62,12 @@ type stats = {
   comm_inserted : int;
   attempts : int;
   ii_restarts : int;
+  retries : int;
 }
 
 let zero_stats =
   { ejections = 0; forcings = 0; value_spills = 0; invariant_spills = 0;
-    comm_inserted = 0; attempts = 0; ii_restarts = 0 }
+    comm_inserted = 0; attempts = 0; ii_restarts = 0; retries = 0 }
 
 let add_stats a b =
   { ejections = a.ejections + b.ejections;
@@ -75,7 +76,8 @@ let add_stats a b =
     invariant_spills = a.invariant_spills + b.invariant_spills;
     comm_inserted = a.comm_inserted + b.comm_inserted;
     attempts = a.attempts + b.attempts;
-    ii_restarts = a.ii_restarts + b.ii_restarts }
+    ii_restarts = a.ii_restarts + b.ii_restarts;
+    retries = a.retries + b.retries }
 
 type outcome = {
   ii : int;
@@ -171,13 +173,6 @@ let repair_deps (s : Attempt.t) =
     (Ddg.edges s.g);
   !count
 
-let pressure_ok (s : Attempt.t) =
-  Array.for_all
-    (fun (bank, cap) ->
-      Pressure.pressure s.press ~bank + Spill.invariant_residents s bank
-      <= cap)
-    s.finite_banks
-
 (* Explicit rotating allocation per bank, with capacity reduced by the
    invariant residents. *)
 let allocation_failure (s : Attempt.t) =
@@ -253,18 +248,20 @@ let attempt config opts ~lat ~sel g0 ~order ~ii ~trace ~arena =
         then loop ()
         else begin
           prune_dead_comm s;
-          if not (pressure_ok s) then begin
+          (* spill until every bank fits ([`Inserted 0]: nothing to
+             spill), then until every bank allocates *)
+          let spilled =
             match Spill.check sp s with
-            | `Inserted n when n > 0 && s.budget > 0 -> loop ()
-            | `Inserted _ | `Unfixable -> None
-          end
-          else
-            match allocation_failure s with
-            | None -> Some s
-            | Some bank -> (
-              match Spill.check ~force_bank:bank sp s with
-              | `Inserted n when n > 0 && s.budget > 0 -> loop ()
-              | `Inserted _ | `Unfixable -> None)
+            | `Inserted 0 ->
+              Option.map
+                (fun bank -> Spill.check ~force_bank:bank sp s)
+                (allocation_failure s)
+            | r -> Some r
+          in
+          match spilled with
+          | None -> Some s
+          | Some (`Inserted n) when n > 0 && s.budget > 0 -> loop ()
+          | Some (`Inserted _ | `Unfixable) -> None
         end
   in
   let result = try loop () with Attempt.Attempt_failed -> None in
@@ -294,8 +291,18 @@ let unplaceable config g =
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 
-let schedule ?(opts = default_options) ?(trace = Tr.off) (config : Config.t)
-    (g0 : Ddg.t) : (outcome, error) result =
+(* The escalation ladder of [schedule_escalating]: after a failed II
+   search at the caller's budget ratio, the search again at each of
+   these budget ratios, the last with the II cap raised to 4096 ([None]:
+   the automatic cap).  A dropped loop would silently bias every
+   aggregate metric. *)
+let ladder = [ (16, None); (32, Some 4096) ]
+
+(* The caller's rung, then each of [rungs]: each a fresh II search from
+   the MII, all over one computation of the recurrences, MII, order,
+   [unplaceable] test, arena and selection tables. *)
+let run ~rungs ~(opts : options) ~trace (config : Config.t) (g0 : Ddg.t) :
+    (outcome, error) result =
   let t0 = Unix.gettimeofday () in
   let lat = Latency.make ~override:opts.load_override config in
   (* one SCC/RecMII pass serves both the bound and the order *)
@@ -303,9 +310,6 @@ let schedule ?(opts = default_options) ?(trace = Tr.off) (config : Config.t)
     Tr.span trace Ev.Mii (fun () ->
         let recs = Mii.recurrences lat g0 in
         (recs, Mii.compute ~lat ~recs config g0))
-  in
-  let max_ii =
-    match opts.max_ii with Some m -> m | None -> max (4 * mii) (mii + 128)
   in
   (* the priority order does not depend on II: compute it once *)
   let order =
@@ -318,12 +322,12 @@ let schedule ?(opts = default_options) ?(trace = Tr.off) (config : Config.t)
             (fun a b -> compare (asap a, a) (asap b, b))
             (Ddg.nodes g0))
   in
-  let restarts = ref 0 in
-  (* one arena serves every II attempt of this call: escalating re-uses
-     the flat tables instead of reallocating them *)
+  let restarts = ref 0 and rung = ref 0 in
+  (* one arena serves every II attempt of this call, on every rung:
+     each re-uses the flat tables instead of reallocating them *)
   let arena = Arena.create () in
   let sel = Select.create config in
-  let rec search ii =
+  let rec search ~opts ~max_ii ii =
     if ii > max_ii then Error (`No_schedule ii)
     else begin
       if Tr.enabled trace then Tr.emit trace (Ev.II_try ii);
@@ -353,6 +357,7 @@ let schedule ?(opts = default_options) ?(trace = Tr.off) (config : Config.t)
                 comm_inserted = s.st.m_comm_inserted;
                 attempts = s.st.m_attempts;
                 ii_restarts = !restarts;
+                retries = !rung;
               };
           }
       | None ->
@@ -361,8 +366,27 @@ let schedule ?(opts = default_options) ?(trace = Tr.off) (config : Config.t)
            geometrically so pathological loops (tiny banks, big bodies)
            converge in reasonable time — the first 8 steps are faithful *)
         let step = if !restarts <= 8 then 1 else max 1 (ii / 8) in
-        search (ii + step)
+        search ~opts ~max_ii (ii + step)
     end
   in
+  let rec climb (budget_ratio, cap) rungs =
+    restarts := 0;
+    let max_ii = Option.value cap ~default:(max (4 * mii) (mii + 128)) in
+    match (search ~opts:{ opts with budget_ratio } ~max_ii mii, rungs) with
+    | (Ok _ as r), _ | (Error _ as r), [] -> r
+    | Error _, next :: rungs ->
+      incr rung;
+      if Tr.enabled trace then
+        Tr.emit trace (Ev.Budget_escalate { rung = !rung });
+      climb next rungs
+  in
   Tr.span trace Ev.Schedule (fun () ->
-      if unplaceable config g0 then Error (`No_schedule mii) else search mii)
+      if unplaceable config g0 then Error (`No_schedule mii)
+      else climb (opts.budget_ratio, None) rungs)
+
+let schedule ?(opts = default_options) ?(trace = Tr.off) config g0 =
+  run ~rungs:[] ~opts ~trace config g0
+
+let schedule_escalating ?(opts = default_options) ?(trace = Tr.off) config
+    g0 =
+  run ~rungs:ladder ~opts ~trace config g0

@@ -13,7 +13,6 @@
 
 type options = {
   budget_ratio : int;
-  max_ii : int option;  (** absolute cap on the II search (None: auto) *)
   load_override : int -> int option;
       (** per-load latency override for binding prefetching *)
   backtracking : bool;
@@ -33,7 +32,10 @@ type stats = {
   invariant_spills : int;
   comm_inserted : int;
   attempts : int;
-  ii_restarts : int;
+  ii_restarts : int;  (** failed II attempts of the last search *)
+  retries : int;
+      (** escalation rungs climbed by {!schedule_escalating} (0 for
+          {!schedule}) *)
 }
 
 (** The all-zero counters, and field-by-field sums (a suite's effort
@@ -53,18 +55,32 @@ type outcome = {
   invariant_residents : int array;
       (** bank code ({!Topology.bank_code}) -> whole-loop registers
           reserved for loop invariants; one cell per code *)
-  seconds : float;
+  seconds : float;  (** wall-clock of the whole call, every rung *)
   stats : stats;
 }
 
 type error = [ `No_schedule of int (** last II tried *) ]
 
-(** Schedule one loop body.  The input graph is not modified (the
-    outcome's [graph] is an extended copy).  [trace] (default
-    {!Hcrf_obs.Trace.off}) receives placement, ejection, spill,
-    communication-insertion and phase-span events; it is deliberately
-    not part of {!options} so that enabling tracing cannot perturb
-    schedule-cache fingerprints. *)
+(** Schedule one loop body: one II search from the MII at
+    [opts.budget_ratio], up to [max (4 * mii) (mii + 128)].  The input
+    graph is not modified (the outcome's [graph] is an extended copy).
+    A loop with an operation that fits at none of its locations even
+    in an empty reservation table answers [`No_schedule mii] before any
+    II is tried.  [trace] (default {!Hcrf_obs.Trace.off}) receives
+    placement, ejection, spill, communication-insertion and phase-span
+    events; it is deliberately not part of {!options} so that enabling
+    tracing cannot perturb schedule-cache fingerprints. *)
 val schedule :
+  ?opts:options -> ?trace:Hcrf_obs.Trace.t -> Hcrf_machine.Config.t ->
+  Hcrf_ir.Ddg.t -> (outcome, error) result
+
+(** {!schedule}, then, while it fails, the escalation ladder: the same
+    search again at budget ratio 16, then at 32 with the II cap raised
+    to 4096, each emitting a [Budget_escalate] event first and counted
+    in [stats.retries].  The recurrences, MII, order and placeability
+    test are computed once for every rung, and a loop that is not
+    placeable climbs none.  The evaluation runner's one engine call: a
+    dropped loop would silently bias every aggregate metric. *)
+val schedule_escalating :
   ?opts:options -> ?trace:Hcrf_obs.Trace.t -> Hcrf_machine.Config.t ->
   Hcrf_ir.Ddg.t -> (outcome, error) result

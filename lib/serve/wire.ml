@@ -34,7 +34,6 @@ let sockaddr = function
 
 type options = {
   w_budget_ratio : int;
-  w_max_ii : int option;
   w_backtracking : bool;
   w_ordering : [ `Hrms | `Topological ];
 }
@@ -42,7 +41,6 @@ type options = {
 let options_of_engine (o : Hcrf_sched.Engine.options) =
   {
     w_budget_ratio = o.Hcrf_sched.Engine.budget_ratio;
-    w_max_ii = o.Hcrf_sched.Engine.max_ii;
     w_backtracking = o.Hcrf_sched.Engine.backtracking;
     w_ordering = o.Hcrf_sched.Engine.ordering;
   }
@@ -51,7 +49,6 @@ let engine_of_options (o : options) =
   {
     Hcrf_sched.Engine.default_options with
     Hcrf_sched.Engine.budget_ratio = o.w_budget_ratio;
-    max_ii = o.w_max_ii;
     backtracking = o.w_backtracking;
     ordering = o.w_ordering;
   }
@@ -145,7 +142,7 @@ let pp_frame_error ppf = function
   | Bad_checksum -> Fmt.string ppf "checksum mismatch"
   | Bad_payload msg -> Fmt.pf ppf "bad payload (%s)" msg
 
-let magic = "hcrfsrv3"
+let magic = "hcrfsrv4"
 let header_size = String.length magic + 4 + 16
 let default_max_frame = 16 * 1024 * 1024
 

@@ -291,8 +291,7 @@ let test_wl_collision_gets_own_schedule () =
         check (what ^ ": run_loop answers its own schedule") true
           (String.equal (own loop)
              (outcome_bytes what
-                (Entry.of_outcome r.Runner.outcome ~stall_cycles:0.
-                   ~retries:0)))
+                (Entry.of_outcome r.Runner.outcome ~stall_cycles:0.)))
       | None -> Alcotest.failf "%s: not scheduled" what);
       match
         Hcrf_server.Tiers.schedule tiers
@@ -367,7 +366,6 @@ let test_options_sensitivity () =
   let variants =
     [ ("default", d);
       ("budget", { d with Engine.budget_ratio = d.Engine.budget_ratio + 1 });
-      ("max-ii", { d with Engine.max_ii = Some 64 });
       ("backtracking", { d with Engine.backtracking = false });
       ("ordering", { d with Engine.ordering = `Topological }) ]
   in
@@ -433,8 +431,6 @@ let test_digests_distinct () =
     [ ("default", d);
       ("budget", { d with Hcrf_sched.Engine.budget_ratio = d.budget_ratio + 1 });
       ("negative budget", { d with budget_ratio = min_int });
-      ("max-ii", { d with max_ii = Some 64 });
-      ("negative max-ii", { d with max_ii = Some (-3) });
       ("backtracking", { d with backtracking = false });
       ("ordering", { d with ordering = `Topological }) ]
   in
@@ -623,7 +619,7 @@ let engine_and_replayed ~n configs =
               match E.schedule ~opts config l.Loop.ddg with
               | Error _ -> None
               | Ok o -> (
-                match Entry.of_outcome o ~stall_cycles:0. ~retries:0 with
+                match Entry.of_outcome o ~stall_cycles:0. with
                 | Entry.Scheduled s ->
                   Some (name, l, o, Entry.to_outcome config s.outcome)
                 | Entry.Failed _ -> None))
@@ -750,9 +746,7 @@ let test_id_counter_reaches_the_key () =
     match r with
     | None -> Alcotest.fail "not scheduled"
     | Some r -> (
-      match
-        Entry.of_outcome r.Runner.outcome ~stall_cycles:0. ~retries:0
-      with
+      match Entry.of_outcome r.Runner.outcome ~stall_cycles:0. with
       | Entry.Scheduled s ->
         Marshal.to_string { s.outcome with Entry.s_seconds = 0. } []
       | Entry.Failed _ -> Alcotest.fail "not scheduled")
@@ -949,6 +943,10 @@ let test_store_v5_stale () = check_stale_version 5
 
 (* v6 entries were filed under keys of the decimal text encoding *)
 let test_store_v6_stale () = check_stale_version 6
+
+(* v7 entries were filed under keys that tagged the II cap, and keep
+   the escalation rung count outside the engine stats *)
+let test_store_v7_stale () = check_stale_version 7
 
 (* Loop and kernel transcripts are pinned: these values predate the
    shared transcript writer and must not move with it. *)
@@ -1167,6 +1165,7 @@ let tests =
     ("fingerprint: WL collision gets its own schedule", `Quick,
      test_wl_collision_gets_own_schedule);
     ("store: v6 entries are stale", `Quick, test_store_v6_stale);
+    ("store: v7 entries are stale", `Quick, test_store_v7_stale);
     ("fingerprint: loop and kernel transcripts pinned", `Quick,
      test_transcripts_pinned);
     ("fingerprint: no carried key goes stale", `Quick, test_no_stale_key);

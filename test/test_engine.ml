@@ -156,23 +156,12 @@ let test_budget_zero_fails_fast () =
   (* with no budget the engine cannot schedule anything non-trivial, but
      it must terminate and report failure rather than hang *)
   let config = published "S128" in
-  let opts = { Engine.default_options with budget_ratio = 0; max_ii = Some 3 } in
+  let opts = { Engine.default_options with budget_ratio = 0 } in
   match
     Engine.schedule ~opts config (Hcrf_workload.Kernels.find "fir5").Loop.ddg
   with
   | Error (`No_schedule _) -> ()
   | Ok _ -> Alcotest.fail "expected failure with zero budget"
-
-let test_max_ii_respected () =
-  let config = published "S128" in
-  let opts = { Engine.default_options with max_ii = Some 2 } in
-  (* tridiag needs II=8; capping at 2 must fail *)
-  match
-    Engine.schedule ~opts config
-      (Hcrf_workload.Kernels.find "tridiag").Loop.ddg
-  with
-  | Error (`No_schedule _) -> ()
-  | Ok _ -> Alcotest.fail "expected failure with max_ii=2"
 
 let test_noniter_never_better_on_suite () =
   (* Table 4's headline: the iterative scheduler wins overall *)
@@ -248,6 +237,53 @@ let test_unplaceable_answers_at_once () =
               (function Hcrf_obs.Event.II_try _ -> true | _ -> false)
               (Hcrf_obs.Trace.events trace))))
     [ "4C16S16@r0w1"; "4C16S16@r1w1"; "4C32@r0w2"; "4C16S16@r2w0" ]
+
+(* The counters-only histogram of one runner computation. *)
+let compute_counted config l =
+  let trace = Hcrf_obs.Trace.create ~label:(Loop.name l) in
+  let entry =
+    Hcrf_eval.Runner.compute_entry ~trace ~scenario:Hcrf_eval.Runner.Ideal
+      ~opts:Engine.default_options config l
+  in
+  let counters = Hcrf_obs.Counters.create () in
+  Hcrf_obs.Counters.add_all counters (Hcrf_obs.Trace.events trace);
+  let count key =
+    Option.value ~default:0
+      (List.assoc_opt key (Hcrf_obs.Counters.counts counters))
+  in
+  (entry, count)
+
+(* The escalation ladder on the cheapest tab6@200 loop that climbs a
+   rung: synth0181 on S128 fails its search at budget ratio 6 and is
+   scheduled on rung 1 (ratio 16).  The figures are those of the ladder
+   as the runner ran it, before it moved into the engine. *)
+let test_ladder_rung_one () =
+  let l = List.nth (Hcrf_workload.Suite.generate ~n:182 ()) 181 in
+  Alcotest.(check string) "loop" "synth0181" (Loop.name l);
+  match compute_counted (published "S128") l with
+  | Hcrf_cache.Entry.Failed ii, _ ->
+    Alcotest.failf "synth0181 on S128: no schedule up to II=%d" ii
+  | Hcrf_cache.Entry.Scheduled { outcome; _ }, count ->
+    check_int "ii" 15 outcome.s_ii;
+    check_int "rungs climbed" 1 outcome.s_stats.retries;
+    check_int "ii restarts of the last rung" 0 outcome.s_stats.ii_restarts;
+    check_int "ii_try" 26 (count "ii_try");
+    check_int "eject" 17566 (count "eject");
+    check_int "place" 18826 (count "place");
+    check_int "budget.escalate" 1 (count "budget.escalate");
+    check_int "one MII pass for every rung" 1 (count "phase.mii")
+
+(* A loop the engine finds unplaceable climbs no rung: one MII and
+   ordering pass, no escalation. *)
+let test_unplaceable_climbs_no_rung () =
+  let config = Hcrf_model.Presets.of_notation "4C16S16@r0w1" in
+  match compute_counted config (Hcrf_workload.Kernels.find "fir5") with
+  | Hcrf_cache.Entry.Scheduled _, _ -> Alcotest.fail "fir5 scheduled"
+  | Hcrf_cache.Entry.Failed _, count ->
+    check_int "budget.escalate" 0 (count "budget.escalate");
+    check_int "phase.mii" 1 (count "phase.mii");
+    check_int "phase.order" 1 (count "phase.order");
+    check_int "ii_try" 0 (count "ii_try")
 
 (* ------------------------------------------------------------------ *)
 (* Select and Spill on hand-built partial schedules: these pin today's
@@ -387,12 +423,14 @@ let tests =
     ("engine: invariant demotion", `Quick, test_invariant_demotion);
     ("engine: stats", `Quick, test_stats_populated);
     ("engine: zero budget", `Quick, test_budget_zero_fails_fast);
-    ("engine: max_ii", `Quick, test_max_ii_respected);
     ("engine: vs non-iterative", `Slow, test_noniter_never_better_on_suite);
     ("engine: prefetch pressure", `Quick, test_prefetch_pressure_on_shared);
     QCheck_alcotest.to_alcotest ~long:true prop_suite_valid;
     ("engine: unplaceable answers at once", `Quick,
      test_unplaceable_answers_at_once);
+    ("engine: ladder climbs rung 1", `Quick, test_ladder_rung_one);
+    ("engine: unplaceable climbs no rung", `Quick,
+     test_unplaceable_climbs_no_rung);
     ("select: beside the operand", `Quick, test_select_follows_operand);
     ("select: first of equal costs", `Quick, test_select_first_of_equal_costs);
     ("spill: invariant first", `Quick, test_spill_invariant_first);
