@@ -100,10 +100,15 @@ let cache_key ~scenario ~opts config =
   and scenario = F.of_string (scenario_tag scenario) in
   fun loop -> F.combine [ config; F.of_loop loop; options; scenario ]
 
+(* A [Failed] entry records only the last II tried; whether the engine
+   refused the loop before trying any II is read again from the loop. *)
 let warn_no_schedule (config : Hcrf_machine.Config.t) loop ii =
   Logs.warn (fun m ->
-      m "no schedule for %s on %s up to II=%d" (Loop.name loop)
-        config.Hcrf_machine.Config.name ii)
+      m "no schedule for %s on %s%s" (Loop.name loop)
+        config.Hcrf_machine.Config.name
+        (if Engine.unplaceable config loop.Loop.ddg then
+           ": fits at no II: an operation has no location it can issue at"
+         else Fmt.str " up to II=%d" ii))
 
 (* The uncached work — schedule (the engine's escalation ladder
    included) and, under a real memory scenario, simulate the stalls —

@@ -47,8 +47,9 @@ let max_sim_iterations = 2048
     only when the earliest ready time [min_ready] is due, which is
     exact: an access removes the fills ready by its issue time, and
     there are none while [min_ready] is later.  The cache is probed by
-    line address with a shift and a mask ({!Cache.access_line}, inlined
-    here). *)
+    line address with a shift and a mask ({!Cache.access_line},
+    inlined here under the default release profile; a
+    [--profile dev] build compiles with [-opaque] and calls it). *)
 let run ?(mshrs = 8) ?(debug = false) ?(cache = Cache.create ()) ~ii
     ~hit_read ~miss_cycles ~n ~e (refs : mem_ref list) =
   if mshrs < 1 then invalid_arg "Sim.run: mshrs must be at least 1";

@@ -268,12 +268,8 @@ let attempt config opts ~lat ~sel g0 ~order ~ii ~trace ~arena =
   Ddg.set_watcher s.g None;
   result
 
-(* Whether some operation of [g] fits at none of its locations even in
-   an empty reservation table: its reservation vector asks one resource
-   for more units in a cycle than there are (no read or write port, one
-   read port under a two-operand op).  Such an operation fits at no II.
-   Communication operations are left out: the engine splices out those
-   it cannot place. *)
+(* An operation fits nowhere when, at every location, its reservation
+   vector asks one resource for more units in a cycle than there are. *)
 let unplaceable config g =
   let mrt = Mrt.create config ~ii:1 in
   let fits kind loc =
@@ -319,7 +315,10 @@ let run ~rungs ~(opts : options) ~trace (config : Config.t) (g0 : Ddg.t) :
         | `Topological ->
           let asap, _ = Order.asap_alap lat g0 in
           List.sort
-            (fun a b -> compare (asap a, a) (asap b, b))
+            (fun a b ->
+              match Int.compare (asap a) (asap b) with
+              | 0 -> Int.compare a b
+              | c -> c)
             (Ddg.nodes g0))
   in
   let restarts = ref 0 and rung = ref 0 in

@@ -61,6 +61,13 @@ type outcome = {
 
 type error = [ `No_schedule of int (** last II tried *) ]
 
+(** Whether some operation of the graph fits at none of its locations
+    even in an empty reservation table (no read or write port, or one
+    read port under a two-operand op): such a loop fits at no II, and
+    {!schedule} answers it before trying one.  Communication operations
+    are not tested: the engine splices out those it cannot place. *)
+val unplaceable : Hcrf_machine.Config.t -> Hcrf_ir.Ddg.t -> bool
+
 (** Schedule one loop body: one II search from the MII at
     [opts.budget_ratio], up to [max (4 * mii) (mii + 128)].  The input
     graph is not modified (the outcome's [graph] is an extended copy).

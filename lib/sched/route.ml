@@ -36,10 +36,11 @@ let shared_root (s : Attempt.t) p ~(db : Topology.bank) =
   let producer_if kind =
     if Op.equal_kind (Ddg.kind s.g p) kind then
       match Ddg.operands s.g p with
-      | (e : Ddg.edge) :: _
-        when Schedule.def_bank s.sched s.g e.src = Some Topology.Shared ->
-        e.src
-      | _ -> -1
+      | (e : Ddg.edge) :: _ -> (
+        match Schedule.def_bank s.sched s.g e.src with
+        | Some Topology.Shared -> e.src
+        | _ -> -1)
+      | [] -> -1
     else -1
   in
   match db with

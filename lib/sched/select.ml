@@ -229,13 +229,16 @@ let decide_loc sel (s : Attempt.t) v =
            L3, a LoadR of an L3 value brings it up to Shared — both
            execute at [Global].  Cluster-resident producers keep the
            two-level placement heuristics. *)
-        let l3 = Topology.has_l3 s.config in
-        let producer_bank () = Schedule.move_src_bank s.sched s.g v in
+        let producer_in bank =
+          Topology.has_l3 s.config
+          &&
+          match Schedule.move_src_bank s.sched s.g v with
+          | Some b -> Topology.equal_bank b bank
+          | None -> false
+        in
         match kind with
-        | Op.Store_r when l3 && producer_bank () = Some Topology.Shared ->
-          `Loc Topology.Global
-        | Op.Load_r when l3 && producer_bank () = Some Topology.L3 ->
-          `Loc Topology.Global
+        | Op.Store_r when producer_in Topology.Shared -> `Loc Topology.Global
+        | Op.Load_r when producer_in Topology.L3 -> `Loc Topology.Global
         | Op.Store_r -> loc_or_splice s (producer_cluster s v)
         | _ -> loc_or_splice s (consumers_cluster sel s v))
     | Op.Spill_load | Op.Spill_store ->

@@ -587,13 +587,36 @@ let test_batch_keys_are_cache_keys () =
 
 (* ------------------------------------------------------------------ *)
 
+(* [f ()] with the executables' reporter writing into a buffer, then
+   the reports it wrote, one a line, without their header; the caller's
+   reporter and level are restored. *)
+let with_reports f =
+  let reporter = Logs.reporter () and level = Logs.level () in
+  let buf = Buffer.create 65536 in
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        Logs.set_reporter reporter;
+        Logs.set_level level)
+      (fun () ->
+        Logging.setup ~dst:(Format.formatter_of_buffer buf) ();
+        f ())
+  in
+  let reports =
+    String.split_on_char '\n' (Buffer.contents buf)
+    |> List.filter (fun l -> l <> "")
+    |> List.map (fun l ->
+           match String.rindex_opt l ']' with
+           | Some i -> String.sub l (i + 2) (String.length l - i - 2)
+           | None -> l)
+  in
+  (r, reports)
+
 (* Two domains warn at once through the executables' reporter: with
    one [Format] queue shared unlocked, this raised [Stdlib.Queue.Empty]
    or garbled lines; through {!Logging.setup} every report arrives whole,
    one a line. *)
 let test_logging_domain_safe () =
-  let reporter = Logs.reporter () and level = Logs.level () in
-  let buf = Buffer.create 65536 in
   let n = 5000 in
   let warn tag =
     match
@@ -604,35 +627,37 @@ let test_logging_domain_safe () =
     | () -> None
     | exception e -> Some (Printexc.to_string e)
   in
-  let raised =
-    Fun.protect
-      ~finally:(fun () ->
-        Logs.set_reporter reporter;
-        Logs.set_level level)
-      (fun () ->
-        Logging.setup ~dst:(Format.formatter_of_buffer buf) ();
+  let raised, reports =
+    with_reports (fun () ->
         let other = Domain.spawn (fun () -> warn "b") in
         let here = warn "a" in
         [ here; Domain.join other ])
   in
   Alcotest.(check (list (option string))) "no report raised" [ None; None ]
     raised;
-  let reports =
-    String.split_on_char '\n' (Buffer.contents buf)
-    |> List.filter (fun l -> l <> "")
-    |> List.map (fun l ->
-           match String.rindex_opt l ']' with
-           | Some i -> String.sub l (i + 2) (String.length l - i - 2)
-           | None -> l)
-    |> List.sort compare
-  in
   let expected =
     List.concat_map
       (fun tag -> List.init n (fun i -> Fmt.str "%s %d" tag (i + 1)))
       [ "a"; "b" ]
     |> List.sort compare
   in
-  Alcotest.(check (list string)) "every report, whole" expected reports
+  Alcotest.(check (list string)) "every report, whole" expected
+    (List.sort compare reports)
+
+(* fir5 on 4C16S16@r0w1 has an operation with no read port to issue
+   at: the engine refuses it before trying any II, so the warning says
+   so and names no "up to II" bound that was never searched. *)
+let test_unplaceable_warning () =
+  let config = Hcrf_model.Presets.of_notation "4C16S16@r0w1" in
+  let r, reports =
+    with_reports (fun () ->
+        Runner.run_loop config (Hcrf_workload.Kernels.find "fir5"))
+  in
+  check "no schedule" true (Option.is_none r);
+  Alcotest.(check (list string)) "one warning, unplaceable"
+    [ "no schedule for fir5 on 4C16S16@r0w1: fits at no II: an operation \
+       has no location it can issue at" ]
+    reports
 
 let tests =
   [
@@ -650,4 +675,6 @@ let tests =
     ("runner: batch keys are cache keys, pinned", `Quick,
      test_batch_keys_are_cache_keys);
     ("logging: two domains warn at once", `Quick, test_logging_domain_safe);
+    ("logging: an unplaceable loop warns it fits at no II", `Quick,
+     test_unplaceable_warning);
   ]
