@@ -3,8 +3,10 @@
 # daemon on a loopback unix socket, fire a 1000-request storm from 4
 # concurrent clients at it, and check the acceptance contract:
 #
-#   - every warm response comes from a cache tier: the storm moves no
-#     engine computation counter (computed=0);
+#   - every warm response comes from the reply tier: the storm's
+#     requests repeat the cold pass's bytes, so all 1000 are tier-1
+#     hits and none reaches tier 2 or the engine (computed=0
+#     lru_hits=1000);
 #   - entries are byte-identical to a direct local Runner.compute_entry
 #     (--verify; scheduler wall-clock scrubbed);
 #   - a malformed frame is refused without taking the daemon down;
@@ -53,8 +55,8 @@ done
 grep -q 'malformed: daemon survived' bench_out.txt ||
   { echo "serve smoke: malformed-frame check missing" >&2
     cat bench_out.txt >&2; exit 1; }
-grep -q '^storm: computed=0 ' bench_out.txt ||
-  { echo "serve smoke: warm storm invoked the engine" >&2
+grep -q '^storm: computed=0 lru_hits=1000 ' bench_out.txt ||
+  { echo "serve smoke: warm storm not answered entirely by tier 1" >&2
     cat bench_out.txt >&2; exit 1; }
 grep -q '^verify: ok' bench_out.txt ||
   { echo "serve smoke: daemon responses differ from the local runner" >&2

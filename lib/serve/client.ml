@@ -15,7 +15,7 @@ let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
 let read_reply t =
   match Wire.read_frame ~max_frame:t.max_frame t.fd with
-  | Wire.Frame payload -> (
+  | Wire.Frame { payload; _ } -> (
     match Wire.decode_response payload with
     | Ok r -> Ok r
     | Error e -> Error (Fmt.str "bad reply: %a" Wire.pp_frame_error e))

@@ -80,17 +80,8 @@ let handle t fd =
           Tiers.reject t.tiers_ ~kind (Fmt.str "%a" Wire.pp_frame_error e)
         in
         reply fd (Wire.encode_response resp)
-      | Wire.Frame payload ->
-        let resp =
-          match Wire.decode_request payload with
-          | Error e ->
-            Tiers.reject t.tiers_ ~kind:Wire.Malformed
-              (Fmt.str "%a" Wire.pp_frame_error e)
-          | Ok Wire.Ping -> Wire.Pong
-          | Ok Wire.Stats -> Wire.Stats_reply (Tiers.stats t.tiers_)
-          | Ok (Wire.Schedule r) -> Tiers.schedule t.tiers_ r
-        in
-        reply fd (Wire.encode_response resp);
+      | Wire.Frame { payload; digest } ->
+        reply fd (Tiers.answer t.tiers_ ~digest payload);
         session ()
   in
   try session () with

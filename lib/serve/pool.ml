@@ -84,36 +84,82 @@ let fulfil fut r =
   Condition.broadcast fut.fdone;
   Mutex.unlock fut.fmutex
 
+(* Deadline waits.  A waiter with a deadline blocks on its future's
+   condition like any other, so [fulfil] wakes it at once; the stdlib
+   has no timed condition wait, so one watchdog thread notices expired
+   deadlines instead.  While any waiter is registered it sleeps until
+   the earliest registered deadline, at most one tick at a time, and
+   wakes every waiter whose deadline has passed; while none is, it
+   blocks on [watch_nonempty].  A deadline registered during a sleep
+   is noticed at most one tick late. *)
+let watch_tick = 0.01
+let watch_mutex = Mutex.create ()
+let watch_nonempty = Condition.create ()
+let watched : (int, float * (unit -> unit)) Hashtbl.t = Hashtbl.create 16
+let watch_next = ref 0
+let watching = ref false
+
+let rec watch () =
+  Mutex.lock watch_mutex;
+  while Hashtbl.length watched = 0 do
+    Condition.wait watch_nonempty watch_mutex
+  done;
+  let now = Unix.gettimeofday () in
+  let next =
+    Hashtbl.fold
+      (fun _ (dl, wake) next ->
+        if now >= dl then (wake (); next) else Float.min dl next)
+      watched (now +. watch_tick)
+  in
+  Mutex.unlock watch_mutex;
+  Thread.delay (Float.max 0. (next -. now));
+  watch ()
+
+(* Lock order: [watch_mutex], then a future's [fmutex]; a waiter never
+   holds its [fmutex] while it (un)registers. *)
+let register dl wake =
+  Mutex.protect watch_mutex (fun () ->
+      if not !watching then begin
+        watching := true;
+        ignore (Thread.create watch ())
+      end;
+      let id = !watch_next in
+      incr watch_next;
+      Hashtbl.replace watched id (dl, wake);
+      if Hashtbl.length watched = 1 then Condition.signal watch_nonempty;
+      id)
+
+let unregister id =
+  Mutex.protect watch_mutex (fun () -> Hashtbl.remove watched id)
+
 let await ?deadline fut =
-  match deadline with
-  | None ->
+  let expired () =
+    match deadline with
+    | None -> false
+    | Some dl -> Unix.gettimeofday () >= dl
+  in
+  let wait () =
     Mutex.lock fut.fmutex;
-    let rec wait () =
+    let rec go () =
       match fut.state with
-      | Pending ->
-        Condition.wait fut.fdone fut.fmutex;
-        wait ()
-      | Done v -> `Ok v
-      | Raised e -> `Exn e
-    in
-    let r = wait () in
-    Mutex.unlock fut.fmutex;
-    r
-  | Some dl ->
-    (* no timed condition wait in the stdlib: poll at a period far
-       below the granularity of scheduling work *)
-    let rec poll () =
-      Mutex.lock fut.fmutex;
-      let s = fut.state in
-      Mutex.unlock fut.fmutex;
-      match s with
       | Done v -> `Ok v
       | Raised e -> `Exn e
       | Pending ->
-        if Unix.gettimeofday () >= dl then `Timeout
+        if expired () then `Timeout
         else begin
-          Thread.delay 0.002;
-          poll ()
+          Condition.wait fut.fdone fut.fmutex;
+          go ()
         end
     in
-    poll ()
+    let r = go () in
+    Mutex.unlock fut.fmutex;
+    r
+  in
+  match deadline with
+  | None -> wait ()
+  | Some dl ->
+    let wake () =
+      Mutex.protect fut.fmutex (fun () -> Condition.broadcast fut.fdone)
+    in
+    let id = register dl wake in
+    Fun.protect ~finally:(fun () -> unregister id) wait

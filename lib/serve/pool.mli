@@ -4,9 +4,11 @@
     runs, wasteful for a long-lived server handling a stream of
     single-loop requests.  This pool spawns its domains once; connection
     handlers enqueue thunks and block on {!await}, optionally with a
-    deadline (OCaml's [Condition] has no timed wait, so deadline waits
-    poll the future at a few-millisecond period — far below the
-    milliseconds-to-seconds granularity of scheduling work).
+    deadline.  Every waiter wakes on {!fulfil}; OCaml's [Condition] has
+    no timed wait, so one watchdog thread, busy only while some waiter
+    holds a deadline, wakes the expired ones at most 10 ms late — far
+    below the milliseconds-to-seconds granularity of scheduling
+    work.
 
     Futures ({!promise}/{!fulfil}) are exposed separately from
     {!run} so the cold-storm coalescer can register a future under its
@@ -38,6 +40,7 @@ val promise : unit -> 'a future
 val fulfil : 'a future -> ('a, exn) result -> unit
 
 (** Block until fulfilled, or until [deadline] (absolute, as by
-    [Unix.gettimeofday]) passes. *)
+    [Unix.gettimeofday]) passes.  A fulfilment wakes the waiter at
+    once; an expired deadline is noticed up to 10 ms late. *)
 val await :
   ?deadline:float -> 'a future -> [ `Ok of 'a | `Exn of exn | `Timeout ]

@@ -5,8 +5,13 @@ module Ev = Hcrf_obs.Event
 module Tracer = Hcrf_obs.Tracer
 module Counters = Hcrf_obs.Counters
 
+(* A tier-1 answer: the framed [Scheduled] reply, the entry it
+   carries (for {!schedule}) and the label of the request's trace. *)
+type reply = { label : string; entry : Entry.t; frame : string }
+
 type t = {
-  lru : (Fingerprint.t, Entry.t) Lru.t;
+  (* keyed by the MD5 of the request payload *)
+  lru : (Digest.t, reply) Lru.t;
   cache : Cache.t;
   pool : Pool.t;
   (* keyed like the resolver's coalescing: by cache key *)
@@ -75,7 +80,22 @@ let refuse t ~trace ~kind msg =
   commit_trace t trace;
   Wire.Refused (kind, msg)
 
-let schedule t (r : Wire.schedule_request) : Wire.response =
+(* Tier 1: a request whose bytes were answered before gets the same
+   reply, under the label of its first answer's trace. *)
+let lru_hit t ~digest =
+  match Lru.find t.lru digest with
+  | None -> None
+  | Some h as hit ->
+    let trace = Tracer.start t.tracer ~label:h.label in
+    note t trace Ev.Request;
+    note t trace Ev.Lru_hit;
+    commit_trace t trace;
+    hit
+
+(* Tiers 2 and 3 for a request tier 1 missed; a [Scheduled] answer is
+   framed once and stored in tier 1 under [digest]. *)
+let resolve t ~digest (r : Wire.schedule_request) :
+    (reply, Wire.response) result =
   let deadline =
     if r.Wire.sr_timeout_ms > 0 then
       Some (Unix.gettimeofday () +. (float_of_int r.Wire.sr_timeout_ms /. 1e3))
@@ -85,67 +105,72 @@ let schedule t (r : Wire.schedule_request) : Wire.response =
   | exception Invalid_argument msg ->
     let trace = Tracer.start t.tracer ~label:"serve" in
     note t trace Ev.Request;
-    refuse t ~trace ~kind:Wire.Malformed msg
+    Error (refuse t ~trace ~kind:Wire.Malformed msg)
   | loop -> (
-    let trace = Tracer.start t.tracer ~label:(Loop.name loop) in
+    let label = Loop.name loop in
+    let trace = Tracer.start t.tracer ~label in
     note t trace Ev.Request;
     match Hcrf_machine.Config.validate r.Wire.sr_config with
     | exception Invalid_argument msg ->
-      refuse t ~trace ~kind:Wire.Malformed msg
+      Error (refuse t ~trace ~kind:Wire.Malformed msg)
     | config -> (
       let opts = Wire.engine_of_options r.Wire.sr_opts in
       let scenario = r.Wire.sr_scenario in
       let key = Runner.cache_key ~scenario ~opts config loop in
-      let hit entry =
+      let answer entry =
+        let h =
+          { label; entry; frame = Wire.encode_response (Wire.Scheduled entry) }
+        in
+        Lru.add t.lru digest h;
         commit_trace t trace;
-        Wire.Scheduled entry
+        Ok h
       in
-      match Lru.find t.lru key with
+      note t trace Ev.Lru_miss;
+      match Cache.find ~trace t.cache key with
       | Some entry ->
-        note t trace Ev.Lru_hit;
-        hit entry
+        note t trace Ev.Disk_hit;
+        answer entry
       | None -> (
-        note t trace Ev.Lru_miss;
-        match Cache.find ~trace t.cache key with
-        | Some entry ->
-          note t trace Ev.Disk_hit;
-          Lru.add t.lru key entry;
-          hit entry
-        | None -> (
-          (* tier 3: register the future under the key before anything
-             runs, so a racing duplicate joins it *)
-          Mutex.lock t.inflight_mutex;
-          let fut, owner =
-            match Hashtbl.find_opt t.inflight key with
-            | Some fut -> (fut, false)
-            | None ->
-              let fut = Pool.promise () in
-              Hashtbl.replace t.inflight key fut;
-              (fut, true)
-          in
-          Mutex.unlock t.inflight_mutex;
-          if owner then begin
-            note t trace Ev.Computed;
-            let task =
-              compute_task t ~key ~scenario ~opts ~config ~loop fut
-            in
-            (* a drained pool refuses thunks: compute inline so the
-               last in-flight requests still complete *)
-            if not (Pool.run t.pool task) then task ()
-          end
-          else note t trace Ev.Coalesced;
-          match Pool.await ?deadline fut with
-          | `Ok entry ->
-            Lru.add t.lru key entry;
-            hit entry
-          | `Timeout ->
-            note t trace Ev.Timeout;
-            commit_trace t trace;
-            Wire.Refused
-              ( Wire.Timed_out,
-                Fmt.str "deadline of %d ms expired" r.Wire.sr_timeout_ms )
-          | `Exn e ->
-            refuse t ~trace ~kind:Wire.Internal (Printexc.to_string e)))))
+        (* tier 3: register the future under the key before anything
+           runs, so a racing duplicate joins it *)
+        Mutex.lock t.inflight_mutex;
+        let fut, owner =
+          match Hashtbl.find_opt t.inflight key with
+          | Some fut -> (fut, false)
+          | None ->
+            let fut = Pool.promise () in
+            Hashtbl.replace t.inflight key fut;
+            (fut, true)
+        in
+        Mutex.unlock t.inflight_mutex;
+        if owner then begin
+          note t trace Ev.Computed;
+          let task = compute_task t ~key ~scenario ~opts ~config ~loop fut in
+          (* a drained pool refuses thunks: compute inline so the last
+             in-flight requests still complete *)
+          if not (Pool.run t.pool task) then task ()
+        end
+        else note t trace Ev.Coalesced;
+        match Pool.await ?deadline fut with
+        | `Ok entry -> answer entry
+        | `Timeout ->
+          note t trace Ev.Timeout;
+          commit_trace t trace;
+          Error
+            (Wire.Refused
+               ( Wire.Timed_out,
+                 Fmt.str "deadline of %d ms expired" r.Wire.sr_timeout_ms ))
+        | `Exn e ->
+          Error (refuse t ~trace ~kind:Wire.Internal (Printexc.to_string e)))))
+
+let schedule t r =
+  let digest = Digest.string (Wire.request_payload (Wire.Schedule r)) in
+  match lru_hit t ~digest with
+  | Some h -> Wire.Scheduled h.entry
+  | None -> (
+    match resolve t ~digest r with
+    | Ok h -> Wire.Scheduled h.entry
+    | Error refused -> refused)
 
 let reject t ~kind msg =
   let trace = Tracer.start t.tracer ~label:"serve" in
@@ -172,5 +197,20 @@ let stats t : Wire.serve_stats =
           | Some counters -> Counters.counts counters
           | None -> []);
       })
+
+let answer t ~digest payload =
+  match lru_hit t ~digest with
+  | Some h -> h.frame
+  | None -> (
+    match Wire.decode_request payload with
+    | Error e ->
+      Wire.encode_response
+        (reject t ~kind:Wire.Malformed (Fmt.str "%a" Wire.pp_frame_error e))
+    | Ok Wire.Ping -> Wire.encode_response Wire.Pong
+    | Ok Wire.Stats -> Wire.encode_response (Wire.Stats_reply (stats t))
+    | Ok (Wire.Schedule r) -> (
+      match resolve t ~digest r with
+      | Ok h -> h.frame
+      | Error refused -> Wire.encode_response refused))
 
 let shutdown t = Pool.shutdown t.pool

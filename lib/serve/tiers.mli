@@ -2,12 +2,22 @@
 
     A schedule request is answered by the first tier that has it:
 
-    + a capacity-bounded in-memory {!Lru} of hot entries;
+    + a capacity-bounded in-memory {!Lru} of framed replies, keyed by
+      the MD5 of the request payload — the checksum {!Wire.read_frame}
+      has just verified;
     + the shared {!Hcrf_cache.Cache} — per-shard in-memory tables in
       front of the sharded on-disk store;
     + the scheduling engine, on a persistent {!Pool} of worker domains.
 
-    Every tier is keyed by {!Hcrf_eval.Runner.cache_key}, which
+    Tier 1 answers a repeated request from its bytes: it holds the
+    framed [Scheduled] reply sent last time and writes it again, with
+    no unmarshalling, no key and no encoding.  Only [Scheduled]
+    answers are stored; a [Refused] one ([Malformed], [Timed_out],
+    ...), a [Pong] or a [Stats_reply] is built afresh each time.  A
+    request with other bytes but the same evaluation (another
+    [sr_timeout_ms], say) misses tier 1 and is answered by tier 2.
+
+    Tiers 2 and 3 are keyed by {!Hcrf_eval.Runner.cache_key}, which
     includes the node ids, so an answer is always bound to the
     request's own ids.  Every tier-3 computation is registered under
     its key while in flight, so a cold storm of identical requests
@@ -27,13 +37,14 @@
     Observability: every tier decision is one [Serve] note
     ({!Hcrf_obs.Counters.note}): it is counted in the tiers' always-on
     registry, which {!stats} reads, and recorded in the request's trace
-    when a tracer is set.  Engine traces stay off without a tracer, so
-    an untraced computation costs nothing extra. *)
+    when a tracer is set.  A tier-1 hit's trace carries the loop name
+    of the answer it repeats.  Engine traces stay off without a
+    tracer, so an untraced computation costs nothing extra. *)
 
 type t
 
 (** [create ()] builds the tiers: [dir] backs tier 2 with the sharded
-    on-disk store, [lru_capacity] bounds tier 1 (default
+    on-disk store, [lru_capacity] bounds tier 1's reply count (default
     {!Hcrf_eval.Env.default_serve_lru}), [jobs] sizes the domain pool
     (default {!Hcrf_eval.Par.default_jobs}), [tracer] receives
     per-request and per-computation traces. *)
@@ -41,7 +52,14 @@ val create :
   ?dir:string -> ?lru_capacity:int -> ?jobs:int ->
   ?tracer:Hcrf_obs.Tracer.t -> unit -> t
 
-(** Answer one schedule request ([Scheduled] or [Refused]). *)
+(** Answer one verified request payload ({!Wire.read_frame}'s
+    [Frame]; [digest] is its MD5) with the framed reply to send. *)
+val answer : t -> digest:Digest.t -> string -> string
+
+(** Answer one schedule request ([Scheduled] or [Refused]) through the
+    same tiers: tier 1 is looked up under the digest of
+    {!Wire.request_payload}[ (Schedule r)], so a request answered here
+    is a tier-1 hit for {!answer} and the other way round. *)
 val schedule : t -> Wire.schedule_request -> Wire.response
 
 (** Count and trace a refused request (malformed frame, oversized

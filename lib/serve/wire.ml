@@ -161,8 +161,7 @@ let frame payload =
    checksum.  Shared by [unframe] and the incremental socket reader. *)
 let parse_header ~max_frame h =
   if String.length h < header_size then Error Truncated
-  else if not (String.equal (String.sub h 0 (String.length magic)) magic)
-  then Error Bad_magic
+  else if not (String.starts_with ~prefix:magic h) then Error Bad_magic
   else
     let len = Int32.to_int (String.get_int32_be h (String.length magic)) in
     if len < 0 || len > max_frame then Error (Too_large len)
@@ -185,7 +184,7 @@ let unframe ?(max_frame = default_max_frame) s =
 let tag_request = 'Q'
 let tag_response = 'R'
 
-let encode tag v = frame (String.make 1 tag ^ Marshal.to_string v [])
+let payload tag v = String.make 1 tag ^ Marshal.to_string v []
 
 let decode tag payload =
   if String.length payload < 1 || not (Char.equal payload.[0] tag) then
@@ -195,8 +194,9 @@ let decode tag payload =
     | v -> Ok v
     | exception e -> Error (Bad_payload (Printexc.to_string e))
 
-let encode_request (r : request) = encode tag_request r
-let encode_response (r : response) = encode tag_response r
+let request_payload (r : request) = payload tag_request r
+let encode_request r = frame (request_payload r)
+let encode_response (r : response) = frame (payload tag_response r)
 
 let decode_request payload : (request, frame_error) result =
   decode tag_request payload
@@ -217,31 +217,35 @@ let rec really_read fd buf off len =
     | exception Unix.Unix_error (Unix.EINTR, _, _) ->
       really_read fd buf off len
 
-type read_outcome = Frame of string | Eof | Bad of frame_error
+type read_outcome =
+  | Frame of { payload : string; digest : Digest.t }
+  | Eof
+  | Bad of frame_error
 
+(* The header and payload buffers are never written after the read, so
+   they are handed out as strings without a copy. *)
 let read_frame ?(max_frame = default_max_frame) fd =
   let hdr = Bytes.create header_size in
   match really_read fd hdr 0 header_size with
   | 0 -> Eof
   | n when n < header_size -> Bad Truncated
   | _ -> (
-    match parse_header ~max_frame (Bytes.to_string hdr) with
+    match parse_header ~max_frame (Bytes.unsafe_to_string hdr) with
     | Error e -> Bad e
     | Ok (len, sum) ->
-      let payload = Bytes.create len in
-      if really_read fd payload 0 len < len then Bad Truncated
+      let buf = Bytes.create len in
+      if really_read fd buf 0 len < len then Bad Truncated
       else
-        let payload = Bytes.to_string payload in
+        let payload = Bytes.unsafe_to_string buf in
         if not (String.equal (Digest.string payload) sum) then
           Bad Bad_checksum
-        else Frame payload)
+        else Frame { payload; digest = sum })
 
 let write fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
+  let n = String.length s in
   let rec go off =
     if off < n then
-      match Unix.write fd b off (n - off) with
+      match Unix.write_substring fd s off (n - off) with
       | w -> go (off + w)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
   in

@@ -130,6 +130,11 @@ val frame : string -> string
     {!frame}; exposed for property tests). *)
 val unframe : ?max_frame:int -> string -> (string, frame_error) result
 
+(** The payload {!encode_request} frames: the request's kind tag and
+    marshalled bytes.  Its MD5 is the frame's checksum, which keys the
+    daemon's reply tier ({!Tiers}). *)
+val request_payload : request -> string
+
 val encode_request : request -> string
 val encode_response : response -> string
 val decode_request : string -> (request, frame_error) result
@@ -137,11 +142,16 @@ val decode_response : string -> (response, frame_error) result
 
 (** {1 Socket helpers} *)
 
-type read_outcome = Frame of string | Eof | Bad of frame_error
+type read_outcome =
+  | Frame of { payload : string; digest : Digest.t }
+      (** [digest] is the payload's MD5, verified against the header *)
+  | Eof
+  | Bad of frame_error
 
 (** Read exactly one frame; [Eof] only at a clean frame boundary,
     [Bad Truncated] when the peer died mid-frame.  On a [Bad] outcome
-    the stream position is unspecified — close the connection. *)
+    the stream position is unspecified — close the connection.  The
+    payload is the read buffer itself, not a copy. *)
 val read_frame : ?max_frame:int -> Unix.file_descr -> read_outcome
 
 (** Write a fully-framed string (e.g. {!encode_response} output). *)

@@ -379,6 +379,14 @@ let test_tiers_rejects_two_streams_on_one_op () =
     [ lr.Hcrf_ir.Loop.repr_streams @ [ extra ];
       extra :: lr.Hcrf_ir.Loop.repr_streams ]
 
+(* A 300-op loop: its computation outlasts a 1 ms deadline. *)
+let slow_loop () =
+  let params =
+    { Hcrf_workload.Genloop.default_params with min_ops = 300; max_ops = 300 }
+  in
+  Hcrf_workload.Genloop.generate ~params
+    ~rng:(Hcrf_workload.Rng.create ~seed:11) ~index:99 ()
+
 (* One count, two readers: every [Tiers.stats] field is read from the
    same [Serve] notes the traced requests commit, so each must equal
    its serve.* key in the tracer's Counters sink. *)
@@ -397,13 +405,7 @@ let test_tiers_stats_are_trace_counts () =
   (* rejected *);
   (* a loop large enough to outlast a 1 ms deadline, asked again while
      it is still being computed *)
-  let big =
-    let params =
-      { Hcrf_workload.Genloop.default_params with min_ops = 300; max_ops = 300 }
-    in
-    Hcrf_workload.Genloop.generate ~params
-      ~rng:(Hcrf_workload.Rng.create ~seed:11) ~index:99 ()
-  in
+  let big = slow_loop () in
   (match Tiers.schedule tiers (sched_request ~timeout_ms:1 big) with
   | Wire.Refused (Wire.Timed_out, _) -> ()
   | _ -> Alcotest.fail "a 1 ms deadline on a 300-op loop did not expire");
@@ -456,6 +458,214 @@ let test_pool_deadline () =
   match Pool.await ~deadline:(Unix.gettimeofday () +. 0.02) fut with
   | `Ok v -> check_int "value" 42 v
   | `Timeout | `Exn _ -> Alcotest.fail "fulfilled future timed out"
+
+(* A deadline waiter blocks on the future, not on a poll: a fulfil from
+   another thread wakes it long before its far deadline, and several
+   waiters with deadlines share the one watchdog. *)
+let test_pool_deadline_wakes_on_fulfil () =
+  let fut = Pool.promise () and lapse = Pool.promise () in
+  let t0 = Unix.gettimeofday () in
+  let fulfiller =
+    Thread.create
+      (fun () ->
+        Thread.delay 0.05;
+        Pool.fulfil fut (Ok 7))
+      ()
+  in
+  let expiring =
+    Thread.create
+      (fun () ->
+        match Pool.await ~deadline:(Unix.gettimeofday () +. 0.03) lapse with
+        | `Timeout -> ()
+        | `Ok _ | `Exn _ -> Alcotest.fail "unfulfilled future did not expire")
+      ()
+  in
+  (match Pool.await ~deadline:(t0 +. 60.) fut with
+  | `Ok v -> check_int "fulfilled value" 7 v
+  | `Timeout | `Exn _ -> Alcotest.fail "fulfilled future not delivered");
+  check "woken by the fulfil, not the deadline" true
+    (Unix.gettimeofday () -. t0 < 30.);
+  Thread.join fulfiller;
+  Thread.join expiring;
+  (* an error travels the same way *)
+  let failing = Pool.promise () in
+  let th = Thread.create (fun () -> Pool.fulfil failing (Error Exit)) () in
+  (match Pool.await ~deadline:(Unix.gettimeofday () +. 60.) failing with
+  | `Exn Exit -> ()
+  | `Exn _ | `Ok _ | `Timeout -> Alcotest.fail "raised future not delivered");
+  Thread.join th
+
+(* ------------------------------------------------------------------ *)
+(* Tier 1: replies keyed by the request bytes *)
+
+let payload_of r = Wire.request_payload (Wire.Schedule r)
+
+let answer tiers payload =
+  Tiers.answer tiers ~digest:(Digest.string payload) payload
+
+let decoded_reply frame =
+  match Result.bind (Wire.unframe frame) Wire.decode_response with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "bad reply frame: %s" (frame_error_name e)
+
+let scheduled_entry frame =
+  match decoded_reply frame with
+  | Wire.Scheduled e -> e
+  | Wire.Refused (k, msg) ->
+    Alcotest.failf "refused %s: %s" (Wire.error_kind_name k) msg
+  | _ -> Alcotest.fail "unexpected reply"
+
+let test_reply_tier_repeats_frame () =
+  let tiers = Tiers.create ~lru_capacity:8 ~jobs:1 () in
+  Fun.protect ~finally:(fun () -> Tiers.shutdown tiers) @@ fun () ->
+  let payload = payload_of (sched_request (gen_loop 7)) in
+  let first = answer tiers payload in
+  let e = scheduled_entry first in
+  let s0 = Tiers.stats tiers in
+  let again = answer tiers payload in
+  let s1 = Tiers.stats tiers in
+  check "repeat is the first reply, byte for byte" true
+    (String.equal first again);
+  check "the stored frame is the encoded reply" true
+    (String.equal again (Wire.encode_response (Wire.Scheduled e)));
+  check_int "one more LRU hit" (s0.Wire.lru_hits + 1) s1.Wire.lru_hits;
+  check_int "nothing computed" s0.Wire.computed s1.Wire.computed;
+  check_int "nothing from tier 2" s0.Wire.tier2_hits s1.Wire.tier2_hits;
+  check_int "one more request" (s0.Wire.requests + 1) s1.Wire.requests
+
+(* The same evaluation in other bytes (only the deadline differs) has
+   its own tier-1 key: a miss there, a hit in tier 2, the same entry. *)
+let test_reply_tier_keys_bytes () =
+  let tiers = Tiers.create ~lru_capacity:8 ~jobs:1 () in
+  Fun.protect ~finally:(fun () -> Tiers.shutdown tiers) @@ fun () ->
+  let l = gen_loop 8 in
+  let first = scheduled_entry (answer tiers (payload_of (sched_request l))) in
+  let s0 = Tiers.stats tiers in
+  let other =
+    scheduled_entry
+      (answer tiers (payload_of (sched_request ~timeout_ms:60_000 l)))
+  in
+  let s1 = Tiers.stats tiers in
+  check "identical entry" true
+    (String.equal (entry_bytes first) (entry_bytes other));
+  check_int "no LRU hit" s0.Wire.lru_hits s1.Wire.lru_hits;
+  check_int "one tier-2 hit" (s0.Wire.tier2_hits + 1) s1.Wire.tier2_hits;
+  check_int "nothing computed" s0.Wire.computed s1.Wire.computed;
+  check_int "both replies held" 2 s1.Wire.lru_length
+
+(* Only [Scheduled] replies are stored: a refusal, a timeout, a pong or
+   a stats reply is built afresh every time it is asked for. *)
+let test_reply_tier_stores_only_schedules () =
+  let tiers = Tiers.create ~lru_capacity:8 ~jobs:1 () in
+  Fun.protect ~finally:(fun () -> Tiers.shutdown tiers) @@ fun () ->
+  let held () = (Tiers.stats tiers).Wire.lru_length in
+  let twice what payload expect =
+    for _ = 1 to 2 do
+      match decoded_reply (answer tiers payload) with
+      | r when expect r -> ()
+      | _ -> Alcotest.failf "%s: unexpected reply" what
+    done;
+    check_int (what ^ ": nothing held") 0 (held ());
+    check_int (what ^ ": no LRU hit") 0 (Tiers.stats tiers).Wire.lru_hits
+  in
+  let refused kind = function
+    | Wire.Refused (k, _) -> k = kind
+    | _ -> false
+  in
+  twice "garbage payload" "not a marshalled request" (refused Wire.Malformed);
+  twice "response payload"
+    (match Wire.unframe (Wire.encode_response Wire.Pong) with
+    | Ok p -> p
+    | Error _ -> Alcotest.fail "pong frame")
+    (refused Wire.Malformed);
+  twice "ping" (Wire.request_payload Wire.Ping) (function
+    | Wire.Pong -> true
+    | _ -> false);
+  let bad_config =
+    { (sched_request (gen_loop 9)) with
+      Wire.sr_config = { config with Hcrf_machine.Config.n_fus = 0 } }
+  in
+  twice "malformed config" (payload_of bad_config) (refused Wire.Malformed);
+  check_int "every refusal counted" 6 (Tiers.stats tiers).Wire.rejected;
+  (* a repeated Stats reads the counters afresh *)
+  let stats_payload = Wire.request_payload Wire.Stats in
+  let requests () =
+    match decoded_reply (answer tiers stats_payload) with
+    | Wire.Stats_reply s -> s.Wire.requests
+    | _ -> Alcotest.fail "stats: unexpected reply"
+  in
+  let before = requests () in
+  ignore
+    (scheduled_entry (answer tiers (payload_of (sched_request (gen_loop 10)))));
+  check_int "stats are fresh" (before + 1) (requests ());
+  check_int "only the schedule is held" 1 (held ());
+  (* a timed-out request is not held: its bytes, asked again once the
+     computation has landed, are a tier-2 hit *)
+  let big = slow_loop () in
+  let hurried = payload_of (sched_request ~timeout_ms:1 big) in
+  (match decoded_reply (answer tiers hurried) with
+  | Wire.Refused (Wire.Timed_out, _) -> ()
+  | _ -> Alcotest.fail "a 1 ms deadline on a 300-op loop did not expire");
+  check_int "timeout not held" 1 (held ());
+  ignore (scheduled_entry (answer tiers (payload_of (sched_request big))));
+  let s0 = Tiers.stats tiers in
+  ignore (scheduled_entry (answer tiers hurried));
+  let s1 = Tiers.stats tiers in
+  check_int "timed-out bytes miss tier 1" s0.Wire.lru_hits s1.Wire.lru_hits;
+  check_int "and hit tier 2" (s0.Wire.tier2_hits + 1) s1.Wire.tier2_hits
+
+(* A tier-1 hit is traced under the loop's name, like its first
+   answer, not under a generic label. *)
+let test_reply_tier_trace_label () =
+  let path = Filename.temp_file "hcrf-reply-tier" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let tracer =
+    Hcrf_obs.Tracer.make [ Hcrf_obs.Tracer.Jsonl (Hcrf_obs.Jsonl.create path) ]
+  in
+  let tiers = Tiers.create ~lru_capacity:8 ~jobs:1 ~tracer () in
+  let l = gen_loop 11 in
+  let payload = payload_of (sched_request l) in
+  ignore (answer tiers payload);
+  ignore (answer tiers payload);
+  Tiers.shutdown tiers;
+  Hcrf_obs.Tracer.close tracer;
+  match Hcrf_obs.Jsonl.read_file path with
+  | Error msg -> Alcotest.failf "trace: %s" msg
+  | Ok events ->
+    let hits =
+      List.filter
+        (fun (_, ev) -> ev = Hcrf_obs.Event.Serve Hcrf_obs.Event.Lru_hit)
+        events
+    in
+    check_int "one LRU hit traced" 1 (List.length hits);
+    List.iter
+      (fun (label, _) ->
+        Alcotest.(check string) "hit labelled by the loop" (Hcrf_ir.Loop.name l)
+          label)
+      hits
+
+(* [Tiers.schedule] reaches tier 1 through the digest of the payload a
+   client would send, so the two paths share one LRU both ways. *)
+let test_reply_tier_shared_by_schedule () =
+  let tiers = Tiers.create ~lru_capacity:8 ~jobs:1 () in
+  Fun.protect ~finally:(fun () -> Tiers.shutdown tiers) @@ fun () ->
+  let hits () = (Tiers.stats tiers).Wire.lru_hits in
+  let a = sched_request (gen_loop 12) and b = sched_request (gen_loop 13) in
+  let via_schedule r =
+    match Tiers.schedule tiers r with
+    | Wire.Scheduled e -> e
+    | _ -> Alcotest.fail "schedule refused"
+  in
+  let ea = via_schedule a in
+  let frame = answer tiers (payload_of a) in
+  check_int "schedule, then bytes: a hit" 1 (hits ());
+  check "the bytes carry the schedule's entry" true
+    (String.equal frame (Wire.encode_response (Wire.Scheduled ea)));
+  let eb = scheduled_entry (answer tiers (payload_of b)) in
+  let eb' = via_schedule b in
+  check_int "bytes, then schedule: a hit" 2 (hits ());
+  check "the same entry" true (String.equal (entry_bytes eb) (entry_bytes eb'));
+  check_int "two computations" 2 (Tiers.stats tiers).Wire.computed
 
 (* ------------------------------------------------------------------ *)
 (* A live daemon on a loopback unix socket *)
@@ -715,6 +925,18 @@ let tests =
      test_tiers_stats_are_trace_counts);
     ("tiers: jobs=1 equals jobs=4", `Slow, test_tiers_jobs_identical);
     ("pool: deadline await", `Quick, test_pool_deadline);
+    ("pool: deadline await wakes on fulfil", `Quick,
+     test_pool_deadline_wakes_on_fulfil);
+    ("reply tier: a repeat gets the same frame", `Quick,
+     test_reply_tier_repeats_frame);
+    ("reply tier: keyed by bytes, tier 2 by evaluation", `Quick,
+     test_reply_tier_keys_bytes);
+    ("reply tier: stores only scheduled replies", `Quick,
+     test_reply_tier_stores_only_schedules);
+    ("reply tier: hit traced under the loop name", `Quick,
+     test_reply_tier_trace_label);
+    ("reply tier: shared by schedule and bytes", `Quick,
+     test_reply_tier_shared_by_schedule);
     ("daemon: loopback roundtrip", `Slow, test_daemon_roundtrip);
     ("daemon: concurrent clients coalesce", `Slow, test_daemon_concurrent_clients);
     ("daemon: survives malformed frames", `Slow, test_daemon_survives_malformed);
