@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Access-port sweep smoke test, run on every `dune runtest`: the
 # generalized-hierarchy `ports --access` ladder (uniform, then r6w4
-# down to r2w1) over a 12-loop suite, for three representative
-# organizations — two-level hierarchical, flat clustered, and
-# three-level.  The acceptance contract:
+# down to r2w1) over a 12-loop suite, for two representative
+# organizations — hierarchical and flat clustered.  The acceptance
+# contract:
 #
 #   - the concatenated sweep tables are byte-identical to the committed
 #     golden (bench/golden_ports.txt): any drift in ΣII or %MII at any
@@ -25,7 +25,7 @@ dir=$(mktemp -d "${TMPDIR:-/tmp}/hcrf-ports-smoke.XXXXXX")
 trap 'rm -rf "$dir"' EXIT
 
 : > "$dir/summary.txt"
-for cfg in 4C16S16 4C32 4C16S16-L3:64; do
+for cfg in 4C16S16 4C32; do
   "$explore" ports -c "$cfg" --access -n 12 >> "$dir/summary.txt"
 done
 
@@ -39,4 +39,4 @@ head -8 "$dir/summary.txt" > "$dir/j1.txt"
 cmp "$dir/j1.txt" "$dir/j4.txt" ||
   { echo "ports smoke: jobs=4 sweep differs from jobs=1" >&2; exit 1; }
 
-echo "ports smoke: ok (3 organizations x 6 port points, bytes match golden, jobs-invariant)"
+echo "ports smoke: ok (2 organizations x 6 port points, bytes match golden, jobs-invariant)"

@@ -9,8 +9,8 @@
 # prefetch, so the stall simulation too) and the full placement — every
 # node's cycle and cluster — of each built-in kernel on S64, 4C32S16
 # and 8C16S16, plus 4C32S16 under prefetch, then on the organizations
-# those miss: flat clustered 4C32 and 2C64 (Move reuse), a third level
-# (4C16S16-L3:64) and constrained ports (4C16S16@r2w1).  A fourth
+# those miss: flat clustered 4C32 and 2C64 (Move reuse) and
+# constrained ports (4C16S16@r2w1).  A fourth
 # pins how hard the engine worked: the counters-only trace line of the
 # tab6 run (ii_try, eject, place, spill and copy counts), which a
 # changed eject victim moves even when the schedules land the same.
@@ -57,7 +57,7 @@ kernels="daxpy dot vscale saxpy3 fir5 stencil3 tridiag horner cmul norm2
   for k in $kernels; do
     "$explore" schedule -k "$k" -c 4C32S16 --memory prefetch --dump
   done
-  for c in 4C32 2C64 4C16S16-L3:64 4C16S16@r2w1; do
+  for c in 4C32 2C64 4C16S16@r2w1; do
     for k in $kernels; do "$explore" schedule -k "$k" -c "$c" --dump; done
   done
 } > sched_core_schedules.txt

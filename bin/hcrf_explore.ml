@@ -28,7 +28,7 @@ let config_of_string s =
 let config_arg =
   let doc =
     "Register-file organization, in the paper's notation extended with \
-     the generalized axes: S128, 4C32, 2C32S64, 4C16S16-L3:64@r2w1, ...  \
+     the generalized axes: S128, 4C32, 2C32S64, 4C16S16@r2w1, ...  \
      Published Table-5 points use the published hardware; anything else \
      is priced with the CACTI/FO4 model.  Defaults to HCRF_CONFIG, or \
      8C16S16."

@@ -53,15 +53,6 @@ let put_access w tag a =
     put_cap w a.pr;
     put_cap w a.pw
 
-let put_l3 w = function
-  | None -> ()
-  | Some (l : Hcrf_machine.Rf.level3) ->
-    T.tag w '3';
-    put_cap w l.l3_regs;
-    put_cap w l.l3_lp;
-    put_cap w l.l3_sp;
-    put_access w 't' l.l3_access
-
 let put_rf w (rf : Hcrf_machine.Rf.t) =
   match rf with
   | Monolithic { regs; access } ->
@@ -78,14 +69,13 @@ let put_rf w (rf : Hcrf_machine.Rf.t) =
     put_access w 'l' access
   | Hierarchical
       { clusters; regs_per_bank; shared_regs; lp; sp; local_access;
-        shared_access; l3 } ->
+        shared_access } ->
     T.tag w 'h';
     T.int w clusters;
     put_cap w regs_per_bank;
     put_cap w shared_regs;
     put_cap w lp;
     put_cap w sp;
-    put_l3 w l3;
     put_access w 'l' local_access;
     put_access w 's' shared_access
 

@@ -56,13 +56,12 @@ let small_exact_presets =
 let config_names =
   [ "S64"; "S32"; "2C32"; "4C32"; "2C32S32"; "4C32S16"; "4C16S16"; "8C16S16" ]
 
-(* Generalized-hierarchy points: per-bank access-port constraints and
-   third-level organizations.  Kept out of [config_names] so the
-   long-standing campaign case-index mapping is untouched; campaigns
-   opt in via [generalized_config_presets]. *)
+(* Generalized-hierarchy points: per-bank access-port constraints.  Kept
+   out of [config_names] so the long-standing campaign case-index
+   mapping is untouched; campaigns opt in via
+   [generalized_config_presets]. *)
 let generalized_config_names =
-  [ "4C16S16@r4w3"; "4C16S16@Sr3w3"; "2C32S32@r5w4"; "4C16S16-L3:64";
-    "2C32S32-L3:128l2s2"; "4C16S16-L3:64@r4w3"; "2C32@r5w4" ]
+  [ "4C16S16@r4w3"; "4C16S16@Sr3w3"; "2C32S32@r5w4"; "2C32@r5w4" ]
 
 let options_presets =
   let d = Engine.default_options in

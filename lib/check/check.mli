@@ -39,7 +39,7 @@ val small_exact_presets : (string * Hcrf_workload.Genloop.params) list
 val config_names : string list
 
 (** Generalized-hierarchy configurations (per-bank access-port
-    constraints, third level).  Kept out of {!config_names} so existing
+    constraints).  Kept out of {!config_names} so existing
     campaign case mappings are unchanged; pass
     {!generalized_config_presets} as [config_presets] to sweep them. *)
 val generalized_config_names : string list

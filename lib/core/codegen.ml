@@ -20,15 +20,10 @@ type t = {
   kernel : string;  (** rendered kernel table *)
 }
 
-let bank_tag = function
-  | Topology.Shared -> "S"
-  | Topology.L3 -> "L3"
-  | Topology.Local i -> Fmt.str "L%d" i
-
 (* Register name of a value, from the allocation offsets. *)
 let reg_name offsets def =
   match Hashtbl.find_opt offsets def with
-  | Some (bank, off) -> Fmt.str "%s:r%d" (bank_tag bank) off
+  | Some (bank, off) -> Fmt.str "%a:r%d" Topology.pp_bank bank off
   | None -> "~" (* zero-length lifetime: bypass *)
 
 let operand_names g offsets v =
@@ -68,8 +63,8 @@ let emit (config : Hcrf_machine.Config.t) (s : Schedule.t) (g : Ddg.t) :
     List.iter
       (fun (a : Regalloc.assignment) ->
         if a.Regalloc.registers_used > 0 then
-          Fmt.pf ppf ";; bank %s: %d rotating registers@,"
-            (bank_tag a.Regalloc.bank) a.Regalloc.registers_used)
+          Fmt.pf ppf ";; bank %a: %d rotating registers@,"
+            Topology.pp_bank a.Regalloc.bank a.Regalloc.registers_used)
       assignments;
     for slot = 0 to ii - 1 do
       Fmt.pf ppf "%2d:" slot;

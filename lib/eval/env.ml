@@ -7,7 +7,7 @@
     - [HCRF_LOOPS=<n>]  workbench size override;
     - [HCRF_JOBS=<n>]   worker-domain count;
     - [HCRF_CONFIG=<notation>] machine configuration pin (full extended
-      grammar, e.g. [4C16S16-L3:64@r2w1]);
+      grammar, e.g. [4C16S16@r2w1]);
     - [HCRF_CACHE=<dir>] schedule cache backed by [dir]
       ([HCRF_CACHE=""] for in-memory only);
     - [HCRF_TRACE=<file>] JSONL event trace written to [file], plus
@@ -40,7 +40,7 @@ let loops () =
 
 (* HCRF_CONFIG=<notation> pins the machine configuration in drivers
    that honour it, using the full extended grammar (e.g.
-   "4C16S16-L3:64@r2w1"): published Table-5 hardware when the notation
+   "4C16S16@r2w1"): published Table-5 hardware when the notation
    names a published point, the analytic model otherwise.  A malformed
    notation warns and is ignored — it must never silently change which
    machine runs. *)

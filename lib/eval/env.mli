@@ -4,7 +4,7 @@
     - [HCRF_LOOPS=<n>]  workbench size override;
     - [HCRF_JOBS=<n>]   worker-domain count;
     - [HCRF_CONFIG=<notation>] machine configuration pin (full extended
-      grammar, e.g. [4C16S16-L3:64@r2w1]);
+      grammar, e.g. [4C16S16@r2w1]);
     - [HCRF_CACHE=<dir>] schedule cache backed by [dir]
       ([HCRF_CACHE=""] for in-memory only);
     - [HCRF_TRACE=<file>] JSONL event trace written to [file], plus
@@ -23,7 +23,7 @@ val known : string list
 val loops : unit -> int option
 
 (** [HCRF_CONFIG=<notation>]: the machine configuration drivers should
-    pin, in the full extended grammar (["4C16S16-L3:64@r2w1"]) —
+    pin, in the full extended grammar (["4C16S16@r2w1"]) —
     published hardware when the notation names a Table-5 point, the
     analytic model otherwise.  [None] when unset or malformed
     (warned). *)

@@ -543,9 +543,8 @@ let transport_extra config =
   let has_shared =
     match config.Config.rf with Rf.Hierarchical _ -> true | _ -> false
   in
-  let has_l3 = Topology.has_l3 config in
-  let m = k + (if has_shared then 1 else 0) + (if has_l3 then 1 else 0) + 1 in
-  let mem = m - 1 and shared = k and l3 = k + 1 in
+  let m = k + (if has_shared then 1 else 0) + 1 in
+  let mem = m - 1 and shared = k in
   let inf = max_int / 4 in
   let d = Array.make_matrix m m inf in
   for i = 0 to m - 1 do
@@ -568,14 +567,8 @@ let transport_extra config =
       edge i shared (l Op.Store_r);
       edge shared i (l Op.Load_r)
     done;
-    (* memory attaches to the outermost level present *)
-    let outer = if has_l3 then l3 else shared in
-    if has_l3 then begin
-      edge shared l3 (l Op.Store_r);
-      edge l3 shared (l Op.Load_r)
-    end;
-    edge outer mem (l Op.Spill_store);
-    edge mem outer (l Op.Spill_load));
+    edge shared mem (l Op.Spill_store);
+    edge mem shared (l Op.Spill_load));
   for c = 0 to m - 1 do
     for i = 0 to m - 1 do
       for j = 0 to m - 1 do
@@ -587,7 +580,6 @@ let transport_extra config =
   let code = function
     | Topology.Local i -> i
     | Topology.Shared -> shared
-    | Topology.L3 -> l3
   in
   fun b1 b2 -> d.(code b1).(code b2)
 
@@ -640,7 +632,7 @@ let sigma_refuted config lat g ~t_extra ~ii ~sigma ~ids ~idx_of =
               seen := rb :: !seen;
               match rb with
               | Topology.Local d -> pool_in.(d) <- pool_in.(d) + 1
-              | Topology.Shared | Topology.L3 -> ()
+              | Topology.Shared -> ()
             end)
           (Ddg.consumers g id);
         (* An operand-free load is rematerializable: the scheduler can
@@ -653,7 +645,7 @@ let sigma_refuted config lat g ~t_extra ~ii ~sigma ~ids ~idx_of =
         if !seen <> [] && not remat then
           match db with
           | Topology.Local s -> pool_out.(s) <- pool_out.(s) + 1
-          | Topology.Shared | Topology.L3 -> ())
+          | Topology.Shared -> ())
     ids;
   let u r = cap_int (Topology.units config r) in
   let r2 = ref false in
@@ -814,7 +806,7 @@ let build_extended config g0 sigma ~idx_of =
 (* Invariant residents per bank code: an invariant holds a register in
    every bank one of its consumers reads it from. *)
 let residents_of config g locs_by_id =
-  let t = Array.make (Config.clusters config + 2) 0 in
+  let t = Array.make (Config.clusters config + 1) 0 in
   List.iter
     (fun (inv : Ddg.invariant) ->
       List.map

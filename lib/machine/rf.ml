@@ -1,6 +1,5 @@
 (** Register-file organizations and the paper's [xCy-Sz] notation,
-    generalized with per-bank access-port constraints and an optional
-    third level.
+    generalized with per-bank access-port constraints.
 
     [x] is the number of clusters, [y] the registers per first-level
     (distributed) bank and [z] the registers in the shared second-level
@@ -10,13 +9,11 @@
 
     Beyond the paper's fixed design space, a bank may carry an explicit
     {!access} constraint bounding how many register reads/writes its
-    cell array serves per cycle (the read-port-count-reduction axis),
-    and a hierarchical RF may grow an optional third level ({!level3})
-    below the shared bank, reached by LoadR/StoreR transfers executed
-    globally.  Every new field defaults to "absent", and an absent field
-    changes neither the notation, the scheduler's resource model, nor
-    any cache fingerprint — the legacy two-level encodings are a strict
-    subset of the generalized one. *)
+    cell array serves per cycle (the read-port-count-reduction axis).
+    Every such field defaults to "absent", and an absent field changes
+    neither the notation, the scheduler's resource model, nor any cache
+    fingerprint — the legacy encodings are a strict subset of the
+    generalized one. *)
 
 (** Explicit per-bank access ports: at most [pr] register reads and
     [pw] register writes per cycle on that bank.  [None] everywhere
@@ -35,22 +32,6 @@ let equal_access a b = Cap.equal a.pr b.pr && Cap.equal a.pw b.pw
 let norm_access = function
   | Some { pr = Cap.Inf; pw = Cap.Inf } -> None
   | a -> a
-
-(** Optional third RF level below the shared bank.  [l3_lp] bounds the
-    LoadR transfers L3 -> shared per cycle, [l3_sp] the StoreR transfers
-    shared -> L3; [l3_access] optionally bounds the L3 cell array's own
-    read/write ports.  With a third level present, memory operations
-    exchange values with L3 instead of the shared bank. *)
-type level3 = {
-  l3_regs : Cap.t;
-  l3_lp : Cap.t;
-  l3_sp : Cap.t;
-  l3_access : access option;
-}
-
-let level3 ?(lp = Cap.Finite 1) ?(sp = Cap.Finite 1) ?access regs =
-  { l3_regs = Cap.of_int regs; l3_lp = lp; l3_sp = sp;
-    l3_access = norm_access access }
 
 type org =
   | Monolithic of { regs : Cap.t; access : access option }
@@ -71,7 +52,6 @@ type org =
       sp : Cap.t;  (** StoreR ports: local -> shared, per bank *)
       local_access : access option;
       shared_access : access option;
-      l3 : level3 option;
     }  (** first-level banks per cluster + shared bank ([xCy-Sz]);
           [clusters = 1] is the pure hierarchical organization *)
 
@@ -90,13 +70,13 @@ let clustered ?lp ?sp ?buses ?access ~clusters ~regs_per_bank () =
       access = norm_access access }
 
 let hierarchical ?(lp = Cap.Finite 1) ?(sp = Cap.Finite 1) ?local_access
-    ?shared_access ?l3 ~clusters ~regs_per_bank ~shared_regs () =
+    ?shared_access ~clusters ~regs_per_bank ~shared_regs () =
   if clusters < 1 then invalid_arg "Rf.hierarchical: needs >= 1 cluster";
   Hierarchical
     { clusters; regs_per_bank = Cap.of_int regs_per_bank;
       shared_regs = Cap.of_int shared_regs; lp; sp;
       local_access = norm_access local_access;
-      shared_access = norm_access shared_access; l3 }
+      shared_access = norm_access shared_access }
 
 let clusters = function
   | Monolithic _ -> 1
@@ -122,15 +102,6 @@ let shared_regs = function
   | Monolithic _ | Clustered _ -> Cap.Finite 0
   | Hierarchical { shared_regs; _ } -> shared_regs
 
-let level3_of = function
-  | Monolithic _ | Clustered _ -> None
-  | Hierarchical { l3; _ } -> l3
-
-let l3_regs t =
-  match level3_of t with
-  | None -> Cap.Finite 0
-  | Some l3 -> l3.l3_regs
-
 let local_access = function
   | Monolithic { access; _ } | Clustered { access; _ } -> access
   | Hierarchical { local_access; _ } -> local_access
@@ -139,7 +110,7 @@ let shared_access = function
   | Monolithic _ | Clustered _ -> None
   | Hierarchical { shared_access; _ } -> shared_access
 
-(** Total storage capacity over all banks (including the third level). *)
+(** Total storage capacity over all banks. *)
 let total_regs t =
   let add a b =
     match (a, b) with
@@ -153,10 +124,8 @@ let total_regs t =
   match t with
   | Monolithic { regs; _ } -> regs
   | Clustered { clusters; regs_per_bank; _ } -> scale clusters regs_per_bank
-  | Hierarchical { clusters; regs_per_bank; shared_regs; l3; _ } ->
-    add
-      (add (scale clusters regs_per_bank) shared_regs)
-      (match l3 with None -> Cap.Finite 0 | Some l -> l.l3_regs)
+  | Hierarchical { clusters; regs_per_bank; shared_regs; _ } ->
+    add (scale clusters regs_per_bank) shared_regs
 
 let lp = function
   | Monolithic _ -> Cap.Finite 0
@@ -176,21 +145,10 @@ let access_suffix tag = function
   | Some a ->
     Fmt.str "@%sr%aw%a" tag pp_cap_short a.pr pp_cap_short a.pw
 
-let l3_suffix = function
-  | None -> ""
-  | Some l3 ->
-    let ports =
-      if Cap.equal l3.l3_lp (Cap.Finite 1) && Cap.equal l3.l3_sp (Cap.Finite 1)
-      then ""
-      else Fmt.str "l%as%a" pp_cap_short l3.l3_lp pp_cap_short l3.l3_sp
-    in
-    Fmt.str "-L3:%a%s" pp_cap_short l3.l3_regs ports
-
 (** Paper notation — [S128], [4C32], [1C64S64] — extended with the
-    generalized axes: [-L3:<regs>[l<lp>s<sp>]] adds a third level,
-    [@r<n>w<n>] constrains the first-level banks' access ports,
-    [@Sr<n>w<n>] the shared bank's, [@Tr<n>w<n>] the third level's;
-    [inf] stands for an unbounded count anywhere. *)
+    access-port axes: [@r<n>w<n>] constrains the first-level banks'
+    access ports, [@Sr<n>w<n>] the shared bank's; [inf] stands for an
+    unbounded count anywhere. *)
 let notation t =
   match t with
   | Monolithic { regs; access } ->
@@ -200,12 +158,11 @@ let notation t =
       (access_suffix "" access)
   | Hierarchical
       { clusters; regs_per_bank; shared_regs; local_access; shared_access;
-        l3; _ } ->
-    Fmt.str "%dC%aS%a%s%s%s%s" clusters pp_cap_short regs_per_bank
-      pp_cap_short shared_regs (l3_suffix l3)
+        _ } ->
+    Fmt.str "%dC%aS%a%s%s" clusters pp_cap_short regs_per_bank
+      pp_cap_short shared_regs
       (access_suffix "" local_access)
       (access_suffix "S" shared_access)
-      (access_suffix "T" (match l3 with None -> None | Some l -> l.l3_access))
 
 let pp ppf t = Fmt.string ppf (notation t)
 
@@ -214,8 +171,17 @@ let pp ppf t = Fmt.string ppf (notation t)
 
 let fail_parse s = Fmt.failwith "Rf.of_notation: cannot parse %S" s
 
-(* Split [s] on '@'; the head is the base (+ optional L3 segment), every
-   further chunk one access-port group. *)
+(* The retired third level ("-L3:<regs>" segments, "@T" groups) is
+   refused by name, not as a typo. *)
+let fail_third_level s =
+  Fmt.failwith
+    "Rf.of_notation: %S names a third register-file level (-L3:, @T), \
+     which was removed: an organization has local banks and at most one \
+     shared bank"
+    s
+
+(* Split [s] on '@'; the head is the base, every further chunk one
+   access-port group. *)
 let split_on_at s =
   match String.split_on_char '@' s with
   | [] -> fail_parse s
@@ -226,12 +192,12 @@ let cap_of_string s whole =
   | c -> c
   | exception Failure _ -> fail_parse whole
 
-(* One "@..." group: "r<cap>w<cap>" (local), "Sr<cap>w<cap>" (shared),
-   "Tr<cap>w<cap>" (third level). *)
+(* One "@..." group: "r<cap>w<cap>" (local), "Sr<cap>w<cap>" (shared). *)
 let parse_group whole g =
   let tag, rest =
-    if String.length g > 0 && (g.[0] = 'S' || g.[0] = 'T') then
-      (String.make 1 g.[0], String.sub g 1 (String.length g - 1))
+    if String.length g > 0 && g.[0] = 'T' then fail_third_level whole
+    else if String.length g > 0 && g.[0] = 'S' then
+      ("S", String.sub g 1 (String.length g - 1))
     else ("", g)
   in
   if String.length rest < 2 || rest.[0] <> 'r' then fail_parse whole
@@ -246,29 +212,9 @@ let parse_group whole g =
       in
       (tag, { pr; pw })
 
-(* The "-L3:<regs>[l<lp>s<sp>]" segment (without its leading "-L3:"). *)
-let parse_l3 whole seg =
-  match String.index_opt seg 'l' with
-  | None -> { l3_regs = cap_of_string seg whole; l3_lp = Cap.Finite 1;
-              l3_sp = Cap.Finite 1; l3_access = None }
-  | Some li -> (
-    let regs = cap_of_string (String.sub seg 0 li) whole in
-    let rest = String.sub seg (li + 1) (String.length seg - li - 1) in
-    match String.index_opt rest 's' with
-    | None -> fail_parse whole
-    | Some si ->
-      let lp = cap_of_string (String.sub rest 0 si) whole in
-      let sp =
-        cap_of_string (String.sub rest (si + 1) (String.length rest - si - 1))
-          whole
-      in
-      { l3_regs = regs; l3_lp = lp; l3_sp = sp; l3_access = None })
-
 (* The base organization: S<n>, <x>C<y> or <x>C<y>S<z>. *)
-let parse_base whole base ~local_access ~shared_access ~l3 =
-  let reject_hier_only () =
-    if shared_access <> None || l3 <> None then fail_parse whole
-  in
+let parse_base whole base ~local_access ~shared_access =
+  let reject_hier_only () = if shared_access <> None then fail_parse whole in
   match String.index_opt base 'C' with
   | None ->
     if String.length base < 2 || base.[0] <> 'S' then fail_parse whole
@@ -302,8 +248,7 @@ let parse_base whole base ~local_access ~shared_access ~l3 =
       in
       Hierarchical
         { clusters = x; regs_per_bank = y; shared_regs = z;
-          lp = Cap.Finite 1; sp = Cap.Finite 1; local_access; shared_access;
-          l3 })
+          lp = Cap.Finite 1; sp = Cap.Finite 1; local_access; shared_access })
 
 (** Parse the (extended) paper notation.  Inter-level ports default to
     lp=sp=1 for multi-bank organizations; every generalized field
@@ -311,50 +256,19 @@ let parse_base whole base ~local_access ~shared_access ~l3 =
     design point must not silently schedule a different machine. *)
 let of_notation s =
   let head, groups = split_on_at s in
-  let local_access = ref None
-  and shared_access = ref None
-  and l3_access = ref None in
+  let local_access = ref None and shared_access = ref None in
   List.iter
     (fun g ->
-      let cell =
-        match parse_group s g with
-        | "", a -> (`Local, a)
-        | "S", a -> (`Shared, a)
-        | "T", a -> (`L3, a)
-        | _ -> fail_parse s
-      in
-      let slot =
-        match fst cell with
-        | `Local -> local_access
-        | `Shared -> shared_access
-        | `L3 -> l3_access
-      in
+      let tag, a = parse_group s g in
+      let slot = if tag = "S" then shared_access else local_access in
       if !slot <> None then fail_parse s (* duplicate group *)
-      else slot := Some (snd cell))
+      else slot := Some a)
     groups;
-  let base, l3 =
-    (* the L3 marker must not be confused with a register count: search
-       for the literal "-L3:" separator *)
-    let marker = "-L3:" in
-    let mlen = String.length marker in
-    let rec find i =
-      if i + mlen > String.length head then None
-      else if String.sub head i mlen = marker then Some i
-      else find (i + 1)
-    in
-    match find 0 with
-    | None -> (head, None)
-    | Some i ->
-      let seg = String.sub head (i + mlen) (String.length head - i - mlen) in
-      (String.sub head 0 i, Some (parse_l3 s seg))
-  in
-  if l3 = None && !l3_access <> None then fail_parse s;
-  let l3 =
-    match (l3, !l3_access) with
-    | None, _ -> None
-    | Some l, acc -> Some { l with l3_access = norm_access acc }
-  in
-  parse_base s base ~local_access:(norm_access !local_access)
-    ~shared_access:(norm_access !shared_access) ~l3
+  (match String.index_opt head '-' with
+  | Some i when i + 4 <= String.length head && String.sub head i 4 = "-L3:" ->
+    fail_third_level s
+  | Some _ | None -> ());
+  parse_base s head ~local_access:(norm_access !local_access)
+    ~shared_access:(norm_access !shared_access)
 
 let equal a b = notation a = notation b

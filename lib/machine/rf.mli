@@ -1,6 +1,5 @@
 (** Register-file organizations and the paper's [xCy-Sz] notation,
-    generalized with per-bank access-port constraints and an optional
-    third level.
+    generalized with per-bank access-port constraints.
 
     [x] is the number of clusters, [y] the registers per first-level
     (distributed) bank and [z] the registers in the shared second-level
@@ -10,7 +9,7 @@
 
     Every generalized field defaults to absent; an absent field changes
     neither the notation nor the scheduler's resource model, so the
-    legacy two-level encodings are a strict subset. *)
+    legacy encodings are a strict subset. *)
 
 (** Explicit per-bank access ports: at most [pr] register reads and
     [pw] register writes per cycle on that bank.  [None] means
@@ -26,21 +25,6 @@ val equal_access : access -> access -> bool
     (same notation, same schedules, same cache fingerprints).  The
     constructors and {!of_notation} apply this already. *)
 val norm_access : access option -> access option
-
-(** Optional third RF level below the shared bank: [l3_lp] bounds LoadR
-    transfers L3 -> shared per cycle, [l3_sp] StoreR transfers
-    shared -> L3, [l3_access] the L3 cell array's own ports.  With a
-    third level present, memory operations exchange values with L3
-    instead of the shared bank. *)
-type level3 = {
-  l3_regs : Cap.t;
-  l3_lp : Cap.t;
-  l3_sp : Cap.t;
-  l3_access : access option;
-}
-
-(** [level3 regs] with transfer ports defaulting to 1/1. *)
-val level3 : ?lp:Cap.t -> ?sp:Cap.t -> ?access:access -> int -> level3
 
 type org =
   | Monolithic of { regs : Cap.t; access : access option }
@@ -61,7 +45,6 @@ type org =
       sp : Cap.t;  (** StoreR ports: local -> shared, per bank *)
       local_access : access option;
       shared_access : access option;
-      l3 : level3 option;
     }  (** first-level banks per cluster + shared bank ([xCy-Sz]);
           [clusters = 1] is the pure hierarchical organization *)
 
@@ -77,7 +60,7 @@ val clustered :
 
 val hierarchical :
   ?lp:Cap.t -> ?sp:Cap.t -> ?local_access:access -> ?shared_access:access ->
-  ?l3:level3 -> clusters:int -> regs_per_bank:int -> shared_regs:int ->
+  clusters:int -> regs_per_bank:int -> shared_regs:int ->
   unit -> t
 
 val clusters : t -> int
@@ -90,37 +73,30 @@ val local_regs : t -> Cap.t
 
 val shared_regs : t -> Cap.t
 
-(** The third level, when the organization has one. *)
-val level3_of : t -> level3 option
-
-(** Third-level registers ([Finite 0] when there is no third level). *)
-val l3_regs : t -> Cap.t
-
 (** Access-port constraint of the first-level banks (the single bank
     for a monolithic RF). *)
 val local_access : t -> access option
 
 val shared_access : t -> access option
 
-(** Total storage capacity over all banks (including the third level). *)
+(** Total storage capacity over all banks. *)
 val total_regs : t -> Cap.t
 
 val lp : t -> Cap.t
 val sp : t -> Cap.t
 
 (** Paper notation — ["S128"], ["4C32"], ["1C64S64"] — extended with
-    the generalized axes: [-L3:<regs>[l<lp>s<sp>]] adds a third level,
-    [@r<n>w<n>] constrains the first-level banks' access ports,
-    [@Sr<n>w<n>] the shared bank's, [@Tr<n>w<n>] the third level's;
-    ["inf"] stands for an unbounded count anywhere.  Example:
-    ["4C16S16-L3:64@r2w1"]. *)
+    the access-port axes: [@r<n>w<n>] constrains the first-level banks'
+    access ports, [@Sr<n>w<n>] the shared bank's; ["inf"] stands for an
+    unbounded count anywhere.  Example: ["4C16S16@r2w1"]. *)
 val notation : t -> string
 
 val pp : Format.formatter -> t -> unit
 
 (** Parse the (extended) notation; inter-level ports default to
     lp=sp=1, every generalized field to absent.  Raises [Failure] on
-    malformed input. *)
+    malformed input, and on the retired third-level notation ([-L3:]
+    segments, [@T] groups) with a message that names it. *)
 val of_notation : string -> t
 
 val equal : t -> t -> bool

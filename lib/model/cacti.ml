@@ -41,8 +41,8 @@ let area_lambda2 b =
 
 let area_mlambda2 b = area_lambda2 b /. 1.0e6
 
-(** Banks of a full configuration: [clusters] copies of the local bank,
-    optionally the shared bank, optionally the third-level bank. *)
+(* Banks of a full configuration: [clusters] copies of the local bank,
+   and the shared bank when hierarchical. *)
 let banks_of_config (c : Hcrf_machine.Config.t) =
   let local =
     bank ~regs:(Hcrf_machine.Cap.to_int_exn (Hcrf_machine.Rf.local_regs c.rf))
@@ -59,52 +59,28 @@ let banks_of_config (c : Hcrf_machine.Config.t) =
           ~ports:(Ports.total p) ())
       (Ports.shared_bank c)
   in
-  let l3 =
-    Option.map
-      (fun p ->
-        bank
-          ~regs:
-            (Hcrf_machine.Cap.to_int_exn (Hcrf_machine.Rf.l3_regs c.rf))
-          ~ports:(Ports.total p) ())
-      (Ports.l3_bank c)
-  in
-  (locals, shared, l3)
+  (locals, shared)
 
 type estimate = {
   local_access_ns : float;
   shared_access_ns : float option;
-  l3_access_ns : float option;
   total_area_mlambda2 : float;
-  local_area_mlambda2 : float;  (** one bank *)
-  shared_area_mlambda2 : float option;
-  l3_area_mlambda2 : float option;
 }
 
 (** Full-configuration estimate.  The configuration's cycle time is set by
     the local (FU-facing) bank; the shared bank only determines the
-    LoadR/StoreR latency (§3), and a third level only its own transfer
-    latency. *)
+    LoadR/StoreR latency (§3). *)
 let estimate c =
-  let locals, shared, l3 = banks_of_config c in
+  let locals, shared = banks_of_config c in
   let local =
     match locals with
     | b :: _ -> b
     | [] -> assert false
   in
-  let local_area = area_mlambda2 local in
-  let shared_access = Option.map access_time_ns shared in
-  let shared_area = Option.map area_mlambda2 shared in
-  let l3_access = Option.map access_time_ns l3 in
-  let l3_area = Option.map area_mlambda2 l3 in
   {
     local_access_ns = access_time_ns local;
-    shared_access_ns = shared_access;
-    l3_access_ns = l3_access;
+    shared_access_ns = Option.map access_time_ns shared;
     total_area_mlambda2 =
-      (local_area *. float_of_int (List.length locals))
-      +. Option.value ~default:0. shared_area
-      +. Option.value ~default:0. l3_area;
-    local_area_mlambda2 = local_area;
-    shared_area_mlambda2 = shared_area;
-    l3_area_mlambda2 = l3_area;
+      (area_mlambda2 local *. float_of_int (List.length locals))
+      +. Option.fold ~none:0. ~some:area_mlambda2 shared;
   }

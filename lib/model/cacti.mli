@@ -26,24 +26,13 @@ val area_lambda2 : bank -> float
 
 val area_mlambda2 : bank -> float
 
-(** The banks of a configuration: one local bank per cluster, the
-    shared bank when hierarchical, and the third-level bank when
-    present. *)
-val banks_of_config :
-  Hcrf_machine.Config.t -> bank list * bank option * bank option
-
 type estimate = {
   local_access_ns : float;
   shared_access_ns : float option;
-  l3_access_ns : float option;
   total_area_mlambda2 : float;
-  local_area_mlambda2 : float;  (** one bank *)
-  shared_area_mlambda2 : float option;
-  l3_area_mlambda2 : float option;
 }
 
 (** Full-configuration estimate.  The configuration's cycle time is set
     by the local (FU-facing) bank; the shared bank only determines the
-    LoadR/StoreR latency (§3), and a third level only its own transfer
-    latency. *)
+    LoadR/StoreR latency (§3). *)
 val estimate : Hcrf_machine.Config.t -> estimate

@@ -47,34 +47,10 @@ let local_bank (c : Config.t) =
 let shared_bank (c : Config.t) =
   match c.rf with
   | Rf.Monolithic _ | Rf.Clustered _ -> None
-  | Rf.Hierarchical { clusters; lp; sp; shared_access; l3; _ } ->
+  | Rf.Hierarchical { clusters; lp; sp; shared_access; _ } ->
     Some
       (match shared_access with
       | Some a -> of_access "shared access" a
-      | None -> (
-        match l3 with
-        | None ->
-          { reads = c.n_mem_ports + (clusters * cap_int "lp" lp);
-            writes = c.n_mem_ports + (clusters * cap_int "sp" sp) }
-        | Some l ->
-          (* with a third level the memory ports move off the shared
-             bank; it instead feeds the L3 transfer ports (a StoreR
-             shared->L3 reads shared, a LoadR L3->shared writes it) *)
-          { reads =
-              (clusters * cap_int "lp" lp) + cap_int "l3_sp" l.Rf.l3_sp;
-            writes =
-              (clusters * cap_int "sp" sp) + cap_int "l3_lp" l.Rf.l3_lp }))
-
-(** Ports of the third-level bank, when the organization has one. *)
-let l3_bank (c : Config.t) =
-  match Rf.level3_of c.rf with
-  | None -> None
-  | Some l ->
-    Some
-      (match l.Rf.l3_access with
-      | Some a -> of_access "l3 access" a
       | None ->
-        (* memory ops exchange with L3 (loads write, stores read), plus
-           the inter-level transfer ports on the L3 side *)
-        { reads = c.n_mem_ports + cap_int "l3_lp" l.Rf.l3_lp;
-          writes = c.n_mem_ports + cap_int "l3_sp" l.Rf.l3_sp })
+        { reads = c.n_mem_ports + (clusters * cap_int "lp" lp);
+          writes = c.n_mem_ports + (clusters * cap_int "sp" sp) })

@@ -19,9 +19,5 @@ val total : t -> int
 val local_bank : Hcrf_machine.Config.t -> t
 
 (** Ports of the shared second-level bank, when the organization has
-    one.  With a third level present, the memory ports move off the
-    shared bank onto L3. *)
+    one. *)
 val shared_bank : Hcrf_machine.Config.t -> t option
-
-(** Ports of the third-level bank, when the organization has one. *)
-val l3_bank : Hcrf_machine.Config.t -> t option

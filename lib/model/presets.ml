@@ -72,7 +72,7 @@ let static_config ?(n_fus = 8) ?(n_mem_ports = 4) ~bounded_bandwidth
       Rf.Hierarchical
         { clusters = 1; regs_per_bank = Cap.Inf; shared_regs = Cap.Inf;
           lp = cap Cap.Inf 4; sp = cap Cap.Inf 2; local_access = None;
-          shared_access = None; l3 = None }
+          shared_access = None }
     | "2Cinf" ->
       Rf.Clustered
         { clusters = 2; regs_per_bank = Cap.Inf; lp = cap Cap.Inf 1;
@@ -81,7 +81,7 @@ let static_config ?(n_fus = 8) ?(n_mem_ports = 4) ~bounded_bandwidth
       Rf.Hierarchical
         { clusters = 2; regs_per_bank = Cap.Inf; shared_regs = Cap.Inf;
           lp = cap Cap.Inf 3; sp = cap Cap.Inf 1; local_access = None;
-          shared_access = None; l3 = None }
+          shared_access = None }
     | "4Cinf" ->
       Rf.Clustered
         { clusters = 4; regs_per_bank = Cap.Inf; lp = cap Cap.Inf 1;
@@ -90,12 +90,12 @@ let static_config ?(n_fus = 8) ?(n_mem_ports = 4) ~bounded_bandwidth
       Rf.Hierarchical
         { clusters = 4; regs_per_bank = Cap.Inf; shared_regs = Cap.Inf;
           lp = cap Cap.Inf 2; sp = cap Cap.Inf 1; local_access = None;
-          shared_access = None; l3 = None }
+          shared_access = None }
     | "8CinfSinf" ->
       Rf.Hierarchical
         { clusters = 8; regs_per_bank = Cap.Inf; shared_regs = Cap.Inf;
           lp = cap Cap.Inf 1; sp = cap Cap.Inf 1; local_access = None;
-          shared_access = None; l3 = None }
+          shared_access = None }
     | other -> Fmt.invalid_arg "Presets.static_config: unknown %S" other
   in
   Config.make ~n_fus ~n_mem_ports ~name:notation rf

@@ -29,7 +29,7 @@ val of_model :
   Hcrf_machine.Config.t
 
 (** The configuration a notation in the full extended grammar names
-    (["4C32"], ["4C16S16-L3:64@r2w1"]): the published Table-5 hardware
+    (["4C32"], ["4C16S16@r2w1"]): the published Table-5 hardware
     ({!of_published}) when the notation names a published point, the
     analytic model ({!of_model}) otherwise.  Raises [Failure] or
     [Invalid_argument] on a malformed notation. *)

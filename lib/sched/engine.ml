@@ -344,7 +344,7 @@ let run ~rungs ~(opts : options) ~trace (config : Config.t) (g0 : Ddg.t) :
             schedule;
             graph = s.g;
             invariant_residents =
-              Array.init (Config.clusters config + 2) (fun i ->
+              Array.init (Config.clusters config + 1) (fun i ->
                   Spill.invariant_residents s (Topology.bank_of_code config i));
             seconds;
             stats =

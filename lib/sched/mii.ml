@@ -48,22 +48,8 @@ let res_mii (config : Config.t) (g : Ddg.t) =
   let mem = cdiv !mem_ops config.n_mem_ports in
   let comm =
     let times_x = function Cap.Inf -> Cap.Inf | Cap.Finite n -> Cap.Finite (x * n) in
-    let add a b =
-      match (a, b) with
-      | Cap.Inf, _ | _, Cap.Inf -> Cap.Inf
-      | Cap.Finite m, Cap.Finite n -> Cap.Finite (m + n)
-    in
-    (* with a third level, LoadR/StoreR may also execute at Global on
-       the Lp3/Sp3 ports: pooling them keeps this a true lower bound *)
-    let l3_lp, l3_sp =
-      match Rf.level3_of config.rf with
-      | Some l -> (l.Rf.l3_lp, l.Rf.l3_sp)
-      | None -> (Cap.Finite 0, Cap.Finite 0)
-    in
-    let lp = add (times_x (Rf.lp config.rf)) l3_lp
-    and sp = add (times_x (Rf.sp config.rf)) l3_sp in
-    let via_lp = cdiv_cap (!loadrs + !moves) lp in
-    let via_sp = cdiv_cap (!storers + !moves) sp in
+    let via_lp = cdiv_cap (!loadrs + !moves) (times_x (Rf.lp config.rf)) in
+    let via_sp = cdiv_cap (!storers + !moves) (times_x (Rf.sp config.rf)) in
     let via_bus =
       match config.rf with
       | Rf.Clustered { buses; _ } -> cdiv_cap !moves buses

@@ -28,9 +28,8 @@ open Hcrf_machine
    (5 * cluster + tag; [Bus] has no cluster and takes the otherwise-
    unused tag 4 of cluster 0); the generalized rows are appended after
    them so tables of legacy configurations are laid out identically.
-   With [x] clusters and bank codes b in 0..x+1 (locals, shared, L3):
-   [Rd b -> 5x+5+2b], [Wr b -> 5x+5+2b+1], then [Lp3]/[Sp3] — 7x+11
-   rows in all. *)
+   With [x] clusters and bank codes b in 0..x (locals, shared):
+   [Rd b -> 5x+5+2b], [Wr b -> 5x+5+2b+1] — 7x+7 rows in all. *)
 let code ~x = function
   | Topology.Fu i -> 5 * i
   | Topology.Mem i -> (5 * i) + 1
@@ -39,8 +38,6 @@ let code ~x = function
   | Topology.Bus -> 4
   | Topology.Rd b -> (5 * x) + 5 + (2 * b)
   | Topology.Wr b -> (5 * x) + 5 + (2 * b) + 1
-  | Topology.Lp3 -> (5 * x) + 5 + (2 * (x + 2))
-  | Topology.Sp3 -> (5 * x) + 5 + (2 * (x + 2)) + 1
 
 type t = {
   ii : int;
@@ -75,7 +72,7 @@ let slot_stacks = 0
 let create ?arena (config : Config.t) ~ii =
   if ii < 1 then invalid_arg "Mrt.create: ii < 1";
   let x = Config.clusters config in
-  let rows = (7 * x) + 11 in
+  let rows = (7 * x) + 7 in
   let valid = Array.make rows false in
   let units = Array.make rows 0 in
   List.iter

@@ -59,7 +59,7 @@ let slot_stop = 5
 let create ?arena (sched : Schedule.t) (g : Ddg.t) =
   let ii = Schedule.ii sched in
   let nclusters = Config.clusters sched.Schedule.config in
-  let cells = (nclusters + 2) * ii in
+  let cells = (nclusters + 1) * ii in
   let cap = 256 in
   let req, c_bank, c_start, c_stop =
     match arena with
@@ -72,8 +72,8 @@ let create ?arena (sched : Schedule.t) (g : Ddg.t) =
       ( Array.make cells 0, Array.make cap (-1), Array.make cap 0,
         Array.make cap 0 )
   in
-  { sched; g; ii; nclusters; req; laps = Array.make (nclusters + 2) 0;
-    peak = Array.make (nclusters + 2) (-1);
+  { sched; g; ii; nclusters; req; laps = Array.make (nclusters + 1) 0;
+    peak = Array.make (nclusters + 1) (-1);
     c_bank; c_start; c_stop; cap;
     dirty = Array.make 64 0; ndirty = 0; in_dirty = Bytes.make cap '\000';
     arena }
@@ -81,7 +81,6 @@ let create ?arena (sched : Schedule.t) (g : Ddg.t) =
 let bank_index t = function
   | Topology.Local i -> i
   | Topology.Shared -> t.nclusters
-  | Topology.L3 -> t.nclusters + 1
 
 let grow t id =
   let cap' = max (2 * t.cap) (id + 1) in

@@ -30,11 +30,12 @@ let reusable_copy_at (s : Attempt.t) src ~kind ~loc ~avoid =
 
 (* A node already holding [p]'s value in the shared bank, given [db],
    the bank of [p]'s (possibly not yet placed) definition; -1 when
-   none.  A LoadR's producer, or a StoreR@Global's, holds the value it
-   copies. *)
+   none.  A LoadR's producer holds the value it copies. *)
 let shared_root (s : Attempt.t) p ~(db : Topology.bank) =
-  let producer_if kind =
-    if Op.equal_kind (Ddg.kind s.g p) kind then
+  match db with
+  | Topology.Shared -> p
+  | Topology.Local _ ->
+    if Op.equal_kind (Ddg.kind s.g p) Op.Load_r then
       match Ddg.operands s.g p with
       | (e : Ddg.edge) :: _ -> (
         match Schedule.def_bank s.sched s.g e.src with
@@ -42,22 +43,14 @@ let shared_root (s : Attempt.t) p ~(db : Topology.bank) =
         | _ -> -1)
       | [] -> -1
     else -1
-  in
-  match db with
-  | Topology.Shared -> p
-  | Topology.Local _ -> producer_if Op.Load_r
-  | Topology.L3 -> producer_if Op.Store_r
 
-(* A scheduled copy of [p]'s value into the shared bank to reuse (a
-   local bank goes up through a StoreR, the third level comes up
-   through a LoadR at [Global]); -1 when none. *)
+(* A scheduled StoreR of [p]'s value into the shared bank to reuse; -1
+   when none. *)
 let shared_copy (s : Attempt.t) p ~(db : Topology.bank) ~avoid =
   match db with
   | Topology.Shared -> -1
   | Topology.Local _ ->
     find_copy s ~kind:Op.Store_r ~loc:None ~avoid (Ddg.consumers s.g p)
-  | Topology.L3 ->
-    reusable_copy_at s p ~kind:Op.Load_r ~loc:Topology.Global ~avoid
 
 type copies = { root : int; up : int; down : int }
 type t = Direct | Route of copies
@@ -77,15 +70,14 @@ let route_of (s : Attempt.t) ~p ~(db : Topology.bank) ~(rb : Topology.bank)
     | Rf.Clustered _ -> (
       match rb with
       | Topology.Local _ -> Route { root = p; up = -1; down = reusable_down p }
-      | Topology.Shared | Topology.L3 -> Direct)
+      | Topology.Shared -> Direct)
     | Rf.Hierarchical _ ->
       let root = shared_root s p ~db in
       let up = if root >= 0 then -1 else shared_copy s p ~db ~avoid in
       let down =
         match rb with
         | Topology.Shared -> -1
-        | Topology.Local _ | Topology.L3 ->
-          reusable_down (if root >= 0 then root else up)
+        | Topology.Local _ -> reusable_down (if root >= 0 then root else up)
       in
       Route { root; up; down }
 
@@ -125,7 +117,7 @@ let apply (s : Attempt.t) ~anchor (edge : Ddg.edge) ~p ~db ~rb
   let last =
     match rb with
     | Topology.Shared -> shared
-    | Topology.Local _ | Topology.L3 ->
+    | Topology.Local _ ->
       if down >= 0 then down
       else
         fresh_copy s ~anchor ~src:shared

@@ -41,7 +41,6 @@ let loc_code = function Topology.Global -> -1 | Topology.Cluster i -> i
 let bank_index t = function
   | Topology.Local i -> i
   | Topology.Shared -> t.nclusters
-  | Topology.L3 -> t.nclusters + 1
 
 let kind_tag = function
   | Op.Fadd -> 0 | Op.Fmul -> 1 | Op.Fdiv -> 2 | Op.Fsqrt -> 3
@@ -56,13 +55,13 @@ let make ?(lat : Latency.t option) (config : Config.t) ~ii ~cap
   let lat = match lat with Some l -> l | None -> Latency.make config in
   let nclusters = Config.clusters config in
   { config; ii; lat; nclusters; e_cycle; e_loc; e_bank; cap;
-    bank_defs = Array.make (nclusters + 2) 0;
+    bank_defs = Array.make (nclusters + 1) 0;
     locs =
       Array.init (nclusters + 1) (function
         | 0 -> Topology.Global
         | i -> Topology.Cluster (i - 1));
     banks =
-      Array.init (nclusters + 2) (fun i ->
+      Array.init (nclusters + 1) (fun i ->
           Some (Topology.bank_of_code config i)) }
 
 let create ?lat config ~ii = make ?lat config ~ii ~cap:0 ([||], [||], [||])
@@ -295,7 +294,7 @@ module Work = struct
     in
     let cols = make ?lat config ~ii ~cap cols in
     { cols; mrt = Mrt.create ?arena config ~ii;
-      ucache = Array.make (n_kinds + cols.nclusters + 2) [||]; arena }
+      ucache = Array.make (n_kinds + cols.nclusters + 1) [||]; arena }
 
   (* Grow the columns to cover [v], handing the grown buffers back to
      the arena. *)

@@ -69,8 +69,7 @@ val def_bank : t -> Hcrf_ir.Ddg.t -> int -> Topology.bank option
 val bank_def_count : t -> Topology.bank -> int
 
 (** The bank of [v]'s first scheduled operand producer: a [Move]'s
-    source bank (its reservation reads it), and the bank that directs a
-    LoadR or StoreR between the shared bank and L3. *)
+    source bank (its reservation reads it). *)
 val move_src_bank : t -> Hcrf_ir.Ddg.t -> int -> Topology.bank option
 
 (** The resource reservations of [v] at [loc]. *)

@@ -49,7 +49,6 @@ let cluster_loc (s : Attempt.t) i = s.sched.Schedule.locs.(i + 1)
 let bank_tag = function
   | Topology.Local _ -> 0
   | Topology.Shared -> 1
-  | Topology.L3 -> 2
 
 (* [v], whose routes are scored, is not scheduled: no mark is its own. *)
 let mark_down_copies sel (s : Attempt.t) sn ~kind =
@@ -224,23 +223,9 @@ let decide_loc sel (s : Attempt.t) v =
       if (not producer_ready) || not (Attempt.has_scheduled_consumer s v)
       then `Splice
       else
-        (* in a three-level hierarchy the producer's bank directs the
-           global transfers: a StoreR of a Shared value moves it down to
-           L3, a LoadR of an L3 value brings it up to Shared — both
-           execute at [Global].  Cluster-resident producers keep the
-           two-level placement heuristics. *)
-        let producer_in bank =
-          Topology.has_l3 s.config
-          &&
-          match Schedule.move_src_bank s.sched s.g v with
-          | Some b -> Topology.equal_bank b bank
-          | None -> false
-        in
-        match kind with
-        | Op.Store_r when producer_in Topology.Shared -> `Loc Topology.Global
-        | Op.Load_r when producer_in Topology.L3 -> `Loc Topology.Global
-        | Op.Store_r -> loc_or_splice s (producer_cluster s v)
-        | _ -> loc_or_splice s (consumers_cluster sel s v))
+        loc_or_splice s
+          (if Op.equal_kind kind Op.Store_r then producer_cluster s v
+           else consumers_cluster sel s v))
     | Op.Spill_load | Op.Spill_store ->
       let c =
         if Op.equal_kind kind Op.Spill_load then consumers_cluster sel s v

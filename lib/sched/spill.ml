@@ -173,7 +173,7 @@ let spillable_def sp (s : Attempt.t) ~bank d =
   match (Ddg.kind s.g d, bank) with
   | (Op.Fadd | Op.Fmul | Op.Fdiv | Op.Fsqrt | Op.Load), _ -> true
   | Op.Load_r, Topology.Local _ -> true  (* re-load from the shared copy *)
-  | (Op.Store_r | Op.Spill_load), (Topology.Shared | Topology.L3) -> true
+  | (Op.Store_r | Op.Spill_load), Topology.Shared -> true
   | _ -> false
 
 (* One spill decision for an overflowing [bank]: prefer an unspilled

@@ -15,9 +15,6 @@
     - In a hierarchical RF ([xCy-Sz]) compute and LoadR/StoreR operations
       execute in a cluster; memory operations execute globally on the
       memory ports and exchange values with the [Shared] bank.
-    - With a third level ([xCy-Sz-L3:w]) memory operations exchange values
-      with [L3] instead; LoadR/StoreR executed at [Global] transfer
-      between L3 and the shared bank over the [Lp3]/[Sp3] ports.
     - A bank with an explicit access-port constraint ([@r..w..] in the
       notation) additionally owns [Rd]/[Wr] resources: every register
       read (one per operand) and every register write-back reserves a
@@ -38,18 +35,16 @@ let pp_loc ppf = function
   | Global -> Fmt.string ppf "global"
   | Cluster i -> Fmt.pf ppf "c%d" i
 
-type bank = Local of int | Shared | L3
+type bank = Local of int | Shared
 
 let equal_bank a b =
   match (a, b) with
   | Shared, Shared -> true
-  | L3, L3 -> true
   | Local i, Local j -> i = j
-  | (Shared | L3 | Local _), _ -> false
+  | (Shared | Local _), _ -> false
 
 let pp_bank ppf = function
   | Shared -> Fmt.string ppf "S"
-  | L3 -> Fmt.string ppf "L3"
   | Local i -> Fmt.pf ppf "L%d" i
 
 type resource =
@@ -60,8 +55,6 @@ type resource =
   | Bus         (** inter-cluster buses (clustered RF) *)
   | Rd of int   (** read ports of the bank with code i (constrained banks) *)
   | Wr of int   (** write ports of the bank with code i *)
-  | Lp3         (** LoadR ports L3 -> shared (third level only) *)
-  | Sp3         (** StoreR ports shared -> L3 (third level only) *)
 
 let pp_resource ppf = function
   | Fu i -> Fmt.pf ppf "fu%d" i
@@ -71,30 +64,22 @@ let pp_resource ppf = function
   | Bus -> Fmt.string ppf "bus"
   | Rd i -> Fmt.pf ppf "rd%d" i
   | Wr i -> Fmt.pf ppf "wr%d" i
-  | Lp3 -> Fmt.string ppf "l3lp"
-  | Sp3 -> Fmt.string ppf "l3sp"
 
-let level3 (c : Config.t) = Rf.level3_of c.rf
-let has_l3 (c : Config.t) = level3 c <> None
-
-(** Dense bank code: [Local i -> i], [Shared -> clusters],
-    [L3 -> clusters + 1] — the index space of the [Rd]/[Wr] resources
-    and of every flat per-bank array in the scheduler. *)
+(** Dense bank code: [Local i -> i], [Shared -> clusters] — the index
+    space of the [Rd]/[Wr] resources and of every flat per-bank array
+    in the scheduler. *)
 let bank_code (c : Config.t) = function
   | Local i -> i
   | Shared -> Config.clusters c
-  | L3 -> Config.clusters c + 1
 
 let bank_of_code (c : Config.t) i =
-  let x = Config.clusters c in
-  if i = x then Shared else if i = x + 1 then L3 else Local i
+  if i = Config.clusters c then Shared else Local i
 
 (** Access-port constraint of a bank ([None]: uniformly provisioned,
     no [Rd]/[Wr] rows exist for it). *)
 let bank_access (c : Config.t) = function
   | Local _ -> Rf.local_access c.rf
   | Shared -> Rf.shared_access c.rf
-  | L3 -> Option.bind (level3 c) (fun l -> l.Rf.l3_access)
 
 (** Available units of a resource. *)
 let units (c : Config.t) = function
@@ -114,10 +99,6 @@ let units (c : Config.t) = function
     match bank_access c (bank_of_code c b) with
     | Some a -> a.Rf.pw
     | None -> Cap.Inf)
-  | Lp3 -> (
-    match level3 c with Some l -> l.Rf.l3_lp | None -> Cap.Inf)
-  | Sp3 -> (
-    match level3 c with Some l -> l.Rf.l3_sp | None -> Cap.Inf)
 
 (* Banks of the organization, in bank-code order. *)
 let all_banks (c : Config.t) =
@@ -125,13 +106,11 @@ let all_banks (c : Config.t) =
   let locals = List.init x (fun i -> Local i) in
   match c.rf with
   | Rf.Monolithic _ | Rf.Clustered _ -> locals
-  | Rf.Hierarchical _ ->
-    locals @ [ Shared ] @ (if has_l3 c then [ L3 ] else [])
+  | Rf.Hierarchical _ -> locals @ [ Shared ]
 
 (** All resources that exist in the configuration (for validation and
-    reservation-table sizing).  The generalized rows ([Rd]/[Wr] of
-    access-constrained banks, [Lp3]/[Sp3] of a third level) come after
-    the legacy ones, and only when configured. *)
+    reservation-table sizing).  The [Rd]/[Wr] rows of access-constrained
+    banks come after the legacy ones, and only when configured. *)
 let all_resources (c : Config.t) =
   let x = Config.clusters c in
   let clusters f = List.init x f in
@@ -158,8 +137,7 @@ let all_resources (c : Config.t) =
         else [])
       (all_banks c)
   in
-  let l3 = if has_l3 c then [ Lp3; Sp3 ] else [] in
-  legacy @ ports @ l3
+  legacy @ ports
 
 (** Candidate execution locations for an operation kind. *)
 let exec_locs (c : Config.t) (k : Op.kind) : loc list =
@@ -174,11 +152,7 @@ let exec_locs (c : Config.t) (k : Op.kind) : loc list =
     | Spill_store -> clusters ())
   | Rf.Hierarchical _ -> (
     match k with
-    | Load_r | Store_r ->
-      (* at Global a LoadR/StoreR transfers between L3 and the shared
-         bank over Lp3/Sp3 *)
-      clusters () @ (if has_l3 c then [ Global ] else [])
-    | Fadd | Fmul | Fdiv | Fsqrt | Move -> clusters ()
+    | Fadd | Fmul | Fdiv | Fsqrt | Move | Load_r | Store_r -> clusters ()
     | Load | Store | Spill_load | Spill_store -> [ Global ])
 
 (** Bank receiving the value defined by kind [k] executed at [loc];
@@ -190,11 +164,9 @@ let def_bank (c : Config.t) (k : Op.kind) (loc : loc) : bank option =
     | Rf.Monolithic _, _, _ -> Some (Local 0)
     | Rf.Clustered _, _, Cluster i -> Some (Local i)
     | Rf.Clustered _, _, Global -> invalid_arg "def_bank: global in clustered"
-    | Rf.Hierarchical _, (Load | Spill_load), Global ->
-      Some (if has_l3 c then L3 else Shared)
-    | Rf.Hierarchical _, Store_r, Cluster _ -> Some Shared
-    | Rf.Hierarchical _, Store_r, Global when has_l3 c -> Some L3
-    | Rf.Hierarchical _, Load_r, Global when has_l3 c -> Some Shared
+    | Rf.Hierarchical _, (Load | Spill_load), Global
+    | Rf.Hierarchical _, Store_r, Cluster _ ->
+      Some Shared
     | Rf.Hierarchical _, (Fadd | Fmul | Fdiv | Fsqrt | Move | Load_r),
       Cluster i ->
       Some (Local i)
@@ -208,23 +180,17 @@ let read_bank (c : Config.t) (k : Op.kind) (loc : loc) : bank =
   | Rf.Monolithic _, _, _ -> Local 0
   | Rf.Clustered _, _, Cluster i -> Local i
   | Rf.Clustered _, _, Global -> invalid_arg "read_bank: global in clustered"
-  | Rf.Hierarchical _, Load_r, Global when has_l3 c -> L3
-  | Rf.Hierarchical _, Store_r, Global when has_l3 c -> Shared
-  | Rf.Hierarchical _, (Store | Spill_store | Load_r), _ ->
-    if has_l3 c && not (Op.equal_kind k Load_r) then L3 else Shared
+  | Rf.Hierarchical _, (Store | Spill_store | Load_r | Load | Spill_load), _ ->
+    (* a LoadR reads the shared bank though it executes in a cluster;
+       loads read address regs, not modeled, so their value side is the
+       memory-facing bank *)
+    Shared
   | Rf.Hierarchical _, (Fadd | Fmul | Fdiv | Fsqrt | Store_r | Move),
     Cluster i ->
     Local i
-  | Rf.Hierarchical _, (Load | Spill_load), _ ->
-    (* loads read address regs, not modeled; value side is the memory-
-       facing bank *)
-    if has_l3 c then L3 else Shared
   | Rf.Hierarchical _, _, _ ->
     Fmt.invalid_arg "read_bank: %s at %a in hierarchical RF"
       (Op.kind_name k) pp_loc loc
-
-(* Load_r reads the shared bank even though it executes in a cluster:
-   its operand must live in [Shared]. *)
 
 (* Register operands read from a bank: a read port per operand. *)
 let read_arity = function
@@ -272,19 +238,13 @@ let uses (c : Config.t) (k : Op.kind) (loc : loc) ~(src : bank option) :
     | Fadd | Fmul | Fdiv | Fsqrt -> [ (Fu (cluster_of loc), dur) ]
     | Load | Store | Spill_load | Spill_store ->
       [ (Mem (cluster_of loc), 1) ]
-    | Load_r -> (
-      match loc with
-      | Global -> [ (Lp3, 1) ]
-      | Cluster i -> [ (Lp i, 1) ])
-    | Store_r -> (
-      match loc with
-      | Global -> [ (Sp3, 1) ]
-      | Cluster i -> [ (Sp i, 1) ])
+    | Load_r -> [ (Lp (cluster_of loc), 1) ]
+    | Store_r -> [ (Sp (cluster_of loc), 1) ]
     | Move -> (
       let dst = cluster_of loc in
       match src with
       | Some (Local s) -> [ (Sp s, 1); (Bus, 1); (Lp dst, 1) ]
-      | Some (Shared | L3) | None ->
+      | Some Shared | None ->
         invalid_arg "Topology.uses: Move needs a local source bank")
   in
   base @ port_uses c k loc ~src
@@ -293,26 +253,22 @@ let uses (c : Config.t) (k : Op.kind) (loc : loc) ~(src : bank option) :
 let bank_capacity (c : Config.t) = function
   | Local _ -> Rf.local_regs c.rf
   | Shared -> Rf.shared_regs c.rf
-  | L3 -> Rf.l3_regs c.rf
 
-(** The copy that brings a value defined in [bank] up to the shared
-    bank: a StoreR from a local bank, a LoadR at [Global] from L3. *)
-let up_copy (c : Config.t) = function
+(** The copy that brings a value defined in a local bank up to the
+    shared bank: a StoreR in the bank's cluster. *)
+let up_copy (_ : Config.t) = function
   | Local i -> (Op.Store_r, Cluster i)
-  | L3 when has_l3 c -> (Op.Load_r, Global)
-  | L3 | Shared -> invalid_arg "Topology.up_copy: no copy up from this bank"
+  | Shared -> invalid_arg "Topology.up_copy: no copy up from this bank"
 
-(** The copy that delivers a value from the shared bank into [bank] (in
-    a clustered RF, from another local bank): a LoadR or a Move into a
-    local bank, a StoreR at [Global] down to L3. *)
+(** The copy that delivers a value from the shared bank into a local
+    bank (in a clustered RF, from another local bank): a LoadR or a
+    Move. *)
 let down_copy (c : Config.t) = function
   | Local j -> (
     match c.rf with
     | Rf.Clustered _ -> (Op.Move, Cluster j)
     | Rf.Monolithic _ | Rf.Hierarchical _ -> (Op.Load_r, Cluster j))
-  | L3 when has_l3 c -> (Op.Store_r, Global)
-  | L3 | Shared ->
-    invalid_arg "Topology.down_copy: no copy down into this bank"
+  | Shared -> invalid_arg "Topology.down_copy: no copy down into this bank"
 
 (** Communication operations needed to make a value defined in [src_bank]
     readable from [dst_bank]: a list of (op kind, execution loc) forming a
@@ -327,7 +283,7 @@ let comm_path (c : Config.t) ~(src_bank : bank) ~(dst_bank : bank) :
     | Rf.Clustered _, Local _, Local _ -> [ down_copy c dst_bank ]
       (* the Move occupies Sp s via ~src at reservation time *)
     | Rf.Clustered _, _, _ ->
-      invalid_arg "comm_path: shared/L3 bank in clustered RF"
+      invalid_arg "comm_path: shared bank in clustered RF"
     | Rf.Hierarchical _, _, _ ->
       let via b f = if equal_bank b Shared then [] else [ f c b ] in
       via src_bank up_copy @ via dst_bank down_copy

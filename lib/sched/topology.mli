@@ -16,9 +16,6 @@
       operations execute in a cluster; memory operations execute
       globally on the memory ports and exchange values with the [Shared]
       bank;
-    - with a third level present, memory operations exchange values with
-      [L3] instead, and LoadR/StoreR executed at [Global] transfer
-      between L3 and the shared bank over the [Lp3]/[Sp3] ports;
     - a bank with an explicit access-port constraint additionally owns
       [Rd]/[Wr] resources: every register read (one per operand) and
       every write-back reserves a port of the touched bank for one
@@ -30,7 +27,7 @@ type loc = Global | Cluster of int
 val equal_loc : loc -> loc -> bool
 val pp_loc : Format.formatter -> loc -> unit
 
-type bank = Local of int | Shared | L3
+type bank = Local of int | Shared
 
 val equal_bank : bank -> bank -> bool
 val pp_bank : Format.formatter -> bank -> unit
@@ -43,14 +40,12 @@ type resource =
   | Bus         (** inter-cluster buses (clustered RF) *)
   | Rd of int   (** read ports of the bank with code i (constrained banks) *)
   | Wr of int   (** write ports of the bank with code i *)
-  | Lp3         (** LoadR ports L3 -> shared (third level only) *)
-  | Sp3         (** StoreR ports shared -> L3 (third level only) *)
 
 val pp_resource : Format.formatter -> resource -> unit
 
-(** Dense bank code: [Local i -> i], [Shared -> clusters],
-    [L3 -> clusters + 1] — the index space of the [Rd]/[Wr] resources
-    and of the scheduler's flat per-bank arrays. *)
+(** Dense bank code: [Local i -> i], [Shared -> clusters] — the index
+    space of the [Rd]/[Wr] resources and of the scheduler's flat
+    per-bank arrays. *)
 val bank_code : Hcrf_machine.Config.t -> bank -> int
 
 val bank_of_code : Hcrf_machine.Config.t -> int -> bank
@@ -62,9 +57,6 @@ val bank_access :
 
 (** Banks of the organization, in bank-code order. *)
 val all_banks : Hcrf_machine.Config.t -> bank list
-
-(** Whether the configuration has a third register-file level. *)
-val has_l3 : Hcrf_machine.Config.t -> bool
 
 (** Available units of a resource. *)
 val units : Hcrf_machine.Config.t -> resource -> Hcrf_machine.Cap.t
@@ -102,13 +94,12 @@ val uses :
 
 val bank_capacity : Hcrf_machine.Config.t -> bank -> Hcrf_machine.Cap.t
 
-(** The copy that brings a value defined in a local bank or L3 up to
-    the shared bank (a StoreR in the bank's cluster, a LoadR at
-    [Global]), and the copy that delivers a value from the shared bank
-    into a local bank or L3 (a LoadR in the bank's cluster, a StoreR at
-    [Global]); in a clustered RF the down copy into a local bank is a
-    Move from another one.  Both raise [Invalid_argument] for a bank
-    with no such copy. *)
+(** The copy that brings a value defined in a local bank up to the
+    shared bank (a StoreR in the bank's cluster), and the copy that
+    delivers a value from the shared bank into a local bank (a LoadR in
+    the bank's cluster); in a clustered RF the down copy is a Move from
+    another local bank.  Both raise [Invalid_argument] for a bank with
+    no such copy. *)
 val up_copy : Hcrf_machine.Config.t -> bank -> Hcrf_ir.Op.kind * loc
 val down_copy : Hcrf_machine.Config.t -> bank -> Hcrf_ir.Op.kind * loc
 

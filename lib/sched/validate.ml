@@ -124,8 +124,7 @@ let check ?(invariant_residents = [||]) (s : Schedule.t) (g : Ddg.t) :
   let lts = Lifetimes.of_schedule s g in
   let all_banks =
     let x = Hcrf_machine.Config.clusters config in
-    (Topology.Shared :: List.init x (fun i -> Topology.Local i))
-    @ (if Topology.has_l3 config then [ Topology.L3 ] else [])
+    Topology.Shared :: List.init x (fun i -> Topology.Local i)
   in
   List.iter
     (fun bank ->

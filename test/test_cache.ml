@@ -329,7 +329,7 @@ let test_config_sensitivity () =
     (Fingerprint.equal (Fingerprint.of_config c)
        (Fingerprint.of_config { c with Config.name = "renamed" }))
 
-(* Every generalized port/level field must reach the config fingerprint
+(* Every generalized access-port field must reach the config fingerprint
    on its own: two configurations differing in any single one of them
    can never alias in the schedule cache. *)
 let test_generalized_config_sensitivity () =
@@ -342,12 +342,6 @@ let test_generalized_config_sensitivity () =
       ("local-access-pr", cfg "4C32S16@r3w1");
       ("local-access-pw", cfg "4C32S16@r2w2");
       ("shared-access", cfg "4C32S16@Sr2w1");
-      ("l3", cfg "4C32S16-L3:64");
-      ("l3-regs", cfg "4C32S16-L3:128");
-      ("l3-lp", cfg "4C32S16-L3:64l2s1");
-      ("l3-sp", cfg "4C32S16-L3:64l1s2");
-      ("l3-access", cfg "4C32S16-L3:64@Tr2w1");
-      ("l3-access-pw", cfg "4C32S16-L3:64@Tr2w2");
       ("flat-access", cfg "4C32@r2w1");
       ("mono-access", cfg "S128@r2w1") ]
   in
@@ -393,9 +387,7 @@ let test_digests_distinct () =
     @ Experiments.figure6_configs ()
     @ List.map with_rf
         [ "4C32S16@r2w1"; "4C32S16@r3w1"; "4C32S16@r2w2"; "4C32S16@Sr2w1";
-          "4C32S16-L3:64"; "4C32S16-L3:128"; "4C32S16-L3:64l2s1";
-          "4C32S16-L3:64l1s2"; "4C32S16-L3:64@Tr2w1"; "4C32S16-L3:64@Tr2w2";
-          "4C16S16-L3:64l2s2@Tr2w1"; "2C32S32@Sr4w2"; "4C32@r2w1";
+          "2C32S32@Sr4w2"; "4C32@r2w1";
           "S128@r2w1"; "4C16S16@rinfwinf"; "S64"; "4C32" ]
     @ List.map with_lat
         [ (fun l -> { l with Latencies.fadd = -1 });
@@ -948,6 +940,10 @@ let test_store_v6_stale () = check_stale_version 6
    the escalation rung count outside the engine stats *)
 let test_store_v7_stale () = check_stale_version 7
 
+(* v8 entries carry a third-level slot in their invariant residency
+   table *)
+let test_store_v8_stale () = check_stale_version 8
+
 (* Loop and kernel transcripts are pinned: these values predate the
    shared transcript writer and must not move with it. *)
 let test_transcripts_pinned () =
@@ -1173,4 +1169,5 @@ let tests =
      test_second_key_read_allocates_nothing);
     ("suite: a warm pass allocates under 400 minor words a loop", `Quick,
      test_warm_suite_allocates_little);
+    ("store: v8 entries are stale", `Quick, test_store_v8_stale);
   ]

@@ -293,23 +293,24 @@ let test_oracle_pass () =
   in
   Alcotest.(check string) "healthy loop passes" "pass" (vname v.Check.kind)
 
-(* The oracles on port-constrained and three-level organizations: one
-   pinned-seed pass over the 6 parameter x 7 generalized configuration
-   x 4 options grid (Validate, Pipe_exec against Ref_exec, warm replay
-   and the metamorphic twins on every case), with no failure. *)
+(* The oracles on port-constrained organizations: one pinned-seed pass
+   over the whole 6 parameter x 4 generalized configuration x 4 options
+   grid (Validate, Pipe_exec against Ref_exec, warm replay and the
+   metamorphic twins on every case), with no failure and more than half
+   passing. *)
 let test_generalized_campaign () =
   let r =
     Check.campaign
       ~config_presets:(Lazy.force Check.generalized_config_presets)
-      ~seed:42 ~cases:168 ()
+      ~seed:42 ~cases:96 ()
   in
   let report = Fmt.str "%a" Check.pp_report r in
   Alcotest.(check int) ("no oracle failures\n" ^ report) 0
     (List.length r.Check.r_failures);
-  Alcotest.(check int) "every case accounted for" 168
+  Alcotest.(check int) "every case accounted for" 96
     (List.fold_left (fun acc (_, n) -> acc + n) 0 r.Check.r_counts);
   Alcotest.(check bool) ("most cases pass\n" ^ report) true
-    (List.assoc "pass" r.Check.r_counts > 84)
+    (List.assoc "pass" r.Check.r_counts > 48)
 
 let tests =
   [

@@ -51,7 +51,7 @@ let test_rf_notation_rejects () =
     [ "X128"; "C32"; "4C"; "S"; "0C32"; "fooS12" ]
 
 (* ------------------------------------------------------------------ *)
-(* Generalized notation: access-port groups and the third level *)
+(* Generalized notation: access-port groups *)
 
 let acc pr pw = Rf.access ~pr:(Cap.Finite pr) ~pw:(Cap.Finite pw)
 
@@ -69,27 +69,16 @@ let test_rf_notation_print_generalized () =
     (Rf.notation
        (Rf.hierarchical ~shared_access:(acc 4 2) ~clusters:2 ~regs_per_bank:32
           ~shared_regs:32 ()));
-  check_str "third level, default ports" "4C16S16-L3:64"
+  check_str "both access groups" "4C16S16@r2w1@Sr4w2"
     (Rf.notation
-       (Rf.hierarchical ~l3:(Rf.level3 64) ~clusters:4 ~regs_per_bank:16
-          ~shared_regs:16 ()));
-  check_str "third level, explicit ports" "4C16S16-L3:64l2s2"
-    (Rf.notation
-       (Rf.hierarchical
-          ~l3:(Rf.level3 ~lp:(Cap.Finite 2) ~sp:(Cap.Finite 2) 64)
-          ~clusters:4 ~regs_per_bank:16 ~shared_regs:16 ()));
-  check_str "the issue's example" "4C16S16-L3:64@r2w1"
-    (Rf.notation
-       (Rf.hierarchical ~l3:(Rf.level3 64) ~local_access:(acc 2 1) ~clusters:4
-          ~regs_per_bank:16 ~shared_regs:16 ()))
+       (Rf.hierarchical ~local_access:(acc 2 1) ~shared_access:(acc 4 2)
+          ~clusters:4 ~regs_per_bank:16 ~shared_regs:16 ()))
 
 let test_rf_notation_parse_generalized () =
   List.iter
     (fun s -> check_str ("round trip " ^ s) s (Rf.notation (Rf.of_notation s)))
     [ "S64@r4w2"; "4C32@r3w2"; "4C16S16@r2w1"; "2C32S32@Sr4w2";
-      "4C16S16@rinfw1"; "4C16S16-L3:64"; "4C16S16-L3:inf";
-      "4C16S16-L3:64l2s2"; "4C16S16-L3:64@r2w1";
-      "4C16S16-L3:64l2s2@r2w1@Sr4w2@Tr2w1" ]
+      "4C16S16@rinfw1"; "4C16S16@r2w1@Sr4w2" ]
 
 let test_rf_notation_rejects_generalized () =
   List.iter
@@ -100,29 +89,38 @@ let test_rf_notation_rejects_generalized () =
            false
          with Failure _ -> true))
     [ "S64@Sr2w1" (* shared group without a shared bank *);
-      "4C32-L3:64" (* third level below a flat clustered RF *);
-      "4C16S16@Tr2w1" (* L3 access group without an L3 segment *);
       "S64@r2" (* missing write count *);
       "S64@rw2" (* missing read count *);
       "4C16S16@r2w1@r2w1" (* duplicate group *);
-      "4C16S16-L3:" (* empty L3 register count *);
-      "4C16S16-L3:64l2" (* l without s *) ]
+      "4C16S16@Sr2w1@Sr4w4" (* duplicate shared group *) ]
 
-let test_rf_l3_capacities () =
-  let t = Rf.of_notation "4C16S16-L3:64@r2w1" in
-  check "l3 present" true (Rf.level3_of t <> None);
-  check "l3 regs" true (Cap.equal (Rf.l3_regs t) (Cap.Finite 64));
-  check "total includes l3" true
-    (Cap.equal (Rf.total_regs t) (Cap.Finite 144));
+(* The retired third level is refused by name, not parsed as a typo. *)
+let test_rf_third_level_refused () =
+  let names_level msg =
+    let key = "third register-file level" in
+    let n = String.length key in
+    let rec at i =
+      i + n <= String.length msg && (String.sub msg i n = key || at (i + 1))
+    in
+    at 0
+  in
+  List.iter
+    (fun s ->
+      check ("refuses " ^ s) true
+        (try
+           ignore (Rf.of_notation s);
+           false
+         with Failure msg -> names_level msg))
+    [ "4C16S16-L3:64"; "4C16S16-L3:64l2s2"; "4C16S16@Tr2w1";
+      "4C16S16-L3:64@r2w1" ];
+  let t = Rf.of_notation "4C16S16@r2w1" in
+  check "total" true (Cap.equal (Rf.total_regs t) (Cap.Finite 80));
   check "local access parsed" true
     (match Rf.local_access t with
     | Some a -> Rf.equal_access a (acc 2 1)
     | None -> false);
-  let legacy = Rf.of_notation "4C16S16" in
-  check "no l3 on legacy" true (Rf.level3_of legacy = None);
-  check "l3_regs zero on legacy" true
-    (Cap.equal (Rf.l3_regs legacy) (Cap.Finite 0));
-  check "no access on legacy" true (Rf.local_access legacy = None)
+  check "no access on legacy" true
+    (Rf.local_access (Rf.of_notation "4C16S16") = None)
 
 (* Absent generalized fields leave the legacy notation untouched: the
    extended grammar is a strict superset. *)
@@ -160,17 +158,9 @@ let generalized_rf_gen =
       and* regs = int_range 1 128
       and* shared = int_range 1 256
       and* local_access = access_gen
-      and* shared_access = access_gen
-      and* l3 =
-        opt
-          (let* l3_regs = int_range 1 256
-           and* lp = cap_gen
-           and* sp = cap_gen
-           and* access = access_gen in
-           return (Rf.level3 ~lp ~sp ?access l3_regs))
-      in
+      and* shared_access = access_gen in
       return
-        (Rf.hierarchical ?local_access ?shared_access ?l3 ~clusters
+        (Rf.hierarchical ?local_access ?shared_access ~clusters
            ~regs_per_bank:regs ~shared_regs:shared ()))
 
 let prop_generalized_roundtrip =
@@ -292,7 +282,7 @@ let tests =
      test_rf_notation_parse_generalized);
     ("rf: generalized notation rejects", `Quick,
      test_rf_notation_rejects_generalized);
-    ("rf: third-level capacities", `Quick, test_rf_l3_capacities);
+    ("rf: third-level notation refused", `Quick, test_rf_third_level_refused);
     ("rf: legacy notation stable", `Quick, test_rf_legacy_notation_stable);
     ("rf: capacities", `Quick, test_rf_capacities);
     ("rf: clustered needs two", `Quick, test_rf_clustered_needs_two);

@@ -449,20 +449,19 @@ let test_env () =
      warning instead of being silently inert *)
   check "HCRF_INCR is not a known variable" false
     (List.mem "HCRF_INCR" Env.known);
-  Unix.putenv "HCRF_CONFIG" "4C16S16-L3:64@r2w1";
+  Unix.putenv "HCRF_CONFIG" "4C16S16@r2w1";
   check "config parses the full extended grammar" true
     (match Env.config () with
     | Some c ->
-      Hcrf_machine.Rf.notation c.Hcrf_machine.Config.rf
-      = "4C16S16-L3:64@r2w1"
+      Hcrf_machine.Rf.notation c.Hcrf_machine.Config.rf = "4C16S16@r2w1"
     | None -> false);
   Unix.putenv "HCRF_CONFIG" "4C16S16@rinfwinf";
   check "config canonicalizes the uniform encoding" true
     (match Env.config () with
     | Some c -> Hcrf_machine.Rf.notation c.Hcrf_machine.Config.rf = "4C16S16"
     | None -> false);
-  Unix.putenv "HCRF_CONFIG" "4C16S16-L3:";
-  check "malformed config ignored with a warning" true
+  Unix.putenv "HCRF_CONFIG" "4C16S16-L3:64";
+  check "retired third-level config ignored with a warning" true
     (Env.config () = None);
   Unix.putenv "HCRF_CONFIG" ""
 

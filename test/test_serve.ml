@@ -43,6 +43,11 @@ let test_malformed_frames () =
       Alcotest.(check string) what expected (frame_error_name e)
   in
   expect "garbage" "bad-magic" "definitely not a frame, not even close";
+  (* a well-formed frame of the previous protocol (whose Config.t still
+     had a third register-file level) is refused by its magic *)
+  (let ping = Wire.encode_request Wire.Ping in
+   expect "previous protocol's magic" "bad-magic"
+     ("hcrfsrv4" ^ String.sub ping 8 (String.length ping - 8)));
   expect "empty" "truncated" "";
   expect "header cut short" "truncated" (String.sub f 0 10);
   expect "payload cut short" "truncated" (String.sub f 0 (String.length f - 2));
