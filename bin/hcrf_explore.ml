@@ -21,9 +21,19 @@
 open Cmdliner
 open Hcrf_sched
 
-let config_of_string s =
-  try Hcrf_model.Presets.of_notation s
-  with Invalid_argument msg -> failwith msg
+(* A register-file notation, parsed when Cmdliner reads it: a malformed
+   one is a usage error that names the notation and the parser's
+   message.  Every notation a command sees has parsed once already. *)
+let notation =
+  let parse s =
+    match Hcrf_model.Presets.of_notation s with
+    | (_ : Hcrf_machine.Config.t) -> Ok s
+    | exception (Failure msg | Invalid_argument msg) ->
+      Error (`Msg (Fmt.str "invalid notation %S: %s" s msg))
+  in
+  Arg.conv (parse, Fmt.string)
+
+let config_of_string s = Hcrf_model.Presets.of_notation s
 
 let config_arg =
   let doc =
@@ -34,7 +44,7 @@ let config_arg =
      8C16S16."
   in
   let arg =
-    Arg.(value & opt (some string) None & info [ "c"; "config" ] ~doc)
+    Arg.(value & opt (some notation) None & info [ "c"; "config" ] ~doc)
   in
   let resolve = function
     | Some s -> s
@@ -294,10 +304,11 @@ let ports_cmd =
             Fmt.pr "  %2d %2d | %5d | %4.1f@." lp sp
               a.Hcrf_eval.Metrics.sum_ii a.Hcrf_eval.Metrics.pct_at_mii)
           [ (1, 1); (2, 1); (2, 2); (3, 2); (4, 2) ]
-      | _ ->
-        failwith
+      | Rf.Monolithic _ | Rf.Clustered _ ->
+        Fmt.epr
           "ports: the lp/sp sweep needs a hierarchical configuration \
-           (xCySz); use --access for the access-port sweep"
+           (xCySz); use --access for the access-port sweep@.";
+        exit 1
     end;
     Option.iter
       (fun c ->
@@ -316,11 +327,11 @@ let ports_cmd =
 let scarcity_cmd =
   let flat_arg =
     let doc = "Flat clustered organization (the rival)." in
-    Arg.(value & opt string "4C32" & info [ "flat" ] ~doc)
+    Arg.(value & opt notation "4C32" & info [ "flat" ] ~doc)
   in
   let hier_arg =
     let doc = "Hierarchical organization under test." in
-    Arg.(value & opt string "4C16S16" & info [ "hier" ] ~doc)
+    Arg.(value & opt notation "4C16S16" & info [ "hier" ] ~doc)
   in
   let run flat hier n (ctx : Hcrf_eval.Runner.Ctx.t) =
     let loops = Hcrf_workload.Suite.generate ~n () in

@@ -10,7 +10,6 @@ type stored_outcome = {
   s_loc : int array;
   s_bank : int array;
   s_graph : Ddg.repr;
-  s_invariant_residents : int array;
   s_load_override : (int * int) list;
   s_seconds : float;
   s_stats : Engine.stats;
@@ -40,7 +39,6 @@ let of_outcome (o : Engine.outcome) ~stall_cycles =
           s_loc = loc;
           s_bank = bank;
           s_graph = Ddg.to_repr o.Engine.graph;
-          s_invariant_residents = Array.copy o.Engine.invariant_residents;
           s_load_override =
             List.filter_map
               (fun v -> Option.map (fun l -> (v, l)) (override v))
@@ -70,7 +68,6 @@ let to_outcome config (s : stored_outcome) : Engine.outcome =
       Schedule.of_columns ?lat config ~ii:s.s_ii ~cycle:(Array.copy s.s_cycle)
         ~loc:(Array.copy s.s_loc) ~bank:(Array.copy s.s_bank);
     graph = Ddg.of_repr s.s_graph;
-    invariant_residents = Array.copy s.s_invariant_residents;
     seconds = s.s_seconds;
     stats = s.s_stats;
   }

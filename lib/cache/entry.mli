@@ -4,8 +4,8 @@
     and a latency table with a closure, so it cannot be marshalled
     directly.  An entry instead stores a closure-free snapshot — the
     final graph as a {!Hcrf_ir.Ddg.repr}, the schedule's per-node
-    columns as int arrays, the per-bank invariant residency table and
-    the load-latency override as a finite list — from which
+    columns as int arrays and the load-latency override as a finite
+    list — from which
     {!to_outcome} restores an identical outcome: {!Hcrf_ir.Ddg.of_repr}
     plus a column restore ({!Hcrf_sched.Schedule.of_columns}), with no
     placement replayed.
@@ -22,7 +22,6 @@ type stored_outcome = {
   s_loc : int array;  (** id -> location code (-1 Global, i cluster) *)
   s_bank : int array;  (** id -> definition bank code, -1 when none *)
   s_graph : Hcrf_ir.Ddg.repr;
-  s_invariant_residents : int array;  (** bank code -> residents *)
   s_load_override : (int * int) list;
       (** node, load latency: the engine's latency override (binding
           prefetch), so a replayed schedule reads lifetimes with the

@@ -1,14 +1,13 @@
 type t = { dir : string }
 
-(* version 9: the invariant residency table lost the third level's
-   slot (one cell per local bank plus the shared bank); keys did not
-   move.  Since v8 the options key has no II-cap tag and an entry's
-   escalation rung count is in the stored engine stats.  Since v7 keys digest configurations, options and
-   labels as tagged varint transcripts; since v6 entries store the
-   schedule as per-node int columns and the invariant residency as a
-   per-bank-code table.  Files of older versions (the flat v2 layout
-   included) fail the magic test and are recomputed. *)
-let version = 9
+(* version 10: entries store no invariant residency table (it is
+   derived from the schedule); keys did not move.  Since v8 the options
+   key has no II-cap tag and an entry's escalation rung count is in the
+   stored engine stats.  Since v7 keys digest configurations, options
+   and labels as tagged varint transcripts; since v6 entries store the
+   schedule as per-node int columns.  Files of older versions (the flat
+   v2 layout included) fail the magic test and are recomputed. *)
+let version = 10
 let magic = Printf.sprintf "hcrf-cache %d\n" version
 
 (* Shard count and the shard of a key (its leading hex nibble).  16 is

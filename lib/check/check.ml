@@ -151,8 +151,7 @@ let snapshot (r : Runner.loop_result) =
 
 let issues_of (r : Runner.loop_result) =
   let o = r.Runner.outcome in
-  Validate.check ~invariant_residents:o.Engine.invariant_residents
-    o.Engine.schedule o.Engine.graph
+  Validate.check o.Engine.schedule o.Engine.graph
 
 let oracle ?cache ?(exact = false) ?exact_out ?(trace = Tr.off) ~opts config
     (loop : Loop.t) : verdict =

@@ -28,7 +28,6 @@ let schedule ?(opts = default_options) ?trace config (g : Ddg.t) =
 
 (** Validate an outcome with the independent checker. *)
 let validate (o : Engine.outcome) =
-  Validate.check ~invariant_residents:o.Engine.invariant_residents
-    o.Engine.schedule o.Engine.graph
+  Validate.check o.Engine.schedule o.Engine.graph
 
 let is_valid o = validate o = []

@@ -10,6 +10,7 @@ module Dep = Hcrf_ir.Dep
 module Scc = Hcrf_ir.Scc
 module Topology = Hcrf_sched.Topology
 module Latency = Hcrf_sched.Latency
+module Lifetimes = Hcrf_sched.Lifetimes
 module Mii = Hcrf_sched.Mii
 module Mrt = Hcrf_sched.Mrt
 module Schedule = Hcrf_sched.Schedule
@@ -209,7 +210,7 @@ let build_prob lat g ~ii =
    the guard is always true). *)
 
 type pressure = {
-  caps : int array;  (* bank code -> capacity - invariant residents *)
+  caps : int array;  (* bank code -> capacity - resident invariants *)
   defb : int array array;  (* idx -> loc choice -> def bank code; -1 none *)
   readb : int array array;  (* idx -> loc choice -> read bank code *)
   birth : int array;  (* idx -> write-back offset of the definition *)
@@ -220,18 +221,10 @@ type pressure = {
   sum : int array;  (* bank code -> sum of counted lifetimes *)
 }
 
-let build_pressure config lat g ~(prob : prob) ~locs ~residents_of =
-  let codes = ref [] in
-  let code_of b =
-    let rec go i = function
-      | [] ->
-        codes := !codes @ [ b ];
-        i
-      | b' :: _ when Topology.equal_bank b b' -> i
-      | _ :: tl -> go (i + 1) tl
-    in
-    go 0 !codes
-  in
+(* [loc_of] places the invariants' consumers for {!Lifetimes.residents}
+   (nowhere in the relaxation, which reserves no invariant register). *)
+let build_pressure config lat g ~(prob : prob) ~locs ~loc_of =
+  let code_of = Topology.bank_code config in
   let n = prob.n in
   let defb =
     Array.init n (fun i ->
@@ -268,13 +261,11 @@ let build_pressure config lat g ~(prob : prob) ~locs ~residents_of =
         (Ddg.consumers g id))
     (Ddg.nodes g);
   let caps =
-    Array.of_list
-      (List.map
-         (fun b ->
-           match Topology.bank_capacity config b with
-           | Hcrf_machine.Cap.Inf -> max_int / 2
-           | Hcrf_machine.Cap.Finite c -> c - residents_of b)
-         !codes)
+    Array.init (Topology.bank_codes config) (fun i ->
+        let b = Topology.bank_of_code config i in
+        match Topology.bank_capacity config b with
+        | Cap.Inf -> max_int / 2
+        | Cap.Finite c -> c - Lifetimes.residents config g ~loc_of b)
   in
   {
     caps;
@@ -475,7 +466,7 @@ let relax_feasible config lat g ~ii ~steps ~budget =
         symmetry = Config.clusters config > 1;
         cap_window = false;
         press =
-          build_pressure config lat g ~prob ~locs ~residents_of:(fun _ -> 0);
+          build_pressure config lat g ~prob ~locs ~loc_of:(fun _ -> None);
       }
     in
     match descend st 0 (-1) ~on_leaf:(fun _ -> raise Sat) with
@@ -508,8 +499,8 @@ let relax_feasible config lat g ~ii ~steps ~budget =
 let cap_int = function Cap.Finite x -> x | Cap.Inf -> 1_000_000
 
 (* Location assignments for the original nodes, in id order, with
-   homogeneous clusters used in first-touch order.  Locations are
-   encoded as ints: -1 = Global, k = Cluster k. *)
+   homogeneous clusters used in first-touch order, as
+   {!Topology.loc_code}s. *)
 let enum_sigmas locs_all =
   let n = Array.length locs_all in
   let out = ref [] in
@@ -520,19 +511,15 @@ let enum_sigmas locs_all =
       Array.iter
         (fun loc ->
           match loc with
-          | Topology.Global ->
-            cur.(i) <- -1;
-            go (i + 1) used_max
-          | Topology.Cluster k when k <= used_max + 1 ->
-            cur.(i) <- k;
-            go (i + 1) (max used_max k)
-          | Topology.Cluster _ -> ())
+          | Topology.Cluster k when k > used_max + 1 -> ()
+          | Topology.Global | Topology.Cluster _ ->
+            let code = Topology.loc_code loc in
+            cur.(i) <- code;
+            go (i + 1) (max used_max code))
         locs_all.(i)
   in
   go 0 (-1);
   List.rev !out
-
-let loc_of_code c = if c < 0 then Topology.Global else Topology.Cluster c
 
 (* Minimum extra latency to make a value defined in one bank readable
    from another, over every transport route the machine offers
@@ -577,21 +564,15 @@ let transport_extra config =
       done
     done
   done;
-  let code = function
-    | Topology.Local i -> i
-    | Topology.Shared -> shared
-  in
+  let code = Topology.bank_code config in
   fun b1 b2 -> d.(code b1).(code b2)
 
 let sigma_refuted config lat g ~t_extra ~ii ~sigma ~ids ~idx_of =
   let n = Array.length ids in
   let k = Config.clusters config in
-  let bank_of i =
-    Topology.def_bank config (Ddg.kind g ids.(i)) (loc_of_code sigma.(i))
-  in
-  let read_of i =
-    Topology.read_bank config (Ddg.kind g ids.(i)) (loc_of_code sigma.(i))
-  in
+  let loc i = Topology.loc_of_code sigma.(i) in
+  let bank_of i = Topology.def_bank config (Ddg.kind g ids.(i)) (loc i) in
+  let read_of i = Topology.read_bank config (Ddg.kind g ids.(i)) (loc i) in
   let clustered =
     match config.Config.rf with Rf.Clustered _ -> true | _ -> false
   in
@@ -611,8 +592,7 @@ let sigma_refuted config lat g ~t_extra ~ii ~sigma ~ids ~idx_of =
           (* the MRT clips a reservation at II slots (a non-pipelined op
              longer than II pins one whole unit), mirror it *)
           Hashtbl.replace demand r (dget r + min dur ii))
-        (Topology.uses config (Ddg.kind g id) (loc_of_code sigma.(i))
-           ~src:None))
+        (Topology.uses config (Ddg.kind g id) (loc i) ~src:None))
     ids;
   let pool_in = Array.make k 0 and pool_out = Array.make k 0 in
   Array.iter
@@ -706,7 +686,7 @@ let comm_cost config g sigma ~idx_of =
   let cost = ref 0 in
   List.iter
     (fun u ->
-      let lu = loc_of_code sigma.(idx_of.(u)) in
+      let lu = Topology.loc_of_code sigma.(idx_of.(u)) in
       match Topology.def_bank config (Ddg.kind g u) lu with
       | None -> ()
       | Some db ->
@@ -716,7 +696,7 @@ let comm_cost config g sigma ~idx_of =
             let v = e.dst in
             let nb =
               Topology.read_bank config (Ddg.kind g v)
-                (loc_of_code sigma.(idx_of.(v)))
+                (Topology.loc_of_code sigma.(idx_of.(v)))
             in
             if not (List.exists (Topology.equal_bank nb) !provided) then
               List.iter
@@ -753,7 +733,7 @@ let build_extended config g0 sigma ~idx_of =
     (Ddg.nodes g0);
   List.iter
     (fun u ->
-      let lu = loc_of_code sigma.(idx_of.(u)) in
+      let lu = Topology.loc_of_code sigma.(idx_of.(u)) in
       match Topology.def_bank config (Ddg.kind g0 u) lu with
       | None -> ()
       | Some db ->
@@ -766,7 +746,7 @@ let build_extended config g0 sigma ~idx_of =
             let v = e.dst in
             let nb =
               Topology.read_bank config (Ddg.kind g0 v)
-                (loc_of_code sigma.(idx_of.(v)))
+                (Topology.loc_of_code sigma.(idx_of.(v)))
             in
             (if provider_of nb = None then
                let cur = ref u and curb = ref db in
@@ -782,12 +762,7 @@ let build_extended config g0 sigma ~idx_of =
                      | None ->
                        let nid = Ddg.add_node g ck in
                        Ddg.add_edge g ~distance:0 ~dep:Dep.True !cur nid;
-                       let code =
-                         match cl with
-                         | Topology.Global -> -1
-                         | Topology.Cluster k -> k
-                       in
-                       loc_tbl := (nid, code) :: !loc_tbl;
+                       loc_tbl := (nid, Topology.loc_code cl) :: !loc_tbl;
                        if ck = Op.Move then src_tbl := (nid, !curb) :: !src_tbl;
                        incr n_comm;
                        providers := (hb, nid) :: !providers;
@@ -803,27 +778,10 @@ let build_extended config g0 sigma ~idx_of =
     (Ddg.nodes g0);
   (g, !loc_tbl, !src_tbl, !n_comm)
 
-(* Invariant residents per bank code: an invariant holds a register in
-   every bank one of its consumers reads it from. *)
-let residents_of config g locs_by_id =
-  let t = Array.make (Config.clusters config + 1) 0 in
-  List.iter
-    (fun (inv : Ddg.invariant) ->
-      List.map
-        (fun c ->
-          Topology.bank_code config
-            (Topology.read_bank config (Ddg.kind g c)
-               (loc_of_code (List.assoc c locs_by_id))))
-        inv.Ddg.inv_consumers
-      |> List.sort_uniq Int.compare
-      |> List.iter (fun b -> t.(b) <- t.(b) + 1))
-    (Ddg.invariants g);
-  t
-
 (* A dependence- and resource-feasible leaf: normalize cycles to be
    non-negative (shifting by multiples of II preserves everything),
    build the real schedule and let the independent checker judge it. *)
-let try_leaf config lat ~ii ~mii0 ~g ~residents ~n_comm st =
+let try_leaf config lat ~ii ~mii0 ~g ~n_comm st =
   let p = st.prob in
   let shift =
     let mn = ref max_int in
@@ -838,7 +796,7 @@ let try_leaf config lat ~ii ~mii0 ~g ~residents ~n_comm st =
       ~cycle:(st.cycles.(v) + shift)
       ~loc:st.locs.(v).(st.locix.(v))
   done;
-  if Validate.check ~invariant_residents:residents s g = [] then begin
+  if Validate.check s g = [] then begin
     let outcome =
       {
         Engine.ii;
@@ -847,7 +805,6 @@ let try_leaf config lat ~ii ~mii0 ~g ~residents ~n_comm st =
         sc = Schedule.stage_count s;
         schedule = s;
         graph = g;
-        invariant_residents = residents;
         seconds = 0.;
         stats =
           {
@@ -883,7 +840,7 @@ let witness_at config lat g0 ~ii ~mii0 ~steps ~budget ~sigmas ~cands
           let mrt = Mrt.create config ~ii in
           let locs =
             Array.map
-              (fun id -> [| loc_of_code (List.assoc id loc_tbl) |])
+              (fun id -> [| Topology.loc_of_code (List.assoc id loc_tbl) |])
               prob.ids
           in
           let cu =
@@ -896,12 +853,11 @@ let witness_at config lat g0 ~ii ~mii0 ~steps ~budget ~sigmas ~cands
                 [| Mrt.compile mrt (Topology.uses config kind locs.(i).(0) ~src) |])
               prob.ids
           in
-          let residents = residents_of config g loc_tbl in
           let press =
-            build_pressure config lat g ~prob ~locs ~residents_of:(fun b ->
-                residents.(Topology.bank_code config b))
+            build_pressure config lat g ~prob ~locs ~loc_of:(fun id ->
+                Some locs.(prob.idx_of.(id)).(0))
           in
-          (* Invariant residents alone overflowing a bank can never
+          (* Resident invariants alone overflowing a bank can never
              validate; drop the assignment without searching. *)
           if Array.for_all (fun c -> c >= 0) press.caps then begin
             let st =
@@ -921,7 +877,7 @@ let witness_at config lat g0 ~ii ~mii0 ~steps ~budget ~sigmas ~cands
               }
             in
             descend st 0 (-1)
-              ~on_leaf:(try_leaf config lat ~ii ~mii0 ~g ~residents ~n_comm)
+              ~on_leaf:(try_leaf config lat ~ii ~mii0 ~g ~n_comm)
           end
         end)
       cands;

@@ -229,10 +229,8 @@ let rec eject s v =
 
 let emit_place s v ~cycle ~loc =
   if Tr.enabled s.trace then
-    let cluster =
-      match loc with Topology.Cluster i -> i | Topology.Global -> -1
-    in
-    Tr.emit s.trace (Ev.Place { node = v; cycle; cluster })
+    Tr.emit s.trace
+      (Ev.Place { node = v; cycle; cluster = Topology.loc_code loc })
 
 (* The first of the [n] cycles [from], [from + step], ... at which the
    reservation vector [cu] fits, or -1; the engine never issues below
@@ -276,12 +274,7 @@ let schedule_node s v ~loc =
           /. float_of_int cap
         | Cap.Finite _ -> 1.
       in
-      let dst =
-        match loc with
-        | Topology.Cluster i -> Topology.Local i
-        | Topology.Global -> Topology.Shared
-      in
-      fill dst >= fill Topology.Shared
+      fill (Topology.facing_bank loc) >= fill Topology.Shared
     | _ -> false
   in
   (* candidate scan over the precompiled reservation vector: no list of

@@ -86,7 +86,6 @@ type outcome = {
   sc : int;
   schedule : Schedule.t;
   graph : Ddg.t;        (** final graph with all inserted operations *)
-  invariant_residents : int array;
   seconds : float;
   stats : stats;
 }
@@ -173,20 +172,19 @@ let repair_deps (s : Attempt.t) =
     (Ddg.edges s.g);
   !count
 
-(* Explicit rotating allocation per bank, with capacity reduced by the
-   invariant residents. *)
+(* Explicit rotating allocation per finite bank, against the
+   capacity {!Regalloc.allocate} uses. *)
 let allocation_failure (s : Attempt.t) =
   Tr.span s.trace Ev.Regalloc (fun () ->
       let ii = Schedule.ii s.sched in
       let lts = Pressure.lifetimes s.press in
+      let loc_of = Schedule.placed_loc s.sched in
       Array.fold_left
-        (fun acc (bank, cap) ->
+        (fun acc (bank, _) ->
           match acc with
           | Some _ -> acc
           | None -> (
-            let capacity =
-              Cap.Finite (max 0 (cap - Spill.invariant_residents s bank))
-            in
+            let capacity = Regalloc.capacity s.config s.g ~loc_of bank in
             match
               Regalloc.allocate_bank ~trace:s.trace ~ii ~bank ~capacity lts
             with
@@ -343,9 +341,6 @@ let run ~rungs ~(opts : options) ~trace (config : Config.t) (g0 : Ddg.t) :
             sc = Schedule.stage_count schedule;
             schedule;
             graph = s.g;
-            invariant_residents =
-              Array.init (Config.clusters config + 1) (fun i ->
-                  Spill.invariant_residents s (Topology.bank_of_code config i));
             seconds;
             stats =
               {

@@ -52,9 +52,6 @@ type outcome = {
       (** the product: columns sized to the final graph's [next_id]; no
           reservation table or arena buffer of the engine's *)
   graph : Hcrf_ir.Ddg.t;  (** final graph with all inserted operations *)
-  invariant_residents : int array;
-      (** bank code ({!Topology.bank_code}) -> whole-loop registers
-          reserved for loop invariants; one cell per code *)
   seconds : float;  (** wall-clock of the whole call, every rung *)
   stats : stats;
 }

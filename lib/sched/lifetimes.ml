@@ -7,11 +7,7 @@
     at flat cycle c + II * d.  The register requirement of a bank at
     modulo slot s is the number of simultaneously live values there,
     counting the copies belonging to overlapped iterations — the
-    standard MaxLives measure for modulo schedules.
-
-    Loop invariants occupy one register for the whole execution of the
-    loop in every bank from which they are read (§5.1); they are accounted
-    as a constant addition per bank. *)
+    standard MaxLives measure for modulo schedules. *)
 
 open Hcrf_ir
 
@@ -57,9 +53,8 @@ let of_schedule (s : Schedule.t) (g : Ddg.t) : lifetime list =
     (Ddg.nodes g)
 
 (** Register requirement of [bank]: MaxLives of the lifetimes living
-    there, plus [invariant_residents] whole-loop registers. *)
-let pressure ~ii ~(bank : Topology.bank) ?(invariant_residents = 0)
-    (lts : lifetime list) =
+    there. *)
+let pressure ~ii ~(bank : Topology.bank) (lts : lifetime list) =
   let req = Array.make ii 0 in
   List.iter
     (fun l ->
@@ -77,7 +72,24 @@ let pressure ~ii ~(bank : Topology.bank) ?(invariant_residents = 0)
         end
       end)
     lts;
-  Array.fold_left max 0 req + invariant_residents
+  Array.fold_left max 0 req
+
+(* The residency rule, as the interface states it. *)
+let reads_from config g ~loc_of bank c =
+  Ddg.mem g c
+  &&
+  match loc_of c with
+  | Some loc ->
+    Topology.equal_bank (Topology.read_bank config (Ddg.kind g c) loc) bank
+  | None -> false
+
+let resident config g ~loc_of bank (inv : Ddg.invariant) =
+  List.exists (reads_from config g ~loc_of bank) inv.inv_consumers
+
+let residents config g ~loc_of bank =
+  List.fold_left
+    (fun n inv -> if resident config g ~loc_of bank inv then n + 1 else n)
+    0 (Ddg.invariants g)
 
 (** All banks that appear in some lifetime, for iteration. *)
 let banks lts =

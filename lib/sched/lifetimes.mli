@@ -9,9 +9,12 @@
     counting the copies belonging to overlapped iterations — the
     standard MaxLives measure.
 
-    Loop invariants occupy one register for the whole execution of the
-    loop in every bank from which they are read (§5.1); they are
-    accounted as a constant addition per bank. *)
+    Loop invariants are the one other register demand (§5.1): an
+    invariant holds one register for the whole loop in every bank that
+    one of its scheduled consumers reads it from.  {!resident} is that
+    rule and {!residents} counts it per bank; nothing stores the count.
+    It adds to a bank's MaxLives ({!pressure}) and comes off the bank's
+    capacity before rotating allocation ({!Regalloc.capacity}). *)
 
 type lifetime = {
   def : int;               (** defining node *)
@@ -27,11 +30,26 @@ val span : lifetime -> int
     monotonically as the schedule fills in). *)
 val of_schedule : Schedule.t -> Hcrf_ir.Ddg.t -> lifetime list
 
-(** MaxLives of [bank], plus [invariant_residents] whole-loop
-    registers. *)
-val pressure :
-  ii:int -> bank:Topology.bank -> ?invariant_residents:int ->
-  lifetime list -> int
+(** MaxLives of [bank]. *)
+val pressure : ii:int -> bank:Topology.bank -> lifetime list -> int
+
+(** Whether consumer [c], placed and still in the graph, reads its
+    operands from [bank]; [loc_of v] is [v]'s location, [None] while
+    [v] is unplaced. *)
+val reads_from :
+  Hcrf_machine.Config.t -> Hcrf_ir.Ddg.t ->
+  loc_of:(int -> Topology.loc option) -> Topology.bank -> int -> bool
+
+(** Whether some consumer of the invariant reads it from [bank]. *)
+val resident :
+  Hcrf_machine.Config.t -> Hcrf_ir.Ddg.t ->
+  loc_of:(int -> Topology.loc option) -> Topology.bank ->
+  Hcrf_ir.Ddg.invariant -> bool
+
+(** The invariants of the graph resident in [bank]. *)
+val residents :
+  Hcrf_machine.Config.t -> Hcrf_ir.Ddg.t ->
+  loc_of:(int -> Topology.loc option) -> Topology.bank -> int
 
 (** Banks appearing in some lifetime. *)
 val banks : lifetime list -> Topology.bank list

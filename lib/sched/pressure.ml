@@ -28,13 +28,11 @@
       and removal (graph surgery changes consumer sets). *)
 
 open Hcrf_ir
-open Hcrf_machine
 
 type t = {
   sched : Schedule.t;
   g : Ddg.t;
   ii : int;
-  nclusters : int;            (* bank index: Local i -> i, Shared -> nclusters *)
   req : int array;
       (* bank * ii + slot -> live values, less the bank's [laps] *)
   laps : int array;
@@ -58,8 +56,8 @@ let slot_stop = 5
 
 let create ?arena (sched : Schedule.t) (g : Ddg.t) =
   let ii = Schedule.ii sched in
-  let nclusters = Config.clusters sched.Schedule.config in
-  let cells = (nclusters + 1) * ii in
+  let banks = Topology.bank_codes sched.Schedule.config in
+  let cells = banks * ii in
   let cap = 256 in
   let req, c_bank, c_start, c_stop =
     match arena with
@@ -72,15 +70,11 @@ let create ?arena (sched : Schedule.t) (g : Ddg.t) =
       ( Array.make cells 0, Array.make cap (-1), Array.make cap 0,
         Array.make cap 0 )
   in
-  { sched; g; ii; nclusters; req; laps = Array.make (nclusters + 1) 0;
-    peak = Array.make (nclusters + 1) (-1);
+  { sched; g; ii; req; laps = Array.make banks 0;
+    peak = Array.make banks (-1);
     c_bank; c_start; c_stop; cap;
     dirty = Array.make 64 0; ndirty = 0; in_dirty = Bytes.make cap '\000';
     arena }
-
-let bank_index t = function
-  | Topology.Local i -> i
-  | Topology.Shared -> t.nclusters
 
 let grow t id =
   let cap' = max (2 * t.cap) (id + 1) in
@@ -189,12 +183,11 @@ let flush t =
   done;
   t.ndirty <- 0
 
-(** MaxLives of [bank] (without the invariant-resident addition, which
-    the caller owns).  Equals [Lifetimes.pressure ~ii ~bank
+(** MaxLives of [bank]: [Lifetimes.pressure ~ii ~bank
     (Lifetimes.of_schedule sched g)]. *)
 let pressure t ~bank =
   flush t;
-  let b = bank_index t bank in
+  let b = Topology.bank_code t.sched.Schedule.config bank in
   if t.peak.(b) < 0 then begin
     let base = b * t.ii in
     let m = ref 0 in

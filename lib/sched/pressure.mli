@@ -25,8 +25,8 @@ val create : ?arena:Arena.t -> Schedule.t -> Hcrf_ir.Ddg.t -> t
 (** Mark [v]'s lifetime as possibly changed; cheap and idempotent. *)
 val mark : t -> int -> unit
 
-(** MaxLives of [bank], excluding invariant residents (the caller adds
-    them, as with [Lifetimes.pressure]). *)
+(** MaxLives of [bank], as [Lifetimes.pressure]; the caller adds the
+    bank's resident invariants. *)
 val pressure : t -> bank:Topology.bank -> int
 
 (** The current lifetime list, identical to [Lifetimes.of_schedule]. *)

@@ -109,16 +109,26 @@ let allocate_bank ?(trace = Hcrf_obs.Trace.off) ~ii
       else fail ()
   end
 
+(** Registers of [bank] left to its values: its capacity less its
+    invariant residents. *)
+let capacity config g ~loc_of bank =
+  match Topology.bank_capacity config bank with
+  | Hcrf_machine.Cap.Inf -> Hcrf_machine.Cap.Inf
+  | Hcrf_machine.Cap.Finite cap ->
+    Hcrf_machine.Cap.Finite
+      (max 0 (cap - Lifetimes.residents config g ~loc_of bank))
+
 (** Allocate every bank of a complete schedule.  Returns the assignment
     per bank, or the first bank that does not fit. *)
 let allocate (s : Schedule.t) (g : Hcrf_ir.Ddg.t) =
   let ii = Schedule.ii s in
   let lts = Lifetimes.of_schedule s g in
   let config = s.Schedule.config in
+  let loc_of = Schedule.placed_loc s in
   let results =
     List.map
       (fun bank ->
-        let capacity = Topology.bank_capacity config bank in
+        let capacity = capacity config g ~loc_of bank in
         (bank, allocate_bank ~ii ~bank ~capacity lts))
       (Lifetimes.banks lts)
   in

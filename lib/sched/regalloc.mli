@@ -28,8 +28,16 @@ val allocate_bank :
   capacity:Hcrf_machine.Cap.t -> Lifetimes.lifetime list ->
   assignment option
 
-(** Allocate every bank of a complete schedule; [Error bank] names the
-    first bank that does not fit. *)
+(** Registers of [bank] left to its values: its capacity less its
+    invariant residents ({!Lifetimes.residents}, same [loc_of]).  The
+    engine and {!allocate} both allocate against it. *)
+val capacity :
+  Hcrf_machine.Config.t -> Hcrf_ir.Ddg.t ->
+  loc_of:(int -> Topology.loc option) -> Topology.bank ->
+  Hcrf_machine.Cap.t
+
+(** Allocate every bank of a complete schedule against {!capacity};
+    [Error bank] names the first bank that does not fit. *)
 val allocate :
   Schedule.t -> Hcrf_ir.Ddg.t ->
   (assignment list, Topology.bank) result

@@ -23,9 +23,8 @@ type t = {
   config : Config.t;
   ii : int;
   lat : Latency.t;
-  nclusters : int;
   mutable e_cycle : int array;  (* id -> issue cycle; min_int = unscheduled *)
-  mutable e_loc : int array;    (* id -> location code (-1 Global, i cluster) *)
+  mutable e_loc : int array;    (* id -> Topology.loc_code *)
   mutable e_bank : int array;   (* id -> def-bank code, -1 when none *)
   mutable cap : int;            (* live length of the entry columns *)
   bank_defs : int array;        (* bank code -> scheduled defs there *)
@@ -34,13 +33,6 @@ type t = {
 }
 
 let unscheduled = min_int
-
-let loc_code = function Topology.Global -> -1 | Topology.Cluster i -> i
-
-(* [Topology.bank_code], from the schedule's own cluster count. *)
-let bank_index t = function
-  | Topology.Local i -> i
-  | Topology.Shared -> t.nclusters
 
 let kind_tag = function
   | Op.Fadd -> 0 | Op.Fmul -> 1 | Op.Fdiv -> 2 | Op.Fsqrt -> 3
@@ -53,16 +45,13 @@ let n_kinds = List.length Op.all_kinds
 let make ?(lat : Latency.t option) (config : Config.t) ~ii ~cap
     (e_cycle, e_loc, e_bank) =
   let lat = match lat with Some l -> l | None -> Latency.make config in
-  let nclusters = Config.clusters config in
-  { config; ii; lat; nclusters; e_cycle; e_loc; e_bank; cap;
-    bank_defs = Array.make (nclusters + 1) 0;
+  let banks = Topology.bank_codes config in
+  { config; ii; lat; e_cycle; e_loc; e_bank; cap;
+    bank_defs = Array.make banks 0;
     locs =
-      Array.init (nclusters + 1) (function
-        | 0 -> Topology.Global
-        | i -> Topology.Cluster (i - 1));
-    banks =
-      Array.init (nclusters + 1) (fun i ->
-          Some (Topology.bank_of_code config i)) }
+      Array.init (Config.clusters config + 1) (fun i ->
+          Topology.loc_of_code (i - 1));
+    banks = Array.init banks (fun i -> Some (Topology.bank_of_code config i)) }
 
 let create ?lat config ~ii = make ?lat config ~ii ~cap:0 ([||], [||], [||])
 
@@ -95,6 +84,8 @@ let cycle_of t v = if is_scheduled t v then t.e_cycle.(v) else not_scheduled v
 let loc_of t v =
   if is_scheduled t v then t.locs.(t.e_loc.(v) + 1) else not_scheduled v
 
+let placed_loc t v = if is_scheduled t v then Some (loc_of t v) else None
+
 let entry t v =
   if is_scheduled t v then Some { cycle = t.e_cycle.(v); loc = loc_of t v }
   else None
@@ -117,7 +108,7 @@ let def_bank t (_g : Ddg.t) v =
 
 (** Scheduled definitions currently living in [bank] (for the cluster
     selection and down-copy heuristics). *)
-let bank_def_count t bank = t.bank_defs.(bank_index t bank)
+let bank_def_count t bank = t.bank_defs.(Topology.bank_code t.config bank)
 
 (* Source bank for a [Move]'s reservation: the bank of its producer. *)
 let move_src_bank t (g : Ddg.t) v =
@@ -148,12 +139,12 @@ let grow t v =
 let record t g v ~cycle ~loc =
   if is_scheduled t v then Fmt.invalid_arg "Schedule.place: %d placed" v;
   t.e_cycle.(v) <- cycle;
-  t.e_loc.(v) <- loc_code loc;
+  t.e_loc.(v) <- Topology.loc_code loc;
   t.e_bank.(v) <-
     (match Topology.def_bank t.config (Ddg.kind g v) loc with
     | None -> -1
     | Some b ->
-      let i = bank_index t b in
+      let i = Topology.bank_code t.config b in
       t.bank_defs.(i) <- t.bank_defs.(i) + 1;
       i)
 
@@ -294,7 +285,7 @@ module Work = struct
     in
     let cols = make ?lat config ~ii ~cap cols in
     { cols; mrt = Mrt.create ?arena config ~ii;
-      ucache = Array.make (n_kinds + cols.nclusters + 1) [||]; arena }
+      ucache = Array.make (n_kinds + Topology.bank_codes config) [||]; arena }
 
   (* Grow the columns to cover [v], handing the grown buffers back to
      the arena. *)
@@ -323,17 +314,17 @@ module Work = struct
     let block =
       match src with
       | None -> kind_tag kind
-      | Some b -> n_kinds + bank_index c b
+      | Some b -> n_kinds + Topology.bank_code c.config b
     in
     let b =
       match w.ucache.(block) with
       | [||] ->
-        let b = Array.make (c.nclusters + 1) None in
+        let b = Array.make (Array.length c.locs) None in
         w.ucache.(block) <- b;
         b
       | b -> b
     in
-    let l = loc_code loc + 1 in
+    let l = Topology.loc_code loc + 1 in
     match b.(l) with
     | Some cu -> cu
     | None ->

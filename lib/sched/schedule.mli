@@ -22,9 +22,8 @@ type t = {
   config : Hcrf_machine.Config.t;
   ii : int;
   lat : Latency.t;
-  nclusters : int;
   mutable e_cycle : int array;  (** id -> issue cycle; [min_int] = unscheduled *)
-  mutable e_loc : int array;    (** id -> location code (-1 Global, i cluster) *)
+  mutable e_loc : int array;    (** id -> {!Topology.loc_code} *)
   mutable e_bank : int array;
       (** id -> {!Topology.bank_code} of the definition bank, -1 when none *)
   mutable cap : int;            (** live length of the entry columns *)
@@ -57,6 +56,10 @@ val entry_exn : t -> int -> entry
     [Invalid_argument] when [v] is not scheduled. *)
 val cycle_of : t -> int -> int
 val loc_of : t -> int -> Topology.loc
+
+(** [v]'s location, [None] while unscheduled: the [loc_of] lookup of
+    {!Lifetimes.residents}. *)
+val placed_loc : t -> int -> Topology.loc option
 
 (** Scheduled node ids, in increasing id order. *)
 val scheduled_nodes : t -> int list

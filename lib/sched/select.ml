@@ -167,9 +167,7 @@ let placement_cost (s : Attempt.t) v ~comm ~loc =
    or at [Global]). *)
 let cluster_at (s : Attempt.t) v =
   if Schedule.is_scheduled s.sched v then
-    match Schedule.loc_of s.sched v with
-    | Topology.Cluster c -> c
-    | Topology.Global -> -1
+    Topology.loc_code (Schedule.loc_of s.sched v)
   else -1
 
 (* Majority cluster among the scheduled consumers of [v], or -1.  Ties

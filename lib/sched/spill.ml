@@ -38,28 +38,6 @@ let set_spilled sp v =
    a failing attempt is abandoned instead of thrashing). *)
 let growth_cap (s : Attempt.t) = Ddg.num_nodes s.g > (8 * s.n0) + 64
 
-(* Whether [c] is placed and reads its operands from [bank]. *)
-let reads_from (s : Attempt.t) bank c =
-  Ddg.mem s.g c
-  && Schedule.is_scheduled s.sched c
-  && Topology.equal_bank
-       (Topology.read_bank s.config (Ddg.kind s.g c)
-          (Schedule.loc_of s.sched c))
-       bank
-
-(* An invariant is resident in [bank] when at least one scheduled
-   direct consumer reads it from there. *)
-let resident s bank (inv : Ddg.invariant) =
-  let rec go = function [] -> false | c :: tl -> reads_from s bank c || go tl in
-  go inv.inv_consumers
-
-let invariant_residents (s : Attempt.t) bank =
-  let rec go n = function
-    | [] -> n
-    | inv :: tl -> go (if resident s bank inv then n + 1 else n) tl
-  in
-  go 0 (Ddg.invariants s.g)
-
 (* Grant back [ratio] budget per inserted node, up to a lifetime cap per
    attempt: unbounded replenishment lets a pathological config (e.g. one
    local write port) respill fresh copies forever. *)
@@ -145,9 +123,10 @@ let spill_invariant sp (s : Attempt.t) ~bank (inv : Ddg.invariant) =
   let fresh = ref 0 in
   let load_kind = if to_shared s bank then Op.Load_r else Op.Spill_load in
   let consumers = inv.inv_consumers in
+  let loc_of = Schedule.placed_loc s.sched in
   List.iter
     (fun c ->
-      if reads_from s bank c then begin
+      if Lifetimes.reads_from s.config s.g ~loc_of bank c then begin
         let down = Ddg.add_node s.g load_kind in
         set_spilled sp down;
         Attempt.set_prio s down (Attempt.prio_of s c -. 0.25);
@@ -182,10 +161,11 @@ let spillable_def sp (s : Attempt.t) ~bank d =
 let pick_and_spill sp (s : Attempt.t) ~bank lts =
   if growth_cap s then 0
   else
+  let loc_of = Schedule.placed_loc s.sched in
   let inv_candidate =
     List.find_opt
       (fun (inv : Ddg.invariant) ->
-        resident s bank inv
+        Lifetimes.resident s.config s.g ~loc_of bank inv
         && not
              (Hashtbl.mem sp.inv_spilled
                 (inv.inv_id, Topology.bank_code s.config bank)))
@@ -223,7 +203,11 @@ let rec fix_bank sp (s : Attempt.t) ~bank ~cap ~ninv ~extra ~unfixable ~guard
     let pressure = Pressure.pressure s.press ~bank in
     if pressure + ninv + extra <= cap then inserted
     else
-      let used = pressure + invariant_residents s bank in
+      let used =
+        pressure
+        + Lifetimes.residents s.config s.g
+            ~loc_of:(Schedule.placed_loc s.sched) bank
+      in
       if used + extra <= cap then inserted
       else
         match pick_and_spill sp s ~bank (Pressure.lifetimes s.press) with

@@ -75,6 +75,17 @@ let bank_code (c : Config.t) = function
 let bank_of_code (c : Config.t) i =
   if i = Config.clusters c then Shared else Local i
 
+let bank_codes (c : Config.t) = Config.clusters c + 1
+
+(** Dense location code: [Global -> -1], [Cluster i -> i]. *)
+let loc_code = function Global -> -1 | Cluster i -> i
+
+let loc_of_code i = if i < 0 then Global else Cluster i
+
+(** The bank a location faces: a cluster's own bank, or the shared bank
+    for the global memory ports. *)
+let facing_bank = function Cluster i -> Local i | Global -> Shared
+
 (** Access-port constraint of a bank ([None]: uniformly provisioned,
     no [Rd]/[Wr] rows exist for it). *)
 let bank_access (c : Config.t) = function

@@ -50,6 +50,19 @@ val bank_code : Hcrf_machine.Config.t -> bank -> int
 
 val bank_of_code : Hcrf_machine.Config.t -> int -> bank
 
+(** Number of bank codes: [0 .. bank_codes c - 1]. *)
+val bank_codes : Hcrf_machine.Config.t -> int
+
+(** Dense location code: [Global -> -1], [Cluster i -> i]; the
+    schedule's location column and the exact search's assignments. *)
+val loc_code : loc -> int
+
+val loc_of_code : int -> loc
+
+(** The bank a location faces: [Cluster i]'s own bank [Local i], and
+    the shared bank for [Global] (the memory ports). *)
+val facing_bank : loc -> bank
+
 (** Access-port constraint of a bank; [None] means uniformly provisioned
     (no [Rd]/[Wr] rows exist for it). *)
 val bank_access :

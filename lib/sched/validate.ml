@@ -10,8 +10,12 @@
     - no resource is oversubscribed at any modulo slot;
     - every [True] register operand is read from the bank in which it was
       defined (communication ops were inserted wherever needed);
-    - every bank's MaxLives fits its capacity (with invariant residents);
-    - an explicit rotating register allocation exists for every bank. *)
+    - every bank's MaxLives, plus the invariants it holds, fits its
+      capacity;
+    - an explicit rotating register allocation exists for every bank.
+
+    Both register checks apply the engine's own invariant rule,
+    {!Lifetimes.residents}, to the schedule itself. *)
 
 open Hcrf_ir
 open Hcrf_machine
@@ -44,18 +48,9 @@ let pp_issue ppf = function
   | Allocation_failed b ->
     Fmt.pf ppf "bank %a: rotating allocation failed" Topology.pp_bank b
 
-(** [check ~invariant_residents s g] returns all problems found ([] for a
-    valid schedule).  [invariant_residents] gives, per bank code, the
-    number of whole-loop registers reserved for loop invariants (0 past
-    its end). *)
-let check ?(invariant_residents = [||]) (s : Schedule.t) (g : Ddg.t) :
-    issue list =
+(** [check s g] returns all problems found ([] for a valid schedule). *)
+let check (s : Schedule.t) (g : Ddg.t) : issue list =
   let config = s.Schedule.config in
-  let residents bank =
-    let i = Topology.bank_code config bank in
-    if i < Array.length invariant_residents then invariant_residents.(i)
-    else 0
-  in
   let ii = Schedule.ii s in
   let issues = ref [] in
   let add i = issues := i :: !issues in
@@ -122,25 +117,18 @@ let check ?(invariant_residents = [||]) (s : Schedule.t) (g : Ddg.t) :
         n.preds);
   (* register pressure and allocation *)
   let lts = Lifetimes.of_schedule s g in
-  let all_banks =
-    let x = Hcrf_machine.Config.clusters config in
-    Topology.Shared :: List.init x (fun i -> Topology.Local i)
-  in
   List.iter
     (fun bank ->
       let used =
-        Lifetimes.pressure ~ii ~bank
-          ~invariant_residents:(residents bank) lts
+        Lifetimes.pressure ~ii ~bank lts
+        + Lifetimes.residents config g ~loc_of:(Schedule.placed_loc s) bank
       in
       match Topology.bank_capacity config bank with
       | Cap.Inf -> ()
       | Cap.Finite cap ->
         if used > cap then add (Over_capacity (bank, used, cap)))
-    all_banks;
+    (Topology.all_banks config);
   (match Regalloc.allocate s g with
   | Ok _ -> ()
   | Error b -> add (Allocation_failed b));
   List.rev !issues
-
-let is_valid ?invariant_residents s g =
-  check ?invariant_residents s g = []

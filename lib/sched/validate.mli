@@ -6,7 +6,9 @@
     dependence satisfied modulo II, no resource oversubscribed at any
     slot, every register operand read from the bank it was defined in,
     every bank within its MaxLives capacity, and an explicit rotating
-    register allocation existing for every bank. *)
+    register allocation existing for every bank.  Both register checks
+    apply the engine's own invariant rule, {!Lifetimes.residents}, to
+    the schedule itself. *)
 
 type issue =
   | Unscheduled of int
@@ -21,13 +23,5 @@ type issue =
 
 val pp_issue : Format.formatter -> issue -> unit
 
-(** All problems found ([] for a valid schedule).
-    [invariant_residents] gives, per bank code ({!Topology.bank_code}),
-    the number of whole-loop registers reserved for loop invariants; a
-    code past its end reserves none. *)
-val check :
-  ?invariant_residents:int array -> Schedule.t -> Hcrf_ir.Ddg.t ->
-  issue list
-
-val is_valid :
-  ?invariant_residents:int array -> Schedule.t -> Hcrf_ir.Ddg.t -> bool
+(** All problems found ([] for a valid schedule). *)
+val check : Schedule.t -> Hcrf_ir.Ddg.t -> issue list

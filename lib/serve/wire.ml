@@ -142,7 +142,7 @@ let pp_frame_error ppf = function
   | Bad_checksum -> Fmt.string ppf "checksum mismatch"
   | Bad_payload msg -> Fmt.pf ppf "bad payload (%s)" msg
 
-let magic = "hcrfsrv5"
+let magic = "hcrfsrv6"
 let header_size = String.length magic + 4 + 16
 let default_max_frame = 16 * 1024 * 1024
 

@@ -1,7 +1,7 @@
 (** The daemon's wire protocol: a small length-prefixed binary framing
     plus the request/response messages it carries.
 
-    A frame is [magic "hcrfsrv5" | u32 BE payload length | 16-byte MD5
+    A frame is [magic "hcrfsrv6" | u32 BE payload length | 16-byte MD5
     of the payload | payload]; the payload is a one-byte message-kind
     tag followed by a [Marshal]-serialized message.  Mirroring the
     on-disk {!Hcrf_cache.Store} format, the unmarshaller only ever runs

@@ -566,9 +566,8 @@ let prop_replay_validates =
         | Some r ->
           let o = r.Runner.outcome in
           (Cache.stats cache).Cache.hits = 1
-          && Hcrf_sched.Validate.check
-               ~invariant_residents:o.Hcrf_sched.Engine.invariant_residents
-               o.Hcrf_sched.Engine.schedule o.Hcrf_sched.Engine.graph
+          && Hcrf_sched.Validate.check o.Hcrf_sched.Engine.schedule
+               o.Hcrf_sched.Engine.graph
              = []))
 
 (* Under binding prefetch the engine schedules prefetched loads with the
@@ -644,8 +643,8 @@ let test_outcomes_stay_small () =
     items
 
 (* Replaying an entry restores the engine's outcome: every node's
-   cycle, location and definition bank, the stage count, the invariant
-   residents of every bank and the graph. *)
+   cycle, location and definition bank, the stage count, the graph,
+   and so the invariants derived resident in every bank. *)
 let test_replay_equals_engine () =
   let module S = Hcrf_sched.Schedule in
   let module E = Hcrf_sched.Engine in
@@ -668,9 +667,11 @@ let test_replay_equals_engine () =
       check_int (what ^ ": sc") o.E.sc r.E.sc;
       List.iter
         (fun b ->
-          let i = Hcrf_sched.Topology.bank_code config b in
-          check_int (what ^ ": residents") o.E.invariant_residents.(i)
-            r.E.invariant_residents.(i))
+          let residents (o : E.outcome) =
+            Hcrf_sched.Lifetimes.residents config o.E.graph
+              ~loc_of:(S.placed_loc o.E.schedule) b
+          in
+          check_int (what ^ ": residents") (residents o) (residents r))
         (Hcrf_sched.Topology.all_banks config);
       check (what ^ ": graph") true
         (Ddg.to_repr o.E.graph = Ddg.to_repr r.E.graph);
@@ -924,25 +925,27 @@ let check_stale_version v =
   ignore (run c');
   check_int "the rewritten entry disk-hits" 1 (Cache.stats c').Cache.disk_hits
 
-(* v3 entries lack the load-latency snapshot *)
-let test_store_old_versions_stale () = check_stale_version 3
-
-(* v4 entries were stored under id-blind keys and carry an id digest *)
-let test_store_v4_stale () = check_stale_version 4
-
-(* v5 entries store a placement list to replay, not schedule columns *)
-let test_store_v5_stale () = check_stale_version 5
-
-(* v6 entries were filed under keys of the decimal text encoding *)
-let test_store_v6_stale () = check_stale_version 6
-
-(* v7 entries were filed under keys that tagged the II cap, and keep
-   the escalation rung count outside the engine stats *)
-let test_store_v7_stale () = check_stale_version 7
-
-(* v8 entries carry a third-level slot in their invariant residency
-   table *)
-let test_store_v8_stale () = check_stale_version 8
+(* One case per retired store version, named as it first ran:
+   - v3 entries lack the load-latency snapshot;
+   - v4 entries were stored under id-blind keys and carry an id digest;
+   - v5 entries store a placement list to replay, not schedule columns;
+   - v6 entries were filed under keys of the decimal text encoding;
+   - v7 entries were filed under keys that tagged the II cap, and keep
+     the escalation rung count outside the engine stats;
+   - v8 entries carry a third-level slot in their invariant residency
+     table;
+   - v9 entries still store the invariant residency table, which is
+     now derived from the schedule. *)
+let stale_versions =
+  List.map
+    (fun (name, v) -> (name, `Quick, fun () -> check_stale_version v))
+    [ ("store: v2 and v3 entries are stale", 3);
+      ("store: v4 entries are stale", 4);
+      ("store: v5 entries are stale", 5);
+      ("store: v6 entries are stale", 6);
+      ("store: v7 entries are stale", 7);
+      ("store: v8 entries are stale", 8);
+      ("store: v9 entries are stale", 9) ]
 
 (* Loop and kernel transcripts are pinned: these values predate the
    shared transcript writer and must not move with it. *)
@@ -1148,10 +1151,6 @@ let tests =
     ("store: disk roundtrip", `Quick, test_disk_roundtrip);
     ("store: corruption recovers", `Quick, test_disk_corruption_recovers);
     ("store: sharded v3 layout", `Quick, test_store_sharded_layout);
-    ("store: v2 and v3 entries are stale", `Quick,
-     test_store_old_versions_stale);
-    ("store: v4 entries are stale", `Quick, test_store_v4_stale);
-    ("store: v5 entries are stale", `Quick, test_store_v5_stale);
     ("store: corruption isolated per shard", `Slow, test_corruption_per_shard);
     ("store: unusable dir degrades", `Quick, test_unusable_dir_degrades);
     ("fingerprint: suite + kernels split as the reference", `Quick,
@@ -1160,8 +1159,6 @@ let tests =
      test_partition_progs);
     ("fingerprint: WL collision gets its own schedule", `Quick,
      test_wl_collision_gets_own_schedule);
-    ("store: v6 entries are stale", `Quick, test_store_v6_stale);
-    ("store: v7 entries are stale", `Quick, test_store_v7_stale);
     ("fingerprint: loop and kernel transcripts pinned", `Quick,
      test_transcripts_pinned);
     ("fingerprint: no carried key goes stale", `Quick, test_no_stale_key);
@@ -1169,5 +1166,5 @@ let tests =
      test_second_key_read_allocates_nothing);
     ("suite: a warm pass allocates under 400 minor words a loop", `Quick,
      test_warm_suite_allocates_little);
-    ("store: v8 entries are stale", `Quick, test_store_v8_stale);
   ]
+  @ stale_versions

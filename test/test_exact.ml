@@ -93,9 +93,7 @@ let prop_exact_valid =
               QCheck.Test.fail_reportf "%s: witness ii=%d below lb=%d" cname
                 w.Exact.w_ii r.Exact.x_lb;
             (match
-               Validate.check
-                 ~invariant_residents:o.Engine.invariant_residents
-                 o.Engine.schedule o.Engine.graph
+               Validate.check o.Engine.schedule o.Engine.graph
              with
             | [] -> ()
             | issue :: _ ->
@@ -191,9 +189,7 @@ let prop_port_differential =
           | Error _ -> true
           | Ok o ->
             (match
-               Validate.check
-                 ~invariant_residents:o.Engine.invariant_residents
-                 o.Engine.schedule o.Engine.graph
+               Validate.check o.Engine.schedule o.Engine.graph
              with
             | [] -> ()
             | issue :: _ ->

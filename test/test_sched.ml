@@ -207,9 +207,10 @@ let test_lifetimes_pressure () =
   | None -> Alcotest.fail "missing lifetime");
   check_int "pressure counts overlapped copies" 2
     (Lifetimes.pressure ~ii:2 ~bank:(Topology.Local 0) lts);
-  check_int "invariants add residents" 5
-    (Lifetimes.pressure ~ii:2 ~bank:(Topology.Local 0)
-       ~invariant_residents:3 lts)
+  ignore (Ddg.add_invariant g ~consumers:[ b ]);
+  check_int "an invariant b reads holds a register in b's bank" 1
+    (Lifetimes.residents config g ~loc_of:(Schedule.placed_loc s)
+       (Topology.Local 0))
 
 let test_lifetimes_loop_carried_read () =
   let config = Lazy.force s128 in

@@ -43,11 +43,15 @@ let test_malformed_frames () =
       Alcotest.(check string) what expected (frame_error_name e)
   in
   expect "garbage" "bad-magic" "definitely not a frame, not even close";
-  (* a well-formed frame of the previous protocol (whose Config.t still
-     had a third register-file level) is refused by its magic *)
+  (* a well-formed frame of an earlier protocol is refused by its magic:
+     hcrfsrv4's Config.t still had a third register-file level, and
+     hcrfsrv5's entries carried an invariant residency table *)
   (let ping = Wire.encode_request Wire.Ping in
-   expect "previous protocol's magic" "bad-magic"
-     ("hcrfsrv4" ^ String.sub ping 8 (String.length ping - 8)));
+   List.iter
+     (fun old ->
+       expect (old ^ " magic") "bad-magic"
+         (old ^ String.sub ping 8 (String.length ping - 8)))
+     [ "hcrfsrv4"; "hcrfsrv5" ]);
   expect "empty" "truncated" "";
   expect "header cut short" "truncated" (String.sub f 0 10);
   expect "payload cut short" "truncated" (String.sub f 0 (String.length f - 2));

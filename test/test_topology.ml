@@ -194,8 +194,75 @@ let test_validate_catches_bank_mismatch () =
        (function Validate.Bank_mismatch _ -> true | _ -> false)
        (Hcrf_core.Mirs_hc.validate o))
 
+(* A load feeding an add on a two-register monolithic bank, the add
+   also reading [invariants] loop invariants; the load's value lives
+   [gap] cycles at II 1.  The checker must count the invariants itself:
+   nothing but the schedule and the graph is passed in. *)
+let tiny_bank ~invariants ~gap =
+  let config = Hcrf_model.Presets.of_notation "S2" in
+  let g = Ddg.create () in
+  let ld = Ddg.add_node g Op.Load in
+  let add = Ddg.add_node g Op.Fadd in
+  Ddg.add_edge g ~dep:Dep.True ld add;
+  for _ = 1 to invariants do
+    ignore (Ddg.add_invariant g ~consumers:[ add ])
+  done;
+  let s = Schedule.create config ~ii:1 in
+  let born = Latency.of_def s.Schedule.lat ~id:ld ~kind:Op.Load in
+  Schedule.place s g ld ~cycle:0 ~loc:(Topology.Cluster 0);
+  Schedule.place s g add ~cycle:(born + gap) ~loc:(Topology.Cluster 0);
+  (s, g)
+
+let test_validate_catches_resident_overflow () =
+  let s, g = tiny_bank ~invariants:3 ~gap:0 in
+  check "no value holds a register" true
+    (Lifetimes.pressure ~ii:1 ~bank:(Topology.Local 0)
+       (Lifetimes.of_schedule s g)
+     = 0);
+  check "three residents overflow two registers" true
+    (has_issue
+       (function
+         | Validate.Over_capacity (Topology.Local 0, 3, 2) -> true
+         | _ -> false)
+       (Validate.check s g))
+
+let test_validate_allocates_beside_residents () =
+  let s, g = tiny_bank ~invariants:2 ~gap:1 in
+  check "the value alone allocates in the whole bank" true
+    (Regalloc.allocate_bank ~ii:1 ~bank:(Topology.Local 0)
+       ~capacity:(Cap.Finite 2) (Lifetimes.of_schedule s g)
+     <> None);
+  check "but not beside two residents" true
+    (has_issue
+       (function
+         | Validate.Allocation_failed (Topology.Local 0) -> true | _ -> false)
+       (Validate.check s g))
+
+(* Topology owns the dense codes; each decodes to what it encodes. *)
+let test_codes_round_trip () =
+  let h = Lazy.force hier in
+  check_int "bank codes" 5 (Topology.bank_codes h);
+  List.iter
+    (fun b ->
+      check "bank code round trip" true
+        (Topology.equal_bank b
+           (Topology.bank_of_code h (Topology.bank_code h b))))
+    (Topology.all_banks h);
+  check_int "global code" (-1) (Topology.loc_code Topology.Global);
+  List.iter
+    (fun loc ->
+      check "location code round trip" true
+        (Topology.equal_loc loc
+           (Topology.loc_of_code (Topology.loc_code loc))))
+    (Topology.Global :: Topology.exec_locs h Op.Fadd);
+  check "global faces the shared bank" true
+    (Topology.facing_bank Topology.Global = Topology.Shared);
+  check "a cluster faces its own bank" true
+    (Topology.facing_bank (Topology.Cluster 2) = Topology.Local 2)
+
 let tests =
   [
+    ("topology: dense codes", `Quick, test_codes_round_trip);
     ("topology: exec locations", `Quick, test_exec_locs);
     ("topology: def/read banks", `Quick, test_def_read_banks);
     ("topology: comm paths", `Quick, test_comm_paths);
@@ -205,4 +272,8 @@ let tests =
     ("validate: unscheduled", `Quick, test_validate_catches_unscheduled);
     ("validate: dependence", `Quick, test_validate_catches_dependence);
     ("validate: bank mismatch", `Quick, test_validate_catches_bank_mismatch);
+    ("validate: resident invariants overflow a bank", `Quick,
+     test_validate_catches_resident_overflow);
+    ("validate: allocation leaves room for residents", `Quick,
+     test_validate_allocates_beside_residents);
   ]
