@@ -20,8 +20,6 @@ type t = {
   tags : int array;   (** [set * assoc + way] = tag, [empty] when free *)
   lru : int array;    (** [set * assoc + way] = last-use stamp *)
   mutable stamp : int;
-  mutable hits : int;
-  mutable misses : int;
 }
 
 (* No address maps to this tag: a tag is an address shifted right by
@@ -54,46 +52,38 @@ let create ?(size_bytes = 32 * 1024) ?(line_bytes = 32) ?(assoc = 2) () =
     tags = Array.make (sets * assoc) empty;
     lru = Array.make (sets * assoc) 0;
     stamp = 0;
-    hits = 0;
-    misses = 0;
   }
 
 let line_addr t addr = addr asr t.line_shift
-let set_of t addr = line_addr t addr land (t.sets - 1)
-let tag_of t addr = line_addr t addr asr t.set_shift
 
-(** Access line address [line] ({!line_addr}); returns [true] on hit.
-    Allocates on miss (write-allocate for stores as well).  Inlined into
-    {!Sim.run}'s loop, which probes once per simulated access. *)
-let[@inline] access_line t line =
+(** Probe line address [line] ({!line_addr}) with a fresh stamp;
+    [true] on hit.  A miss replaces the least recently used way (the
+    first of equal stamps): write-allocate for stores as well.  This is
+    the one probe: {!Sim.run} inlines it into its loop under the default
+    release profile.  The accesses skip the bounds checks: every index
+    lies in one set's ways, [base] to [base + assoc - 1], below
+    [sets * assoc], and [create] makes [tags] and [lru] that long, which
+    the private type keeps true of every [t]. *)
+let[@inline] probe t line =
+  let stamp = t.stamp + 1 and tags = t.tags and lru = t.lru in
+  t.stamp <- stamp;
   let base = (line land (t.sets - 1)) * t.assoc
   and tag = line asr t.set_shift in
-  t.stamp <- t.stamp + 1;
-  let w = ref 0 in
-  while !w < t.assoc && t.tags.(base + !w) <> tag do incr w done;
-  if !w < t.assoc then begin
-    t.lru.(base + !w) <- t.stamp;
-    t.hits <- t.hits + 1;
+  let stop = base + t.assoc in
+  let w = ref base in
+  while !w < stop && Array.unsafe_get tags !w <> tag do incr w done;
+  if !w < stop then begin
+    Array.unsafe_set lru !w stamp;
     true
   end
   else begin
-    (* evict LRU way *)
-    let victim = ref 0 in
-    for w = 1 to t.assoc - 1 do
-      if t.lru.(base + w) < t.lru.(base + !victim) then victim := w
+    let victim = ref base in
+    for w = base + 1 to stop - 1 do
+      if Array.unsafe_get lru w < Array.unsafe_get lru !victim then victim := w
     done;
-    t.tags.(base + !victim) <- tag;
-    t.lru.(base + !victim) <- t.stamp;
-    t.misses <- t.misses + 1;
+    Array.unsafe_set tags !victim tag;
+    Array.unsafe_set lru !victim stamp;
     false
   end
 
-let access t addr = access_line t (line_addr t addr)
-
-let hit_rate t =
-  let total = t.hits + t.misses in
-  if total = 0 then 1.0 else float_of_int t.hits /. float_of_int total
-
-let reset_counters t =
-  t.hits <- 0;
-  t.misses <- 0
+let access t addr = probe t (line_addr t addr)

@@ -8,7 +8,7 @@
     division and remainder, so negative addresses map to negative lines
     and valid sets. *)
 
-type t = {
+type t = private {
   line_bytes : int;
   sets : int;
   assoc : int;
@@ -16,9 +16,7 @@ type t = {
   set_shift : int;   (** [sets = 1 lsl set_shift] *)
   tags : int array;  (** [set * assoc + way] = tag *)
   lru : int array;   (** [set * assoc + way] = last-use stamp *)
-  mutable stamp : int;
-  mutable hits : int;
-  mutable misses : int;
+  mutable stamp : int;  (** the last probe's stamp *)
 }
 
 (** Defaults: 32 KB, 32-byte lines, 2-way.  Raises [Invalid_argument]
@@ -28,16 +26,11 @@ type t = {
 val create : ?size_bytes:int -> ?line_bytes:int -> ?assoc:int -> unit -> t
 
 val line_addr : t -> int -> int
-val set_of : t -> int -> int
-val tag_of : t -> int -> int
 
-(** Access a line address ({!line_addr}); [true] on hit.  {!access}
-    without the shift, for callers that need the line anyway. *)
-val access_line : t -> int -> bool
+(** Probe a line address ({!line_addr}); [true] on hit.  Allocates on
+    miss (write-allocate for stores as well), replacing the least
+    recently used way. *)
+val probe : t -> int -> bool
 
-(** Access a byte address; [true] on hit.  Allocates on miss
-    (write-allocate for stores as well). *)
+(** [probe] of the address's line. *)
 val access : t -> int -> bool
-
-val hit_rate : t -> float
-val reset_counters : t -> unit

@@ -36,11 +36,17 @@ val max_sim_iterations : int
     invariant after every allocation.  Raises [Invalid_argument] if
     [mshrs < 1].
 
-    The simulated accesses allocate nothing and cost a few integer
-    operations each: the references are copied into flat columns once
-    per run, the pending fills are compacted only when the earliest of
-    them is due, and the cache is probed by line address with a shift
-    and a mask. *)
+    The simulated accesses allocate nothing, and a hit costs one cache
+    probe: whether an access hits depends on the addresses alone, so
+    the timing model (issue time, fill retirement, the merge with a fill
+    in flight, the MSHR steal and the stall) runs only at misses.  A
+    load hit scheduled below the hit latency stalls by a constant of its
+    reference.  The fills an access would retire leave at the next miss,
+    by the latest issue time since the previous miss: issue times ascend
+    within an iteration but fall back at each iteration boundary when
+    the schedule spans more than [ii] cycles, so neither the miss's own
+    issue time nor the latest one ever seen would do.  The result is
+    bit-identical to retiring at every access. *)
 val run :
   ?mshrs:int -> ?debug:bool -> ?cache:Cache.t -> ii:int -> hit_read:int ->
   miss_cycles:int -> n:int -> e:int -> mem_ref list -> result

@@ -2,8 +2,10 @@
    list-based [Sim.run], which keeps the pending fills as a list
    (newest first), rebuilds it with [List.filter] on every access and
    finds a line's fill with [List.assoc_opt].  [Hcrf_memsim.Sim.run]
-   replaces the list with flat arrays, oldest first, drained only when
-   a fill is due; the two must agree on every field of the result for
+   replaces the list with flat arrays, oldest first, and runs the timing
+   model only at misses, retiring at each miss the fills ready by the
+   latest issue time since the previous one; the two must agree on
+   every field of the result for
    any references, which test_memsim.ml checks over random reference
    sets and over a workbench under binding prefetch.
 
@@ -19,8 +21,6 @@ let fdiv a b = if a >= 0 then a / b else ((a + 1) / b) - 1
 let fmod a b = let m = a mod b in if m < 0 then m + b else m
 
 let line_addr ~line_bytes addr = fdiv addr line_bytes
-let set_of ~line_bytes ~sets addr = fmod (line_addr ~line_bytes addr) sets
-let tag_of ~line_bytes ~sets addr = fdiv (line_addr ~line_bytes addr) sets
 
 (* A set-associative LRU cache on line addresses: [true] on hit; a miss
    allocates the line and drops the least recently used tag of a full

@@ -17,14 +17,19 @@ let test_cache_geometry () =
     (Invalid_argument "Cache.create: size not divisible by line*assoc")
     (fun () -> ignore (Cache.create ~size_bytes:1000 ()))
 
+(* Hits and misses of [Cache.access] over [addrs]. *)
+let count_hits c addrs =
+  List.fold_left
+    (fun (h, m) a -> if Cache.access c a then (h + 1, m) else (h, m + 1))
+    (0, 0) addrs
+
 let test_cache_unit_stride () =
   (* stride-8 doubles: one miss per 32-byte line, then 3 hits *)
-  let c = Cache.create () in
-  for i = 0 to 4 * 100 - 1 do
-    ignore (Cache.access c (i * 8))
-  done;
-  check_int "one miss per line" 100 c.Cache.misses;
-  check_int "hits" 300 c.Cache.hits
+  let hits, misses =
+    count_hits (Cache.create ()) (List.init (4 * 100) (fun i -> i * 8))
+  in
+  check_int "one miss per line" 100 misses;
+  check_int "hits" 300 hits
 
 let test_cache_temporal_reuse () =
   let c = Cache.create () in
@@ -42,12 +47,18 @@ let test_cache_lru_eviction () =
   check "0 still resident" true (Cache.access c 0);
   check "128 evicted" false (Cache.access c 128)
 
-let test_cache_counters_reset () =
-  let c = Cache.create () in
-  ignore (Cache.access c 0);
-  Cache.reset_counters c;
-  check_int "misses cleared" 0 c.Cache.misses;
-  check "hit rate 1.0 when empty" true (Cache.hit_rate c = 1.0)
+let test_cache_counters () =
+  (* 16 KB of lines fits the 32 KB cache: a second pass hits
+     throughout; 64 KB does not, and under LRU a second sequential pass
+     misses throughout *)
+  let pass bytes = List.init (bytes / 32) (fun k -> k * 32) in
+  let twice bytes = count_hits (Cache.create ()) (pass bytes @ pass bytes) in
+  let hits, misses = twice (16 * 1024) in
+  check_int "fitting: compulsory misses only" 512 misses;
+  check_int "fitting: second pass hits" 512 hits;
+  let hits, misses = twice (64 * 1024) in
+  check_int "thrashing: no hit" 0 hits;
+  check_int "thrashing: every access misses" 4096 misses
 
 (* ------------------------------------------------------------------ *)
 (* Sim *)
@@ -177,14 +188,20 @@ let test_cache_negative_addresses () =
   check_int "line of -1" (-1) (Cache.line_addr c (-1));
   check_int "line of -32" (-1) (Cache.line_addr c (-32));
   check_int "line of -33" (-2) (Cache.line_addr c (-33));
-  check_int "set of -1 in range" 1 (Cache.set_of c (-1));
-  check_int "tag of -1" (-1) (Cache.tag_of c (-1));
   ignore (Cache.access c (-8));
   check "same negative line hits" true (Cache.access c (-32));
   check "line 0 is a different line" false (Cache.access c 0);
   (* tag -1 is a real tag, not a free way *)
   let c' = Cache.create ~size_bytes:128 ~line_bytes:32 ~assoc:2 () in
-  check "cold negative line misses" false (Cache.access c' (-1))
+  check "cold negative line misses" false (Cache.access c' (-1));
+  (* line -1 lies in set 1 (floored), with lines 1 and 3: the third of
+     them evicts the least recently used; line 0 (set 0) evicts none *)
+  ignore (Cache.access c' 32);
+  ignore (Cache.access c' 0);
+  check "line -1 survives a set-0 fill" true (Cache.access c' (-1));
+  ignore (Cache.access c' 96);
+  check "line 1 evicted from set 1" false (Cache.access c' 32);
+  check "line 0 untouched" true (Cache.access c' 0)
 
 (* y[i] = y[i-5] + x[i]: the y[i-5] stream starts 40 bytes below y. *)
 let test_negative_stream_runs () =
@@ -254,7 +271,7 @@ let print_case ((line_bytes, assoc, sets), (mshrs, ii, (hit, miss), refs)) =
 
 let prop_sim_equals_reference =
   QCheck.Test.make ~name:"sim: flat MSHRs = list-based reference"
-    ~count:300
+    ~count:1000
     (QCheck.make ~print:print_case gen_case)
     (fun ((line_bytes, assoc, sets), (mshrs, ii, (hit_read, miss_cycles), refs))
     ->
@@ -265,6 +282,54 @@ let prop_sim_equals_reference =
            ~ii ~hit_read ~miss_cycles ~n:96 ~e:3 refs)
         (Sim_ref.run ~mshrs ~size_bytes ~line_bytes ~assoc ~ii ~hit_read
            ~miss_cycles ~n:96 ~e:3 refs))
+
+(* Two cases that random search found against wrong rules for retiring
+   the pending fills at the next miss instead of at every access: both
+   retire by the latest issue time ever seen, the first taking it after
+   each iteration's stalls, the second before them.  Issue times fall
+   back at each iteration boundary, so the right threshold is the
+   latest issue time since the previous miss.  Run as the property
+   runs them: n=96, e=3. *)
+let pinned_cases =
+  let refs l =
+    List.mapi
+      (fun node (is_load, issue_offset, sched_latency, base, stride) ->
+        { Sim.node; is_load; issue_offset; sched_latency; base; stride })
+      l
+  in
+  [
+    ( (64, 1, 4),
+      ( 5, 8, (1, 27),
+        refs
+          [ (true, 10, 14, 343, -632); (false, 0, 30, -324, -681);
+            (true, 9, 40, 9, -198); (true, 4, 23, -201, -280);
+            (false, 4, 31, -272, -526); (true, 2, 38, -218, 131);
+            (false, 0, 26, -44, -340); (true, 4, 36, 66, 1001);
+            (false, 4, 21, -75, -1013); (true, 9, 28, 161, 539) ] ) );
+    ( (16, 4, 2),
+      ( 3, 1, (1, 9),
+        refs
+          [ (true, 12, 13, 29, 576); (true, 4, 12, 297, 845);
+            (false, 1, 9, 272, -462) ] ) );
+  ]
+
+let test_sim_pinned_retirement () =
+  List.iter
+    (fun (((line_bytes, assoc, sets), (mshrs, ii, (hit_read, miss_cycles), refs))
+           as case) ->
+      let size_bytes = line_bytes * assoc * sets in
+      let a =
+        Sim.run ~debug:true ~mshrs
+          ~cache:(Cache.create ~size_bytes ~line_bytes ~assoc ())
+          ~ii ~hit_read ~miss_cycles ~n:96 ~e:3 refs
+      and b =
+        Sim_ref.run ~mshrs ~size_bytes ~line_bytes ~assoc ~ii ~hit_read
+          ~miss_cycles ~n:96 ~e:3 refs
+      in
+      if not (same_result a b) then
+        Alcotest.failf "%s: stall %.0f misses %d, reference stall %.0f misses %d"
+          (print_case case) a.stall_cycles a.misses b.stall_cycles b.misses)
+    pinned_cases
 
 (* Every (loop, Figure-6 config) of a 20-loop workbench under binding
    prefetch: the stall counts the evaluation uses, field by field. *)
@@ -403,29 +468,37 @@ let test_cache_refuses_bad_geometry () =
   check_int "3-way sets" 4 c.Cache.sets
 
 (* Shift and mask are floored division and remainder by powers of two,
-   over the whole int range and on both sides of 0. *)
+   over the whole int range and on both sides of 0: the line of every
+   address, and the set and tag it maps to, seen as the hits and misses
+   of a run of nearby addresses against the reference's floored-division
+   LRU cache. *)
 let prop_shift_is_floored_division =
   let gen =
     QCheck.Gen.(
       pair
         (triple (int_range 0 10) (int_range 1 4) (int_range 0 9))
-        (oneof [ int; int_range (-100_000) 100_000 ]))
+        (pair
+           (oneof [ int; int_range (-100_000) 100_000 ])
+           (list_size (int_range 1 24) (int_range (-4096) 4096))))
   in
   QCheck.Test.make ~name:"cache: shift/mask = floored division" ~count:2000
     (QCheck.make
-       ~print:(fun ((ls, a, ss), addr) ->
-         Fmt.str "line=%d assoc=%d sets=%d addr=%d" (1 lsl ls) a (1 lsl ss)
-           addr)
+       ~print:(fun ((ls, a, ss), (addr, deltas)) ->
+         Fmt.str "line=%d assoc=%d sets=%d addr=%d deltas=[%s]" (1 lsl ls) a
+           (1 lsl ss) addr
+           (String.concat "; " (List.map string_of_int deltas)))
        gen)
-    (fun ((ls, assoc, ss), addr) ->
+    (fun ((ls, assoc, ss), (addr, deltas)) ->
       let line_bytes = 1 lsl ls and sets = 1 lsl ss in
-      let c =
-        Cache.create ~size_bytes:(line_bytes * assoc * sets) ~line_bytes
-          ~assoc ()
-      in
-      Cache.line_addr c addr = Sim_ref.line_addr ~line_bytes addr
-      && Cache.set_of c addr = Sim_ref.set_of ~line_bytes ~sets addr
-      && Cache.tag_of c addr = Sim_ref.tag_of ~line_bytes ~sets addr)
+      let size_bytes = line_bytes * assoc * sets in
+      let c = Cache.create ~size_bytes ~line_bytes ~assoc ()
+      and reference = Sim_ref.lru_cache ~size_bytes ~line_bytes ~assoc in
+      List.for_all
+        (fun d ->
+          let a = addr + d in
+          let line = Sim_ref.line_addr ~line_bytes a in
+          Cache.line_addr c a = line && Cache.access c a = reference line)
+        deltas)
 
 (* The plan as hash membership: loads outside every recurrence of a
    loop longer than the short-trip threshold. *)
@@ -490,7 +563,7 @@ let tests =
     ("cache: unit stride", `Quick, test_cache_unit_stride);
     ("cache: temporal reuse", `Quick, test_cache_temporal_reuse);
     ("cache: lru eviction", `Quick, test_cache_lru_eviction);
-    ("cache: counters", `Quick, test_cache_counters_reset);
+    ("cache: counters", `Quick, test_cache_counters);
     ("sim: all hits", `Quick, test_sim_all_hits_no_stall);
     ("sim: hit-scheduled miss", `Quick, test_sim_hit_scheduled_miss_stalls);
     ("sim: prefetched miss", `Quick, test_sim_prefetched_miss_no_stall);
@@ -517,4 +590,6 @@ let tests =
       test_prefetch_bitmap_equals_hash);
     ("prefetch: ids outside the bitmap", `Quick,
       test_prefetch_ids_outside_bitmap);
+    ("sim: pinned retirement cases = reference", `Quick,
+      test_sim_pinned_retirement);
   ]
