@@ -11,7 +11,7 @@
     placement replayed.
 
     Failed scheduling attempts are cached too ([Failed]), so a loop that
-    exhausts every escalation rung is not re-ground on the next run. *)
+    fails both escalation rungs is not re-ground on the next run. *)
 
 type stored_outcome = {
   s_ii : int;

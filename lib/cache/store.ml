@@ -1,13 +1,16 @@
 type t = { dir : string }
 
-(* version 10: entries store no invariant residency table (it is
-   derived from the schedule); keys did not move.  Since v8 the options
+(* version 11: a loop that fails both rungs of the engine's one
+   escalation stores the last II of a search under the automatic cap,
+   not of the retired rung capped at 4096; keys did not move.  Since
+   v10 entries store no invariant residency table (it is derived from
+   the schedule).  Since v8 the options
    key has no II-cap tag and an entry's escalation rung count is in the
    stored engine stats.  Since v7 keys digest configurations, options
    and labels as tagged varint transcripts; since v6 entries store the
    schedule as per-node int columns.  Files of older versions (the flat
    v2 layout included) fail the magic test and are recomputed. *)
-let version = 10
+let version = 11
 let magic = Printf.sprintf "hcrf-cache %d\n" version
 
 (* Shard count and the shard of a key (its leading hex nibble).  16 is

@@ -182,7 +182,7 @@ let oracle ?cache ?(exact = false) ?exact_out ?(trace = Tr.off) ~opts config
     let* cold =
       match Runner.run_loop ~ctx config loop with
       | Some r -> Ok r
-      | None -> fail Ev.No_schedule "engine gave up after every escalation"
+      | None -> fail Ev.No_schedule "engine gave up after its escalation"
     in
     (* leg 2: independent validation *)
     let* () = validate_leg Ev.Invalid_schedule "cold" cold in
@@ -495,7 +495,7 @@ let replay_file ?cache (r : Repro.t) =
 
 (* Heuristic-vs-certified measurement used both to hunt gap witnesses
    and to replay the committed gap corpus: a plain engine run (no
-   escalation ladder, so replay needs no runner state) plus a full
+   escalation, so replay needs no runner state) plus a full
    certification capped at the achieved II.  [Some] iff the loop is
    certified optimal and the heuristic provably missed the optimum. *)
 let measure_gap ~opts config (loop : Loop.t) =

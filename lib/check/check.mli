@@ -52,7 +52,7 @@ val options_presets : (string * Hcrf_sched.Engine.options) list
 type verdict = { kind : Ev.fuzz_verdict; detail : string }
 
 (** Failure = any verdict the oracles can falsify.  [Pass] is success;
-    [No_schedule] (the engine giving up after every escalation rung) is
+    [No_schedule] (the engine giving up after both escalation rungs) is
     recorded in the taxonomy but is not an oracle failure. *)
 val is_failure : Ev.fuzz_verdict -> bool
 

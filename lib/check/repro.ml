@@ -232,10 +232,11 @@ let of_string s : (t, string) result =
           repr_invariants = List.rev !invs;
         }
       in
+      (* the graph and the scheduler size their per-node tables by the
+         largest id: check the ids before building anything *)
+      if not (Ddg.compact repr) then badf "node ids are not compact";
       let g = Ddg.of_repr repr in
       if not (Ddg.validate g) then badf "reconstructed graph is malformed";
-      (* the scheduler sizes its per-node tables by the largest id *)
-      if not (Ddg.compact g) then badf "node ids are not compact";
       let loop =
         Loop.make ~trip_count:(int_of "trip" (get "trip"))
           ~entries:(int_of "entries" (get "entries"))

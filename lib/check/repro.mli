@@ -32,8 +32,9 @@ val of_string : string -> (t, string) result
 val write : dir:string -> t -> string
 
 (** [Error] on an unreadable or malformed file, including a loop whose
-    node ids are not compact ({!Hcrf_ir.Ddg.compact}): replaying it
-    would size the scheduler's tables by its largest id. *)
+    node ids are not compact ({!Hcrf_ir.Ddg.compact}, checked before
+    its graph is built): building and replaying it would size the
+    graph's and the scheduler's tables by its largest id. *)
 val load : string -> (t, string) result
 
 (** Sorted [*.repro] paths under a directory ([] if it is missing). *)

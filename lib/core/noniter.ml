@@ -13,8 +13,8 @@ open Hcrf_sched
 
 (* Every other option (budget ratio, load-latency override) keeps its
    default.  [Engine.schedule] is one II search under the automatic
-   cap: Table 4 compares the two schedulers without the escalation
-   ladder, which only [Engine.schedule_escalating] climbs. *)
+   cap: Table 4 compares the two schedulers without the escalation,
+   which only [Engine.schedule_escalating] runs. *)
 let options : Engine.options =
   { Engine.default_options with backtracking = false; ordering = `Topological }
 

@@ -110,7 +110,7 @@ let warn_no_schedule (config : Hcrf_machine.Config.t) loop ii =
            ": fits at no II: an operation has no location it can issue at"
          else Fmt.str " up to II=%d" ii))
 
-(* The uncached work — schedule (the engine's escalation ladder
+(* The uncached work — schedule (the engine's one escalation
    included) and, under a real memory scenario, simulate the stalls —
    packaged as a closure-free cache entry.  This is the single compute
    path shared by [run_loop] and the serving daemon's miss handler, so

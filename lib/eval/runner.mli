@@ -63,7 +63,7 @@ val cache_key :
 (** The uncached work — schedule with
     {!Hcrf_sched.Engine.schedule_escalating} and, under a real memory
     scenario, simulate the stalls — packaged as a closure-free cache
-    entry ({!Hcrf_cache.Entry.Failed} when every rung failed).  This is
+    entry ({!Hcrf_cache.Entry.Failed} when both rungs failed).  This is
     the single compute path behind [run_loop] and the serving daemon's
     miss handler, so both produce identical entries for identical
     inputs. *)
@@ -87,9 +87,9 @@ val result_of_entry :
     with the next change to that harness. *)
 val entry_compatible : Hcrf_ir.Loop.t -> Hcrf_cache.Entry.t -> bool
 
-(** Schedule one loop (with the engine's escalation ladder, so
-    aggregate metrics never silently drop loops) and replay its full
-    outcome; [None] only if every rung failed.  The {!run_pipeline}
+(** Schedule one loop (with the engine's escalation, so aggregate
+    metrics never silently drop loops) and replay its full outcome;
+    [None] only if both rungs failed.  The {!run_pipeline}
     resolver over one loop, plus {!result_of_entry}: the only runner
     call that rebuilds an outcome. *)
 val run_loop :
@@ -142,7 +142,7 @@ val pp_pipeline_stats : Format.formatter -> pipeline_stats -> unit
     loop's metrics are read straight from its schedule entry
     ({!Metrics.of_stored}: no graph rebuilt, the same figures
     {!result_of_entry} gives) and its trace buffer committed, in input
-    order — [None] where every escalation rung failed, warned on every
+    order — [None] where both escalation rungs failed, warned on every
     call — followed by how the schedules were answered.  After an edit
     only the loops whose cache key changed re-run the engine; everything
     else is read from the store, byte-identical to a cold run up to

@@ -33,19 +33,15 @@ type invariant = {
   mutable inv_consumers : int list;
 }
 
-module Int_map = Map.Make (Int)
-
-(* Nodes live in [dense], an array indexed by node id, so a lookup is a
-   bounds check and a load.  An empty slot holds [absent], whose id never
-   matches its index.  Ids outside the compactness bound (the wire's
-   [2·|V| + 64]) go to the small [sparse] map instead, so memory stays
-   O(|V|) whatever ids an outside graph carries.  Invariant: ids are
-   non-negative, and every key of [sparse] is at least
-   [Array.length dense]. *)
+(* Nodes live in [slots], an array indexed by node id and grown
+   geometrically to cover any id it is given, so a lookup is a bounds
+   check and a load.  An empty slot holds [absent], whose id never
+   matches its index.  Memory is O(largest id): graphs from outside are
+   checked with [compact] before one is built.  Invariant: ids are
+   non-negative. *)
 type t = {
   name : string;
-  mutable dense : node array;
-  mutable sparse : node Int_map.t;
+  mutable slots : node array;
   mutable count : int;
   mutable next_id : int;
   mutable next_inv : int;
@@ -79,12 +75,9 @@ let true_in n = n.others < in_unit
 let make_node id kind succs preds =
   { id; kind; succs; preds; others = count_others succs preds }
 
-(* Ids below this bound may live in [dense] for a graph of [n] nodes. *)
-let dense_bound n = (2 * n) + 64
-
 let create ?(name = "loop") () =
-  { name; dense = Array.make 16 absent; sparse = Int_map.empty; count = 0;
-    next_id = 0; next_inv = 0; invariants = []; watcher = None }
+  { name; slots = Array.make 16 absent; count = 0; next_id = 0;
+    next_inv = 0; invariants = []; watcher = None }
 
 let set_watcher t w = t.watcher <- w
 let notify t src = match t.watcher with None -> () | Some f -> f src
@@ -93,48 +86,31 @@ let name t = t.name
 let num_nodes t = t.count
 
 let mem t id =
-  if id >= 0 && id < Array.length t.dense then
-    (Array.unsafe_get t.dense id).id = id
-  else Int_map.mem id t.sparse
+  id >= 0 && id < Array.length t.slots && (Array.unsafe_get t.slots id).id = id
 
 let unknown t id = Fmt.invalid_arg "Ddg.node: unknown node %d in %s" id t.name
 
 let node t id =
-  if id >= 0 && id < Array.length t.dense then begin
-    let n = Array.unsafe_get t.dense id in
+  if id >= 0 && id < Array.length t.slots then begin
+    let n = Array.unsafe_get t.slots id in
     if n.id = id then n else unknown t id
   end
-  else
-    match Int_map.find_opt id t.sparse with
-    | Some n -> n
-    | None -> unknown t id
+  else unknown t id
 
 let kind t id = (node t id).kind
 let succs t id = (node t id).succs
 let preds t id = (node t id).preds
 
-(* Grow [dense] geometrically, but never past the compactness bound of
-   the graph about to hold [id]; sparse entries the new array covers
-   move into it. *)
-let grow t id =
-  let len = Array.length t.dense in
-  let cap = max (id + 1) (min (max 16 (2 * len)) (dense_bound (t.count + 1))) in
-  let d = Array.make cap absent in
-  Array.blit t.dense 0 d 0 len;
-  let moved, kept = Int_map.partition (fun k _ -> k < cap) t.sparse in
-  Int_map.iter (fun k n -> d.(k) <- n) moved;
-  t.dense <- d;
-  t.sparse <- kept
-
-(* Insert a node whose non-negative id is not present. *)
+(* Insert a node whose non-negative id is not present, growing [slots]
+   geometrically when the id lies past its end. *)
 let place t (n : node) =
-  let id = n.id in
-  if id < Array.length t.dense then t.dense.(id) <- n
-  else if id < dense_bound (t.count + 1) then begin
-    grow t id;
-    t.dense.(id) <- n
-  end
-  else t.sparse <- Int_map.add id n t.sparse;
+  let len = Array.length t.slots in
+  if n.id >= len then begin
+    let d = Array.make (max (n.id + 1) (max 16 (2 * len))) absent in
+    Array.blit t.slots 0 d 0 len;
+    t.slots <- d
+  end;
+  t.slots.(n.id) <- n;
   t.count <- t.count + 1
 
 let add_node t kind =
@@ -145,12 +121,6 @@ let add_node t kind =
 
 let next_id t = t.next_id
 let next_inv t = t.next_inv
-
-(** Whether the ids are compact: the id counter, which bounds every id
-    of a valid graph, is at most [2·|V| + 64].  The scheduler sizes its
-    per-node tables by the largest id, so graphs from outside (wire
-    requests, [.repro] files) must pass this. *)
-let compact t = t.next_id <= dense_bound t.count
 
 let add_edge t ?(distance = 0) ~dep src dst =
   if distance < 0 then invalid_arg "Ddg.add_edge: negative distance";
@@ -206,8 +176,7 @@ let remove_node t id =
     (fun inv ->
       inv.inv_consumers <- List.filter (fun c -> c <> id) inv.inv_consumers)
     t.invariants;
-  if id < Array.length t.dense then t.dense.(id) <- absent
-  else t.sparse <- Int_map.remove id t.sparse;
+  t.slots.(id) <- absent;
   t.count <- t.count - 1
 
 let add_invariant t ~consumers =
@@ -223,15 +192,11 @@ let add_invariant_consumer t ~inv_id id =
   | None -> Fmt.invalid_arg "Ddg.add_invariant_consumer: unknown %d" inv_id
   | Some inv -> inv.inv_consumers <- id :: inv.inv_consumers
 
-(* Fold over the nodes in decreasing id order: the sparse ids above the
-   dense range, then the dense slots. *)
+(* Fold over the nodes in decreasing id order. *)
 let fold_desc f t acc =
-  let acc =
-    ref (Seq.fold_left (fun acc (_, n) -> f n acc) acc
-           (Int_map.to_rev_seq t.sparse))
-  in
-  for i = Array.length t.dense - 1 downto 0 do
-    let n = Array.unsafe_get t.dense i in
+  let acc = ref acc in
+  for i = Array.length t.slots - 1 downto 0 do
+    let n = Array.unsafe_get t.slots i in
     if n.id = i then acc := f n !acc
   done;
   !acc
@@ -261,19 +226,13 @@ let count_kind t p =
 let num_memory_ops t = count_kind t Op.is_memory
 let num_compute_ops t = count_kind t Op.is_compute
 
-(* A graph of [nodes]: the array reaches the highest id below the
-   compactness bound (no slack), the other ids go to the overflow map.
+(* A graph of [nodes]: the array reaches the highest id (no slack).
    Raises on a repeated or negative id. *)
 let of_nodes ~name ~next_id ~next_inv ~invariants nodes =
-  let bound = dense_bound (List.length nodes) in
-  let hi =
-    List.fold_left
-      (fun hi n -> if n.id < bound then max hi n.id else hi)
-      (-1) nodes
-  in
+  let hi = List.fold_left (fun hi n -> max hi n.id) (-1) nodes in
   let t =
-    { name; dense = Array.make (hi + 1) absent; sparse = Int_map.empty;
-      count = 0; next_id; next_inv; invariants; watcher = None }
+    { name; slots = Array.make (hi + 1) absent; count = 0; next_id; next_inv;
+      invariants; watcher = None }
   in
   List.iter
     (fun n ->
@@ -321,6 +280,17 @@ let to_repr t =
     repr_invariants =
       List.map (fun inv -> (inv.inv_id, inv.inv_consumers)) t.invariants;
   }
+
+(** Whether the ids are compact: every node id lies in
+    [\[0, repr_next_id)], and the id counter is at most [2·|V| + 64].
+    A graph's array is sized by its largest id, as are the scheduler's
+    per-node tables, so graphs from outside (wire requests, [.repro]
+    files) must pass this before one is built. *)
+let compact r =
+  r.repr_next_id <= (2 * List.length r.repr_nodes) + 64
+  && List.for_all
+       (fun (id, _, _, _) -> id >= 0 && id < r.repr_next_id)
+       r.repr_nodes
 
 let of_repr r =
   of_nodes ~name:r.repr_name ~next_id:r.repr_next_id

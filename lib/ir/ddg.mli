@@ -58,12 +58,6 @@ val add_node : t -> Op.kind -> int
 val next_id : t -> int
 val next_inv : t -> int
 
-(** Whether the ids are compact: [next_id] (which bounds every id of a
-    valid graph) is at most [2·|V| + 64].  The scheduler's per-node
-    tables are sized by the largest id, so the wire and [.repro] loading
-    refuse graphs that are not. *)
-val compact : t -> bool
-
 val add_edge : t -> ?distance:int -> dep:Dep.t -> int -> int -> unit
 
 (** Whether this exact edge is present. *)
@@ -130,11 +124,16 @@ type repr = {
 
 val to_repr : t -> repr
 
+(** Whether the ids are compact: every id of [repr_nodes] lies in
+    [\[0, repr_next_id)], and [repr_next_id] is at most [2·|V| + 64]
+    for [|V|] listed nodes.  Checked on the repr, before any graph is
+    built: the wire and [.repro] loading refuse graphs that are not. *)
+val compact : repr -> bool
+
 (** Raises [Invalid_argument] when [repr_nodes] lists one id twice or
-    a negative id.
-    Any ids are accepted, and memory stays O(|V|) for any of them:
-    ids below the compactness bound [2·|V| + 64] are indexed by an
-    array, rarer ones by a small overflow map. *)
+    a negative id.  The node array is sized by the largest id, so
+    memory is O(largest id): callers holding outside graphs check
+    {!compact} first. *)
 val of_repr : repr -> t
 
 val pp : Format.formatter -> t -> unit

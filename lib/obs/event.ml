@@ -42,7 +42,7 @@ type t =
   | Regalloc_fail of { bank : string }
       (** explicit rotating allocation failed for this bank *)
   | Budget_escalate of { rung : int }
-      (** the runner's escalation ladder re-ran the engine (rung 1, 2) *)
+      (** [Engine.schedule_escalating] re-ran its II search (rung 1) *)
   | Cache of cache_op  (** schedule-cache lookup or store *)
   | Phase of { phase : phase; ns : int }
       (** a timed span of one pipeline phase, in integer nanoseconds *)

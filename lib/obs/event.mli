@@ -31,7 +31,7 @@ type serve_op =
 (** Outcome taxonomy of one differential-fuzzing case ([hcrf_check]). *)
 type fuzz_verdict =
   | Pass
-  | No_schedule  (** the escalation ladder still found no schedule *)
+  | No_schedule  (** the engine's escalation still found no schedule *)
   | Invalid_schedule  (** [Validate.check] rejected the schedule *)
   | Exec_mismatch  (** pipeline execution diverged from the reference *)
   | Metamorphic  (** a metamorphic invariant was violated *)
@@ -51,8 +51,8 @@ type t =
   | Regalloc_fail of { bank : string }
       (** explicit rotating allocation failed for this bank *)
   | Budget_escalate of { rung : int }
-      (** [Engine.schedule_escalating] climbed its escalation ladder to
-          this rung (1, 2): the II search again at a larger budget *)
+      (** [Engine.schedule_escalating] escalated to this rung (always
+          1): the II search again at a larger budget *)
   | Cache of cache_op  (** schedule-cache lookup or store *)
   | Phase of { phase : phase; ns : int }
       (** a timed span of one pipeline phase, in integer nanoseconds *)

@@ -29,8 +29,8 @@
       attempt so replenishment cannot sustain a spill cycle forever)
       bounds the iterative process; when exhausted the attempt is
       discarded and the whole process restarts with II + 1.  That
-      loop, the end-of-attempt repairs, the II search and the
-      escalation ladder over it are here. *)
+      loop, the end-of-attempt repairs, the II search and its one
+      escalation are here. *)
 
 open Hcrf_ir
 open Hcrf_machine
@@ -285,17 +285,16 @@ let unplaceable config g =
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 
-(* The escalation ladder of [schedule_escalating]: after a failed II
-   search at the caller's budget ratio, the search again at each of
-   these budget ratios, the last with the II cap raised to 4096 ([None]:
-   the automatic cap).  A dropped loop would silently bias every
-   aggregate metric. *)
-let ladder = [ (16, None); (32, Some 4096) ]
+(* The escalation of [schedule_escalating]: after a failed II search at
+   the caller's budget ratio, the search once more at this one.  A
+   dropped loop would silently bias every aggregate metric. *)
+let escalation_budget = 16
 
-(* The caller's rung, then each of [rungs]: each a fresh II search from
-   the MII, all over one computation of the recurrences, MII, order,
+(* The II search at the caller's budget ratio, then, if [escalate] and
+   it failed, once more at [escalation_budget]: each a fresh search from
+   the MII, both over one computation of the recurrences, MII, order,
    [unplaceable] test, arena and selection tables. *)
-let run ~rungs ~(opts : options) ~trace (config : Config.t) (g0 : Ddg.t) :
+let run ~escalate ~(opts : options) ~trace (config : Config.t) (g0 : Ddg.t) :
     (outcome, error) result =
   let t0 = Unix.gettimeofday () in
   let lat = Latency.make ~override:opts.load_override config in
@@ -319,12 +318,13 @@ let run ~rungs ~(opts : options) ~trace (config : Config.t) (g0 : Ddg.t) :
               | c -> c)
             (Ddg.nodes g0))
   in
-  let restarts = ref 0 and rung = ref 0 in
-  (* one arena serves every II attempt of this call, on every rung:
+  let restarts = ref 0 in
+  (* one arena serves every II attempt of this call, on both rungs:
      each re-uses the flat tables instead of reallocating them *)
   let arena = Arena.create () in
   let sel = Select.create config in
-  let rec search ~opts ~max_ii ii =
+  let max_ii = max (4 * mii) (mii + 128) in
+  let rec search ~opts ~retries ii =
     if ii > max_ii then Error (`No_schedule ii)
     else begin
       if Tr.enabled trace then Tr.emit trace (Ev.II_try ii);
@@ -351,7 +351,7 @@ let run ~rungs ~(opts : options) ~trace (config : Config.t) (g0 : Ddg.t) :
                 comm_inserted = s.st.m_comm_inserted;
                 attempts = s.st.m_attempts;
                 ii_restarts = !restarts;
-                retries = !rung;
+                retries;
               };
           }
       | None ->
@@ -360,27 +360,24 @@ let run ~rungs ~(opts : options) ~trace (config : Config.t) (g0 : Ddg.t) :
            geometrically so pathological loops (tiny banks, big bodies)
            converge in reasonable time — the first 8 steps are faithful *)
         let step = if !restarts <= 8 then 1 else max 1 (ii / 8) in
-        search ~opts ~max_ii (ii + step)
+        search ~opts ~retries (ii + step)
     end
-  in
-  let rec climb (budget_ratio, cap) rungs =
-    restarts := 0;
-    let max_ii = Option.value cap ~default:(max (4 * mii) (mii + 128)) in
-    match (search ~opts:{ opts with budget_ratio } ~max_ii mii, rungs) with
-    | (Ok _ as r), _ | (Error _ as r), [] -> r
-    | Error _, next :: rungs ->
-      incr rung;
-      if Tr.enabled trace then
-        Tr.emit trace (Ev.Budget_escalate { rung = !rung });
-      climb next rungs
   in
   Tr.span trace Ev.Schedule (fun () ->
       if unplaceable config g0 then Error (`No_schedule mii)
-      else climb (opts.budget_ratio, None) rungs)
+      else
+        match search ~opts ~retries:0 mii with
+        | Error _ when escalate ->
+          restarts := 0;
+          if Tr.enabled trace then
+            Tr.emit trace (Ev.Budget_escalate { rung = 1 });
+          search ~opts:{ opts with budget_ratio = escalation_budget }
+            ~retries:1 mii
+        | r -> r)
 
 let schedule ?(opts = default_options) ?(trace = Tr.off) config g0 =
-  run ~rungs:[] ~opts ~trace config g0
+  run ~escalate:false ~opts ~trace config g0
 
 let schedule_escalating ?(opts = default_options) ?(trace = Tr.off) config
     g0 =
-  run ~rungs:ladder ~opts ~trace config g0
+  run ~escalate:true ~opts ~trace config g0

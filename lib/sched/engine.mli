@@ -34,7 +34,7 @@ type stats = {
   attempts : int;
   ii_restarts : int;  (** failed II attempts of the last search *)
   retries : int;
-      (** escalation rungs climbed by {!schedule_escalating} (0 for
+      (** escalations by {!schedule_escalating}: 0 or 1 (always 0 for
           {!schedule}) *)
 }
 
@@ -52,7 +52,7 @@ type outcome = {
       (** the product: columns sized to the final graph's [next_id]; no
           reservation table or arena buffer of the engine's *)
   graph : Hcrf_ir.Ddg.t;  (** final graph with all inserted operations *)
-  seconds : float;  (** wall-clock of the whole call, every rung *)
+  seconds : float;  (** wall-clock of the whole call, both rungs *)
   stats : stats;
 }
 
@@ -78,13 +78,13 @@ val schedule :
   ?opts:options -> ?trace:Hcrf_obs.Trace.t -> Hcrf_machine.Config.t ->
   Hcrf_ir.Ddg.t -> (outcome, error) result
 
-(** {!schedule}, then, while it fails, the escalation ladder: the same
-    search again at budget ratio 16, then at 32 with the II cap raised
-    to 4096, each emitting a [Budget_escalate] event first and counted
-    in [stats.retries].  The recurrences, MII, order and placeability
-    test are computed once for every rung, and a loop that is not
-    placeable climbs none.  The evaluation runner's one engine call: a
-    dropped loop would silently bias every aggregate metric. *)
+(** {!schedule}, then, if it fails, one escalation: the same search
+    again at budget ratio 16 under the same II cap, after a
+    [Budget_escalate { rung = 1 }] event, counted in [stats.retries].
+    The recurrences, MII, order and placeability test are computed once
+    for both rungs, and a loop that is not placeable does not escalate.
+    The evaluation runner's one engine call: a dropped loop would
+    silently bias every aggregate metric. *)
 val schedule_escalating :
   ?opts:options -> ?trace:Hcrf_obs.Trace.t -> Hcrf_machine.Config.t ->
   Hcrf_ir.Ddg.t -> (outcome, error) result

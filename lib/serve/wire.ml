@@ -71,14 +71,14 @@ let request_of_loop ?(timeout_ms = 0) ~config ~opts ~scenario l =
   }
 
 (* The wire is untrusted: a repeated id, a dangling edge or an id past
-   the id counter would surface deep inside the engine, and the
-   scheduler sizes per-node arrays by the largest id, so check the graph
-   here.  [Loop.of_repr] refuses a repeated id, so [Ddg.compact]
-   weighs the id counter against a count of distinct nodes. *)
+   the id counter would surface deep inside the engine, and the graph
+   and the scheduler size per-node arrays by the largest id, so the ids
+   are checked on the repr before anything is built, and the graph
+   after.  [Loop.of_repr] refuses a repeated id. *)
 let loop_of_request r =
-  let loop = Loop.of_repr r.sr_loop in
-  if not (Ddg.compact loop.Loop.ddg) then
+  if not (Ddg.compact r.sr_loop.Loop.repr_ddg) then
     invalid_arg "loop_of_request: node ids are not compact";
+  let loop = Loop.of_repr r.sr_loop in
   if not (Ddg.validate loop.Loop.ddg) then
     invalid_arg "loop_of_request: malformed dependence graph";
   loop

@@ -66,13 +66,13 @@ val request_of_loop :
   scenario:Hcrf_eval.Runner.memory_scenario -> Hcrf_ir.Loop.t ->
   schedule_request
 
-(** Rebuild the loop; raises [Invalid_argument] on non-positive counts,
-    a repeated or negative node id, a graph that fails
-    {!Hcrf_ir.Ddg.validate}, or node ids that are
-    not compact ({!Hcrf_ir.Ddg.compact}): the id counter [repr_next_id]
-    (which bounds every id) may be at most [2 * n + 64] for a graph of
-    [n] nodes, so the
-    scheduler's per-node arrays stay proportional to the request.
+(** Rebuild the loop; raises [Invalid_argument] on node ids that are
+    not compact ({!Hcrf_ir.Ddg.compact}, checked on the request before
+    any graph is built: every id lies in [\[0, repr_next_id)], and
+    [repr_next_id] is at most [2 * n + 64] for [n] listed nodes, so the
+    graph's and the scheduler's per-node arrays stay proportional to
+    the request), non-positive counts, a repeated node id, or a graph
+    that fails {!Hcrf_ir.Ddg.validate}.
     Callers reject such requests as malformed.  Every loop the
     workload generators, the frontend and the fuzz shrinker produce
     is compact in this sense. *)

@@ -945,7 +945,8 @@ let stale_versions =
       ("store: v6 entries are stale", 6);
       ("store: v7 entries are stale", 7);
       ("store: v8 entries are stale", 8);
-      ("store: v9 entries are stale", 9) ]
+      ("store: v9 entries are stale", 9);
+      ("store: v10 entries are stale", 10) ]
 
 (* Loop and kernel transcripts are pinned: these values predate the
    shared transcript writer and must not move with it. *)

@@ -103,10 +103,11 @@ let test_repro_strict_parser () =
   | Ok _ -> Alcotest.fail "future version accepted"
   | Error _ -> ()
 
-(* The scheduler sizes its per-node tables by the largest node id, so a
-   reproducer whose ids are not compact is refused at load: here one
-   corpus file with a node renumbered to 2,000,000.  Every committed
-   reproducer is compact and still loads. *)
+(* The graph and the scheduler size their per-node tables by the largest
+   node id, so a reproducer whose ids are not compact is refused at
+   load, before its graph is built: here one corpus file with a node
+   renumbered to 2,000,000, and to 2^40.  Every committed reproducer is
+   compact and still loads. *)
 let test_repro_refuses_sparse_ids () =
   let in_test d = if Sys.file_exists d then d else Filename.concat "test" d in
   let files =
@@ -125,20 +126,25 @@ let test_repro_refuses_sparse_ids () =
       (Filename.concat (in_test "corpus") "case0003-invalid_schedule.repro")
       In_channel.input_all
   in
-  let renumber line =
-    match String.split_on_char ' ' line with
-    | [ "next"; "20"; inv ] -> "next 2000001 " ^ inv
-    | [ "node"; "4"; kind ] -> "node 2000000 " ^ kind
-    | "stream" :: "4" :: rest -> String.concat " " ("stream" :: "2000000" :: rest)
-    | _ -> line
-  in
-  let sparse =
-    String.concat "\n" (List.map renumber (String.split_on_char '\n' text))
-  in
-  Alcotest.(check bool) "the edit took" true (sparse <> text);
-  match Repro.of_string sparse with
-  | Ok _ -> Alcotest.fail "sparse ids accepted"
-  | Error e -> Alcotest.(check string) "refused" "node ids are not compact" e
+  List.iter
+    (fun id ->
+      let renumber line =
+        match String.split_on_char ' ' line with
+        | [ "next"; "20"; inv ] -> Fmt.str "next %d %s" (id + 1) inv
+        | [ "node"; "4"; kind ] -> Fmt.str "node %d %s" id kind
+        | "stream" :: "4" :: rest ->
+          String.concat " " ("stream" :: string_of_int id :: rest)
+        | _ -> line
+      in
+      let sparse =
+        String.concat "\n" (List.map renumber (String.split_on_char '\n' text))
+      in
+      Alcotest.(check bool) "the edit took" true (sparse <> text);
+      match Repro.of_string sparse with
+      | Ok _ -> Alcotest.failf "node %d accepted" id
+      | Error e ->
+        Alcotest.(check string) "refused" "node ids are not compact" e)
+    [ 2_000_000; 1 lsl 40 ]
 
 (* A reproducer of daxpy whose first load carries a second stream
    fails to load, like any loop [Loop.make] refuses; the same file

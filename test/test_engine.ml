@@ -239,11 +239,11 @@ let test_unplaceable_answers_at_once () =
     [ "4C16S16@r0w1"; "4C16S16@r1w1"; "4C32@r0w2"; "4C16S16@r2w0" ]
 
 (* The counters-only histogram of one runner computation. *)
-let compute_counted config l =
+let compute_counted ?(opts = Engine.default_options) config l =
   let trace = Hcrf_obs.Trace.create ~label:(Loop.name l) in
   let entry =
     Hcrf_eval.Runner.compute_entry ~trace ~scenario:Hcrf_eval.Runner.Ideal
-      ~opts:Engine.default_options config l
+      ~opts config l
   in
   let counters = Hcrf_obs.Counters.create () in
   Hcrf_obs.Counters.add_all counters (Hcrf_obs.Trace.events trace);
@@ -272,6 +272,30 @@ let test_ladder_rung_one () =
     check_int "place" 18826 (count "place");
     check_int "budget.escalate" 1 (count "budget.escalate");
     check_int "one MII pass for every rung" 1 (count "phase.mii")
+
+(* Two loads feeding one add on 4C32 without backtracking (what two of
+   the fuzzer's seed-9 no_schedule cases shrink to) fit at no II of
+   either rung: the runner escalates once, and its failure names an II of a
+   search under the automatic cap, not one near 4096. *)
+let test_escalates_at_most_once () =
+  let g = Ddg.create ~name:"two_loads" () in
+  let a = Ddg.add_node g Op.Load and b = Ddg.add_node g Op.Load in
+  let s = Ddg.add_node g Op.Fadd in
+  Ddg.add_edge g ~dep:Dep.True a s;
+  Ddg.add_edge g ~dep:Dep.True b s;
+  let config = published "4C32" in
+  let opts = { Engine.default_options with backtracking = false } in
+  List.iter
+    (fun budget_ratio ->
+      match Engine.schedule ~opts:{ opts with budget_ratio } config g with
+      | Ok _ -> Alcotest.failf "scheduled at budget ratio %d" budget_ratio
+      | Error (`No_schedule _) -> ())
+    [ opts.budget_ratio; 16 ];
+  match compute_counted ~opts config (Loop.make g) with
+  | Hcrf_cache.Entry.Scheduled _, _ -> Alcotest.fail "scheduled"
+  | Hcrf_cache.Entry.Failed ii, count ->
+    check_int "budget.escalate" 1 (count "budget.escalate");
+    check "last II under the automatic cap" true (ii < 4096)
 
 (* A loop the engine finds unplaceable climbs no rung: one MII and
    ordering pass, no escalation. *)
@@ -428,6 +452,7 @@ let tests =
     ("engine: unplaceable answers at once", `Quick,
      test_unplaceable_answers_at_once);
     ("engine: ladder climbs rung 1", `Quick, test_ladder_rung_one);
+    ("engine: escalates at most once", `Quick, test_escalates_at_most_once);
     ("engine: unplaceable climbs no rung", `Quick,
      test_unplaceable_climbs_no_rung);
     ("select: beside the operand", `Quick, test_select_follows_operand);

@@ -276,15 +276,15 @@ let shift_repr by (r : Ddg.repr) =
         (fun (inv, cs) -> (inv, List.map (( + ) by) cs))
         r.Ddg.repr_invariants }
 
-(* Ids shifted far past the compactness bound land in the overflow map:
-   the graph must answer exactly like the compact one, mapped by the
-   shift, and cost memory in proportion to its nodes, not its ids. *)
+(* Ids shifted past the compactness bound, to slots far down one grown
+   array: the graph must answer exactly like the compact one, mapped by
+   the shift. *)
 let prop_sparse_ids_answer_like_compact =
   QCheck.Test.make ~name:"dense ddg: shifted ids answer like compact ids"
     ~count:20
     QCheck.(pair (int_range 0 39) bool)
     (fun (i, far) ->
-      let by = if far then 1 lsl 40 else 1_000_000 in
+      let by = if far then 100_000 else 1_000 in
       let r = Ddg.to_repr (List.nth (Lazy.force suite_graphs) i).Loop.ddg in
       let g = Ddg.of_repr r and g' = Ddg.of_repr (shift_repr by r) in
       let edges = List.map (shift_edge by) in
@@ -302,9 +302,7 @@ let prop_sparse_ids_answer_like_compact =
              && Ddg.preds g' (v + by) = edges (Ddg.preds g v))
            (Ddg.nodes g)
       && Ddg.to_repr g' = shift_repr by r
-      && Ddg.to_repr (Ddg.copy g') = shift_repr by r
-      && Obj.reachable_words (Obj.repr g')
-         <= 2 * Obj.reachable_words (Obj.repr g))
+      && Ddg.to_repr (Ddg.copy g') = shift_repr by r)
 
 let test_of_repr_rejects_bad_ids () =
   let r = Ddg.to_repr (List.hd (Lazy.force suite_graphs)).Loop.ddg in
@@ -317,8 +315,8 @@ let test_of_repr_rejects_bad_ids () =
     (Invalid_argument "Ddg.of_repr: negative node id -1")
     (fun () -> ignore (Ddg.of_repr (with_extra (-1, Op.Fadd, [], []))))
 
-(* Id 90 starts in the overflow map of a two-node graph; the adds that
-   grow the array past it must move it in, not lose it. *)
+(* A two-node graph with ids 0 and 90: the adds that grow its array past
+   90 must carry that node over, not lose it. *)
 let test_overflow_moves_into_grown_array () =
   let g =
     Ddg.of_repr
@@ -327,7 +325,7 @@ let test_overflow_moves_into_grown_array () =
         repr_invariants = [] }
   in
   let added = List.init 40 (fun _ -> Ddg.add_node g Op.Fadd) in
-  check "overflow id still present" true (Ddg.mem g 90);
+  check "id 90 still present" true (Ddg.mem g 90);
   check "kind kept" true (Ddg.kind g 90 = Op.Fmul);
   check "ids in order" true (Ddg.nodes g = (0 :: 90 :: added));
   Ddg.add_edge g ~dep:Dep.True 90 (List.hd added);
@@ -350,10 +348,10 @@ let churn_gen =
         (1, return Repr) ])
 
 (* A graph whose few nodes have ids spread up to 120 (many past the
-   compactness bound, so in the overflow map) churned by adds, which
-   grow the array past them, removals, edges, copies and repr round
-   trips; after every step it must agree with a [Map] model of its
-   nodes and a multiset of its edges. *)
+   compactness bound) churned by adds, which grow the array past them,
+   removals, edges, copies and repr round trips; after every step it
+   must agree with a [Map] model of its nodes and a multiset of its
+   edges. *)
 let prop_churn_agrees_with_map_model =
   QCheck.Test.make ~name:"dense ddg: churn across array growth = Map model"
     ~count:100
@@ -443,7 +441,7 @@ let prop_cycles_carry_distance =
 (* The array Tarjan walk against the hash-table reference
    (test/scc_ref.ml): the same components in the same order, on suite,
    kernel and generated graphs, with their ids as built or shifted past
-   the compactness bound into the overflow map. *)
+   the compactness bound. *)
 let prop_scc_equals_reference =
   QCheck.Test.make ~name:"scc: array walk = hash-table reference" ~count:120
     QCheck.(triple (int_range 0 2) (int_range 0 200) (int_range 0 2))
@@ -461,7 +459,7 @@ let prop_scc_equals_reference =
       let g =
         match shift with
         | 0 -> g
-        | k -> Ddg.of_repr (shift_repr (if k = 1 then 1_000_000 else 1 lsl 40)
+        | k -> Ddg.of_repr (shift_repr (if k = 1 then 1_000 else 100_000)
                               (Ddg.to_repr g))
       in
       Scc.sccs g = Scc_ref.sccs g)

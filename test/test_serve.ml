@@ -230,30 +230,50 @@ let test_tiers_twin_gets_own_entry () =
     loops
 
 (* [l]'s request with every node id (edges, invariant consumers, streams
-   and the id counter included) moved up by [by]: still a valid graph,
-   but one whose ids are far from compact. *)
+   and the id counter included) moved up by [by] in the request itself:
+   a valid graph, but one whose ids are far from compact.  No graph is
+   built with the shifted ids, since that would allocate by id. *)
 let shifted_request ~by l =
-  let req =
-    sched_request (Hcrf_check.Morph.rewrite_loop ~m:(fun id -> id + by) l)
-  in
+  let req = sched_request l in
   let lr = req.Wire.sr_loop in
   let ddg = lr.Hcrf_ir.Loop.repr_ddg in
-  let next_id = ddg.Hcrf_ir.Ddg.repr_next_id + by in
+  let edges =
+    List.map (fun (e : Hcrf_ir.Ddg.edge) ->
+        { e with Hcrf_ir.Ddg.src = e.Hcrf_ir.Ddg.src + by; dst = e.dst + by })
+  in
+  let ddg =
+    { ddg with
+      Hcrf_ir.Ddg.repr_next_id = ddg.Hcrf_ir.Ddg.repr_next_id + by;
+      repr_nodes =
+        List.map
+          (fun (id, k, s, p) -> (id + by, k, edges s, edges p))
+          ddg.Hcrf_ir.Ddg.repr_nodes;
+      repr_invariants =
+        List.map
+          (fun (inv, cs) -> (inv, List.map (( + ) by) cs))
+          ddg.Hcrf_ir.Ddg.repr_invariants }
+  in
   { req with
     Wire.sr_loop =
       { lr with
-        Hcrf_ir.Loop.repr_ddg = { ddg with Hcrf_ir.Ddg.repr_next_id = next_id }
-      } }
+        Hcrf_ir.Loop.repr_ddg = ddg;
+        repr_streams =
+          List.map
+            (fun (st : Hcrf_ir.Loop.stream) ->
+              { st with Hcrf_ir.Loop.op = st.Hcrf_ir.Loop.op + by })
+            lr.Hcrf_ir.Loop.repr_streams } }
 
-(* The scheduler sizes per-node arrays by the largest id, so a request
-   with sparse ids is refused before it reaches the engine (building its
-   graph costs O(|V|): [Ddg] keeps such ids in an overflow map) — while
-   every loop the repo generates (suite, kernels, frontend programs,
-   fuzz and gap corpora) has compact ids and is accepted. *)
+(* The graph and the scheduler size per-node arrays by the largest id,
+   so a request with sparse ids is refused on its repr, before any graph
+   is built — while every loop the repo generates (suite, kernels,
+   frontend programs, fuzz and gap corpora) has compact ids and is
+   accepted. *)
 let test_sparse_ids_refused () =
   let far = shifted_request ~by:(1 lsl 40) (gen_loop 2) in
   (match Wire.loop_of_request far with
-  | exception Invalid_argument _ -> ()
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "refused at the door"
+      "loop_of_request: node ids are not compact" msg
   | _ -> Alcotest.fail "ids shifted by 2^40 accepted");
   let corpus dir =
     let dir = if Sys.file_exists dir then dir else Filename.concat "test" dir in
@@ -281,8 +301,8 @@ let test_sparse_ids_refused () =
 (* Requests a well-formed client never sends: a negative trip count, a
    successor edge to a node that does not exist, an id counter that
    would hand out ids already in use, a node listed twice, and ids far
-   from compact (the
-   scheduler would allocate per-node arrays for a million ids). *)
+   from compact (the graph and the scheduler would allocate per-node
+   arrays for a million ids, or for 2^40). *)
 let test_tiers_rejects_malformed_loop () =
   let req = sched_request (gen_loop 2) in
   let lr = req.Wire.sr_loop in
@@ -357,6 +377,7 @@ let test_tiers_rejects_malformed_loop () =
       ("next id 0", with_ddg { ddg with Hcrf_ir.Ddg.repr_next_id = 0 });
       ("node id listed twice", with_ddg twice);
       ("ids shifted by 1M", shifted_request ~by:1_000_000 (gen_loop 2));
+      ("ids shifted by 2^40", shifted_request ~by:(1 lsl 40) (gen_loop 2));
       ("parallel in-edge dropped", square) ]
 
 (* A request whose loop has two streams on one op (daxpy's first load
