@@ -106,7 +106,7 @@ let warn_no_schedule (config : Hcrf_machine.Config.t) loop ii =
   Logs.warn (fun m ->
       m "no schedule for %s on %s%s" (Loop.name loop)
         config.Hcrf_machine.Config.name
-        (if Engine.unplaceable config loop.Loop.ddg then
+        (if Select.unplaceable (Select.create config) loop.Loop.ddg then
            ": fits at no II: an operation has no location it can issue at"
          else Fmt.str " up to II=%d" ii))
 

@@ -208,6 +208,51 @@ let iter_nodes t f = List.iter f (fold_desc List.cons t [])
 let edges t = fold_desc (fun n acc -> n.succs @ acc) t []
 let num_edges t = fold_desc (fun n acc -> acc + List.length n.succs) t 0
 
+(* ------------------------------------------------------------------ *)
+(* Dense view                                                          *)
+
+type dense = {
+  ids : int array;
+  pos : int array;
+  first : int array;
+  succ : int array;
+  dist : int array;
+  lat : int array;
+}
+
+(* One walk of the node array numbers the nodes and sizes the rows; one
+   walk of the out-edge lists fills them. *)
+let dense ?latency t =
+  let n = t.count in
+  let ids = Array.make n 0 and first = Array.make (n + 1) 0 in
+  let i = ref 0 in
+  Array.iteri
+    (fun id nd ->
+      if nd.id = id then begin
+        ids.(!i) <- id;
+        first.(!i + 1) <- first.(!i) + List.length nd.succs;
+        incr i
+      end)
+    t.slots;
+  let pos = Array.make (if n = 0 then 0 else ids.(n - 1) + 1) (-1) in
+  Array.iteri (fun i id -> pos.(id) <- i) ids;
+  let m = first.(n) in
+  let succ = Array.make m 0 and dist = Array.make m 0 in
+  let lat = Array.make m 0 in
+  Array.iteri
+    (fun i id ->
+      List.iteri
+        (fun j e ->
+          let k = first.(i) + j in
+          if e.dst < 0 || e.dst >= Array.length pos || pos.(e.dst) < 0 then
+            unknown t e.dst;
+          succ.(k) <- pos.(e.dst);
+          dist.(k) <- e.distance;
+          match latency with Some f -> lat.(k) <- f e | None -> ())
+        t.slots.(id).succs)
+    ids;
+  { ids; pos; first; succ; dist; lat }
+
 (** True-dependence consumers of the value defined by [id]: the
     out-edge list itself, in O(1), when it holds no other edge (the
     common case). *)

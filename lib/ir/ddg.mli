@@ -91,6 +91,27 @@ val iter_nodes : t -> (node -> unit) -> unit
 val edges : t -> edge list
 val num_edges : t -> int
 
+(** A dense, read-only view of the graph's shape over positions: node
+    position [i] is the [i]-th id in increasing order, so position order
+    is id order.  Position [i]'s out-edges, in adjacency-list order, are
+    the edge indices [first.(i)] to [first.(i + 1) - 1] (compressed
+    rows: [first] has [n + 1] cells).  The SCC walk, the RecMII search
+    and the HRMS order read this one view instead of mapping ids to
+    positions each their own way. *)
+type dense = {
+  ids : int array;    (** position -> id, increasing *)
+  pos : int array;    (** id -> position, -1 for no node; largest id + 1
+                          cells *)
+  first : int array;  (** position -> its first out-edge index *)
+  succ : int array;   (** edge -> target position *)
+  dist : int array;   (** edge -> iteration distance *)
+  lat : int array;    (** edge -> [latency e] (0 without [latency]) *)
+}
+
+(** O(|V| + |E|) past the node array's scan.  Raises
+    [Invalid_argument] on an edge to an unknown node. *)
+val dense : ?latency:(edge -> int) -> t -> dense
+
 (** [True]-dependence out-edges: the consumers of [id]'s value.  When
     every out-edge is [True] (the common case) this is {!succs} itself,
     found in O(1) from the node's non-[True] counter, so the call

@@ -266,22 +266,6 @@ let attempt config opts ~lat ~sel g0 ~order ~ii ~trace ~arena =
   Ddg.set_watcher s.g None;
   result
 
-(* An operation fits nowhere when, at every location, its reservation
-   vector asks one resource for more units in a cycle than there are. *)
-let unplaceable config g =
-  let mrt = Mrt.create config ~ii:1 in
-  let fits kind loc =
-    Mrt.can_place_c mrt
-      (Mrt.compile mrt (Topology.uses config kind loc ~src:None))
-      ~cycle:0
-  in
-  List.exists
-    (fun kind ->
-      (not (Op.is_communication kind))
-      && Ddg.count_kind g (Op.equal_kind kind) > 0
-      && not (List.exists (fits kind) (Topology.exec_locs config kind)))
-    Op.all_kinds
-
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 
@@ -293,30 +277,24 @@ let escalation_budget = 16
 (* The II search at the caller's budget ratio, then, if [escalate] and
    it failed, once more at [escalation_budget]: each a fresh search from
    the MII, both over one computation of the recurrences, MII, order,
-   [unplaceable] test, arena and selection tables. *)
+   placeability test, arena and selection tables. *)
 let run ~escalate ~(opts : options) ~trace (config : Config.t) (g0 : Ddg.t) :
     (outcome, error) result =
   let t0 = Unix.gettimeofday () in
   let lat = Latency.make ~override:opts.load_override config in
-  (* one SCC/RecMII pass serves both the bound and the order *)
-  let recs, mii =
+  (* one dense view and one SCC/RecMII pass serve the bound and the
+     order *)
+  let a, mii =
     Tr.span trace Ev.Mii (fun () ->
-        let recs = Mii.recurrences lat g0 in
-        (recs, Mii.compute ~lat ~recs config g0))
+        let a = Mii.analyse lat g0 in
+        (a, Mii.compute ~lat ~recs:a.recs config g0))
   in
   (* the priority order does not depend on II: compute it once *)
   let order =
     Tr.span trace Ev.Order (fun () ->
         match opts.ordering with
-        | `Hrms -> Order.compute ~lat ~recs config g0
-        | `Topological ->
-          let asap, _ = Order.asap_alap lat g0 in
-          List.sort
-            (fun a b ->
-              match Int.compare (asap a) (asap b) with
-              | 0 -> Int.compare a b
-              | c -> c)
-            (Ddg.nodes g0))
+        | `Hrms -> Order.hrms a
+        | `Topological -> Order.topological a)
   in
   let restarts = ref 0 in
   (* one arena serves every II attempt of this call, on both rungs:
@@ -364,7 +342,7 @@ let run ~escalate ~(opts : options) ~trace (config : Config.t) (g0 : Ddg.t) :
     end
   in
   Tr.span trace Ev.Schedule (fun () ->
-      if unplaceable config g0 then Error (`No_schedule mii)
+      if Select.unplaceable sel g0 then Error (`No_schedule mii)
       else
         match search ~opts ~retries:0 mii with
         | Error _ when escalate ->

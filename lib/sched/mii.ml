@@ -59,28 +59,24 @@ let res_mii (config : Config.t) (g : Ddg.t) =
   in
   (fu, mem, comm)
 
-(* The edges inside one SCC, by position in [nodes]: (source, target,
-   latency, distance), read from the graph once for every probe of the
-   RecMII search. *)
+(* The edges inside one SCC, by local index (its members' order):
+   (source, target, latency, distance), read from the view once for
+   every probe of the RecMII search, in no particular order.  [local]
+   maps every position to -1 on entry and on return. *)
 type scc_edges = { n : int; edges : (int * int * int * int) array }
 
-let scc_edges (lat : Latency.t) (g : Ddg.t) nodes =
-  let n = List.length nodes in
-  let idx = Hashtbl.create n in
-  List.iteri (fun i v -> Hashtbl.replace idx v i) nodes;
-  let edges =
-    List.concat_map
-      (fun v ->
-        let i = Hashtbl.find idx v in
-        List.filter_map
-          (fun (e : Ddg.edge) ->
-            Option.map
-              (fun j -> (i, j, Latency.of_edge lat g e, e.distance))
-              (Hashtbl.find_opt idx e.dst))
-          (Ddg.succs g v))
-      nodes
-  in
-  { n; edges = Array.of_list edges }
+let scc_edges (d : Ddg.dense) local members =
+  List.iteri (fun l i -> local.(i) <- l) members;
+  let edges = ref [] in
+  List.iter
+    (fun i ->
+      for k = d.first.(i) to d.first.(i + 1) - 1 do
+        let j = local.(d.succ.(k)) in
+        if j >= 0 then edges := (local.(i), j, d.lat.(k), d.dist.(k)) :: !edges
+      done)
+    members;
+  List.iter (fun i -> local.(i) <- -1) members;
+  { n = List.length members; edges = Array.of_list !edges }
 
 (* Positive-cycle test: is there a cycle with total (latency - ii *
    distance) > 0 among the SCC's nodes?  Floyd-Warshall with max-plus
@@ -121,17 +117,20 @@ let has_positive_cycle (c : scc_edges) ~ii =
     with Found -> true
   end
 
-(** RecMII of one SCC: smallest ii with no positive cycle. *)
-let scc_rec_mii (lat : Latency.t) (g : Ddg.t) nodes =
+(* RecMII of one SCC, given by positions in [d]: smallest ii with no
+   positive cycle. *)
+let rec_mii_dense (lat : Latency.t) (g : Ddg.t) (d : Ddg.dense) local members
+    =
   (* Upper bound: total latency around any simple cycle is at most the sum
      of all node latencies in the SCC (distances are >= 1 on cycles). *)
   let upper =
     List.fold_left
-      (fun acc v ->
+      (fun acc i ->
+        let v = d.ids.(i) in
         acc + max 1 (Latency.of_def lat ~id:v ~kind:(Ddg.kind g v)))
-      1 nodes
+      1 members
   in
-  let c = scc_edges lat g nodes in
+  let c = scc_edges d local members in
   let rec search lo hi =
     if lo >= hi then lo
     else
@@ -143,10 +142,24 @@ let scc_rec_mii (lat : Latency.t) (g : Ddg.t) nodes =
 
 type recurrence = { rmii : int; scc : int list }
 
-let recurrences (lat : Latency.t) (g : Ddg.t) =
-  List.map
-    (fun scc -> { rmii = scc_rec_mii lat g scc; scc })
-    (Scc.recurrences g)
+type analysis = { graph : Ddg.t; view : Ddg.dense; recs : recurrence list }
+
+let analyse (lat : Latency.t) (g : Ddg.t) =
+  let d = Ddg.dense ~latency:(Latency.of_edge lat g) g in
+  let recs =
+    match Scc.recurrences_dense d with
+    | [] -> []
+    | recs ->
+      let local = Array.make (Array.length d.ids) (-1) in
+      List.map
+        (fun members ->
+          { rmii = rec_mii_dense lat g d local members;
+            scc = List.map (fun i -> d.ids.(i)) members })
+        recs
+  in
+  { graph = g; view = d; recs }
+
+let recurrences lat g = (analyse lat g).recs
 
 let rec_of_recurrences recs =
   List.fold_left (fun acc r -> max acc r.rmii) 1 recs

@@ -4,7 +4,12 @@
     (FUs and, when clustered, memory ports); [RecMII] is the classic
     maximum over dependence cycles of ceil(sum latency / sum distance),
     computed per SCC with a binary search on II and a positive-cycle
-    (Floyd-Warshall) test on edge weights latency - II * distance. *)
+    (Floyd-Warshall) test on edge weights latency - II * distance.
+
+    The SCC walk and each SCC's edge list read the graph's dense view
+    ({!Hcrf_ir.Ddg.dense}).  {!analyse} returns that view with the
+    recurrences it found, so [Engine.schedule] builds it once per loop
+    and hands both to [Order.hrms]. *)
 
 type bounds = {
   fu : int;    (** bound from FU issue slots (non-pipelined ops count
@@ -19,15 +24,22 @@ val mii : bounds -> int
 (** The resource components (fu, mem, comm). *)
 val res_mii : Hcrf_machine.Config.t -> Hcrf_ir.Ddg.t -> int * int * int
 
-(** RecMII of one SCC: the smallest II admitting no positive cycle. *)
-val scc_rec_mii : Latency.t -> Hcrf_ir.Ddg.t -> int list -> int
-
 (** A recurrence ({!Hcrf_ir.Scc.recurrences}) and its RecMII. *)
 type recurrence = { rmii : int; scc : int list }
 
-(** The SCC/RecMII pass: every recurrence of the graph, in
-    {!Hcrf_ir.Scc.recurrences} order.  [Engine.schedule] runs it once
-    per loop and hands it to both {!compute} and [Order.compute]. *)
+(** One loop's SCC/RecMII pass with the dense view it read: [view]
+    carries every edge's latency under the pass's table, and [recs] is
+    every recurrence of [graph], in {!Hcrf_ir.Scc.recurrences} order.
+    Only {!analyse} builds one, so the three always agree. *)
+type analysis = private {
+  graph : Hcrf_ir.Ddg.t;
+  view : Hcrf_ir.Ddg.dense;
+  recs : recurrence list;
+}
+
+val analyse : Latency.t -> Hcrf_ir.Ddg.t -> analysis
+
+(** [(analyse lat g).recs]. *)
 val recurrences : Latency.t -> Hcrf_ir.Ddg.t -> recurrence list
 
 val rec_mii : Latency.t -> Hcrf_ir.Ddg.t -> int

@@ -191,6 +191,12 @@ let can_place_any_c t (u : cuses) =
     !c < t.ii
   end
 
+(* An empty table answers alike at every II and cycle: an entry fails
+   only when its rank in its row group exceeds the unit count. *)
+let fits_empty config =
+  let t = create config ~ii:1 in
+  fun uses -> can_place_c t (compile t uses) ~cycle:0
+
 (* Occupant stack push/pop-one for cell [idx]. *)
 let push_occ t idx node =
   let st = t.occ.(idx) in

@@ -51,6 +51,14 @@ type cuses
     configuration. *)
 val compile : t -> (Topology.resource * int) list -> cuses
 
+(** [fits_empty config uses]: could [uses] be reserved in an empty
+    table of [config], at any II and cycle?  A resource asked for more
+    units in one cycle than it has fails.  Partial application builds
+    the one empty table every vector is probed in.  Raises
+    [Invalid_argument] as {!compile} does. *)
+val fits_empty :
+  Hcrf_machine.Config.t -> (Topology.resource * int) list -> bool
+
 (** Can [cuses] be reserved at [cycle]? *)
 val can_place_c : t -> cuses -> cycle:int -> bool
 

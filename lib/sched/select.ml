@@ -14,6 +14,9 @@ type cands = {
   locs : Topology.loc list;
   rbs : Topology.bank array;         (* candidate -> read bank *)
   dbs : Topology.bank option array;  (* candidate -> definition bank *)
+  fits : bool;
+      (* some candidate takes the kind in an empty reservation table;
+         true for communication, which the engine splices out instead *)
 }
 
 (* Built once per configuration and kept per [Engine.schedule] call,
@@ -29,20 +32,35 @@ type t = {
 }
 
 let create config =
-  let none = { locs = []; rbs = [||]; dbs = [||] } in
+  let fits = Mrt.fits_empty config in
+  let none = { locs = []; rbs = [||]; dbs = [||]; fits = true } in
   let exec = Array.make (List.length Op.all_kinds) none in
   List.iter
     (fun k ->
       let locs = Topology.exec_locs config k in
       let at f = Array.of_list (List.map (f config k) locs) in
       exec.(Schedule.kind_tag k) <-
-        { locs; rbs = at Topology.read_bank; dbs = at Topology.def_bank })
+        { locs; rbs = at Topology.read_bank; dbs = at Topology.def_bank;
+          fits =
+            Op.is_communication k
+            || List.exists
+                 (fun loc -> fits (Topology.uses config k loc ~src:None))
+                 locs })
     Op.all_kinds;
   { exec;
     cc_counts = Hashtbl.create 4;
     sc_comm = Array.make (Config.clusters config) 0;
     sc_mark = Array.make (Config.clusters config) 0;
     sc_edge = 0 }
+
+(* Whether some operation of [g] fits at none of its locations even in
+   an empty reservation table (no read or write port, or one read port
+   under a two-operand op): such a loop fits at no II, and the engine
+   answers it before trying one.  Communication is not tested: the
+   engine splices out what it cannot place.  The runner asks it again
+   to word its "fits at no II" warning. *)
+let unplaceable sel g =
+  Ddg.count_kind g (fun k -> not sel.exec.(Schedule.kind_tag k).fits) > 0
 
 let cluster_loc (s : Attempt.t) i = s.sched.Schedule.locs.(i + 1)
 

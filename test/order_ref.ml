@@ -4,7 +4,8 @@
    it with the same rule on dense index arrays; the two must return the
    same order list on every graph, which test_sched.ml checks over
    random loops, the suite, the kernels and [Progs] on the Table 5 and
-   Figure 6 configurations. *)
+   Figure 6 configurations.  Its recurrences and their RecMII come from
+   the reference pass (test/mii_ref.ml), not from the code under test. *)
 
 open Hcrf_ir
 open Hcrf_sched
@@ -109,8 +110,7 @@ let compute ?(lat : Latency.t option) config (g : Ddg.t) : int list =
   in
   (* 1. recurrences, hardest first, with connecting path nodes *)
   let groups =
-    Scc.recurrences g
-    |> List.map (fun scc -> (Mii.scc_rec_mii lat g scc, scc))
+    Mii_ref.recurrences lat g
     |> List.sort (fun (a, sa) (b, sb) ->
            compare (b, List.length sb) (a, List.length sa))
     |> List.map snd

@@ -297,6 +297,40 @@ let test_escalates_at_most_once () =
     check_int "budget.escalate" 1 (count "budget.escalate");
     check "last II under the automatic cap" true (ii < 4096)
 
+(* [Mrt.fits_empty], which answers from [Mrt.compile]'s grouping
+   without a table, against the probe it replaced: compile each vector
+   into an empty table at II 1 and ask for cycle 0.  [Select.create]'s
+   per-kind flag is whether some location fits. *)
+let test_select_fits_equals_mrt_probe () =
+  List.iter
+    (fun notation ->
+      let config = Hcrf_model.Presets.of_notation notation in
+      let sel = Select.create config in
+      let mrt = Mrt.create config ~ii:1 in
+      List.iter
+        (fun kind ->
+          let fits loc =
+            let uses = Topology.uses config kind loc ~src:None in
+            let probe =
+              Mrt.can_place_c mrt (Mrt.compile mrt uses) ~cycle:0
+            in
+            check
+              (Fmt.str "%s: %a at %a" notation Op.pp_kind kind
+                 Topology.pp_loc loc)
+              probe (Mrt.fits_empty config uses);
+            probe
+          in
+          let locs = Topology.exec_locs config kind in
+          if not (Op.is_communication kind) then
+            check
+              (Fmt.str "%s: %a" notation Op.pp_kind kind)
+              (List.exists Fun.id (List.map fits locs))
+              sel.Select.exec.(Schedule.kind_tag kind).Select.fits)
+        Op.all_kinds)
+    [ "S64"; "4C32"; "4C16S16"; "8C16S16"; "1C32S64"; "4C16S16@r0w1";
+      "4C16S16@r1w1"; "4C32@r0w2"; "4C16S16@r2w0"; "4C16S16@r2w1";
+      "2C32S32@Sr4w2"; "4C16S16@r1w1@Sr1w1"; "2C64@r1w0" ]
+
 (* A loop the engine finds unplaceable climbs no rung: one MII and
    ordering pass, no escalation. *)
 let test_unplaceable_climbs_no_rung () =
@@ -455,6 +489,8 @@ let tests =
     ("engine: escalates at most once", `Quick, test_escalates_at_most_once);
     ("engine: unplaceable climbs no rung", `Quick,
      test_unplaceable_climbs_no_rung);
+    ("select: placeability equals the empty-table probe", `Quick,
+     test_select_fits_equals_mrt_probe);
     ("select: beside the operand", `Quick, test_select_follows_operand);
     ("select: first of equal costs", `Quick, test_select_first_of_equal_costs);
     ("spill: invariant first", `Quick, test_spill_invariant_first);

@@ -259,22 +259,8 @@ let prop_repr_roundtrip =
 (* ------------------------------------------------------------------ *)
 (* Dense node table on sparse and churned ids *)
 
-let shift_edge by (e : Ddg.edge) = { e with src = e.src + by; dst = e.dst + by }
-
-(* [r] with every id (nodes, edges, invariant consumers, id counter)
-   moved up by [by], adjacency order kept. *)
-let shift_repr by (r : Ddg.repr) =
-  let edges = List.map (shift_edge by) in
-  { r with
-    Ddg.repr_next_id = r.Ddg.repr_next_id + by;
-    repr_nodes =
-      List.map
-        (fun (id, k, s, p) -> (id + by, k, edges s, edges p))
-        r.Ddg.repr_nodes;
-    repr_invariants =
-      List.map
-        (fun (inv, cs) -> (inv, List.map (( + ) by) cs))
-        r.Ddg.repr_invariants }
+let shift_edge = Final_graphs.shift_edge
+let shift_repr = Final_graphs.shift_repr
 
 (* Ids shifted past the compactness bound, to slots far down one grown
    array: the graph must answer exactly like the compact one, mapped by
@@ -440,11 +426,11 @@ let prop_cycles_carry_distance =
 
 (* The array Tarjan walk against the hash-table reference
    (test/scc_ref.ml): the same components in the same order, on suite,
-   kernel and generated graphs, with their ids as built or shifted past
-   the compactness bound. *)
+   kernel, generated and engine-made graphs (test/final_graphs.ml),
+   with their ids as built or shifted past the compactness bound. *)
 let prop_scc_equals_reference =
-  QCheck.Test.make ~name:"scc: array walk = hash-table reference" ~count:120
-    QCheck.(triple (int_range 0 2) (int_range 0 200) (int_range 0 2))
+  QCheck.Test.make ~name:"scc: array walk = hash-table reference" ~count:160
+    QCheck.(triple (int_range 0 3) (int_range 0 200) (int_range 0 2))
     (fun (source, i, shift) ->
       let g =
         match source with
@@ -452,9 +438,13 @@ let prop_scc_equals_reference =
         | 1 ->
           let kernels = Hcrf_workload.Kernels.all in
           (snd (List.nth kernels (i mod List.length kernels)) ()).Loop.ddg
-        | _ ->
+        | 2 ->
           let rng = Hcrf_workload.Rng.create ~seed:(0x5CC + (i * 7919)) in
           (Hcrf_workload.Genloop.generate ~rng ~index:i ()).Loop.ddg
+        | _ ->
+          let finals = Lazy.force Final_graphs.all in
+          let _, _, g = List.nth finals (i mod List.length finals) in
+          g
       in
       let g =
         match shift with

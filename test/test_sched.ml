@@ -399,6 +399,12 @@ let orders_agree (config, prefetch) (l : Loop.t) =
   Order.compute ~lat config l.Loop.ddg
   = Order_ref.compute ~lat config l.Loop.ddg
 
+(* A final graph of the engine (test/final_graphs.ml) ordered under its
+   configuration's latencies. *)
+let final_orders_agree (config, _, g) =
+  let lat = Latency.make config in
+  Order.compute ~lat config g = Order_ref.compute ~lat config g
+
 let prop_order_equals_reference =
   QCheck.Test.make ~name:"order: equals the list-based reference"
     ~count:200
@@ -424,6 +430,72 @@ let test_order_equals_reference_everywhere () =
         (config.Hcrf_machine.Config.name ^ ": loops ordered differently")
         [] differ)
     (Lazy.force order_configs)
+
+let test_final_graphs_equal_references () =
+  let differ p =
+    List.filter_map
+      (fun ((config, name, _) as f) ->
+        if p f then None else Some (config.Config.name ^ "/" ^ name))
+      (Lazy.force Final_graphs.all)
+  in
+  Alcotest.(check (list string)) "final graphs ordered differently" []
+    (differ final_orders_agree);
+  Alcotest.(check (list string)) "final graphs with other recurrences" []
+    (differ (fun (config, _, g) ->
+         let lat = Latency.make config in
+         List.map (fun (r : Mii.recurrence) -> (r.rmii, r.scc))
+           (Mii.recurrences lat g)
+         = Mii_ref.recurrences lat g))
+
+(* [Mii.recurrences] against the per-SCC hash-table reference
+   (test/mii_ref.ml): the same recurrences in the same order with the
+   same RecMII, on the suite and the kernels under every Table 5 and
+   Figure 6 latency table, the binding-prefetch one included. *)
+let test_mii_equals_reference () =
+  let loops =
+    Hcrf_workload.Suite.generate ~n:200 () @ Hcrf_workload.Suite.kernels ()
+  in
+  List.iter
+    (fun (config, prefetch) ->
+      let differ =
+        List.filter
+          (fun (l : Loop.t) ->
+            let override =
+              if prefetch then Hcrf_memsim.Prefetch.plan config l
+              else Hcrf_memsim.Prefetch.none
+            in
+            let lat = Latency.make ~override config in
+            List.map (fun (r : Mii.recurrence) -> (r.rmii, r.scc))
+              (Mii.recurrences lat l.Loop.ddg)
+            <> Mii_ref.recurrences lat l.Loop.ddg)
+          loops
+        |> List.map Loop.name
+      in
+      Alcotest.(check (list string))
+        (config.Config.name ^ ": loops with other recurrences") [] differ)
+    (Lazy.force order_configs)
+
+(* The heap expansion's tie-breaks, pinned.  Two components: a0 feeds
+   a1 and a2, which tie on (mobility, ASAP); b0 feeds b1 through a
+   longer latency, so the b chain has no slack.  Nothing is adjacent at
+   the start, so the first node is the global minimum by (mobility,
+   ASAP, id), b0; then b1, adjacent; then nothing is adjacent again and
+   the ranking's first unordered node, a0, comes next; a1 and a2 tie
+   and go by id.  The edge to a2 is added last, so it heads a0's
+   out-edge list: a2 becomes adjacent first. *)
+let test_order_heap_tie_break () =
+  let config = Lazy.force s128 in
+  let g = Ddg.create ~name:"ties" () in
+  let a0 = Ddg.add_node g Op.Fadd in
+  let a1 = Ddg.add_node g Op.Fadd and a2 = Ddg.add_node g Op.Fadd in
+  let b0 = Ddg.add_node g Op.Fdiv in
+  let b1 = Ddg.add_node g Op.Fadd in
+  Ddg.add_edge g ~dep:Dep.True a0 a1;
+  Ddg.add_edge g ~dep:Dep.True a0 a2;
+  Ddg.add_edge g ~dep:Dep.True b0 b1;
+  let order = Order.compute config g in
+  Alcotest.(check (list int)) "order" [ b0; b1; a0; a1; a2 ] order;
+  Alcotest.(check (list int)) "reference" (Order_ref.compute config g) order
 
 (* ------------------------------------------------------------------ *)
 (* Flat-core observational equivalence.
@@ -1023,4 +1095,10 @@ let tests =
     ("order: equals the reference on suite, kernels, Progs", `Slow,
      test_order_equals_reference_everywhere);
     QCheck_alcotest.to_alcotest prop_order_equals_reference;
+    ("order and recurrences: the references on the engine's final graphs",
+     `Quick, test_final_graphs_equal_references);
+    ("mii: recurrences equal the per-SCC hash-table reference", `Quick,
+     test_mii_equals_reference);
+    ("order: heap tie-break and no-adjacent fallback", `Quick,
+     test_order_heap_tie_break);
   ]
